@@ -5,6 +5,13 @@ implementations at 1M+ elements, in the same process and run, and writes
 the measurements to ``BENCH_hotpaths.json`` at the repo root — the perf
 baseline all subsequent performance PRs compare against.
 
+Huffman decode is additionally measured as a *size sweep* (1.8 KB tile
+groups up to 1 MB): the 1M-symbol row alone hid a fixed ~1024-round
+floor that dominated every small stream. Each sweep row times
+``decode`` against ``decode_reference`` and against both decode regimes
+forced, which is the evidence behind the regime constant
+``SHORT_STREAM_BYTES_PER_ROUND``.
+
 Run standalone (writes the JSON):
 
     PYTHONPATH=src python benchmarks/bench_hotpaths.py
@@ -38,6 +45,7 @@ from repro.bitplane.encoding import (
     inject_planes,
     inject_planes_reference,
 )
+import repro.lossless.huffman as huffman
 from repro.lossless.huffman import HuffmanCodec
 from repro.lossless.rle import rle_decode, rle_encode
 
@@ -57,6 +65,25 @@ MIN_HUFFMAN_SPEEDUP = 3.0
 #: Acceptance floor for ISSUE 3: word-packed Huffman encode versus the
 #: retained per-bit reference packer, measured in the same run.
 MIN_HUFFMAN_ENCODE_SPEEDUP = 5.0
+#: Acceptance floors for ISSUE 13, against the lockstep loop forced on
+#: (the pre-PR decode at every size): a 1792-byte tile group decodes
+#: >= 10x faster, and no size decodes slower than 0.9x.
+MIN_SHORT_STREAM_SPEEDUP = 10.0
+MIN_SWEEP_SPEEDUP = 0.9
+
+#: Decoded sizes of the sweep: the benchmark's tile groups (1792), the
+#: service_qoi groups (6-48 K), two sizes bracketing the measured
+#: walk/lockstep crossover (64 K, 96 K), read_staircase's finest level
+#: (224 K) and the historical 1 M point.
+SWEEP_SIZES = (1792, 6048, 27216, 48384, 65536, 98304, 229376, 1 << 20)
+SMOKE_SWEEP_SIZES = (1792, 6048, 70000)
+#: Best-of this many alternating reps: rows whose regime is lockstep run
+#: the same code on both sides of the 0.9x floor, and with 7 reps that
+#: ratio still read 0.79-1.05 on the recording box.
+SWEEP_REPS = 21
+#: The walk is forced only up to this many times the regime threshold
+#: (its tables cost ~200 bytes per payload byte).
+MAX_FORCED_WALK_FACTOR = 4
 
 
 # ---------------------------------------------------------------------
@@ -124,8 +151,95 @@ def _best_time(fn, reps: int = REPS):
     return best, result
 
 
+def _times_interleaved(fns, reps: int = REPS):
+    """Per-rep walls of each function, run round-robin: ``(reps, len(fns))``.
+
+    Ratios between the functions are what the sweep gates, and this box
+    drifts by tens of percent within seconds: timing the candidates in
+    alternation exposes each to the same drift. The order reverses every
+    rep because a decode's wall depends on what its predecessor left in
+    the allocator (same code reads 0.26 or 0.37 ms by position alone).
+    """
+    walls = np.empty((reps, len(fns)))
+    results = [None] * len(fns)
+    for rep in range(reps):
+        order = range(len(fns)) if rep % 2 == 0 else reversed(range(len(fns)))
+        for i in order:
+            t0 = time.perf_counter()
+            results[i] = fns[i]()
+            walls[rep, i] = time.perf_counter() - t0
+    return walls, results
+
+
+def _decode_forced(codec: HuffmanCodec, blob: bytes, per_round: int):
+    """``codec.decode`` with the regime rule's constant overridden."""
+    saved = huffman.SHORT_STREAM_BYTES_PER_ROUND
+    huffman.SHORT_STREAM_BYTES_PER_ROUND = per_round
+    try:
+        return codec.decode(blob)
+    finally:
+        huffman.SHORT_STREAM_BYTES_PER_ROUND = saved
+
+
+def huffman_decode_sweep(sizes=SWEEP_SIZES, reps: int = SWEEP_REPS) -> dict:
+    """Decode wall per stream size: chosen regime, both forced, reference.
+
+    Inputs are zero-heavy like low bit-plane groups (60% zero bytes).
+    ``vs_lockstep`` is the gain over the pre-PR decode, which ran the
+    lockstep loop at every size. The ratio keys deliberately avoid the
+    word "speedup": a 0.2 ms decode against a 5 ms one reads 19x-28x
+    from run to run, so ``check_regression.py``'s 80%-of-recorded rule
+    would flake; :func:`check_sweep_floors` gates them on fixed floors.
+    """
+    codec = HuffmanCodec()
+    rng = np.random.default_rng(13)
+    limit = huffman.SHORT_STREAM_BYTES_PER_ROUND
+    rows = []
+    for n in sizes:
+        data = np.where(
+            rng.random(n) < 0.6, 0, rng.integers(0, 256, n)
+        ).astype(np.uint8)
+        blob = codec.encode(data)
+        payload = codec._parse_stream(blob)[-1].size
+        rounds = min(codec.chunk_symbols, n)
+        walls, outs = _times_interleaved([
+            lambda: codec.decode_reference(blob),
+            lambda: codec.decode(blob),
+            lambda: _decode_forced(codec, blob, 0),
+        ], reps)
+        for out in outs:
+            assert np.array_equal(out, data), f"decode diverged at n={n}"
+        t_ref, t_fast, t_lock = walls.min(axis=0)
+        row = {
+            "num_symbols": n,
+            "payload_bytes": payload,
+            "payload_bytes_per_round": payload / rounds,
+            "regime": "walk" if payload <= limit * rounds else "lockstep",
+            "decode_reference_ms": t_ref * 1e3,
+            "decode_lockstep_ms": t_lock * 1e3,
+            "decode_fast_ms": t_fast * 1e3,
+            # Median of the per-rep paired ratios, not a ratio of bests:
+            # a burst hits both sides of a pair or neither.
+            "vs_reference": float(np.median(walls[:, 0] / walls[:, 1])),
+            "vs_lockstep": float(np.median(walls[:, 2] / walls[:, 1])),
+        }
+        if payload <= MAX_FORCED_WALK_FACTOR * limit * rounds:
+            # Timed apart from the gated trio: the walk frees ~200 bytes
+            # per payload byte, and whichever decode runs next inherits
+            # that warm heap (a same-code pair read 0.81x with the walk
+            # in the rotation).
+            t_walk, out_walk = _best_time(
+                lambda: _decode_forced(codec, blob, 1 << 40), reps
+            )
+            assert np.array_equal(out_walk, data)
+            row["decode_walk_ms"] = t_walk * 1e3
+        rows.append(row)
+    return {"short_stream_bytes_per_round": limit, "rows": rows}
+
+
 def run_benchmarks(
-    n: int = N_ELEMENTS, num_bitplanes: int = NUM_BITPLANES, reps: int = REPS
+    n: int = N_ELEMENTS, num_bitplanes: int = NUM_BITPLANES, reps: int = REPS,
+    sweep_sizes=SWEEP_SIZES, sweep_reps: int = SWEEP_REPS,
 ) -> dict:
     """Measure all hot paths; returns the BENCH_hotpaths payload."""
     rng = np.random.default_rng(0)
@@ -234,6 +348,7 @@ def run_benchmarks(
             "encode_throughput_mbps": mb / t_henc,
             "decode_throughput_mbps": mb / t_hdec,
         },
+        "huffman_decode_sweep": huffman_decode_sweep(sweep_sizes, sweep_reps),
         "rle": {
             "encode_ms": t_renc * 1e3,
             "decode_ms": t_rdec * 1e3,
@@ -260,6 +375,15 @@ def test_hotpaths_meet_speedup_floors():
     assert codec["combined_speedup"] >= MIN_CODEC_SPEEDUP, codec
     assert huff["decode_speedup"] >= MIN_HUFFMAN_SPEEDUP, huff
     assert huff["encode_speedup"] >= MIN_HUFFMAN_ENCODE_SPEEDUP, huff
+    check_sweep_floors(results["huffman_decode_sweep"])
+
+
+def check_sweep_floors(sweep: dict) -> None:
+    """ISSUE 13 floors on the Huffman decode size sweep."""
+    rows = {row["num_symbols"]: row for row in sweep["rows"]}
+    assert rows[1792]["vs_lockstep"] >= MIN_SHORT_STREAM_SPEEDUP, rows[1792]
+    for row in rows.values():
+        assert row["vs_lockstep"] >= MIN_SWEEP_SPEEDUP, row
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -268,13 +392,15 @@ def main(argv: list[str] | None = None) -> None:
         # Tiny sizes: the equality assertions inside run_benchmarks
         # still exercise every fast-vs-reference pair; no floors, no
         # baseline overwrite.
-        run_benchmarks(n=1 << 14, reps=1)
+        run_benchmarks(n=1 << 14, reps=1, sweep_sizes=SMOKE_SWEEP_SIZES,
+                       sweep_reps=1)
         print("bench_hotpaths smoke ok (tiny sizes, no floors, "
               "nothing written)")
         return
     results = run_benchmarks()
     path = write_results(results)
     print(f"wrote {path}")
+    check_sweep_floors(results["huffman_decode_sweep"])
     codec = results["bitplane_codec"]
     tr = results["bitplane_transpose"]
     huff = results["huffman"]
@@ -292,6 +418,13 @@ def main(argv: list[str] | None = None) -> None:
         f"huffman: encode {huff['encode_speedup']:.1f}x, "
         f"decode {huff['decode_speedup']:.1f}x"
     )
+    for row in results["huffman_decode_sweep"]["rows"]:
+        print(
+            f"huffman decode n={row['num_symbols']:>7} ({row['regime']}): "
+            f"{row['decode_fast_ms']:.2f} ms, "
+            f"{row['vs_lockstep']:.1f}x vs lockstep, "
+            f"{row['vs_reference']:.1f}x vs reference"
+        )
     print(
         f"rle: encode {results['rle']['encode_throughput_mbps']:.0f} MB/s, "
         f"decode {results['rle']['decode_throughput_mbps']:.0f} MB/s"

@@ -5,7 +5,10 @@ entropy coders: :func:`pack_varlen_bits` merges all symbols' codes into
 64-bit stream words in one vectorized pass (the chunk-parallel word-merge
 of GPU Huffman encoders), and :func:`peek_bits` gathers fixed-width
 windows at arbitrary (vectorized) bit cursors — the primitive that lets
-many chunks decode in lockstep.
+many chunks decode in lockstep. :func:`bit_windows_all` is the dense
+counterpart: the window at *every* bit position of a short stream in one
+broadcast shift, which is what lets a decoder trade per-round call
+overhead for a per-bit-position table.
 
 The packer's word-packed layout: bit position ``p`` lives in 64-bit lane
 ``p >> 6``. A code ending at in-lane bit offset ``e = (p & 63) + len``
@@ -229,6 +232,31 @@ def sliding_windows_u64(stream: np.ndarray, extra: int = 0) -> np.ndarray:
         writeable=False,
     )
     return windows
+
+
+def bit_windows_all(stream: np.ndarray, width: int) -> np.ndarray:
+    """The ``width``-bit MSB-first window at *every* bit position.
+
+    Returns a fresh, writable ``int64`` array ``v`` of ``8 * (stream.size
+    + 1)`` entries where ``v[p]`` is bits ``p … p+width-1`` of the
+    zero-padded stream — ``peek_bits(stream, arange(8*(size+1)), width)``
+    computed as one broadcast shift + mask over the per-byte 64-bit
+    windows instead of one gather per position. The extra byte of
+    positions past the stream end reads zero padding. Costs 8 bytes per
+    *bit* of input, so it is for short streams only; callers reuse the
+    returned buffer as scratch.
+    """
+    if not 1 <= width <= MAX_PEEK_WIDTH:
+        raise ValueError(f"width must be in [1, {MAX_PEEK_WIDTH}]")
+    stream = np.asarray(stream, dtype=np.uint8)
+    windows = sliding_windows_u64(stream)[: stream.size + 1].copy()
+    if NEEDS_BYTESWAP:
+        windows.byteswap(inplace=True)
+    vals = np.empty((stream.size + 1, 8), dtype=np.uint64)
+    shifts = np.arange(64 - width, 56 - width, -1, dtype=np.uint64)
+    np.right_shift(windows[:, None], shifts, out=vals)
+    np.bitwise_and(vals, np.uint64((1 << width) - 1), out=vals)
+    return vals.reshape(-1).view(np.int64)
 
 
 def peek_bits(

@@ -4,15 +4,19 @@ Built from scratch (tree construction, length limiting, canonical code
 assignment) over the byte alphabet. The stream is divided into fixed-size
 *symbol chunks*, each starting at a byte boundary with its offset in the
 header — exactly how GPU Huffman decoders (e.g. Tian et al., IPDPS'21)
-expose block-level parallelism. Decoding walks all chunks in lockstep
-with vectorized gathers, the NumPy analogue of one thread block per
-chunk: each lockstep step performs a *single* unaligned 64-bit window
-gather per chunk (a byte-stride ``as_strided`` view of the zero-padded
-payload, byteswapped to MSB-first) instead of eight byte gathers, and
-every per-step temporary is allocated once outside the loop and reused
-via ``out=`` kernels. The original eight-gather formulation is retained
-as :meth:`HuffmanCodec.decode_reference` for equivalence tests and the
-``bench_hotpaths`` baseline.
+expose block-level parallelism. Large streams decode with all chunks
+walked in lockstep by vectorized gathers, the NumPy analogue of one
+thread block per chunk: each lockstep step performs a *single* unaligned
+64-bit window gather per chunk (a byte-stride ``as_strided`` view of the
+zero-padded payload, byteswapped to MSB-first) instead of eight byte
+gathers, and every per-step temporary is allocated once outside the loop
+and reused via ``out=`` kernels. Lockstep costs a fixed number of rounds
+whatever the stream holds, so short streams (few chunks) instead decode
+by pointer jumping over a next-codeword table of every payload bit — the
+same format, ~70 NumPy calls instead of ~7000; see
+:meth:`HuffmanCodec.decode` for the rule. The original eight-gather
+formulation is retained as :meth:`HuffmanCodec.decode_reference` for
+equivalence tests and the ``bench_hotpaths`` baseline.
 
 Code lengths are limited to :data:`MAX_CODE_LENGTH` so the decoder can
 use a flat prefix LUT of ``2^maxlen`` entries.
@@ -27,6 +31,7 @@ import numpy as np
 
 from repro.lossless.bitio import (
     NEEDS_BYTESWAP,
+    bit_windows_all,
     pack_sorted_canonical_bits,
     pack_varlen_bits_reference,
     sliding_windows_u64,
@@ -34,6 +39,17 @@ from repro.lossless.bitio import (
 
 MAX_CODE_LENGTH = 16
 DEFAULT_CHUNK_SYMBOLS = 1024
+
+#: Regime rule of :meth:`HuffmanCodec.decode`: streams with at most this
+#: many payload bytes per lockstep round decode by pointer jumping. Set
+#: from the ``huffman_decode_sweep`` of ``benchmarks/bench_hotpaths.py``
+#: (the walk still wins ~1.5x at the threshold; it is kept this low to
+#: cap the transient per-bit-position tables at ~7 MB).
+SHORT_STREAM_BYTES_PER_ROUND = 32
+#: Symbols each lane walks between entry points (a power of two: the
+#: jump table is built by repeated squaring). ~sqrt(DEFAULT_CHUNK_SYMBOLS)
+#: balances entry-point gathers against walk steps.
+_WALK_SYMBOLS = 32
 
 _MAGIC = b"HUF1"
 _HEADER_FMT = "<4sQIB"
@@ -133,24 +149,46 @@ def _limit_lengths(
     return depths
 
 
-def canonical_codes(lengths: np.ndarray) -> np.ndarray:
-    """Canonical code values per symbol from code lengths."""
+def _canonical_order(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Present symbols in canonical (length, symbol) order + their lengths."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    max_len = int(lengths.max()) if lengths.size else 0
-    codes = np.zeros(lengths.size, dtype=np.uint64)
-    if max_len == 0:
-        return codes
-    bl_count = np.bincount(lengths, minlength=max_len + 1)
-    bl_count[0] = 0
-    next_code = np.zeros(max_len + 1, dtype=np.int64)
-    for l in range(1, max_len + 1):
-        next_code[l] = (next_code[l - 1] + bl_count[l - 1]) << 1
-    for sym in range(lengths.size):  # symbol order = canonical tiebreak
-        l = int(lengths[sym])
-        if l:
-            codes[sym] = next_code[l]
-            next_code[l] += 1
+    syms = np.flatnonzero(lengths)
+    order = np.argsort(lengths[syms], kind="stable")  # symbol = tiebreak
+    syms = syms[order]
+    return syms, lengths[syms]
+
+
+def canonical_codes(lengths: np.ndarray) -> np.ndarray:
+    """Canonical code values per symbol from code lengths.
+
+    In canonical order each code owns ``2**(max_len - len)`` consecutive
+    ``max_len``-bit prefixes, so a code is the exclusive prefix sum of
+    those spans shifted back down to its own length — one ``cumsum``, no
+    per-symbol loop.
+    """
+    syms, lens = _canonical_order(lengths)
+    codes = np.zeros(np.size(lengths), dtype=np.uint64)
+    if syms.size:
+        shift = int(lens[-1]) - lens
+        spans = np.left_shift(1, shift)
+        codes[syms] = (np.cumsum(spans) - spans) >> shift
     return codes
+
+
+def _check_code_lengths(lengths: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """Validate caller-supplied code lengths against the histogram."""
+    lengths = np.asarray(lengths)
+    if lengths.shape != (256,) or lengths.dtype.kind not in "iu":
+        raise ValueError("lengths must be a 256-entry integer table")
+    if not np.array_equal(lengths > 0, freqs > 0):
+        raise ValueError("lengths do not cover the symbols freqs counts")
+    if int(lengths.max()) > MAX_CODE_LENGTH:
+        raise ValueError("code length exceeds MAX_CODE_LENGTH")
+    present = lengths[lengths > 0].astype(np.int64)
+    if int(np.left_shift(1, MAX_CODE_LENGTH - present).sum()) \
+            > 1 << MAX_CODE_LENGTH:
+        raise ValueError("lengths violate the Kraft inequality")
+    return lengths.astype(np.uint8)
 
 
 def _check_offsets_u32(offsets: np.ndarray) -> None:
@@ -177,7 +215,8 @@ class HuffmanCodec:
 
     # -- encode ---------------------------------------------------------
     def encode(
-        self, data: np.ndarray | bytes, freqs: np.ndarray | None = None
+        self, data: np.ndarray | bytes, freqs: np.ndarray | None = None,
+        lengths: np.ndarray | None = None,
     ) -> bytes:
         """Word-packed chunked encode (byte-identical to the seed encoder).
 
@@ -193,8 +232,13 @@ class HuffmanCodec:
         whose total disagrees with ``data.size`` is rejected; a wrong
         distribution with the right total would silently produce a
         corrupt stream, so only trusted callers should pass it.
+
+        ``lengths``, when given, must be ``build_code_lengths(freqs)``
+        (the hybrid selector already built them for its ratio estimate);
+        lengths that do not cover exactly the symbols ``freqs`` counts,
+        or that no prefix code can have, are rejected.
         """
-        return self._encode_impl(data, freqs, fast=True)
+        return self._encode_impl(data, freqs, fast=True, lengths=lengths)
 
     def encode_reference(
         self, data: np.ndarray | bytes, freqs: np.ndarray | None = None
@@ -207,7 +251,8 @@ class HuffmanCodec:
         return self._encode_impl(data, freqs, fast=False)
 
     def _encode_impl(
-        self, data: np.ndarray | bytes, freqs: np.ndarray | None, fast: bool
+        self, data: np.ndarray | bytes, freqs: np.ndarray | None, fast: bool,
+        lengths: np.ndarray | None = None,
     ) -> bytes:
         data = np.frombuffer(bytes(data), dtype=np.uint8) if isinstance(
             data, (bytes, bytearray)
@@ -223,7 +268,10 @@ class HuffmanCodec:
                 raise ValueError(
                     "freqs does not histogram data: totals disagree"
                 )
-        lengths_table = build_code_lengths(freqs)
+        if lengths is None:
+            lengths_table = build_code_lengths(freqs)
+        else:
+            lengths_table = _check_code_lengths(lengths, freqs)
         codes_table = canonical_codes(lengths_table)
         header_head = struct.pack(
             _HEADER_FMT, _MAGIC, n, self.chunk_symbols,
@@ -301,6 +349,10 @@ class HuffmanCodec:
         off += 4
         if n == 0:
             return n, chunk, max_len, lengths_table, 0, None, None
+        if chunk < 1 or n_chunks != -(-n // chunk):
+            raise ValueError("corrupt Huffman stream: chunk count mismatch")
+        if len(blob) < off + 4 * (n_chunks + 1):
+            raise ValueError("truncated Huffman stream")
         offsets = np.frombuffer(blob, dtype=np.uint32,
                                 count=n_chunks + 1, offset=off).astype(np.int64)
         off += 4 * (n_chunks + 1)
@@ -310,10 +362,95 @@ class HuffmanCodec:
             # payload; catching truncation here keeps the decode loops
             # free of per-step bounds clamping.
             raise ValueError("truncated Huffman stream")
+        if n > 8 * payload.size:
+            # Every symbol costs at least one bit; without this a corrupt
+            # symbol count would size the decode loops, not the payload.
+            raise ValueError("truncated Huffman stream")
         return n, chunk, max_len, lengths_table, n_chunks, offsets, payload
 
     def decode(self, blob: bytes) -> np.ndarray:
-        """Lockstep chunked decode, one 64-bit window gather per round.
+        """Chunk-parallel decode in one of two regimes, chosen per stream.
+
+        Lockstep (:meth:`_decode_lockstep`) costs ``rounds = min(chunk,
+        n)`` rounds of ~7 NumPy calls whatever the stream holds; the
+        pointer-jumping walk (:meth:`_decode_short`) costs ~70 calls plus
+        a table over every payload *bit*. The rule is fixed and reads
+        header fields only: a stream takes the walk iff ``payload.size
+        <= SHORT_STREAM_BYTES_PER_ROUND * rounds`` (32 KiB of payload at
+        the default 1024-symbol chunks — see the ``huffman_decode_sweep``
+        rows of ``BENCH_hotpaths.json`` for the measured crossover).
+        Both regimes read the same stream format and are byte-identical
+        to :meth:`decode_reference` on valid streams; a corrupt stream
+        yields wrong bytes or ``ValueError``, never another exception.
+        """
+        parsed = self._parse_stream(blob)
+        n, chunk, max_len, lengths_table, n_chunks, offsets, payload = parsed
+        if n == 0:
+            return np.empty(0, dtype=np.uint8)
+        lut16 = self._build_lut(lengths_table, max_len)
+        rounds = min(chunk, n)
+        if payload.size <= SHORT_STREAM_BYTES_PER_ROUND * rounds:
+            out = self._decode_short(lut16, max_len, rounds, offsets, payload)
+        else:
+            out = self._decode_lockstep(
+                lut16, max_len, rounds, offsets, payload
+            )
+        return out.reshape(-1)[:n]
+
+    @staticmethod
+    def _decode_short(
+        lut16: np.ndarray, max_len: int, rounds: int,
+        offsets: np.ndarray, payload: np.ndarray,
+    ) -> np.ndarray:
+        """Pointer-jumping decode: ``(n_chunks, >= rounds)`` symbols.
+
+        The gap-array-free scheme of GPU Huffman decoders, applied where
+        lanes are few. One broadcast shift + one LUT gather decode the
+        codeword at *every* bit position, giving the next-codeword table
+        ``nxt[p] = p + len(code at p)``; squaring it ``log2 walk`` times
+        (``jump = jump[jump]``) yields jump-by-``walk``-symbols, which
+        turns each chunk's header offset into ``entries = ceil(rounds /
+        walk)`` entry points with ``entries - 1`` gathers; ``walk - 1``
+        single-gather steps then advance all ``n_chunks * entries``
+        lanes at once and one final gather reads every symbol.
+
+        Every gather runs in ``mode="clip"``, which both skips NumPy's
+        defensive copy of ``out`` and makes the last table slot a
+        self-looping sentinel: lanes that run past a ragged tail (or a
+        corrupt stream) park there and can never index out of range.
+        """
+        n_chunks = offsets.size - 1
+        walk = min(_WALK_SYMBOLS, rounds)
+        entries = -(-rounds // walk)
+        # The window buffer is dead after the LUT gather: reuse it for
+        # the table so only three position-sized arrays are ever live.
+        nxt = bit_windows_all(payload, max_len)
+        fused = np.take(lut16, nxt, mode="clip")
+        np.add(np.arange(nxt.size), fused >> 8, out=nxt)
+
+        pos = np.empty((walk, entries, n_chunks), dtype=np.int64)
+        np.multiply(offsets[:-1], 8, out=pos[0, 0])
+        if entries > 1:
+            jump, spare = nxt, (np.empty_like(nxt), np.empty_like(nxt))
+            for i in range(walk.bit_length() - 1):
+                jump = np.take(jump, jump, out=spare[i & 1], mode="clip")
+            for k in range(1, entries):
+                np.take(jump, pos[0, k - 1], out=pos[0, k], mode="clip")
+        lanes = pos.reshape(walk, -1)
+        for s in range(1, walk):
+            np.take(nxt, lanes[s - 1], out=lanes[s], mode="clip")
+        symbols = np.take(fused, pos, mode="clip").astype(np.uint8)
+        # (walk, entries, chunk) -> chunk-major symbol order.
+        return np.ascontiguousarray(symbols.transpose(2, 1, 0)).reshape(
+            n_chunks, entries * walk
+        )[:, :rounds]
+
+    @staticmethod
+    def _decode_lockstep(
+        lut16: np.ndarray, max_len: int, steps: int,
+        offsets: np.ndarray, payload: np.ndarray,
+    ) -> np.ndarray:
+        """Lockstep decode: ``(n_chunks, steps)`` symbols.
 
         Each round decodes several symbols in every chunk (the
         per-thread-block loop of a GPU decoder): a single fancy-index
@@ -326,20 +463,9 @@ class HuffmanCodec:
         temporaries are allocated once and reused through ``out=``
         kernels, and the symbol/length LUTs are fused into one uint16
         table so each symbol costs a single gather. Steps past a short
-        final chunk read zero padding and are discarded. Byte-identical
-        to :meth:`decode_reference`.
+        final chunk read zero padding and are discarded by the caller.
         """
-        parsed = self._parse_stream(blob)
-        n, chunk, max_len, lengths_table, n_chunks, offsets, payload = parsed
-        if n == 0:
-            return np.empty(0, dtype=np.uint8)
-
-        codes_table = canonical_codes(lengths_table)
-        lut_sym, lut_len = self._build_lut(lengths_table, codes_table, max_len)
-        # Fused LUT: high byte = code length, low byte = symbol.
-        lut16 = (lut_len.astype(np.uint16) << 8) | lut_sym.astype(np.uint16)
-
-        steps = min(chunk, n)
+        n_chunks = offsets.size - 1
         # Symbols safely decodable from one 64-bit window: symbol s needs
         # bits [r + sum(l_1..l_s), +max_len) with r <= 7, l_i <= max_len.
         per_gather = 1 + (64 - 7 - max_len) // max_len
@@ -358,7 +484,7 @@ class HuffmanCodec:
         shift_base = np.int64(64 - max_len)
         mask = np.int64((1 << max_len) - 1)
         cursors = (offsets[:-1] * 8).astype(np.int64)
-        out16 = np.empty((n_chunks, chunk), dtype=np.uint16)
+        out16 = np.empty((n_chunks, steps), dtype=np.uint16)
         byte_idx = np.empty(n_chunks, dtype=np.int64)
         shift = np.empty(n_chunks, dtype=np.int64)
         val = np.empty(n_chunks, dtype=np.int64)
@@ -395,7 +521,7 @@ class HuffmanCodec:
                 # while the tightest lane still has a full-length code
                 # (min//max_len more subtractions provably stay valid).
                 peel = min(int(shift.min()) // max_len + 1, steps - step)
-        return (out16 & np.uint16(0xFF)).astype(np.uint8).reshape(-1)[:n]
+        return (out16 & np.uint16(0xFF)).astype(np.uint8)
 
     def decode_reference(self, blob: bytes) -> np.ndarray:
         """Seed lockstep decoder: eight byte gathers per step.
@@ -408,8 +534,7 @@ class HuffmanCodec:
         if n == 0:
             return np.empty(0, dtype=np.uint8)
 
-        codes_table = canonical_codes(lengths_table)
-        lut_sym, lut_len = self._build_lut(lengths_table, codes_table, max_len)
+        lut_sym, lut_len = self._build_lut_reference(lengths_table, max_len)
 
         cursors = offsets[:-1] * 8
         out = np.empty((n_chunks, chunk), dtype=np.uint8)
@@ -432,12 +557,37 @@ class HuffmanCodec:
         return out.reshape(-1)[:n]
 
     @staticmethod
-    def _build_lut(
-        lengths_table: np.ndarray, codes_table: np.ndarray, max_len: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Flat prefix LUT: any max_len-bit window -> (symbol, length)."""
+    def _build_lut(lengths_table: np.ndarray, max_len: int) -> np.ndarray:
+        """Fused prefix LUT: any max_len-bit window -> ``len << 8 | sym``.
+
+        Canonical codes tile the ``2**max_len`` prefixes in (length,
+        symbol) order, each owning ``2**(max_len - len)`` consecutive
+        entries, so the table is one ``np.repeat`` over that order. An
+        incomplete code (a single-symbol stream) leaves the tail as
+        length-1 entries so every window still advances the cursor.
+        """
         if max_len < 1 or max_len > MAX_CODE_LENGTH:
             raise ValueError(f"corrupt stream: max_len={max_len}")
+        syms, lens = _canonical_order(lengths_table)
+        if lens.size and int(lens[-1]) > max_len:
+            raise ValueError("corrupt stream: code length exceeds max_len")
+        spans = np.left_shift(1, max_len - lens)
+        size = 1 << max_len
+        if int(spans.sum()) > size:
+            raise ValueError("corrupt stream: oversubscribed code lengths")
+        lut16 = np.full(size, 1 << 8, dtype=np.uint16)
+        filled = np.repeat(((lens << 8) | syms).astype(np.uint16), spans)
+        lut16[: filled.size] = filled
+        return lut16
+
+    @staticmethod
+    def _build_lut_reference(
+        lengths_table: np.ndarray, max_len: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Seed LUT builder (per-symbol slice fills), the decode oracle's."""
+        if max_len < 1 or max_len > MAX_CODE_LENGTH:
+            raise ValueError(f"corrupt stream: max_len={max_len}")
+        codes_table = canonical_codes(lengths_table)
         size = 1 << max_len
         lut_sym = np.zeros(size, dtype=np.uint8)
         lut_len = np.ones(size, dtype=np.int64)
@@ -453,15 +603,17 @@ _DEFAULT_CODEC = HuffmanCodec()
 
 
 def huffman_encode(
-    data: np.ndarray | bytes, freqs: np.ndarray | None = None
+    data: np.ndarray | bytes, freqs: np.ndarray | None = None,
+    lengths: np.ndarray | None = None,
 ) -> bytes:
     """Encode bytes with the default chunked canonical Huffman codec.
 
-    ``freqs``, when given, must be ``np.bincount(data, minlength=256)``;
-    it lets callers that already histogrammed the buffer (the hybrid
-    selector) skip the encoder's second scan.
+    ``freqs``, when given, must be ``np.bincount(data, minlength=256)``
+    and ``lengths`` must be ``build_code_lengths(freqs)``; they let
+    callers that already histogrammed the buffer and built its code (the
+    hybrid selector) skip the encoder's second scan and second tree.
     """
-    return _DEFAULT_CODEC.encode(data, freqs=freqs)
+    return _DEFAULT_CODEC.encode(data, freqs=freqs, lengths=lengths)
 
 
 def huffman_decode(blob: bytes) -> np.ndarray:
@@ -470,7 +622,8 @@ def huffman_decode(blob: bytes) -> np.ndarray:
 
 
 def estimate_huffman_ratio(
-    data: np.ndarray, freqs: np.ndarray | None = None
+    data: np.ndarray, freqs: np.ndarray | None = None,
+    lengths: np.ndarray | None = None,
 ) -> float:
     """Cheap, accurate Huffman CR predictor (Section 5.2).
 
@@ -478,14 +631,16 @@ def estimate_huffman_ratio(
     exact payload bits plus header overhead — no encoding performed.
     Pass ``freqs = np.bincount(data, minlength=256)`` to reuse a
     histogram computed elsewhere (the hybrid selector shares one pass
-    between this estimate and the eventual encode).
+    between this estimate and the eventual encode), and ``lengths =
+    build_code_lengths(freqs)`` likewise.
     """
     data = np.ascontiguousarray(data, dtype=np.uint8)
     if data.size == 0:
         return 1.0
     if freqs is None:
         freqs = np.bincount(data, minlength=256)
-    lengths = build_code_lengths(freqs)
+    if lengths is None:
+        lengths = build_code_lengths(freqs)
     payload_bits = int(np.sum(freqs * lengths.astype(np.int64)))
     n_chunks = -(-data.size // DEFAULT_CHUNK_SYMBOLS)
     header_bytes = struct.calcsize(_HEADER_FMT) + 256 + 4 * (n_chunks + 2)

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.lossless.direct import direct_decode, direct_encode
 from repro.lossless.huffman import (
+    build_code_lengths,
     estimate_huffman_ratio,
     huffman_decode,
     huffman_encode,
@@ -158,17 +159,19 @@ def _select_and_encode(
 ) -> tuple[str, bytes]:
     """Algorithm 2 decision + encode with every scan shared.
 
-    The byte histogram feeds both the Huffman CR estimate and (when
-    Huffman wins) the encoder's code construction; the RLE run-boundary
-    scan — only performed when the Huffman estimate fails — feeds both
-    the RLE estimate and the RLE encoder. Each pass over the merged
-    buffer happens exactly once.
+    The byte histogram and the code lengths built from it feed both the
+    Huffman CR estimate and (when Huffman wins) the encoder; the RLE
+    run-boundary scan — only performed when the Huffman estimate fails —
+    feeds both the RLE estimate and the RLE encoder. Each pass over the
+    merged buffer, and each code construction, happens exactly once.
     """
     if merged.size <= config.size_threshold:
         return "direct", direct_encode(merged)
     freqs = np.bincount(merged, minlength=256)
-    if estimate_huffman_ratio(merged, freqs=freqs) > config.cr_threshold:
-        return "huffman", huffman_encode(merged, freqs=freqs)
+    lengths = build_code_lengths(freqs)
+    ratio = estimate_huffman_ratio(merged, freqs=freqs, lengths=lengths)
+    if ratio > config.cr_threshold:
+        return "huffman", huffman_encode(merged, freqs=freqs, lengths=lengths)
     boundaries = run_boundaries(merged)
     if estimate_rle_ratio(merged, boundaries=boundaries) > config.cr_threshold:
         return "rle", rle_encode(merged, boundaries=boundaries)

@@ -20,42 +20,38 @@ stages correct. This package provides:
   sequential paths.
 """
 
-from repro.pipeline.dag import (
-    build_reconstruct_dag,
-    build_refactor_dag,
-    serial_chain,
-)
-from repro.pipeline.executor import PipelinedExecutor
-from repro.pipeline.multigpu import (
-    FRONTIER_NODE,
-    TALAPAS_NODE,
-    NodeSpec,
-    weak_scaling,
-)
+from importlib import import_module
+
 from repro.pipeline.retrieval import (
     RetrievalPipeline,
     pipelined_reconstruct,
 )
-from repro.pipeline.scheduler import (
-    StageCosts,
-    pipeline_speedup,
-    reconstruct_stage_costs,
-    refactor_stage_costs,
-)
 
-__all__ = [
-    "build_refactor_dag",
-    "build_reconstruct_dag",
-    "serial_chain",
-    "StageCosts",
-    "refactor_stage_costs",
-    "reconstruct_stage_costs",
-    "pipeline_speedup",
-    "PipelinedExecutor",
-    "RetrievalPipeline",
-    "pipelined_reconstruct",
-    "NodeSpec",
-    "TALAPAS_NODE",
-    "FRONTIER_NODE",
-    "weak_scaling",
-]
+#: The simulated-layer names resolve on first access (PEP 562): ``dag``
+#: and ``executor`` need ``networkx``, which the package does not
+#: declare, and the real runtime (``repro.pipeline.retrieval``, imported
+#: by the default-on pipelined service path) must import without it.
+_LAZY = {
+    "build_refactor_dag": "dag",
+    "build_reconstruct_dag": "dag",
+    "serial_chain": "dag",
+    "StageCosts": "scheduler",
+    "refactor_stage_costs": "scheduler",
+    "reconstruct_stage_costs": "scheduler",
+    "pipeline_speedup": "scheduler",
+    "PipelinedExecutor": "executor",
+    "NodeSpec": "multigpu",
+    "TALAPAS_NODE": "multigpu",
+    "FRONTIER_NODE": "multigpu",
+    "weak_scaling": "multigpu",
+}
+
+__all__ = ["RetrievalPipeline", "pipelined_reconstruct", *_LAZY]
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
