@@ -6,8 +6,9 @@ measures the pipeline those kernels serve, at a production-shaped grain:
 * **refactor** — ``Refactorer.refactor`` wall time (decompose + bitplane
   encode + hybrid lossless compression), the write path the word-packed
   Huffman encode engine accelerates;
-* **store** — ``store_field`` into a :class:`DirectoryStore` (one file
-  per plane-group segment, single manifest flush);
+* **store** — ``store_field`` into a :class:`DirectoryStore` (one
+  plane-group segment per append to the pack file, then a single pack
+  sync + manifest flush);
 * **open + reconstruct** — ``open_field`` then a near-lossless
   :class:`Reconstructor` pass, the read path.
 

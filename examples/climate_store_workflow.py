@@ -2,11 +2,12 @@
 """Write-once / read-many-times workflow with a file-backed store.
 
 Models the paper's motivating scenario on a LETKF-like weather field:
-a simulation campaign refactors its output once into a directory of
-small segment files; later, different analyses retrieve at different
-precisions, each reading only the segments its tolerance requires.
-The I/O accounting shows the many-small-files effect the paper
-discusses in its Fig. 14 analysis.
+a simulation campaign refactors its output once into a directory store
+of small segments (one pack file plus an offset index); later, different
+analyses retrieve at different precisions, each reading only the
+segments its tolerance requires. The I/O accounting models the
+per-request cost behind the many-small-files effect the paper discusses
+in its Fig. 14 analysis.
 
 Run:  python examples/climate_store_workflow.py
 """
@@ -34,7 +35,7 @@ def main() -> None:
         field = refactor(data, name="temperature")
         store_field(store, field)
         n_segments = len(store.keys()) - 1
-        print(f"  wrote {n_segments} segment files, "
+        print(f"  wrote {n_segments} segments, "
               f"{store.total_bytes() / 1e6:.2f} MB total")
 
         # Three downstream consumers with different precision needs.
@@ -63,7 +64,7 @@ def main() -> None:
             assert store.bytes_read == out.incremental_bytes
 
         print("\nEach analysis read only what its precision demanded; "
-              "per-file open latency is the dominant I/O cost for the "
+              "per-request latency is the dominant I/O cost for the "
               "coarse readers — the small-files effect of Fig. 14.")
 
 

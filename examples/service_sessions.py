@@ -2,7 +2,7 @@
 """Many analysts, one service: shared-cache progressive retrieval.
 
 Models the serving scenario the lazy retrieval layer exists for: a
-campaign's refactored output sits in a sharded directory store, and a
+campaign's refactored output sits in a packed directory store, and a
 retrieval service answers many concurrent tolerance queries over it.
 Each session fetches only the plane groups its tolerance staircase
 needs (lazy, per-segment), and all sessions share one byte-budgeted
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import RetrievalService, refactor
-from repro.core.store import ShardedDirectoryStore, store_field
+from repro.core.store import DirectoryStore, store_field
 from repro.data.generators import gaussian_random_field
 
 
@@ -30,12 +30,10 @@ def main() -> None:
                                  dtype=np.float32)
 
     with tempfile.TemporaryDirectory() as tmp:
-        store = ShardedDirectoryStore(Path(tmp) / "campaign",
-                                      num_shards=16)
+        store = DirectoryStore(Path(tmp) / "campaign")
         print("Refactoring and writing segments (one manifest flush) ...")
         store_field(store, refactor(data, name="vel"))
-        print(f"  {len(store.keys()) - 1} segments across "
-              f"{store.num_shards} shards, "
+        print(f"  {len(store.keys()) - 1} segments in one pack file, "
               f"{store.total_bytes() / 1e6:.2f} MB, "
               f"{store.manifest_writes} manifest write(s)")
 

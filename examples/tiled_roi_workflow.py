@@ -3,7 +3,7 @@
 
 A simulation campaign writes a domain larger than any consumer wants to
 read: the field is refactored tile by tile (in parallel — tiles are
-independent streams) into a sharded directory store, and analysts then
+independent streams) into a packed directory store, and analysts then
 retrieve *regions*, not domains. Only the tiles a region overlaps are
 opened, fetched, and decoded; walking a tolerance staircase over the
 region refines each touched tile incrementally.
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.service import RetrievalService
-from repro.core.store import ShardedDirectoryStore, store_tiled_field
+from repro.core.store import DirectoryStore, store_tiled_field
 from repro.core.tiling import TiledRefactorer
 from repro.data.generators import letkf_field
 
@@ -29,15 +29,14 @@ def main() -> None:
     data = letkf_field(dims, seed=5, dtype=np.float32)
 
     with tempfile.TemporaryDirectory() as tmp:
-        store = ShardedDirectoryStore(Path(tmp) / "campaign",
-                                      num_shards=16)
+        store = DirectoryStore(Path(tmp) / "campaign")
 
         print(f"Refactoring {tile} tiles in parallel and storing ...")
         with TiledRefactorer(tile, num_workers=4) as refac:
             tiled = refac.refactor(data, name="temperature")
         store_tiled_field(store, tiled)
-        print(f"  {tiled.num_tiles} tiles, {len(store.keys())} segment "
-              f"files, {store.total_bytes() / 1e6:.2f} MB stored, "
+        print(f"  {tiled.num_tiles} tiles, {len(store.keys())} segments "
+              f"in one pack, {store.total_bytes() / 1e6:.2f} MB stored, "
               f"{store.manifest_writes} manifest flush")
 
         # An analyst tracks one storm system: a hyperslab covering a

@@ -27,6 +27,7 @@ from repro.core.errors import (
     SegmentCorruptionError,
     SegmentNotFoundError,
     StoreError,
+    StoreFormatError,
     TransientStoreError,
 )
 from repro.core.faults import FaultInjectingStore, ResilientReader, RetryPolicy
@@ -40,7 +41,6 @@ from repro.core.service import RetrievalService, SegmentCache
 from repro.core.store import (
     DirectoryStore,
     MemoryStore,
-    ShardedDirectoryStore,
     load_field,
     open_field,
     store_field,
@@ -63,7 +63,6 @@ __all__ = [
     "ReconstructionResult",
     "MemoryStore",
     "DirectoryStore",
-    "ShardedDirectoryStore",
     "store_field",
     "load_field",
     "open_field",
@@ -73,6 +72,7 @@ __all__ = [
     "SegmentNotFoundError",
     "TransientStoreError",
     "SegmentCorruptionError",
+    "StoreFormatError",
     "FaultInjectingStore",
     "RetryPolicy",
     "ResilientReader",

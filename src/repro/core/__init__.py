@@ -35,6 +35,7 @@ from repro.core.errors import (
     SegmentCorruptionError,
     SegmentNotFoundError,
     StoreError,
+    StoreFormatError,
     TransientStoreError,
     WorkerCrashedError,
     WorkerStateError,
@@ -60,7 +61,6 @@ from repro.core.store import (
     MemoryStore,
     SegmentReader,
     SegmentStore,
-    ShardedDirectoryStore,
     index_checksums,
     load_field,
     open_field,
@@ -100,7 +100,6 @@ __all__ = [
     "SegmentStore",
     "MemoryStore",
     "DirectoryStore",
-    "ShardedDirectoryStore",
     "store_field",
     "load_field",
     "open_field",
@@ -112,6 +111,7 @@ __all__ = [
     "SegmentNotFoundError",
     "TransientStoreError",
     "SegmentCorruptionError",
+    "StoreFormatError",
     "ComputeError",
     "WorkerCrashedError",
     "WorkerStateError",

@@ -70,6 +70,17 @@ class SegmentCorruptionError(StoreError, ValueError):
     """
 
 
+class StoreFormatError(StoreError):
+    """A store root is in an on-disk layout this code does not read.
+
+    Raised when a :class:`~repro.core.store.DirectoryStore` root holds
+    the pre-pack one-file-per-segment layout or a manifest ``format``
+    newer than this code. The bytes are intact, so this is neither
+    corruption nor retryable: the message names the layout and the
+    remedy (re-run ``store_field`` into a new root).
+    """
+
+
 class ComputeError(Exception):
     """Base of every execution-backend failure this package raises.
 
@@ -130,6 +141,7 @@ __all__ = [
     "SegmentNotFoundError",
     "TransientStoreError",
     "SegmentCorruptionError",
+    "StoreFormatError",
     "ComputeError",
     "WorkerCrashedError",
     "WorkerTimeoutError",

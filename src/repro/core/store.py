@@ -1,20 +1,16 @@
 """Segment stores: where refactored plane groups live.
 
 The paper's end-to-end retrieval study (Fig. 14) observes that HP-MDR
-"creates many small files", making I/O overhead significant. To let the
-benchmarks reproduce that effect we provide:
+"creates many small files", making I/O overhead significant. Segments
+stay small here (one per plane group, what retrieval fetches); files don't:
 
 * :class:`MemoryStore` — dict-backed, for tests and kernels-only runs;
-* :class:`DirectoryStore` — one file per segment plus a JSON manifest
-  (the actual layout MDR-style stores use), with an accounting model of
-  per-file open latency so end-to-end timing studies can charge the
-  small-file penalty without real disks dominating CI;
-* :class:`ShardedDirectoryStore` — the same layout hashed across a fixed
-  number of shard subdirectories, the standard mitigation once a campaign
-  writes more segments than one directory (or one metadata server)
-  comfortably holds.
+* :class:`DirectoryStore` — every segment appended to one pack file
+  plus a JSON offset index, with an accounting model of per-request
+  latency so end-to-end timing studies can charge the small-request
+  penalty without real disks dominating CI.
 
-All three satisfy the :class:`SegmentReader` protocol that the lazy
+Both satisfy the :class:`SegmentReader` protocol that the lazy
 retrieval layer (:func:`open_field`, :class:`repro.core.service.RetrievalService`)
 is written against, so any object with ``get``/``size_of``/``keys`` —
 an object store client, a test double — can back progressive sessions.
@@ -39,6 +35,7 @@ import numpy as np
 from repro.core.errors import (
     SegmentCorruptionError,
     SegmentNotFoundError,
+    StoreFormatError,
     TransientStoreError,
 )
 from repro.core.stream import (
@@ -150,75 +147,108 @@ class MemoryStore:
 
 
 class DirectoryStore:
-    """One-file-per-segment store with a JSON manifest.
+    """Packed append-only segment container plus a JSON offset index.
+
+    The root holds two files: ``segments.pack``, every blob back to back
+    in write order, and ``manifest.json``, ``{"format": 2, "segments":
+    {key: [offset, length]}}``. Writes go *append → fsync pack →
+    atomically replace manifest*, so a crash leaves at most unreferenced
+    tail bytes: the store reopens at the last flushed manifest and the
+    next append lands after them. Overwriting a key leaves its old bytes
+    dead in the pack (no compaction). Reads are one ``os.pread`` on a
+    lazily opened descriptor — no seek state, so threads and forked
+    workers share it without a lock; descriptors do not travel through
+    pickling and are released by :meth:`close`.
 
     Parameters
     ----------
     root:
-        Directory holding the segment files plus ``manifest.json``
-        (created if missing; an existing manifest is loaded).
+        Directory of the two files (created if missing). A pre-pack
+        one-file-per-segment directory, or a ``format`` this code does
+        not know, raises :class:`~repro.core.errors.StoreFormatError`.
     file_open_latency_s:
-        Modeled per-file open cost. It is *accounted*, not slept:
+        Modeled per-request cost. It is *accounted*, not slept:
         :meth:`io_time_estimate` returns the modeled wall time of the
         reads performed so far given a bandwidth, which the Fig. 14
         benchmark charges on top of kernel time.
 
-    Writes update the manifest file immediately by default; bulk writers
-    should wrap their puts in :meth:`batch` (as :func:`store_field` does)
-    so the manifest is flushed once instead of rewritten per segment —
-    the manifest is O(#segments), so per-put flushes are quadratic.
-    ``manifest_writes`` counts actual manifest rewrites.
+    Bulk writers wrap their puts in :meth:`batch` (as :func:`store_field`
+    does): outside one, every put syncs the pack and rewrites the
+    O(#segments) manifest. ``manifest_writes`` counts the rewrites.
     """
 
+    PACK = "segments.pack"
     MANIFEST = "manifest.json"
+    FORMAT = 2
+    _APPEND = os.O_WRONLY | os.O_APPEND | os.O_CREAT
 
     def __init__(
         self, root: str | Path, file_open_latency_s: float = 2e-4
     ) -> None:
+        self._lock = threading.Lock()
+        self._fds: dict[int, int] = {}  # open flags -> pack descriptor
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         if file_open_latency_s < 0:
             raise ValueError("file_open_latency_s must be >= 0")
         self.file_open_latency_s = file_open_latency_s
-        self._stats_lock = threading.Lock()
-        self.reads = 0
-        self.writes = 0
-        self.bytes_read = 0
-        self.manifest_writes = 0
-        self._deferring = False
-        self._dirty = False
+        self.reads = self.writes = self.bytes_read = self.manifest_writes = 0
+        self._deferring = self._dirty = False
         self._manifest_path = self.root / self.MANIFEST
-        if self._manifest_path.exists():
-            try:
-                manifest = json.loads(self._manifest_path.read_text())
-            except (ValueError, UnicodeDecodeError) as exc:
-                raise SegmentCorruptionError(
-                    f"manifest at {self._manifest_path} is corrupt: {exc}"
-                ) from exc
-            if not isinstance(manifest, dict):
-                raise SegmentCorruptionError(
-                    f"manifest at {self._manifest_path} is corrupt: "
-                    f"expected an object, got {type(manifest).__name__}"
-                )
-            self._manifest = manifest
-        else:
-            self._manifest = {}
+        self._segments = self._load_manifest()
 
-    def _path_for(self, key: str) -> Path:
-        """Filesystem location of *key* — the shard hook subclasses override."""
-        return self.root / key
+    def _load_manifest(self) -> dict[str, tuple[int, int]]:
+        """Parse and validate the offset index (empty when absent)."""
+        where = f"manifest at {self._manifest_path}"
+        try:
+            manifest = json.loads(self._manifest_path.read_text())
+            if not isinstance(manifest, dict):
+                raise ValueError("not a JSON object")
+            fmt = manifest.get("format", "1 (one file per segment)")
+            if fmt != self.FORMAT:
+                raise StoreFormatError(
+                    f"{where} has format {fmt}; this code reads only "
+                    f"format {self.FORMAT} ({self.PACK} + offset index) "
+                    f"— re-run store_field into a new root"
+                )
+            segments = {}
+            for key, entry in manifest["segments"].items():
+                if not (isinstance(entry, list) and len(entry) == 2 and all(
+                        type(v) is int and v >= 0 for v in entry)):
+                    raise ValueError(f"entry {key!r} is {entry!r}, not "
+                                     f"[offset >= 0, length >= 0]")
+                segments[key] = tuple(entry)
+            return segments
+        except FileNotFoundError:
+            return {}
+        except (ValueError, KeyError, AttributeError) as exc:
+            raise SegmentCorruptionError(
+                f"{where} is corrupt: {exc}"
+            ) from exc
+
+    def _fd(self, flags: int) -> int:
+        """The pack descriptor for *flags*, opened on first use (lock
+        held by the caller)."""
+        if flags not in self._fds:
+            self._fds[flags] = os.open(self.root / self.PACK, flags, 0o666)
+        return self._fds[flags]
 
     def _flush_manifest(self) -> None:
-        # Crash-safe: write a sibling temp file, fsync it, and rename it
-        # into place. A crash mid-flush leaves either the old manifest
-        # or the new one — never a truncated JSON blob (os.replace is
-        # atomic within one directory).
+        # Crash-safe publish (lock held by the caller): sync the pack
+        # *before* the index that points into it, then write a sibling
+        # temp file, fsync it, and rename it into place. A crash leaves
+        # the old manifest or the new one (os.replace is atomic within a
+        # directory), never an entry whose bytes are not on disk.
+        os.fsync(self._fd(self._APPEND))
         fd, tmp = tempfile.mkstemp(
             dir=self.root, prefix=self.MANIFEST + ".", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                handle.write(json.dumps(self._manifest, indent=0))
+                handle.write(json.dumps(
+                    {"format": self.FORMAT, "segments": self._segments},
+                    separators=(",", ":"),
+                ))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, self._manifest_path)
@@ -235,9 +265,9 @@ class DirectoryStore:
     def batch(self):
         """Defer manifest flushes across a bulk write.
 
-        Within the context, :meth:`put` updates the in-memory manifest
-        only; one flush happens on exit (if anything changed). Nestable —
-        only the outermost context flushes.
+        Within the context, :meth:`put` appends to the pack and updates
+        the in-memory index only; the outermost context's exit syncs the
+        pack and flushes the manifest once (if anything changed).
         """
         if self._deferring:  # nested: outermost context owns the flush
             yield self
@@ -247,144 +277,115 @@ class DirectoryStore:
             yield self
         finally:
             self._deferring = False
-            if self._dirty:
-                self._flush_manifest()
+            with self._lock:
+                if self._dirty:
+                    self._flush_manifest()
 
     def put(self, key: str, blob: bytes) -> None:
-        """Write *blob* as its own file and record it in the manifest."""
-        path = self._path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(blob)
-        self._manifest[key] = len(blob)
-        self._dirty = True
-        if not self._deferring:
-            self._flush_manifest()
-        self.writes += 1
+        """Append *blob* to the pack and record its offset and length."""
+        with self._lock:
+            fd = self._fd(self._APPEND)
+            view = memoryview(blob)
+            while view:  # a write may come back short; append the rest
+                view = view[os.write(fd, view):]
+            # O_APPEND wrote at the real end of file (past any crashed
+            # writer's orphan tail), so take the offset from where the
+            # descriptor now stands, not from a cached counter.
+            end = os.lseek(fd, 0, os.SEEK_CUR)
+            self._segments[key] = (end - len(blob), len(blob))
+            self._dirty = True
+            self.writes += 1
+            if not self._deferring:
+                self._flush_manifest()
 
     def get(self, key: str) -> bytes:
-        """Read one segment file, charging the accounting counters.
+        """Read one segment with a single ``pread``, charging the
+        accounting counters.
 
-        Raises :class:`~repro.core.errors.SegmentNotFoundError` when
-        the file is absent and
-        :class:`~repro.core.errors.TransientStoreError` for other OS
-        failures (a flaky filesystem read is worth retrying; a missing
-        segment is not).
+        Raises ``SegmentNotFoundError`` when the key (or the pack
+        itself) is absent, ``SegmentCorruptionError`` when the pack ends
+        inside the recorded range, and ``TransientStoreError`` for other
+        OS failures (a flaky read is worth retrying; the rest are not).
         """
-        path = self._path_for(key)
         try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
+            with self._lock:
+                offset, length = self._segments[key]
+                fd = self._fd(os.O_RDONLY)
+            blob = os.pread(fd, length, offset)
+        except KeyError:
             raise SegmentNotFoundError(
                 f"segment {key!r} not in store"
             ) from None
+        except FileNotFoundError as exc:
+            raise SegmentNotFoundError(f"segment {key!r}: {exc}") from None
         except OSError as exc:
             raise TransientStoreError(
                 f"reading segment {key!r} failed: {exc}"
             ) from exc
-        with self._stats_lock:  # concurrent sessions share one store
+        if len(blob) != length:
+            raise SegmentCorruptionError(
+                f"segment {key!r} is truncated: the pack holds "
+                f"{len(blob)} of {length} bytes at offset {offset}"
+            )
+        with self._lock:  # concurrent sessions share one store
             self.reads += 1
-            self.bytes_read += len(blob)
+            self.bytes_read += length
         return blob
 
+    def close(self) -> None:
+        """Release the pack descriptors (idempotent; reopened on use)."""
+        with self._lock:
+            fds, self._fds = self._fds, {}
+        for fd in fds.values():
+            os.close(fd)
+
+    __del__ = close
+
     def __contains__(self, key: str) -> bool:
-        return self._path_for(key).exists()
+        with self._lock:
+            return key in self._segments
 
     # Shipped by value to process-backend workers: the path travels, the
-    # manifest/counters are copied at ship time, the lock is recreated.
+    # index/counters are copied at ship time, the lock is recreated and
+    # the descriptors stay behind (each worker opens its own).
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        del state["_stats_lock"]
+        del state["_lock"]
+        state["_fds"] = {}
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._stats_lock = threading.Lock()
+        self._lock = threading.Lock()
 
     def keys(self) -> list[str]:
         """Sorted list of manifest-recorded segment keys."""
-        return sorted(self._manifest)
+        with self._lock:
+            return sorted(self._segments)
 
     def size_of(self, key: str) -> int:
         """Manifest-recorded size of *key* — no file access."""
-        try:
-            return self._manifest[key]
-        except KeyError:
-            raise SegmentNotFoundError(
-                f"segment {key!r} not in manifest"
-            ) from None
+        with self._lock:
+            entry = self._segments.get(key)
+        if entry is None:
+            raise SegmentNotFoundError(f"segment {key!r} not in manifest")
+        return entry[1]
 
     def total_bytes(self) -> int:
-        """Sum of all manifest-recorded segment sizes."""
-        return sum(self._manifest.values())
+        """Sum of the live segment lengths, not the pack's file size."""
+        with self._lock:
+            return sum(n for _, n in self._segments.values())
 
     def io_time_estimate(self, bandwidth_gbps: float = 2.0) -> float:
-        """Modeled read wall-time: per-file latency + transfer time."""
+        """Modeled read wall-time: per-request latency + transfer time."""
         if bandwidth_gbps <= 0:
             raise ValueError("bandwidth must be > 0")
-        with self._stats_lock:
+        with self._lock:
             reads, bytes_read = self.reads, self.bytes_read
         return (
             reads * self.file_open_latency_s
             + bytes_read / (bandwidth_gbps * 1e9)
         )
-
-
-class ShardedDirectoryStore(DirectoryStore):
-    """A :class:`DirectoryStore` hashed across shard subdirectories.
-
-    Segments land in ``root/shard_<xx>/<key>`` where ``<xx>`` is a stable
-    CRC32 of the key modulo ``num_shards``. This keeps any single
-    directory's entry count bounded — the standard fix once the paper's
-    "many small files" effect starts stressing directory metadata. Keys,
-    segment bytes, and the root ``manifest.json`` are identical to
-    :class:`DirectoryStore`'s, but the on-disk segment *paths* differ:
-    a store written with one layout must be reopened with the same
-    class (reopening a flat store sharded would list keys whose files
-    sit elsewhere).
-
-    Parameters
-    ----------
-    root:
-        Store root; shard subdirectories are created beneath it on write.
-    num_shards:
-        Number of hash buckets (≥ 1). Persisted to ``shards.json`` at
-        the root on first use; reopening an existing sharded store with
-        a different count raises (segments would resolve to the wrong
-        shard directories).
-    file_open_latency_s:
-        As for :class:`DirectoryStore`.
-    """
-
-    SHARD_MARKER = "shards.json"
-
-    def __init__(
-        self,
-        root: str | Path,
-        num_shards: int = 16,
-        file_open_latency_s: float = 2e-4,
-    ) -> None:
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        self.num_shards = int(num_shards)
-        super().__init__(root, file_open_latency_s=file_open_latency_s)
-        marker = self.root / self.SHARD_MARKER
-        if marker.exists():
-            stored = int(json.loads(marker.read_text())["num_shards"])
-            if stored != self.num_shards:
-                raise ValueError(
-                    f"store at {self.root} was written with "
-                    f"num_shards={stored}, reopened with "
-                    f"num_shards={self.num_shards}"
-                )
-        else:
-            marker.write_text(json.dumps({"num_shards": self.num_shards}))
-
-    def shard_of(self, key: str) -> int:
-        """Stable shard index of *key* (CRC32 mod ``num_shards``)."""
-        return zlib.crc32(key.encode()) % self.num_shards
-
-    def _path_for(self, key: str) -> Path:
-        return self.root / f"shard_{self.shard_of(key):02x}" / key
 
 
 def segment_checksum(blob: bytes) -> int:
@@ -746,7 +747,6 @@ __all__ = [
     "SegmentStore",
     "MemoryStore",
     "DirectoryStore",
-    "ShardedDirectoryStore",
     "segment_key",
     "segment_checksum",
     "index_checksums",

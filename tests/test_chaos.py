@@ -11,6 +11,8 @@ Every schedule is deterministic (seed-driven, per-key access counts),
 so failures replay exactly; the retry policies here never sleep.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -243,10 +245,12 @@ class TestOnDiskCorruptionRecovery:
     def test_directory_store_corruption_degrade_restore_resume(
         self, data, tmp_path
     ):
-        """End-to-end repair story on a real directory store: corrupt a
-        segment file on disk, watch the typed error, degrade through
-        the outage, restore the file, resume bit-identically."""
-        store = DirectoryStore(tmp_path / "s")
+        """End-to-end repair story on a real directory store: flip a
+        byte of every unfetched segment inside the pack, watch the typed
+        error, degrade through the outage, repair by re-putting the good
+        blobs (an append at a new offset), resume bit-identically."""
+        root = tmp_path / "s"
+        store = DirectoryStore(root)
         store_field(store, refactor(data, name="vx"))
         ref = Reconstructor(open_field(store, "vx"))
         ref1 = ref.reconstruct(tolerance=STAIRCASE[0])
@@ -256,15 +260,17 @@ class TestOnDiskCorruptionRecovery:
         step1 = recon.reconstruct(tolerance=STAIRCASE[0])
         np.testing.assert_array_equal(step1.data, ref1.data)
 
-        # Garble every not-yet-fetched payload segment on disk.
+        # Garble every payload segment where the manifest says it lives.
+        table = json.loads((root / "manifest.json").read_text())["segments"]
         originals = {}
-        for key in store.keys():
-            if ".index" in key:
-                continue
-            path = tmp_path / "s" / key
-            blob = path.read_bytes()
-            originals[key] = blob
-            path.write_bytes(b"\xff" + blob[1:])
+        with open(root / "segments.pack", "r+b") as pack:
+            for key, (offset, length) in table.items():
+                if ".index" in key:
+                    continue
+                originals[key] = store.get(key)
+                assert len(originals[key]) == length
+                pack.seek(offset)
+                pack.write(bytes([originals[key][0] ^ 0xFF]))
 
         with pytest.raises(SegmentCorruptionError):
             recon.reconstruct(tolerance=STAIRCASE[3])
@@ -273,8 +279,12 @@ class TestOnDiskCorruptionRecovery:
         assert degraded.degraded is True
         np.testing.assert_array_equal(degraded.data, step1.data)
 
-        for key, blob in originals.items():  # the operator repairs
-            (tmp_path / "s" / key).write_bytes(blob)
+        live = store.total_bytes()
+        with store.batch():  # the operator repairs
+            for key, blob in originals.items():
+                store.put(key, blob)
+        assert store.total_bytes() == live  # bad copies are dead bytes
+        assert (root / "segments.pack").stat().st_size > live
         resumed = recon.reconstruct(tolerance=STAIRCASE[3])
         assert resumed.degraded is False
         np.testing.assert_array_equal(resumed.data, ref2.data)

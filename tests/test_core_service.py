@@ -21,7 +21,6 @@ from repro.core.store import (
     DirectoryStore,
     MemoryStore,
     SegmentReader,
-    ShardedDirectoryStore,
     load_field,
     open_field,
     store_field,
@@ -51,9 +50,6 @@ class TestSegmentReaderProtocol:
     def test_all_backends_satisfy_protocol(self, tmp_path):
         assert isinstance(MemoryStore(), SegmentReader)
         assert isinstance(DirectoryStore(tmp_path / "a"), SegmentReader)
-        assert isinstance(
-            ShardedDirectoryStore(tmp_path / "b"), SegmentReader
-        )
 
     def test_cache_fronts_any_reader(self):
         class Flaky:
@@ -72,58 +68,6 @@ class TestSegmentReaderProtocol:
         assert (cold1, cold2) == (True, False)
         assert a1 == a2 == b"payload-k"
         assert cache._reader.calls == 1
-
-
-class TestShardedDirectoryStore:
-    def test_round_trip_and_spread(self, field_and_data, tmp_path):
-        data, f = field_and_data
-        store = ShardedDirectoryStore(tmp_path / "sh", num_shards=8)
-        store_field(store, f)
-        shard_dirs = [
-            p for p in (tmp_path / "sh").iterdir()
-            if p.is_dir() and p.name.startswith("shard_")
-        ]
-        assert len(shard_dirs) > 1  # segments actually spread out
-        loaded = load_field(store, "vel")
-        r = Reconstructor(loaded).reconstruct(tolerance=1e-6)
-        assert np.max(np.abs(r.data - data)) <= 1e-6
-
-    def test_manifest_compatible_and_persistent(self, tmp_path):
-        root = tmp_path / "sh"
-        s1 = ShardedDirectoryStore(root, num_shards=4)
-        s1.put("seg", b"data")
-        s2 = ShardedDirectoryStore(root, num_shards=4)
-        assert s2.keys() == ["seg"]
-        assert s2.size_of("seg") == 4
-        assert s2.get("seg") == b"data"
-        assert "seg" in s2
-
-    def test_stable_hashing(self, tmp_path):
-        s = ShardedDirectoryStore(tmp_path / "sh", num_shards=7)
-        assert s.shard_of("vel.L0.G0") == s.shard_of("vel.L0.G0")
-        assert 0 <= s.shard_of("anything") < 7
-
-    def test_validates_num_shards(self, tmp_path):
-        with pytest.raises(ValueError):
-            ShardedDirectoryStore(tmp_path / "sh", num_shards=0)
-
-    def test_reopen_with_different_shard_count_raises(self, tmp_path):
-        root = tmp_path / "sh"
-        s = ShardedDirectoryStore(root, num_shards=8)
-        s.put("seg", b"data")
-        with pytest.raises(ValueError, match="num_shards"):
-            ShardedDirectoryStore(root, num_shards=16)
-        # same count reopens fine
-        s2 = ShardedDirectoryStore(root, num_shards=8)
-        assert s2.get("seg") == b"data"
-
-    def test_lazy_open_over_sharded(self, field_and_data, tmp_path):
-        data, f = field_and_data
-        store = ShardedDirectoryStore(tmp_path / "sh", num_shards=8)
-        store_field(store, f)
-        lazy = open_field(store, "vel")
-        r = Reconstructor(lazy).reconstruct(tolerance=1e-4)
-        assert np.max(np.abs(r.data - data)) <= 1e-4
 
 
 class TestManifestBatching:

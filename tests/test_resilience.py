@@ -16,13 +16,19 @@ Covers the fault-tolerance subsystem end to end:
 """
 
 import json
+import os
 import struct
+import subprocess
+import sys
 import threading
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
+from repro.core.backends import BACKEND_ENV
 from repro.core.errors import (
     RETRYABLE_ERRORS,
     SegmentCorruptionError,
@@ -122,12 +128,47 @@ class TestStoreErrorNormalization:
         with pytest.raises(SegmentNotFoundError):
             DirectoryStore(tmp_path / "s").size_of("ghost")
 
-    def test_directory_file_deleted_behind_manifest(self, tmp_path):
+    def test_directory_pack_deleted_behind_manifest(self, tmp_path):
+        DirectoryStore(tmp_path / "s").put("seg", b"payload")
+        (tmp_path / "s" / "segments.pack").unlink()
+        store = DirectoryStore(tmp_path / "s")
+        assert "seg" in store  # the manifest still lists it
+        with pytest.raises(SegmentNotFoundError, match="seg"):
+            store.get("seg")
+        assert store.reads == 0
+
+    def test_directory_pack_truncated_behind_manifest(self, tmp_path):
+        """A pack that ends inside (or before) a recorded range is
+        corruption naming the key — never short bytes for the CRC."""
+        store = DirectoryStore(tmp_path / "s")
+        store.put("head", b"0123456789")
+        store.put("tail", b"abcdefghij")
+        with open(tmp_path / "s" / "segments.pack", "r+b") as pack:
+            pack.truncate(14)  # mid-"tail"
+        for reader in (store, DirectoryStore(tmp_path / "s")):
+            assert reader.get("head") == b"0123456789"
+            with pytest.raises(SegmentCorruptionError, match="'tail'"):
+                reader.get("tail")
+            assert reader.bytes_read == 10  # the short read is not charged
+        with open(tmp_path / "s" / "segments.pack", "r+b") as pack:
+            pack.truncate(5)  # "tail" now starts past EOF
+        with pytest.raises(SegmentCorruptionError, match="'tail'"):
+            store.get("tail")
+
+    def test_directory_os_error_is_transient(self, tmp_path, monkeypatch):
+        import repro.core.store as store_mod
+
         store = DirectoryStore(tmp_path / "s")
         store.put("seg", b"payload")
-        (tmp_path / "s" / "seg").unlink()
-        with pytest.raises(SegmentNotFoundError):
+
+        def flaky_pread(fd, length, offset):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(store_mod.os, "pread", flaky_pread)
+        with pytest.raises(TransientStoreError, match="seg"):
             store.get("seg")
+        monkeypatch.undo()
+        assert store.get("seg") == b"payload"
 
 
 class TestManifestRobustness:
@@ -142,6 +183,34 @@ class TestManifestRobustness:
         root = tmp_path / "s"
         DirectoryStore(root).put("seg", b"x")
         (root / "manifest.json").write_text("[1, 2, 3]")
+        with pytest.raises(SegmentCorruptionError):
+            DirectoryStore(root)
+
+    @pytest.mark.parametrize("entry", [
+        "x", 7, None, [0], [0, 1, 2], [-1, 4], [0, -4], [0.0, 4],
+        [0, "4"], [True, 4], {"offset": 0, "length": 4},
+    ])
+    def test_malformed_entry_raises_typed_error(self, tmp_path, entry):
+        """Every entry must be [offset >= 0, length >= 0] integers at
+        load — not a TypeError out of total_bytes() much later."""
+        root = tmp_path / "s"
+        DirectoryStore(root).put("seg", b"data")
+        (root / "manifest.json").write_text(json.dumps(
+            {"format": 2, "segments": {"seg": [0, 4], "bad": entry}}
+        ))
+        with pytest.raises(SegmentCorruptionError, match="bad"):
+            DirectoryStore(root)
+
+    @pytest.mark.parametrize("table", [None, [], "abc", 3])
+    def test_malformed_segment_table_raises_typed_error(
+        self, tmp_path, table
+    ):
+        root = tmp_path / "s"
+        root.mkdir()
+        manifest = {"format": 2}
+        if table is not None:
+            manifest["segments"] = table
+        (root / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(SegmentCorruptionError):
             DirectoryStore(root)
 
@@ -169,6 +238,73 @@ class TestManifestRobustness:
         reopened = DirectoryStore(root)
         assert reopened.keys() == ["a"]
         assert reopened.get("a") == b"one"
+
+
+CRASHING_WRITER = """
+import os, sys
+import numpy as np
+from repro.core.refactor import refactor
+from repro.core.store import DirectoryStore, store_field
+
+rng = np.random.default_rng(5)
+a, b = (rng.standard_normal((12, 10, 8)).cumsum(axis=0) for _ in "ab")
+store = DirectoryStore(sys.argv[1])
+store_field(store, refactor(a, name="A"))  # one batch: synced, published
+with store.batch():
+    store_field(store, refactor(b, name="B"))  # appended, not published
+    os._exit(17)  # crash before the manifest flush (no cleanup runs)
+"""
+
+
+class TestCrashConsistency:
+    def test_crash_between_append_and_manifest_flush(self, tmp_path):
+        """append → fsync → publish: a writer killed after field B's
+        appends but before its manifest flush leaves a store that opens
+        at field A's manifest, ignores the orphan tail, and takes a
+        later write of B after it."""
+        root = tmp_path / "s"
+        env = dict(os.environ)
+        # No worker pool in the writer: os._exit would orphan it, and
+        # the orphans would hold this test's capture pipes open.
+        env.pop(BACKEND_ENV, None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).parents[1]),
+             env.get("PYTHONPATH", "")]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", CRASHING_WRITER, str(root)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert done.returncode == 17, done.stderr
+
+        rng = np.random.default_rng(5)  # the writer's two fields
+        a, b = (rng.standard_normal((12, 10, 8)).cumsum(axis=0) for _ in "ab")
+        expect = MemoryStore()
+        index_a = store_field(expect, refactor(a, name="A"))
+
+        store = DirectoryStore(root)
+        assert store.keys() == expect.keys()  # exactly A, nothing of B
+        assert store.total_bytes() == expect.total_bytes()
+        for key, crc in index_checksums(index_a).items():
+            assert segment_checksum(store.get(key)) == crc
+        assert store.get("A.index") == expect.get("A.index")
+        orphan_end = (root / "segments.pack").stat().st_size
+        assert orphan_end > store.total_bytes()  # B's tail is on disk
+
+        store_field(store, refactor(b, name="B"))
+        reopened = DirectoryStore(root)
+        table = json.loads((root / "manifest.json").read_text())["segments"]
+        assert min(
+            off for key, (off, _) in table.items() if key.startswith("B.")
+        ) >= orphan_end
+        for name, data in (("A", a), ("B", b)):
+            got = Reconstructor(load_field(reopened, name)).reconstruct(
+                tolerance=1e-6
+            )
+            want = Reconstructor(refactor(data, name=name)).reconstruct(
+                tolerance=1e-6
+            )
+            np.testing.assert_array_equal(got.data, want.data)
 
 
 class TestFaultInjectingStore:

@@ -13,19 +13,25 @@ The guarantees under test (ISSUE 5):
   and report residency through ``stats()``.
 """
 
+import json
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.reconstruct import Reconstructor
+from repro.core.refactor import refactor
 from repro.core.service import RetrievalService
 from repro.core.store import (
     DirectoryStore,
     MemoryStore,
-    ShardedDirectoryStore,
     open_tiled_field,
+    segment_key,
+    store_field,
     store_tiled_field,
+    tiled_index_key,
 )
 from repro.core.tiling import (
     TiledReconstructor,
@@ -49,8 +55,7 @@ def tiled(field):
 
 
 class TestStoreRoundtrip:
-    @pytest.mark.parametrize("store_cls", [MemoryStore, DirectoryStore,
-                                           ShardedDirectoryStore])
+    @pytest.mark.parametrize("store_cls", [MemoryStore, DirectoryStore])
     def test_store_open_matches_in_memory_bitwise(
         self, field, tiled, store_cls, tmp_path
     ):
@@ -114,6 +119,54 @@ class TestStoreRoundtrip:
         assert lazy.name == "rho"
         assert [t.offset for t in lazy.tiles] == \
             [t.offset for t in tiled.tiles]
+
+
+@st.composite
+def _field_and_tiling(draw):
+    rank = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(3, 11)) for _ in range(rank))
+    tile = draw(st.none() | st.tuples(*[st.integers(3, 8)] * rank))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    return rng.standard_normal(shape).astype(dtype), tile
+
+
+class TestPackLayout:
+    @given(case=_field_and_tiling())
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_refinement_steps_are_prefix_extensions(self, case):
+        """In a fresh root each level's groups ``[0, g)`` are one
+        contiguous ascending byte range of the pack, a (tile) field's
+        levels follow each other and its ``.index`` record follows them,
+        tile after tile — so a refinement step is a prefix extension
+        that one ranged read can serve."""
+        data, tile = case
+        with tempfile.TemporaryDirectory() as root:
+            store = DirectoryStore(root)
+            if tile is None:
+                fields = [refactor(data, name="v")]
+                store_field(store, fields[0])
+            else:
+                tiled = TiledRefactorer(tile).refactor(data, name="v")
+                fields = tiled.fields
+                store_tiled_field(store, tiled)
+            store.close()
+            with open(f"{root}/manifest.json") as handle:
+                table = json.load(handle)["segments"]
+            cursor = 0
+            for field in fields:
+                keys = [
+                    segment_key(field.name, lv.level, g)
+                    for lv in field.levels for g in range(lv.num_groups)
+                ]
+                for key in [*keys, f"{field.name}.index"]:
+                    offset, length = table.pop(key)
+                    assert offset == cursor, key
+                    cursor += length
+            if tile is not None:
+                assert table.pop(tiled_index_key("v"))[0] == cursor
+            assert table == {}  # nothing else was written
 
 
 class TestGlobalBound:
