@@ -68,6 +68,7 @@ from repro.core.tiling import TiledReconstructor, TiledRefactorer
 from repro.data import generators as gen
 from repro.gpu.device import H100
 from repro.gpu.hdem import HostDeviceModel
+from repro.pipeline.retrieval import RetrievalPipeline
 from repro.pipeline.scheduler import StageCosts, pipeline_speedup
 
 pytestmark = pytest.mark.bench
@@ -82,8 +83,6 @@ TILE = (16, 16, 16)
 ROI = (slice(4, 44), slice(4, 44), None)
 TOLERANCES = [1e-1, 3e-2, 1e-2, 3e-3]  # relative staircase
 REPEATS = 5
-WINDOW = 8
-FETCH_WORKERS = 4
 
 #: Calibrated per-``get`` sleep is clamped to this range: the floor
 #: keeps the overlap measurable when decode is very fast, the ceiling
@@ -124,17 +123,17 @@ def _best_walls(fns, repeats: int) -> list[float]:
 
 
 def _instrument(recon: TiledReconstructor, stage_seconds: dict) -> None:
-    """Wrap the per-tile pipeline stages with wall-clock probes.
+    """Wrap the per-tile stage functions with wall-clock probes.
 
-    ``_decode_tiles_pipelined`` binds the stage callables off the
-    instance, so instance-attribute wrappers installed before
-    ``reconstruct`` see every call. The fetch probe fires on the fetch
+    ``reconstruct`` binds the stage callables off the instance on every
+    route, so instance-attribute wrappers installed before it see every
+    call. The fetch probe fires on the fetch
     pool's threads — ``list.append`` is atomic, and the per-stage lists
     are only read after the run completes.
     """
-    for stage, name in (("fetch", "_pipeline_fetch_tile"),
-                        ("decode", "_pipeline_decode_tile"),
-                        ("commit", "_pipeline_commit_tile")):
+    for stage, name in (("fetch", "_fetch_tile"),
+                        ("decode", "_decode_tile"),
+                        ("commit", "_commit_tile")):
         inner = getattr(recon, name)
 
         def timed(*args, _inner=inner, _sink=stage_seconds[stage], **kwargs):
@@ -149,10 +148,7 @@ def _instrument(recon: TiledReconstructor, stage_seconds: dict) -> None:
 def _staircase(store, tolerances, region, pipelined: bool,
                stage_seconds: dict | None = None) -> np.ndarray:
     recon = TiledReconstructor(
-        open_tiled_field(store, "rho"),
-        pipelined=pipelined,
-        pipeline_window=WINDOW,
-        fetch_workers=FETCH_WORKERS,
+        open_tiled_field(store, "rho"), pipelined=pipelined
     )
     if stage_seconds is not None:
         _instrument(recon, stage_seconds)
@@ -250,18 +246,22 @@ def _bench_roi_staircase(store, tolerances, region, repeats: int) -> dict:
     decode_sum = float(sum(stage_seconds["decode"]))
     commit_sum = float(sum(stage_seconds["commit"]))
     # Efficiency compares the instrumented run against its OWN ideal:
-    # at most FETCH_WORKERS fetches overlap and decode+commit share the
-    # caller thread, so ideal <= wall structurally and the ratio lands
-    # in (0, 1] regardless of machine noise between runs.
-    ideal_wall = max(fetch_sum / FETCH_WORKERS, decode_sum + commit_sum)
+    # at most ``fetch_workers`` fetches overlap and decode+commit share
+    # the caller thread, so ideal <= wall structurally and the ratio
+    # lands in (0, 1] regardless of machine noise between runs. The
+    # window sizes are the runtime's own (RetrievalPipeline's defaults,
+    # the one place they are written), read off it rather than restated.
+    pipeline = RetrievalPipeline()
+    ideal_wall = max(fetch_sum / pipeline.fetch_workers,
+                     decode_sum + commit_sum)
 
     measured = wall_seq_slow / wall_pip_slow if wall_pip_slow else 0.0
     model = _model_prediction(stage_seconds)
     return {
         "tiles_in_region": len(stage_seconds["fetch"]) // len(tolerances),
         "tolerances_relative": list(tolerances),
-        "window": WINDOW,
-        "fetch_workers": FETCH_WORKERS,
+        "window": pipeline.window,
+        "fetch_workers": pipeline.fetch_workers,
         "segment_reads_per_staircase": reads,
         "injected_latency_per_get_s": latency_s,
         "wall_sequential_fast_s": wall_seq_fast,

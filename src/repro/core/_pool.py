@@ -4,7 +4,9 @@
 reused across calls, an idempotent :meth:`close`, context-manager
 support, and best-effort teardown on garbage collection. Hosts define
 :meth:`_pool_size` (their ``num_workers``) and fan independent jobs out
-with :meth:`map_jobs`.
+with :meth:`map_jobs`. The hosts are the refactorers, the tiled engines
+and the retrieval service (its prefetch pool); an untiled
+``Reconstructor`` is serial and is not one.
 
 Which pool that is comes from :mod:`repro.core.backends`: an explicit
 ``backend`` attribute on the host, the ``REPRO_BACKEND`` environment
@@ -97,10 +99,6 @@ class WorkerPoolMixin:
         return resolve_backend(
             getattr(self, "backend", None), self._pool_size()
         )
-
-    def uses_processes(self) -> bool:
-        """True when this host resolves to the process backend."""
-        return self._backend_spec().kind == "processes"
 
     def _process_backend(self):
         """The shared process pool sized for this host's spec."""

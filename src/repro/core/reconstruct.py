@@ -11,6 +11,15 @@ previous step instead of re-decoding everything from plane 0 (the
 incremental-decode behaviour of HPDR, arXiv:2503.06322). Every result
 carries a rigorous L∞ ``error_bound`` that the actual error provably
 does not exceed (tested property).
+
+A step runs one way: :meth:`Reconstructor.plan_step` (metadata only) →
+:meth:`Reconstructor.fetch_step` (the only place a step reads the
+store) → :meth:`Reconstructor.decode_step` (a plain per-level loop,
+recompose, commit). :meth:`Reconstructor.reconstruct` is those three
+calls; the tiled engine's sequential, pipelined and process routes call
+the same three, only on different threads. An untiled reconstructor is
+serial — the execution backend applies to refactorers and to the tiled
+engine, whose unit of parallel work is a tile.
 """
 
 from __future__ import annotations
@@ -20,21 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bitplane.encoding import (
-    BitplaneStream,
     PartialDecodeState,
     apply_planes,
-    begin_decode_state,
     decode_bitplanes,
     finalize_decode,
 )
-from repro.core._pool import WorkerPoolMixin
-from repro.core.backends import parse_backend_spec, task_name
-from repro.core.errors import ComputeError, StoreError
+from repro.core.errors import StoreError
 from repro.core.planner import RetrievalPlan, plan_full, plan_greedy
 from repro.core.stream import RefactoredField
 from repro.decompose import MultilevelTransform
-from repro.util.validation import check_tolerance
-from repro.lossless.hybrid import CompressedGroup, decompress_groups
+from repro.util.validation import check_on_fault, check_tolerance
 
 
 @dataclass
@@ -94,13 +98,13 @@ class StepPlan:
     (tolerance resolution + planner output merged with the session's
     committed fetch progress); consumed by
     :meth:`Reconstructor.fetch_step` (which resolves exactly the
-    segments the step needs, in the sequential path's access order) and
+    segments the step needs, levels ascending, groups ascending) and
     :meth:`Reconstructor.decode_step` (which runs the decode pass and
     commits). Splitting the phases is what lets the pipelined runtime
     (:mod:`repro.pipeline.retrieval`) overlap one tile's fetch with
     another's decode while staying bit-identical to
-    :meth:`Reconstructor.reconstruct`, which is now literally
-    ``plan_step`` + ``decode_step``.
+    :meth:`Reconstructor.reconstruct`, which is literally
+    ``plan_step`` → ``fetch_step`` → ``decode_step``.
 
     ``io_before`` snapshots the field's I/O counters at plan time, so a
     step whose fetch stage ran ahead on another thread still reports
@@ -144,56 +148,7 @@ class DecodeCounters:
         )
 
 
-def _level_decode_meta(lv) -> dict:
-    """Stream metadata a worker needs to rebuild decode state/streams.
-
-    Mirrors the keyword set of
-    :func:`~repro.bitplane.encoding.begin_decode_state` (minus
-    ``dtype``) and :class:`~repro.bitplane.encoding.BitplaneStream`
-    (minus ``dtype``/``design``/``planes``), so it splats into either.
-    """
-    return {
-        "num_elements": lv.num_elements,
-        "num_bitplanes": lv.num_bitplanes,
-        "exponent": lv.exponent,
-        "max_abs": lv.max_abs,
-        "layout": lv.layout,
-        "warp_size": lv.warp_size,
-        "signed_encoding": lv.signed_encoding,
-    }
-
-
-def _task_apply_level_increment(state, meta, pstate, blobs):
-    """Process-backend task: inject shipped plane groups into *pstate*.
-
-    The worker half of the incremental engine's split: the parent
-    fetched the serialized groups (so I/O accounting, caching, and
-    fault policy stayed parent-side) and this runs exactly the compute
-    the serial path runs — decompress, ``apply_planes`` at the state's
-    own cursor, finalize. Returns ``(values, advanced_state, planes)``
-    for the parent to commit.
-    """
-    groups = [CompressedGroup.from_bytes(blob) for blob in blobs]
-    planes = decompress_groups(groups)
-    if pstate is None:
-        pstate = begin_decode_state(dtype=np.dtype(np.float64), **meta)
-    pstate = apply_planes(pstate, planes, pstate.planes_applied)
-    return finalize_decode(pstate), pstate, len(planes)
-
-
-def _task_decode_level_full(state, meta, design, blobs, num_planes):
-    """Process-backend task: full re-decode of one level's groups."""
-    groups = [CompressedGroup.from_bytes(blob) for blob in blobs]
-    stream = BitplaneStream(
-        planes=decompress_groups(groups),
-        dtype=np.dtype(np.float64),
-        design=design,
-        **meta,
-    )
-    return decode_bitplanes(stream, num_planes)
-
-
-class Reconstructor(WorkerPoolMixin):
+class Reconstructor:
     """Tolerance-driven, incremental reconstruction of one variable.
 
     ``incremental=True`` (the default) retains each level's partial
@@ -203,12 +158,10 @@ class Reconstructor(WorkerPoolMixin):
     path, retained for equivalence tests and as the benchmark baseline
     (both paths are bit-identical at every step of a staircase).
 
-    ``num_workers > 1`` decodes the independent per-level streams
-    through a thread pool shared across this instance's calls —
-    created lazily on first use, reused by every subsequent
-    :meth:`reconstruct`/:meth:`progressive` step, and torn down with
-    the instance (NumPy releases the GIL on the big
-    decompression/transpose kernels). The default is serial.
+    Levels decode in a plain loop on the calling thread: the finest
+    level holds 7/8 of a 3-D field's coefficients, so a per-level
+    fan-out measured slower than this loop; parallelism lives one layer
+    up, across tiles (:class:`~repro.core.tiling.TiledReconstructor`).
 
     ``transform`` lets a caller managing many same-geometry fields
     (the tiled engine: hundreds of identical-shape tiles) share one
@@ -222,18 +175,10 @@ class Reconstructor(WorkerPoolMixin):
     def __init__(
         self,
         field: RefactoredField,
-        num_workers: int = 0,
         incremental: bool = True,
         transform: MultilevelTransform | None = None,
-        backend: str | None = None,
     ) -> None:
-        if num_workers < 0:
-            raise ValueError("num_workers must be >= 0")
         self.field = field
-        self.num_workers = int(num_workers)
-        if backend is not None:
-            parse_backend_spec(backend)  # validates, raises on junk
-        self.backend = backend
         self.incremental = bool(incremental)
         if transform is None:
             transform = MultilevelTransform(
@@ -269,9 +214,6 @@ class Reconstructor(WorkerPoolMixin):
         )
         self._values: list[np.ndarray | None] = [None] * len(field.levels)
         self.decode_counters = DecodeCounters()
-
-    def _pool_size(self) -> int:
-        return self.num_workers
 
     @property
     def fetched_groups(self) -> list[int]:
@@ -350,12 +292,16 @@ class Reconstructor(WorkerPoolMixin):
         Because the failed step never committed, simply calling again
         resumes exactly where the fault hit.
         """
-        if on_fault not in ("raise", "degrade"):
-            raise ValueError(
-                f"on_fault must be 'raise' or 'degrade', got {on_fault!r}"
-            )
+        check_on_fault(on_fault)
         step = self.plan_step(tolerance, relative=relative, plan=plan)
-        return self.decode_step(step, on_fault=on_fault)
+        fetch_error = None
+        try:
+            self.fetch_step(step)
+        except StoreError as exc:
+            fetch_error = exc
+        return self.decode_step(
+            step, on_fault=on_fault, fetch_error=fetch_error
+        )
 
     def plan_step(
         self,
@@ -369,8 +315,7 @@ class Reconstructor(WorkerPoolMixin):
         with the session's committed fetch progress touch no segment
         payloads (lazy fields plan from :class:`~repro.core.stream.
         SegmentRef` sizes alone). The returned :class:`StepPlan` feeds
-        :meth:`fetch_step`/:meth:`decode_step`; calling
-        :meth:`decode_step` directly is exactly :meth:`reconstruct`.
+        :meth:`fetch_step`, then :meth:`decode_step`.
         """
         # Store-backed lazy fields track actual segment traffic; snapshot
         # before planning (a pre-metadata index can force fetches there)
@@ -411,82 +356,49 @@ class Reconstructor(WorkerPoolMixin):
             io_before=io_before,
         )
 
-    def fetch_level_groups(self, idx: int, want: int) -> None:
-        """Resolve level *idx*'s segments up to *want* groups.
-
-        Touches the (possibly lazy) group sequence in ascending group
-        order over ``[committed, want)`` — exactly the order and key
-        set the sequential decode pass resolves, and stopping at the
-        first :class:`~repro.core.errors.StoreError` exactly where it
-        would. Successful fetches memoize on the field, so the decode
-        stage later finds them resident without touching the store;
-        a partial fetch before a fault stays memoized, matching the
-        sequential path's partial progress. Eager in-memory fields
-        no-op (plain list indexing).
-        """
-        groups = self.field.levels[idx].groups
-        for g in range(self._fetched[idx], want):
-            groups[g]  # memoizing touch; lazy sequences fetch here
-
     def fetch_step(self, step: StepPlan) -> None:
         """Fetch stage of one step: resolve every segment it needs.
 
-        Walks levels ascending, groups ascending within each — the
-        sequential decode order — so a seeded fault schedule
+        The one place a step reads the store. Touches the (possibly
+        lazy) group sequences levels ascending, groups ascending over
+        ``[committed, planned)`` within each, so a seeded fault schedule
         (:class:`~repro.core.faults.FaultInjectingStore` keys its
         deterministic draws on per-key access counts) replays
         identically whether fetch runs inline or on a pipeline's fetch
-        stage. Raises :class:`~repro.core.errors.StoreError` at the
-        first failing segment; the caller hands that error to
-        :meth:`decode_step` (as ``fetch_error``) rather than retrying,
-        which would shift access counts.
+        stage. Successful fetches memoize on the field, so
+        :meth:`decode_step` finds them resident without touching the
+        store; a partial fetch before a fault stays memoized, and the
+        retry pays only for the rest. Eager in-memory fields no-op
+        (plain list indexing). Raises
+        :class:`~repro.core.errors.StoreError` at the first failing
+        segment; the caller hands that error to :meth:`decode_step` (as
+        ``fetch_error``) rather than retrying, which would shift access
+        counts.
         """
-        for idx, want in enumerate(step.groups):
-            self.fetch_level_groups(idx, want)
-
-    def step_segment_keys(self, step: StepPlan) -> list[str]:
-        """Store keys :meth:`fetch_step` would resolve, in fetch order.
-
-        Empty for eager fields (no store behind them). The service
-        layer uses this to cancel queued speculative prefetches the
-        pipeline window is about to fetch inline anyway.
-        """
-        keys: list[str] = []
-        for idx, want in enumerate(step.groups):
-            refs = getattr(self.field.levels[idx], "refs", None)
-            if refs is None:
-                continue
-            for g in range(self._fetched[idx], want):
-                keys.append(refs[g].key)
-        return keys
+        for lv, have, want in zip(
+            self.field.levels, self._fetched, step.groups
+        ):
+            for g in range(have, want):
+                lv.groups[g]  # memoizing touch; lazy sequences fetch here
 
     def decode_step(
         self,
         step: StepPlan,
         on_fault: str = "raise",
         fetch_error: BaseException | None = None,
-        level_runner=None,
     ) -> ReconstructionResult:
         """Decode/recompose/commit one planned step.
 
-        The decode phase of :meth:`reconstruct`: runs the per-level
-        decode pass over ``step.groups`` (any segment not already
-        memoized by :meth:`fetch_step` is fetched here, exactly as the
-        sequential path does), assembles and recomposes, and commits
-        session state. ``fetch_error`` is a
-        :class:`~repro.core.errors.StoreError` captured by a separated
-        fetch stage: it is re-raised at decode time so ``on_fault``
-        handles it exactly like an inline fetch fault — ``"degrade"``
-        falls back to the committed refinement without touching the
-        store. ``level_runner(jobs, decode_level)``, when given,
-        replaces the backend fan-out for the first decode attempt (the
-        pipelined level window); the degrade fallback always runs the
-        plain local pass, which is store-free by construction.
+        The decode phase of :meth:`reconstruct`: decodes ``step.groups``
+        level by level from the segments :meth:`fetch_step` memoized (so
+        it reads nothing from the store), assembles and recomposes, and
+        commits session state. ``fetch_error`` is the
+        :class:`~repro.core.errors.StoreError` the fetch stage raised,
+        if any: it is re-raised here so ``on_fault`` decides in one
+        place — ``"raise"`` propagates it, ``"degrade"`` falls back to
+        the committed refinement, which is store-free by construction.
         """
-        if on_fault not in ("raise", "degrade"):
-            raise ValueError(
-                f"on_fault must be 'raise' or 'degrade', got {on_fault!r}"
-            )
+        check_on_fault(on_fault)
         resolved = step.tolerance
         relative_requested = step.relative_tolerance
         io_before = step.io_before
@@ -497,49 +409,30 @@ class Reconstructor(WorkerPoolMixin):
             self._decode_level_incremental if self.incremental
             else self._decode_level_full
         )
-        spec = self._backend_spec()
-        use_processes = spec.kind == "processes" and spec.workers > 1
-
-        def run_step(jobs: list[tuple], runner=None) -> list[tuple]:
-            if runner is not None:
-                return runner(jobs, decode_level)
-            if use_processes and len(jobs) > 1:
-                return self._decode_levels_processes(jobs)
-            return self.map_jobs(decode_level, jobs)
-
-        jobs = [
-            (idx, lv, want)
-            for idx, (lv, want) in enumerate(zip(self.field.levels, groups))
-        ]
         degraded = False
         failed_groups: list[int] | None = None
         try:
             if fetch_error is not None:
                 raise fetch_error
-            outcomes = run_step(jobs, level_runner)
-        except (StoreError, ComputeError):
+            outcomes = [
+                decode_level(idx, want) for idx, want in enumerate(groups)
+            ]
+        except StoreError:
             if on_fault != "degrade":
                 raise
             # Fall back to the last committed refinement: every group in
             # [0, have) is already memoized in the (lazy) field and every
             # committed level value is cached, so this decode pass
-            # touches no store and cannot fault again. ComputeError
-            # (a quarantined poison task, a deadline kill the backend
-            # could not heal) degrades the same way: level commits are
-            # parent-side, so recovery state is intact.
+            # touches no store and cannot fault again.
             degraded = True
             failed_groups = groups
             groups = list(self._fetched)
             incremental = 0
-            jobs = [
-                (idx, lv, want)
-                for idx, (lv, want) in enumerate(
-                    zip(self.field.levels, groups)
-                )
+            outcomes = [
+                decode_level(idx, want) for idx, want in enumerate(groups)
             ]
-            outcomes = run_step(jobs)
 
-        level_values = [values for _, values, _, _ in outcomes]
+        level_values = [values for values, _, _ in outcomes]
         coeffs = self.transform.assemble_levels(level_values)
         # assemble_levels only reads the level arrays and returns a fresh
         # owned float64 buffer, so the cached values survive the step and
@@ -558,7 +451,7 @@ class Reconstructor(WorkerPoolMixin):
         # failed fetch/decode above leaves fetch progress and retained
         # partials exactly as before the call (tested property).
         step_groups = step_planes = 0
-        for idx, values, state, decoded in outcomes:
+        for idx, (values, state, decoded) in enumerate(outcomes):
             if state is not None:
                 self._states[idx] = state
                 self._values[idx] = values
@@ -605,15 +498,15 @@ class Reconstructor(WorkerPoolMixin):
 
     # -- per-level decode engines -----------------------------------------
     def _decode_level_incremental(
-        self, job: tuple
-    ) -> tuple[int, np.ndarray, PartialDecodeState | None, tuple[int, int]]:
+        self, idx: int, want: int
+    ) -> tuple[np.ndarray, PartialDecodeState | None, tuple[int, int]]:
         """Decode only groups ``[have, want)`` into the retained state.
 
         Reads (but never mutates) the session's committed state, so a
         failure anywhere in the step leaves it retryable; returns the
         advanced state for the caller to commit.
         """
-        idx, lv, want = job
+        lv = self.field.levels[idx]
         state = self._states[idx]
         if state is None:
             state = lv.empty_decode_state(np.dtype(np.float64))
@@ -621,82 +514,24 @@ class Reconstructor(WorkerPoolMixin):
         if want > have:
             planes = lv.decompress_group_range(have, want)
             state = apply_planes(state, planes, state.planes_applied)
-            return idx, finalize_decode(state), state, (
-                want - have, len(planes)
-            )
+            return finalize_decode(state), state, (want - have, len(planes))
         values = self._values[idx]
         if values is None:  # first step and this level planned 0 groups
             values = finalize_decode(state)
-        return idx, values, state, (0, 0)
+        return values, state, (0, 0)
 
     def _decode_level_full(
-        self, job: tuple
-    ) -> tuple[int, np.ndarray, None, tuple[int, int]]:
+        self, idx: int, want: int
+    ) -> tuple[np.ndarray, None, tuple[int, int]]:
         """Pre-incremental reference: re-decode every fetched group."""
-        idx, lv, want = job
+        lv = self.field.levels[idx]
         values = decode_bitplanes(
             lv.to_bitplane_stream(
                 want, np.dtype(np.float64), self.field.design
             ),
             lv.planes_in_groups(want),
         )
-        return idx, values, None, (want, lv.planes_in_groups(want))
-
-    def _decode_levels_processes(self, jobs: list[tuple]) -> list[tuple]:
-        """Per-level decodes on worker processes; fetch stays parent-side.
-
-        The parent materializes each level's serialized plane groups
-        through the field's (possibly lazy) group sequence — so
-        ``IOCounters``, the shared segment cache, retry policy, and
-        :class:`~repro.core.errors.StoreError` propagation are exactly
-        the serial path's — and ships only compute (decompress, plane
-        injection, finalize) to the workers. ``PartialDecodeState``
-        travels out and back; commits stay parent-side, preserving the
-        retry-after-failure contract. Levels whose step needs no new
-        groups are served from cache locally without a round-trip.
-        """
-        backend = self._process_backend()
-        calls: list[tuple] = []
-        placement: list[tuple[int, int, tuple[int, int]]] = []
-        outcomes: list[tuple | None] = [None] * len(jobs)
-        for j, (idx, lv, want) in enumerate(jobs):
-            if self.incremental:
-                have = self._fetched[idx]
-                if want <= have:
-                    outcomes[j] = self._decode_level_incremental(
-                        (idx, lv, want)
-                    )
-                    continue
-                blobs = [lv.groups[g].to_bytes() for g in range(have, want)]
-                calls.append((
-                    task_name(_task_apply_level_increment),
-                    (_level_decode_meta(lv), self._states[idx], blobs),
-                    None,
-                ))
-                placement.append((j, idx, (want - have, -1)))
-            else:
-                blobs = [lv.groups[g].to_bytes() for g in range(want)]
-                num_planes = lv.planes_in_groups(want)
-                calls.append((
-                    task_name(_task_decode_level_full),
-                    (
-                        _level_decode_meta(lv), self.field.design,
-                        blobs, num_planes,
-                    ),
-                    None,
-                ))
-                placement.append((j, idx, (want, num_planes)))
-        if calls:
-            results = backend.map_calls(calls)
-            for (j, idx, decoded), result in zip(placement, results):
-                if self.incremental:
-                    values, state, num_planes = result
-                    outcomes[j] = (
-                        idx, values, state, (decoded[0], num_planes)
-                    )
-                else:
-                    outcomes[j] = (idx, result, None, decoded)
-        return outcomes
+        return values, None, (want, lv.planes_in_groups(want))
 
     def progressive(
         self,
@@ -724,10 +559,6 @@ def reconstruct(
     field: RefactoredField,
     tolerance: float | None = None,
     relative: bool = False,
-    num_workers: int = 0,
-    backend: str | None = None,
 ) -> ReconstructionResult:
     """One-shot convenience wrapper around :class:`Reconstructor`."""
-    return Reconstructor(
-        field, num_workers=num_workers, backend=backend
-    ).reconstruct(tolerance, relative=relative)
+    return Reconstructor(field).reconstruct(tolerance, relative=relative)

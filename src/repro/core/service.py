@@ -14,7 +14,10 @@ layer:
   :func:`~repro.qoi.retrieval.retrieve_qoi` calls over one shared cache,
   with optional background prefetch of each session's next planned plane
   group (reusing the :class:`~repro.core._pool.WorkerPoolMixin` pool);
-* :class:`ServiceSession` — one client's stateful progressive session.
+* :class:`ServiceSession` — one client's stateful progressive session
+  over an untiled variable (serial);
+* :class:`TiledServiceSession` — the same over a tiled variable, where
+  the execution backend and the pipelined fetch window apply.
 
 Everything decodes from zero-copy views of the cached blobs. The cache
 budget bounds the bytes the *shared* cache itself keeps resident; each
@@ -238,70 +241,15 @@ class ServiceSession:
     :class:`SegmentCache`. After each step the service may prefetch the
     next planned plane group per level in the background, so a client
     walking a tolerance staircase finds its next increment already warm.
-
-    ``pipelined=True`` (the service default over latency-bearing
-    stores) runs each step's segment fetches one level ahead of decode
-    through a bounded :class:`~repro.pipeline.retrieval
-    .RetrievalPipeline` window — generalizing the service's
-    fire-and-forget next-group prefetch into a scheduled window within
-    the step. Results, counters, and fault semantics are bit-identical
-    to the sequential path. Inert under the ``processes`` decode
-    backend (level decodes must route through the worker pool whole).
+    The session itself is serial, like the reconstructor it wraps.
     """
 
     def __init__(
-        self,
-        service: "RetrievalService",
-        field: LazyRefactoredField,
-        num_workers: int = 0,
-        backend: str | None = None,
-        pipelined: bool = False,
-        pipeline_window: int = 4,
-        fetch_workers: int = 2,
+        self, service: "RetrievalService", field: LazyRefactoredField
     ) -> None:
-        if pipeline_window < 1:
-            raise ValueError("pipeline_window must be >= 1")
-        if fetch_workers < 1:
-            raise ValueError("fetch_workers must be >= 1")
         self.service = service
         self.field = field
-        self.reconstructor = Reconstructor(
-            field, num_workers=num_workers, backend=backend
-        )
-        self.pipelined = bool(pipelined)
-        self._pipeline_window = int(pipeline_window)
-        self._fetch_workers = int(fetch_workers)
-        self._pipeline = None
-
-    def _reconstruct_pipelined(
-        self, tolerance, relative, plan, on_fault
-    ) -> ReconstructionResult:
-        """One step with fetch running a level ahead of decode.
-
-        Queued service prefetches for exactly the segments this step is
-        about to fetch are cancelled first — the pipeline window
-        supersedes them (already-landed prefetches still pay off as
-        cache hits).
-        """
-        from repro.pipeline.retrieval import RetrievalPipeline
-
-        if on_fault not in ("raise", "degrade"):
-            raise ValueError(
-                f"on_fault must be 'raise' or 'degrade', got {on_fault!r}"
-            )
-        if self._pipeline is None:
-            self._pipeline = RetrievalPipeline(
-                window=self._pipeline_window,
-                fetch_workers=self._fetch_workers,
-            )
-        recon = self.reconstructor
-        step = recon.plan_step(tolerance, relative=relative, plan=plan)
-        self.service.cancel_stale_prefetches(recon.step_segment_keys(step))
-        return recon.decode_step(
-            step,
-            on_fault=on_fault,
-            level_runner=self._pipeline.level_runner(recon),
-        )
+        self.reconstructor = Reconstructor(field)
 
     def reconstruct(
         self,
@@ -309,7 +257,6 @@ class ServiceSession:
         relative: bool = False,
         plan: RetrievalPlan | None = None,
         on_fault: str = "raise",
-        pipelined: bool | None = None,
     ) -> ReconstructionResult:
         """One progressive step — see :meth:`Reconstructor.reconstruct`.
 
@@ -317,22 +264,11 @@ class ServiceSession:
         refinement when the backing store faults mid-step (the result
         reports ``degraded=True`` and ``failed_groups``); a later call
         at the same tolerance resumes exactly the failed increment.
-
-        ``pipelined`` overrides the session's setting for this call
-        (``None`` keeps it).
         """
-        use_pipeline = (
-            self.pipelined if pipelined is None else bool(pipelined)
+        result = self.reconstructor.reconstruct(
+            tolerance=tolerance, relative=relative, plan=plan,
+            on_fault=on_fault,
         )
-        if use_pipeline and not self.reconstructor.uses_processes():
-            result = self._reconstruct_pipelined(
-                tolerance, relative, plan, on_fault
-            )
-        else:
-            result = self.reconstructor.reconstruct(
-                tolerance=tolerance, relative=relative, plan=plan,
-                on_fault=on_fault,
-            )
         self.service._schedule_prefetch(
             self.field, self.reconstructor.fetched_groups
         )
@@ -376,13 +312,9 @@ class ServiceSession:
         }
 
     def close(self) -> None:
-        """Tear down the session's decode worker pool (idempotent)."""
+        """Drop the session from the service's live set (idempotent)."""
         with self.service._sessions_lock:
             self.service._sessions.discard(self)
-        pipeline, self._pipeline = self._pipeline, None
-        if pipeline is not None:
-            pipeline.close()
-        self.reconstructor.close()
 
     def __enter__(self) -> "ServiceSession":
         return self
@@ -411,15 +343,12 @@ class TiledServiceSession:
         num_workers: int = 0,
         backend: str | None = None,
         pipelined: bool = False,
-        pipeline_window: int = 4,
-        fetch_workers: int = 2,
     ) -> None:
         self.service = service
         self.tiled = tiled
         self.reconstructor = TiledReconstructor(
             tiled, num_workers=num_workers, backend=backend,
-            pipelined=pipelined, pipeline_window=pipeline_window,
-            fetch_workers=fetch_workers,
+            pipelined=pipelined,
         )
         self._last_prefetch_keys: list[str] = []
 
@@ -429,7 +358,6 @@ class TiledServiceSession:
         relative: bool = False,
         region: Sequence | None = None,
         on_fault: str = "raise",
-        pipelined: bool | None = None,
     ) -> TiledReconstructionResult:
         """One progressive step — see
         :meth:`~repro.core.tiling.TiledReconstructor.reconstruct`.
@@ -439,23 +367,17 @@ class TiledServiceSession:
         ``degraded``/``failed_tiles`` report what fell back, and a later
         call at the same tolerance retries only the failed increments.
 
-        ``pipelined`` overrides the session's setting for this call
-        (``None`` keeps it); a pipelined step first cancels any
-        still-queued service prefetches from the previous step — its
-        own fetch window supersedes them (prefetches that already
-        landed still pay off as cache hits).
+        A pipelined session first cancels any still-queued service
+        prefetches from the previous step — its own fetch window
+        supersedes them (prefetches that already landed still pay off
+        as cache hits).
         """
-        use_pipeline = (
-            self.reconstructor.pipelined
-            if pipelined is None
-            else bool(pipelined)
-        )
-        if use_pipeline and self._last_prefetch_keys:
+        if self.reconstructor.pipelined and self._last_prefetch_keys:
             self.service.cancel_stale_prefetches(self._last_prefetch_keys)
             self._last_prefetch_keys = []
         out = self.reconstructor.reconstruct(
             tolerance=tolerance, relative=relative, region=region,
-            on_fault=on_fault, pipelined=pipelined,
+            on_fault=on_fault,
         )
         if self.service.prefetch:
             # Batch every touched tile's next-group keys into one
@@ -654,37 +576,15 @@ class RetrievalService(WorkerPoolMixin):
         """
         return open_field(self.store, name, cache=self._session_cache)
 
-    def session(
-        self,
-        name: str,
-        num_workers: int = 0,
-        backend: str | None = None,
-        pipelined: bool | None = None,
-        pipeline_window: int = 4,
-        fetch_workers: int = 2,
-    ) -> ServiceSession:
+    def session(self, name: str) -> ServiceSession:
         """Start a progressive session over variable *name*.
 
-        ``num_workers``/``backend`` are forwarded to the session's
-        :class:`~repro.core.reconstruct.Reconstructor` for per-level
-        decode parallelism; they are independent of the service's
-        prefetch pool. Under the ``processes`` backend segment fetches
-        still happen parent-side through the shared cache (workers do
-        compute only), so caching and prefetch behave identically.
-
-        ``pipelined=None`` (the default) turns the pipelined fetch
-        window on exactly when the backing store bears per-access
-        latency (injected ``latency_s`` or directory-store file-open
-        latency) — the case where overlapping fetch with decode pays;
-        pass ``True``/``False`` to force it.
+        The session decodes serially on the calling thread; what it
+        shares with other sessions is the segment cache and the
+        background prefetch. For parallel or pipelined retrieval, tile
+        the variable and use :meth:`tiled_session`.
         """
-        if pipelined is None:
-            pipelined = _store_bears_latency(self.store)
-        session = ServiceSession(
-            self, self.open(name), num_workers=num_workers,
-            backend=backend, pipelined=pipelined,
-            pipeline_window=pipeline_window, fetch_workers=fetch_workers,
-        )
+        session = ServiceSession(self, self.open(name))
         with self._sessions_lock:
             self._sessions.add(session)
         return session
@@ -705,8 +605,6 @@ class RetrievalService(WorkerPoolMixin):
         num_workers: int = 0,
         backend: str | None = None,
         pipelined: bool | None = None,
-        pipeline_window: int = 4,
-        fetch_workers: int = 2,
     ) -> TiledServiceSession:
         """Start a progressive session over tiled variable *name*.
 
@@ -728,7 +626,6 @@ class RetrievalService(WorkerPoolMixin):
         session = TiledServiceSession(
             self, self.open_tiled(name), num_workers=num_workers,
             backend=backend, pipelined=pipelined,
-            pipeline_window=pipeline_window, fetch_workers=fetch_workers,
         )
         with self._sessions_lock:
             self._sessions.add(session)
@@ -866,10 +763,11 @@ class RetrievalService(WorkerPoolMixin):
 
         ``pool`` is the shared process backend's health snapshot
         (respawns, task retries, quarantines, deadline kills — see
-        :meth:`~repro.core.backends.ProcessBackend.health`) when this
-        service resolves to the ``processes`` backend and a pool
-        exists, else ``None``. After a pool replacement (the shared
-        backend growing mid-session) it reports the *current* pool.
+        :meth:`~repro.core.backends.ProcessBackend.health`) whenever a
+        live shared pool exists — the one any ``processes`` tiled
+        session of this service decodes on — else ``None``; asking
+        never creates one. After a pool replacement (the shared backend
+        growing mid-session) it reports the *current* pool.
         """
         with self._sessions_lock:
             sessions = list(self._sessions)
@@ -878,11 +776,10 @@ class RetrievalService(WorkerPoolMixin):
             prefetch_hits = self.prefetch_hits
             prefetch_cancelled = self.prefetch_cancelled
             prefetch_skipped = self.prefetch_skipped
-        pool = None
-        if self.uses_processes():
-            backend = current_process_backend()
-            if backend is not None:
-                pool = backend.health()
+        backend = current_process_backend()
+        pool = backend.health() if backend is not None else None
+        if pool is not None and not pool["alive"]:
+            pool = None  # closed or never started: no live pool
         return {
             "cache": self.cache.stats(),
             "prefetch_requests": prefetch_requests,

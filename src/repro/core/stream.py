@@ -456,8 +456,8 @@ class LazyRefactoredField(RefactoredField):
             raise ValueError("level_refs must have one entry per level")
         self._resolver = resolver
         self.io_counters = IOCounters()
-        # A Reconstructor with num_workers > 1 decodes levels in a thread
-        # pool, so concurrent _fetch calls must not lose counter updates.
+        # Fetch stages run on RetrievalPipeline fetch-pool and threads-backend
+        # workers, and sessions may share an opened field: lose no update.
         self._io_lock = threading.Lock()
         levels = [
             LazyLevelStream(

@@ -28,6 +28,10 @@ Three behaviours make tiling the production path rather than a toy:
   fetched and planes decoded scale with the region, not the domain, and
   each touched tile's :class:`~repro.bitplane.encoding.PartialDecodeState`
   is reused across staircase steps exactly as in the untiled engine.
+
+A tile's retrieval step is written once, as a fetch stage and a decode
+stage (see :class:`TiledReconstructor`); the sequential, pipelined and
+process routes differ only in which thread or process runs them.
 """
 
 from __future__ import annotations
@@ -55,7 +59,11 @@ from repro.core.reconstruct import DecodeCounters, Reconstructor
 from repro.core.refactor import RefactorConfig, Refactorer
 from repro.core.stream import IOCounters, RefactoredField
 from repro.decompose import MultilevelTransform
-from repro.util.validation import check_dtype_floating, check_tolerance
+from repro.util.validation import (
+    check_dtype_floating,
+    check_on_fault,
+    check_tolerance,
+)
 
 
 @dataclass(frozen=True)
@@ -501,8 +509,7 @@ class TiledReconstructionResult(tuple):
 
 
 def _task_decode_tile(
-    state, session, store_token, pos, src, incremental, tol, on_fault,
-    window,
+    state, session, store_token, pos, src, tol, on_fault, window
 ):
     """Process-backend task: one tile's progressive reconstruction step.
 
@@ -570,9 +577,7 @@ def _task_decode_tile(
             )
             transform.level_indices()
             sess["transforms"][key] = transform
-        recon = Reconstructor(
-            field, incremental=incremental, transform=transform
-        )
+        recon = Reconstructor(field, transform=transform)
         sess["recons"][pos] = recon
     result = recon.reconstruct(tolerance=tol, on_fault=on_fault)
     tile_local = tuple(slice(lo, hi) for lo, hi in window)
@@ -607,10 +612,15 @@ class TiledReconstructor(WorkerPoolMixin):
     until a reconstruction actually needs a tile. Same-geometry tiles
     share one :class:`~repro.decompose.MultilevelTransform`.
 
-    ``num_workers > 1`` decodes the selected tiles concurrently through
-    the instance's shared thread pool. Per-tile reconstructors are kept
-    serial (their own ``num_workers=0``) so tile jobs never nest pool
-    work inside pool work.
+    A tile's step is one body — the fetch stage (:meth:`_fetch_tile`:
+    open + ``plan_step`` + ``fetch_step``, faults captured) and the
+    decode stage (:meth:`_decode_tile`: ``decode_step(fetch_error=)``)
+    — and every route runs those two functions: the sequential route
+    composes them per tile through :meth:`map_jobs` (serial, or
+    ``num_workers > 1`` tiles at a time on the instance's thread pool),
+    the pipelined window runs them on different threads, and a process
+    worker runs the same three calls through
+    :meth:`Reconstructor.reconstruct`.
 
     ``pipelined=True`` overlaps each tile's segment *fetch* with other
     tiles' *decode* through a bounded
@@ -629,27 +639,17 @@ class TiledReconstructor(WorkerPoolMixin):
         self,
         tiled: TiledField,
         num_workers: int = 0,
-        incremental: bool = True,
         backend: str | None = None,
         pipelined: bool = False,
-        pipeline_window: int = 4,
-        fetch_workers: int = 2,
     ) -> None:
         if num_workers < 0:
             raise ValueError("num_workers must be >= 0")
-        if pipeline_window < 1:
-            raise ValueError("pipeline_window must be >= 1")
-        if fetch_workers < 1:
-            raise ValueError("fetch_workers must be >= 1")
         self.tiled = tiled
         self.num_workers = int(num_workers)
-        self.incremental = bool(incremental)
         if backend is not None:
             parse_backend_spec(backend)  # validates, raises on junk
         self.backend = backend
         self.pipelined = bool(pipelined)
-        self.pipeline_window = int(pipeline_window)
-        self.fetch_workers = int(fetch_workers)
         self._pipeline = None
         self._recons: dict[int, Reconstructor] = {}
         self._transforms: dict[tuple, MultilevelTransform] = {}
@@ -692,20 +692,18 @@ class TiledReconstructor(WorkerPoolMixin):
 
         Touching a lazily-opened tiled field here also opens the tile's
         sub-field (one index fetch); untouched tiles stay unopened.
-        Runs inside the per-tile decode jobs, so first-touch opens of
+        Runs inside the per-tile fetch stage, so first-touch opens of
         different tiles — store I/O on a lazy field — overlap across
-        the worker pool instead of serializing up front. Construction
-        happens outside the memo lock; positions are unique per step,
-        so duplicate construction cannot arise within one call.
+        the fetch or worker pool instead of serializing up front.
+        Construction happens outside the memo lock; positions are unique
+        per step, so duplicate construction cannot arise within one call.
         """
         with self._state_lock:
             recon = self._recons.get(position)
         if recon is None:
             field = self.tiled.fields[position]
             recon = Reconstructor(
-                field,
-                incremental=self.incremental,
-                transform=self._transform_for(field),
+                field, transform=self._transform_for(field)
             )
             with self._state_lock:
                 recon = self._recons.setdefault(position, recon)
@@ -794,10 +792,7 @@ class TiledReconstructor(WorkerPoolMixin):
 
         with self._state_lock:
             if self._pipeline is None:
-                self._pipeline = RetrievalPipeline(
-                    window=self.pipeline_window,
-                    fetch_workers=self.fetch_workers,
-                )
+                self._pipeline = RetrievalPipeline()
             return self._pipeline
 
     def reconstruct(
@@ -806,7 +801,6 @@ class TiledReconstructor(WorkerPoolMixin):
         relative: bool = False,
         region: Sequence | None = None,
         on_fault: str = "raise",
-        pipelined: bool | None = None,
     ) -> "TiledReconstructionResult":
         """(stitched data, achieved global L∞ bound) at *tolerance*.
 
@@ -837,18 +831,8 @@ class TiledReconstructor(WorkerPoolMixin):
         usual ``(data, error_bound)`` pair and records ``degraded`` /
         ``failed_tiles`` / ``failed_groups``; a later call at the same
         tolerance retries exactly the failed increments.
-
-        ``pipelined`` overrides the instance's ``pipelined`` flag for
-        this call (``None`` keeps the instance setting): fetch/decode/
-        commit overlap through the bounded pipeline window, with
-        results, counters, and fault handling bit-identical to the
-        sequential path. Inert under the process backend and for
-        single-tile steps.
         """
-        if on_fault not in ("raise", "degrade"):
-            raise ValueError(
-                f'on_fault must be "raise" or "degrade", got {on_fault!r}'
-            )
+        check_on_fault(on_fault)
         if relative and tolerance is None:
             raise ValueError(
                 "relative=True requires a tolerance; near-lossless "
@@ -872,37 +856,10 @@ class TiledReconstructor(WorkerPoolMixin):
         selected = self.tiled.tiles_overlapping(region_slices)
         jobs = [(pos, overlap) for pos, _, overlap in selected]
 
-        def decode_tile(job):
-            # First-touch construction happens here, inside the fan-out:
-            # on a store-backed field the per-tile index fetches overlap
-            # across workers instead of serializing before the decode.
-            position, (tile_local, region_local) = job
-            try:
-                recon = self._reconstructor_for(position)
-            except StoreError:
-                if on_fault != "degrade":
-                    raise
-                # The tile never opened: nothing is committed, so there
-                # is no stale answer to fall back on — fill with zeros
-                # and report an unbounded error for this step.
-                shape = tuple(
-                    loc.stop - loc.start for loc in tile_local
-                )
-                block = np.zeros(shape, dtype=self.tiled.dtype)
-                return position, region_local, block, math.inf, True, None
-            result = recon.reconstruct(tolerance=tol, on_fault=on_fault)
-            return (
-                position,
-                region_local,
-                result.data[tile_local],
-                result.error_bound,
-                result.degraded,
-                result.failed_groups,
-            )
-
-        use_pipeline = self.pipelined if pipelined is None else bool(
-            pipelined
+        fetch = functools.partial(
+            self._fetch_tile, tol=tol, on_fault=on_fault
         )
+        decode = functools.partial(self._decode_tile, on_fault=on_fault)
         spec = self._backend_spec()
         if spec.kind == "processes" and spec.workers > 1:
             # Worker-resident tile state: always route through the
@@ -912,13 +869,16 @@ class TiledReconstructor(WorkerPoolMixin):
             # their own segments store-side, overlapping I/O across the
             # pool, and tile state must live in exactly one place.
             outcomes = self._decode_tiles_processes(jobs, tol, on_fault)
-        elif use_pipeline and len(jobs) > 1:
+        elif self.pipelined and len(jobs) > 1:
             outcomes = self._decode_tiles_pipelined(
-                jobs, tol, on_fault, spec, out
+                jobs, fetch, decode, spec, out
             )
         else:
+            # The same two stages, composed per tile. First-touch opens
+            # happen inside the fan-out: on a store-backed field the
+            # per-tile index fetches overlap across worker threads.
             # reprolint: disable=R3 -- serial/threads path: the processes case above ships _task_decode_tile by name
-            outcomes = self.map_jobs(decode_tile, jobs)
+            outcomes = self.map_jobs(lambda job: decode(job, fetch(job)), jobs)
         worst = 0.0
         degraded = False
         failed_tiles: list[int] = []
@@ -945,24 +905,25 @@ class TiledReconstructor(WorkerPoolMixin):
     def _decode_tiles_pipelined(
         self,
         jobs: list[tuple],
-        tol: float | None,
-        on_fault: str,
+        fetch: Callable,
+        decode: Callable,
         spec,
         out: np.ndarray,
     ) -> list[tuple]:
         """One step of the selected tiles with stage overlap (Fig. 4).
 
         Fetch (store I/O through the tile's lazy resolver, on the
-        pipeline's fetch pool) runs up to ``pipeline_window`` tiles
+        pipeline's fetch pool) runs up to the pipeline's window of tiles
         ahead of decode (plane-group decompress + inject, on the caller
         thread or — under the threads backend — the instance's worker
         pool); each decoded block commits into the stitched output
         in-stream, on the caller thread, and is released immediately so
         resident decoded-but-unstitched data stays O(window). Results
-        are bit-identical to the sequential fan-out: each tile's store
-        accesses remain one sequential chain in the same key order, and
-        a stage failure drains the window, then surfaces (or degrades)
-        exactly where the sequential path would.
+        are bit-identical to the sequential route (the same two stage
+        functions, composed): each tile's store accesses remain one
+        sequential chain in the same key order, and a stage failure
+        drains the window, then surfaces (or degrades) exactly where
+        the sequential route would.
         """
         pipeline = self._retrieval_pipeline()
         decode_pool = None
@@ -970,12 +931,7 @@ class TiledReconstructor(WorkerPoolMixin):
         if spec.kind == "threads" and spec.workers > 1:
             decode_pool = self._worker_pool()
             decode_workers = spec.workers
-        fetch = functools.partial(
-            self._pipeline_fetch_tile, tol=tol, on_fault=on_fault
-        )
-        decode = functools.partial(self._pipeline_decode_tile,
-                                   on_fault=on_fault)
-        commit = functools.partial(self._pipeline_commit_tile, out=out)
+        commit = functools.partial(self._commit_tile, out=out)
         return pipeline.run(
             jobs,
             fetch,
@@ -985,17 +941,17 @@ class TiledReconstructor(WorkerPoolMixin):
             decode_workers=decode_workers,
         )
 
-    def _pipeline_fetch_tile(self, job, tol, on_fault):
+    def _fetch_tile(self, job, tol, on_fault):
         """Fetch stage: first-touch open + plan + segment resolution.
 
         Returns ``(reconstructor, step, fault)``. Expected store faults
-        are *captured*, not raised, so they surface at decode time in
-        tile order — matching the sequential fan-out's failure choice —
-        and so the faulted fetch is never retried (a retry would shift
-        per-key access counts and desynchronize seeded fault
-        schedules). A fault before the tile ever opened returns
-        ``(None, None, exc)`` under ``degrade`` (the zeros/inf tile);
-        plan-time faults always raise, as they do sequentially.
+        are *captured*, not raised, so under the pipelined window they
+        surface at decode time in tile order — the failure the
+        sequential route would pick — and so the faulted fetch is never
+        retried (a retry would shift per-key access counts and
+        desynchronize seeded fault schedules). A fault before the tile
+        ever opened returns ``(None, None, exc)`` under ``degrade`` (the
+        zeros/inf tile); plan-time faults always raise.
         """
         position = job[0]
         try:
@@ -1011,23 +967,17 @@ class TiledReconstructor(WorkerPoolMixin):
             return recon, step, exc
         return recon, step, None
 
-    def _pipeline_decode_tile(self, job, fetched, on_fault):
+    def _decode_tile(self, job, fetched, on_fault):
         """Decode stage: one tile's plane-group decompress + commit.
 
-        Same outcome shape as the sequential ``decode_tile``; a fetch
-        fault captured upstream replays through ``decode_step`` so the
-        ``on_fault`` policy (raise, or degrade to the last committed
-        refinement) is decided by exactly the code the sequential path
-        runs.
+        A fetch fault captured upstream replays through ``decode_step``,
+        so the ``on_fault`` policy (raise, or degrade to the last
+        committed refinement) is decided in one place for every route.
         """
         position, (tile_local, region_local) = job
         recon, step, fault = fetched
         if recon is None:
-            # The tile never opened: nothing is committed, so there is
-            # no stale answer to fall back on — zeros, unbounded error.
-            shape = tuple(loc.stop - loc.start for loc in tile_local)
-            block = np.zeros(shape, dtype=self.tiled.dtype)
-            return position, region_local, block, math.inf, True, None
+            return self._unopened_outcome(position, tile_local, region_local)
         result = recon.decode_step(
             step, on_fault=on_fault, fetch_error=fault
         )
@@ -1040,7 +990,19 @@ class TiledReconstructor(WorkerPoolMixin):
             result.failed_groups,
         )
 
-    def _pipeline_commit_tile(self, job, outcome, out):
+    def _unopened_outcome(self, position, tile_local, region_local):
+        """Degraded outcome of a tile with no committed refinement.
+
+        The tile never opened (or its worker-resident state died with
+        its worker): there is no stale answer to fall back on, so it
+        contributes zeros and an unbounded error for this step, caches
+        nothing, and is retried from scratch on the next call.
+        """
+        shape = tuple(loc.stop - loc.start for loc in tile_local)
+        block = np.zeros(shape, dtype=self.tiled.dtype)
+        return position, region_local, block, math.inf, True, None
+
+    def _commit_tile(self, job, outcome, out):
         """Commit stage: stitch the block, then drop it (O(window))."""
         position, region_local, block, bound, tile_degraded, groups = (
             outcome
@@ -1102,7 +1064,7 @@ class TiledReconstructor(WorkerPoolMixin):
                     decode_name,
                     (
                         self._session_token, store_token, pos, src,
-                        self.incremental, tol, on_fault, window,
+                        tol, on_fault, window,
                     ),
                     pos,  # sticky: the tile's decode state lives here
                 ))
@@ -1127,15 +1089,9 @@ class TiledReconstructor(WorkerPoolMixin):
                     # The tile's worker-resident refinement died with
                     # its worker (crash, quarantine, or deadline kill):
                     # nothing is committed parent-side, so degrade like
-                    # a never-opened tile — zeros, unbounded error —
-                    # and rebuild from scratch on the next call.
-                    shape = tuple(
-                        s.stop - s.start for s in tile_local
-                    )
-                    outcome_by_pos[pos] = (
-                        pos, region_local,
-                        np.zeros(shape, dtype=self.tiled.dtype),
-                        math.inf, True, None,
+                    # a never-opened tile.
+                    outcome_by_pos[pos] = self._unopened_outcome(
+                        pos, tile_local, region_local
                     )
                 else:
                     failures.append((pos, value))
@@ -1150,17 +1106,11 @@ class TiledReconstructor(WorkerPoolMixin):
     def _tile_outcome(
         self, pos: int, tile_local: tuple, region_local: tuple, res: dict
     ) -> tuple:
-        """One worker reply → the serial decode_tile outcome shape."""
+        """One worker reply → the :meth:`_decode_tile` outcome shape."""
         if res["status"] == "unopened":
-            # Mirrors the serial never-opened degrade: zeros, no
-            # guarantee, nothing cached — the next call retries (the
-            # source stayed resident, so no re-ship is needed).
-            shape = tuple(s.stop - s.start for s in tile_local)
-            return (
-                pos, region_local,
-                np.zeros(shape, dtype=self.tiled.dtype),
-                math.inf, True, None,
-            )
+            # The source stayed resident on the worker, so the retry on
+            # the next call needs no re-ship.
+            return self._unopened_outcome(pos, tile_local, region_local)
         with self._state_lock:
             self._shadow[pos] = {
                 key: res[key]

@@ -15,17 +15,14 @@ stages correct. This package provides:
 * :mod:`~repro.pipeline.multigpu` — single-node weak scaling with host
   link contention and barrier overhead (Fig. 10, Fig. 14);
 * :mod:`~repro.pipeline.retrieval` — the Fig. 4 stage discipline run on
-  the *real* retrieval stack: bounded-window fetch/decode/recompose
-  overlap for tiled and untiled progressive steps, bit-identical to the
-  sequential paths.
+  the *real* retrieval stack: bounded-window fetch/decode/commit
+  overlap across the tiles of a progressive step, bit-identical to the
+  sequential route.
 """
 
 from importlib import import_module
 
-from repro.pipeline.retrieval import (
-    RetrievalPipeline,
-    pipelined_reconstruct,
-)
+from repro.pipeline.retrieval import RetrievalPipeline
 
 #: The simulated-layer names resolve on first access (PEP 562): ``dag``
 #: and ``executor`` need ``networkx``, which the package does not
@@ -46,7 +43,7 @@ _LAZY = {
     "weak_scaling": "multigpu",
 }
 
-__all__ = ["RetrievalPipeline", "pipelined_reconstruct", *_LAZY]
+__all__ = ["RetrievalPipeline", *_LAZY]
 
 
 def __getattr__(name: str):

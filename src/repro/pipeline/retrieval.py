@@ -34,7 +34,13 @@ sequential path's exact key order, so seeded fault schedules
 per-key access counts) replay identically pipelined or not — the
 foundation of the chaos-parity guarantee. A stage failure drains the
 in-flight window and then surfaces on the earliest item, exactly where
-the sequential fan-out would have raised it.
+the sequential route would have raised it.
+
+The work item is a tile: :class:`~repro.core.tiling.TiledReconstructor`
+hands :meth:`RetrievalPipeline.run` its two per-tile stage functions,
+the same two its sequential route composes as ``decode(job,
+fetch(job))``. The window and fetch-pool sizes live here and nowhere
+else, as :class:`RetrievalPipeline`'s constructor defaults.
 """
 
 from __future__ import annotations
@@ -42,83 +48,8 @@ from __future__ import annotations
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from queue import Empty, Queue
 
 from repro.core._pool import track_thread_pool
-from repro.core.errors import StoreError
-
-
-def _fetch_level_chain(reconstructor, jobs, ready) -> None:
-    """Fetch stage of one untiled step: a single sequential chain.
-
-    Walks the step's levels ascending (groups ascending within each) —
-    the sequential decode pass's exact store-access order — reporting
-    each level's completion into the bounded *ready* queue, whose
-    ``maxsize`` keeps the chain at most ``window`` levels ahead of the
-    decode stage. A :class:`~repro.core.errors.StoreError` truncates
-    the chain exactly where the sequential path would stop and travels
-    to the decode loop as that level's outcome, so ``on_fault``
-    semantics (and per-key store access counts) are unchanged.
-    """
-    for job in jobs:
-        idx = job[0]
-        try:
-            reconstructor.fetch_level_groups(idx, job[2])
-        except StoreError as exc:
-            ready.put((idx, exc))
-            return
-        ready.put((idx, None))
-
-
-class _LevelWindowRunner:
-    """``level_runner`` for :meth:`Reconstructor.decode_step`.
-
-    Drives one untiled step with its fetch chain on the pipeline's
-    fetch pool while the caller thread decodes levels in order as their
-    segments land — the ``X_{i-1} → I_i`` overlap within a step,
-    generalizing the service's fire-and-forget next-group prefetch
-    into a scheduled window.
-    """
-
-    def __init__(self, pipeline: "RetrievalPipeline", reconstructor):
-        self._pipeline = pipeline
-        self._reconstructor = reconstructor
-
-    def __call__(self, jobs, decode_level):
-        ready: Queue = Queue(maxsize=self._pipeline.window)
-        chain = self._pipeline._fetch_executor().submit(
-            _fetch_level_chain, self._reconstructor, jobs, ready
-        )
-        fetched: dict[int, BaseException | None] = {}
-        try:
-            outcomes = []
-            for job in jobs:
-                idx = job[0]
-                while idx not in fetched:
-                    i, err = ready.get()
-                    fetched[i] = err
-                err = fetched[idx]
-                if err is not None:
-                    # Raise at the level the sequential pass would have
-                    # faulted on; decode_step's on_fault policy takes
-                    # over (degrade re-runs the committed, store-free
-                    # refinement). Levels decoded before this point did
-                    # no harm: nothing commits until the step succeeds.
-                    raise err
-                outcomes.append(decode_level(job))
-            return outcomes
-        finally:
-            # Drain: the chain must not outlive the step. It can be
-            # blocked on the bounded queue, so keep consuming until it
-            # settles; its exception (if any) is retrieved to keep the
-            # executor quiet — StoreErrors already travel via `ready`.
-            while not chain.done():
-                try:
-                    entry = ready.get(timeout=0.05)
-                    fetched[entry[0]] = entry[1]
-                except Empty:
-                    pass
-            chain.exception()
 
 
 class RetrievalPipeline:
@@ -155,10 +86,6 @@ class RetrievalPipeline:
                 track_thread_pool(pool)
                 self._fetch_pool = pool
             return self._fetch_pool
-
-    def level_runner(self, reconstructor) -> _LevelWindowRunner:
-        """A ``decode_step`` level runner bound to this pipeline."""
-        return _LevelWindowRunner(self, reconstructor)
 
     def run(
         self,
@@ -271,34 +198,4 @@ class RetrievalPipeline:
         self.close()
 
 
-def pipelined_reconstruct(
-    reconstructor,
-    pipeline: RetrievalPipeline,
-    tolerance: float | None = None,
-    relative: bool = False,
-    plan=None,
-    on_fault: str = "raise",
-):
-    """One pipelined progressive step on an untiled ``Reconstructor``.
-
-    Equivalent to ``reconstructor.reconstruct(...)`` — bit-identical
-    results, counters, and fault semantics — with the step's segment
-    fetches running one level ahead of decode through *pipeline*'s
-    window (see :class:`_LevelWindowRunner`).
-    """
-    if on_fault not in ("raise", "degrade"):
-        raise ValueError(
-            f"on_fault must be 'raise' or 'degrade', got {on_fault!r}"
-        )
-    step = reconstructor.plan_step(tolerance, relative=relative, plan=plan)
-    return reconstructor.decode_step(
-        step,
-        on_fault=on_fault,
-        level_runner=pipeline.level_runner(reconstructor),
-    )
-
-
-__all__ = [
-    "RetrievalPipeline",
-    "pipelined_reconstruct",
-]
+__all__ = ["RetrievalPipeline"]

@@ -50,6 +50,19 @@ def check_tolerance(
     return value
 
 
+def check_on_fault(on_fault: Any) -> None:
+    """Validate a retrieval step's storage-fault policy.
+
+    ``"raise"`` propagates a store fault; ``"degrade"`` answers from the
+    session's last committed refinement. The one gate every
+    ``on_fault`` parameter of the reconstruct API routes through.
+    """
+    if on_fault not in ("raise", "degrade"):
+        raise ValueError(
+            f"on_fault must be 'raise' or 'degrade', got {on_fault!r}"
+        )
+
+
 def check_dtype_floating(arr: np.ndarray) -> None:
     """Validate that *arr* holds float32 or float64 data."""
     if arr.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):

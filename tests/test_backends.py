@@ -39,6 +39,7 @@ from repro.core.backends import (
     parse_backend_spec,
     resolve_backend,
     shared_process_backend,
+    shutdown_all_backends,
     task_name,
     worker_shared,
 )
@@ -189,11 +190,11 @@ class TestBackendSelection:
         kinds = host.map_jobs(_resolved_kind_with_forced_parallel, [0, 1])
         assert kinds == ["serial", "serial"]
 
-    def test_invalid_backend_rejected_at_construction(self, reference_field):
+    def test_invalid_backend_rejected_at_construction(self, reference_tiled):
         with pytest.raises(ValueError):
             RefactorConfig(backend="gpu")
         with pytest.raises(ValueError):
-            Reconstructor(reference_field, backend="threads:zero")
+            TiledReconstructor(reference_tiled, backend="threads:zero")
         with pytest.raises(ValueError):
             TiledRefactorer((8, 8, 8), backend="processes:-1")
 
@@ -231,11 +232,12 @@ def _assert_steps_identical(result, reference):
 
 
 class TestReconstructDifferential:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_eager_staircase(self, reference_field, reference_staircase,
-                             backend):
-        recon = Reconstructor(reference_field, num_workers=2,
-                              backend=backend)
+    """Untiled reconstructors are serial (no backend axis): one session
+    against the module's reference staircase, whatever ``REPRO_BACKEND``
+    says."""
+
+    def test_eager_staircase(self, reference_field, reference_staircase):
+        recon = Reconstructor(reference_field)
         for tol, ref in zip(STAIRCASE, reference_staircase):
             _assert_steps_identical(recon.reconstruct(tolerance=tol), ref)
         ref_session = Reconstructor(reference_field)
@@ -245,22 +247,17 @@ class TestReconstructDifferential:
         assert recon.decode_counters == ref_session.decode_counters
         assert recon.decode_state_bytes() == ref_session.decode_state_bytes()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_full_decode_engine(self, reference_field, reference_staircase,
-                                backend):
-        recon = Reconstructor(reference_field, num_workers=2,
-                              incremental=False, backend=backend)
+    def test_full_decode_engine(self, reference_field, reference_staircase):
+        recon = Reconstructor(reference_field, incremental=False)
         for tol, ref in zip(STAIRCASE, reference_staircase):
             step = recon.reconstruct(tolerance=tol)
             np.testing.assert_array_equal(step.data, ref.data)
             assert step.error_bound == ref.error_bound
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_lazy_staircase_with_io_counters(self, stored,
-                                             reference_staircase, backend):
+                                             reference_staircase):
         ref_recon = Reconstructor(open_field(stored, "vx"))
-        recon = Reconstructor(open_field(stored, "vx"), num_workers=2,
-                              backend=backend)
+        recon = Reconstructor(open_field(stored, "vx"))
         for tol, ref in zip(STAIRCASE, reference_staircase):
             expected = ref_recon.reconstruct(tolerance=tol)
             step = recon.reconstruct(tolerance=tol)
@@ -268,8 +265,7 @@ class TestReconstructDifferential:
             assert step.incremental_bytes == expected.incremental_bytes
             assert step.cold_bytes == expected.cold_bytes
             assert step.cache_hit_bytes == expected.cache_hit_bytes
-        # lazy fetch stays parent-side under every backend, so the
-        # session-cumulative segment traffic matches exactly
+        # the session-cumulative segment traffic matches exactly
         assert (recon.field.io_counters.snapshot()
                 == ref_recon.field.io_counters.snapshot())
 
@@ -330,21 +326,19 @@ class TestDegradedResumeDifferential:
     """Pre-programmed fault schedules replay identically everywhere.
 
     ``fail_first`` schedules are pure functions of per-key access
-    counts, which the process backend preserves: untiled fetches stay
-    parent-side, and tiled fetches are pinned to one worker per tile.
+    counts, which the process backend preserves: tiled fetches are
+    pinned to one worker per tile. (The untiled case has no backend
+    axis; it checks that the schedule replays identically at all.)
     """
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_untiled_degrade_then_resume(self, stored, reference_staircase,
-                                         backend):
+    def test_untiled_degrade_then_resume(self, stored, reference_staircase):
         key = segment_key("vx", 0, 2)
 
-        def build(backend_spec):
+        def build():
             flaky = FaultInjectingStore(stored, fail_first={key: 1})
-            return Reconstructor(open_field(flaky, "vx"), num_workers=2,
-                                 backend=backend_spec)
+            return Reconstructor(open_field(flaky, "vx"))
 
-        ref, got = build(None), build(backend)
+        ref, got = build(), build()
         saw_degraded = False
         for tol in STAIRCASE:
             expected = ref.reconstruct(tolerance=tol, on_fault="degrade")
@@ -412,11 +406,10 @@ class TestDegradedResumeDifferential:
 # -- differential: service sessions ----------------------------------------
 
 class TestServiceDifferential:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_session_staircase(self, stored, reference_staircase, backend):
+    def test_session_staircase(self, stored, reference_staircase):
         service = RetrievalService(stored, prefetch=True)
         ref_service = RetrievalService(stored, prefetch=True)
-        with service.session("vx", num_workers=2, backend=backend) as got, \
+        with service.session("vx") as got, \
                 ref_service.session("vx") as ref:
             for tol, clean in zip(STAIRCASE, reference_staircase):
                 expected = ref.reconstruct(tolerance=tol)
@@ -961,20 +954,24 @@ class TestZombieReaping:
 # -- satellite: pool health through the service -----------------------------
 
 class TestPoolHealthTelemetry:
-    def test_service_stats_surface_pool_health(self, stored, tmp_path):
+    """``stats()['pool']`` follows the live shared pool, which a tiled
+    session reaches by naming the backend on the *session* — the
+    service's own ``num_workers`` only sizes its prefetch threads."""
+
+    def test_service_stats_surface_pool_health(self, tiled_stored,
+                                               tmp_path):
         """A worker kill inside a service session shows up in
         ``RetrievalService.stats()['pool']`` — the operator-facing
         window into pool recovery."""
-        service = RetrievalService(stored)
-        service.backend = "processes:2"
+        service = RetrievalService(tiled_stored)
         backend = shared_process_backend(2)
         chaos = WorkerChaos({0: "exit"}, tmp_path)
         backend.install_chaos(chaos)
         try:
-            with service.session(
-                "vx", num_workers=2, backend="processes:2"
+            with service.tiled_session(
+                "rho", num_workers=2, backend="processes:2"
             ) as session:
-                session.reconstruct(tolerance=1e-2)
+                session.reconstruct(tolerance=1e-2, region=ROI)
             pool = service.stats()["pool"]
             assert pool is not None
             assert pool["uid"] == backend.uid
@@ -985,29 +982,33 @@ class TestPoolHealthTelemetry:
             backend.clear_chaos()
             service.close()
 
-    def test_serial_service_reports_no_pool(self, stored):
-        service = RetrievalService(stored)
-        service.backend = "serial"
-        assert service.stats()["pool"] is None
+    def test_no_live_pool_reports_none_and_creates_none(self, tiled_stored):
+        shutdown_all_backends()  # whatever earlier tests left running
+        service = RetrievalService(tiled_stored)
+        with service.tiled_session("rho", backend="serial") as session:
+            session.reconstruct(tolerance=1e-2, region=ROI)
+            assert service.stats()["pool"] is None
+        backend = current_process_backend()
+        assert backend is None or not backend.alive  # asking spawned none
         service.close()
 
-    def test_stats_track_replacement_pool(self, stored):
+    def test_stats_track_replacement_pool(self, tiled_stored):
         """Growing the shared backend mid-session replaces the pool;
         stats() must report the *current* pool (fresh uid, counters
         reset), not a snapshot of the dead one."""
-        service = RetrievalService(stored)
-        service.backend = "processes:2"
+        service = RetrievalService(tiled_stored)
         before = shared_process_backend(2)
-        with service.session(
-            "vx", num_workers=2, backend="processes:2"
+        with service.tiled_session(
+            "rho", num_workers=2, backend="processes:2"
         ) as session:
-            session.reconstruct(tolerance=1e-1)
+            session.reconstruct(tolerance=1e-1, region=ROI)
             first = service.stats()["pool"]
             assert first["uid"] == before.uid
             grown = shared_process_backend(before.num_workers + 1)
             assert grown is not before
+            # the session still works, re-shipped onto the grown pool
+            session.reconstruct(tolerance=1e-2, region=ROI)
             second = service.stats()["pool"]
             assert second["uid"] == grown.uid
             assert second["respawns"] == 0
-            session.reconstruct(tolerance=1e-2)  # session still works
         service.close()

@@ -311,31 +311,11 @@ class TestProcessBackendChaosParity:
     Fault decisions are pure functions of ``(seed, key, nth-access)``
     and the injector's per-key access counters travel with its pickled
     copy, so the process backend sees the *same* schedule the serial
-    engine does: untiled fetches stay parent-side, and tiled fetches
-    are pinned one-tile-per-worker. Retried transients must therefore
-    cost identical extra reads and zero accuracy under every backend.
+    engine does: tiled fetches are pinned one-tile-per-worker. Retried
+    transients must therefore cost identical extra reads and zero
+    accuracy under every backend. (Untiled reconstructors are serial
+    and have no backend axis.)
     """
-
-    @pytest.mark.backend
-    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-    def test_untiled_transient_staircase_parity(self, stored,
-                                                clean_staircase, seed):
-        def run(backend):
-            flaky, reader = _resilient(stored, seed)
-            recon = Reconstructor(open_field(reader, "vx"),
-                                  num_workers=2, backend=backend)
-            steps = [recon.reconstruct(tolerance=t) for t in STAIRCASE]
-            return steps, flaky.injected_transients, flaky.reads
-        (serial, s_faults, s_reads) = run(None)
-        (procs, p_faults, p_reads) = run("processes:2")
-        assert s_faults == p_faults
-        assert s_reads == p_reads
-        for clean, a, b in zip(clean_staircase, serial, procs):
-            np.testing.assert_array_equal(a.data, b.data)
-            np.testing.assert_array_equal(b.data, clean)
-            assert a.error_bound == b.error_bound
-            assert a.incremental_bytes == b.incremental_bytes
-            assert b.degraded is False
 
     @pytest.mark.backend
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
@@ -396,7 +376,7 @@ class TestProcessBackendChaosParity:
 
 
 class TestPipelinedChaos:
-    """The pipelined retrieval paths under the same chaos schedules.
+    """The pipelined tiled route under the same chaos schedules.
 
     Fault decisions are pure functions of ``(seed, key, nth-access)``
     and the pipelined runtime keeps each work item's store accesses in
@@ -404,38 +384,6 @@ class TestPipelinedChaos:
     replay *identically* with ``pipelined=True``: same healed data,
     same injected-fault counts, same degraded/failed-tile sets.
     """
-
-    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-    def test_untiled_transient_staircase_parity(self, stored,
-                                                clean_staircase, seed):
-        from repro.pipeline.retrieval import (
-            RetrievalPipeline,
-            pipelined_reconstruct,
-        )
-
-        def run(pipelined):
-            flaky, reader = _resilient(stored, seed)
-            recon = Reconstructor(open_field(reader, "vx"))
-            pipe = (RetrievalPipeline(window=3, fetch_workers=2)
-                    if pipelined else None)
-            steps = [
-                pipelined_reconstruct(recon, pipe, tolerance=t)
-                if pipelined else recon.reconstruct(tolerance=t)
-                for t in STAIRCASE
-            ]
-            if pipe is not None:
-                pipe.close()
-            return steps, flaky.injected_transients, flaky.reads
-
-        (serial, s_faults, s_reads) = run(False)
-        (piped, p_faults, p_reads) = run(True)
-        assert s_faults == p_faults
-        assert s_reads == p_reads
-        for clean, a, b in zip(clean_staircase, serial, piped):
-            np.testing.assert_array_equal(a.data, b.data)
-            np.testing.assert_array_equal(b.data, clean)
-            assert a.error_bound == b.error_bound
-            assert b.degraded is False
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_tiled_roi_transient_staircase_parity(self, tiled_stored,
@@ -447,7 +395,6 @@ class TestPipelinedChaos:
             recon = TiledReconstructor(
                 open_tiled_field(reader, "rho"), num_workers=2,
                 backend="threads:2", pipelined=pipelined,
-                pipeline_window=3, fetch_workers=2,
             )
             steps = [recon.reconstruct(tolerance=t, region=ROI)
                      for t in STAIRCASE]
@@ -481,7 +428,7 @@ class TestPipelinedChaos:
                                         sleep=_noop_sleep)
             recon = TiledReconstructor(
                 open_tiled_field(flaky, "rho"), backend="serial",
-                pipelined=pipelined, pipeline_window=3, fetch_workers=2,
+                pipelined=pipelined,
             )
             steps = [recon.reconstruct(tolerance=t, region=ROI,
                                        on_fault="degrade")
@@ -548,29 +495,6 @@ class TestWorkerKillChaos:
     pytestmark = pytest.mark.backend
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-    def test_eager_staircase_bit_identical_under_worker_kill(
-        self, stored, clean_staircase, tmp_path, seed
-    ):
-        """One seeded kill during the untiled staircase (every step
-        dispatches its per-level decodes as one batch of 3)."""
-        backend = shared_process_backend(2)
-        chaos = WorkerChaos.single_kill(seed, num_tasks=3,
-                                        scratch_dir=tmp_path)
-        backend.install_chaos(chaos)
-        try:
-            before = backend.health()["respawns"]
-            recon = Reconstructor(open_field(stored, "vx"),
-                                  num_workers=2, backend="processes:2")
-            steps = [recon.reconstruct(tolerance=t) for t in STAIRCASE]
-        finally:
-            backend.clear_chaos()
-        assert chaos.total_fired() == 1
-        assert backend.health()["respawns"] >= before + 1
-        for step, ref in zip(steps, clean_staircase):
-            assert step.degraded is False
-            np.testing.assert_array_equal(step.data, ref)
-
-    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_tiled_roi_staircase_bit_identical_under_worker_kill(
         self, tiled_stored, tmp_path, seed
     ):
@@ -627,25 +551,28 @@ class TestWorkerKillChaos:
         assert chaos.fired(1) == 2
 
     def test_service_session_staircase_under_worker_kill(
-        self, stored, clean_staircase, tmp_path
+        self, tiled_stored, tmp_path
     ):
         """The full service stack over a pool that loses a worker: the
-        session's staircase stays bit-identical and the recovery is
-        visible through ``RetrievalService.stats()['pool']``."""
+        tiled session's staircase stays bit-identical and the recovery
+        is visible through ``RetrievalService.stats()['pool']`` — with
+        the backend named only on the session, where it applies."""
+        store, tiled = tiled_stored
+        ref = TiledReconstructor(tiled)
         backend = shared_process_backend(2)
         before = backend.health()["respawns"]
         chaos = WorkerChaos({0: "exit"}, tmp_path)
         backend.install_chaos(chaos)
-        service = RetrievalService(stored)
-        service.backend = "processes:2"
+        service = RetrievalService(store)
         try:
-            with service.session(
-                "vx", num_workers=2, backend="processes:2"
+            with service.tiled_session(
+                "rho", num_workers=2, backend="processes:2"
             ) as session:
-                for tol, ref in zip(STAIRCASE, clean_staircase):
-                    step = session.reconstruct(tolerance=tol)
+                for tol in STAIRCASE:
+                    expected = ref.reconstruct(tolerance=tol, region=ROI)
+                    step = session.reconstruct(tolerance=tol, region=ROI)
                     assert step.degraded is False
-                    np.testing.assert_array_equal(step.data, ref)
+                    np.testing.assert_array_equal(step.data, expected.data)
             pool = service.stats()["pool"]
             assert pool is not None
             assert pool["respawns"] >= before + 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bitplane.encoding import BitplaneStream, encode_bitplanes
-from repro.core.reconstruct import Reconstructor, reconstruct
+from repro.core.reconstruct import Reconstructor
 from repro.core.refactor import RefactorConfig, Refactorer
 from repro.core.stream import RefactoredField
 from repro.lossless.bitio import peek_bits, sliding_windows_u64
@@ -99,13 +99,6 @@ class TestWorkerPool:
         ).refactor(data)
         assert serial.to_bytes() == parallel.to_bytes()
 
-    def test_parallel_reconstruct_equals_serial(self, data):
-        field = Refactorer(data.shape, RefactorConfig()).refactor(data)
-        serial = Reconstructor(field).reconstruct(1e-3)
-        parallel = Reconstructor(field, num_workers=4).reconstruct(1e-3)
-        np.testing.assert_array_equal(serial.data, parallel.data)
-        assert serial.error_bound == parallel.error_bound
-
     def test_single_level_group_parallel_equals_serial(self, data):
         """With one level the pool drops down to plane groups; output is
         still bitwise identical to the serial pipeline."""
@@ -116,17 +109,9 @@ class TestWorkerPool:
         ).refactor(data)
         assert serial.to_bytes() == parallel.to_bytes()
 
-    def test_one_shot_wrapper_accepts_workers(self, data):
-        field = Refactorer(data.shape, RefactorConfig()).refactor(data)
-        res = reconstruct(field, 1e-2, num_workers=2)
-        assert np.max(np.abs(res.data - data)) <= res.error_bound + 1e-12
-
     def test_invalid_workers_rejected(self, data):
         with pytest.raises(ValueError):
             RefactorConfig(num_workers=-1)
-        field = Refactorer(data.shape, RefactorConfig()).refactor(data)
-        with pytest.raises(ValueError):
-            Reconstructor(field, num_workers=-1)
 
 
 class TestZeroCopyDeserialization:

@@ -152,16 +152,14 @@ class TestResumableCodec:
 # ---------------------------------------------------------------------
 class TestIncrementalReconstructor:
     @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
-    @pytest.mark.parametrize("num_workers", [0, 4])
     def test_staircase_bit_identical_tolerance_driven(
-        self, field_f64, lazy, num_workers
+        self, field_f64, lazy
     ):
         field, data = field_f64
         inc_field = _lazy_copy(field) if lazy else field
         ful_field = _lazy_copy(field) if lazy else field
-        inc = Reconstructor(inc_field, num_workers=num_workers)
-        full = Reconstructor(ful_field, num_workers=num_workers,
-                             incremental=False)
+        inc = Reconstructor(inc_field)
+        full = Reconstructor(ful_field, incremental=False)
         for tol in STAIRCASE:
             ri = inc.reconstruct(tolerance=tol)
             rf = full.reconstruct(tolerance=tol)

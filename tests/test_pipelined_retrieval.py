@@ -1,18 +1,21 @@
 """Pipelined progressive retrieval: differential + runtime tests.
 
-The pipelined paths (``repro.pipeline.retrieval`` and its wiring into
-``TiledReconstructor``/``ServiceSession``/``TiledServiceSession``) claim
-*bit-identical* results, counters, and fault semantics versus the
-sequential paths — only wall-clock may differ. This suite proves the
-claim differentially, `test_backends.py`-style: same inputs through both
-paths, byte-for-byte comparison of data and accounting, across decode
-backends and under seeded store faults. Runtime-level tests cover the
-bounded window, in-order commits, and failure draining directly.
+The pipelined route (``repro.pipeline.retrieval`` and its wiring into
+``TiledReconstructor``/``TiledServiceSession``) claims *bit-identical*
+results, counters, and fault semantics versus the sequential route —
+only wall-clock may differ. This suite proves the claim differentially,
+`test_backends.py`-style: same inputs through both routes, byte-for-byte
+comparison of data and accounting, across decode backends and under
+seeded store faults. Runtime-level tests cover the bounded window,
+in-order commits, and failure draining directly; the fetch-seam tests
+pin the one thing every route shares — ``fetch_step`` is the only place
+a step reads the store.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -21,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.errors import StoreError, TransientStoreError
 from repro.core.faults import FaultInjectingStore
 from repro.core.refactor import refactor
 from repro.core.reconstruct import Reconstructor
@@ -35,7 +39,7 @@ from repro.core.store import (
 )
 from repro.core.tiling import TiledReconstructor, TiledRefactorer
 from repro.data import generators as gen
-from repro.pipeline.retrieval import RetrievalPipeline, pipelined_reconstruct
+from repro.pipeline.retrieval import RetrievalPipeline
 
 pytestmark = pytest.mark.backend
 
@@ -167,52 +171,172 @@ class TestRetrievalPipelineRuntime:
         pipe.close()
 
 
-# -- untiled differential ---------------------------------------------------
+# -- the single fetch seam --------------------------------------------------
 
-class TestUntiledPipelinedParity:
-    def test_staircase_bit_identical_with_counters(self, reference_field):
-        seq = Reconstructor(open_field(_fresh_store(reference_field), "vx"))
-        ref = [seq.reconstruct(tolerance=t) for t in STAIRCASE]
-        pip = Reconstructor(open_field(_fresh_store(reference_field), "vx"))
-        with RetrievalPipeline(window=3, fetch_workers=2) as pipe:
-            got = [pipelined_reconstruct(pip, pipe, tolerance=t)
-                   for t in STAIRCASE]
-        for a, b in zip(ref, got):
-            assert np.array_equal(a.data, b.data)
-            assert _result_stats(a) == _result_stats(b)
+class _RecordingStore(MemoryStore):
+    """Logs every ``get``; keys in ``faulty`` raise after being logged."""
 
-    @pytest.mark.parent_store_mutation
-    @pytest.mark.parametrize("seed", [3, 11, 29])
-    def test_degrade_resume_parity_under_faults(self, reference_field,
-                                                seed):
-        def staircase(pipelined):
-            flaky = FaultInjectingStore(
-                _fresh_store(reference_field), transient_rate=0.0,
-                seed=seed,
-            )
-            recon = Reconstructor(open_field(flaky, "vx"))
-            flaky.transient_rate = 0.30  # index read stays clean
-            pipe = (RetrievalPipeline(window=3, fetch_workers=2)
-                    if pipelined else None)
-            out = []
-            for t in STAIRCASE:
-                if pipelined:
-                    res = pipelined_reconstruct(recon, pipe, tolerance=t,
-                                                on_fault="degrade")
-                else:
-                    res = recon.reconstruct(tolerance=t,
-                                            on_fault="degrade")
-                out.append((res.data.copy(), _result_stats(res)))
-            flaky.transient_rate = 0.0  # store recovers: resume cleanly
-            final = recon.reconstruct()
-            out.append((final.data.copy(), _result_stats(final)))
-            if pipe is not None:
-                pipe.close()
+    def __init__(self):
+        super().__init__()
+        self.log: list[str] = []
+        self.faulty: set[str] = set()
+
+    def get(self, key):
+        self.log.append(key)  # list.append is atomic under the GIL
+        if key in self.faulty:
+            raise TransientStoreError(f"planted fault on {key}")
+        return super().get(key)
+
+
+def _recording_store(reference_field, reference_tiled):
+    store = _RecordingStore()
+    store_field(store, reference_field)
+    store_tiled_field(store, reference_tiled)
+    return store
+
+
+def _chains(log):
+    """Per-field store-access chains, in access order."""
+    chains: dict[str, list[str]] = {}
+    for key in log:
+        field = re.fullmatch(r"(.+)\.(?:index|L\d+\.G\d+)", key)
+        if field is not None:
+            chains.setdefault(field[1], []).append(key)
+    return chains
+
+
+def _planned_keys(recon, step):
+    """Keys of ``[committed, planned)``, levels then groups ascending."""
+    return [
+        lv.refs[g].key
+        for lv, have, want in zip(recon.field.levels, recon.fetched_groups,
+                                  step.groups)
+        for g in range(have, want)
+    ]
+
+
+SEAM_STAIRCASE = [1e-1, 1e-2, 1e-3]
+ROUTES = ["untiled", "tiled-sequential", "tiled-pipelined"]
+
+
+def _route_fields(route, store):
+    if route == "untiled":
+        return [open_field(store, "vx")]
+    tiled = open_tiled_field(store, "rho")
+    return [tiled.fields[i] for i in range(tiled.num_tiles)]
+
+
+def _route_engine(route, store):
+    if route == "untiled":
+        return Reconstructor(open_field(store, "vx"))
+    # Pinned serial: under processes the reads happen in the workers'
+    # pickled store copies, out of this log's sight.
+    return TiledReconstructor(
+        open_tiled_field(store, "rho"), backend="serial",
+        pipelined=route.endswith("pipelined"),
+    )
+
+
+class TestSingleFetchSeam:
+    def test_fetch_step_reads_in_order_and_decode_step_reads_nothing(
+        self, reference_field, reference_tiled
+    ):
+        store = _recording_store(reference_field, reference_tiled)
+        recon = Reconstructor(open_field(store, "vx"))
+        for tol in SEAM_STAIRCASE:
+            step = recon.plan_step(tol)
+            expected = _planned_keys(recon, step)
+            assert expected  # every step of this staircase refines
+            mark = len(store.log)
+            recon.fetch_step(step)
+            assert store.log[mark:] == expected
+            mark = len(store.log)
+            recon.decode_step(step)
+            assert store.log[mark:] == []
+
+    def test_fetch_step_stops_at_first_fault_and_resume_pays_the_rest(
+        self, reference_field, reference_tiled
+    ):
+        store = _recording_store(reference_field, reference_tiled)
+        recon = Reconstructor(open_field(store, "vx"))
+        recon.reconstruct(SEAM_STAIRCASE[0])
+        step = recon.plan_step(SEAM_STAIRCASE[-1])
+        expected = _planned_keys(recon, step)
+        cut = len(expected) // 2
+        store.faulty = {expected[cut], expected[-1]}
+        mark = len(store.log)
+        with pytest.raises(StoreError) as caught:
+            recon.fetch_step(step)
+        assert store.log[mark:] == expected[:cut + 1]
+        mark = len(store.log)
+        with pytest.raises(TransientStoreError):  # "raise": no re-read
+            recon.decode_step(step, fetch_error=caught.value)
+        degraded = recon.decode_step(step, on_fault="degrade",
+                                     fetch_error=caught.value)
+        assert degraded.degraded and degraded.failed_groups == step.groups
+        assert store.log[mark:] == []
+        store.faulty = set()
+        recon.reconstruct(SEAM_STAIRCASE[-1])  # memoized prefix is kept
+        assert store.log[mark:] == expected[cut:]
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_every_route_reads_the_stage_by_stage_key_sequence(
+        self, reference_field, reference_tiled, route, monkeypatch
+    ):
+        """``reconstruct()`` on every route touches, per field, exactly
+        the keys the three stage calls touch, in the same order, with
+        the same planted fault degrading the same step — and its
+        ``decode_step`` calls read nothing."""
+        clean = _recording_store(reference_field, reference_tiled)
+        for field in _route_fields(route, clean):
+            recon = Reconstructor(field)
+            for tol in SEAM_STAIRCASE:
+                recon.reconstruct(tol)
+        # fault the last key each field's final step fetches
+        faulty = {chain[-1] for chain in _chains(clean.log).values()}
+
+        staged = _recording_store(reference_field, reference_tiled)
+        staged.faulty = set(faulty)
+        for field in _route_fields(route, staged):
+            recon = Reconstructor(field)
+            for tol in SEAM_STAIRCASE:
+                step = recon.plan_step(tol)
+                try:
+                    recon.fetch_step(step)
+                    fault = None
+                except StoreError as exc:
+                    fault = exc
+                mark = len(staged.log)
+                recon.decode_step(step, on_fault="degrade",
+                                  fetch_error=fault)
+                assert staged.log[mark:] == []
+
+        routed = _recording_store(reference_field, reference_tiled)
+        routed.faulty = set(faulty)
+        decode_reads = []
+        real_decode_step = Reconstructor.decode_step
+
+        def counting_decode_step(self, step, **kwargs):
+            prefix = self.field.name + "."
+            before = sum(k.startswith(prefix) for k in list(routed.log))
+            out = real_decode_step(self, step, **kwargs)
+            after = sum(k.startswith(prefix) for k in list(routed.log))
+            decode_reads.append(after - before)
             return out
 
-        for (da, sa), (db, sb) in zip(staircase(False), staircase(True)):
-            assert np.array_equal(da, db)
-            assert sa == sb
+        monkeypatch.setattr(Reconstructor, "decode_step",
+                            counting_decode_step)
+        engine = _route_engine(route, routed)
+        results = [engine.reconstruct(tolerance=tol, on_fault="degrade")
+                   for tol in SEAM_STAIRCASE]
+        if route != "untiled":
+            engine.close()
+        assert results[-1].degraded and not results[0].degraded
+        assert decode_reads and set(decode_reads) == {0}
+        assert _chains(routed.log) == _chains(staged.log)
+        for name, chain in _chains(routed.log).items():
+            assert chain[0] == name + ".index"  # the open is a fetch too
+            assert len(set(chain)) == len(chain)  # nothing is read twice
 
 
 # -- tiled differential -----------------------------------------------------
@@ -228,7 +352,7 @@ class TestTiledPipelinedParity:
                 open_tiled_field(_fresh_tiled_store(reference_tiled),
                                  "rho"),
                 num_workers=workers, backend=backend,
-                pipelined=pipelined, pipeline_window=3, fetch_workers=2,
+                pipelined=pipelined,
             )
             out = [recon.reconstruct(tolerance=t, region=ROI)
                    for t in STAIRCASE]
@@ -260,33 +384,6 @@ class TestTiledPipelinedParity:
         recon.close()
         seq.close()
 
-    def test_per_call_override_beats_instance_flag(self, reference_tiled):
-        recon = TiledReconstructor(
-            open_tiled_field(_fresh_tiled_store(reference_tiled), "rho"),
-            pipelined=False,
-        )
-        seq = TiledReconstructor(
-            open_tiled_field(_fresh_tiled_store(reference_tiled), "rho"),
-        )
-        a = recon.reconstruct(tolerance=1e-2, pipelined=True)
-        b = seq.reconstruct(tolerance=1e-2)
-        assert np.array_equal(a.data, b.data)
-        assert _tiled_stats(recon) == _tiled_stats(seq)
-        recon.close()
-        seq.close()
-
-    @pytest.mark.parametrize("kwargs", [
-        {"pipeline_window": 0}, {"fetch_workers": 0},
-    ])
-    def test_rejects_bad_pipeline_parameters(self, reference_tiled,
-                                             kwargs):
-        with pytest.raises(ValueError):
-            TiledReconstructor(
-                open_tiled_field(_fresh_tiled_store(reference_tiled),
-                                 "rho"),
-                pipelined=True, **kwargs,
-            )
-
     @pytest.mark.parent_store_mutation
     @pytest.mark.parametrize("seed", [5, 23])
     def test_degrade_parity_identical_failed_tiles(self, reference_tiled,
@@ -298,7 +395,6 @@ class TestTiledPipelinedParity:
             )
             recon = TiledReconstructor(
                 open_tiled_field(flaky, "rho"), pipelined=pipelined,
-                pipeline_window=3, fetch_workers=2,
             )
             flaky.transient_rate = 0.25  # index reads stay clean
             out = []
@@ -340,41 +436,25 @@ class TestServicePipelined:
             FaultInjectingStore(DirectoryStore(tmp_path / "t"))
         )
 
-    def test_session_defaults_follow_store(self, reference_field,
-                                           reference_tiled, tmp_path):
+    def test_session_defaults_follow_store(self, reference_tiled,
+                                           tmp_path):
         store = DirectoryStore(tmp_path / "store")
-        store_field(store, reference_field)
         store_tiled_field(store, reference_tiled)
         svc = RetrievalService(store)
-        assert svc.session("vx").pipelined
         assert svc.tiled_session("rho").reconstructor.pipelined
-        mem_svc = RetrievalService(_fresh_store(reference_field))
-        assert not mem_svc.session("vx").pipelined
-        assert not mem_svc.session("vx", pipelined=True).pipelined is False
+        assert not svc.tiled_session(
+            "rho", pipelined=False).reconstructor.pipelined
+        mem_svc = RetrievalService(_fresh_tiled_store(reference_tiled))
+        assert not mem_svc.tiled_session("rho").reconstructor.pipelined
+        assert mem_svc.tiled_session(
+            "rho", pipelined=True).reconstructor.pipelined
         svc.close()
         mem_svc.close()
-
-    def test_pipelined_session_parity_with_cache_counters(
-        self, reference_field
-    ):
-        seq_svc = RetrievalService(_fresh_store(reference_field))
-        pip_svc = RetrievalService(_fresh_store(reference_field))
-        seq = seq_svc.session("vx", pipelined=False)
-        pip = pip_svc.session("vx", pipelined=True)
-        for t in STAIRCASE:
-            a = seq.reconstruct(tolerance=t)
-            b = pip.reconstruct(tolerance=t)
-            assert np.array_equal(a.data, b.data)
-            assert _result_stats(a) == _result_stats(b)
-        assert (seq_svc.cache.stats()["misses"]
-                == pip_svc.cache.stats()["misses"])
-        seq_svc.close()
-        pip_svc.close()
 
     def test_prefetch_hits_are_counted(self, reference_field):
         svc = RetrievalService(_fresh_store(reference_field),
                                prefetch=True, num_workers=1)
-        session = svc.session("vx", pipelined=False)
+        session = svc.session("vx")
         session.reconstruct(tolerance=STAIRCASE[0])
         svc.drain_prefetch()  # let the next-group warms land
         session.reconstruct(tolerance=STAIRCASE[2])
@@ -387,7 +467,7 @@ class TestServicePipelined:
                                                      reference_field):
         svc = RetrievalService(_fresh_store(reference_field),
                                prefetch=True, num_workers=1)
-        session = svc.session("vx", pipelined=False)
+        session = svc.session("vx")
         session.reconstruct(tolerance=STAIRCASE[0])
         svc.drain_prefetch()
         # Re-enqueue a key that is already resident: the warm must

@@ -1,0 +1,122 @@
+"""The retrieval API's public signatures, pinned.
+
+One retrieval step runs one way (``plan_step → fetch_step →
+decode_step``), so the constructors and ``reconstruct`` methods carry
+only the parameters something measured or a caller needs. This file pins
+that surface by signature — a parameter that comes back has to come back
+here first — and checks that every removed keyword is a ``TypeError``,
+not a silently ignored argument. It needs nothing but the package (and
+pytest as the runner), so CI also runs it against the *installed*
+package in the ``clean-install`` job.
+"""
+
+from __future__ import annotations
+
+import inspect
+
+import pytest
+
+import repro.pipeline
+import repro.pipeline.retrieval
+from repro.core._pool import WorkerPoolMixin
+from repro.core.reconstruct import Reconstructor, reconstruct
+from repro.core.service import (
+    RetrievalService,
+    ServiceSession,
+    TiledServiceSession,
+)
+from repro.core.tiling import TiledReconstructor
+from repro.pipeline.retrieval import RetrievalPipeline
+
+REQUIRED = inspect.Parameter.empty
+
+STEP = [("tolerance", None), ("relative", False), ("plan", None),
+        ("on_fault", "raise")]
+TILED_STEP = [("tolerance", None), ("relative", False), ("region", None),
+              ("on_fault", "raise")]
+TILED_ENGINE = [("num_workers", 0), ("backend", None), ("pipelined", False)]
+
+SURFACE = [
+    (Reconstructor,
+     [("field", REQUIRED), ("incremental", True), ("transform", None)]),
+    (reconstruct,
+     [("field", REQUIRED), ("tolerance", None), ("relative", False)]),
+    (Reconstructor.reconstruct, STEP),
+    (Reconstructor.decode_step,
+     [("step", REQUIRED), ("on_fault", "raise"), ("fetch_error", None)]),
+    (TiledReconstructor, [("tiled", REQUIRED), *TILED_ENGINE]),
+    (TiledReconstructor.reconstruct, TILED_STEP),
+    (RetrievalService.session, [("name", REQUIRED)]),
+    (ServiceSession, [("service", REQUIRED), ("field", REQUIRED)]),
+    (ServiceSession.reconstruct, STEP),
+    (RetrievalService.tiled_session,
+     [("name", REQUIRED), ("num_workers", 0), ("backend", None),
+      ("pipelined", None)]),
+    (TiledServiceSession,
+     [("service", REQUIRED), ("tiled", REQUIRED), *TILED_ENGINE]),
+    (TiledServiceSession.reconstruct, TILED_STEP),
+    (RetrievalPipeline, [("window", 4), ("fetch_workers", 2)]),
+]
+
+REMOVED_KEYWORDS = [
+    (Reconstructor, ["num_workers", "backend"]),
+    (reconstruct, ["num_workers", "backend"]),
+    (Reconstructor.decode_step, ["level_runner"]),
+    (TiledReconstructor,
+     ["incremental", "pipeline_window", "fetch_workers"]),
+    (TiledReconstructor.reconstruct, ["pipelined"]),
+    (RetrievalService.session,
+     ["num_workers", "backend", "pipelined", "pipeline_window",
+      "fetch_workers"]),
+    (ServiceSession,
+     ["num_workers", "backend", "pipelined", "pipeline_window",
+      "fetch_workers"]),
+    (ServiceSession.reconstruct, ["pipelined"]),
+    (RetrievalService.tiled_session, ["pipeline_window", "fetch_workers"]),
+    (TiledServiceSession, ["pipeline_window", "fetch_workers"]),
+    (TiledServiceSession.reconstruct, ["pipelined"]),
+]
+
+
+def _parameters(obj):
+    return [
+        (p.name, p.default)
+        for p in inspect.signature(obj).parameters.values()
+        if p.name != "self"
+    ]
+
+
+@pytest.mark.parametrize(
+    "obj,expected", SURFACE, ids=[obj.__qualname__ for obj, _ in SURFACE]
+)
+def test_signature_is_exactly(obj, expected):
+    assert _parameters(obj) == expected
+
+
+@pytest.mark.parametrize(
+    "obj,keyword",
+    [(obj, kw) for obj, kws in REMOVED_KEYWORDS for kw in kws],
+    ids=[f"{obj.__qualname__}-{kw}"
+         for obj, kws in REMOVED_KEYWORDS for kw in kws],
+)
+def test_removed_keyword_is_a_type_error(obj, keyword):
+    # Argument binding fails before any body runs, so placeholder
+    # positionals (including an unbound method's ``self``) are enough.
+    required = [None] * sum(
+        p.default is REQUIRED
+        for p in inspect.signature(obj).parameters.values()
+    )
+    with pytest.raises(TypeError, match=keyword):
+        obj(*required, **{keyword: 1})
+
+
+def test_removed_names_are_gone():
+    assert not hasattr(repro.pipeline, "pipelined_reconstruct")
+    assert not hasattr(repro.pipeline.retrieval, "pipelined_reconstruct")
+    assert "pipelined_reconstruct" not in repro.pipeline.__all__
+    assert not hasattr(RetrievalPipeline, "level_runner")
+    for name in ("fetch_level_groups", "step_segment_keys", "map_jobs",
+                 "close", "num_workers", "backend"):
+        assert not hasattr(Reconstructor, name), name
+    assert not issubclass(Reconstructor, WorkerPoolMixin)
+    assert issubclass(TiledReconstructor, WorkerPoolMixin)

@@ -326,7 +326,7 @@ def test_r3_flags_closure_submitted_to_fetch_pool():
             def run(self, pool, reconstructor, jobs):
                 def chain():
                     for job in jobs:
-                        reconstructor.fetch_level_groups(job[0], job[2])
+                        reconstructor.fetch_step(job)
                 return pool.submit(chain)
     """, "R3", path=PIPELINE_PATH)
     assert len(result.findings) == 1
@@ -339,7 +339,7 @@ def test_r3_accepts_module_chain_function_and_partial():
 
         def _fetch_chain(reconstructor, jobs, ready):
             for job in jobs:
-                reconstructor.fetch_level_groups(job[0], job[2])
+                reconstructor.fetch_step(job)
                 ready.put(job[0])
 
         class Window:
