@@ -6,14 +6,28 @@ with rc ∈ {1.0, 2.0, 4.0}. Retrieval sizes (panel b) are *real* —
 measured from our refactored streams; throughput (panel a) combines
 real wall-clock with the modeled device throughput, where the hybrid's
 number emerges from the byte mix Algorithm 2 actually chose.
+
+It also writes the table ROADMAP item 4 asked for,
+``results/fig8_plane_groups.txt``: what Algorithm 2 chose, achieved and
+estimated for every plane group of every registry dataset and of the
+end-to-end benchmark's two untiled base fields — the answer to
+"incompressible input or mis-tuned selector?", and the evidence on
+whether RLE ever wins. That table alone, without pytest::
+
+    PYTHONPATH=src python benchmarks/bench_fig8_lossless.py [--smoke]
+
+(``--smoke``: 24^3 fields, the consistency assertions, nothing written).
 """
 
+import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from _helpers import (
+    BENCH_DIMS,
     SMALL_DATASETS,
     bench_dataset,
     format_series,
@@ -23,9 +37,16 @@ from _helpers import (
 from repro.bitplane import encode_bitplanes
 from repro.core import Reconstructor
 from repro.core.refactor import RefactorConfig, refactor
+from repro.data import generators as gen
+from repro.data.registry import load_dataset
 from repro.gpu.costmodel import CostModel
 from repro.gpu.device import H100
+from repro.lossless.huffman import (
+    estimate_huffman_ratio,
+    huffman_ratio_upper_bound,
+)
 from repro.lossless.hybrid import HybridConfig, compress_planes, decompress_groups
+from repro.lossless.rle import estimate_rle_ratio
 
 TOLERANCES = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
 
@@ -157,3 +178,134 @@ def test_fig8b_retrieval_sizes(benchmark):
     # values depend on how compressible the deep planes are.
     assert overheads[0] <= overheads[1] <= overheads[2]
     assert overheads[0] >= -0.10
+
+
+# ---------------------------------------------------------------------
+# Per-plane-group table (ROADMAP item 4)
+# ---------------------------------------------------------------------
+#: The untiled base fields of ``benchmarks/e2e/workloads.py`` (generator
+#: seed 7, before the per-run shift) and their sizes there.
+E2E_BASE_FIELDS = {
+    "e2e-NYX": (gen.lognormal_density, 80),
+    "e2e-Miranda": (gen.interface_field, 64),
+}
+SMOKE_SIZE = 24
+
+
+class PlaneGroupRow(NamedTuple):
+    """One table row; the field names are the column titles.
+
+    ``decided_by`` says how far Algorithm 2 had to go: ``size`` (at or
+    under the size threshold: direct, nothing estimated), ``bound`` (the
+    histogram bound ruled Huffman out, no code built) or ``code`` (code
+    lengths built for the exact estimate). Both estimates are computed
+    for every group, whatever the selector needed.
+    """
+
+    dataset: str
+    level: int
+    group: int
+    bytes: int
+    method: str
+    ratio: float
+    huffman_est: float
+    rle_est: float
+    decided_by: str
+
+
+def plane_group_rows(name, data) -> list[PlaneGroupRow]:
+    """One row per (level, plane group) of *data*'s default refactor."""
+    rows = []
+    config = HybridConfig()
+    field = refactor(data, RefactorConfig(hybrid=config), name=name)
+    for level, stream in enumerate(field.levels):
+        for index, group in enumerate(stream.groups):
+            merged = np.concatenate(decompress_groups([group]))
+            freqs = np.bincount(merged, minlength=256)
+            huffman_est = estimate_huffman_ratio(merged, freqs=freqs)
+            if merged.size <= config.size_threshold:
+                decided = "size"
+            elif huffman_ratio_upper_bound(merged.size, freqs) \
+                    <= config.cr_threshold:
+                decided = "bound"
+                assert huffman_est <= config.cr_threshold, (name, level, index)
+            else:
+                decided = "code"
+            assert (group.method == "huffman") == (
+                decided == "code" and huffman_est > config.cr_threshold
+            ), (name, level, index)
+            rows.append(PlaneGroupRow(
+                name, level, index, merged.size, group.method,
+                round(group.original_size / group.compressed_size, 2),
+                round(huffman_est, 2),
+                round(estimate_rle_ratio(merged), 2),
+                decided,
+            ))
+    return rows
+
+
+def all_plane_group_rows(smoke: bool = False) -> list[PlaneGroupRow]:
+    """Rows of the registry datasets, then of the e2e base fields."""
+    rows = []
+    for name in BENCH_DIMS:
+        data = (load_dataset(name, dims=(SMOKE_SIZE,) * 3) if smoke
+                else bench_dataset(name))
+        rows += plane_group_rows(name, data)
+    for name, (generator, size) in E2E_BASE_FIELDS.items():
+        shape = (SMOKE_SIZE if smoke else size,) * 3
+        rows += plane_group_rows(name, generator(shape, seed=7))
+    return rows
+
+
+def plane_group_table(rows: list[PlaneGroupRow]) -> str:
+    decided = [r.decided_by for r in rows]
+    coded = [r.ratio for r in rows if r.method == "huffman"]
+    rle_chosen = sum(r.method == "rle" for r in rows)
+    rle_best = sum(r.rle_est > max(r.huffman_est, 1.0) for r in rows)
+    note = (
+        f"{len(rows)} groups: {decided.count('size')} direct by size, "
+        f"{decided.count('bound')} ruled out by the histogram bound, "
+        f"{decided.count('code')} needed a code built, of which "
+        f"{len(coded)} were Huffman-coded (ratios {min(coded)}-{max(coded)}). "
+        f"RLE chosen for {rle_chosen} groups; its estimate beats both "
+        f"Huffman's and 1.0 on {rle_best} "
+        f"(highest RLE estimate {max(r.rle_est for r in rows)}). "
+        "Default HybridConfig (4 planes per group, size threshold 1024, "
+        "rc 1.0); ratio = original / stored payload bytes."
+    )
+    return format_series(
+        "Fig 8 / Algorithm 2 — per plane group: method, achieved ratio, "
+        "estimates, and how the selector decided",
+        [title.replace("_", " ") for title in PlaneGroupRow._fields],
+        rows, note=note,
+    )
+
+
+def test_fig8_plane_group_table(benchmark):
+    rows = benchmark.pedantic(all_plane_group_rows, rounds=1, iterations=1)
+    write_result("fig8_plane_groups", plane_group_table(rows))
+    # What ISSUE 20 measured on the e2e base fields: only the leading
+    # groups of the finest level compress, the mantissa tail is noise.
+    finest = {name: [r.method for r in rows
+                     if (r.dataset, r.level) == (name, 4)]
+              for name in E2E_BASE_FIELDS}
+    assert finest["e2e-NYX"] == ["huffman"] * 3 + ["direct"] * 6
+    assert finest["e2e-Miranda"] == \
+        ["huffman"] * 2 + ["direct"] * 11 + ["huffman"]
+    assert all(r.decided_by == "size" for r in rows
+               if r.dataset in E2E_BASE_FIELDS and r.level < 2)
+
+
+def main(argv: list[str] | None = None) -> None:
+    args = sys.argv[1:] if argv is None else argv
+    if "--smoke" in args:
+        text = plane_group_table(all_plane_group_rows(smoke=True))
+        print(text.splitlines()[-1])
+        print("bench_fig8_lossless smoke ok (24^3 fields, plane-group "
+              "table only, nothing written)")
+        return
+    write_result("fig8_plane_groups", plane_group_table(all_plane_group_rows()))
+
+
+if __name__ == "__main__":
+    main()

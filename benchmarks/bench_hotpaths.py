@@ -12,6 +12,14 @@ floor that dominated every small stream. Each sweep row times
 forced, which is the evidence behind the regime constant
 ``SHORT_STREAM_BYTES_PER_ROUND``.
 
+Huffman code construction is swept the same way (``code_length_sweep``:
+alphabet size x histogram shape): it never showed in the 1M-symbol
+encode row, yet at ~0.8 ms a call the heap it used to be was half of a
+write pass made of small plane groups. Each row times
+``build_code_lengths`` against the retained heap
+``build_code_lengths_reference`` and one ``huffman_ratio_upper_bound``,
+the histogram-only test that lets the selector skip the construction.
+
 Run standalone (writes the JSON):
 
     PYTHONPATH=src python benchmarks/bench_hotpaths.py
@@ -70,6 +78,20 @@ MIN_HUFFMAN_ENCODE_SPEEDUP = 5.0
 #: >= 10x faster, and no size decodes slower than 0.9x.
 MIN_SHORT_STREAM_SPEEDUP = 10.0
 MIN_SWEEP_SPEEDUP = 0.9
+
+#: Acceptance floors for ISSUE 20, two-queue code construction against
+#: the retained heap: >= 3x at the full byte alphabet, and no alphabet
+#: size or histogram shape slower than 0.9x. The 3x applies where the
+#: tree fits MAX_CODE_LENGTH: a tree that does not goes through
+#: `_limit_lengths`' lengthening loop, which both constructions share
+#: and which is then most of either side (the fibonacci_deep rows record
+#: that floor: ~2x at 256 symbols).
+MIN_FULL_ALPHABET_CONSTRUCTION_GAIN = 3.0
+CODE_LENGTH_SYMBOLS = (2, 16, 64, 256)
+CODE_LENGTH_HISTOGRAMS = ("uniform", "zero_heavy", "fibonacci_deep")
+#: Constructions per timed call: one takes 10-800 us, too close to the
+#: timer's own cost to pair rep by rep.
+CODE_LENGTH_CALLS = 20
 
 #: Decoded sizes of the sweep: the benchmark's tile groups (1792), the
 #: service_qoi groups (6-48 K), two sizes bracketing the measured
@@ -237,9 +259,68 @@ def huffman_decode_sweep(sizes=SWEEP_SIZES, reps: int = SWEEP_REPS) -> dict:
     return {"short_stream_bytes_per_round": limit, "rows": rows}
 
 
+def _sweep_histogram(shape: str, present: int, rng) -> np.ndarray:
+    """A 256-bin histogram with *present* nonzero counts of *shape*."""
+    if shape == "uniform":
+        weights = rng.integers(900, 1100, present)
+    elif shape == "zero_heavy":  # a leading bit-plane group: 60% zeros
+        weights = rng.integers(900, 1100, present)
+        weights[0] = 3 * weights[1:].sum() // 2 + 1
+    else:  # consecutive Fibonacci weights: the deepest tree, so the
+        # length limiter runs (capped where the counts pass 2**40)
+        fib = [1, 1]
+        while fib[-1] < 1 << 40:
+            fib.append(fib[-1] + fib[-2])
+        weights = np.array(fib)[np.minimum(np.arange(present), len(fib) - 1)]
+    freqs = np.zeros(256, dtype=np.int64)
+    freqs[np.sort(rng.choice(256, present, replace=False))] = weights
+    return freqs
+
+
+def code_length_sweep(
+    reps: int = SWEEP_REPS, calls: int = CODE_LENGTH_CALLS
+) -> dict:
+    """Code construction wall per alphabet size and histogram shape.
+
+    ``vs_reference`` is the gain of the two-queue
+    ``build_code_lengths`` over the retained heap (lengths asserted
+    equal); ``ratio_bound_us`` is one ``huffman_ratio_upper_bound``, the
+    price of finding out that no construction is needed. As in
+    :func:`huffman_decode_sweep`, no key says "speedup".
+    """
+    def batch(fn):
+        return lambda: [fn() for _ in range(calls)][-1]
+
+    rng = np.random.default_rng(20)
+    rows = []
+    for shape in CODE_LENGTH_HISTOGRAMS:
+        for present in CODE_LENGTH_SYMBOLS:
+            freqs = _sweep_histogram(shape, present, rng)
+            n = int(freqs.sum())
+            walls, outs = _times_interleaved([
+                batch(lambda: huffman.build_code_lengths_reference(freqs)),
+                batch(lambda: huffman.build_code_lengths(freqs)),
+                batch(lambda: huffman.huffman_ratio_upper_bound(n, freqs)),
+            ], reps)
+            assert np.array_equal(outs[0], outs[1]), \
+                f"two-queue lengths diverged from the heap: {shape} {present}"
+            t_ref, t_new, t_bound = walls.min(axis=0) / calls
+            rows.append({
+                "histogram": shape,
+                "present_symbols": present,
+                "max_code_length": int(outs[1].max()),
+                "build_reference_us": t_ref * 1e6,
+                "build_us": t_new * 1e6,
+                "ratio_bound_us": t_bound * 1e6,
+                "vs_reference": float(np.median(walls[:, 0] / walls[:, 1])),
+            })
+    return {"calls_per_timing": calls, "rows": rows}
+
+
 def run_benchmarks(
     n: int = N_ELEMENTS, num_bitplanes: int = NUM_BITPLANES, reps: int = REPS,
     sweep_sizes=SWEEP_SIZES, sweep_reps: int = SWEEP_REPS,
+    code_length_calls: int = CODE_LENGTH_CALLS,
 ) -> dict:
     """Measure all hot paths; returns the BENCH_hotpaths payload."""
     rng = np.random.default_rng(0)
@@ -349,6 +430,7 @@ def run_benchmarks(
             "decode_throughput_mbps": mb / t_hdec,
         },
         "huffman_decode_sweep": huffman_decode_sweep(sweep_sizes, sweep_reps),
+        "code_length_sweep": code_length_sweep(sweep_reps, code_length_calls),
         "rle": {
             "encode_ms": t_renc * 1e3,
             "decode_ms": t_rdec * 1e3,
@@ -376,6 +458,17 @@ def test_hotpaths_meet_speedup_floors():
     assert huff["decode_speedup"] >= MIN_HUFFMAN_SPEEDUP, huff
     assert huff["encode_speedup"] >= MIN_HUFFMAN_ENCODE_SPEEDUP, huff
     check_sweep_floors(results["huffman_decode_sweep"])
+    check_code_length_floors(results["code_length_sweep"])
+
+
+def check_code_length_floors(sweep: dict) -> None:
+    """ISSUE 20 floors on the code construction sweep."""
+    for row in sweep["rows"]:
+        unlimited = row["max_code_length"] < huffman.MAX_CODE_LENGTH
+        floor = (MIN_FULL_ALPHABET_CONSTRUCTION_GAIN
+                 if row["present_symbols"] == 256 and unlimited
+                 else MIN_SWEEP_SPEEDUP)
+        assert row["vs_reference"] >= floor, row
 
 
 def check_sweep_floors(sweep: dict) -> None:
@@ -393,7 +486,7 @@ def main(argv: list[str] | None = None) -> None:
         # still exercise every fast-vs-reference pair; no floors, no
         # baseline overwrite.
         run_benchmarks(n=1 << 14, reps=1, sweep_sizes=SMOKE_SWEEP_SIZES,
-                       sweep_reps=1)
+                       sweep_reps=1, code_length_calls=1)
         print("bench_hotpaths smoke ok (tiny sizes, no floors, "
               "nothing written)")
         return
@@ -401,6 +494,7 @@ def main(argv: list[str] | None = None) -> None:
     path = write_results(results)
     print(f"wrote {path}")
     check_sweep_floors(results["huffman_decode_sweep"])
+    check_code_length_floors(results["code_length_sweep"])
     codec = results["bitplane_codec"]
     tr = results["bitplane_transpose"]
     huff = results["huffman"]
@@ -424,6 +518,14 @@ def main(argv: list[str] | None = None) -> None:
             f"{row['decode_fast_ms']:.2f} ms, "
             f"{row['vs_lockstep']:.1f}x vs lockstep, "
             f"{row['vs_reference']:.1f}x vs reference"
+        )
+    for row in results["code_length_sweep"]["rows"]:
+        print(
+            f"code lengths {row['histogram']:>14} x "
+            f"{row['present_symbols']:>3} symbols: "
+            f"{row['build_us']:.0f} us, "
+            f"{row['vs_reference']:.1f}x vs heap reference, "
+            f"ratio bound {row['ratio_bound_us']:.0f} us"
         )
     print(
         f"rle: encode {results['rle']['encode_throughput_mbps']:.0f} MB/s, "

@@ -10,6 +10,7 @@
 #                                    #  BENCH_pipeline.json)
 #   benchmarks/run_all.sh --figures  # additionally re-run the per-figure paper harnesses
 #   benchmarks/run_all.sh --smoke    # every suite in --smoke mode plus the
+#                                    # Fig. 8 plane-group table and the
 #                                    # Fig. 9 pipeline-model harness — the CI
 #                                    # pass (tiny sizes, correctness
 #                                    # assertions only, nothing written)
@@ -39,6 +40,8 @@ if [ "${1:-}" = "--smoke" ]; then
         echo "== bench_$suite --smoke =="
         python "benchmarks/bench_$suite.py" --smoke
     done
+    echo "== Fig. 8 per-plane-group table (Algorithm 2 selector) =="
+    python benchmarks/bench_fig8_lossless.py --smoke
     echo "== Fig. 9 pipeline-model harness =="
     # `-o addopts=` clears the default `-m "not bench"` filter; the
     # harness's speedup-band assertions are the smoke check.

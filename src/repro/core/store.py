@@ -20,10 +20,10 @@ Keys are ``(variable, level, group)`` triples flattened to strings.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import struct
-import tempfile
 import threading
 import zlib
 from contextlib import contextmanager, nullcontext
@@ -240,9 +240,19 @@ class DirectoryStore:
         # the old manifest or the new one (os.replace is atomic within a
         # directory), never an entry whose bytes are not on disk.
         os.fsync(self._fd(self._APPEND))
-        fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix=self.MANIFEST + ".", suffix=".tmp"
-        )
+        # The temp file is created like the pack — mode 0o666, so the
+        # kernel applies the umask and both files carry the same
+        # permission bits (mkstemp's 0600 left an index only its writer
+        # could open). O_EXCL + a retry makes the name unique.
+        for attempt in itertools.count():
+            tmp = f"{self._manifest_path}.{os.getpid()}.{attempt}.tmp"
+            try:
+                fd = os.open(
+                    tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666
+                )
+                break
+            except FileExistsError:
+                continue
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(json.dumps(

@@ -25,6 +25,7 @@ use a flat prefix LUT of ``2^maxlen`` entries.
 from __future__ import annotations
 
 import heapq
+import math
 import struct
 
 import numpy as np
@@ -60,9 +61,82 @@ def build_code_lengths(
 ) -> np.ndarray:
     """Huffman code lengths per symbol (0 for absent symbols).
 
-    Standard heap construction followed by Kraft-sum repair to honor
-    *max_length* (increment the deepest sub-limit codes until the Kraft
-    inequality holds, then greedily shorten where slack remains).
+    Sort + two-queue merge, then :func:`_limit_lengths` to honor
+    *max_length*. Leaves are ordered once by ``(frequency, symbol)``;
+    Huffman creates merged nodes in non-decreasing weight, so they sit
+    in a FIFO behind the leaves and the two lightest nodes are always at
+    one of the two queue heads — no heap. A leaf wins a weight tie
+    against a merged node and merged nodes tie in creation order, which
+    is exactly the ``(freq, tiebreak)`` order of the heap in
+    :func:`build_code_lengths_reference`: the same pairs merge, so the
+    lengths are identical, not merely optimal.
+    """
+    freqs = np.asarray(freqs, dtype=np.int64)
+    if freqs.ndim != 1 or freqs.size > 256:
+        raise ValueError("freqs must be 1-D with at most 256 symbols")
+    if freqs.size and int(freqs.min()) < 0:
+        raise ValueError("frequencies must be nonnegative")
+    lengths = np.zeros(freqs.size, dtype=np.uint8)
+    present = np.flatnonzero(freqs)
+    n = present.size
+    if n == 0:
+        return lengths
+    if n == 1:
+        lengths[present[0]] = 1
+        return lengths
+
+    # `present` ascends, so a stable sort by weight breaks ties by symbol.
+    weights = freqs[present]
+    order = np.argsort(weights, kind="stable")
+    # Two queues of Python ints (256 counts of 2**62 cannot wrap), each
+    # ending in a sentinel: the sorted leaves, and the merged nodes in
+    # creation order — merge k is the k-th merged node, still `inf`
+    # while it is being formed.
+    leaf_weight = [*weights[order].tolist(), math.inf]
+    merged_weight = [math.inf] * n
+    leaf_parent = [0] * n
+    merged_parent = [0] * (n - 1)
+    leaf = merged = 0
+    for k in range(n - 1):
+        # Take the lighter queue head, twice (a leaf wins a tie).
+        if leaf_weight[leaf] <= merged_weight[merged]:
+            total = leaf_weight[leaf]
+            leaf_parent[leaf] = k
+            leaf += 1
+        else:
+            total = merged_weight[merged]
+            merged_parent[merged] = k
+            merged += 1
+        if leaf_weight[leaf] <= merged_weight[merged]:
+            total += leaf_weight[leaf]
+            leaf_parent[leaf] = k
+            leaf += 1
+        else:
+            total += merged_weight[merged]
+            merged_parent[merged] = k
+            merged += 1
+        merged_weight[k] = total
+    # A parent is always created after its children: one reverse sweep
+    # from the root (merge n-2) fills every depth.
+    merged_depth = [0] * (n - 1)
+    for k in range(n - 3, -1, -1):
+        merged_depth[k] = merged_depth[merged_parent[k]] + 1
+
+    depths = np.empty(n, dtype=np.int64)
+    depths[order] = [merged_depth[k] + 1 for k in leaf_parent]
+    depths = _limit_lengths(depths, weights, max_length)
+    lengths[present] = depths.astype(np.uint8)
+    return lengths
+
+
+def build_code_lengths_reference(
+    freqs: np.ndarray, max_length: int = MAX_CODE_LENGTH
+) -> np.ndarray:
+    """Seed construction: a ``heapq`` of ``(freq, tiebreak, node)``.
+
+    Retained as the oracle :func:`build_code_lengths` must equal length
+    for length (equivalence tests, the ``bench_hotpaths`` baseline);
+    production callers use :func:`build_code_lengths`.
     """
     freqs = np.asarray(freqs, dtype=np.int64)
     if freqs.ndim != 1 or freqs.size > 256:
@@ -106,7 +180,15 @@ def build_code_lengths(
 def _limit_lengths(
     depths: np.ndarray, freqs: np.ndarray, max_length: int
 ) -> np.ndarray:
-    """Clamp code lengths to *max_length* while keeping Kraft ≤ 1."""
+    """Clamp code lengths to *max_length* while keeping Kraft ≤ 1.
+
+    Clamping can only oversubscribe the Kraft sum: the deepest sub-limit
+    codes are lengthened until it fits again, then — lengthening may
+    overshoot — the most frequent codes are shortened while slack
+    remains. A tree no deeper than *max_length* is exactly full after
+    the clamp and is returned as is (with no slack the shortening pass
+    could change nothing), which is every bit-plane group in practice.
+    """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
     depths = np.minimum(depths, max_length).astype(np.int64)
@@ -114,6 +196,8 @@ def _limit_lengths(
         raise ValueError("alphabet too large for max_length")
     unit = 1 << max_length  # Kraft capacity in 2^-max_length units
     used = int(np.sum(1 << (max_length - depths)))
+    if used == unit:
+        return depths
     if used > unit:
         # Lengthen the deepest sub-limit code each round (costs least
         # entropy), lowest symbol index first on ties. One precomputed
@@ -621,18 +705,29 @@ def huffman_decode(blob: bytes) -> np.ndarray:
     return _DEFAULT_CODEC.decode(blob)
 
 
+def _ratio_for_payload_bits(n: int, payload_bits: int) -> float:
+    """Ratio of *n* input bytes to a stream holding *payload_bits* of codes."""
+    n_chunks = -(-n // DEFAULT_CHUNK_SYMBOLS)
+    header_bytes = struct.calcsize(_HEADER_FMT) + 256 + 4 * (n_chunks + 2)
+    return n / (header_bytes + ((payload_bits + 7) >> 3) + n_chunks)
+
+
 def estimate_huffman_ratio(
     data: np.ndarray, freqs: np.ndarray | None = None,
     lengths: np.ndarray | None = None,
 ) -> float:
-    """Cheap, accurate Huffman CR predictor (Section 5.2).
+    """Exact Huffman CR predictor (Section 5.2) — no encoding performed.
 
-    Builds the histogram and optimal code lengths, then computes the
-    exact payload bits plus header overhead — no encoding performed.
-    Pass ``freqs = np.bincount(data, minlength=256)`` to reuse a
-    histogram computed elsewhere (the hybrid selector shares one pass
-    between this estimate and the eventual encode), and ``lengths =
-    build_code_lengths(freqs)`` likewise.
+    The payload bits are exactly ``sum(freqs * lengths)`` and the header
+    depends on the size alone (each chunk's byte padding is counted as
+    a whole byte). It needs the code lengths: pass ``lengths =
+    build_code_lengths(freqs)`` or they are built here, which is the
+    expensive step — a caller that only needs to know whether the ratio
+    clears a threshold asks :func:`huffman_ratio_upper_bound` first, as
+    the hybrid selector does. Pass ``freqs = np.bincount(data,
+    minlength=256)`` to reuse a histogram computed elsewhere (the
+    selector shares one pass between the bound, this estimate and the
+    eventual encode).
     """
     data = np.ascontiguousarray(data, dtype=np.uint8)
     if data.size == 0:
@@ -642,7 +737,26 @@ def estimate_huffman_ratio(
     if lengths is None:
         lengths = build_code_lengths(freqs)
     payload_bits = int(np.sum(freqs * lengths.astype(np.int64)))
-    n_chunks = -(-data.size // DEFAULT_CHUNK_SYMBOLS)
-    header_bytes = struct.calcsize(_HEADER_FMT) + 256 + 4 * (n_chunks + 2)
-    est_bytes = header_bytes + ((payload_bits + 7) >> 3) + n_chunks
-    return data.size / est_bytes
+    return _ratio_for_payload_bits(data.size, payload_bits)
+
+
+def huffman_ratio_upper_bound(n: int, freqs: np.ndarray) -> float:
+    """Upper bound on :func:`estimate_huffman_ratio` from the histogram alone.
+
+    No prefix code — length-limited or not — spends fewer payload bits
+    on *n* symbols with histogram *freqs* than their entropy ``n * H``
+    (Shannon), nor fewer than one bit per symbol; the header does not
+    depend on the code. So the ratio at ``max(n, n * H)`` payload bits
+    is never below the exact estimate, and a group whose bound already
+    fails a threshold needs no code built to be ruled out. The entropy
+    term is shrunk by a relative 1e-9 (its terms are all positive, so
+    rounding error is ~1e-15) so that floating point can only ever err
+    toward building the code.
+    """
+    if n == 0:
+        return 1.0
+    counts = freqs[freqs > 0]
+    entropy_bits = float(np.sum(counts * np.log2(n / counts)))
+    return _ratio_for_payload_bits(
+        n, max(n, int(entropy_bits * (1.0 - 1e-9)))
+    )

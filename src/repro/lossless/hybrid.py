@@ -5,7 +5,10 @@ the unit is large enough to be worth compressing (``S > T_s``), both the
 Huffman and RLE compression ratios are *estimated* with the lightweight
 predictors (no trial encoding); Huffman is used if its estimate clears
 the ratio threshold ``T_cr``, else RLE if its estimate does, else Direct
-Copy. Small units go straight to Direct Copy.
+Copy. Small units go straight to Direct Copy. The Huffman estimate is
+exact but needs the code lengths, so the selector first asks an entropy
+bound that needs only the histogram and builds a code only for units
+the bound cannot rule out — same decisions, a fraction of the cost.
 
 Grouping trades retrieval granularity for codec efficiency: progressive
 readers fetch whole groups, so ``group_size`` is the unit the retrieval
@@ -26,6 +29,7 @@ from repro.lossless.huffman import (
     estimate_huffman_ratio,
     huffman_decode,
     huffman_encode,
+    huffman_ratio_upper_bound,
 )
 from repro.lossless.rle import (
     estimate_rle_ratio,
@@ -133,8 +137,9 @@ def estimate_group_ratios(
 
     Computes *both* estimates eagerly — the diagnostic/ablation helper.
     The production selector (:func:`_select_and_encode`) is lazier: it
-    skips the RLE run scan entirely when the Huffman estimate already
-    clears the threshold. Pass ``freqs = np.bincount(merged,
+    skips the Huffman code construction when the histogram bound already
+    fails the threshold, and the RLE run scan when the Huffman estimate
+    clears it. Pass ``freqs = np.bincount(merged,
     minlength=256)`` to reuse a histogram computed elsewhere.
     """
     return (
@@ -159,19 +164,26 @@ def _select_and_encode(
 ) -> tuple[str, bytes]:
     """Algorithm 2 decision + encode with every scan shared.
 
-    The byte histogram and the code lengths built from it feed both the
-    Huffman CR estimate and (when Huffman wins) the encoder; the RLE
-    run-boundary scan — only performed when the Huffman estimate fails —
-    feeds both the RLE estimate and the RLE encoder. Each pass over the
-    merged buffer, and each code construction, happens exactly once.
+    The byte histogram is asked first: when even the entropy bound
+    (:func:`~repro.lossless.huffman.huffman_ratio_upper_bound`) cannot
+    clear the threshold, neither can the exact estimate, so no code is
+    built — the decision is the same, only cheaper. Otherwise the code
+    lengths are built once and feed both the exact Huffman CR estimate
+    and (when Huffman wins) the encoder; the RLE run-boundary scan —
+    only performed when Huffman is out — feeds both the RLE estimate
+    and the RLE encoder. Each pass over the merged buffer, and each
+    code construction, happens at most once.
     """
     if merged.size <= config.size_threshold:
         return "direct", direct_encode(merged)
     freqs = np.bincount(merged, minlength=256)
-    lengths = build_code_lengths(freqs)
-    ratio = estimate_huffman_ratio(merged, freqs=freqs, lengths=lengths)
-    if ratio > config.cr_threshold:
-        return "huffman", huffman_encode(merged, freqs=freqs, lengths=lengths)
+    if huffman_ratio_upper_bound(merged.size, freqs) > config.cr_threshold:
+        lengths = build_code_lengths(freqs)
+        ratio = estimate_huffman_ratio(merged, freqs=freqs, lengths=lengths)
+        if ratio > config.cr_threshold:
+            return "huffman", huffman_encode(
+                merged, freqs=freqs, lengths=lengths
+            )
     boundaries = run_boundaries(merged)
     if estimate_rle_ratio(merged, boundaries=boundaries) > config.cr_threshold:
         return "rle", rle_encode(merged, boundaries=boundaries)

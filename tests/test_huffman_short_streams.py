@@ -280,7 +280,9 @@ class TestSharedCodeLengths:
             data, freqs=freqs, lengths=lengths
         ) == huffman.estimate_huffman_ratio(data)
 
-    def test_selector_builds_each_code_once(self, monkeypatch):
+    @pytest.fixture()
+    def constructions(self, monkeypatch):
+        """Every ``build_code_lengths`` call the selector causes."""
         calls = []
         real = huffman.build_code_lengths
 
@@ -290,12 +292,28 @@ class TestSharedCodeLengths:
 
         monkeypatch.setattr(huffman, "build_code_lengths", counting)
         monkeypatch.setattr(hybrid, "build_code_lengths", counting)
+        return calls
+
+    def test_selector_builds_each_code_once(self, constructions):
         data = make_data("zero_heavy", 6048)
         method, payload = hybrid._select_and_encode(
             data, hybrid.HybridConfig()
         )
-        assert method == "huffman" and len(calls) == 1
+        assert method == "huffman" and len(constructions) == 1
         assert payload == HuffmanCodec().encode(data)
+
+    def test_selector_builds_no_code_for_incompressible_group(
+        self, constructions
+    ):
+        """A 16^3 tile's mantissa-tail group (1792 uniform-random bytes)
+        is ruled out by its histogram: no code is built to store it
+        ``direct``."""
+        data = np.random.default_rng(7).integers(0, 256, 1792).astype(np.uint8)
+        method, payload = hybrid._select_and_encode(
+            data, hybrid.HybridConfig()
+        )
+        assert method == "direct" and constructions == []
+        assert payload == hybrid.direct_encode(data)
 
     def test_bad_lengths_rejected(self):
         data = make_data("two", 100)

@@ -10,10 +10,12 @@ from repro.lossless.direct import direct_decode, direct_encode
 from repro.lossless.huffman import (
     HuffmanCodec,
     build_code_lengths,
+    build_code_lengths_reference,
     canonical_codes,
     estimate_huffman_ratio,
     huffman_decode,
     huffman_encode,
+    huffman_ratio_upper_bound,
 )
 from repro.lossless.rle import estimate_rle_ratio, rle_decode, rle_encode
 
@@ -73,6 +75,84 @@ class TestCodeLengths:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             build_code_lengths(np.array([-1, 2]))
+
+
+FIBONACCI = [1, 1]
+while FIBONACCI[-1] < 1 << 40:
+    FIBONACCI.append(FIBONACCI[-1] + FIBONACCI[-2])
+
+
+@st.composite
+def histograms(draw, max_count=1 << 40):
+    """256-bin histograms with 1-256 present symbols.
+
+    Families: arbitrary counts, heavy ties (all-equal, two-valued) and
+    Fibonacci weights — the consecutive run gives the deepest possible
+    tree, so a ``max_length`` of 9, 12 or 16 forces the limiter to
+    lengthen and, after an overshoot, to spend the slack again.
+    """
+    k = draw(st.integers(1, 256))
+    family = draw(st.sampled_from(["any", "equal", "two_valued", "fibonacci"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family == "any":
+        weights = rng.integers(1, max_count, k, endpoint=True)
+    elif family == "equal":
+        weights = np.full(k, rng.integers(1, max_count, endpoint=True))
+    elif family == "two_valued":
+        weights = rng.choice(rng.integers(1, max_count, 2, endpoint=True), k)
+    else:
+        fib = np.array([f for f in FIBONACCI if f <= max_count])
+        weights = rng.choice(fib, k)
+        weights[: fib.size] = fib[:k]
+    freqs = np.zeros(256, dtype=np.int64)
+    freqs[rng.choice(256, k, replace=False)] = weights
+    return freqs
+
+
+class TestTwoQueueConstruction:
+    """:func:`build_code_lengths` against the retained heap oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(freqs=histograms(), max_length=st.sampled_from([9, 12, 16]))
+    def test_property_equals_heap_oracle(self, freqs, max_length):
+        np.testing.assert_array_equal(
+            build_code_lengths(freqs, max_length),
+            build_code_lengths_reference(freqs, max_length),
+        )
+
+    @pytest.mark.parametrize("max_length", [9, 12, 16])
+    def test_every_fibonacci_depth_equals_heap_oracle(self, max_length):
+        """k consecutive Fibonacci weights: a tree k - 1 deep, so every
+        k past the limit clamps, lengthens and (for most k) overshoots
+        into the shortening pass."""
+        for k in range(2, len(FIBONACCI) + 1):
+            freqs = np.array(FIBONACCI[:k])
+            lengths = build_code_lengths(freqs, max_length)
+            np.testing.assert_array_equal(
+                lengths, build_code_lengths_reference(freqs, max_length)
+            )
+            assert int(lengths.max()) == min(k - 1, max_length)
+
+    def test_short_histograms_and_absent_symbols(self):
+        for freqs in ([], [0], [5], [0, 0, 3], [2, 0, 2], [1, 1, 1]):
+            np.testing.assert_array_equal(
+                build_code_lengths(np.array(freqs, dtype=np.int64)),
+                build_code_lengths_reference(np.array(freqs, dtype=np.int64)),
+            )
+
+    @pytest.mark.parametrize(
+        "build", [build_code_lengths, build_code_lengths_reference]
+    )
+    @pytest.mark.parametrize("freqs, max_length", [
+        (np.array([-1, 2]), 16),              # negative count
+        (np.ones((2, 2), dtype=np.int64), 16),  # not 1-D
+        (np.ones(257, dtype=np.int64), 16),   # beyond the byte alphabet
+        (np.array([3, 1, 2]), 0),             # no such code length
+        (np.ones(5, dtype=np.int64), 2),      # 5 symbols, 4 codes
+    ])
+    def test_validation_errors_on_both(self, build, freqs, max_length):
+        with pytest.raises(ValueError):
+            build(freqs, max_length)
 
 
 class TestCanonicalCodes:
@@ -153,6 +233,40 @@ class TestHuffmanEstimate:
 
     def test_empty(self):
         assert estimate_huffman_ratio(np.empty(0, np.uint8)) == 1.0
+
+
+class TestHistogramBound:
+    """``huffman_ratio_upper_bound`` never reads below the exact estimate
+    (equality allowed): the selector may skip the code on its word."""
+
+    @staticmethod
+    def check(data):
+        data = np.asarray(data, dtype=np.uint8)
+        freqs = np.bincount(data, minlength=256)
+        bound = huffman_ratio_upper_bound(data.size, freqs)
+        exact = estimate_huffman_ratio(data, freqs=freqs)
+        assert bound >= exact, (data.size, bound, exact)
+        return bound, exact
+
+    @settings(max_examples=100, deadline=None)
+    @given(freqs=histograms(max_count=1 << 10))
+    def test_property_bound_dominates_exact_estimate(self, freqs):
+        self.check(np.repeat(np.arange(256), freqs))
+
+    @pytest.mark.parametrize("n", [1, 2, 1025, 1792, 229_376])
+    def test_one_symbol_two_symbols_and_uniform_random(self, n):
+        rng = np.random.default_rng(n)
+        # A code cannot spend less than one bit per symbol, and on these
+        # two it spends exactly that: the bound is tight.
+        for tight in (np.full(n, 7), np.arange(n) % 2):
+            bound, exact = self.check(tight)
+            assert bound == exact
+        bound, _ = self.check(rng.integers(0, 256, n))
+        assert bound <= 1.0  # incompressible: ruled out without a code
+        self.check(skewed_bytes(n, seed=n, zeros=0.9))
+
+    def test_empty(self):
+        assert huffman_ratio_upper_bound(0, np.zeros(256, np.int64)) == 1.0
 
 
 class TestRle:

@@ -123,32 +123,84 @@ class TestSharedScans:
 
     @staticmethod
     def naive_select(merged, config):
-        """The seed double-scan formulation of Algorithm 2's decision."""
-        from repro.lossless.huffman import estimate_huffman_ratio
+        """The seed formulation of Algorithm 2: nothing pruned, nothing
+        shared, every code from the retained heap construction."""
+        from repro.lossless.huffman import (
+            build_code_lengths_reference,
+            estimate_huffman_ratio,
+            huffman_encode,
+        )
         from repro.lossless.rle import estimate_rle_ratio
         if merged.size <= config.size_threshold:
-            return "direct"
-        if estimate_huffman_ratio(merged) > config.cr_threshold:
-            return "huffman"
+            return "direct", _ENCODERS["direct"](merged)
+        lengths = build_code_lengths_reference(
+            np.bincount(merged, minlength=256)
+        )
+        if estimate_huffman_ratio(merged, lengths=lengths) \
+                > config.cr_threshold:
+            return "huffman", huffman_encode(merged, lengths=lengths)
         if estimate_rle_ratio(merged) > config.cr_threshold:
-            return "rle"
-        return "direct"
+            return "rle", _ENCODERS["rle"](merged)
+        return "direct", _ENCODERS["direct"](merged)
 
+    @staticmethod
+    def groups_near_threshold(threshold, seed, n=8192, span=4):
+        """Groups whose exact Huffman estimate lands within a few bytes
+        either side of ``n / threshold``.
+
+        Zeroing the first ``m`` bytes (in a seeded order) of a noise
+        buffer shrinks the estimate by about a byte per step; bisect to
+        the ``m`` where the ratio first clears the threshold and return
+        its neighbours.
+        """
+        from repro.lossless.huffman import estimate_huffman_ratio
+        rng = np.random.default_rng(seed)
+        noise = rng.integers(1, 256, n).astype(np.uint8)
+        rank = rng.permutation(n)
+
+        def group(m):
+            return np.where(rank < m, 0, noise).astype(np.uint8)
+
+        lo, hi = 0, n  # ratio(lo) <= threshold < ratio(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if estimate_huffman_ratio(group(mid)) > threshold:
+                hi = mid
+            else:
+                lo = mid
+        return [group(m) for m in range(hi - span, hi + span)]
+
+    @pytest.mark.parametrize("cr_threshold", [1.0, 2.0, 4.0])
     @pytest.mark.parametrize("seed,dtype", [(0, np.float32),
                                             (1, np.float64),
                                             (2, np.float32)])
-    def test_select_and_encode_matches_naive(self, seed, dtype):
+    def test_select_and_encode_matches_naive(self, seed, dtype, cr_threshold):
         planes = bitplanes_of(n=1 << 13, seed=seed, dtype=dtype)
-        config = HybridConfig()
+        config = HybridConfig(cr_threshold=cr_threshold)
         for start in range(0, len(planes), config.group_size):
             merged = np.concatenate(
                 [p.reshape(-1) for p in
                  planes[start : start + config.group_size]]
             )
             method, payload = _select_and_encode(merged, config)
-            assert method == self.naive_select(merged, config)
+            assert (method, payload) == self.naive_select(merged, config)
             assert method == _select_method(merged, config)
             assert payload == _ENCODERS[method](merged)
+
+    @pytest.mark.parametrize("cr_threshold", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_naive_within_bytes_of_the_threshold(
+        self, seed, cr_threshold
+    ):
+        """Where the histogram bound and the exact estimate could
+        disagree if the bound were not one: a few bytes either side."""
+        config = HybridConfig(cr_threshold=cr_threshold)
+        chosen = []
+        for merged in self.groups_near_threshold(cr_threshold, seed):
+            method, payload = _select_and_encode(merged, config)
+            assert (method, payload) == self.naive_select(merged, config)
+            chosen.append(method)
+        assert "huffman" in chosen and chosen.count("huffman") < len(chosen)
 
     def test_estimate_group_ratios_with_shared_histogram(self):
         planes = bitplanes_of(n=1 << 12)

@@ -239,6 +239,26 @@ class TestManifestRobustness:
         assert reopened.keys() == ["a"]
         assert reopened.get("a") == b"one"
 
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+    def test_index_is_as_readable_as_the_pack(self, tmp_path, umask, mode):
+        """The manifest's temp file must be created under the umask like
+        the pack: a 0600 index beside a 0644 pack is a store whose blobs
+        everyone can read and nobody but the writer can open."""
+        root = tmp_path / "s"
+        previous = os.umask(umask)
+        try:
+            store = DirectoryStore(root)
+            store.put("a", b"one")
+            with store.batch():  # a second flush replaces the first index
+                store.put("b", b"two")
+        finally:
+            os.umask(previous)
+        assert {p.name: p.stat().st_mode & 0o777 for p in root.iterdir()} == {
+            "segments.pack": mode, "manifest.json": mode,
+        }
+        assert DirectoryStore(root).keys() == ["a", "b"]
+
 
 CRASHING_WRITER = """
 import os, sys
