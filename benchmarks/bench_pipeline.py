@@ -249,9 +249,16 @@ def _bench_roi_staircase(store, tolerances, region, repeats: int) -> dict:
     # at most ``fetch_workers`` fetches overlap and decode+commit share
     # the caller thread, so ideal <= wall structurally and the ratio
     # lands in (0, 1] regardless of machine noise between runs. The
-    # window sizes are the runtime's own (RetrievalPipeline's defaults,
-    # the one place they are written), read off it rather than restated.
-    pipeline = RetrievalPipeline()
+    # window sizes are read off a measured engine's own pipeline, and
+    # must be RetrievalPipeline's defaults (the one place they are
+    # written): a baseline recording any other pair is not one this
+    # code can reproduce.
+    probe = TiledReconstructor(open_tiled_field(store, "rho"), pipelined=True)
+    pipeline = probe._retrieval_pipeline()
+    probe.close()
+    defaults = RetrievalPipeline()
+    assert (pipeline.window, pipeline.fetch_workers) == (
+        defaults.window, defaults.fetch_workers)
     ideal_wall = max(fetch_sum / pipeline.fetch_workers,
                      decode_sum + commit_sum)
 

@@ -4,9 +4,10 @@
 reused across calls, an idempotent :meth:`close`, context-manager
 support, and best-effort teardown on garbage collection. Hosts define
 :meth:`_pool_size` (their ``num_workers``) and fan independent jobs out
-with :meth:`map_jobs`. The hosts are the refactorers, the tiled engines
-and the retrieval service (its prefetch pool); an untiled
-``Reconstructor`` is serial and is not one.
+with :meth:`map_jobs`. The hosts are the two tiled engines (a worker
+count means *tiles at a time*) and the retrieval service (its prefetch
+pool); an untiled ``Refactorer`` or ``Reconstructor`` is serial and is
+not one.
 
 Which pool that is comes from :mod:`repro.core.backends`: an explicit
 ``backend`` attribute on the host, the ``REPRO_BACKEND`` environment
@@ -48,12 +49,11 @@ from repro.core.backends import (
 _Job = TypeVar("_Job")
 _Out = TypeVar("_Out")
 
-#: Guards lazy pool creation. A pooled host can itself be shared across
-#: another host's worker threads (the tiled engine fans tile jobs out
-#: while tiles share one per-shape Refactorer), so first touches can
-#: race; unsynchronized double-creation would leak an executor whose
-#: threads close() never reaches. Creation is rare — one process-wide
-#: lock costs nothing.
+#: Guards lazy pool creation. A host can be shared across threads (a
+#: service's sessions step concurrently and all schedule prefetches),
+#: so first touches can race; unsynchronized double-creation would leak
+#: an executor whose threads close() never reaches. Creation is rare —
+#: one process-wide lock costs nothing.
 _POOL_CREATE_LOCK = threading.Lock()
 
 #: Live thread pools, shut down (without waiting) at interpreter exit so

@@ -1,8 +1,8 @@
 """Execution backends: serial, threads, and true-parallel processes.
 
-The pipeline classes fan independent jobs out through
-:class:`~repro.core._pool.WorkerPoolMixin`. Threads were the only
-parallel option before this module, and ``BENCH_tiles.json`` recorded
+The tiled engines fan independent tiles out through
+:class:`~repro.core._pool.WorkerPoolMixin` (untiled engines are serial).
+Threads were the only option before, and ``BENCH_tiles.json`` recorded
 what that buys on the tiled refactor hot path: ~0.95x, i.e. nothing —
 the NumPy kernels release the GIL but the Python glue between them does
 not. This module adds the third backend: a pool of persistent worker
@@ -11,7 +11,7 @@ not. This module adds the third backend: a pool of persistent worker
 Backend selection (:func:`resolve_backend`) has three tiers, strongest
 first:
 
-1. an explicit ``backend=`` argument on the engine (or its config);
+1. an explicit ``backend=`` argument on the tiled engine;
 2. the ``REPRO_BACKEND`` environment variable (``serial``, ``threads``,
    ``processes``, optionally ``kind:N`` to pin the worker count) — the
    switch that re-runs an entire existing test suite under a different
@@ -107,8 +107,8 @@ _MAX_TASK_RETRIES = 2
 WORKER_CHAOS_TOKEN = "worker-chaos"
 
 # Set in worker processes only: the nested-pool guard resolve_backend
-# consults so a Refactorer configured with num_workers=4 stays serial
-# when it is *itself* running inside a pool worker.
+# consults so an engine configured with num_workers=4 stays serial when
+# it is *itself* running inside a pool worker.
 _IN_WORKER = False
 
 

@@ -269,9 +269,7 @@ class ServiceSession:
             tolerance=tolerance, relative=relative, plan=plan,
             on_fault=on_fault,
         )
-        self.service._schedule_prefetch(
-            self.field, self.reconstructor.fetched_groups
-        )
+        self.service._schedule_prefetch([self.reconstructor])
         return result
 
     def progressive(
@@ -379,17 +377,9 @@ class TiledServiceSession:
             tolerance=tolerance, relative=relative, region=region,
             on_fault=on_fault,
         )
-        if self.service.prefetch:
-            # Batch every touched tile's next-group keys into one
-            # scheduling round: a wide region can touch hundreds of
-            # tiles, and the futures lock is shared across sessions.
-            keys: list[str] = []
-            for recon in self.reconstructor.touched_reconstructors():
-                keys.extend(self.service._next_group_keys(
-                    recon.field, recon.fetched_groups
-                ))
-            self.service._enqueue_prefetch(keys)
-            self._last_prefetch_keys = keys
+        self._last_prefetch_keys = self.service._schedule_prefetch(
+            self.reconstructor.touched_reconstructors()
+        )
         return out
 
     def progressive(
@@ -452,6 +442,10 @@ class TiledServiceSession:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+#: Width of the service's background prefetch pool.
+_PREFETCH_WORKERS = 2
 
 
 def _store_bears_latency(store) -> bool:
@@ -523,9 +517,6 @@ class RetrievalService(WorkerPoolMixin):
         next unfetched plane group per level — the segments a tighter
         follow-up tolerance would need first — hiding store latency
         behind client compute.
-    num_workers:
-        Prefetch worker threads (only used — and only validated — when
-        ``prefetch`` is true).
 
     The service object is safe to share across threads: sessions are
     independent, and the cache serializes its own state.
@@ -536,14 +527,11 @@ class RetrievalService(WorkerPoolMixin):
         store,
         cache_bytes: int = 256 << 20,
         prefetch: bool = False,
-        num_workers: int = 2,
     ) -> None:
-        if prefetch and num_workers < 1:
-            raise ValueError("num_workers must be >= 1 when prefetching")
         self.store = store
         self.cache = SegmentCache(store, max_bytes=cache_bytes)
         self.prefetch = bool(prefetch)
-        self.num_workers = int(num_workers)
+        self._closed = False  # guarded by the futures lock
         self.prefetch_requests = 0
         self.prefetch_failures = 0
         self.prefetch_hits = 0
@@ -566,7 +554,7 @@ class RetrievalService(WorkerPoolMixin):
         self._sessions_lock = threading.Lock()
 
     def _pool_size(self) -> int:
-        return max(1, self.num_workers)
+        return _PREFETCH_WORKERS
 
     def open(self, name: str) -> LazyRefactoredField:
         """Open *name* lazily with fetches routed through the shared cache.
@@ -646,33 +634,35 @@ class RetrievalService(WorkerPoolMixin):
         return retrieve_qoi(fields, qoi, tolerance, **kwargs)
 
     # -- prefetch ---------------------------------------------------------
-    def _next_group_keys(
-        self, field: LazyRefactoredField, fetched_groups: list[int]
-    ) -> list[str]:
-        """Store keys of the next unfetched, uncached group per level."""
-        keys = []
-        for lv, have in zip(field.levels, fetched_groups):
-            refs = getattr(lv, "refs", None)
-            if refs and have < len(refs):
-                key = refs[have].key
-                if key not in self.cache:
-                    keys.append(key)
-        return keys
-
-    def _schedule_prefetch(
-        self, field: LazyRefactoredField, fetched_groups: list[int]
-    ) -> None:
-        """Warm the next unfetched group per level in the background."""
+    def _schedule_prefetch(self, recons: Sequence[Reconstructor]) -> list[str]:
+        """Warm each reconstructor's next unfetched, uncached group per
+        level in the background; returns the store keys queued. One
+        scheduling round however many tiles a step touched — the
+        futures lock is shared across sessions."""
         if not self.prefetch:
-            return
-        self._enqueue_prefetch(self._next_group_keys(field, fetched_groups))
+            return []
+        keys = []
+        for recon in recons:
+            for lv, have in zip(recon.field.levels, recon.fetched_groups):
+                refs = getattr(lv, "refs", None)
+                if (
+                    refs and have < len(refs)
+                    and refs[have].key not in self.cache
+                ):
+                    keys.append(refs[have].key)
+        self._enqueue_prefetch(keys)
+        return keys
 
     def _enqueue_prefetch(self, keys: list[str]) -> None:
         """Submit background warms for *keys* under one lock round."""
         if not keys:
             return
-        pool = self._worker_pool()
         with self._futures_lock:
+            if self._closed:
+                # The asking step still answers through the cache; a
+                # closed service must not re-create the pool it closed.
+                return
+            pool = self._worker_pool()
             self._prefetch_futures = [
                 f for f in self._prefetch_futures if not f.done()
             ]
@@ -705,7 +695,8 @@ class RetrievalService(WorkerPoolMixin):
                 with self._futures_lock:
                     self._prefetch_landed.add(key)
         except Exception:  # reprolint: disable=R2 -- speculative warm: the resolve path retries and surfaces the real error
-            self.prefetch_failures += 1
+            with self._futures_lock:
+                self.prefetch_failures += 1
 
     def cancel_stale_prefetches(self, keys) -> int:
         """Cancel still-queued prefetch warms for *keys*; return count.
@@ -773,6 +764,7 @@ class RetrievalService(WorkerPoolMixin):
             sessions = list(self._sessions)
         with self._futures_lock:
             prefetch_requests = self.prefetch_requests
+            prefetch_failures = self.prefetch_failures
             prefetch_hits = self.prefetch_hits
             prefetch_cancelled = self.prefetch_cancelled
             prefetch_skipped = self.prefetch_skipped
@@ -783,7 +775,7 @@ class RetrievalService(WorkerPoolMixin):
         return {
             "cache": self.cache.stats(),
             "prefetch_requests": prefetch_requests,
-            "prefetch_failures": self.prefetch_failures,
+            "prefetch_failures": prefetch_failures,
             "prefetch_hits": prefetch_hits,
             "prefetch_cancelled": prefetch_cancelled,
             "prefetch_skipped": prefetch_skipped,
@@ -804,7 +796,9 @@ class RetrievalService(WorkerPoolMixin):
         }
 
     def close(self) -> None:
-        """Drain outstanding prefetches and stop the worker pool."""
+        """Stop scheduling, drain prefetches, stop the pool (idempotent)."""
+        with self._futures_lock:
+            self._closed = True
         try:
             self.drain_prefetch()
         finally:

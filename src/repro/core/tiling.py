@@ -360,17 +360,6 @@ class TiledRefactorer(WorkerPoolMixin):
     def _pool_size(self) -> int:
         return self.num_workers
 
-    def close(self) -> None:
-        """Shut down this instance's pool *and* the cached per-shape
-        refactorers' pools (idempotent) — a pooled config
-        (``num_workers > 1``) gives each cached :class:`Refactorer` its
-        own executor, which must not outlive the ``with`` block."""
-        try:
-            for refactorer in self._refactorers.values():
-                refactorer.close()
-        finally:
-            super().close()
-
     def _refactorer_for(self, shape: tuple[int, ...]) -> Refactorer:
         # Boundary tiles share geometry; cache per distinct shape. The
         # transform's lazily-built level indices are warmed here so the
@@ -402,26 +391,19 @@ class TiledRefactorer(WorkerPoolMixin):
             and len(tiles) > 1 and data.size
         ):
             fields = self._refactor_tiles_processes(data, tiles, name)
-            return TiledField(
-                shape=data.shape,
-                dtype=data.dtype,
-                tiles=tiles,
-                fields=fields,
-                value_range=value_range,
-                name=name,
-            )
-        for tile in tiles:  # materialize shared state before the fan-out
-            self._refactorer_for(tile.shape)
+        else:
+            for tile in tiles:  # materialize shared state before the fan-out
+                self._refactorer_for(tile.shape)
 
-        def refactor_tile(tile: TileSpec) -> RefactoredField:
-            block = np.ascontiguousarray(data[tile.slices()])
-            tile_name = f"{name}.T" + "_".join(map(str, tile.index))
-            return self._refactorers[tile.shape].refactor(
-                block, name=tile_name
-            )
+            def refactor_tile(tile: TileSpec) -> RefactoredField:
+                block = np.ascontiguousarray(data[tile.slices()])
+                tile_name = f"{name}.T" + "_".join(map(str, tile.index))
+                return self._refactorers[tile.shape].refactor(
+                    block, name=tile_name
+                )
 
-        # reprolint: disable=R3 -- serial/threads path: map_jobs probes picklability and runs closures host-side under processes
-        fields = self.map_jobs(refactor_tile, tiles)
+            # reprolint: disable=R3 -- serial/threads path: map_jobs probes picklability and runs closures host-side under processes
+            fields = self.map_jobs(refactor_tile, tiles)
         return TiledField(
             shape=data.shape,
             dtype=data.dtype,
@@ -618,9 +600,9 @@ class TiledReconstructor(WorkerPoolMixin):
     — and every route runs those two functions: the sequential route
     composes them per tile through :meth:`map_jobs` (serial, or
     ``num_workers > 1`` tiles at a time on the instance's thread pool),
-    the pipelined window runs them on different threads, and a process
-    worker runs the same three calls through
-    :meth:`Reconstructor.reconstruct`.
+    the pipelined window runs fetch on its fetch pool and decode on the
+    caller thread, and a process worker runs the same three calls
+    through :meth:`Reconstructor.reconstruct`.
 
     ``pipelined=True`` overlaps each tile's segment *fetch* with other
     tiles' *decode* through a bounded
@@ -629,10 +611,12 @@ class TiledReconstructor(WorkerPoolMixin):
     latency-bearing store a staircase step then pays ≈max(fetch,
     decode) instead of their sum, with bit-identical results, counters,
     and fault semantics (each tile's store accesses stay one sequential
-    chain in the sequential path's exact order). The process backend
-    ignores the flag: its worker-resident sessions already overlap
-    store I/O across workers, and tile state must live in exactly one
-    place.
+    chain in the sequential path's exact order). With more than one
+    tile selected the window replaces the ``threads`` tile fan-out
+    (decode is then inline; single-tile steps stay sequential). The
+    process backend ignores the flag: its worker-resident sessions
+    already overlap store I/O across workers, and tile state must live
+    in exactly one place.
     """
 
     def __init__(
@@ -870,8 +854,14 @@ class TiledReconstructor(WorkerPoolMixin):
             # pool, and tile state must live in exactly one place.
             outcomes = self._decode_tiles_processes(jobs, tol, on_fault)
         elif self.pipelined and len(jobs) > 1:
-            outcomes = self._decode_tiles_pipelined(
-                jobs, fetch, decode, spec, out
+            # Stage overlap (Fig. 4): fetches run up to a window of
+            # tiles ahead on the pipeline's fetch pool; decode and the
+            # in-stream commit stay on this thread — serial and
+            # ``threads`` hosts alike — so each block is stitched and
+            # released at once (resident decoded data stays O(window)).
+            outcomes = self._retrieval_pipeline().run(
+                jobs, fetch, decode,
+                commit=functools.partial(self._commit_tile, out=out),
             )
         else:
             # The same two stages, composed per tile. First-touch opens
@@ -900,45 +890,6 @@ class TiledReconstructor(WorkerPoolMixin):
             degraded=degraded,
             failed_tiles=failed_tiles,
             failed_groups=failed_groups,
-        )
-
-    def _decode_tiles_pipelined(
-        self,
-        jobs: list[tuple],
-        fetch: Callable,
-        decode: Callable,
-        spec,
-        out: np.ndarray,
-    ) -> list[tuple]:
-        """One step of the selected tiles with stage overlap (Fig. 4).
-
-        Fetch (store I/O through the tile's lazy resolver, on the
-        pipeline's fetch pool) runs up to the pipeline's window of tiles
-        ahead of decode (plane-group decompress + inject, on the caller
-        thread or — under the threads backend — the instance's worker
-        pool); each decoded block commits into the stitched output
-        in-stream, on the caller thread, and is released immediately so
-        resident decoded-but-unstitched data stays O(window). Results
-        are bit-identical to the sequential route (the same two stage
-        functions, composed): each tile's store accesses remain one
-        sequential chain in the same key order, and a stage failure
-        drains the window, then surfaces (or degrades) exactly where
-        the sequential route would.
-        """
-        pipeline = self._retrieval_pipeline()
-        decode_pool = None
-        decode_workers = 1
-        if spec.kind == "threads" and spec.workers > 1:
-            decode_pool = self._worker_pool()
-            decode_workers = spec.workers
-        commit = functools.partial(self._commit_tile, out=out)
-        return pipeline.run(
-            jobs,
-            fetch,
-            decode,
-            commit=commit,
-            decode_pool=decode_pool,
-            decode_workers=decode_workers,
         )
 
     def _fetch_tile(self, job, tol, on_fault):

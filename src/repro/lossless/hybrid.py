@@ -18,7 +18,6 @@ planner works in.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,55 +202,32 @@ _DECODERS = {
 
 
 def compress_planes(
-    planes: list[np.ndarray],
-    config: HybridConfig | None = None,
-    pool: Executor | None = None,
+    planes: list[np.ndarray], config: HybridConfig | None = None
 ) -> list[CompressedGroup]:
     """Compress bitplanes group-by-group per Algorithm 2.
 
     ``planes`` are packed uint8 payloads (most significant first, as
     produced by :mod:`repro.bitplane`). Returns one
     :class:`CompressedGroup` per ``config.group_size`` planes; the final
-    group may be smaller.
-
-    ``pool``, when given, compresses independent groups concurrently
-    (the entropy-coding kernels release the GIL). The caller owns the
-    executor's lifecycle and must not call this from a task running *on*
-    the same pool — a saturated ``ThreadPoolExecutor`` does not steal
-    work, so nested submission can deadlock.
+    group may be smaller. Each group's merged buffer lives only while
+    that group encodes, so peak memory is one group, not all planes.
     """
     config = config or HybridConfig()
-    starts = range(0, len(planes), config.group_size)
-
-    def merge(start: int) -> np.ndarray:
+    groups = []
+    for start in range(0, len(planes), config.group_size):
         members = planes[start : start + config.group_size]
-        return (
-            np.concatenate([np.ascontiguousarray(p, dtype=np.uint8).reshape(-1)
-                            for p in members])
-            if members else np.empty(0, dtype=np.uint8)
-        )
-
-    def build(start: int, merged: np.ndarray) -> CompressedGroup:
+        merged = np.concatenate([
+            np.ascontiguousarray(p, dtype=np.uint8).reshape(-1)
+            for p in members
+        ])
         method, payload = _select_and_encode(merged, config)
-        return CompressedGroup(
+        groups.append(CompressedGroup(
             method=method,
             payload=payload,
-            plane_sizes=tuple(
-                int(p.size)
-                for p in planes[start : start + config.group_size]
-            ),
+            plane_sizes=tuple(int(p.size) for p in members),
             first_plane=start,
-        )
-
-    def task(start: int) -> CompressedGroup:
-        # Each task merges its own group, so only in-flight groups hold
-        # a merged buffer — peak memory stays O(concurrent groups), not
-        # O(all planes), in both the serial and pooled paths.
-        return build(start, merge(start))
-
-    if pool is not None and len(starts) > 1:
-        return list(pool.map(task, starts))
-    return [task(start) for start in starts]
+        ))
+    return groups
 
 
 def decompress_groups(

@@ -16,9 +16,7 @@ Fig. 4 stage       Retrieval runtime stage
                    :class:`~repro.core.faults.ResilientReader`), run on
                    this pipeline's small fetch thread pool
 ``X`` (lossless)   plane-group decompress + bitplane injection, on the
-                   caller thread or the host's
-                   :class:`~repro.core._pool.WorkerPoolMixin` pool
-                   (the ``ExecutionBackend`` seam)
+                   caller thread
 ``R``/``O``        recompose + commit of the decoded block into the
                    stitched output, on the caller thread
 =================  ====================================================
@@ -58,10 +56,9 @@ class RetrievalPipeline:
     Owns a small dedicated fetch thread pool (store I/O blocks on the
     network/disk and releases the GIL, so a couple of fetch workers
     overlap many tiles' latency) and the in-flight window bound.
-    Decode placement follows the host's execution backend: the caller
-    thread (serial) or the host's worker pool (threads); the process
-    backend keeps its own worker-resident overlap and does not route
-    through this class.
+    Decode and commit run on the caller thread, whatever the host's
+    execution backend; the process backend keeps its own
+    worker-resident overlap and does not route through this class.
 
     One instance is reusable across steps and sessions;
     :meth:`close` tears the fetch pool down (idempotent). Thread
@@ -87,28 +84,19 @@ class RetrievalPipeline:
                 self._fetch_pool = pool
             return self._fetch_pool
 
-    def run(
-        self,
-        items,
-        fetch,
-        decode,
-        commit=None,
-        decode_pool=None,
-        decode_workers: int = 1,
-    ) -> list:
+    def run(self, items, fetch, decode, commit=None) -> list:
         """Stream *items* through ``fetch → decode → commit``.
 
         ``fetch(item)`` runs on this pipeline's fetch pool, at most
         ``window`` items in flight (fetched or decoding, not yet
         committed) — stage contract: capture expected store faults in
         the returned outcome rather than raising, so they surface in
-        item order at decode time. ``decode(item, fetched)`` runs on
-        the caller thread, or on *decode_pool* with up to
-        *decode_workers* concurrent decodes when given. ``commit(item,
-        decoded)`` always runs on the caller thread (output writes stay
-        single-threaded); its return value, when a commit hook is
-        given, replaces the stored result — letting the caller retire
-        bulky decoded blocks immediately instead of retaining them.
+        item order at decode time. ``decode(item, fetched)`` and
+        ``commit(item, decoded)`` run on the caller thread (decode state
+        and output writes stay single-threaded); commit's return value,
+        when a commit hook is given, replaces the stored result —
+        letting the caller retire bulky decoded blocks immediately
+        instead of retaining them.
 
         Results keep item order. An exception from any stage stops new
         work, drains the in-flight window, and propagates — because
@@ -120,51 +108,28 @@ class RetrievalPipeline:
         results: list = [None] * len(items)
         pool = self._fetch_executor()
         fetches: deque = deque()  # (index, future), item order
-        decodes: deque = deque()  # (index, future), item order
         cursor = 0
         held = 0  # head popped off `fetches`, decoding on this thread
-        if decode_pool is None:
-            decode_workers = 1
 
         def refill() -> None:
             nonlocal cursor
-            while (
-                cursor < len(items)
-                and len(fetches) + len(decodes) + held < self.window
-            ):
+            while cursor < len(items) and len(fetches) + held < self.window:
                 fetches.append((cursor, pool.submit(fetch, items[cursor])))
                 cursor += 1
-
-        def retire(index: int, value) -> None:
-            if commit is not None:
-                value = commit(items[index], value)
-            results[index] = value
 
         try:
             refill()
             while fetches:
                 index, fut = fetches.popleft()
                 fetched = fut.result()
-                if decode_pool is None:
-                    held = 1
-                    refill()  # fetch ahead while this item decodes
-                    retire(index, decode(items[index], fetched))
-                    held = 0
-                    refill()  # window == 1: no fetch-ahead slot existed
-                    continue
-                decodes.append(
-                    (index, decode_pool.submit(decode, items[index], fetched))
-                )
-                refill()
-                while decodes and (
-                    decodes[0][1].done() or len(decodes) >= decode_workers
-                ):
-                    i, dfut = decodes.popleft()
-                    retire(i, dfut.result())
-                    refill()
-            while decodes:
-                i, dfut = decodes.popleft()
-                retire(i, dfut.result())
+                held = 1
+                refill()  # fetch ahead while this item decodes
+                value = decode(items[index], fetched)
+                if commit is not None:
+                    value = commit(items[index], value)
+                results[index] = value
+                held = 0
+                refill()  # window == 1: no fetch-ahead slot existed
         except BaseException:
             # Drain the window before propagating: no stage may outlive
             # the step (a fetch landing after the caller moved on would
@@ -174,11 +139,6 @@ class RetrievalPipeline:
             for _, fut in fetches:
                 try:
                     fut.result()
-                except BaseException:
-                    pass  # drained failures surface via the primary error
-            for _, dfut in decodes:
-                try:
-                    dfut.result()
                 except BaseException:
                     pass  # drained failures surface via the primary error
             raise

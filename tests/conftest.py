@@ -1,12 +1,13 @@
 """Suite-wide fixtures and the ``--backend`` re-run option.
 
 ``pytest --backend processes`` (or ``threads``/``serial``, optionally
-``kind:N``) exports ``REPRO_BACKEND`` before collection, so every engine
-built by any existing test resolves to that execution backend — the
-whole suite doubles as a backend-conformance suite without duplicating a
-single test. Tests that pin their own ``backend=`` (the differential
-suite in ``test_backends.py``) are unaffected: an explicit argument
-outranks the environment override.
+``kind:N``) exports ``REPRO_BACKEND`` before collection, so every tiled
+engine built by any existing test resolves to that execution backend —
+the whole suite doubles as a backend-conformance suite without
+duplicating a single test. Untiled refactorers and reconstructors are
+serial and do not consult it. Tests that pin their own ``backend=`` (the
+differential suite in ``test_backends.py``) are unaffected: an explicit
+argument outranks the environment override.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ re-entrant submission fix, and ``atexit`` teardown of leaked pools.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import signal
 import subprocess
@@ -49,7 +50,7 @@ from repro.core.errors import (
     WorkerTimeoutError,
 )
 from repro.core.faults import FaultInjectingStore, WorkerChaos
-from repro.core.refactor import RefactorConfig, refactor
+from repro.core.refactor import refactor
 from repro.core.reconstruct import Reconstructor
 from repro.core.service import RetrievalService
 from repro.core.store import (
@@ -192,7 +193,7 @@ class TestBackendSelection:
 
     def test_invalid_backend_rejected_at_construction(self, reference_tiled):
         with pytest.raises(ValueError):
-            RefactorConfig(backend="gpu")
+            TiledRefactorer((8, 8, 8), backend="gpu")
         with pytest.raises(ValueError):
             TiledReconstructor(reference_tiled, backend="threads:zero")
         with pytest.raises(ValueError):
@@ -202,10 +203,13 @@ class TestBackendSelection:
 # -- differential: refactor -------------------------------------------------
 
 class TestRefactorDifferential:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_refactor_byte_identical(self, data, reference_field, backend):
-        config = RefactorConfig(num_workers=2, backend=backend)
-        field = refactor(data, config, name="vx")
+    def test_refactor_byte_identical(self, data, reference_field,
+                                     monkeypatch):
+        # An untiled refactor is serial and does not consult the
+        # environment override; the subprocess twin below checks that no
+        # pool is spawned either.
+        monkeypatch.setenv("REPRO_BACKEND", "threads:2")
+        field = refactor(data, name="vx")
         assert field.to_bytes() == reference_field.to_bytes()
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -667,7 +671,7 @@ class TestAtexitSafety:
         script = """
 import numpy as np
 from repro.core._pool import WorkerPoolMixin
-from repro.core.refactor import RefactorConfig, refactor
+from repro.core.tiling import TiledRefactorer
 
 class Host(WorkerPoolMixin):
     num_workers = 2
@@ -675,11 +679,13 @@ class Host(WorkerPoolMixin):
         return self.num_workers
 
 data = np.linspace(0.0, 1.0, 2520).reshape(18, 14, 10)
-field = refactor(data, RefactorConfig(num_workers=2, backend="processes:2"))
+tiled = TiledRefactorer(
+    (9, 7, 5), num_workers=2, backend="processes:2"
+).refactor(data)
 host = Host()
 host.backend = "threads:2"
 host.map_jobs(abs, [-1, 2, -3, 4])
-print("leaked-ok", len(field.levels))
+print("leaked-ok", len(tiled.fields))
 # exit WITHOUT close() on the host, the shared process backend, or
 # the thread pool: the atexit registries must reap them all
 """
@@ -693,6 +699,54 @@ print("leaked-ok", len(field.levels))
         )
         assert result.returncode == 0, result.stderr
         assert "leaked-ok" in result.stdout
+
+
+# -- untiled engines are serial: no pool, whatever the environment says -----
+
+class TestUntiledEnginesSpawnNoPool:
+    def test_forced_process_backend_spawns_nothing(self, data,
+                                                   reference_field):
+        """Under ``REPRO_BACKEND=processes:2`` an untiled refactor and a
+        reconstruction staircase create neither a process backend nor a
+        thread pool, and produce the in-process serial bytes."""
+        script = """
+import hashlib
+import numpy as np
+from repro.core import _pool
+from repro.core.backends import current_process_backend
+from repro.core.reconstruct import Reconstructor
+from repro.core.refactor import refactor
+from repro.data import generators as gen
+
+data = gen.gaussian_random_field((18, 14, 10), -2.0, seed=21,
+                                 dtype=np.float64)
+field = refactor(data, name="vx")
+recon = Reconstructor(field)
+for tol in (1e-1, 1e-3, 1e-5):
+    out = recon.reconstruct(tolerance=tol)
+assert current_process_backend() is None
+assert not list(_pool._LIVE_THREAD_POOLS)
+print("digest", hashlib.sha256(field.to_bytes()).hexdigest(),
+      hashlib.sha256(out.data.tobytes()).hexdigest())
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get(
+            "PYTHONPATH", ""
+        )
+        env["REPRO_BACKEND"] = "processes:2"
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        recon = Reconstructor(reference_field)
+        for tol in (1e-1, 1e-3, 1e-5):
+            out = recon.reconstruct(tolerance=tol)
+        assert result.stdout.split() == [
+            "digest",
+            hashlib.sha256(reference_field.to_bytes()).hexdigest(),
+            hashlib.sha256(out.data.tobytes()).hexdigest(),
+        ]
 
 
 # -- tentpole: self-healing pool --------------------------------------------

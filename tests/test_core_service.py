@@ -294,9 +294,7 @@ class TestRetrievalService:
         )
 
     def test_prefetch_warms_next_group(self, dir_store):
-        svc = RetrievalService(
-            dir_store, cache_bytes=64 << 20, prefetch=True, num_workers=2
-        )
+        svc = RetrievalService(dir_store, cache_bytes=64 << 20, prefetch=True)
         session = svc.session("vel")
         session.reconstruct(tolerance=1e-1)
         svc.drain_prefetch()
@@ -339,18 +337,29 @@ class TestRetrievalService:
         assert stats["cache"]["misses"] > 0
         assert stats["store_bytes_read"] == dir_store.bytes_read
 
-    def test_validates_workers_only_when_prefetching(self, dir_store):
-        with pytest.raises(ValueError):
-            RetrievalService(dir_store, prefetch=True, num_workers=0)
-        # without prefetch the pool is never used; 0 workers is fine
-        svc = RetrievalService(dir_store, prefetch=False, num_workers=0)
-        r = svc.session("vel").reconstruct(tolerance=1e-2)
-        assert r.cold_bytes > 0
+    def test_closed_service_answers_but_schedules_nothing(self, dir_store):
+        """A step after ``service.close()`` reads through the cache and
+        must not re-create the prefetch pool ``close`` tore down."""
+        svc = RetrievalService(dir_store, prefetch=True)
+        twin = RetrievalService(dir_store, prefetch=True)
+        session, reference = svc.session("vel"), twin.session("vel")
+        session.reconstruct(tolerance=1e-1)
+        reference.reconstruct(tolerance=1e-1)
+        svc.close()
+        svc.close()  # idempotent
+        assert svc._pool is None
+        requests = svc.prefetch_requests
+        got = session.reconstruct(tolerance=1e-4)
+        want = reference.reconstruct(tolerance=1e-4)
+        np.testing.assert_array_equal(got.data, want.data)
+        assert got.error_bound == want.error_bound
+        assert svc._pool is None
+        assert svc.prefetch_requests == requests
+        assert twin.prefetch_requests > requests  # the open twin kept going
+        twin.close()
 
     def test_prefetch_failures_are_swallowed_and_counted(self, dir_store):
-        svc = RetrievalService(
-            dir_store, prefetch=True, num_workers=1
-        )
+        svc = RetrievalService(dir_store, prefetch=True)
         pool = svc._worker_pool()
         with svc._futures_lock:
             svc._prefetch_futures.append(

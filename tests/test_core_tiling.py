@@ -178,26 +178,6 @@ class TestParallelTiles:
                 assert np.array_equal(data_s, data_p)
                 assert bound_s == bound_p
 
-    def test_close_tears_down_cached_refactorer_pools(self, field):
-        from repro.core.refactor import RefactorConfig
-
-        # Pinned to the thread backend: this is a white-box test of
-        # the cached refactorers' *thread* pools (a REPRO_BACKEND
-        # override would otherwise route around them).
-        with TiledRefactorer(
-            (12, 12, 12),
-            RefactorConfig(num_workers=2, backend="threads:2"),
-            num_workers=2, backend="threads:2",
-        ) as refac:
-            refac.refactor(field)
-            assert any(
-                r._pool is not None for r in refac._refactorers.values()
-            )
-        assert refac._pool is None
-        assert all(
-            r._pool is None for r in refac._refactorers.values()
-        )
-
     def test_parallel_region_bit_identical(self, field):
         tiled = TiledRefactorer((12, 12, 12)).refactor(field)
         region = ((3, 17), (6, 22), (0, 16))

@@ -85,35 +85,6 @@ class TestSlidingWindows:
             np.testing.assert_array_equal(got, exp)
 
 
-class TestWorkerPool:
-    @pytest.fixture(scope="class")
-    def data(self):
-        return np.random.default_rng(0).standard_normal(
-            (24, 24, 24)
-        ).astype(np.float32)
-
-    def test_parallel_refactor_bitwise_equals_serial(self, data):
-        serial = Refactorer(data.shape, RefactorConfig()).refactor(data)
-        parallel = Refactorer(
-            data.shape, RefactorConfig(num_workers=4)
-        ).refactor(data)
-        assert serial.to_bytes() == parallel.to_bytes()
-
-    def test_single_level_group_parallel_equals_serial(self, data):
-        """With one level the pool drops down to plane groups; output is
-        still bitwise identical to the serial pipeline."""
-        config = RefactorConfig(num_levels=1)
-        serial = Refactorer(data.shape, config).refactor(data)
-        parallel = Refactorer(
-            data.shape, RefactorConfig(num_levels=1, num_workers=4)
-        ).refactor(data)
-        assert serial.to_bytes() == parallel.to_bytes()
-
-    def test_invalid_workers_rejected(self, data):
-        with pytest.raises(ValueError):
-            RefactorConfig(num_workers=-1)
-
-
 class TestZeroCopyDeserialization:
     def test_bitplane_stream_planes_view_source_buffer(self):
         data = np.random.default_rng(2).standard_normal(300) \

@@ -1,7 +1,5 @@
 """Tests for the hybrid lossless strategy (Algorithm 2)."""
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -208,25 +206,6 @@ class TestSharedScans:
         freqs = np.bincount(merged, minlength=256)
         assert estimate_group_ratios(merged, freqs=freqs) == \
             estimate_group_ratios(merged)
-
-    def test_pool_output_identical_to_serial(self):
-        planes = bitplanes_of(n=1 << 14)
-        serial = compress_planes(planes)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            pooled = compress_planes(planes, pool=pool)
-        assert len(serial) == len(pooled)
-        for a, b in zip(serial, pooled):
-            assert a.method == b.method
-            assert a.first_plane == b.first_plane
-            assert a.plane_sizes == b.plane_sizes
-            assert bytes(a.payload) == bytes(b.payload)
-
-    def test_pool_roundtrip(self):
-        planes = bitplanes_of(n=1 << 13, seed=9)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            groups = compress_planes(planes, pool=pool)
-        for a, b in zip(planes, decompress_groups(groups)):
-            np.testing.assert_array_equal(a, b)
 
 
 class TestGroupSerialization:

@@ -452,8 +452,7 @@ class TestServicePipelined:
         mem_svc.close()
 
     def test_prefetch_hits_are_counted(self, reference_field):
-        svc = RetrievalService(_fresh_store(reference_field),
-                               prefetch=True, num_workers=1)
+        svc = RetrievalService(_fresh_store(reference_field), prefetch=True)
         session = svc.session("vx")
         session.reconstruct(tolerance=STAIRCASE[0])
         svc.drain_prefetch()  # let the next-group warms land
@@ -465,8 +464,7 @@ class TestServicePipelined:
 
     def test_resident_keys_are_skipped_not_refetched(self,
                                                      reference_field):
-        svc = RetrievalService(_fresh_store(reference_field),
-                               prefetch=True, num_workers=1)
+        svc = RetrievalService(_fresh_store(reference_field), prefetch=True)
         session = svc.session("vx")
         session.reconstruct(tolerance=STAIRCASE[0])
         svc.drain_prefetch()
@@ -485,17 +483,20 @@ class TestServicePipelined:
     def test_cancel_stale_prefetches_pulls_queued_warms(
         self, reference_field
     ):
-        svc = RetrievalService(_fresh_store(reference_field),
-                               prefetch=True, num_workers=1)
+        svc = RetrievalService(_fresh_store(reference_field), prefetch=True)
         gate = threading.Event()
-        # Occupy the only prefetch worker so queued warms cannot start.
-        blocker = svc._worker_pool().submit(gate.wait)
+        # Occupy every prefetch worker so queued warms cannot start.
+        pool = svc._worker_pool()
+        blockers = [
+            pool.submit(gate.wait) for _ in range(pool._max_workers)
+        ]
         svc._enqueue_prefetch(["vx/stale/0", "vx/stale/1"])
         cancelled = svc.cancel_stale_prefetches(
             ["vx/stale/0", "vx/stale/1", "vx/never/queued"]
         )
         gate.set()
-        blocker.result()
+        for blocker in blockers:
+            blocker.result()
         assert cancelled == 2
         stats = svc.stats()
         assert stats["prefetch_cancelled"] == 2
@@ -505,9 +506,9 @@ class TestServicePipelined:
 
     def test_tiled_session_pipelined_parity(self, reference_tiled):
         seq_svc = RetrievalService(_fresh_tiled_store(reference_tiled),
-                                   prefetch=True, num_workers=1)
+                                   prefetch=True)
         pip_svc = RetrievalService(_fresh_tiled_store(reference_tiled),
-                                   prefetch=True, num_workers=1)
+                                   prefetch=True)
         seq = seq_svc.tiled_session("rho", pipelined=False)
         pip = pip_svc.tiled_session("rho", pipelined=True)
         for t in STAIRCASE:

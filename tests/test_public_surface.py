@@ -1,8 +1,10 @@
-"""The retrieval API's public signatures, pinned.
+"""The retrieval and refactoring APIs' public signatures, pinned.
 
 One retrieval step runs one way (``plan_step → fetch_step →
-decode_step``), so the constructors and ``reconstruct`` methods carry
-only the parameters something measured or a caller needs. This file pins
+decode_step``) and a worker count means one thing (*tiles at a time*,
+accepted by the two tiled engines), so the constructors and
+``reconstruct`` methods carry only the parameters something measured or
+a caller needs. This file pins
 that surface by signature — a parameter that comes back has to come back
 here first — and checks that every removed keyword is a ``TypeError``,
 not a silently ignored argument. It needs nothing but the package (and
@@ -12,6 +14,7 @@ package in the ``clean-install`` job.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import pytest
@@ -20,12 +23,14 @@ import repro.pipeline
 import repro.pipeline.retrieval
 from repro.core._pool import WorkerPoolMixin
 from repro.core.reconstruct import Reconstructor, reconstruct
+from repro.core.refactor import RefactorConfig, Refactorer
 from repro.core.service import (
     RetrievalService,
     ServiceSession,
     TiledServiceSession,
 )
-from repro.core.tiling import TiledReconstructor
+from repro.core.tiling import TiledReconstructor, TiledRefactorer
+from repro.lossless.hybrid import compress_planes
 from repro.pipeline.retrieval import RetrievalPipeline
 
 REQUIRED = inspect.Parameter.empty
@@ -56,6 +61,16 @@ SURFACE = [
      [("service", REQUIRED), ("tiled", REQUIRED), *TILED_ENGINE]),
     (TiledServiceSession.reconstruct, TILED_STEP),
     (RetrievalPipeline, [("window", 4), ("fetch_workers", 2)]),
+    (RetrievalPipeline.run,
+     [("items", REQUIRED), ("fetch", REQUIRED), ("decode", REQUIRED),
+      ("commit", None)]),
+    (RetrievalService,
+     [("store", REQUIRED), ("cache_bytes", 256 << 20), ("prefetch", False)]),
+    (Refactorer, [("shape", REQUIRED), ("config", None)]),
+    (TiledRefactorer,
+     [("tile_shape", REQUIRED), ("config", None), ("num_workers", 0),
+      ("backend", None)]),
+    (compress_planes, [("planes", REQUIRED), ("config", None)]),
 ]
 
 REMOVED_KEYWORDS = [
@@ -75,6 +90,10 @@ REMOVED_KEYWORDS = [
     (RetrievalService.tiled_session, ["pipeline_window", "fetch_workers"]),
     (TiledServiceSession, ["pipeline_window", "fetch_workers"]),
     (TiledServiceSession.reconstruct, ["pipelined"]),
+    (RefactorConfig, ["num_workers", "backend"]),
+    (compress_planes, ["pool"]),
+    (RetrievalPipeline.run, ["decode_pool", "decode_workers"]),
+    (RetrievalService, ["num_workers"]),
 ]
 
 
@@ -110,6 +129,13 @@ def test_removed_keyword_is_a_type_error(obj, keyword):
         obj(*required, **{keyword: 1})
 
 
+def test_refactor_config_fields():
+    assert [f.name for f in dataclasses.fields(RefactorConfig)] == [
+        "num_bitplanes", "num_levels", "mode", "min_size", "design",
+        "warp_size", "signed_encoding", "hybrid",
+    ]
+
+
 def test_removed_names_are_gone():
     assert not hasattr(repro.pipeline, "pipelined_reconstruct")
     assert not hasattr(repro.pipeline.retrieval, "pipelined_reconstruct")
@@ -120,3 +146,5 @@ def test_removed_names_are_gone():
         assert not hasattr(Reconstructor, name), name
     assert not issubclass(Reconstructor, WorkerPoolMixin)
     assert issubclass(TiledReconstructor, WorkerPoolMixin)
+    assert not issubclass(Refactorer, WorkerPoolMixin)
+    assert issubclass(TiledRefactorer, WorkerPoolMixin)

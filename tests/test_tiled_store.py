@@ -381,7 +381,7 @@ class TestTiledService:
     def test_prefetch_warms_touched_tiles_only(self, tiled, tmp_path):
         store = DirectoryStore(tmp_path / "s")
         store_tiled_field(store, tiled)
-        service = RetrievalService(store, prefetch=True, num_workers=2)
+        service = RetrievalService(store, prefetch=True)
         # Pinned serial: prefetch walks the parent-resident tile
         # reconstructors, which a process-backed session doesn't have.
         with service.tiled_session("rho", backend="serial") as session:
