@@ -86,9 +86,9 @@ CHAOS_SEED = 7
 #: the unverified clean cold-read wall.
 MAX_CHECKSUM_OVERHEAD = 0.05
 
-#: Acceptance ceiling: one worker kill (respawn + task retry + tile
-#: re-ship) may cost at most this fraction of the clean parallel wall —
-#: i.e. the recovered staircase stays within 1.5x.
+#: Acceptance ceiling: one worker kill (respawn + task retry + the dead
+#: slot's tiles rebuilt) may cost at most this fraction of the clean
+#: parallel wall — i.e. the recovered staircase stays within 1.5x.
 MAX_CRASH_OVERHEAD = 0.5
 
 
@@ -195,8 +195,8 @@ def _bench_crash_recovery(tmp: Path, dims: tuple[int, ...],
 
     Clean parallel wall vs the wall with a mid-run
     ``WorkerChaos.single_kill`` (``os._exit``, no cleanup): the pool
-    respawns the dead worker, retries its task, and re-ships the lost
-    tile sources. Each crashed repeat gets a fresh marker directory so
+    respawns the dead worker and retries its task, which rebuilds the
+    lost tiles from the shared field. Each crashed repeat gets a fresh marker directory so
     the kill fires every time, and every recovered staircase is checked
     bit-identical against the serial reference.
     """

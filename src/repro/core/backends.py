@@ -26,9 +26,10 @@ the above — process pools never nest.
 pipes. Tasks are addressed by ``"module:function"`` name (never by
 pickling code objects), inputs travel as pickled arguments or — for
 large tile blocks — through :mod:`multiprocessing.shared_memory`
-buffers, and per-engine configuration is shipped *once per worker* via
-:meth:`ProcessBackend.ensure_shared` so warm per-worker
-``Refactorer``/``Reconstructor`` instances can be reused across calls.
+buffers, and what an engine's tasks all need — a refactor config, a
+tiled field — is pickled once and shipped *once per worker* via
+:meth:`ProcessBackend.ensure_shared`, so warm per-worker refactorers and
+tile engines can be rebuilt from it and reused across calls.
 Typed exceptions (:mod:`repro.core.errors`) pickle cleanly and are
 re-raised in the parent with their class and arguments intact, so
 retry/degrade classification works identically across the process
@@ -40,8 +41,12 @@ shutdown.
 
 The pool is *self-healing*: a worker that dies mid-task is replaced in
 place (same slot, so sticky routing still lands on it), its shared
-objects are re-shipped to the replacement, and the in-flight task is
-retried under a bounded per-task budget. A task that keeps killing its
+objects are restored onto the replacement, and the in-flight task is
+retried under a bounded per-task budget. That is all the healing there
+is: an engine's task rebuilds whatever was resident from the shared
+object, so engines track nothing about which worker holds what, and
+``broadcast`` is one :meth:`~ProcessBackend.map_calls` batch of one call
+per worker, not a second recovery loop. A task that keeps killing its
 workers is quarantined — settled as *that call's*
 :class:`~repro.core.errors.WorkerCrashedError` while the rest of the
 batch completes. A hung-but-alive worker is bounded by per-call
@@ -384,8 +389,8 @@ def _task_apply(state, fn, job):
     return fn(job)
 
 
-def _task_put_shared(state, token, obj):
-    state["shared"][token] = obj
+def _task_put_shared(state, token, payload):
+    state["shared"][token] = pickle.loads(payload)
     return None
 
 
@@ -414,17 +419,12 @@ _MAINTENANCE_TASKS = frozenset(
 
 
 class _Worker:
-    __slots__ = ("process", "task_conn", "result_conn", "generation")
+    __slots__ = ("process", "task_conn", "result_conn")
 
-    def __init__(self, process, task_conn, result_conn,
-                 generation: int = 0) -> None:
+    def __init__(self, process, task_conn, result_conn) -> None:
         self.process = process
         self.task_conn = task_conn
         self.result_conn = result_conn
-        #: Pool generation this worker was spawned under — the slot's
-        #: re-ship key: state resident here survives respawns of
-        #: *other* slots, which only bump the pool-level counter.
-        self.generation = generation
 
 
 class ProcessBackend:
@@ -432,14 +432,12 @@ class ProcessBackend:
 
     Workers are daemonic, started lazily on first dispatch, and reused
     across calls — worker-resident state (shipped configs, warm
-    per-shape refactorers, per-tile reconstructors) survives between
+    per-shape refactorers, per-session tile engines) survives between
     :meth:`map_calls` rounds. ``generation`` increments every time the
-    worker set is (re)created, so engines holding worker-resident
-    sessions can detect a restart and re-ship their inputs; ``uid``
-    names the pool instance itself, so they can also detect the pool
-    being *replaced* by a fresh one whose generation counter restarted
-    (key resident state on ``(uid, generation)``, never generation
-    alone).
+    worker set is (re)created or a slot respawned and ``uid`` names the
+    pool instance itself; both are telemetry (:meth:`health`). Engines
+    do not key on them: a fresh worker set has shipped nothing, so
+    their next :meth:`ensure_shared` ships again by itself.
 
     Dispatch is a barrier: one thread at a time feeds tasks (sticky
     keys routing related tasks to the same worker, at most one in
@@ -451,11 +449,11 @@ class ProcessBackend:
 
     The pool heals itself instead of dying with its workers. A worker
     that crashes mid-task is respawned *in place* — the replacement
-    takes the dead worker's slot so sticky routing is undisturbed, the
-    generation bumps so engines re-ship worker-resident session state,
-    and every ``ensure_shared`` object is restored onto the replacement
+    takes the dead worker's slot so sticky routing is undisturbed, and
+    every ``ensure_shared`` object is restored onto the replacement
     before it sees a task (tokens stay valid across the respawn). The
-    in-flight task is retried on the replacement under
+    in-flight task is retried on the replacement, where it rebuilds
+    whatever resident state it needs from those objects, under
     ``max_task_retries``; a task that outlives its budget is
     quarantined as that call's :class:`WorkerCrashedError` while the
     rest of the batch completes (the same local-settlement contract as
@@ -470,7 +468,6 @@ class ProcessBackend:
     def __init__(
         self,
         num_workers: int,
-        start_method: str | None = None,
         *,
         default_deadline: float | None = None,
         max_task_retries: int = _MAX_TASK_RETRIES,
@@ -482,14 +479,13 @@ class ProcessBackend:
         if max_task_retries < 0:
             raise ValueError("max_task_retries must be >= 0")
         self.num_workers = int(num_workers)
-        self._start_method = start_method
         self._workers: list[_Worker] | None = None
         self._lock = threading.RLock()
         self._shared_tokens: set[str] = set()
-        # Parent-side copies of everything shipped via ensure_shared,
+        # The pickled bytes of everything shipped via ensure_shared,
         # kept so a respawned worker can be restored without the owning
         # engine even noticing the crash.
-        self._shared_objects: dict[str, object] = {}
+        self._shared_objects: dict[str, bytes] = {}
         self.uid = uuid.uuid4().hex
         self.generation = 0
         self.tasks_dispatched = 0
@@ -514,7 +510,7 @@ class ProcessBackend:
             )
 
     def _context(self):
-        method = self._start_method or os.environ.get(START_METHOD_ENV)
+        method = os.environ.get(START_METHOD_ENV)
         if method:
             return multiprocessing.get_context(method)
         return multiprocessing.get_context()
@@ -531,7 +527,7 @@ class ProcessBackend:
         # The parent keeps only its ends of each pipe.
         task_r.close()
         result_w.close()
-        return _Worker(process, task_w, result_r, self.generation)
+        return _Worker(process, task_w, result_r)
 
     def _ensure(self) -> list[_Worker]:
         if self._workers is not None:
@@ -570,14 +566,13 @@ class ProcessBackend:
         """Replace the worker in *index*'s slot (call holding the lock).
 
         The replacement keeps the slot so :meth:`worker_for` sticky
-        routing is undisturbed. The pool-level generation bumps (any
-        engine keying on it re-ships conservatively), but only *this
-        slot's* spawn stamp changes — engines that sticky-route
-        resident state can key on :meth:`slot_generations` instead and
-        re-ship nothing for the surviving workers. Shared objects are
-        restored synchronously before the replacement sees a task, so
-        ``ensure_shared`` tokens stay valid — a respawn is invisible to
-        engines that only use shared state.
+        routing is undisturbed, and nothing is said to the other
+        workers, whose resident state stays warm. Shared objects are
+        restored synchronously (from their pickled bytes, over
+        :meth:`_recv` — the one dispatch that cannot go through
+        :meth:`map_calls`, which is what calls this) before the
+        replacement sees a task, so ``ensure_shared`` tokens stay valid
+        and a respawn is invisible to the engines.
         """
         workers = self._workers
         assert workers is not None
@@ -586,9 +581,9 @@ class ProcessBackend:
         worker = workers[index] = self._spawn_worker(self._context())
         self.respawns += 1
         put = task_name(_task_put_shared)
-        for seq, (token, obj) in enumerate(self._shared_objects.items()):
+        for seq, (token, payload) in enumerate(self._shared_objects.items()):
             try:
-                worker.task_conn.send((seq, put, (token, obj)))
+                worker.task_conn.send((seq, put, (token, payload)))
                 self._recv(worker, deadline=_RESPAWN_SHIP_TIMEOUT_S)
             except WorkerCrashedError:
                 # The replacement itself failed while restoring state:
@@ -659,29 +654,10 @@ class ProcessBackend:
             pass
 
     def ensure_alive(self) -> int:
-        """Spin the worker set up if needed; returns the generation.
-
-        Session-holding engines call this *before* deciding what to
-        ship: reading ``generation`` without it could race a restart
-        inside the subsequent dispatch and strand worker state one
-        generation behind.
-        """
+        """Spin the worker set up if needed; returns the generation."""
         with self._lock:
             self._ensure()
             return self.generation
-
-    def slot_generations(self) -> list[int]:
-        """Per-slot spawn generations (spins the pool up if needed).
-
-        Finer-grained re-ship keying than the pool-level counter: a
-        respawn replaces exactly one slot, so state resident on every
-        other worker is untouched. Engines that sticky-route resident
-        items can key each one on
-        ``(uid, slot_generations()[worker_for(key)])`` and rebuild only
-        what actually died instead of re-shipping the whole session.
-        """
-        with self._lock:
-            return [w.generation for w in self._ensure()]
 
     # -- dispatch ---------------------------------------------------------
     def worker_for(self, key) -> int:
@@ -936,81 +912,36 @@ class ProcessBackend:
         """One task on one worker; returns its result."""
         return self.map_calls([(name, args, sticky)])[0]
 
-    def _broadcast_send(self, index: int, message: tuple) -> None:
-        """Send *message* to worker *index*, respawning a dead one."""
-        while True:
-            try:
-                self._workers[index].task_conn.send(message)
-                return
-            except (OSError, EOFError):
-                self._respawn(index)
-
     def broadcast(self, name: str, *args) -> list:
-        """Run the task once on *every* worker (e.g. shipping config).
+        """Run the task once on *every* worker; results in slot order.
 
-        Heals like :meth:`map_calls`: a worker that dies mid-broadcast
-        is respawned in place and its copy of the task re-sent (once);
-        a worker that hangs past ``default_deadline`` is killed,
-        respawned, and surfaced as :class:`WorkerTimeoutError`.
+        :meth:`map_calls` deals keyless calls round-robin, so call *i*
+        of one call per worker lands on worker *i* — with the same
+        respawn / retry / quarantine / deadline handling as any batch.
         """
         with self._lock:
-            workers = self._ensure()
-            message_args = tuple(args)
-            self.tasks_dispatched += len(workers)
-            for index in range(len(workers)):
-                self._broadcast_send(index, (index, name, message_args))
-            results: list = [None] * len(workers)
-            failures: list[tuple[int, tuple]] = []
-            for index in range(len(workers)):
-                for attempt in (0, 1):
-                    worker = workers[index]
-                    try:
-                        seq, ok, payload = self._recv(
-                            worker, deadline=self.default_deadline
-                        )
-                    except WorkerTimeoutError:
-                        self.deadline_kills += 1
-                        try:
-                            worker.process.kill()
-                        except Exception:  # reprolint: disable=R2 -- the process may already be gone; the WorkerTimeoutError re-raises below
-                            pass
-                        self._respawn(index)
-                        raise
-                    except WorkerCrashedError:
-                        if attempt:
-                            raise
-                        self._respawn(index)
-                        self._broadcast_send(
-                            index, (index, name, message_args)
-                        )
-                        continue
-                    break
-                if ok:
-                    results[seq] = payload
-                else:
-                    failures.append((seq, payload))
-        if failures:
-            failures.sort()
-            raise _decode_exc(failures[0][1])
-        return results
+            count = len(self._ensure())
+            return self.map_calls([(name, args, None)] * count)
 
     def ensure_shared(self, token: str, obj) -> None:
         """Ship *obj* to every worker exactly once (per pool generation).
 
-        The "pickle once per worker" path for codec tables, refactor
-        configs, and store handles: later calls with the same token are
-        free, and a pool restart (new generation) re-ships on the next
-        call. Tasks read it back with :func:`worker_shared`. The
-        parent keeps its own reference so a respawned worker can be
-        restored without the owning engine re-shipping.
+        The "ship once" path for refactor configs, tiled fields and
+        store handles: *obj* is pickled once, every worker unpickles
+        its own copy, later calls with the same token are free, and a
+        pool restart (new generation) re-ships on the next call. Tasks
+        read it back with :func:`worker_shared`. The parent keeps the
+        pickled bytes so a respawned worker can be restored without the
+        owning engine re-shipping (or re-serializing) anything.
         """
         with self._lock:
             self._ensure()
             if token in self._shared_tokens:
                 return
-            self.broadcast(task_name(_task_put_shared), token, obj)
+            payload = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+            self.broadcast(task_name(_task_put_shared), token, payload)
             self._shared_tokens.add(token)
-            self._shared_objects[token] = obj
+            self._shared_objects[token] = payload
 
     def drop_shared(self, token: str) -> None:
         """Best-effort release of a shipped shared object on all workers."""
@@ -1115,8 +1046,9 @@ def shared_process_backend(num_workers: int | None = None) -> ProcessBackend:
     forking per engine (a test suite under ``REPRO_BACKEND=processes``
     builds hundreds of engines). The pool is created at the first
     caller's width and *grows* when a later caller asks for more
-    workers — growth restarts the workers, which bumps ``generation``
-    so session-holding engines re-ship their state. It never shrinks.
+    workers — growth replaces the pool with a fresh one that has
+    shipped nothing, so engines' next ``ensure_shared`` ships again. It
+    never shrinks.
     """
     global _SHARED_BACKEND
     want = num_workers or default_process_workers()

@@ -115,13 +115,13 @@ class WorkerTimeoutError(WorkerCrashedError, TimeoutError):
 
 
 class WorkerStateError(ComputeError, RuntimeError):
-    """Worker-resident state needed by a task is gone.
+    """A shared object a task needs was never shipped to its worker.
 
-    A respawned worker starts with empty session state: a sticky-routed
-    task that expected its warm per-tile reconstructor (or a shared
-    object that was never shipped) raises this, and the owning engine
-    heals it by re-shipping the source and retrying — it is a signal to
-    rebuild, not a hard failure.
+    Raised by :func:`~repro.core.backends.worker_shared` only. Engine
+    tasks rebuild everything else they keep resident from their shared
+    object, and the backend restores shared objects onto a respawned
+    worker before it takes a task, so this means a token was dropped
+    (or never shipped) under a live call — not a state to heal around.
     """
 
 

@@ -449,21 +449,18 @@ _PREFETCH_WORKERS = 2
 
 
 def _store_bears_latency(store) -> bool:
-    """True when *store* charges per-access latency worth pipelining.
+    """True when *store* really charges per-access latency.
 
-    Checks the store itself and — through wrapper ``__getattr__``
-    passthrough (:class:`~repro.core.faults.FaultInjectingStore`,
-    :class:`~repro.core.faults.ResilientReader`) — whatever it fronts:
-    injected ``latency_s`` or a :class:`~repro.core.store
-    .DirectoryStore`-style ``file_open_latency_s``. In-memory stores
-    have neither, and a pipelined session over them would pay window
-    bookkeeping for nothing.
+    That is a ``latency_s > 0`` it sleeps — its own or, through wrapper
+    ``__getattr__`` passthrough (:class:`~repro.core.faults
+    .FaultInjectingStore`, :class:`~repro.core.faults.ResilientReader`),
+    the one it fronts. A :class:`~repro.core.store.DirectoryStore`'s
+    ``file_open_latency_s`` only feeds ``io_time_estimate`` and is never
+    slept, so it does not count: over a zero-latency store a pipelined
+    session pays window bookkeeping for nothing.
     """
-    for attr in ("latency_s", "file_open_latency_s"):
-        value = getattr(store, attr, None)
-        if isinstance(value, (int, float)) and value > 0:
-            return True
-    return False
+    value = getattr(store, "latency_s", None)
+    return isinstance(value, (int, float)) and value > 0
 
 
 class _PrefetchAwareCache:
@@ -521,6 +518,9 @@ class RetrievalService(WorkerPoolMixin):
     The service object is safe to share across threads: sessions are
     independent, and the cache serializes its own state.
     """
+
+    #: The prefetch pool is no execution backend: the env cannot resize it.
+    backend = "serial"
 
     def __init__(
         self,

@@ -656,7 +656,7 @@ def open_tiled_field(store, name: str, cache=None, verify: bool = True):
             f"tiled index record {tiled_index_key(name)!r} is corrupt: "
             f"{exc}"
         ) from exc
-    field = LazyTiledField(
+    return LazyTiledField(
         shape=tuple(index["shape"]),
         dtype=np.dtype(index["dtype"]),
         tiles=tiles,
@@ -664,16 +664,10 @@ def open_tiled_field(store, name: str, cache=None, verify: bool = True):
         tile_bytes=[int(t["bytes"]) for t in index["tiles"]],
         value_range=float(index["value_range"]),
         name=index["name"],
-        opener=lambda field_name: open_field(
-            store, field_name, cache=cache, verify=verify
-        ),
+        store=store,
+        cache=cache,
+        verify=verify,
     )
-    # The process execution backend ships (store, verify) to its workers
-    # so they can open tile sub-fields store-side — the opener closure
-    # above cannot cross a process boundary. The shared cache stays
-    # parent-side by design: workers read the store directly.
-    field.source = (store, verify)
-    return field
 
 
 def open_field(

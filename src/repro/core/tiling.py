@@ -31,7 +31,10 @@ Three behaviours make tiling the production path rather than a toy:
 
 A tile's retrieval step is written once, as a fetch stage and a decode
 stage (see :class:`TiledReconstructor`); the sequential, pipelined and
-process routes differ only in which thread or process runs them.
+process routes differ only in which thread or process runs them — by
+construction: a process worker holds a serial :class:`TiledReconstructor`
+over the session's field (tiled fields pickle, and ship once per
+worker) and calls the same two stage functions on it.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import math
 import threading
 import uuid
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import product
 
 import numpy as np
@@ -54,9 +57,10 @@ from repro.core.backends import (
     task_name,
     worker_shared,
 )
-from repro.core.errors import ComputeError, StoreError, WorkerStateError
+from repro.core.errors import ComputeError, StoreError
 from repro.core.reconstruct import DecodeCounters, Reconstructor
 from repro.core.refactor import RefactorConfig, Refactorer
+from repro.core.store import open_field
 from repro.core.stream import IOCounters, RefactoredField
 from repro.decompose import MultilevelTransform
 from repro.util.validation import (
@@ -189,14 +193,27 @@ class TiledField:
                 hits.append((i, tile, overlap))
         return hits
 
+    def __reduce__(self):
+        # Group payloads are memoryviews and do not pickle: an eager
+        # field crosses a process boundary as its serialized tile bytes,
+        # each parsed on the receiving side's first touch of that tile.
+        blobs = [field.to_bytes() for field in self.fields]
+        return TiledField, (
+            self.shape, self.dtype, self.tiles,
+            _LazyTileFields(blobs, RefactoredField.from_bytes),
+            self.value_range, self.name,
+        )
+
 
 class _LazyTileFields(Sequence):
-    """Per-tile sub-fields resolved from a store on first touch.
+    """Per-tile sub-fields resolved on first touch.
 
-    Opened fields are memoized per instance, so a region-of-interest
-    session touching the same tiles across staircase steps opens each
-    tile (and fetches its index segment) exactly once; untouched tiles
-    cost nothing.
+    ``opener(names[i])`` yields tile *i*: a stored name opened against a
+    store, or serialized bytes parsed (a pickled eager field). Opened
+    fields are memoized per instance, so a region-of-interest session
+    touching the same tiles across staircase steps opens each tile (and
+    fetches its index segment) exactly once; untouched tiles cost
+    nothing, and a pickled copy starts with none opened.
     """
 
     def __init__(
@@ -208,6 +225,9 @@ class _LazyTileFields(Sequence):
         self._opener = opener
         self._fields: dict[int, RefactoredField] = {}
         self._lock = threading.Lock()
+
+    def __reduce__(self):
+        return _LazyTileFields, (self._names, self._opener)
 
     def __len__(self) -> int:
         return len(self._names)
@@ -248,6 +268,12 @@ class LazyTiledField(TiledField):
     segment plus, later, exactly the plane groups a decode needs).
     ``tile_bytes`` — the per-tile stored sizes recorded at write time —
     lets :meth:`total_bytes` answer without opening a single tile.
+
+    Tiles open through ``open_field(store, name, cache=, verify=)``. The
+    field pickles as its index metadata plus *store* and *verify* —
+    never the cache, never an opened tile — so a process worker rebuilds
+    any tile from its own copy, reading the store directly and without
+    re-reading the ``<name>.tiles`` record.
     """
 
     def __init__(
@@ -260,12 +286,20 @@ class LazyTiledField(TiledField):
         tile_bytes: list[int],
         value_range: float,
         name: str,
-        opener: Callable[[str], RefactoredField],
+        store,
+        cache=None,
+        verify: bool = True,
     ) -> None:
         if not (len(tiles) == len(tile_field_names) == len(tile_bytes)):
             raise ValueError(
                 "tiles, tile_field_names, and tile_bytes must align"
             )
+        # A partial, not a bound method or closure over self: either
+        # would close a field -> fields -> opener -> field cycle and
+        # leave dropped sessions to the cyclic collector.
+        opener = functools.partial(
+            open_field, store, cache=cache, verify=verify
+        )
         super().__init__(
             shape=tuple(shape),
             dtype=np.dtype(dtype),
@@ -276,6 +310,16 @@ class LazyTiledField(TiledField):
         )
         self.tile_field_names = list(tile_field_names)
         self.tile_bytes = [int(b) for b in tile_bytes]
+        self._store = store
+        self._verify = bool(verify)
+
+    def __reduce__(self):
+        return functools.partial(
+            LazyTiledField, shape=self.shape, dtype=self.dtype,
+            tiles=self.tiles, tile_field_names=self.tile_field_names,
+            tile_bytes=self.tile_bytes, value_range=self.value_range,
+            name=self.name, store=self._store, verify=self._verify,
+        ), ()
 
     def total_bytes(self) -> int:
         """Stored payload size of every tile — served from the index."""
@@ -490,99 +534,51 @@ class TiledReconstructionResult(tuple):
         return self[1]
 
 
-def _task_decode_tile(
-    state, session, store_token, pos, src, tol, on_fault, window
-):
+def _tile_account(recon: Reconstructor) -> tuple:
+    """One tile's cumulative accounting as ten plain ints.
+
+    ``(fetched_bytes, decode_state_bytes, *DecodeCounters,
+    *IOCounters)`` — what a process worker's reply carries and what the
+    engine's aggregates sum; an eager tile reads no store, so its I/O
+    columns are zero.
+    """
+    io = getattr(recon.field, "io_counters", None) or IOCounters()
+    return (
+        recon.fetched_bytes, recon.decode_state_bytes(),
+        *astuple(recon.decode_counters), *astuple(io),
+    )
+
+
+def _task_decode_tile(state, session, token, position, window, tol, on_fault):
     """Process-backend task: one tile's progressive reconstruction step.
 
-    The worker owns the tile's full progressive state — a warm
-    :class:`~repro.core.reconstruct.Reconstructor` (retained decode
-    partials, fetch progress, counters) kept resident under the
-    session's key and reused across staircase steps; sticky dispatch
-    guarantees the same tile always lands on the same worker. *src*
-    rides along only on the tile's first touch (or after a backend
-    restart): either the serialized field bytes (eager fields) or the
-    stored tile name to open against the session's shipped store.
-    Same-geometry tiles share one transform per worker. A lazy tile
-    whose open faults under ``on_fault="degrade"`` reports
-    ``"unopened"`` (and is retried on the next call) — mirroring the
-    serial engine's zeros-with-inf-bound fallback, which stays
-    parent-side.
+    The worker runs the engine itself: a plain serial
+    :class:`TiledReconstructor` over the session's shared field (shipped
+    once per worker under *token*), built on first use and kept resident
+    under the session's key, so each tile's warm reconstructor — decode
+    partials, fetch progress, counters — is reused across staircase
+    steps; sticky dispatch lands a tile on the same worker every time.
+    A worker that lost its state (respawned, or a replaced pool) simply
+    builds a fresh engine from the shared field and the tile starts from
+    scratch, bit-identically. *window* is the tile-local overlap as
+    ``(start, stop)`` pairs — message payloads stay plain ints. Returns
+    ``(block, bound, degraded, groups)`` plus the tile's
+    :func:`_tile_account` (``None`` while the tile never opened).
     """
-    sess = state.setdefault(
-        ("tiled-session", session),
-        {"recons": {}, "sources": {}, "transforms": {}},
-    )
-    if src is not None:
-        # A redundant ship (the parent re-shipping conservatively after
-        # a respawn elsewhere in the pool) must not destroy this
-        # worker's warm state: keep the resident reconstructor and only
-        # refresh the source — the serial engine likewise reuses one
-        # reconstructor across retries. A worker that actually died has
-        # nothing resident, so the rebuild below happens naturally.
-        sess["sources"][pos] = src
-    recon = sess["recons"].get(pos)
-    if recon is None:
-        try:
-            kind, payload = sess["sources"][pos]
-        except KeyError:
-            # Typed so the parent engine can distinguish "this worker
-            # was respawned and lost my tile" (heal: re-ship + retry)
-            # from a real decode failure.
-            raise WorkerStateError(
-                f"tile {pos} source not resident on this worker "
-                "(worker respawned or backend restarted mid-step?)"
-            ) from None
-        try:
-            if kind == "bytes":
-                field = RefactoredField.from_bytes(payload)
-            else:
-                from repro.core.store import open_field
-
-                store, verify = worker_shared(state, store_token)
-                field = open_field(store, payload, verify=verify)
-        except StoreError:
-            if on_fault != "degrade":
-                raise
-            return {"status": "unopened"}
-        key = (
-            tuple(field.shape), field.num_levels, field.mode,
-            field.min_size,
+    engine = state.get(("tiled-session", session))
+    if engine is None:
+        engine = state[("tiled-session", session)] = TiledReconstructor(
+            worker_shared(state, token)
         )
-        transform = sess["transforms"].get(key)
-        if transform is None:
-            transform = MultilevelTransform(
-                field.shape,
-                num_levels=field.num_levels,
-                mode=field.mode,
-                min_size=field.min_size,
-            )
-            transform.level_indices()
-            sess["transforms"][key] = transform
-        recon = Reconstructor(field, transform=transform)
-        sess["recons"][pos] = recon
-    result = recon.reconstruct(tolerance=tol, on_fault=on_fault)
-    tile_local = tuple(slice(lo, hi) for lo, hi in window)
-    io = getattr(recon.field, "io_counters", None)
-    counters = recon.decode_counters
-    return {
-        "status": "ok",
-        "block": np.ascontiguousarray(result.data[tile_local]),
-        "error_bound": result.error_bound,
-        "degraded": result.degraded,
-        "failed_groups": result.failed_groups,
-        "fetched_bytes": recon.fetched_bytes,
-        "fetched_groups": recon.fetched_groups,
-        "decode_state_bytes": recon.decode_state_bytes(),
-        "decode_counters": (
-            counters.groups_decoded, counters.planes_decoded,
-            counters.level_decodes, counters.level_reuses,
-        ),
-        "io": None if io is None else (
-            io.segment_reads, io.bytes_fetched,
-            io.cold_bytes, io.cache_hit_bytes,
-        ),
-    }
+    job = (position, (tuple(slice(lo, hi) for lo, hi in window), None))
+    outcome = engine._decode_tile(
+        job, engine._fetch_tile(job, tol, on_fault), on_fault
+    )
+    recon = engine._recons.get(position)
+    return (
+        (np.ascontiguousarray(outcome[2]), *outcome[3:]),
+        None if recon is None else _tile_account(recon),
+    )
 
 
 class TiledReconstructor(WorkerPoolMixin):
@@ -601,8 +597,8 @@ class TiledReconstructor(WorkerPoolMixin):
     composes them per tile through :meth:`map_jobs` (serial, or
     ``num_workers > 1`` tiles at a time on the instance's thread pool),
     the pipelined window runs fetch on its fetch pool and decode on the
-    caller thread, and a process worker runs the same three calls
-    through :meth:`Reconstructor.reconstruct`.
+    caller thread, and a process worker calls them on its own resident
+    engine (:func:`_task_decode_tile`) — one body by construction.
 
     ``pipelined=True`` overlaps each tile's segment *fetch* with other
     tiles' *decode* through a bounded
@@ -638,18 +634,13 @@ class TiledReconstructor(WorkerPoolMixin):
         self._recons: dict[int, Reconstructor] = {}
         self._transforms: dict[tuple, MultilevelTransform] = {}
         self._state_lock = threading.Lock()
-        # Process-backend session bookkeeping: the worker-resident state
-        # is addressed by this token; ``_shipped`` records the backend
-        # ``(uid, slot generation)`` each tile's source was last shipped
-        # under (the tile's sticky worker being respawned bumps its
-        # slot stamp, and a pool restart or *replacement* — e.g. the
-        # shared backend growing — changes every stamp or the uid, so
-        # any of them forces a re-ship), and ``_shadow`` mirrors
-        # each remote tile's accounting after its latest step so the
-        # aggregate properties answer without a round-trip.
+        # Process route: worker-resident engines are addressed by this
+        # token, ``_remote`` says one may exist (close() releases it),
+        # and ``_shadow`` mirrors each remote tile's accounting after
+        # its latest step so the aggregates answer without a round-trip.
         self._session_token = f"tiled-session:{uuid.uuid4().hex}"
-        self._shipped: dict[int, tuple[str, int]] = {}
-        self._shadow: dict[int, dict] = {}
+        self._remote = False
+        self._shadow: dict[int, tuple] = {}
 
     def _pool_size(self) -> int:
         return self.num_workers
@@ -710,9 +701,12 @@ class TiledReconstructor(WorkerPoolMixin):
             recons = dict(self._recons)
         return [recons[i] for i in sorted(recons)]
 
-    def _shadow_values(self) -> list[dict]:
+    def _tile_accounts(self) -> list[tuple]:
+        """Every touched tile's :func:`_tile_account`, local or remote."""
         with self._state_lock:
-            return list(self._shadow.values())
+            remote = list(self._shadow.values())
+        local = [_tile_account(r) for r in self.touched_reconstructors()]
+        return local + remote
 
     @property
     def fetched_bytes(self) -> int:
@@ -722,34 +716,20 @@ class TiledReconstructor(WorkerPoolMixin):
         backend) the worker-resident ones, whose accounting is mirrored
         back after every step.
         """
-        return sum(
-            r.fetched_bytes for r in self.touched_reconstructors()
-        ) + sum(s["fetched_bytes"] for s in self._shadow_values())
+        return sum(account[0] for account in self._tile_accounts())
 
     def decode_state_bytes(self) -> int:
         """Resident bytes of retained decode state across touched tiles."""
-        return sum(
-            r.decode_state_bytes() for r in self.touched_reconstructors()
-        ) + sum(s["decode_state_bytes"] for s in self._shadow_values())
+        return sum(account[1] for account in self._tile_accounts())
 
     def aggregate_decode_counters(self) -> DecodeCounters:
         """Summed :class:`~repro.core.reconstruct.DecodeCounters` of every
         touched tile, local or worker-resident — the backend-independent
         decode-work total the differential suite compares."""
-        total = DecodeCounters()
-        for recon in self.touched_reconstructors():
-            counters = recon.decode_counters
-            total.groups_decoded += counters.groups_decoded
-            total.planes_decoded += counters.planes_decoded
-            total.level_decodes += counters.level_decodes
-            total.level_reuses += counters.level_reuses
-        for shadow in self._shadow_values():
-            groups, planes, decodes, reuses = shadow["decode_counters"]
-            total.groups_decoded += groups
-            total.planes_decoded += planes
-            total.level_decodes += decodes
-            total.level_reuses += reuses
-        return total
+        accounts = self._tile_accounts()
+        return DecodeCounters(*(
+            sum(account[i] for account in accounts) for i in range(2, 6)
+        ))
 
     def aggregate_io_counters(self) -> IOCounters:
         """Summed segment traffic of every touched tile, local or remote.
@@ -759,14 +739,10 @@ class TiledReconstructor(WorkerPoolMixin):
         counters are mirrored back after every step. Eager (in-memory)
         fields contribute zeros either way.
         """
-        parts = []
-        tiled_io = getattr(self.tiled, "io_counters", None)
-        if callable(tiled_io):
-            parts.append(tiled_io())
-        for shadow in self._shadow_values():
-            if shadow.get("io") is not None:
-                parts.append(IOCounters(*shadow["io"]))
-        return IOCounters.total(parts)
+        accounts = self._tile_accounts()
+        return IOCounters(*(
+            sum(account[i] for account in accounts) for i in range(6, 10)
+        ))
 
     def _retrieval_pipeline(self):
         """The instance's lazily-built retrieval pipeline runtime."""
@@ -966,114 +942,60 @@ class TiledReconstructor(WorkerPoolMixin):
     ) -> list[tuple]:
         """One step of every selected tile on the process backend.
 
-        Sticky dispatch pins each tile to one worker, where its warm
-        :class:`~repro.core.reconstruct.Reconstructor` persists across
-        staircase steps. A tile's source ships exactly once per pool
-        instance and *slot* generation (the slot's worker being
-        respawned — or the whole pool restarting or being replaced —
-        re-ships): serialized bytes for eager fields, the tile's
-        stored name for store-backed fields (the store itself travels
-        once per worker under the session's token — workers then fetch
-        their own segments, bypassing any parent-side shared cache).
-        Keying on the slot rather than the pool keeps one worker's
-        crash from forcing every surviving worker's tiles to rebuild.
-        Each result mirrors the tile's accounting back into
-        ``_shadow`` so the aggregates stay answerable parent-side.
+        The field ships once per worker (``ensure_shared``; a restarted
+        or replaced pool has shipped nothing, so it ships again by
+        itself) and each call carries only the tile position and plain
+        ints. Sticky dispatch pins a tile to one worker, whose resident
+        engine keeps the tile's warm reconstructor across staircase
+        steps. The parent tracks nothing about what lives where: the
+        backend restores shared objects onto a respawned worker and
+        retries the in-flight call, which rebuilds that worker's tiles
+        from scratch, while the survivors keep their state. Each reply
+        mirrors the tile's accounting into ``_shadow``.
         """
         backend = self._process_backend()
-        source = getattr(self.tiled, "source", None)
-        names = getattr(self.tiled, "tile_field_names", None)
-        store_token = None
-        if source is not None and names is not None:
-            store_token = f"tiled-store:{self._session_token}"
-            backend.ensure_shared(store_token, source)
+        field_token = f"tiled-field:{self._session_token}"
+        backend.ensure_shared(field_token, self.tiled)
+        self._remote = True
         decode_name = task_name(_task_decode_tile)
-        outcome_by_pos: dict[int, tuple] = {}
-        failures: list[tuple[int, BaseException]] = []
-        pending = list(jobs)
-        # A worker respawn mid-batch loses that worker's resident tiles:
-        # those calls settle as WorkerStateError, and one re-ship pass
-        # (the slot's new spawn stamp forces src to ride along) rebuilds
-        # them bit-identically from scratch. Two healing passes bound
-        # even a respawn happening *during* the retry pass.
-        for attempt in range(3):
-            slot_gens = backend.slot_generations()
-            calls = []
-            placement = []
-            ship_keys = {}
-            for pos, (tile_local, region_local) in pending:
-                key = (backend.uid, slot_gens[backend.worker_for(pos)])
-                ship_keys[pos] = key
-                src = None
-                if self._shipped.get(pos) != key:
-                    if store_token is not None:
-                        src = ("store", names[pos])
-                    else:
-                        src = ("bytes", self.tiled.fields[pos].to_bytes())
-                window = tuple((s.start, s.stop) for s in tile_local)
-                calls.append((
-                    decode_name,
-                    (
-                        self._session_token, store_token, pos, src,
-                        tol, on_fault, window,
-                    ),
-                    pos,  # sticky: the tile's decode state lives here
-                ))
-                placement.append((pos, tile_local, region_local))
-            settled = backend.map_calls(calls, settle=True)
-            retry = []
-            for (pos, tile_local, region_local), (ok, value) in zip(
-                placement, settled
+        settled = backend.map_calls([
+            (
+                decode_name,
+                (
+                    self._session_token, field_token, pos,
+                    tuple((s.start, s.stop) for s in tile_local),
+                    tol, on_fault,
+                ),
+                pos,  # sticky: the tile's decode state lives here
+            )
+            for pos, (tile_local, _) in jobs
+        ], settle=True)
+        outcomes = []
+        failures: list[BaseException] = []
+        for (pos, (tile_local, region_local)), (ok, value) in zip(
+            jobs, settled
+        ):
+            if ok:
+                outcome, account = value
+                if account is not None:
+                    with self._state_lock:
+                        self._shadow[pos] = account
+                outcomes.append((pos, region_local, *outcome))
+            elif on_fault == "degrade" and isinstance(
+                value, (StoreError, ComputeError)
             ):
-                if ok:
-                    self._shipped[pos] = ship_keys[pos]
-                    outcome_by_pos[pos] = self._tile_outcome(
-                        pos, tile_local, region_local, value
-                    )
-                    continue
-                self._shipped.pop(pos, None)
-                if isinstance(value, WorkerStateError) and attempt < 2:
-                    retry.append((pos, (tile_local, region_local)))
-                elif on_fault == "degrade" and isinstance(
-                    value, (StoreError, ComputeError)
-                ):
-                    # The tile's worker-resident refinement died with
-                    # its worker (crash, quarantine, or deadline kill):
-                    # nothing is committed parent-side, so degrade like
-                    # a never-opened tile.
-                    outcome_by_pos[pos] = self._unopened_outcome(
-                        pos, tile_local, region_local
-                    )
-                else:
-                    failures.append((pos, value))
-            if not retry:
-                break
-            pending = retry
-        if failures:
-            failures.sort(key=lambda item: item[0])
-            raise failures[0][1]
-        return [outcome_by_pos[pos] for pos, _ in jobs]
-
-    def _tile_outcome(
-        self, pos: int, tile_local: tuple, region_local: tuple, res: dict
-    ) -> tuple:
-        """One worker reply → the :meth:`_decode_tile` outcome shape."""
-        if res["status"] == "unopened":
-            # The source stayed resident on the worker, so the retry on
-            # the next call needs no re-ship.
-            return self._unopened_outcome(pos, tile_local, region_local)
-        with self._state_lock:
-            self._shadow[pos] = {
-                key: res[key]
-                for key in (
-                    "fetched_bytes", "fetched_groups",
-                    "decode_state_bytes", "decode_counters", "io",
+                # The tile's worker-resident refinement died with its
+                # worker (crash, quarantine, or deadline kill): nothing
+                # is committed parent-side, so degrade like a
+                # never-opened tile.
+                outcomes.append(
+                    self._unopened_outcome(pos, tile_local, region_local)
                 )
-            }
-        return (
-            pos, region_local, res["block"], res["error_bound"],
-            res["degraded"], res["failed_groups"],
-        )
+            else:
+                failures.append(value)
+        if failures:
+            raise failures[0]  # jobs are in tile order: the earliest
+        return outcomes
 
     def close(self) -> None:
         """Release worker-resident session state, then the local pool."""
@@ -1081,16 +1003,14 @@ class TiledReconstructor(WorkerPoolMixin):
             pipeline, self._pipeline = self._pipeline, None
         if pipeline is not None:
             pipeline.close()
-        if self._shipped:
+        if self._remote:
+            self._remote = False
             try:
                 backend = self._process_backend()
                 backend.drop_session(self._session_token)
-                backend.drop_shared(
-                    f"tiled-store:{self._session_token}"
-                )
+                backend.drop_shared(f"tiled-field:{self._session_token}")
             except Exception:  # reprolint: disable=R2 -- best-effort release of worker state on close; must not mask the caller's teardown
                 pass
-            self._shipped.clear()
         super().close()
 
     def progressive(

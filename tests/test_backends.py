@@ -609,9 +609,10 @@ class TestPoolReplacementReship:
                                                   tiled_stored):
         """Growing the shared pool mid-session replaces it with a fresh
         ProcessBackend whose generation counter restarts — and can land
-        on the same generation number the session recorded on the old
-        pool. Re-ship decisions must key on pool identity (uid) too, or
-        the fresh workers raise 'tile source not resident'."""
+        on the same generation number the old pool had. The session
+        records neither: the fresh pool has shipped nothing, so the
+        next step's ``ensure_shared`` ships the field again and the
+        fresh workers rebuild their engines from it."""
         ref = TiledReconstructor(open_tiled_field(tiled_stored, "rho"))
         got = TiledReconstructor(
             open_tiled_field(_fresh_tiled_store_from(tiled_stored), "rho"),
@@ -794,9 +795,9 @@ class TestSelfHealingPool:
             backend.close()
 
     def test_shared_objects_survive_respawn(self, tmp_path):
-        """The parent keeps every ``ensure_shared`` object; a respawned
-        worker gets them restored without the owning engine re-shipping
-        — a respawn is invisible to shared-state consumers."""
+        """The parent keeps every ``ensure_shared`` object's pickled
+        bytes; a respawned worker gets them restored without the owning
+        engine doing anything — a respawn is invisible to it."""
         backend = ProcessBackend(2)
         try:
             backend.ensure_shared("cfg", {"answer": 42})
@@ -1060,7 +1061,7 @@ class TestPoolHealthTelemetry:
             assert first["uid"] == before.uid
             grown = shared_process_backend(before.num_workers + 1)
             assert grown is not before
-            # the session still works, re-shipped onto the grown pool
+            # the session still works: its field ships to the grown pool
             session.reconstruct(tolerance=1e-2, region=ROI)
             second = service.stats()["pool"]
             assert second["uid"] == grown.uid

@@ -12,11 +12,12 @@ so failures replay exactly; the retry policies here never sleep.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from repro.core.backends import shared_process_backend
+from repro.core.backends import shared_process_backend, task_name
 from repro.core.errors import SegmentCorruptionError, TransientStoreError
 from repro.core.faults import (
     FaultInjectingStore,
@@ -499,7 +500,7 @@ class TestWorkerKillChaos:
         self, tiled_stored, tmp_path, seed
     ):
         """One seeded kill during the tiled ROI staircase (8 tiles per
-        step); the killed worker's resident tile sources are rebuilt
+        step); the killed worker's resident tile engine is rebuilt
         transparently."""
         store, tiled = tiled_stored
         ref = TiledReconstructor(tiled)
@@ -527,11 +528,11 @@ class TestWorkerKillChaos:
     def test_repeat_kill_rebuilds_worker_resident_state(
         self, tiled_stored, tmp_path
     ):
-        """Fail-first-2: the same call index dies in step 1 (tile
-        sources ride along — the in-batch retry heals) *and* in step 2
-        (sources were resident on the killed worker — the retried task
-        reports the loss and the engine re-ships). Both heals must stay
-        bit-identical."""
+        """Fail-first-2: the same call index dies in step 1 (nothing
+        resident yet — the in-batch retry builds the engine on the
+        replacement) *and* in step 2 (the slot's warm tiles died with
+        the worker — the retried task rebuilds them from the shared
+        field, from scratch). Both heals must stay bit-identical."""
         store, tiled = tiled_stored
         ref = TiledReconstructor(tiled)
         backend = shared_process_backend(2)
@@ -622,3 +623,71 @@ class TestWorkerKillChaos:
         finally:
             backend.clear_chaos()
             recon.close()
+
+
+def _task_resident_engine(state, session):
+    """Worker-side probe: this worker's resident engine for *session*."""
+    engine = state.get(("tiled-session", session))
+    if engine is None:
+        return os.getpid(), None, []
+    return os.getpid(), id(engine), sorted(engine._recons)
+
+
+class TestSurvivorsStayWarm:
+    """Nothing tells a surviving worker that its neighbour died.
+
+    The parent keeps no record of which worker holds which tile, so a
+    kill costs exactly the dead slot's tiles: the survivor's resident
+    engine — the same object, the same warm reconstructors — carries on
+    across the kill, and only the replaced slot rebuilds from the
+    shared field.
+    """
+
+    pytestmark = pytest.mark.backend
+
+    def test_kill_rebuilds_only_the_dead_slot(self, tiled_stored, tmp_path):
+        store, tiled = tiled_stored
+        ref = TiledReconstructor(tiled)
+        backend = shared_process_backend(2)
+        recon = TiledReconstructor(open_tiled_field(store, "rho"),
+                                   num_workers=2, backend="processes:2")
+        probe = task_name(_task_resident_engine)
+
+        def step(tol):
+            expected = ref.reconstruct(tolerance=tol, region=ROI)
+            got = recon.reconstruct(tolerance=tol, region=ROI)
+            assert got.degraded is False
+            np.testing.assert_array_equal(got.data, expected.data)
+            assert got.error_bound == expected.error_bound
+
+        try:
+            step(STAIRCASE[0])
+            before = backend.broadcast(probe, recon._session_token)
+            # (the shared pool may be wider than 2: it only ever grows)
+            slots = [backend.worker_for(pos) for pos in recon.touched_tiles]
+            assert len(set(slots)) > 1  # more than one worker holds tiles
+            for slot, (_, engine, held) in enumerate(before):
+                assert held == [pos for pos, s in
+                                zip(recon.touched_tiles, slots) if s == slot]
+                assert (engine is not None) == bool(held)
+            victim = slots[-1]
+            chaos = WorkerChaos({slots.index(victim): "exit"}, tmp_path)
+            backend.install_chaos(chaos)  # dies on its first tile
+            step(STAIRCASE[1])
+            backend.clear_chaos()
+            assert chaos.total_fired() == 1
+            after = backend.broadcast(probe, recon._session_token)
+            for slot, (was, now) in enumerate(zip(before, after)):
+                if slot == victim:
+                    assert now[0] != was[0]  # a replacement process
+                    assert now[2] == was[2]  # rebuilt from the field
+                else:
+                    assert now == was  # same pid, engine, warm tiles
+            step(STAIRCASE[2])
+            final = backend.broadcast(probe, recon._session_token)
+            assert [f for i, f in enumerate(final) if i != victim] == [
+                b for i, b in enumerate(before) if i != victim]
+        finally:
+            backend.clear_chaos()
+            recon.close()
+

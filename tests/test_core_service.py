@@ -358,6 +358,17 @@ class TestRetrievalService:
         assert twin.prefetch_requests > requests  # the open twin kept going
         twin.close()
 
+    def test_backend_env_does_not_resize_the_prefetch_pool(
+        self, dir_store, monkeypatch
+    ):
+        """``REPRO_BACKEND`` selects where tiled engines run tiles; the
+        service's prefetch pool is not an execution backend and keeps
+        its fixed width."""
+        monkeypatch.setenv("REPRO_BACKEND", "threads:8")
+        svc = RetrievalService(dir_store, prefetch=True)
+        assert svc._worker_pool()._max_workers == 2
+        svc.close()
+
     def test_prefetch_failures_are_swallowed_and_counted(self, dir_store):
         svc = RetrievalService(dir_store, prefetch=True)
         pool = svc._worker_pool()

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import StoreError, TransientStoreError
-from repro.core.faults import FaultInjectingStore
+from repro.core.faults import FaultInjectingStore, ResilientReader
 from repro.core.refactor import refactor
 from repro.core.reconstruct import Reconstructor
 from repro.core.service import RetrievalService, _store_bears_latency
@@ -425,14 +425,20 @@ class TestTiledPipelinedParity:
 
 class TestServicePipelined:
     def test_latency_detection_picks_the_default(self, tmp_path):
-        assert _store_bears_latency(DirectoryStore(tmp_path / "s"))
+        # file_open_latency_s (default 2e-4) is what io_time_estimate
+        # accounts, never slept: the on-disk store bears no latency
+        assert not _store_bears_latency(DirectoryStore(tmp_path / "s"))
         assert not _store_bears_latency(MemoryStore())
         assert _store_bears_latency(
             FaultInjectingStore(MemoryStore(), latency_s=0.01)
         )
-        # wrapper passthrough: a fault layer over a latency-bearing
-        # store still reads as latency-bearing
-        assert _store_bears_latency(
+        # wrapper passthrough: a reader over a latency-bearing store
+        # still reads as latency-bearing, a fault layer that charges
+        # nothing over the on-disk store does not
+        assert _store_bears_latency(ResilientReader(
+            FaultInjectingStore(MemoryStore(), latency_s=0.01)
+        ))
+        assert not _store_bears_latency(
             FaultInjectingStore(DirectoryStore(tmp_path / "t"))
         )
 
@@ -441,14 +447,21 @@ class TestServicePipelined:
         store = DirectoryStore(tmp_path / "store")
         store_tiled_field(store, reference_tiled)
         svc = RetrievalService(store)
-        assert svc.tiled_session("rho").reconstructor.pipelined
-        assert not svc.tiled_session(
+        assert not svc.tiled_session("rho").reconstructor.pipelined
+        assert svc.tiled_session(
+            "rho", pipelined=True).reconstructor.pipelined
+        slow_svc = RetrievalService(
+            FaultInjectingStore(store, latency_s=1e-4)
+        )
+        assert slow_svc.tiled_session("rho").reconstructor.pipelined
+        assert not slow_svc.tiled_session(
             "rho", pipelined=False).reconstructor.pipelined
         mem_svc = RetrievalService(_fresh_tiled_store(reference_tiled))
         assert not mem_svc.tiled_session("rho").reconstructor.pipelined
         assert mem_svc.tiled_session(
             "rho", pipelined=True).reconstructor.pipelined
         svc.close()
+        slow_svc.close()
         mem_svc.close()
 
     def test_prefetch_hits_are_counted(self, reference_field):

@@ -22,6 +22,7 @@ import pytest
 import repro.pipeline
 import repro.pipeline.retrieval
 from repro.core._pool import WorkerPoolMixin
+from repro.core.backends import ProcessBackend, _task_ping, task_name
 from repro.core.reconstruct import Reconstructor, reconstruct
 from repro.core.refactor import RefactorConfig, Refactorer
 from repro.core.service import (
@@ -29,7 +30,11 @@ from repro.core.service import (
     ServiceSession,
     TiledServiceSession,
 )
-from repro.core.tiling import TiledReconstructor, TiledRefactorer
+from repro.core.tiling import (
+    LazyTiledField,
+    TiledReconstructor,
+    TiledRefactorer,
+)
 from repro.lossless.hybrid import compress_planes
 from repro.pipeline.retrieval import RetrievalPipeline
 
@@ -71,6 +76,14 @@ SURFACE = [
      [("tile_shape", REQUIRED), ("config", None), ("num_workers", 0),
       ("backend", None)]),
     (compress_planes, [("planes", REQUIRED), ("config", None)]),
+    (LazyTiledField,
+     [("shape", REQUIRED), ("dtype", REQUIRED), ("tiles", REQUIRED),
+      ("tile_field_names", REQUIRED), ("tile_bytes", REQUIRED),
+      ("value_range", REQUIRED), ("name", REQUIRED), ("store", REQUIRED),
+      ("cache", None), ("verify", True)]),
+    (ProcessBackend,
+     [("num_workers", REQUIRED), ("default_deadline", None),
+      ("max_task_retries", 2)]),
 ]
 
 REMOVED_KEYWORDS = [
@@ -94,6 +107,7 @@ REMOVED_KEYWORDS = [
     (compress_planes, ["pool"]),
     (RetrievalPipeline.run, ["decode_pool", "decode_workers"]),
     (RetrievalService, ["num_workers"]),
+    (ProcessBackend, ["start_method"]),
 ]
 
 
@@ -148,3 +162,25 @@ def test_removed_names_are_gone():
     assert issubclass(TiledReconstructor, WorkerPoolMixin)
     assert not issubclass(Refactorer, WorkerPoolMixin)
     assert issubclass(TiledRefactorer, WorkerPoolMixin)
+
+
+def test_lazy_tiled_field_takes_a_store_not_an_opener():
+    metadata = dict(shape=(4,), dtype="float32", tiles=[],
+                    tile_field_names=[], tile_bytes=[], value_range=1.0,
+                    name="rho")
+    with pytest.raises(TypeError, match="opener"):
+        LazyTiledField(**metadata, store=None, opener=lambda name: None)
+    field = LazyTiledField(**metadata, store=None)
+    assert not hasattr(field, "source")
+
+
+def test_process_backend_tracks_no_resident_state():
+    """Engines rebuild worker state from one shared object, so the pool
+    exposes no per-slot stamps; ``broadcast`` is still one result per
+    worker, in slot order."""
+    assert not hasattr(ProcessBackend, "slot_generations")
+    assert not hasattr(ProcessBackend, "_broadcast_send")
+    with ProcessBackend(2) as backend:
+        pids = backend.broadcast(task_name(_task_ping))
+        assert pids == [w.process.pid for w in backend._workers]
+        assert len(set(pids)) == 2

@@ -14,6 +14,7 @@ The guarantees under test (ISSUE 5):
 """
 
 import json
+import pickle
 import tempfile
 
 import numpy as np
@@ -34,6 +35,7 @@ from repro.core.store import (
     tiled_index_key,
 )
 from repro.core.tiling import (
+    LazyTiledField,
     TiledReconstructor,
     TiledRefactorer,
     normalize_region,
@@ -119,6 +121,54 @@ class TestStoreRoundtrip:
         assert lazy.name == "rho"
         assert [t.offset for t in lazy.tiles] == \
             [t.offset for t in tiled.tiles]
+
+
+class TestFieldsPickle:
+    """A tiled field crosses a process boundary whole: a process worker
+    rebuilds any tile from its own copy (the ``processes`` route ships
+    nothing else)."""
+
+    def test_eager_field_roundtrips_bit_identically(self, tiled):
+        copy = pickle.loads(pickle.dumps(tiled))
+        assert (copy.shape, copy.dtype, copy.tiles, copy.value_range,
+                copy.name) == (tiled.shape, tiled.dtype, tiled.tiles,
+                               tiled.value_range, tiled.name)
+        assert copy.fields.opened_indices == []  # parsed on first touch
+        region = ((0, 8), (0, 8), (0, 8))
+        with TiledReconstructor(tiled) as ref, \
+                TiledReconstructor(copy) as got:
+            for tol in (1e-1, 1e-4):
+                want = ref.reconstruct(tolerance=tol, region=region)
+                step = got.reconstruct(tolerance=tol, region=region)
+                assert np.array_equal(step.data, want.data)
+                assert step.error_bound == want.error_bound
+        assert copy.total_bytes() == tiled.total_bytes()
+
+    def test_lazy_field_ships_store_not_cache_or_opened_tiles(self, tiled):
+        store = MemoryStore()
+        store_tiled_field(store, tiled)
+        service = RetrievalService(store)
+        lazy = service.open_tiled("rho")
+        lazy.fields[0]
+        assert lazy.opened_tiles == [0]
+        copy = pickle.loads(pickle.dumps(lazy))
+        assert isinstance(copy, LazyTiledField)
+        assert copy.opened_tiles == []
+        assert copy.fields._opener.keywords["cache"] is None
+        assert copy.tile_field_names == lazy.tile_field_names
+        assert copy.total_bytes() == lazy.total_bytes()
+        # the copy reads its own store copy: no ``.tiles`` re-read at
+        # unpickle time, and tile opens never reach the original
+        own = copy.fields._opener.args[0]
+        assert own is not store
+        before, own_before = store.reads, own.reads
+        misses = service.cache.stats()["misses"]
+        copy.fields[1]
+        assert copy.opened_tiles == [1]
+        assert own.reads == own_before + 1  # tile 1's index record
+        assert store.reads == before
+        assert service.cache.stats()["misses"] == misses
+        service.close()
 
 
 @st.composite
