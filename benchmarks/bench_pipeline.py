@@ -68,7 +68,7 @@ from repro.core.tiling import TiledReconstructor, TiledRefactorer
 from repro.data import generators as gen
 from repro.gpu.device import H100
 from repro.gpu.hdem import HostDeviceModel
-from repro.pipeline.retrieval import RetrievalPipeline
+from repro.pipeline.retrieval import FETCH_WORKERS, WINDOW
 from repro.pipeline.scheduler import StageCosts, pipeline_speedup
 
 pytestmark = pytest.mark.bench
@@ -249,26 +249,17 @@ def _bench_roi_staircase(store, tolerances, region, repeats: int) -> dict:
     # at most ``fetch_workers`` fetches overlap and decode+commit share
     # the caller thread, so ideal <= wall structurally and the ratio
     # lands in (0, 1] regardless of machine noise between runs. The
-    # window sizes are read off a measured engine's own pipeline, and
-    # must be RetrievalPipeline's defaults (the one place they are
-    # written): a baseline recording any other pair is not one this
-    # code can reproduce.
-    probe = TiledReconstructor(open_tiled_field(store, "rho"), pipelined=True)
-    pipeline = probe._retrieval_pipeline()
-    probe.close()
-    defaults = RetrievalPipeline()
-    assert (pipeline.window, pipeline.fetch_workers) == (
-        defaults.window, defaults.fetch_workers)
-    ideal_wall = max(fetch_sum / pipeline.fetch_workers,
-                     decode_sum + commit_sum)
+    # window sizes recorded are the module's two constants, the one
+    # place they are written and the only pair an engine can run with.
+    ideal_wall = max(fetch_sum / FETCH_WORKERS, decode_sum + commit_sum)
 
     measured = wall_seq_slow / wall_pip_slow if wall_pip_slow else 0.0
     model = _model_prediction(stage_seconds)
     return {
         "tiles_in_region": len(stage_seconds["fetch"]) // len(tolerances),
         "tolerances_relative": list(tolerances),
-        "window": pipeline.window,
-        "fetch_workers": pipeline.fetch_workers,
+        "window": WINDOW,
+        "fetch_workers": FETCH_WORKERS,
         "segment_reads_per_staircase": reads,
         "injected_latency_per_get_s": latency_s,
         "wall_sequential_fast_s": wall_seq_fast,

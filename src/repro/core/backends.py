@@ -1,12 +1,13 @@
 """Execution backends: serial, threads, and true-parallel processes.
 
-The tiled engines fan independent tiles out through
-:class:`~repro.core._pool.WorkerPoolMixin` (untiled engines are serial).
-Threads were the only option before, and ``BENCH_tiles.json`` recorded
-what that buys on the tiled refactor hot path: ~0.95x, i.e. nothing —
-the NumPy kernels release the GIL but the Python glue between them does
-not. This module adds the third backend: a pool of persistent worker
-*processes* with true parallelism.
+Everything that decides *where* a tiled engine's tiles run lives here:
+the selection rule (:func:`resolve_backend`) and the two mechanisms it
+selects between — :class:`ThreadPool`, a handle its owner holds, and
+:class:`ProcessBackend`, one pool shared process-wide. Untiled engines
+are serial and use neither. ``BENCH_tiles.json`` records what threads
+buy on the tiled refactor hot path: ~0.95x, i.e. nothing — the NumPy
+kernels release the GIL but the Python glue between them does not;
+worker *processes* are the true-parallel route.
 
 Backend selection (:func:`resolve_backend`) has three tiers, strongest
 first:
@@ -22,32 +23,38 @@ first:
 Inside a worker process every engine resolves to serial regardless of
 the above — process pools never nest.
 
+:class:`ThreadPool` is owned, never inherited, and each owner uses its
+pool for one purpose: a ``pipelined=False`` tiled engine for the
+``threads:N`` tile fan-out, a ``pipelined=True`` one for the fetch stage
+of :func:`repro.pipeline.retrieval.run_window`, the retrieval service
+for its prefetch warms. A serial owner never starts a thread.
+
 :class:`ProcessBackend` keeps long-lived daemon workers connected over
 pipes. Tasks are addressed by ``"module:function"`` name (never by
 pickling code objects), inputs travel as pickled arguments or — for
 large tile blocks — through :mod:`multiprocessing.shared_memory`
 buffers, and what an engine's tasks all need — a refactor config, a
 tiled field — is pickled once and shipped *once per worker* via
-:meth:`ProcessBackend.ensure_shared`, so warm per-worker refactorers and
-tile engines can be rebuilt from it and reused across calls.
+:meth:`ProcessBackend.ensure_shared`, so warm per-worker tile engines
+can be rebuilt from it and reused across calls.
 Typed exceptions (:mod:`repro.core.errors`) pickle cleanly and are
 re-raised in the parent with their class and arguments intact, so
 retry/degrade classification works identically across the process
 boundary.
 
-Every live backend is registered for ``atexit`` teardown (workers are
-additionally daemonic), so a leaked pool can never hang interpreter
-shutdown.
+Every live pool of either kind is registered for ``atexit`` teardown
+(workers are additionally daemonic), so a leaked pool can never hang
+interpreter shutdown.
 
-The pool is *self-healing*: a worker that dies mid-task is replaced in
-place (same slot, so sticky routing still lands on it), its shared
-objects are restored onto the replacement, and the in-flight task is
-retried under a bounded per-task budget. That is all the healing there
-is: an engine's task rebuilds whatever was resident from the shared
-object, so engines track nothing about which worker holds what, and
-``broadcast`` is one :meth:`~ProcessBackend.map_calls` batch of one call
-per worker, not a second recovery loop. A task that keeps killing its
-workers is quarantined — settled as *that call's*
+The process pool is *self-healing*: a worker that dies mid-task is
+replaced in place (same slot, so sticky routing still lands on it), its
+shared objects are restored onto the replacement, and the in-flight
+task is retried under a bounded per-task budget. That is all the
+healing there is: an engine's task rebuilds whatever was resident from
+the shared object, so engines track nothing about which worker holds
+what, and ``broadcast`` is one :meth:`~ProcessBackend.map_calls` batch
+of one call per worker, not a second recovery loop. A task that keeps
+killing its workers is quarantined — settled as *that call's*
 :class:`~repro.core.errors.WorkerCrashedError` while the rest of the
 batch completes. A hung-but-alive worker is bounded by per-call
 deadlines (``map_calls(..., deadline=)`` or the pool-level default):
@@ -74,6 +81,7 @@ import weakref
 import zlib
 from collections import deque
 from collections.abc import Callable, Sequence
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -145,6 +153,11 @@ class BackendSpec(tuple):
     def workers(self) -> int:
         return self[1]
 
+    @property
+    def threads(self) -> int:
+        """Width of the thread fan-out: 0 unless the kind is ``threads``."""
+        return self.workers if self.kind == "threads" else 0
+
 
 def parse_backend_spec(spec: str) -> tuple[str, int | None]:
     """Parse ``"kind"`` or ``"kind:N"`` into ``(kind, workers | None)``."""
@@ -201,6 +214,81 @@ def resolve_backend(
             else default_process_workers()
         )
     return BackendSpec(kind, workers)
+
+
+# -- thread pools ----------------------------------------------------------
+
+#: Live thread pools, shut down (without waiting) at interpreter exit so
+#: an owner that was never close()d cannot stall shutdown on idle workers.
+_LIVE_THREAD_POOLS: "weakref.WeakSet[ThreadPoolExecutor]" = weakref.WeakSet()
+
+
+def _shutdown_thread_pools() -> None:
+    for pool in list(_LIVE_THREAD_POOLS):
+        try:
+            pool.shutdown(wait=False, cancel_futures=True)
+        except Exception:  # reprolint: disable=R2 -- atexit hook: executor state is arbitrary at interpreter shutdown and raising would mask other exit handlers
+            pass
+
+
+atexit.register(_shutdown_thread_pools)
+
+
+class ClosesOnExit:
+    """``with owner:`` calls ``owner.close()`` on exit (stateless)."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class ThreadPool:
+    """A thread pool its owner holds: lazy, and usable again after close."""
+
+    def __init__(self) -> None:
+        # First touches race (a service's sessions all schedule
+        # prefetches); an unlocked double creation would leak an
+        # executor that close() never reaches.
+        self._lock = threading.Lock()
+        self._executor: ThreadPoolExecutor | None = None
+
+    def executor(self, workers: int) -> ThreadPoolExecutor:
+        """The executor, created *workers* wide on first use."""
+        with self._lock:
+            if self._executor is None:
+                self._executor = ThreadPoolExecutor(max_workers=workers)
+                _LIVE_THREAD_POOLS.add(self._executor)
+            return self._executor
+
+    def map(self, fn: Callable, jobs: Sequence, workers: int) -> list:
+        """``[fn(j) for j in jobs]``, up to *workers* jobs at a time.
+
+        ``workers <= 1`` or a single job is the plain loop: a serial
+        owner never starts a thread. When a job raises, the queued jobs
+        are cancelled and the running ones waited for before the
+        earliest failure (in job order) propagates — no job outlives
+        the call.
+        """
+        if workers <= 1 or len(jobs) <= 1:
+            return [fn(job) for job in jobs]
+        executor = self.executor(workers)
+        futures = [executor.submit(fn, job) for job in jobs]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            wait(futures)
+            raise
+
+    def close(self) -> None:
+        """Join and drop the executor (idempotent)."""
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
 
 
 def task_name(fn: Callable) -> str:
@@ -427,7 +515,7 @@ class _Worker:
         self.result_conn = result_conn
 
 
-class ProcessBackend:
+class ProcessBackend(ClosesOnExit):
     """A pool of persistent worker processes addressed by task name.
 
     Workers are daemonic, started lazily on first dispatch, and reused
@@ -640,12 +728,6 @@ class ProcessBackend:
             worker.process.join(timeout=timeout)
         for worker in workers:
             self._reap(worker)
-
-    def __enter__(self) -> "ProcessBackend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def __del__(self) -> None:
         try:
@@ -1010,24 +1092,14 @@ class ProcessBackend:
     def map_jobs(self, fn: Callable, jobs: Sequence) -> list:
         """Order-preserving ``[fn(j) for j in jobs]`` across the workers.
 
-        The generic escape hatch behind
-        :meth:`~repro.core._pool.WorkerPoolMixin.map_jobs`: *fn* and
-        every job must be picklable (module-level functions, plain
-        data). Closures — the engines' usual jobs — cannot cross a
-        process boundary, so an unpicklable *fn* falls back to the
-        serial loop; the engines' hot paths use dedicated task
-        functions instead and never hit this fallback. Only *fn* is
-        probed (probing every job would serialize each one twice —
-        exactly on the large jobs where pickling is expensive); a job
-        that then fails to pickle at dispatch raises, with the rest of
-        the batch still settled.
+        The generic entry point for callers without a task function of
+        their own (the engines ship ``_task_*`` functions by name through
+        :meth:`map_calls` and do not come through here). *fn* and every
+        job cross the pipe pickled — module-level functions, plain data
+        — and nothing runs host-side instead: a lambda, closure or job
+        that cannot pickle raises at dispatch, with the rest of the
+        batch still settled and the pool intact.
         """
-        if not jobs:
-            return []
-        try:
-            pickle.dumps(fn)
-        except Exception:  # reprolint: disable=R2 -- documented fallback: unpicklable fn runs serially on the host instead of crossing the pipe
-            return [fn(job) for job in jobs]
         apply_name = task_name(_task_apply)
         return self.map_calls([(apply_name, (fn, job), None) for job in jobs])
 
@@ -1100,6 +1172,8 @@ __all__ = [
     "resolve_backend",
     "default_process_workers",
     "in_worker",
+    "ClosesOnExit",
+    "ThreadPool",
     "task_name",
     "worker_shared",
     "share_array",

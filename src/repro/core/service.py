@@ -13,7 +13,7 @@ layer:
   :class:`~repro.core.reconstruct.Reconstructor` sessions and
   :func:`~repro.qoi.retrieval.retrieve_qoi` calls over one shared cache,
   with optional background prefetch of each session's next planned plane
-  group (reusing the :class:`~repro.core._pool.WorkerPoolMixin` pool);
+  group, on a small :class:`~repro.core.backends.ThreadPool` it owns;
 * :class:`ServiceSession` — one client's stateful progressive session
   over an untiled variable (serial);
 * :class:`TiledServiceSession` — the same over a tiled variable, where
@@ -36,8 +36,11 @@ from concurrent.futures import CancelledError, Future
 
 from collections.abc import Sequence
 
-from repro.core._pool import WorkerPoolMixin
-from repro.core.backends import current_process_backend
+from repro.core.backends import (
+    ClosesOnExit,
+    ThreadPool,
+    current_process_backend,
+)
 from repro.core.errors import SegmentCorruptionError
 from repro.core.reconstruct import ReconstructionResult, Reconstructor
 from repro.core.store import open_field, open_tiled_field
@@ -233,7 +236,7 @@ class SegmentCache:
             }
 
 
-class ServiceSession:
+class ServiceSession(ClosesOnExit):
     """One client's progressive retrieval session over the service.
 
     Wraps a stateful :class:`~repro.core.reconstruct.Reconstructor` on a
@@ -314,14 +317,8 @@ class ServiceSession:
         with self.service._sessions_lock:
             self.service._sessions.discard(self)
 
-    def __enter__(self) -> "ServiceSession":
-        return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class TiledServiceSession:
+class TiledServiceSession(ClosesOnExit):
     """One client's progressive session over a *tiled* field.
 
     Wraps a :class:`~repro.core.tiling.TiledReconstructor` on a lazily
@@ -437,12 +434,6 @@ class TiledServiceSession:
             self.service._sessions.discard(self)
         self.reconstructor.close()
 
-    def __enter__(self) -> "TiledServiceSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 #: Width of the service's background prefetch pool.
 _PREFETCH_WORKERS = 2
@@ -499,7 +490,7 @@ class _PrefetchAwareCache:
         return key in self._cache
 
 
-class RetrievalService(WorkerPoolMixin):
+class RetrievalService(ClosesOnExit):
     """Multiplex progressive retrieval sessions over one segment cache.
 
     Parameters
@@ -518,9 +509,6 @@ class RetrievalService(WorkerPoolMixin):
     The service object is safe to share across threads: sessions are
     independent, and the cache serializes its own state.
     """
-
-    #: The prefetch pool is no execution backend: the env cannot resize it.
-    backend = "serial"
 
     def __init__(
         self,
@@ -544,6 +532,10 @@ class RetrievalService(WorkerPoolMixin):
         self._prefetch_pending: dict[str, Future] = {}
         self._prefetch_landed: set[str] = set()
         self._futures_lock = threading.Lock()
+        # Runs the prefetch warms and nothing else; it is no execution
+        # backend, so neither ``REPRO_BACKEND`` nor a session's
+        # ``num_workers`` sizes it.
+        self._prefetch_threads = ThreadPool()
         self._session_cache = _PrefetchAwareCache(self)
         # Live sessions, tracked weakly so abandoned sessions (never
         # close()d) don't leak; stats() reports their retained
@@ -552,9 +544,6 @@ class RetrievalService(WorkerPoolMixin):
         # concurrent adds from other threads).
         self._sessions: "weakref.WeakSet[ServiceSession]" = weakref.WeakSet()
         self._sessions_lock = threading.Lock()
-
-    def _pool_size(self) -> int:
-        return _PREFETCH_WORKERS
 
     def open(self, name: str) -> LazyRefactoredField:
         """Open *name* lazily with fetches routed through the shared cache.
@@ -662,7 +651,7 @@ class RetrievalService(WorkerPoolMixin):
                 # The asking step still answers through the cache; a
                 # closed service must not re-create the pool it closed.
                 return
-            pool = self._worker_pool()
+            pool = self._prefetch_threads.executor(_PREFETCH_WORKERS)
             self._prefetch_futures = [
                 f for f in self._prefetch_futures if not f.done()
             ]
@@ -802,7 +791,7 @@ class RetrievalService(WorkerPoolMixin):
         try:
             self.drain_prefetch()
         finally:
-            super().close()
+            self._prefetch_threads.close()
 
 
 __all__ = [

@@ -456,8 +456,9 @@ class LazyRefactoredField(RefactoredField):
             raise ValueError("level_refs must have one entry per level")
         self._resolver = resolver
         self.io_counters = IOCounters()
-        # Fetch stages run on RetrievalPipeline fetch-pool and threads-backend
-        # workers, and sessions may share an opened field: lose no update.
+        # Fetch stages run on the tiled engine's pool threads (the window's
+        # fetch stage or the threads:N fan-out), and sessions may share an
+        # opened field: lose no update.
         self._io_lock = threading.Lock()
         levels = [
             LazyLevelStream(

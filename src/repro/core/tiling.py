@@ -11,11 +11,12 @@ Three behaviours make tiling the production path rather than a toy:
 
 * **Parallel tile fan-out** — :class:`TiledRefactorer` /
   :class:`TiledReconstructor` accept ``num_workers`` and run per-tile
-  work through the shared :class:`~repro.core._pool.WorkerPoolMixin`
-  thread pool (the NumPy kernels release the GIL, so tiles overlap
-  across cores). Per-shape :class:`~repro.core.refactor.Refactorer`
-  instances and per-geometry transforms are still shared — boundary
-  tiles reuse the interior tiles' geometry.
+  work on the :class:`~repro.core.backends.ThreadPool` each engine owns
+  (the NumPy kernels release the GIL, so tiles overlap across cores) or
+  on the shared process pool. Per-shape
+  :class:`~repro.core.refactor.Refactorer` instances and per-geometry
+  transforms are still shared — boundary tiles reuse the interior
+  tiles' geometry.
 * **Lazy everything** — :class:`TiledReconstructor` builds a tile's
   :class:`~repro.core.reconstruct.Reconstructor` (and through it the
   retained incremental decode state) only when a reconstruction first
@@ -34,7 +35,10 @@ stage (see :class:`TiledReconstructor`); the sequential, pipelined and
 process routes differ only in which thread or process runs them — by
 construction: a process worker holds a serial :class:`TiledReconstructor`
 over the session's field (tiled fields pickle, and ship once per
-worker) and calls the same two stage functions on it.
+worker) and calls the same two stage functions on it. The write side
+is the same shape: a process worker holds a serial
+:class:`TiledRefactorer` built from the shared config and refactors its
+tile with that engine's per-shape refactorer.
 """
 
 from __future__ import annotations
@@ -49,11 +53,15 @@ from itertools import product
 
 import numpy as np
 
-from repro.core._pool import WorkerPoolMixin
 from repro.core.backends import (
+    ClosesOnExit,
+    ThreadPool,
     attach_shared_block,
+    current_process_backend,
     parse_backend_spec,
+    resolve_backend,
     share_array,
+    shared_process_backend,
     task_name,
     worker_shared,
 )
@@ -63,6 +71,7 @@ from repro.core.refactor import RefactorConfig, Refactorer
 from repro.core.store import open_field
 from repro.core.stream import IOCounters, RefactoredField
 from repro.decompose import MultilevelTransform
+from repro.pipeline.retrieval import FETCH_WORKERS, run_window
 from repro.util.validation import (
     check_dtype_floating,
     check_on_fault,
@@ -345,31 +354,31 @@ def _task_refactor_tile(
     """Process-backend task: refactor one tile out of shared memory.
 
     The tile block is copied out of the parent's shared-memory segment
-    (never pickled through the pipe); the
-    :class:`~repro.core.refactor.RefactorConfig` arrived once per worker
-    under *token*, and the per-shape :class:`Refactorer` built from it
-    stays warm in the worker across calls — boundary tiles of the same
-    shape reuse it exactly as the serial engine's per-shape cache does.
-    Returns the serialized field, whose byte layout is the cross-backend
-    identity contract.
+    (never pickled through the pipe). The worker runs the engine itself:
+    a serial :class:`TiledRefactorer` built from the
+    :class:`~repro.core.refactor.RefactorConfig` that arrived once per
+    worker under *token*, kept resident so its per-shape refactorers
+    stay warm across calls — boundary tiles of the same shape reuse one
+    exactly as in the parent. Returns the serialized field, whose byte
+    layout is the cross-backend identity contract.
     """
-    config = worker_shared(state, token)
-    cache = state.setdefault(("tile-refactorers", token), {})
-    key = tuple(int(e) for e in extent)
-    refactorer = cache.get(key)
-    if refactorer is None:
-        refactorer = Refactorer(key, config)
-        refactorer.transform.level_indices()
-        cache[key] = refactorer
+    engine = state.get(("tiled-refactorer", token))
+    if engine is None:
+        # The parent planned the tiles; the worker-side tile_shape is
+        # never consulted.
+        engine = state[("tiled-refactorer", token)] = TiledRefactorer(
+            extent, worker_shared(state, token)
+        )
     block = attach_shared_block(shm_name, shape, dtype_str, offset, extent)
+    refactorer = engine._refactorer_for(tuple(int(e) for e in extent))
     return refactorer.refactor(block, name=tile_name).to_bytes()
 
 
-class TiledRefactorer(WorkerPoolMixin):
+class TiledRefactorer(ClosesOnExit):
     """Refactor large fields tile by tile (the streaming write path).
 
-    ``num_workers > 1`` refactors independent tiles concurrently through
-    the instance's shared thread pool — the within-device pipeline of
+    ``num_workers > 1`` refactors independent tiles concurrently on the
+    instance's own thread pool — the within-device pipeline of
     Fig. 4, with per-shape :class:`~repro.core.refactor.Refactorer`
     instances (transform geometry, error weights) still shared across
     tiles. Resolving to the ``processes`` backend (``backend=`` /
@@ -396,13 +405,11 @@ class TiledRefactorer(WorkerPoolMixin):
         if backend is not None:
             parse_backend_spec(backend)  # validates, raises on junk
         self.backend = backend
+        self._threads = ThreadPool()  # the threads:N tile fan-out
         self._refactorers: dict[tuple[int, ...], Refactorer] = {}
         # ensure_shared token for shipping the config once per worker;
         # a fresh UUID so recycled ids can never alias a stale config.
         self._config_token = f"tiled-refactor-config:{uuid.uuid4().hex}"
-
-    def _pool_size(self) -> int:
-        return self.num_workers
 
     def _refactorer_for(self, shape: tuple[int, ...]) -> Refactorer:
         # Boundary tiles share geometry; cache per distinct shape. The
@@ -429,25 +436,30 @@ class TiledRefactorer(WorkerPoolMixin):
         else:
             value_range = 0.0
         tiles = plan_tiles(data.shape, self.tile_shape)
-        spec = self._backend_spec()
+        jobs = [
+            (tile, f"{name}.T" + "_".join(map(str, tile.index)))
+            for tile in tiles
+        ]
+        spec = resolve_backend(self.backend, self.num_workers)
         if (
             spec.kind == "processes" and spec.workers > 1
             and len(tiles) > 1 and data.size
         ):
-            fields = self._refactor_tiles_processes(data, tiles, name)
+            fields = self._refactor_tiles_processes(
+                data, jobs, shared_process_backend(spec.workers)
+            )
         else:
             for tile in tiles:  # materialize shared state before the fan-out
                 self._refactorer_for(tile.shape)
 
-            def refactor_tile(tile: TileSpec) -> RefactoredField:
+            def refactor_tile(job) -> RefactoredField:
+                tile, tile_name = job
                 block = np.ascontiguousarray(data[tile.slices()])
-                tile_name = f"{name}.T" + "_".join(map(str, tile.index))
                 return self._refactorers[tile.shape].refactor(
                     block, name=tile_name
                 )
 
-            # reprolint: disable=R3 -- serial/threads path: map_jobs probes picklability and runs closures host-side under processes
-            fields = self.map_jobs(refactor_tile, tiles)
+            fields = self._threads.map(refactor_tile, jobs, spec.threads)
         return TiledField(
             shape=data.shape,
             dtype=data.dtype,
@@ -458,7 +470,7 @@ class TiledRefactorer(WorkerPoolMixin):
         )
 
     def _refactor_tiles_processes(
-        self, data: np.ndarray, tiles: list[TileSpec], name: str
+        self, data: np.ndarray, jobs: list[tuple[TileSpec, str]], backend
     ) -> list[RefactoredField]:
         """Fan tile refactors out across the process backend.
 
@@ -468,7 +480,6 @@ class TiledRefactorer(WorkerPoolMixin):
         fields (the byte-identity contract), deserialized in tile
         order. The segment is unlinked as soon as the calls settle.
         """
-        backend = self._process_backend()
         backend.ensure_shared(self._config_token, self.config)
         arr = np.ascontiguousarray(data)
         shm = share_array(arr)
@@ -479,17 +490,24 @@ class TiledRefactorer(WorkerPoolMixin):
                     refactor_name,
                     (
                         self._config_token, shm.name, arr.shape,
-                        arr.dtype.str, tile.offset, tile.shape,
-                        f"{name}.T" + "_".join(map(str, tile.index)),
+                        arr.dtype.str, tile.offset, tile.shape, tile_name,
                     ),
                     None,
                 )
-                for tile in tiles
+                for tile, tile_name in jobs
             ])
         finally:
             shm.close()
             shm.unlink()
         return [RefactoredField.from_bytes(blob) for blob in blobs]
+
+    def close(self) -> None:
+        """Join the instance's thread pool (idempotent).
+
+        The shared process backend is process-wide and is not closed
+        here; its own ``atexit`` registry tears it down.
+        """
+        self._threads.close()
 
 
 class TiledReconstructionResult(tuple):
@@ -581,7 +599,7 @@ def _task_decode_tile(state, session, token, position, window, tol, on_fault):
     )
 
 
-class TiledReconstructor(WorkerPoolMixin):
+class TiledReconstructor(ClosesOnExit):
     """Progressive reconstruction of a tiled field with a global bound.
 
     Per-tile :class:`~repro.core.reconstruct.Reconstructor` instances —
@@ -594,15 +612,19 @@ class TiledReconstructor(WorkerPoolMixin):
     open + ``plan_step`` + ``fetch_step``, faults captured) and the
     decode stage (:meth:`_decode_tile`: ``decode_step(fetch_error=)``)
     — and every route runs those two functions: the sequential route
-    composes them per tile through :meth:`map_jobs` (serial, or
-    ``num_workers > 1`` tiles at a time on the instance's thread pool),
-    the pipelined window runs fetch on its fetch pool and decode on the
-    caller thread, and a process worker calls them on its own resident
-    engine (:func:`_task_decode_tile`) — one body by construction.
+    composes them per tile (serial, or ``num_workers > 1`` tiles at a
+    time on the instance's thread pool), the pipelined window runs
+    fetch two wide on that same pool and decode on the caller thread,
+    and a process worker calls them on its own resident engine
+    (:func:`_task_decode_tile`) — one body by construction. The
+    instance's pool therefore serves one purpose per engine: the tile
+    fan-out when ``pipelined`` is false, the window's fetch stage when
+    it is true. On every route a failed step returns only once nothing
+    it started is still running.
 
     ``pipelined=True`` overlaps each tile's segment *fetch* with other
-    tiles' *decode* through a bounded
-    :class:`~repro.pipeline.retrieval.RetrievalPipeline` window — the
+    tiles' *decode* through the bounded
+    :func:`~repro.pipeline.retrieval.run_window` — the
     paper's Fig. 4 stage overlap on the real retrieval stack. On a
     latency-bearing store a staircase step then pays ≈max(fetch,
     decode) instead of their sum, with bit-identical results, counters,
@@ -630,7 +652,7 @@ class TiledReconstructor(WorkerPoolMixin):
             parse_backend_spec(backend)  # validates, raises on junk
         self.backend = backend
         self.pipelined = bool(pipelined)
-        self._pipeline = None
+        self._threads = ThreadPool()  # tile fan-out, or the fetch stage
         self._recons: dict[int, Reconstructor] = {}
         self._transforms: dict[tuple, MultilevelTransform] = {}
         self._state_lock = threading.Lock()
@@ -641,9 +663,6 @@ class TiledReconstructor(WorkerPoolMixin):
         self._session_token = f"tiled-session:{uuid.uuid4().hex}"
         self._remote = False
         self._shadow: dict[int, tuple] = {}
-
-    def _pool_size(self) -> int:
-        return self.num_workers
 
     def _transform_for(self, field: RefactoredField) -> MultilevelTransform:
         key = (tuple(field.shape), field.num_levels, field.mode,
@@ -744,17 +763,6 @@ class TiledReconstructor(WorkerPoolMixin):
             sum(account[i] for account in accounts) for i in range(6, 10)
         ))
 
-    def _retrieval_pipeline(self):
-        """The instance's lazily-built retrieval pipeline runtime."""
-        # Local import: repro.pipeline hosts optional accelerator
-        # modules; core must not import it at module load.
-        from repro.pipeline.retrieval import RetrievalPipeline
-
-        with self._state_lock:
-            if self._pipeline is None:
-                self._pipeline = RetrievalPipeline()
-            return self._pipeline
-
     def reconstruct(
         self,
         tolerance: float | None = None,
@@ -820,7 +828,7 @@ class TiledReconstructor(WorkerPoolMixin):
             self._fetch_tile, tol=tol, on_fault=on_fault
         )
         decode = functools.partial(self._decode_tile, on_fault=on_fault)
-        spec = self._backend_spec()
+        spec = resolve_backend(self.backend, self.num_workers)
         if spec.kind == "processes" and spec.workers > 1:
             # Worker-resident tile state: always route through the
             # backend once resolved to it (even single-tile steps), so
@@ -828,23 +836,26 @@ class TiledReconstructor(WorkerPoolMixin):
             # ``pipelined`` is inert here — the workers already fetch
             # their own segments store-side, overlapping I/O across the
             # pool, and tile state must live in exactly one place.
-            outcomes = self._decode_tiles_processes(jobs, tol, on_fault)
+            outcomes = self._decode_tiles_processes(
+                jobs, tol, on_fault, shared_process_backend(spec.workers)
+            )
         elif self.pipelined and len(jobs) > 1:
             # Stage overlap (Fig. 4): fetches run up to a window of
-            # tiles ahead on the pipeline's fetch pool; decode and the
-            # in-stream commit stay on this thread — serial and
-            # ``threads`` hosts alike — so each block is stitched and
+            # tiles ahead, two at a time on the instance's pool; decode
+            # and the in-stream commit stay on this thread — serial and
+            # ``threads`` engines alike — so each block is stitched and
             # released at once (resident decoded data stays O(window)).
-            outcomes = self._retrieval_pipeline().run(
-                jobs, fetch, decode,
+            outcomes = run_window(
+                self._threads.executor(FETCH_WORKERS), jobs, fetch, decode,
                 commit=functools.partial(self._commit_tile, out=out),
             )
         else:
             # The same two stages, composed per tile. First-touch opens
             # happen inside the fan-out: on a store-backed field the
             # per-tile index fetches overlap across worker threads.
-            # reprolint: disable=R3 -- serial/threads path: the processes case above ships _task_decode_tile by name
-            outcomes = self.map_jobs(lambda job: decode(job, fetch(job)), jobs)
+            outcomes = self._threads.map(
+                lambda job: decode(job, fetch(job)), jobs, spec.threads
+            )
         worst = 0.0
         degraded = False
         failed_tiles: list[int] = []
@@ -938,7 +949,7 @@ class TiledReconstructor(WorkerPoolMixin):
         return position, region_local, None, bound, tile_degraded, groups
 
     def _decode_tiles_processes(
-        self, jobs: list[tuple], tol: float | None, on_fault: str
+        self, jobs: list[tuple], tol: float | None, on_fault: str, backend
     ) -> list[tuple]:
         """One step of every selected tile on the process backend.
 
@@ -953,7 +964,6 @@ class TiledReconstructor(WorkerPoolMixin):
         from scratch, while the survivors keep their state. Each reply
         mirrors the tile's accounting into ``_shadow``.
         """
-        backend = self._process_backend()
         field_token = f"tiled-field:{self._session_token}"
         backend.ensure_shared(field_token, self.tiled)
         self._remote = True
@@ -998,20 +1008,30 @@ class TiledReconstructor(WorkerPoolMixin):
         return outcomes
 
     def close(self) -> None:
-        """Release worker-resident session state, then the local pool."""
-        with self._state_lock:
-            pipeline, self._pipeline = self._pipeline, None
-        if pipeline is not None:
-            pipeline.close()
+        """Release worker-resident session state, then the local pool.
+
+        Idempotent; the engine stays usable (either is rebuilt on the
+        next step that needs it). The shared process backend itself is
+        process-wide and is not closed here.
+        """
         if self._remote:
             self._remote = False
-            try:
-                backend = self._process_backend()
+            # Only a live pool can hold this session: look, never
+            # create one to drop from. Both drops are best-effort.
+            backend = current_process_backend()
+            if backend is not None:
                 backend.drop_session(self._session_token)
                 backend.drop_shared(f"tiled-field:{self._session_token}")
-            except Exception:  # reprolint: disable=R2 -- best-effort release of worker state on close; must not mask the caller's teardown
-                pass
-        super().close()
+        self._threads.close()
+
+    def __del__(self) -> None:
+        # Worker-resident state is released by close() alone, and the
+        # service tracks its sessions weakly: an abandoned engine must
+        # still let go of it. (Thread pools need no finalizer.)
+        try:
+            self.close()
+        except Exception:  # reprolint: disable=R2 -- GC-time teardown: an exception in __del__ is unactionable and would only print noise
+            pass
 
     def progressive(
         self,

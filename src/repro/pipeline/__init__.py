@@ -15,14 +15,15 @@ stages correct. This package provides:
 * :mod:`~repro.pipeline.multigpu` — single-node weak scaling with host
   link contention and barrier overhead (Fig. 10, Fig. 14);
 * :mod:`~repro.pipeline.retrieval` — the Fig. 4 stage discipline run on
-  the *real* retrieval stack: bounded-window fetch/decode/commit
-  overlap across the tiles of a progressive step, bit-identical to the
-  sequential route.
+  the *real* retrieval stack: :func:`~repro.pipeline.retrieval.run_window`,
+  the bounded-window fetch/decode/commit overlap across the tiles of a
+  progressive step, bit-identical to the sequential route. It runs on
+  the executor its caller hands it and owns no threads.
 """
 
 from importlib import import_module
 
-from repro.pipeline.retrieval import RetrievalPipeline
+from repro.pipeline.retrieval import run_window
 
 #: The simulated-layer names resolve on first access (PEP 562): ``dag``
 #: and ``executor`` need ``networkx``, which the package does not
@@ -43,7 +44,7 @@ _LAZY = {
     "weak_scaling": "multigpu",
 }
 
-__all__ = ["RetrievalPipeline", *_LAZY]
+__all__ = ["run_window", *_LAZY]
 
 
 def __getattr__(name: str):

@@ -10,15 +10,19 @@ computes its reference on the serial engine and diffs a parametrized
 backend against it, so a future backend (or a regression in an existing
 one) fails loudly here rather than corrupting science silently.
 
-Also covers the backend-selection rules, hypothesis properties of
-``map_jobs`` (ordering, exception propagation, lifecycle), the nested
-re-entrant submission fix, and ``atexit`` teardown of leaked pools.
+Also covers the backend-selection rules, hypothesis properties of the
+two fan-out mechanisms (``ThreadPool.map`` and
+``ProcessBackend.map_jobs``: ordering, exception propagation,
+lifecycle), who owns which thread pool, the drain-before-raise
+guarantee of the ``threads`` route, and ``atexit`` teardown of leaked
+pools.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -31,10 +35,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core._pool import WorkerPoolMixin
+from repro.core import backends
 from repro.core.backends import (
     BACKEND_ENV,
     ProcessBackend,
+    ThreadPool,
     current_process_backend,
     default_process_workers,
     parse_backend_spec,
@@ -45,6 +50,7 @@ from repro.core.backends import (
     worker_shared,
 )
 from repro.core.errors import (
+    StoreError,
     TransientStoreError,
     WorkerCrashedError,
     WorkerTimeoutError,
@@ -63,6 +69,7 @@ from repro.core.store import (
 )
 from repro.core.tiling import TiledReconstructor, TiledRefactorer
 from repro.data import generators as gen
+from repro.pipeline.retrieval import FETCH_WORKERS
 
 BACKENDS = ["serial", "threads:2", "processes:2"]
 STAIRCASE = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
@@ -94,15 +101,23 @@ def _resolved_kind_with_forced_parallel(_):
     return resolve_backend(None, 8).kind
 
 
-class _Host(WorkerPoolMixin):
-    """Minimal pool host for backend/property tests."""
+_identity_lambda = lambda x: x  # noqa: E731 -- module-level, still unpicklable
+
+
+class _Host:
+    """Test-local adapter: one ``map_jobs`` over the two real mechanisms,
+    selected the way the tiled engines select."""
 
     def __init__(self, num_workers: int = 0, backend: str | None = None):
-        self.num_workers = int(num_workers)
-        self.backend = backend
+        self.num_workers, self.backend = int(num_workers), backend
+        self._threads = ThreadPool()
+        self.close = self._threads.close
 
-    def _pool_size(self) -> int:
-        return self.num_workers
+    def map_jobs(self, fn, jobs):
+        spec = resolve_backend(self.backend, self.num_workers)
+        if spec.kind == "processes" and spec.workers > 1 and len(jobs) > 1:
+            return shared_process_backend(spec.workers).map_jobs(fn, jobs)
+        return self._threads.map(fn, jobs, spec.threads)
 
 
 # -- fixtures ---------------------------------------------------------------
@@ -591,8 +606,8 @@ class TestPipeCapacity:
             backend.close()
 
     def test_unpicklable_job_raises_with_rest_of_batch_settled(self):
-        """fn is probed for picklability but jobs are not (probing would
-        serialize each one twice); a job that cannot pickle surfaces as
+        """Nothing is probed for picklability up front (probing would
+        serialize each job twice); a job that cannot pickle surfaces as
         that call's failure without wedging the pipes."""
         backend = ProcessBackend(2)
         try:
@@ -600,6 +615,19 @@ class TestPipeCapacity:
                 backend.map_jobs(_square, [1, threading.Lock(), 3])
             # the pool stayed consistent: the next batch works
             assert backend.map_jobs(_square, [2, 3]) == [4, 9]
+        finally:
+            backend.close()
+
+    def test_unpicklable_fn_raises_instead_of_running_host_side(self):
+        """An unpicklable *fn* used to turn the whole batch into a
+        silent host-side loop; it now fails at dispatch like an
+        unpicklable job, and the pool survives untouched."""
+        backend = ProcessBackend(2)
+        try:
+            with pytest.raises(pickle.PicklingError):
+                backend.map_jobs(_identity_lambda, [1, 2])
+            assert backend.map_jobs(abs, [-2, 3]) == [2, 3]
+            assert backend.health()["respawns"] == 0
         finally:
             backend.close()
 
@@ -634,33 +662,139 @@ class TestPoolReplacementReship:
             got.close()
 
 
-# -- satellite: nested re-entrant submission --------------------------------
+# -- one thread pool per owner ----------------------------------------------
 
-class TestReentrantSubmission:
-    def test_nested_map_jobs_completes_instead_of_deadlocking(self):
-        """A job running on the host's own saturated pool re-enters
-        map_jobs; before the fix this deadlocked (ThreadPoolExecutor
-        does not steal work), so run under a watchdog."""
-        host = _Host(2, backend="threads:2")
-        inner = list(range(6))
+class TestThreadPoolOwnership:
+    def test_concurrent_first_touches_create_one_executor(self):
+        pool = ThreadPool()
+        barrier = threading.Barrier(8)
+        seen = []
 
-        def outer(_):
-            return sum(host.map_jobs(_square, inner))
+        def touch():
+            barrier.wait(timeout=10)
+            seen.append(pool.executor(2))
 
-        outcome = {}
-
-        def run():
-            outcome["result"] = host.map_jobs(outer, list(range(4)))
-
-        worker = threading.Thread(target=run, daemon=True)
-        worker.start()
-        worker.join(timeout=20)
+        before = set(backends._LIVE_THREAD_POOLS)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            assert not worker.is_alive(), "nested map_jobs deadlocked"
-            expected = sum(x * x for x in inner)
-            assert outcome["result"] == [expected] * 4
+            threads = [threading.Thread(target=touch) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
         finally:
-            host.close()
+            sys.setswitchinterval(interval)
+        try:
+            assert len(seen) == 8 and len(set(map(id, seen))) == 1
+            assert set(backends._LIVE_THREAD_POOLS) - before == {seen[0]}
+        finally:
+            pool.close()
+
+    def test_serial_tiled_staircase_starts_no_thread(self, data,
+                                                     tiled_stored,
+                                                     monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        before = set(backends._LIVE_THREAD_POOLS)
+        refac = TiledRefactorer((8, 8, 8))
+        refac.refactor(data, name="rho")
+        recon = TiledReconstructor(open_tiled_field(tiled_stored, "rho"))
+        for tol in STAIRCASE:
+            recon.reconstruct(tolerance=tol, region=ROI)
+        assert refac._threads._executor is None
+        assert recon._threads._executor is None
+        assert set(backends._LIVE_THREAD_POOLS) <= before
+
+    @pytest.mark.parametrize("backend", ["serial", "threads:4"])
+    def test_pipelined_step_owns_one_two_wide_executor(self, tiled_stored,
+                                                       backend):
+        """A pipelined engine's pool is the window's fetch stage and
+        nothing else — ``threads:N`` does not widen it — and ``close()``
+        joins it; the next step re-creates it."""
+        before = set(backends._LIVE_THREAD_POOLS)
+        recon = TiledReconstructor(
+            open_tiled_field(tiled_stored, "rho"), backend=backend,
+            pipelined=True,
+        )
+        for tol in STAIRCASE[:2]:
+            recon.reconstruct(tolerance=tol, region=ROI)
+        (executor,) = set(backends._LIVE_THREAD_POOLS) - before
+        assert executor is recon._threads._executor
+        assert executor._max_workers == FETCH_WORKERS == 2
+        workers = list(executor._threads)
+        assert workers and all(t.is_alive() for t in workers)
+        recon.close()
+        assert recon._threads._executor is None
+        assert not any(t.is_alive() for t in workers)
+        recon.reconstruct(tolerance=STAIRCASE[2], region=ROI)
+        assert recon._threads._executor not in (None, executor)
+        recon.close()
+
+
+class TestThreadsRouteDrains:
+    def test_failed_step_leaves_no_tile_step_running(self):
+        """``threads:2``, tile 0's first group read fails: when the
+        failure reaches the caller nothing the step started may still be
+        reading the store (the executor's own ``map`` only cancels what
+        is queued: 7 reads at the raise, 29 half a second later), and
+        the immediate retry matches the serial step."""
+        data = gen.gaussian_random_field((32, 32, 32), -2.0, seed=3,
+                                         dtype=np.float32)
+        tiled = TiledRefactorer((16, 16, 16)).refactor(data, name="rho")
+        inner = MemoryStore()
+        store_tiled_field(inner, tiled)
+        faulty = FaultInjectingStore(
+            inner, latency_s=0.004,
+            fail_first={segment_key(tiled.fields[0].name, 0, 0): 1},
+        )
+        recon = TiledReconstructor(
+            open_tiled_field(faulty, "rho"), backend="threads:2"
+        )
+        ref = TiledReconstructor(open_tiled_field(inner, "rho"),
+                                 backend="serial")
+        try:
+            with pytest.raises(StoreError):
+                recon.reconstruct(tolerance=1e-2)
+            at_raise, touched = faulty.reads, recon.touched_tiles
+            time.sleep(0.5)
+            assert faulty.reads == at_raise
+            assert recon.touched_tiles == touched
+            for tol in (1e-2, 1e-3):
+                got = recon.reconstruct(tolerance=tol)
+                want = ref.reconstruct(tolerance=tol)
+                np.testing.assert_array_equal(got.data, want.data)
+                assert got.error_bound == want.error_bound
+                assert recon.fetched_bytes == ref.fetched_bytes
+                assert (recon.aggregate_decode_counters().groups_decoded
+                        == ref.aggregate_decode_counters().groups_decoded)
+        finally:
+            recon.close()
+
+    def test_map_cancels_queued_jobs_and_waits_for_running_ones(self):
+        pool = ThreadPool()
+        started, finished = [], []
+        release = threading.Event()
+
+        def job(i):
+            started.append(i)
+            if i == 0:
+                raise ValueError("job 0")
+            release.wait(timeout=10)
+            time.sleep(0.05)
+            finished.append(i)
+            return i
+
+        timer = threading.Timer(0.1, release.set)
+        timer.start()
+        try:
+            with pytest.raises(ValueError, match="job 0"):
+                pool.map(job, list(range(8)), 2)
+            assert sorted(finished) == sorted(set(started) - {0})
+            assert len(started) < 8  # the queued tail was cancelled
+        finally:
+            timer.cancel()
+            pool.close()
 
 
 # -- satellite: atexit teardown of leaked pools -----------------------------
@@ -671,24 +805,29 @@ class TestAtexitSafety:
         anything must still terminate promptly with status 0."""
         script = """
 import numpy as np
-from repro.core._pool import WorkerPoolMixin
-from repro.core.tiling import TiledRefactorer
-
-class Host(WorkerPoolMixin):
-    num_workers = 2
-    def _pool_size(self):
-        return self.num_workers
+from repro.core import backends
+from repro.core.service import RetrievalService
+from repro.core.store import MemoryStore, store_tiled_field
+from repro.core.tiling import TiledReconstructor, TiledRefactorer
 
 data = np.linspace(0.0, 1.0, 2520).reshape(18, 14, 10)
 tiled = TiledRefactorer(
     (9, 7, 5), num_workers=2, backend="processes:2"
-).refactor(data)
-host = Host()
-host.backend = "threads:2"
-host.map_jobs(abs, [-1, 2, -3, 4])
+).refactor(data, name="rho")
+engine = TiledReconstructor(tiled, backend="threads:2")
+engine.reconstruct(tolerance=1e-2)
+store = MemoryStore()
+store_tiled_field(store, tiled)
+service = RetrievalService(store, prefetch=True)
+session = service.tiled_session("rho", backend="serial", pipelined=True)
+session.reconstruct(tolerance=1e-1)
+assert service.prefetch_requests > 0
+assert len(list(backends._LIVE_THREAD_POOLS)) == 3
+assert backends.current_process_backend().alive
 print("leaked-ok", len(tiled.fields))
-# exit WITHOUT close() on the host, the shared process backend, or
-# the thread pool: the atexit registries must reap them all
+# exit WITHOUT close() on the threads engine, the pipelined session,
+# the prefetching service or the shared process backend: the atexit
+# registries must reap them all
 """
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get(
@@ -713,7 +852,7 @@ class TestUntiledEnginesSpawnNoPool:
         script = """
 import hashlib
 import numpy as np
-from repro.core import _pool
+from repro.core import backends
 from repro.core.backends import current_process_backend
 from repro.core.reconstruct import Reconstructor
 from repro.core.refactor import refactor
@@ -726,7 +865,7 @@ recon = Reconstructor(field)
 for tol in (1e-1, 1e-3, 1e-5):
     out = recon.reconstruct(tolerance=tol)
 assert current_process_backend() is None
-assert not list(_pool._LIVE_THREAD_POOLS)
+assert not list(backends._LIVE_THREAD_POOLS)
 print("digest", hashlib.sha256(field.to_bytes()).hexdigest(),
       hashlib.sha256(out.data.tobytes()).hexdigest())
 """

@@ -347,13 +347,13 @@ class TestRetrievalService:
         reference.reconstruct(tolerance=1e-1)
         svc.close()
         svc.close()  # idempotent
-        assert svc._pool is None
+        assert svc._prefetch_threads._executor is None
         requests = svc.prefetch_requests
         got = session.reconstruct(tolerance=1e-4)
         want = reference.reconstruct(tolerance=1e-4)
         np.testing.assert_array_equal(got.data, want.data)
         assert got.error_bound == want.error_bound
-        assert svc._pool is None
+        assert svc._prefetch_threads._executor is None
         assert svc.prefetch_requests == requests
         assert twin.prefetch_requests > requests  # the open twin kept going
         twin.close()
@@ -366,12 +366,15 @@ class TestRetrievalService:
         its fixed width."""
         monkeypatch.setenv("REPRO_BACKEND", "threads:8")
         svc = RetrievalService(dir_store, prefetch=True)
-        assert svc._worker_pool()._max_workers == 2
+        assert not hasattr(svc, "backend")
+        svc.session("vel").reconstruct(tolerance=1e-1)
+        assert svc.prefetch_requests > 0
+        assert svc._prefetch_threads._executor._max_workers == 2
         svc.close()
 
     def test_prefetch_failures_are_swallowed_and_counted(self, dir_store):
         svc = RetrievalService(dir_store, prefetch=True)
-        pool = svc._worker_pool()
+        pool = svc._prefetch_threads.executor(2)
         with svc._futures_lock:
             svc._prefetch_futures.append(
                 pool.submit(svc._safe_warm, "no-such-segment")

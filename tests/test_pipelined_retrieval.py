@@ -19,6 +19,8 @@ import re
 import subprocess
 import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,11 @@ from repro.core.errors import StoreError, TransientStoreError
 from repro.core.faults import FaultInjectingStore, ResilientReader
 from repro.core.refactor import refactor
 from repro.core.reconstruct import Reconstructor
-from repro.core.service import RetrievalService, _store_bears_latency
+from repro.core.service import (
+    _PREFETCH_WORKERS,
+    RetrievalService,
+    _store_bears_latency,
+)
 from repro.core.store import (
     DirectoryStore,
     MemoryStore,
@@ -39,7 +45,7 @@ from repro.core.store import (
 )
 from repro.core.tiling import TiledReconstructor, TiledRefactorer
 from repro.data import generators as gen
-from repro.pipeline.retrieval import RetrievalPipeline
+from repro.pipeline.retrieval import run_window
 
 pytestmark = pytest.mark.backend
 
@@ -96,34 +102,36 @@ def _tiled_stats(recon):
 
 # -- runtime unit tests -----------------------------------------------------
 
-class TestRetrievalPipelineRuntime:
-    @pytest.mark.parametrize("kwargs", [
-        {"window": 0}, {"window": -1},
-        {"fetch_workers": 0}, {"fetch_workers": -2},
-    ])
-    def test_rejects_bad_parameters(self, kwargs):
-        with pytest.raises(ValueError):
-            RetrievalPipeline(**kwargs)
+class TestRunWindowRuntime:
+    @pytest.fixture()
+    def executor(self):
+        with ThreadPoolExecutor(max_workers=3) as executor:
+            yield executor
 
-    def test_results_keep_item_order(self):
-        with RetrievalPipeline(window=3, fetch_workers=2) as pipe:
-            out = pipe.run(
-                range(10), fetch=lambda i: i * 10,
-                decode=lambda i, f: f + i,
-            )
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_rejects_window_below_one(self, executor, window):
+        with pytest.raises(ValueError, match="window"):
+            run_window(executor, range(3), fetch=lambda i: i,
+                       decode=lambda i, f: f, window=window)
+
+    def test_results_keep_item_order(self, executor):
+        out = run_window(
+            executor, range(10), fetch=lambda i: i * 10,
+            decode=lambda i, f: f + i, window=3,
+        )
         assert out == [i * 11 for i in range(10)]
 
-    def test_commit_return_value_replaces_result(self):
+    def test_commit_return_value_replaces_result(self, executor):
         sink = []
-        with RetrievalPipeline(window=2) as pipe:
-            out = pipe.run(
-                range(5), fetch=lambda i: i, decode=lambda i, f: f * 2,
-                commit=lambda i, v: sink.append(v),
-            )
+        out = run_window(
+            executor, range(5), fetch=lambda i: i,
+            decode=lambda i, f: f * 2,
+            commit=lambda i, v: sink.append(v), window=2,
+        )
         assert sink == [0, 2, 4, 6, 8]  # committed in item order
         assert out == [None] * 5  # bulky blocks retired, not retained
 
-    def test_window_bounds_fetched_but_undecoded(self):
+    def test_window_bounds_fetched_but_undecoded(self, executor):
         lock = threading.Lock()
         inflight = {"now": 0, "max": 0}
 
@@ -138,16 +146,20 @@ class TestRetrievalPipelineRuntime:
                 inflight["now"] -= 1
             return fetched
 
-        with RetrievalPipeline(window=3, fetch_workers=3) as pipe:
-            pipe.run(range(20), fetch=fetch, decode=decode)
+        run_window(executor, range(20), fetch=fetch, decode=decode,
+                   window=3)
         assert inflight["max"] <= 3
 
-    def test_earliest_failure_wins_and_window_drains(self):
-        committed = []
+    def test_earliest_failure_wins_and_window_drains(self, executor):
+        committed, started, finished = [], [], []
 
         def fetch(i):
+            started.append(i)
             if i == 4:
                 raise RuntimeError("fetch 4")
+            if i > 2:
+                time.sleep(0.05)  # still running when decode 2 raises
+            finished.append(i)
             return i
 
         def decode(i, fetched):
@@ -155,20 +167,18 @@ class TestRetrievalPipelineRuntime:
                 raise RuntimeError("decode 2")
             return fetched
 
-        with RetrievalPipeline(window=4, fetch_workers=2) as pipe:
-            with pytest.raises(RuntimeError, match="decode 2"):
-                pipe.run(range(8), fetch=fetch, decode=decode,
-                         commit=lambda i, v: committed.append(i) or v)
+        with pytest.raises(RuntimeError, match="decode 2"):
+            run_window(executor, range(8), fetch=fetch, decode=decode,
+                       commit=lambda i, v: committed.append(i) or v)
         assert committed == [0, 1]  # strictly in-order up to the fault
+        assert 3 in started  # fetched ahead of the failing decode...
+        assert sorted(finished) == sorted(set(started) - {4})  # ...drained
 
-    def test_close_is_idempotent_and_pipeline_reusable_until_closed(self):
-        pipe = RetrievalPipeline(window=2)
-        assert pipe.run([1, 2], fetch=lambda i: i,
-                        decode=lambda i, f: f) == [1, 2]
-        assert pipe.run([3], fetch=lambda i: i,
-                        decode=lambda i, f: f) == [3]
-        pipe.close()
-        pipe.close()
+    def test_executor_is_reusable_across_runs(self, executor):
+        assert run_window(executor, [1, 2], fetch=lambda i: i,
+                          decode=lambda i, f: f, window=2) == [1, 2]
+        assert run_window(executor, [3], fetch=lambda i: i,
+                          decode=lambda i, f: f, window=2) == [3]
 
 
 # -- the single fetch seam --------------------------------------------------
@@ -499,7 +509,7 @@ class TestServicePipelined:
         svc = RetrievalService(_fresh_store(reference_field), prefetch=True)
         gate = threading.Event()
         # Occupy every prefetch worker so queued warms cannot start.
-        pool = svc._worker_pool()
+        pool = svc._prefetch_threads.executor(_PREFETCH_WORKERS)
         blockers = [
             pool.submit(gate.wait) for _ in range(pool._max_workers)
         ]

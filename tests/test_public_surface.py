@@ -15,14 +15,20 @@ package in the ``clean-install`` job.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import inspect
 
 import pytest
 
 import repro.pipeline
 import repro.pipeline.retrieval
-from repro.core._pool import WorkerPoolMixin
-from repro.core.backends import ProcessBackend, _task_ping, task_name
+from repro.core.backends import (
+    ClosesOnExit,
+    ProcessBackend,
+    ThreadPool,
+    _task_ping,
+    task_name,
+)
 from repro.core.reconstruct import Reconstructor, reconstruct
 from repro.core.refactor import RefactorConfig, Refactorer
 from repro.core.service import (
@@ -36,7 +42,7 @@ from repro.core.tiling import (
     TiledRefactorer,
 )
 from repro.lossless.hybrid import compress_planes
-from repro.pipeline.retrieval import RetrievalPipeline
+from repro.pipeline.retrieval import run_window
 
 REQUIRED = inspect.Parameter.empty
 
@@ -65,10 +71,13 @@ SURFACE = [
     (TiledServiceSession,
      [("service", REQUIRED), ("tiled", REQUIRED), *TILED_ENGINE]),
     (TiledServiceSession.reconstruct, TILED_STEP),
-    (RetrievalPipeline, [("window", 4), ("fetch_workers", 2)]),
-    (RetrievalPipeline.run,
-     [("items", REQUIRED), ("fetch", REQUIRED), ("decode", REQUIRED),
-      ("commit", None)]),
+    (run_window,
+     [("executor", REQUIRED), ("items", REQUIRED), ("fetch", REQUIRED),
+      ("decode", REQUIRED), ("commit", None), ("window", 4)]),
+    (ThreadPool, []),
+    (ThreadPool.executor, [("workers", REQUIRED)]),
+    (ThreadPool.map,
+     [("fn", REQUIRED), ("jobs", REQUIRED), ("workers", REQUIRED)]),
     (RetrievalService,
      [("store", REQUIRED), ("cache_bytes", 256 << 20), ("prefetch", False)]),
     (Refactorer, [("shape", REQUIRED), ("config", None)]),
@@ -105,7 +114,7 @@ REMOVED_KEYWORDS = [
     (TiledServiceSession.reconstruct, ["pipelined"]),
     (RefactorConfig, ["num_workers", "backend"]),
     (compress_planes, ["pool"]),
-    (RetrievalPipeline.run, ["decode_pool", "decode_workers"]),
+    (run_window, ["decode_pool", "decode_workers", "fetch_workers"]),
     (RetrievalService, ["num_workers"]),
     (ProcessBackend, ["start_method"]),
 ]
@@ -154,14 +163,32 @@ def test_removed_names_are_gone():
     assert not hasattr(repro.pipeline, "pipelined_reconstruct")
     assert not hasattr(repro.pipeline.retrieval, "pipelined_reconstruct")
     assert "pipelined_reconstruct" not in repro.pipeline.__all__
-    assert not hasattr(RetrievalPipeline, "level_runner")
+    assert not hasattr(repro.pipeline.retrieval, "RetrievalPipeline")
+    assert not hasattr(repro.pipeline, "RetrievalPipeline")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.core._pool")
     for name in ("fetch_level_groups", "step_segment_keys", "map_jobs",
                  "close", "num_workers", "backend"):
         assert not hasattr(Reconstructor, name), name
-    assert not issubclass(Reconstructor, WorkerPoolMixin)
-    assert issubclass(TiledReconstructor, WorkerPoolMixin)
-    assert not issubclass(Refactorer, WorkerPoolMixin)
-    assert issubclass(TiledRefactorer, WorkerPoolMixin)
+
+
+def test_pool_owners_compose_their_thread_pool():
+    """A thread pool is a handle an object owns, not a class it
+    inherits: the three owners share only the stateless ``with``
+    protocol, none dispatches through a generic ``map_jobs``, and the
+    service is not an execution-backend host at all."""
+    assert set(vars(ClosesOnExit)) <= {
+        "__module__", "__doc__", "__dict__", "__weakref__",
+        "__enter__", "__exit__",
+    }
+    for owner in (TiledRefactorer, TiledReconstructor, RetrievalService):
+        assert owner.__mro__[1:] == (ClosesOnExit, object), owner
+        assert not hasattr(owner, "map_jobs"), owner
+    for engine in (Refactorer, Reconstructor):
+        assert engine.__mro__[1:] == (object,), engine
+    assert not hasattr(RetrievalService, "backend")
+    assert repro.pipeline.retrieval.WINDOW == 4
+    assert repro.pipeline.retrieval.FETCH_WORKERS == 2
 
 
 def test_lazy_tiled_field_takes_a_store_not_an_opener():
