@@ -81,7 +81,7 @@ def _staircase_eager(store: DirectoryStore, tolerances) -> None:
 
 
 def _run_eager(store: DirectoryStore, n_sessions, tolerances) -> dict:
-    store.reads = store.bytes_read = 0
+    store.reads = store.bytes_read = store.requests = 0
     t0 = time.perf_counter()
     with ThreadPoolExecutor(max_workers=n_sessions) as pool:
         list(pool.map(lambda _: _staircase_eager(store, tolerances),

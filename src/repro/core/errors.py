@@ -135,6 +135,30 @@ RETRYABLE_ERRORS: tuple[type[BaseException], ...] = (
     TimeoutError,
 )
 
+#: What a batched read (``get_many``) settles per key instead of raising
+#: at once: the store taxonomy plus the builtins third-party readers
+#: raise (a bare ``KeyError`` for a missing key, ``TimeoutError``).
+BATCH_ERRORS: tuple[type[BaseException], ...] = (
+    StoreError,
+    KeyError,
+    TimeoutError,
+)
+
+
+def finish_batch(keys, values: dict, errors: dict) -> list:
+    """Close a settled batched read: *values* in *keys* order, or raise.
+
+    Library layers pass batches between each other settled, as
+    ``({key: value}, {key: error})``; only a public ``get_many`` /
+    ``resolve_many`` closes one here. When any key failed, the error of
+    the first failed key in *keys* order (the key a per-key loop would
+    have raised on) is raised.
+    """
+    for key in keys:
+        if key in errors:
+            raise errors[key]
+    return [values[key] for key in keys]
+
 
 __all__ = [
     "StoreError",
@@ -147,4 +171,6 @@ __all__ = [
     "WorkerTimeoutError",
     "WorkerStateError",
     "RETRYABLE_ERRORS",
+    "BATCH_ERRORS",
+    "finish_batch",
 ]

@@ -43,7 +43,7 @@ import signal
 import threading
 import time
 import zlib
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
@@ -51,7 +51,9 @@ from repro.core.errors import (
     RETRYABLE_ERRORS,
     SegmentCorruptionError,
     TransientStoreError,
+    finish_batch,
 )
+from repro.core.store import settle_many
 
 #: Exit status a :class:`WorkerChaos` ``"exit"`` schedule dies with —
 #: recognizable in ``WorkerCrashedError`` messages and test asserts.
@@ -67,10 +69,12 @@ class FaultInjectingStore:
         The wrapped :class:`~repro.core.store.SegmentReader` (or full
         store — writes and every other attribute pass through).
     seed:
-        Root of the deterministic fault schedule. Each ``get`` decision
+        Root of the deterministic fault schedule. Each key's decision
         draws from ``random.Random(f"{seed}:{key}:{n}")`` where *n* is
         that key's access count, so runs with identical per-key access
-        sequences see identical faults even under concurrency.
+        sequences see identical faults even under concurrency — and
+        whether the keys were read one ``get`` at a time or batched in
+        ``get_many``.
     transient_rate:
         Probability in ``[0, 1]`` that a ``get`` raises
         :class:`~repro.core.errors.TransientStoreError` (drawn before
@@ -80,7 +84,8 @@ class FaultInjectingStore:
         Probability in ``[0, 1]`` that a successful ``get`` returns the
         blob with exactly one deterministically-chosen bit flipped.
     latency_s:
-        Injected sleep per ``get`` (via *sleep*), modeling a slow tier.
+        Injected sleep per request (via *sleep*), modeling a slow tier:
+        once per ``get`` and once per ``get_many``, however many keys.
     fail_first:
         Fail-N-then-succeed schedule: an ``int`` applies to every key,
         a mapping gives per-key counts; the first N accesses of a key
@@ -90,7 +95,7 @@ class FaultInjectingStore:
         Injected sleep function (tests pass a no-op and read
         ``injected_latency_s`` instead of waiting).
 
-    Counters — ``reads``, ``injected_transients``,
+    Counters — ``reads`` (key accesses), ``injected_transients``,
     ``injected_corruptions``, ``injected_latency_s`` — let harnesses
     assert that a chaos run actually exercised faults.
     """
@@ -135,37 +140,66 @@ class FaultInjectingStore:
         return int(schedule)
 
     def get(self, key: str) -> bytes:
+        """One key: :meth:`get_many` of one."""
+        return self.get_many([key])[0]
+
+    def get_many(self, keys: Sequence[str]) -> list[bytes]:
+        """The blobs of *keys* in key order (see :meth:`settle_many`)."""
+        return finish_batch(keys, *self.settle_many(keys))
+
+    def settle_many(self, keys: Sequence[str]) -> tuple[dict, dict]:
+        """Read *keys* as one request, settled as ``({key: blob}, {key:
+        error})``: one latency charge, then every key's own draws,
+        exactly as ``get`` would make them.
+
+        Keys that survive their transient draws are read from the
+        wrapped reader in one batched call; corruption is drawn after.
+        """
+        if not keys:
+            return {}, {}
         with self._lock:
-            n = self._access_counts[key] = self._access_counts.get(key, 0) + 1
-            self.reads += 1
-        if self.latency_s:
-            with self._lock:
+            counts = []
+            for key in keys:
+                n = self._access_counts.get(key, 0) + 1
+                self._access_counts[key] = n
+                counts.append(n)
+            self.reads += len(keys)
+            if self.latency_s:
                 self.injected_latency_s += self.latency_s
+        if self.latency_s:
             self._sleep(self.latency_s)
-        if n <= self._fail_budget(key):
-            with self._lock:
-                self.injected_transients += 1
-            raise TransientStoreError(
-                f"injected failure {n}/{self._fail_budget(key)} for "
-                f"segment {key!r}"
-            )
-        rng = random.Random(f"{self.seed}:{key}:{n}")
-        if self.transient_rate and rng.random() < self.transient_rate:
-            with self._lock:
-                self.injected_transients += 1
-            raise TransientStoreError(
-                f"injected transient failure for segment {key!r} "
-                f"(access {n})"
-            )
-        blob = self._inner.get(key)
-        if self.corrupt_rate and blob and rng.random() < self.corrupt_rate:
-            flipped = bytearray(blob)
-            bit = rng.randrange(len(flipped) * 8)
-            flipped[bit >> 3] ^= 1 << (bit & 7)
-            blob = bytes(flipped)
-            with self._lock:
-                self.injected_corruptions += 1
-        return blob
+        errors, live, transients = {}, [], 0
+        for key, n in zip(keys, counts):
+            budget = self._fail_budget(key)
+            rng = random.Random(f"{self.seed}:{key}:{n}")
+            if n <= budget:
+                errors[key] = TransientStoreError(
+                    f"injected failure {n}/{budget} for segment {key!r}"
+                )
+            elif self.transient_rate and rng.random() < self.transient_rate:
+                errors[key] = TransientStoreError(
+                    f"injected transient failure for segment {key!r} "
+                    f"(access {n})"
+                )
+            else:
+                live.append((key, rng))
+                continue
+            transients += 1
+        values, inner_errors = settle_many(self._inner, [k for k, _ in live])
+        errors.update(inner_errors)
+        corruptions = 0
+        for key, rng in live:
+            blob = values.get(key)
+            if self.corrupt_rate and blob and rng.random() < self.corrupt_rate:
+                flipped = bytearray(blob)
+                bit = rng.randrange(len(flipped) * 8)
+                flipped[bit >> 3] ^= 1 << (bit & 7)
+                values[key] = bytes(flipped)
+                corruptions += 1
+        with self._lock:
+            self.injected_transients += transients
+            self.injected_corruptions += corruptions
+        return values, errors
 
     def access_count(self, key: str) -> int:
         """How many times *key* has been ``get`` so far."""
@@ -425,28 +459,64 @@ class RetryPolicy:
             ) from None
 
     def run(self, fn: Callable, *args):
-        """Call ``fn(*args)``, retrying classified failures per policy."""
+        """Call ``fn(*args)``, retrying classified failures per policy:
+        :meth:`run_many` over a single key."""
+        values, errors = self.run_many(lambda _: ({0: fn(*args)}, {}), [0])
+        if errors:
+            raise errors[0]
+        return values[0]
+
+    def run_many(
+        self, fn: Callable, keys: Sequence[str]
+    ) -> tuple[dict, dict]:
+        """Retry only the keys that failed, together.
+
+        ``fn(keys)`` settles every key into ``({key: value}, {key:
+        error})``. Failed keys with a retryable error are retried
+        together, one ``fn`` call per round, after one backoff; each
+        key gets the same budget, deadline and classification whatever
+        batch it rides in, and the counters count keys
+        (``attempts`` per key tried, ``retries`` per key retried,
+        ``giveups`` per key given up). Returns the final ``(values,
+        errors)``; a whole-call failure (an attempt timeout) fails
+        every key of its round.
+        """
         start = self._clock()
+        values: dict = {}
+        errors: dict = {}
+        pending = list(dict.fromkeys(keys))
         retry_number = 0
-        while True:
-            self.attempts += 1
+        while pending:
+            self.attempts += len(pending)
             try:
-                return self._attempt(fn, args)
-            except self.retryable:
-                retry_number += 1
-                if retry_number >= self.max_attempts:
-                    self.giveups += 1
-                    raise
-                delay = self.delay_for(retry_number)
-                if (
-                    self.deadline_s is not None
-                    and self._clock() - start + delay > self.deadline_s
-                ):
-                    self.giveups += 1
-                    raise
-                self.retries += 1
-                if delay:
-                    self._sleep(delay)
+                got, failed = self._attempt(fn, (pending,))
+            except self.retryable as exc:
+                got, failed = {}, dict.fromkeys(pending, exc)
+            values.update(got)
+            errors.update(failed)
+            pending = [
+                key for key in pending
+                if isinstance(failed.get(key), self.retryable)
+            ]
+            if not pending:
+                break
+            retry_number += 1
+            if retry_number >= self.max_attempts:
+                self.giveups += len(pending)
+                break
+            delay = self.delay_for(retry_number)
+            if (
+                self.deadline_s is not None
+                and self._clock() - start + delay > self.deadline_s
+            ):
+                self.giveups += len(pending)
+                break
+            self.retries += len(pending)
+            for key in pending:
+                del errors[key]
+            if delay:
+                self._sleep(delay)
+        return values, errors
 
     def stats(self) -> dict:
         """Counter snapshot, JSON-ready."""
@@ -472,8 +542,9 @@ class RetryPolicy:
 class ResilientReader:
     """Retrying, verifying view of a :class:`~repro.core.store.SegmentReader`.
 
-    ``get`` runs through *policy* (so transient faults and heal-able
-    corruption are retried with backoff); when *checksums* maps a key to
+    ``get`` and ``get_many`` run through *policy* (so transient faults
+    and heal-able corruption are retried with backoff — a batch retries
+    only its failed keys, together); when *checksums* maps a key to
     its CRC32 (as recorded by :func:`~repro.core.store.store_field` —
     see :func:`~repro.core.store.index_checksums`), every fetched blob
     is verified and mismatches raise
@@ -512,19 +583,30 @@ class ResilientReader:
         self.__dict__.update(state)
         self._checksums_lock = threading.Lock()
 
-    def _get_once(self, key: str) -> bytes:
-        blob = self._reader.get(key)
+    def _get_many_once(self, keys: list[str]) -> tuple[dict, dict]:
+        values, errors = settle_many(self._reader, keys)
         with self._checksums_lock:
-            expected = self._checksums.get(key)
-        if expected is not None and zlib.crc32(blob) != expected:
-            raise SegmentCorruptionError(
-                f"segment {key!r} failed CRC32 verification"
-            )
-        return blob
+            expected = {key: self._checksums.get(key) for key in values}
+        for key, want in expected.items():
+            if want is not None and zlib.crc32(values[key]) != want:
+                del values[key]
+                errors[key] = SegmentCorruptionError(
+                    f"segment {key!r} failed CRC32 verification"
+                )
+        return values, errors
 
     def get(self, key: str) -> bytes:
         """Fetch *key* with retries and (when known) CRC verification."""
-        return self.policy.run(self._get_once, key)
+        return self.get_many([key])[0]
+
+    def get_many(self, keys: Sequence[str]) -> list[bytes]:
+        """The blobs of *keys* in key order (see :meth:`settle_many`)."""
+        return finish_batch(keys, *self.settle_many(keys))
+
+    def settle_many(self, keys: Sequence[str]) -> tuple[dict, dict]:
+        """Fetch *keys* in one request per retry round, each verified,
+        settled as ``({key: blob}, {key: error})``."""
+        return self.policy.run_many(self._get_many_once, keys)
 
     def size_of(self, key: str) -> int:
         """Manifest-size lookup, retried under the same policy."""

@@ -359,27 +359,24 @@ class Reconstructor:
     def fetch_step(self, step: StepPlan) -> None:
         """Fetch stage of one step: resolve every segment it needs.
 
-        The one place a step reads the store. Touches the (possibly
-        lazy) group sequences levels ascending, groups ascending over
-        ``[committed, planned)`` within each, so a seeded fault schedule
+        The one place a step reads the store, and one store request:
+        the keys of groups ``[committed, planned)`` of every level —
+        levels ascending, groups ascending — go out in a single
+        batched read (:meth:`~repro.core.stream.RefactoredField
+        .fetch_groups`), so a seeded fault schedule
         (:class:`~repro.core.faults.FaultInjectingStore` keys its
         deterministic draws on per-key access counts) replays
         identically whether fetch runs inline or on a pipeline's fetch
-        stage. Successful fetches memoize on the field, so
+        stage. Fetched groups memoize on the field, so
         :meth:`decode_step` finds them resident without touching the
-        store; a partial fetch before a fault stays memoized, and the
-        retry pays only for the rest. Eager in-memory fields no-op
-        (plain list indexing). Raises
-        :class:`~repro.core.errors.StoreError` at the first failing
-        segment; the caller hands that error to :meth:`decode_step` (as
-        ``fetch_error``) rather than retrying, which would shift access
-        counts.
+        store; the groups that arrived before a fault stay memoized,
+        and the retry pays only for the rest. Eager in-memory fields
+        no-op. Raises :class:`~repro.core.errors.StoreError` for the
+        first failing segment; the caller hands that error to
+        :meth:`decode_step` (as ``fetch_error``) rather than retrying,
+        which would shift access counts.
         """
-        for lv, have, want in zip(
-            self.field.levels, self._fetched, step.groups
-        ):
-            for g in range(have, want):
-                lv.groups[g]  # memoizing touch; lazy sequences fetch here
+        self.field.fetch_groups(list(zip(self._fetched, step.groups)))
 
     def decode_step(
         self,

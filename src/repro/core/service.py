@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import threading
 import weakref
-import zlib
 from collections import OrderedDict
 from concurrent.futures import CancelledError, Future
 
@@ -41,9 +40,9 @@ from repro.core.backends import (
     ThreadPool,
     current_process_backend,
 )
-from repro.core.errors import SegmentCorruptionError
+from repro.core.errors import BATCH_ERRORS, finish_batch
 from repro.core.reconstruct import ReconstructionResult, Reconstructor
-from repro.core.store import open_field, open_tiled_field
+from repro.core.store import open_field, open_tiled_field, verified_many
 from repro.core.stream import LazyRefactoredField
 from repro.core.tiling import (
     LazyTiledField,
@@ -72,7 +71,8 @@ class SegmentCache:
     parallel, cache hits never wait on an in-flight disk read, and
     concurrent misses on the *same* key are deduplicated through a
     shared in-flight future (the store is read once; the followers count
-    as hits because they cost no extra store read).
+    as hits because they cost no extra store read). :meth:`resolve_settled`
+    sends all of a batch's misses to the store in one batched read.
     """
 
     def __init__(self, reader, max_bytes: int = 256 << 20) -> None:
@@ -107,78 +107,93 @@ class SegmentCache:
             self._checksums.update(checksums)
 
     def resolve(self, key: str) -> tuple[bytes, bool]:
-        """Return ``(blob, cold)``: the segment plus whether it was a miss.
+        """Return ``(blob, cold)``: the segment plus whether it was a miss."""
+        return self.resolve_many([key])[0]
 
-        A hit refreshes the entry's recency; a miss reads through the
-        backing store (without holding the cache lock) and inserts,
-        evicting LRU entries past the budget.
+    def resolve_many(self, keys: Sequence[str]) -> list[tuple[bytes, bool]]:
+        """``(blob, cold)`` per key, in key order; the first failed key's
+        error is raised (see :meth:`resolve_settled`)."""
+        return finish_batch(keys, *self.resolve_settled(keys))
+
+    def resolve_settled(self, keys: Sequence[str]) -> tuple[dict, dict]:
+        """Resolve *keys* as ``({key: (blob, cold)}, {key: error})``.
+
+        Hits refresh their recency. The misses this call leads go to the
+        backing store in one batched read (without holding the cache
+        lock), are CRC-verified per key when a checksum is known — a
+        mismatch is re-fetched once (``corruption_refetches``), a second
+        one fails the key (``corruption_failures``) — and are inserted,
+        evicting LRU entries past the budget. Misses another call is
+        already reading piggyback on its in-flight future, which carries
+        only that key's outcome. The keys that arrive are cached whether
+        or not others failed.
         """
+        out: dict = {}
+        lead: list[str] = []
+        follow: list[tuple[str, Future]] = []
         with self._lock:
-            blob = self._entries.get(key)
-            if blob is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                self.hit_bytes += len(blob)
-                return blob, False
-            pending = self._inflight.get(key)
-            if pending is None:
-                pending = self._inflight[key] = Future()
-                leader = True
-            else:
-                leader = False
-        if not leader:
-            blob = pending.result()  # piggyback on the in-flight read
+            for key in dict.fromkeys(keys):
+                blob = self._entries.get(key)
+                if blob is not None:
+                    self._entries.move_to_end(key)
+                    self.hits += 1
+                    self.hit_bytes += len(blob)
+                    out[key] = (blob, False)
+                elif key in self._inflight:
+                    follow.append((key, self._inflight[key]))
+                else:
+                    self._inflight[key] = Future()
+                    lead.append(key)
+            expected = {key: self._checksums.get(key) for key in lead}
+        errors: dict = {}
+        if lead:
+            try:
+                blobs, errors, refetched, failed = verified_many(
+                    self._reader, lead, expected
+                )
+            except BaseException as exc:
+                with self._lock:
+                    futures = [self._inflight.pop(key) for key in lead]
+                for future in futures:
+                    future.set_exception(exc)
+                raise
+            with self._lock:
+                self.corruption_refetches += refetched
+                self.corruption_failures += failed
+                futures = [self._inflight.pop(key) for key in lead]
+                for key, blob in blobs.items():
+                    self.misses += 1
+                    self.miss_bytes += len(blob)
+                    self._insert(key, blob)
+                    out[key] = (blob, True)
+            for key, future in zip(lead, futures):
+                if key in blobs:
+                    future.set_result(blobs[key])
+                else:
+                    future.set_exception(errors[key])
+        for key, pending in follow:
+            try:
+                blob = pending.result()  # piggyback on the in-flight read
+            except BATCH_ERRORS as exc:
+                errors[key] = exc
+                continue
             with self._lock:
                 self.hits += 1
                 self.hit_bytes += len(blob)
-            return blob, False
-        try:
-            blob = self._fetch_checked(key)
-        except BaseException as exc:
-            with self._lock:
-                self._inflight.pop(key, None)
-            pending.set_exception(exc)
-            raise
-        with self._lock:
-            self.misses += 1
-            self.miss_bytes += len(blob)
-            self._insert(key, blob)
-            self._inflight.pop(key, None)
-        pending.set_result(blob)
-        return blob, True
-
-    def _fetch_checked(self, key: str) -> bytes:
-        """Cold read of *key*, CRC-verified when a checksum is known.
-
-        A mismatch is treated as a transient wire/storage flip first:
-        the segment is re-fetched once (``corruption_refetches``); a
-        second mismatch means the stored bytes themselves are bad and
-        raises :class:`~repro.core.errors.SegmentCorruptionError`
-        (``corruption_failures``), which propagates to every waiter
-        piggybacking on this in-flight read.
-        """
-        with self._lock:
-            expected = self._checksums.get(key)
-        blob = self._reader.get(key)
-        if expected is None:
-            return blob
-        if zlib.crc32(blob) & 0xFFFFFFFF == expected:
-            return blob
-        with self._lock:
-            self.corruption_refetches += 1
-        blob = self._reader.get(key)
-        if zlib.crc32(blob) & 0xFFFFFFFF == expected:
-            return blob
-        with self._lock:
-            self.corruption_failures += 1
-        raise SegmentCorruptionError(
-            f"segment {key!r} failed checksum verification after re-fetch "
-            f"(expected crc32 {expected:#010x})"
-        )
+            out[key] = (blob, False)
+        return out, errors
 
     def get(self, key: str) -> bytes:
         """The blob alone — :meth:`resolve` without the cold flag."""
         return self.resolve(key)[0]
+
+    def get_many(self, keys: Sequence[str]) -> list[bytes]:
+        """The blobs alone — :meth:`resolve_many` without the flags."""
+        return finish_batch(keys, *self.settle_many(keys))
+
+    def settle_many(self, keys: Sequence[str]) -> tuple[dict, dict]:
+        """:meth:`resolve_settled` without the cold flags."""
+        return _blobs_only(*self.resolve_settled(keys))
 
     def warm(self, key: str) -> None:
         """Ensure *key* is resident (the prefetch entry point)."""
@@ -234,6 +249,11 @@ class SegmentCache:
                 "corruption_refetches": self.corruption_refetches,
                 "corruption_failures": self.corruption_failures,
             }
+
+
+def _blobs_only(resolved: dict, errors: dict) -> tuple[dict, dict]:
+    """A settled resolve with the cold flags dropped."""
+    return {key: blob for key, (blob, _) in resolved.items()}, errors
 
 
 class ServiceSession(ClosesOnExit):
@@ -458,8 +478,10 @@ class _PrefetchAwareCache:
     """Shared-cache facade that attributes hits to landed prefetches.
 
     Duck-types the :class:`SegmentCache` surface that
-    :func:`~repro.core.store.open_field` uses (``resolve``/``get``/
-    ``warm``/``register_checksums``/``__contains__``), delegating
+    :func:`~repro.core.store.open_field` and readers use (``resolve``/
+    ``resolve_many``/``resolve_settled``/``get``/``get_many``/
+    ``settle_many``/``warm``/``register_checksums``/``__contains__``),
+    delegating
     everything to the service's shared cache; on a warm ``resolve`` it
     additionally credits the service's ``prefetch_hits`` counter when a
     background prefetch is what made the key resident. Sessions read
@@ -472,13 +494,26 @@ class _PrefetchAwareCache:
         self._cache = service.cache
 
     def resolve(self, key: str) -> tuple[bytes, bool]:
-        blob, cold = self._cache.resolve(key)
-        if not cold:
-            self._service._note_prefetch_hit(key)
-        return blob, cold
+        return self.resolve_many([key])[0]
+
+    def resolve_many(self, keys: Sequence[str]) -> list[tuple[bytes, bool]]:
+        return finish_batch(keys, *self.resolve_settled(keys))
+
+    def resolve_settled(self, keys: Sequence[str]) -> tuple[dict, dict]:
+        resolved, errors = self._cache.resolve_settled(keys)
+        for key, (_, cold) in resolved.items():
+            if not cold:
+                self._service._note_prefetch_hit(key)
+        return resolved, errors
 
     def get(self, key: str) -> bytes:
         return self.resolve(key)[0]
+
+    def get_many(self, keys: Sequence[str]) -> list[bytes]:
+        return finish_batch(keys, *self.settle_many(keys))
+
+    def settle_many(self, keys: Sequence[str]) -> tuple[dict, dict]:
+        return _blobs_only(*self.resolve_settled(keys))
 
     def warm(self, key: str) -> None:
         self._cache.warm(key)

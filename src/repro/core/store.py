@@ -14,6 +14,10 @@ Both satisfy the :class:`SegmentReader` protocol that the lazy
 retrieval layer (:func:`open_field`, :class:`repro.core.service.RetrievalService`)
 is written against, so any object with ``get``/``size_of``/``keys`` —
 an object store client, a test double — can back progressive sessions.
+``get_many`` is the batched read a progressive step issues once per
+tile-step; inside the library a batch travels settled (per-key values
+and errors, :func:`settle_many`), which falls back to a ``get`` loop
+for readers that do not define ``settle_many``.
 
 Keys are ``(variable, level, group)`` triples flattened to strings.
 """
@@ -28,15 +32,18 @@ import threading
 import zlib
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
+from collections.abc import Mapping, Sequence
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.core.errors import (
+    BATCH_ERRORS,
     SegmentCorruptionError,
     SegmentNotFoundError,
     StoreFormatError,
     TransientStoreError,
+    finish_batch,
 )
 from repro.core.stream import (
     LazyRefactoredField,
@@ -52,12 +59,19 @@ class SegmentReader(Protocol):
     """Read side of a segment store — what retrieval needs.
 
     ``get(key)`` returns the segment blob (raising ``KeyError`` when
-    absent), ``size_of(key)`` its serialized size *without* fetching it
+    absent), ``get_many(keys)`` the blobs of several keys in key order
+    (the same bytes as ``get`` per key; the first failed key's error is
+    raised), ``size_of(key)`` its serialized size *without* fetching it
     (manifest lookup), ``keys()`` the sorted stored keys, and membership
-    tests route through ``__contains__``.
+    tests route through ``__contains__``. The library reads a batch
+    through :func:`settle_many`: a reader whose class defines
+    ``settle_many(keys) -> ({key: blob}, {key: error})`` answers it in
+    one request, any other is read with a ``get`` loop.
     """
 
     def get(self, key: str) -> bytes: ...
+
+    def get_many(self, keys: Sequence[str]) -> list[bytes]: ...
 
     def size_of(self, key: str) -> int: ...
 
@@ -78,6 +92,34 @@ def segment_key(variable: str, level: int, group: int) -> str:
     if "/" in variable or "\0" in variable:
         raise ValueError(f"invalid variable name {variable!r}")
     return f"{variable}.L{level}.G{group}"
+
+
+def settle_many(reader, keys: Sequence[str]) -> tuple[dict, dict]:
+    """One batched read of *keys*, settled as ``({key: blob}, {key: error})``.
+
+    The library's readers (stores, fault injection, retries, caches)
+    define ``settle_many`` and answer the whole batch in one request;
+    any other reader is read with a ``get`` loop, every key tried once.
+    Only a ``settle_many`` the reader's own class defines counts: a
+    wrapper that forwards unknown attributes to the reader it fronts
+    (through ``__getattr__``) would otherwise hand the batch straight
+    past its own ``get`` — and whatever that ``get`` adds.
+    """
+    settled = getattr(type(reader), "settle_many", None)
+    if settled is not None:
+        return settled(reader, keys)
+    return _settle_each(reader.get, keys)
+
+
+def _settle_each(get: Callable[[str], bytes], keys: Sequence[str]):
+    """A ``get`` loop, settled: every key is tried once."""
+    values, errors = {}, {}
+    for key in keys:
+        try:
+            values[key] = get(key)
+        except BATCH_ERRORS as exc:
+            errors[key] = exc
+    return values, errors
 
 
 class MemoryStore:
@@ -113,6 +155,14 @@ class MemoryStore:
             raise SegmentNotFoundError(
                 f"segment {key!r} not in store"
             ) from None
+
+    def settle_many(self, keys: Sequence[str]) -> tuple[dict, dict]:
+        """``get`` per key (one counted read each), settled."""
+        return _settle_each(self.get, keys)
+
+    def get_many(self, keys: Sequence[str]) -> list[bytes]:
+        """The blobs of *keys* in key order (see :meth:`settle_many`)."""
+        return finish_batch(keys, *self.settle_many(keys))
 
     def __contains__(self, key: str) -> bool:
         return key in self._blobs
@@ -155,10 +205,11 @@ class DirectoryStore:
     atomically replace manifest*, so a crash leaves at most unreferenced
     tail bytes: the store reopens at the last flushed manifest and the
     next append lands after them. Overwriting a key leaves its old bytes
-    dead in the pack (no compaction). Reads are one ``os.pread`` on a
+    dead in the pack (no compaction). Reads are ``os.pread`` on a
     lazily opened descriptor — no seek state, so threads and forked
     workers share it without a lock; descriptors do not travel through
-    pickling and are released by :meth:`close`.
+    pickling and are released by :meth:`close`. :meth:`settle_many` reads
+    each run of back-to-back segments with one ``pread``.
 
     Parameters
     ----------
@@ -169,8 +220,10 @@ class DirectoryStore:
     file_open_latency_s:
         Modeled per-request cost. It is *accounted*, not slept:
         :meth:`io_time_estimate` returns the modeled wall time of the
-        reads performed so far given a bandwidth, which the Fig. 14
-        benchmark charges on top of kernel time.
+        requests performed so far given a bandwidth, which the Fig. 14
+        benchmark charges on top of kernel time. ``reads`` counts
+        segments read, ``requests`` the calls that read them (a batch
+        is one), so the modeled latency is charged per request.
 
     Bulk writers wrap their puts in :meth:`batch` (as :func:`store_field`
     does): outside one, every put syncs the pack and rewrites the
@@ -193,6 +246,7 @@ class DirectoryStore:
             raise ValueError("file_open_latency_s must be >= 0")
         self.file_open_latency_s = file_open_latency_s
         self.reads = self.writes = self.bytes_read = self.manifest_writes = 0
+        self.requests = 0
         self._deferring = self._dirty = False
         self._manifest_path = self.root / self.MANIFEST
         self._segments = self._load_manifest()
@@ -309,38 +363,85 @@ class DirectoryStore:
                 self._flush_manifest()
 
     def get(self, key: str) -> bytes:
-        """Read one segment with a single ``pread``, charging the
-        accounting counters.
+        """Read one segment with a single ``pread`` (see :meth:`settle_many`)."""
+        return self.get_many([key])[0]
 
-        Raises ``SegmentNotFoundError`` when the key (or the pack
+    def get_many(self, keys: Sequence[str]) -> list[bytes]:
+        """The blobs of *keys* in key order (see :meth:`settle_many`)."""
+        return finish_batch(keys, *self.settle_many(keys))
+
+    def settle_many(self, keys: Sequence[str]) -> tuple[dict, dict]:
+        """Read *keys* as ``({key: blob}, {key: error})``, one ``pread``
+        per adjacent run.
+
+        Ranges are sorted by offset and merged only where one ends
+        exactly where the next begins, so no gap is ever read and
+        ``bytes_read`` is the sum of the segment lengths. The call is
+        one accounted request (``requests``, :meth:`io_time_estimate`).
+
+        Per key: ``SegmentNotFoundError`` when the key (or the pack
         itself) is absent, ``SegmentCorruptionError`` when the pack ends
         inside the recorded range, and ``TransientStoreError`` for other
         OS failures (a flaky read is worth retrying; the rest are not).
         """
-        try:
-            with self._lock:
-                offset, length = self._segments[key]
-                fd = self._fd(os.O_RDONLY)
-            blob = os.pread(fd, length, offset)
-        except KeyError:
-            raise SegmentNotFoundError(
-                f"segment {key!r} not in store"
-            ) from None
-        except FileNotFoundError as exc:
-            raise SegmentNotFoundError(f"segment {key!r}: {exc}") from None
-        except OSError as exc:
-            raise TransientStoreError(
-                f"reading segment {key!r} failed: {exc}"
-            ) from exc
-        if len(blob) != length:
-            raise SegmentCorruptionError(
-                f"segment {key!r} is truncated: the pack holds "
-                f"{len(blob)} of {length} bytes at offset {offset}"
-            )
-        with self._lock:  # concurrent sessions share one store
-            self.reads += 1
-            self.bytes_read += length
-        return blob
+        values, errors, spans = {}, {}, []
+        with self._lock:
+            for key in dict.fromkeys(keys):
+                if key in self._segments:
+                    spans.append((*self._segments[key], key))
+                else:
+                    errors[key] = SegmentNotFoundError(
+                        f"segment {key!r} not in store"
+                    )
+            try:
+                fd = self._fd(os.O_RDONLY) if spans else -1
+            except OSError as exc:
+                # No pack at all means nothing was stored: not retryable.
+                kind = (SegmentNotFoundError
+                        if isinstance(exc, FileNotFoundError)
+                        else TransientStoreError)
+                for *_, key in spans:
+                    errors[key] = kind(
+                        f"reading segment {key!r} failed: {exc}"
+                    )
+                spans = []
+        runs: list[list[tuple[int, int, str]]] = []
+        end = -1  # where the current run's bytes stop
+        for offset, length, key in sorted(spans):
+            if offset == end:
+                runs[-1].append((offset, length, key))
+            else:
+                runs.append([(offset, length, key)])
+            end = offset + length
+        nbytes = 0
+        for run in runs:
+            start = run[0][0]
+            stop = run[-1][0] + run[-1][1]
+            try:
+                buf = os.pread(fd, stop - start, start)
+            except OSError as exc:
+                for _, _, key in run:
+                    errors[key] = TransientStoreError(
+                        f"reading segment {key!r} failed: {exc}"
+                    )
+                continue
+            for offset, length, key in run:
+                blob = buf if len(run) == 1 else buf[
+                    offset - start:offset - start + length]
+                if len(blob) != length:
+                    errors[key] = SegmentCorruptionError(
+                        f"segment {key!r} is truncated: the pack holds "
+                        f"{len(blob)} of {length} bytes at offset {offset}"
+                    )
+                else:
+                    values[key] = blob
+                    nbytes += length
+        if runs:
+            with self._lock:  # concurrent sessions share one store
+                self.requests += 1
+                self.reads += len(values)
+                self.bytes_read += nbytes
+        return values, errors
 
     def close(self) -> None:
         """Release the pack descriptors (idempotent; reopened on use)."""
@@ -391,9 +492,9 @@ class DirectoryStore:
         if bandwidth_gbps <= 0:
             raise ValueError("bandwidth must be > 0")
         with self._lock:
-            reads, bytes_read = self.reads, self.bytes_read
+            requests, bytes_read = self.requests, self.bytes_read
         return (
-            reads * self.file_open_latency_s
+            requests * self.file_open_latency_s
             + bytes_read / (bandwidth_gbps * 1e9)
         )
 
@@ -418,26 +519,44 @@ def index_checksums(index: dict) -> dict[str, int]:
     }
 
 
-def _fetch_verified(
-    get: Callable[[str], bytes], key: str, expected: int | None
-) -> bytes:
-    """Fetch *key* and verify its CRC32 against *expected*.
+def verified_many(
+    reader, keys: Sequence[str], expected: Mapping[str, int]
+) -> tuple[dict, dict, int, int]:
+    """One batched read of *keys*, each checked against its CRC32.
 
     A mismatch is first treated as transient — flips on the read path
-    heal on re-fetch — so the segment is fetched once more; a second
-    mismatch raises :class:`~repro.core.errors.SegmentCorruptionError`
-    (the stored bytes themselves are bad).
+    heal on re-fetch — so the mismatched keys are fetched once more, in
+    one batched call; a second mismatch fails that key with
+    :class:`~repro.core.errors.SegmentCorruptionError` (the stored bytes
+    themselves are bad). Keys without an *expected* checksum pass
+    unchecked. Returns ``(blobs, errors, refetched, failed)``: the last
+    two count the keys read twice and the keys failing twice.
     """
-    blob = get(key)
-    if expected is None or segment_checksum(blob) == expected:
-        return blob
-    blob = get(key)
-    if segment_checksum(blob) == expected:
-        return blob
-    raise SegmentCorruptionError(
-        f"segment {key!r} failed CRC32 verification after re-fetch "
-        f"(expected {expected:#010x}, got {segment_checksum(blob):#010x})"
-    )
+    blobs, errors = settle_many(reader, keys)
+    bad = [
+        key for key, blob in blobs.items()
+        if expected.get(key) is not None
+        and segment_checksum(blob) != expected[key]
+    ]
+    failed = 0
+    if bad:
+        again, again_errors = settle_many(reader, bad)
+        errors.update(again_errors)
+        for key in bad:
+            del blobs[key]
+            if key not in again:
+                continue
+            blob = again[key]
+            if segment_checksum(blob) == expected[key]:
+                blobs[key] = blob
+                continue
+            failed += 1
+            errors[key] = SegmentCorruptionError(
+                f"segment {key!r} failed CRC32 verification after "
+                f"re-fetch (expected {expected[key]:#010x}, got "
+                f"{segment_checksum(blob):#010x})"
+            )
+    return blobs, errors, len(bad), failed
 
 
 def _parse_group(key: str, blob: bytes) -> CompressedGroup:
@@ -543,11 +662,11 @@ def load_field(
 ):
     """Load a field's metadata and the requested prefix of groups.
 
-    ``groups_per_level=None`` loads everything *eagerly*: one ``get`` per
-    segment up front. This is the baseline read path the end-to-end
-    retrieval benchmarks time; services answering tolerance queries
-    should prefer :func:`open_field`, which defers each segment fetch
-    until a decode touches it.
+    ``groups_per_level=None`` loads everything *eagerly*: one
+    ``get_many`` for every segment up front. This is the baseline read
+    path the end-to-end retrieval benchmarks time; services answering
+    tolerance queries should prefer :func:`open_field`, which defers
+    each segment fetch until a decode touches it.
 
     ``verify=True`` (the default) checks every fetched segment against
     its index-recorded CRC32 — a mismatch is re-fetched once (wire
@@ -557,19 +676,19 @@ def load_field(
     """
     index, field = _read_index(store.get, name)
     checksums = index_checksums(index) if verify else {}
+    level_keys = []
     for li, lv in enumerate(field.levels):
         keys = index["groups"].get(str(lv.level), [])
         want = (
             len(keys) if groups_per_level is None else
             min(groups_per_level[li], len(keys))
         )
-        lv.groups = [
-            _parse_group(
-                keys[g],
-                _fetch_verified(store.get, keys[g], checksums.get(keys[g])),
-            )
-            for g in range(want)
-        ]
+        level_keys.append(keys[:want])
+    wanted = [key for keys in level_keys for key in keys]
+    blobs, errors, _, _ = verified_many(store, wanted, checksums)
+    finish_batch(wanted, blobs, errors)
+    for lv, keys in zip(field.levels, level_keys):
+        lv.groups = [_parse_group(key, blobs[key]) for key in keys]
     return field
 
 
@@ -687,10 +806,11 @@ def open_field(
         Variable name the field was stored under.
     cache:
         Optional shared :class:`repro.core.service.SegmentCache` (or any
-        object with ``resolve(key) -> (blob, cold)``). When given, all
-        fetches route through it, so concurrent sessions opened against
-        the same cache share segment bytes; without it every fetch is a
-        cold store read.
+        object with ``get(key)`` and ``resolve_settled(keys) -> ({key:
+        (blob, cold)}, {key: error})``). When given, all fetches route
+        through it, so concurrent sessions opened against the same cache
+        share segment bytes; without it every fetch is a cold store
+        read.
     verify:
         Check every fetched segment against its index-recorded CRC32
         (default on; indexes written before checksums existed open
@@ -733,17 +853,12 @@ def open_field(
     if cache is not None:
         if checksums and hasattr(cache, "register_checksums"):
             cache.register_checksums(checksums)
-        resolver: Callable[[str], tuple[bytes, bool]] = cache.resolve
-    elif checksums:
-        def resolver(key: str) -> tuple[bytes, bool]:
-            return (
-                _fetch_verified(store.get, key, checksums.get(key)),
-                True,
-            )
+        resolve_settled = cache.resolve_settled
     else:
-        def resolver(key: str) -> tuple[bytes, bool]:
-            return store.get(key), True
-    return LazyRefactoredField(template, level_refs, resolver)
+        def resolve_settled(keys):
+            blobs, errors, _, _ = verified_many(store, keys, checksums)
+            return {key: (blob, True) for key, blob in blobs.items()}, errors
+    return LazyRefactoredField(template, level_refs, resolve_settled)
 
 
 __all__ = [
@@ -752,6 +867,7 @@ __all__ = [
     "MemoryStore",
     "DirectoryStore",
     "segment_key",
+    "settle_many",
     "segment_checksum",
     "index_checksums",
     "tiled_index_key",

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.bitplane.align import plane_error_bound
 from repro.bitplane.encoding import BitplaneStream
+from repro.core.errors import SegmentCorruptionError
 from repro.lossless.hybrid import CompressedGroup
 from repro.util.serialize import pack_arrays, unpack_arrays
 
@@ -175,6 +176,13 @@ class RefactoredField:
     def max_groups(self) -> list[int]:
         return [lv.num_groups for lv in self.levels]
 
+    def fetch_groups(self, ranges: Sequence[tuple[int, int]]) -> None:
+        """Make groups ``[start, stop)`` of each level resident.
+
+        An eager field holds every group in memory: nothing to fetch.
+        :class:`LazyRefactoredField` reads them from its store.
+        """
+
     # -- serialization ----------------------------------------------------
     def to_bytes(self) -> bytes:
         meta = {
@@ -295,11 +303,12 @@ class _LazyGroupSequence(Sequence):
     per-session analogue of the service's shared byte cache. The memo
     (holding zero-copy views of the fetched blobs) lives as long as the
     opened field does, independent of any shared cache's eviction budget.
+    A miss goes through *fetch*, the owning field's batched read of
+    ``(sequence, index, key)`` triples, which memoizes through
+    :meth:`memoize`.
     """
 
-    def __init__(
-        self, refs: list[SegmentRef], fetch: Callable[[str], bytes]
-    ) -> None:
+    def __init__(self, refs: list[SegmentRef], fetch: Callable) -> None:
         self._refs = refs
         self._fetch = fetch
         self._parsed: dict[int, CompressedGroup] = {}
@@ -314,26 +323,32 @@ class _LazyGroupSequence(Sequence):
             index += len(self)
         if not 0 <= index < len(self):
             raise IndexError(index)
-        group = self._parsed.get(index)
-        if group is None:
-            key = self._refs[index].key
-            blob = self._fetch(key)
-            try:
-                group = CompressedGroup.from_bytes(blob)
-            except (ValueError, struct.error, IndexError) as exc:
-                # A short or garbled blob (e.g. a segment truncated
-                # below its recorded byte count) must surface as the
-                # typed taxonomy, not a codec-internal struct.error.
-                from repro.core.errors import SegmentCorruptionError
+        if index not in self._parsed:
+            self._fetch([(self, index, self._refs[index].key)])
+        return self._parsed[index]
 
-                raise SegmentCorruptionError(
-                    f"segment {key!r} is corrupt: {exc}"
-                ) from exc
-            self._parsed[index] = group
-            ref = self._refs[index]
-            if ref.num_planes is None:
-                ref.num_planes = group.num_planes
-        return group
+    def missing(self, start: int, stop: int) -> list[tuple]:
+        """``(self, index, key)`` per unmemoized index in ``[start, stop)``."""
+        return [
+            (self, i, self._refs[i].key)
+            for i in range(start, stop) if i not in self._parsed
+        ]
+
+    def memoize(self, index: int, blob: bytes) -> None:
+        """Parse a fetched blob into group *index*."""
+        ref = self._refs[index]
+        try:
+            group = CompressedGroup.from_bytes(blob)
+        except (ValueError, struct.error, IndexError) as exc:
+            # A short or garbled blob (e.g. a segment truncated below
+            # its recorded byte count) must surface as the typed
+            # taxonomy, not a codec-internal struct.error.
+            raise SegmentCorruptionError(
+                f"segment {ref.key!r} is corrupt: {exc}"
+            ) from exc
+        self._parsed[index] = group
+        if ref.num_planes is None:
+            ref.num_planes = group.num_planes
 
     @property
     def resolved_indices(self) -> list[int]:
@@ -361,7 +376,7 @@ class LazyLevelStream(LevelStream):
         layout: str,
         warp_size: int,
         refs: list[SegmentRef],
-        fetch: Callable[[str], bytes],
+        fetch: Callable,
         signed_encoding: str = "sign_magnitude",
     ) -> None:
         self.refs = refs
@@ -439,22 +454,24 @@ class LazyRefactoredField(RefactoredField):
     """A :class:`RefactoredField` whose plane groups resolve on first touch.
 
     Built by :func:`repro.core.store.open_field` from a field-less metadata
-    template plus per-level :class:`SegmentRef` lists. ``resolver`` maps a
-    segment key to ``(blob, cold)`` where ``cold`` says the blob came from
-    the backing store rather than a shared cache; the field keeps
-    cumulative :class:`IOCounters` so callers (``Reconstructor``,
-    ``retrieve_qoi``) can report cache-hit vs. cold traffic per step.
+    template plus per-level :class:`SegmentRef` lists. ``resolve_settled``
+    reads a list of segment keys in one store request, settled as
+    ``({key: (blob, cold)}, {key: error})``, where ``cold`` says the blob
+    came from the backing store rather than a shared cache; the field
+    keeps cumulative per-segment :class:`IOCounters` so callers
+    (``Reconstructor``, ``retrieve_qoi``) can report cache-hit vs. cold
+    traffic per step.
     """
 
     def __init__(
         self,
         template: RefactoredField,
         level_refs: list[list[SegmentRef]],
-        resolver: Callable[[str], tuple[bytes, bool]],
+        resolve_settled: Callable[[list[str]], tuple[dict, dict]],
     ) -> None:
         if len(level_refs) != len(template.levels):
             raise ValueError("level_refs must have one entry per level")
-        self._resolver = resolver
+        self._resolve_settled = resolve_settled
         self.io_counters = IOCounters()
         # Fetch stages run on the tiled engine's pool threads (the window's
         # fetch stage or the threads:N fan-out), and sessions may share an
@@ -489,14 +506,43 @@ class LazyRefactoredField(RefactoredField):
             name=template.name,
         )
 
-    def _fetch(self, key: str) -> bytes:
-        blob, cold = self._resolver(key)
+    def fetch_groups(self, ranges: Sequence[tuple[int, int]]) -> None:
+        """Memoize groups ``[start, stop)`` of each level in one request.
+
+        ``ranges[i]`` is level *i*'s range; keys go levels ascending,
+        groups ascending, and already memoized groups are skipped.
+        """
+        self._fetch([
+            item for lv, (start, stop) in zip(self.levels, ranges)
+            for item in lv.groups.missing(start, stop)
+        ])
+
+    def _fetch(self, wanted: list[tuple]) -> None:
+        """Resolve ``(sequence, index, key)`` triples with one batched read.
+
+        Every blob that arrives is counted and memoized, even when other
+        keys of the batch failed; then the first failed key's error (in
+        request order) is raised, so a retry reads only what is missing.
+        """
+        if not wanted:
+            return
+        keys = [key for _, _, key in wanted]
+        values, errors = self._resolve_settled(keys)
         with self._io_lock:
             c = self.io_counters
-            c.segment_reads += 1
-            c.bytes_fetched += len(blob)
-            if cold:
-                c.cold_bytes += len(blob)
-            else:
-                c.cache_hit_bytes += len(blob)
-        return blob
+            for blob, cold in values.values():
+                c.segment_reads += 1
+                c.bytes_fetched += len(blob)
+                if cold:
+                    c.cold_bytes += len(blob)
+                else:
+                    c.cache_hit_bytes += len(blob)
+        for seq, index, key in wanted:
+            if key in values:
+                try:
+                    seq.memoize(index, values[key][0])
+                except SegmentCorruptionError as exc:
+                    errors[key] = exc
+        for key in keys:
+            if key in errors:
+                raise errors[key]

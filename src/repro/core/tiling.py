@@ -354,24 +354,38 @@ def _task_refactor_tile(
     """Process-backend task: refactor one tile out of shared memory.
 
     The tile block is copied out of the parent's shared-memory segment
-    (never pickled through the pipe). The worker runs the engine itself:
-    a serial :class:`TiledRefactorer` built from the
+    (never pickled through the pipe). The worker refactors with the
+    parent's per-shape cache (:func:`_refactorer_for`) built from the
     :class:`~repro.core.refactor.RefactorConfig` that arrived once per
-    worker under *token*, kept resident so its per-shape refactorers
-    stay warm across calls — boundary tiles of the same shape reuse one
-    exactly as in the parent. Returns the serialized field, whose byte
-    layout is the cross-backend identity contract.
+    worker under *token* alone — the parent planned the tiles — and kept
+    resident, so boundary tiles of the same shape reuse one refactorer
+    across calls exactly as in the parent. Returns the serialized field,
+    whose byte layout is the cross-backend identity contract.
     """
-    engine = state.get(("tiled-refactorer", token))
-    if engine is None:
-        # The parent planned the tiles; the worker-side tile_shape is
-        # never consulted.
-        engine = state[("tiled-refactorer", token)] = TiledRefactorer(
-            extent, worker_shared(state, token)
-        )
+    refactorers = state.setdefault(("tiled-refactorer", token), {})
     block = attach_shared_block(shm_name, shape, dtype_str, offset, extent)
-    refactorer = engine._refactorer_for(tuple(int(e) for e in extent))
+    refactorer = _refactorer_for(
+        refactorers, worker_shared(state, token),
+        tuple(int(e) for e in extent),
+    )
     return refactorer.refactor(block, name=tile_name).to_bytes()
+
+
+def _refactorer_for(
+    refactorers: dict, config: RefactorConfig, shape: tuple[int, ...]
+) -> Refactorer:
+    """The cached :class:`Refactorer` of *shape* in *refactorers*.
+
+    Boundary tiles share geometry, so there is one per distinct shape.
+    The transform's lazily-built level indices are warmed here so the
+    shared instance is read-only by the time tiles fan out across
+    worker threads.
+    """
+    if shape not in refactorers:
+        refactorer = Refactorer(shape, config)
+        refactorer.transform.level_indices()
+        refactorers[shape] = refactorer
+    return refactorers[shape]
 
 
 class TiledRefactorer(ClosesOnExit):
@@ -412,15 +426,7 @@ class TiledRefactorer(ClosesOnExit):
         self._config_token = f"tiled-refactor-config:{uuid.uuid4().hex}"
 
     def _refactorer_for(self, shape: tuple[int, ...]) -> Refactorer:
-        # Boundary tiles share geometry; cache per distinct shape. The
-        # transform's lazily-built level indices are warmed here so the
-        # shared instance is read-only by the time tiles fan out across
-        # worker threads.
-        if shape not in self._refactorers:
-            refactorer = Refactorer(shape, self.config)
-            refactorer.transform.level_indices()
-            self._refactorers[shape] = refactorer
-        return self._refactorers[shape]
+        return _refactorer_for(self._refactorers, self.config, shape)
 
     def refactor(self, data: np.ndarray, name: str = "var") -> TiledField:
         data = np.asarray(data)

@@ -125,6 +125,37 @@ class TestLazyStaircaseChaos:
             assert result.degraded is False
             np.testing.assert_array_equal(result.data, ref)
 
+    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
+    def test_staircase_batched_and_per_key_bit_identical(
+        self, stored, clean_staircase, seed, monkeypatch
+    ):
+        """The seeded staircase once with each step's fetch batched
+        (one ``get_many``) and once key by key: both bit-identical to
+        the clean run and to each other, fetched bytes included."""
+
+        def per_key_fetch_step(recon, step):
+            for lv, have, want in zip(
+                recon.field.levels, recon.fetched_groups, step.groups
+            ):
+                for g in range(have, want):
+                    lv.groups[g]
+
+        runs = []
+        for per_key in (False, True):
+            if per_key:
+                monkeypatch.setattr(Reconstructor, "fetch_step",
+                                    per_key_fetch_step)
+            flaky, reader = _resilient(stored, seed)
+            recon = Reconstructor(open_field(reader, "vx"))
+            results = [recon.reconstruct(tolerance=t) for t in STAIRCASE]
+            for result, ref in zip(results, clean_staircase):
+                assert result.degraded is False
+                np.testing.assert_array_equal(result.data, ref)
+            assert flaky.injected_transients > 0
+            runs.append([(r.data.tobytes(), r.fetched_bytes, r.error_bound)
+                         for r in results])
+        assert runs[0] == runs[1]
+
     @pytest.mark.parametrize("seed", CHAOS_SEEDS[:2])
     def test_staircase_with_corruption_heals(self, stored,
                                              clean_staircase, seed):

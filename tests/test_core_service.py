@@ -411,3 +411,125 @@ class TestRetrievalService:
         assert store.reads == 1  # one leader; followers piggybacked
         assert sorted(cold for _, cold in results) == [False] * 3 + [True]
         assert all(blob == b"x" * 64 for blob, _ in results)
+
+    def test_overlapping_batches_read_each_key_once(self):
+        """Stress: threads resolving overlapping batches lose no counter
+        update and read every key from the store exactly once."""
+        import sys
+
+        keys = [f"k{i}" for i in range(32)]
+        store = MemoryStore()
+        for i, key in enumerate(keys):
+            store.put(key, bytes([i]) * (i + 1))
+        cache = SegmentCache(store, max_bytes=1 << 20)
+        batches = [keys[i % 7::3] for i in range(16)]
+        outs: list = [None] * len(batches)
+
+        def worker(i):
+            outs[i] = cache.resolve_many(batches[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(len(batches))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for batch, out in zip(batches, outs):
+            assert [blob for blob, _ in out] == [store._blobs[k] for k in batch]
+        requested = sum(len(b) for b in batches)
+        distinct = len(set().union(*batches))
+        assert store.reads == distinct == cache.misses
+        assert cache.hits + cache.misses == requested
+        assert sum(cold for out in outs for _, cold in out) == distinct
+
+    def test_leader_and_follower_keep_what_arrived_past_a_fault(
+        self, field_and_data
+    ):
+        """Two sessions fetch the same step through one cache: the
+        leader's batch reads every key once and one key faults; the
+        follower piggybacks on the in-flight reads. Both raise the
+        faulted key, both memoize every other key, and each retry reads
+        nothing but that key."""
+        from repro.core.errors import TransientStoreError
+        from repro.core.faults import FaultInjectingStore
+
+        _, f = field_and_data
+        backing = MemoryStore()
+        store_field(backing, f)
+        step_groups = Reconstructor(open_field(backing, "vel")).plan_step(
+            1e-4).groups
+        level = max(range(len(step_groups)), key=step_groups.__getitem__)
+        probe = open_field(backing, "vel")
+        victim = probe.levels[level].refs[step_groups[level] - 1].key
+        planned = {
+            ref.key for lv, n in zip(probe.levels, step_groups)
+            for ref in lv.refs[:n]
+        }
+
+        armed, in_store, gate = (threading.Event() for _ in range(3))
+
+        class Gated(MemoryStore):
+            def settle_many(self, keys):
+                if armed.is_set():
+                    in_store.set()
+                    gate.wait(timeout=5.0)
+                return super().settle_many(keys)
+
+        gated = Gated()
+        for key in backing.keys():
+            gated.put(key, backing.get(key))
+        flaky = FaultInjectingStore(gated, fail_first={victim: 1})
+        follower_in = threading.Event()
+
+        class Probe(SegmentCache):
+            def resolve_settled(self, keys):
+                if threading.current_thread().name == "follower":
+                    follower_in.set()
+                return super().resolve_settled(keys)
+
+        cache = Probe(flaky, max_bytes=1 << 20)
+        recons = [Reconstructor(open_field(cache, "vel")) for _ in "ab"]
+        steps = [r.plan_step(1e-4) for r in recons]
+        caught: dict = {}
+
+        def fetch(i):
+            try:
+                recons[i].fetch_step(steps[i])
+            except TransientStoreError as exc:
+                caught[i] = exc
+
+        leader = threading.Thread(target=fetch, args=(0,))
+        follower = threading.Thread(target=fetch, args=(1,),
+                                    name="follower")
+        armed.set()
+        leader.start()
+        assert in_store.wait(timeout=5.0)
+        follower.start()
+        assert follower_in.wait(timeout=5.0)
+        threading.Event().wait(0.05)  # the follower joins the in-flight reads
+        armed.clear()
+        gate.set()
+        leader.join(timeout=10.0)
+        follower.join(timeout=10.0)
+        assert sorted(caught) == [0, 1]
+        assert all(victim in str(exc) for exc in caught.values())
+        assert all(flaky.access_count(k) == 1 for k in planned)
+        # one index blob plus the arrived keys: read by the leader,
+        # piggybacked by the follower
+        assert cache.misses == cache.hits == len(planned)
+        for recon in recons:
+            resolved = {
+                lv.refs[g].key for lv in recon.field.levels
+                for g in lv.groups.resolved_indices
+            }
+            assert resolved == planned - {victim}
+        reads = flaky.reads
+        outs = [r.reconstruct(1e-4) for r in recons]
+        assert flaky.reads == reads + 1  # the victim, once, for both
+        np.testing.assert_array_equal(outs[0].data, outs[1].data)

@@ -264,9 +264,13 @@ class TestSingleFetchSeam:
             recon.decode_step(step)
             assert store.log[mark:] == []
 
-    def test_fetch_step_stops_at_first_fault_and_resume_pays_the_rest(
+    def test_fetch_step_reads_each_key_once_and_resume_pays_only_the_faults(
         self, reference_field, reference_tiled
     ):
+        """One batched request reads every planned key even past a
+        fault; the first faulted key (in plan order) is raised, every
+        key that arrived stays memoized, and the resume reads exactly
+        the faulted keys."""
         store = _recording_store(reference_field, reference_tiled)
         recon = Reconstructor(open_field(store, "vx"))
         recon.reconstruct(SEAM_STAIRCASE[0])
@@ -277,7 +281,8 @@ class TestSingleFetchSeam:
         mark = len(store.log)
         with pytest.raises(StoreError) as caught:
             recon.fetch_step(step)
-        assert store.log[mark:] == expected[:cut + 1]
+        assert store.log[mark:] == expected
+        assert expected[cut] in str(caught.value)
         mark = len(store.log)
         with pytest.raises(TransientStoreError):  # "raise": no re-read
             recon.decode_step(step, fetch_error=caught.value)
@@ -286,8 +291,8 @@ class TestSingleFetchSeam:
         assert degraded.degraded and degraded.failed_groups == step.groups
         assert store.log[mark:] == []
         store.faulty = set()
-        recon.reconstruct(SEAM_STAIRCASE[-1])  # memoized prefix is kept
-        assert store.log[mark:] == expected[cut:]
+        recon.reconstruct(SEAM_STAIRCASE[-1])  # arrived keys are kept
+        assert store.log[mark:] == [expected[cut], expected[-1]]
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_every_route_reads_the_stage_by_stage_key_sequence(

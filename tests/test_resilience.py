@@ -1014,3 +1014,270 @@ class TestTiledDegradedReconstruction:
         assert resumed.degraded is False
         ref = TiledReconstructor(tiled).progressive([1e-1, 1e-5])[-1]
         np.testing.assert_array_equal(resumed.data, ref.data)
+
+
+class _LoggingStore(MemoryStore):
+    """Logs every request: ``get`` as a key, a batch as a list."""
+
+    def __init__(self):
+        super().__init__()
+        self.log: list = []
+
+    def get(self, key):
+        self.log.append(key)
+        return super().get(key)
+
+    def settle_many(self, keys):
+        self.log.append(list(keys))
+        values = {k: self._blobs[k] for k in keys if k in self._blobs}
+        return values, {
+            k: SegmentNotFoundError(k) for k in keys if k not in values
+        }
+
+
+def _outcomes(values, errors):
+    """``{key: outcome}`` of one read: the blob's CRC, or the error type."""
+    return {
+        **{k: zlib.crc32(v) for k, v in values.items()},
+        **{k: type(e).__name__ for k, e in errors.items()},
+    }
+
+
+def _outcome_one(get, key):
+    try:
+        return zlib.crc32(get(key))
+    except (TransientStoreError, SegmentCorruptionError) as exc:
+        return type(exc).__name__
+
+
+class TestBatchedReads:
+    """``get_many``: one request per call, the per-key ``get`` semantics
+    for every key in it, through every reader layer."""
+
+    KEYS = [f"k{i}" for i in range(8)]
+
+    def _inner(self):
+        inner = _LoggingStore()
+        for i, key in enumerate(self.KEYS):
+            inner.put(key, bytes([i]) * (10 + i))
+        return inner
+
+    def test_every_wrapper_defines_its_own_get_many(self, stored):
+        """``__getattr__`` forwarding would hand a batch straight to the
+        wrapped reader, skipping latency, fault draws, CRC checks and
+        retries: each library wrapper must define ``get_many`` (and the
+        settled read the layers above call) itself."""
+        from repro.core.service import _PrefetchAwareCache
+
+        flaky = FaultInjectingStore(stored, sleep=_noop_sleep)
+        resilient = ResilientReader(flaky, fast_policy())
+        service = RetrievalService(resilient)
+        wrappers = [flaky, resilient, service.cache,
+                    _PrefetchAwareCache(service)]
+        try:
+            for wrapper in wrappers:
+                for name in ("get_many", "settle_many"):
+                    assert name in type(wrapper).__dict__, (wrapper, name)
+                    assert getattr(type(wrapper), name).__qualname__ == (
+                        f"{type(wrapper).__name__}.{name}"
+                    )
+        finally:
+            service.close()
+
+    def test_forwarding_wrapper_is_read_through_its_own_get(self):
+        """A third-party wrapper that forwards attributes but defines
+        only ``get`` is read key by key through that ``get``."""
+        from repro.core.store import settle_many
+
+        class Counting:
+            def __init__(self, inner):
+                self._inner, self.gets = inner, 0
+
+            def get(self, key):
+                self.gets += 1
+                return self._inner.get(key)
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        inner = self._inner()
+        wrapper = Counting(inner)
+        values, errors = settle_many(wrapper, self.KEYS[:3] + ["nope"])
+        assert values == {k: inner._blobs[k] for k in self.KEYS[:3]}
+        assert list(errors) == ["nope"]
+        assert wrapper.gets == 4
+
+    def test_fault_store_charges_one_latency_per_call(self):
+        inner = self._inner()
+        flaky = FaultInjectingStore(inner, latency_s=0.5, sleep=_noop_sleep)
+        assert flaky.get_many(self.KEYS) == [inner.get(k) for k in self.KEYS]
+        assert flaky.injected_latency_s == 0.5
+        assert flaky.reads == len(self.KEYS)
+        assert inner.log[0] == self.KEYS  # one batched inner request
+
+    def test_batched_fetch_raises_then_retries_exactly_the_failed_key(
+        self, stored
+    ):
+        recon = Reconstructor(open_field(stored, "vx"))
+        step = recon.plan_step(1e-3)
+        planned = [
+            ref.key for lv, have, want in zip(
+                recon.field.levels, recon.fetched_groups, step.groups)
+            for ref in lv.refs[have:want]
+        ]
+        assert len(planned) > 2
+        victim = planned[len(planned) // 2]
+        inner = _LoggingStore()
+        for key in stored.keys():
+            inner.put(key, stored.get(key))
+        flaky = FaultInjectingStore(inner, fail_first={victim: 1},
+                                    sleep=_noop_sleep)
+        recon = Reconstructor(open_field(flaky, "vx"))
+        step = recon.plan_step(1e-3)
+        inner.log.clear()
+        with pytest.raises(TransientStoreError, match=victim):
+            recon.fetch_step(step)
+        assert inner.log == [[k for k in planned if k != victim]]
+        inner.log.clear()
+        recon.fetch_step(step)
+        assert inner.log == [[victim]]
+        assert flaky.access_count(victim) == 2
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_failed_step_resumes_bit_identically(self, field, stored,
+                                                 batched):
+        """A fault mid-batch keeps every verified key memoized; the
+        resumed step equals a clean session's, fetched bytes and all."""
+        _, f = field
+        clean = Reconstructor(open_field(stored, "vx")).reconstruct(1e-4)
+        recon = Reconstructor(open_field(stored, "vx"))
+        step = recon.plan_step(1e-4)
+        level = max(range(len(step.groups)), key=step.groups.__getitem__)
+        victim = recon.field.levels[level].refs[step.groups[level] - 1].key
+        flaky = FaultInjectingStore(stored, fail_first={victim: 1},
+                                    sleep=_noop_sleep)
+        reader = ResilientReader(flaky, fast_policy(max_attempts=1))
+        lazy = open_field(SegmentCache(reader) if batched else reader, "vx")
+        recon = Reconstructor(lazy)
+        with pytest.raises(TransientStoreError):
+            recon.reconstruct(1e-4)
+        resolved = lazy.levels[level].groups.resolved_indices
+        assert step.groups[level] - 1 not in resolved
+        assert len(resolved) == step.groups[level] - 1  # the rest arrived
+        out = recon.reconstruct(1e-4)
+        np.testing.assert_array_equal(out.data, clean.data)
+        assert out.fetched_bytes == clean.fetched_bytes
+        assert flaky.access_count(victim) == 2
+
+    def test_resilient_reader_retries_only_failed_keys_together(self):
+        inner = self._inner()
+        flaky = FaultInjectingStore(
+            inner, fail_first={"k1": 2, "k5": 1}, sleep=_noop_sleep
+        )
+        policy = fast_policy()
+        reader = ResilientReader(flaky, policy)
+        assert reader.get_many(self.KEYS) == [
+            MemoryStore.get(inner, k) for k in self.KEYS
+        ]
+        # round 1 reads the six clean keys; k5 heals in round 2, k1 in 3
+        assert inner.log == [
+            [k for k in self.KEYS if k not in ("k1", "k5")], ["k5"], ["k1"],
+        ]
+        assert policy.retries == 3  # k1 twice, k5 once — per key
+        assert policy.attempts == len(self.KEYS) + 3
+
+    def test_resilient_reader_gives_up_per_key(self):
+        inner = self._inner()
+        flaky = FaultInjectingStore(inner, fail_first={"k2": 99},
+                                    sleep=_noop_sleep)
+        policy = fast_policy(max_attempts=3)
+        reader = ResilientReader(flaky, policy)
+        values, errors = reader.settle_many(self.KEYS)
+        assert set(values) == set(self.KEYS) - {"k2"}
+        assert list(errors) == ["k2"]
+        assert policy.giveups == 1 and policy.retries == 2
+        with pytest.raises(TransientStoreError, match="k2"):
+            reader.get_many(self.KEYS)
+
+    def test_missing_key_is_not_retried(self):
+        inner = self._inner()
+        policy = fast_policy()
+        reader = ResilientReader(inner, policy)
+        with pytest.raises(SegmentNotFoundError):
+            reader.get_many(["k0", "nope", "k1"])
+        assert policy.retries == 0
+        assert inner.log == [["k0", "nope", "k1"]]
+
+    @pytest.mark.parametrize("corrupt", [0.0, 0.3])
+    def test_seeded_schedules_are_equal_batched_or_not(self, corrupt):
+        """Hypothesis: the multiset of ``(key, access_n, outcome)``, the
+        injected-fault counters and the retry counts are identical for
+        ``get_many`` and a ``get`` loop over the same batches."""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        keys = st.lists(st.sampled_from(self.KEYS), min_size=1,
+                        max_size=8, unique=True)
+
+        @settings(max_examples=40, deadline=None)
+        @given(seed=st.integers(0, 2 ** 16),
+               rate=st.floats(0.01, 0.29),
+               batches=st.lists(keys, min_size=1, max_size=6))
+        def check(seed, rate, batches):
+            runs = []
+            for batched in (True, False):
+                flaky = FaultInjectingStore(
+                    self._inner(), seed=seed, transient_rate=rate,
+                    corrupt_rate=corrupt, sleep=_noop_sleep,
+                )
+                policy = fast_policy(max_attempts=3)
+                reader = ResilientReader(flaky, policy)
+                raw, verified = [], []
+                for batch in batches:
+                    if batched:
+                        got = _outcomes(*flaky.settle_many(batch))
+                        kept = _outcomes(*reader.settle_many(batch))
+                    else:
+                        got = {k: _outcome_one(flaky.get, k) for k in batch}
+                        kept = {k: _outcome_one(reader.get, k) for k in batch}
+                    raw += [(k, flaky.access_count(k), o)
+                            for k, o in got.items()]
+                    verified += sorted(kept.items())
+                runs.append((
+                    sorted(raw), verified, flaky.injected_transients,
+                    flaky.injected_corruptions, policy.retries,
+                    policy.attempts, policy.giveups,
+                ))
+            assert runs[0] == runs[1]
+
+        check()
+
+    def test_directory_store_merges_only_adjacent_ranges(self, tmp_path):
+        from unittest import mock
+
+        store = DirectoryStore(tmp_path / "s")
+        blobs = {k: bytes([i + 1]) * (5 + i) for i, k in enumerate("abcd")}
+        with store.batch():
+            for key, blob in blobs.items():
+                store.put(key, blob)
+        real_pread, preads = os.pread, []
+
+        def counting_pread(fd, n, offset):
+            preads.append((offset, n))
+            return real_pread(fd, n, offset)
+
+        with mock.patch("os.pread", counting_pread):
+            assert store.get_many(["d", "a", "b"]) == [
+                blobs["d"], blobs["a"], blobs["b"]
+            ]
+            # a+b are back to back: one read; c is a gap, never read
+            assert preads == [(0, 11), (18, 8)]
+            assert store.bytes_read == 5 + 6 + 8
+            assert (store.requests, store.reads) == (1, 3)
+            preads.clear()
+            with pytest.raises(SegmentNotFoundError, match="nope"):
+                store.get_many(["c", "nope", "d"])
+            values, errors = store.settle_many(["c", "nope", "d"])
+            assert values == {"c": blobs["c"], "d": blobs["d"]}
+            assert list(errors) == ["nope"]
+            assert preads == [(11, 15)] * 2  # c and d are adjacent

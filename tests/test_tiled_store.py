@@ -14,8 +14,10 @@ The guarantees under test (ISSUE 5):
 """
 
 import json
+import os
 import pickle
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from repro.core.service import RetrievalService
 from repro.core.store import (
     DirectoryStore,
     MemoryStore,
+    open_field,
     open_tiled_field,
     segment_key,
     store_field,
@@ -217,6 +220,51 @@ class TestPackLayout:
             if tile is not None:
                 assert table.pop(tiled_index_key("v"))[0] == cursor
             assert table == {}  # nothing else was written
+
+    @given(case=_field_and_tiling())
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_tile_step_reads_one_pread_per_level_range(self, case):
+        """In a fresh root every tile-step of a staircase is one
+        ``get_many`` whose merged reads issue at most one ``pread`` per
+        level range and read exactly the segments' bytes — no gap."""
+        data, tile = case
+        with tempfile.TemporaryDirectory() as root:
+            store = DirectoryStore(root)
+            if tile is None:
+                store_field(store, refactor(data, name="v"))
+                names = ["v"]
+            else:
+                tiled = TiledRefactorer(tile).refactor(data, name="v")
+                store_tiled_field(store, tiled)
+                names = [f.name for f in tiled.fields]
+            real_pread = os.pread
+            for name in names:
+                recon = Reconstructor(open_field(store, name))
+                for tol in STAIRCASE:
+                    step = recon.plan_step(tol)
+                    ranges = [
+                        lv.refs[have:want] for lv, have, want in zip(
+                            recon.field.levels, recon.fetched_groups,
+                            step.groups)
+                    ]
+                    preads = []
+
+                    def counting_pread(fd, n, offset):
+                        preads.append((offset, n))
+                        return real_pread(fd, n, offset)
+
+                    requests, nbytes = store.requests, store.bytes_read
+                    with mock.patch("os.pread", counting_pread):
+                        recon.fetch_step(step)
+                    level_ranges = sum(1 for refs in ranges if refs)
+                    assert len(preads) <= level_ranges
+                    assert store.requests - requests == min(level_ranges, 1)
+                    assert store.bytes_read - nbytes == sum(
+                        ref.nbytes for refs in ranges for ref in refs
+                    )
+                    recon.decode_step(step)
+            store.close()
 
 
 class TestGlobalBound:
