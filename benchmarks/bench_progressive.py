@@ -3,12 +3,13 @@
 Walks one warm progressive session down a staircase of relative
 tolerances at 1M elements and measures each step's wall time for:
 
-* **full** — ``Reconstructor(..., incremental=False)``: the pre-PR-4
-  reference path that re-decodes every fetched plane group of every
-  level from plane 0 on every step;
-* **incremental** — the PR 4 engine, which retains per-level integer
-  partials and decodes only the plane groups newly planned since the
-  previous step.
+* **full** — the from-scratch decode of ``tests/oracles/full_decode.py``,
+  which re-decodes every fetched plane group of every level from plane
+  0 on every step (at the plans the incremental walk chose, so planning
+  is not part of its time);
+* **incremental** — :class:`~repro.core.reconstruct.Reconstructor`,
+  which retains per-level integer partials and decodes only the plane
+  groups newly planned since the previous step.
 
 Both paths run in the same process on the same field; their outputs are
 asserted bit-identical at every step, and the instrumented decode
@@ -53,6 +54,9 @@ pytestmark = pytest.mark.bench
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_progressive.json"
 
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+from oracles.full_decode import full_decode  # noqa: E402
+
 DIMS = (100, 100, 100)  # 1M elements
 TOLERANCES = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4]  # relative
 REPEATS = 3
@@ -70,41 +74,45 @@ def _build_field(dims):
 
 
 def _walk_verify(field, data, tolerances):
-    """One staircase on both engines, checking the correctness gates."""
+    """One staircase, incremental vs the oracle, checking the gates."""
     inc = Reconstructor(field)
-    full = Reconstructor(field, incremental=False)
     prev_groups = [0] * len(field.levels)
     identical = only_increment = True
     inc_results = []
     err = float("inf")
     for tol in tolerances:
         ri = inc.reconstruct(tolerance=tol, relative=True)
-        rf = full.reconstruct(tolerance=tol, relative=True)
-        identical &= bool(np.array_equal(ri.data, rf.data))
+        rf = full_decode(field, ri.plan.groups_per_level)
+        identical &= bool(np.array_equal(ri.data, rf))
         new_groups = sum(
             g - p for g, p in zip(ri.plan.groups_per_level, prev_groups)
         )
         only_increment &= ri.decoded_groups == new_groups
         prev_groups = ri.plan.groups_per_level
         err = float(np.max(np.abs(ri.data - data)))
-        ri.data = rf.data = None  # keep metadata, release the arrays
+        ri.data = rf = None  # keep metadata, release the arrays
         inc_results.append(ri)
     return identical, only_increment, err, inc_results, inc
 
 
-def _walk_timed(field, tolerances, incremental: bool) -> list[float]:
-    """One cold session down the staircase; per-step wall times.
+def _walk_timed(field, tolerances, plans=None) -> list[float]:
+    """One cold walk down the staircase; per-step wall times.
 
+    ``plans=None`` walks an incremental session; otherwise each step is
+    a from-scratch decode of ``plans[i]`` (per-level group counts).
     Results are dropped step by step (and the allocator settled with a
     collect up front) so the timings measure the engines, not garbage
     from earlier walks.
     """
     gc.collect()
-    recon = Reconstructor(field, incremental=incremental)
+    recon = Reconstructor(field)
     walls = []
-    for tol in tolerances:
+    for i, tol in enumerate(tolerances):
         t0 = time.perf_counter()
-        recon.reconstruct(tolerance=tol, relative=True)
+        if plans is None:
+            recon.reconstruct(tolerance=tol, relative=True)
+        else:
+            full_decode(field, plans[i])
         walls.append(time.perf_counter() - t0)
     return walls
 
@@ -120,11 +128,12 @@ def run(
     identical, only_increment, err, inc_results, recon = _walk_verify(
         field, data, tolerances
     )
+    plans = [r.plan.groups_per_level for r in inc_results]
     best_full = [float("inf")] * len(tolerances)
     best_inc = [float("inf")] * len(tolerances)
     for _ in range(repeats):
-        walls_f = _walk_timed(field, tolerances, incremental=False)
-        walls_i = _walk_timed(field, tolerances, incremental=True)
+        walls_f = _walk_timed(field, tolerances, plans)
+        walls_i = _walk_timed(field, tolerances)
         best_full = [min(a, b) for a, b in zip(best_full, walls_f)]
         best_inc = [min(a, b) for a, b in zip(best_inc, walls_i)]
 

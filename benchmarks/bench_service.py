@@ -96,6 +96,7 @@ def _run_eager(store: DirectoryStore, n_sessions, tolerances) -> dict:
 
 
 def _staircase_service(service: RetrievalService, tolerances) -> None:
+    # An untiled variable: the session runs it as a one-tile field.
     with service.session("vel") as session:
         for tol in tolerances:
             session.reconstruct(tolerance=tol, relative=True)

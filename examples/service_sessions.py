@@ -43,12 +43,10 @@ def main() -> None:
 
         def analyst(i: int) -> tuple[int, int, int]:
             with service.session("vel") as session:
-                cold = hit = 0
                 for tol in staircase:
-                    r = session.reconstruct(tolerance=tol, relative=True)
-                    cold += r.cold_bytes
-                    hit += r.cache_hit_bytes
-                return i, cold, hit
+                    session.reconstruct(tolerance=tol, relative=True)
+                traffic = session.stats()  # cumulative over the staircase
+                return i, traffic["cold_bytes"], traffic["cache_hit_bytes"]
 
         n_analysts = 8
         print(f"\nServing {n_analysts} concurrent sessions at relative "

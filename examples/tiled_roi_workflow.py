@@ -49,7 +49,7 @@ def main() -> None:
               f" = {region_elems / data.size:.1%} of the domain")
         print(f"{'rel tol':>9} {'tiles':>6} {'store reads':>12} "
               f"{'bytes read':>11} {'max error':>10}")
-        with service.tiled_session("temperature") as session:
+        with service.session("temperature") as session:
             for tol in (1e-1, 1e-2, 1e-3, 1e-4):
                 reads0, bytes0 = store.reads, store.bytes_read
                 out, bound = session.reconstruct(

@@ -26,8 +26,9 @@ Public API:
   :func:`~repro.core.store.open_field`.
 - :mod:`~repro.core.service` — the
   :class:`~repro.core.service.RetrievalService` layer that multiplexes
-  concurrent progressive sessions over one byte-budgeted shared
-  :class:`~repro.core.service.SegmentCache`.
+  concurrent progressive :class:`~repro.core.service.Session` objects
+  (one engine for every variable: an untiled one is a one-tile field)
+  over one byte-budgeted shared :class:`~repro.core.service.SegmentCache`.
 """
 
 from repro.core.errors import (
@@ -50,12 +51,7 @@ from repro.core.faults import (
 from repro.core.planner import RetrievalPlan, plan_greedy, plan_round_robin
 from repro.core.reconstruct import ReconstructionResult, Reconstructor
 from repro.core.refactor import Refactorer, RefactorConfig
-from repro.core.service import (
-    RetrievalService,
-    SegmentCache,
-    ServiceSession,
-    TiledServiceSession,
-)
+from repro.core.service import RetrievalService, SegmentCache, Session
 from repro.core.store import (
     DirectoryStore,
     MemoryStore,
@@ -122,8 +118,7 @@ __all__ = [
     "ResilientReader",
     "RetrievalService",
     "SegmentCache",
-    "ServiceSession",
-    "TiledServiceSession",
+    "Session",
     "plan_tiles",
     "TiledField",
     "LazyTiledField",

@@ -31,7 +31,6 @@ import numpy as np
 from repro.bitplane.encoding import (
     PartialDecodeState,
     apply_planes,
-    decode_bitplanes,
     finalize_decode,
 )
 from repro.core.errors import StoreError
@@ -151,12 +150,12 @@ class DecodeCounters:
 class Reconstructor:
     """Tolerance-driven, incremental reconstruction of one variable.
 
-    ``incremental=True`` (the default) retains each level's partial
-    integer coefficients between steps and decodes only newly planned
-    plane groups; ``incremental=False`` keeps the full re-decode of
-    every fetched group on every step — the pre-incremental reference
-    path, retained for equivalence tests and as the benchmark baseline
-    (both paths are bit-identical at every step of a staircase).
+    Each level's partial integer coefficients are retained between
+    steps, so a step decodes only the plane groups newly planned since
+    the previous one — bit-identical to a from-scratch decode of the
+    same groups. This is the per-tile step engine: a service session
+    runs it through :class:`~repro.core.tiling.TiledReconstructor`
+    (an untiled variable is a one-tile field there).
 
     Levels decode in a plain loop on the calling thread: the finest
     level holds 7/8 of a 3-D field's coefficients, so a per-level
@@ -175,11 +174,9 @@ class Reconstructor:
     def __init__(
         self,
         field: RefactoredField,
-        incremental: bool = True,
         transform: MultilevelTransform | None = None,
     ) -> None:
         self.field = field
-        self.incremental = bool(incremental)
         if transform is None:
             transform = MultilevelTransform(
                 field.shape,
@@ -229,8 +226,7 @@ class Reconstructor:
 
         Counts the integer partials (magnitude/negabinary words + sign
         bits) and the cached finalized level values the incremental
-        engine keeps between steps; 0 until the first step (and always
-        for ``incremental=False`` sessions).
+        engine keeps between steps; 0 until the first step.
         """
         total = 0
         for state in self._states:
@@ -277,10 +273,12 @@ class Reconstructor:
         any fraction resolves to 0, so the call short-circuits to the
         documented near-lossless path instead of silently demanding an
         unreachable bound. ``tolerance=None`` retrieves everything
-        (near-lossless). An explicit ``plan`` overrides planning. Session
-        state (fetch progress and retained decode partials) commits only
-        after the whole step decodes successfully, so a failed lazy-store
-        fetch can simply be retried.
+        (near-lossless); with ``relative=True`` it is rejected, as in
+        :class:`~repro.core.tiling.TiledReconstructor`. An explicit
+        ``plan`` overrides planning. Session state (fetch progress and
+        retained decode partials) commits only after the whole step
+        decodes successfully, so a failed lazy-store fetch can simply be
+        retried.
 
         ``on_fault`` controls what a storage-tier failure
         (:class:`~repro.core.errors.StoreError` — a missing segment,
@@ -322,6 +320,11 @@ class Reconstructor:
         # to report this step's cold vs. cached split.
         io = getattr(self.field, "io_counters", None)
         io_before = io.snapshot() if io is not None else None
+        if relative and tolerance is None:
+            raise ValueError(
+                "relative=True requires a tolerance; near-lossless "
+                "retrieval (tolerance=None) has no value range to scale"
+            )
         requested = check_tolerance(tolerance, allow_none=True)
         relative_requested = requested if relative else None
         resolved = requested
@@ -402,17 +405,14 @@ class Reconstructor:
         groups = list(step.groups)
         incremental = step.incremental_bytes
 
-        decode_level = (
-            self._decode_level_incremental if self.incremental
-            else self._decode_level_full
-        )
         degraded = False
         failed_groups: list[int] | None = None
         try:
             if fetch_error is not None:
                 raise fetch_error
             outcomes = [
-                decode_level(idx, want) for idx, want in enumerate(groups)
+                self._decode_level(idx, want)
+                for idx, want in enumerate(groups)
             ]
         except StoreError:
             if on_fault != "degrade":
@@ -426,7 +426,8 @@ class Reconstructor:
             groups = list(self._fetched)
             incremental = 0
             outcomes = [
-                decode_level(idx, want) for idx, want in enumerate(groups)
+                self._decode_level(idx, want)
+                for idx, want in enumerate(groups)
             ]
 
         level_values = [values for values, _, _ in outcomes]
@@ -493,8 +494,7 @@ class Reconstructor:
             ),
         )
 
-    # -- per-level decode engines -----------------------------------------
-    def _decode_level_incremental(
+    def _decode_level(
         self, idx: int, want: int
     ) -> tuple[np.ndarray, PartialDecodeState | None, tuple[int, int]]:
         """Decode only groups ``[have, want)`` into the retained state.
@@ -516,19 +516,6 @@ class Reconstructor:
         if values is None:  # first step and this level planned 0 groups
             values = finalize_decode(state)
         return values, state, (0, 0)
-
-    def _decode_level_full(
-        self, idx: int, want: int
-    ) -> tuple[np.ndarray, None, tuple[int, int]]:
-        """Pre-incremental reference: re-decode every fetched group."""
-        lv = self.field.levels[idx]
-        values = decode_bitplanes(
-            lv.to_bitplane_stream(
-                want, np.dtype(np.float64), self.field.design
-            ),
-            lv.planes_in_groups(want),
-        )
-        return values, None, (want, lv.planes_in_groups(want))
 
     def progressive(
         self,

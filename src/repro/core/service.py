@@ -9,15 +9,15 @@ layer:
 
 * :class:`SegmentCache` — a byte-budgeted, thread-safe LRU over raw
   segment blobs, fronting any :class:`~repro.core.store.SegmentReader`;
-* :class:`RetrievalService` — multiplexes concurrent
-  :class:`~repro.core.reconstruct.Reconstructor` sessions and
-  :func:`~repro.qoi.retrieval.retrieve_qoi` calls over one shared cache,
-  with optional background prefetch of each session's next planned plane
-  group, on a small :class:`~repro.core.backends.ThreadPool` it owns;
-* :class:`ServiceSession` — one client's stateful progressive session
-  over an untiled variable (serial);
-* :class:`TiledServiceSession` — the same over a tiled variable, where
-  the execution backend and the pipelined fetch window apply.
+* :class:`RetrievalService` — multiplexes concurrent progressive
+  sessions and :func:`~repro.qoi.retrieval.retrieve_qoi` calls over one
+  shared cache, with optional background prefetch of each session's next
+  planned plane group, on a small
+  :class:`~repro.core.backends.ThreadPool` it owns;
+* :class:`Session` — one client's stateful progressive session over a
+  variable, run by a :class:`~repro.core.tiling.TiledReconstructor`. An
+  untiled variable opens as a one-tile field, so every variable is
+  served by the same engine; the tile is the unit of overlap.
 
 Everything decodes from zero-copy views of the cached blobs. The cache
 budget bounds the bytes the *shared* cache itself keeps resident; each
@@ -41,15 +41,13 @@ from repro.core.backends import (
     current_process_backend,
 )
 from repro.core.errors import BATCH_ERRORS, finish_batch
-from repro.core.reconstruct import ReconstructionResult, Reconstructor
+from repro.core.reconstruct import Reconstructor
 from repro.core.store import open_field, open_tiled_field, verified_many
-from repro.core.stream import LazyRefactoredField
 from repro.core.tiling import (
     LazyTiledField,
     TiledReconstructionResult,
     TiledReconstructor,
 )
-from repro.core.planner import RetrievalPlan
 
 
 class SegmentCache:
@@ -195,10 +193,6 @@ class SegmentCache:
         """:meth:`resolve_settled` without the cold flags."""
         return _blobs_only(*self.resolve_settled(keys))
 
-    def warm(self, key: str) -> None:
-        """Ensure *key* is resident (the prefetch entry point)."""
-        self.resolve(key)
-
     def _insert(self, key: str, blob: bytes) -> None:
         if len(blob) > self.max_bytes:
             self.oversize += 1
@@ -256,99 +250,19 @@ def _blobs_only(resolved: dict, errors: dict) -> tuple[dict, dict]:
     return {key: blob for key, (blob, _) in resolved.items()}, errors
 
 
-class ServiceSession(ClosesOnExit):
-    """One client's progressive retrieval session over the service.
-
-    Wraps a stateful :class:`~repro.core.reconstruct.Reconstructor` on a
-    lazily-opened field whose fetches route through the service's shared
-    :class:`SegmentCache`. After each step the service may prefetch the
-    next planned plane group per level in the background, so a client
-    walking a tolerance staircase finds its next increment already warm.
-    The session itself is serial, like the reconstructor it wraps.
-    """
-
-    def __init__(
-        self, service: "RetrievalService", field: LazyRefactoredField
-    ) -> None:
-        self.service = service
-        self.field = field
-        self.reconstructor = Reconstructor(field)
-
-    def reconstruct(
-        self,
-        tolerance: float | None = None,
-        relative: bool = False,
-        plan: RetrievalPlan | None = None,
-        on_fault: str = "raise",
-    ) -> ReconstructionResult:
-        """One progressive step — see :meth:`Reconstructor.reconstruct`.
-
-        ``on_fault="degrade"`` answers from the last committed
-        refinement when the backing store faults mid-step (the result
-        reports ``degraded=True`` and ``failed_groups``); a later call
-        at the same tolerance resumes exactly the failed increment.
-        """
-        result = self.reconstructor.reconstruct(
-            tolerance=tolerance, relative=relative, plan=plan,
-            on_fault=on_fault,
-        )
-        self.service._schedule_prefetch([self.reconstructor])
-        return result
-
-    def progressive(
-        self,
-        tolerances: list[float],
-        relative: bool = False,
-        on_fault: str = "raise",
-    ) -> list[ReconstructionResult]:
-        """Walk a decreasing tolerance schedule, one result per step."""
-        return [
-            self.reconstruct(tolerance=t, relative=relative,
-                             on_fault=on_fault)
-            for t in tolerances
-        ]
-
-    @property
-    def fetched_bytes(self) -> int:
-        """Cumulative payload bytes this session's plans required."""
-        return self.reconstructor.fetched_bytes
-
-    @property
-    def fetched_groups(self) -> list[int]:
-        """Cumulative per-level group counts fetched so far."""
-        return self.reconstructor.fetched_groups
-
-    @property
-    def decode_state_bytes(self) -> int:
-        """Resident bytes of this session's retained incremental
-        decode state (integer partials + cached level values)."""
-        return self.reconstructor.decode_state_bytes()
-
-    def stats(self) -> dict:
-        """This session's progressive-state accounting, JSON-ready."""
-        return {
-            "fetched_bytes": self.fetched_bytes,
-            "fetched_groups": self.fetched_groups,
-            "decode_state_bytes": self.decode_state_bytes,
-        }
-
-    def close(self) -> None:
-        """Drop the session from the service's live set (idempotent)."""
-        with self.service._sessions_lock:
-            self.service._sessions.discard(self)
-
-
-class TiledServiceSession(ClosesOnExit):
-    """One client's progressive session over a *tiled* field.
+class Session(ClosesOnExit):
+    """One client's progressive session over a variable.
 
     Wraps a :class:`~repro.core.tiling.TiledReconstructor` on a lazily
     opened :class:`~repro.core.tiling.LazyTiledField` whose per-tile
     segment fetches all route through the service's shared
-    :class:`SegmentCache`. Region-of-interest steps touch (open,
-    fetch, decode) only the tiles the hyperslab overlaps, and each
-    touched tile keeps its incremental decode state across staircase
-    steps. After each step the service may prefetch every touched
-    tile's next planned plane group in the background.
+    :class:`SegmentCache`; an untiled variable is a one-tile field.
+    Region-of-interest steps touch (open, fetch, decode) only the tiles
+    the hyperslab overlaps, and each touched tile keeps its incremental
+    decode state across staircase steps. After each step the service
+    may prefetch every touched tile's next planned plane group in the
+    background. Per-step traffic is the delta of :meth:`stats` across
+    the step.
     """
 
     def __init__(
@@ -382,14 +296,12 @@ class TiledServiceSession(ClosesOnExit):
         ``degraded``/``failed_tiles`` report what fell back, and a later
         call at the same tolerance retries only the failed increments.
 
-        A pipelined session first cancels any still-queued service
-        prefetches from the previous step — its own fetch window
-        supersedes them (prefetches that already landed still pay off
-        as cache hits).
+        Every step first cancels the previous step's still-queued
+        prefetches: whichever route runs the step fetches those keys
+        itself (prefetches that already landed still pay off as cache
+        hits).
         """
-        if self.reconstructor.pipelined and self._last_prefetch_keys:
-            self.service.cancel_stale_prefetches(self._last_prefetch_keys)
-            self._last_prefetch_keys = []
+        self.service.cancel_stale_prefetches(self._last_prefetch_keys)
         out = self.reconstructor.reconstruct(
             tolerance=tolerance, relative=relative, region=region,
             on_fault=on_fault,
@@ -398,20 +310,6 @@ class TiledServiceSession(ClosesOnExit):
             self.reconstructor.touched_reconstructors()
         )
         return out
-
-    def progressive(
-        self,
-        tolerances: Sequence[float],
-        relative: bool = False,
-        region: Sequence | None = None,
-        on_fault: str = "raise",
-    ) -> list[TiledReconstructionResult]:
-        """Walk a decreasing tolerance schedule over *region*."""
-        return [
-            self.reconstruct(tolerance=t, relative=relative, region=region,
-                             on_fault=on_fault)
-            for t in tolerances
-        ]
 
     @property
     def fetched_bytes(self) -> int:
@@ -480,8 +378,7 @@ class _PrefetchAwareCache:
     Duck-types the :class:`SegmentCache` surface that
     :func:`~repro.core.store.open_field` and readers use (``resolve``/
     ``resolve_many``/``resolve_settled``/``get``/``get_many``/
-    ``settle_many``/``warm``/``register_checksums``/``__contains__``),
-    delegating
+    ``settle_many``/``register_checksums``/``__contains__``), delegating
     everything to the service's shared cache; on a warm ``resolve`` it
     additionally credits the service's ``prefetch_hits`` counter when a
     background prefetch is what made the key resident. Sessions read
@@ -514,9 +411,6 @@ class _PrefetchAwareCache:
 
     def settle_many(self, keys: Sequence[str]) -> tuple[dict, dict]:
         return _blobs_only(*self.resolve_settled(keys))
-
-    def warm(self, key: str) -> None:
-        self._cache.warm(key)
 
     def register_checksums(self, checksums: dict[str, int]) -> None:
         self._cache.register_checksums(checksums)
@@ -577,57 +471,40 @@ class RetrievalService(ClosesOnExit):
         # decode-state residency. The lock covers add/discard/iteration
         # (WeakSet defers GC removals during iteration, but not
         # concurrent adds from other threads).
-        self._sessions: "weakref.WeakSet[ServiceSession]" = weakref.WeakSet()
+        self._sessions: "weakref.WeakSet[Session]" = weakref.WeakSet()
         self._sessions_lock = threading.Lock()
 
-    def open(self, name: str) -> LazyRefactoredField:
-        """Open *name* lazily with fetches routed through the shared cache.
+    def open(self, name: str) -> LazyTiledField:
+        """Open variable *name*, tiled or not, through the shared cache.
 
-        Each call returns a fresh field (sessions must not share
-        progressive state); the segment bytes behind them are shared.
-        """
-        return open_field(self.store, name, cache=self._session_cache)
-
-    def session(self, name: str) -> ServiceSession:
-        """Start a progressive session over variable *name*.
-
-        The session decodes serially on the calling thread; what it
-        shares with other sessions is the segment cache and the
-        background prefetch. For parallel or pipelined retrieval, tile
-        the variable and use :meth:`tiled_session`.
-        """
-        session = ServiceSession(self, self.open(name))
-        with self._sessions_lock:
-            self._sessions.add(session)
-        return session
-
-    def open_tiled(self, name: str) -> LazyTiledField:
-        """Open tiled field *name* with fetches routed through the cache.
-
-        Each call returns a fresh field (sessions must not share
-        progressive state); the segment bytes behind every tile are
-        shared through the service cache — two sessions touching the
-        same tile pay the backing store once.
+        An untiled variable comes back as a one-tile field (see
+        :func:`~repro.core.store.open_tiled_field`). Each call returns a
+        fresh field (sessions must not share progressive state); the
+        segment bytes behind every tile are shared through the service
+        cache — two sessions touching the same tile pay the backing
+        store once.
         """
         return open_tiled_field(self.store, name, cache=self._session_cache)
 
-    def tiled_session(
+    def session(
         self,
         name: str,
         num_workers: int = 0,
         backend: str | None = None,
         pipelined: bool | None = None,
-    ) -> TiledServiceSession:
-        """Start a progressive session over tiled variable *name*.
+    ) -> Session:
+        """Start a progressive session over variable *name*.
 
         ``num_workers``/``backend`` are forwarded to the session's
         :class:`~repro.core.tiling.TiledReconstructor` for concurrent
         per-tile decoding; they are independent of the service's
         prefetch pool. The session supports region-of-interest steps
         (``reconstruct(region=...)``). Under the ``processes`` backend
-        tiles decode in worker processes that read the store directly —
-        bypassing the service's shared cache and prefetch (which are
-        naturally inert: no parent-side reconstructors exist to walk).
+        the tiles of a multi-tile variable decode in worker processes
+        that read the store directly — bypassing the service's shared
+        cache and prefetch (which are naturally inert: no parent-side
+        reconstructors exist to walk). A one-tile variable always
+        decodes on the calling thread, through the cache.
 
         ``pipelined=None`` (the default) turns the per-tile pipelined
         fetch/decode overlap on exactly when the backing store bears
@@ -635,13 +512,17 @@ class RetrievalService(ClosesOnExit):
         """
         if pipelined is None:
             pipelined = _store_bears_latency(self.store)
-        session = TiledServiceSession(
-            self, self.open_tiled(name), num_workers=num_workers,
+        session = Session(
+            self, self.open(name), num_workers=num_workers,
             backend=backend, pipelined=pipelined,
         )
         with self._sessions_lock:
             self._sessions.add(session)
         return session
+
+    # The frozen end-to-end benchmark harness still opens sessions
+    # under this name.
+    tiled_session = session
 
     def retrieve_qoi(self, qoi, tolerance: float, **kwargs):
         """QoI-controlled retrieval over lazily-opened variables.
@@ -654,7 +535,10 @@ class RetrievalService(ClosesOnExit):
         """
         from repro.qoi.retrieval import retrieve_qoi
 
-        fields = {name: self.open(name) for name in qoi.variables()}
+        fields = {
+            name: open_field(self.store, name, cache=self._session_cache)
+            for name in qoi.variables()
+        }
         return retrieve_qoi(fields, qoi, tolerance, **kwargs)
 
     # -- prefetch ---------------------------------------------------------
@@ -811,11 +695,9 @@ class RetrievalService(ClosesOnExit):
                 "decode_state_bytes": sum(
                     s.decode_state_bytes for s in sessions
                 ),
-                # Tiled-session residency: decode state exists only for
-                # tiles a reconstruction touched (plain sessions count 0).
-                "tiles_touched": sum(
-                    getattr(s, "tiles_touched", 0) for s in sessions
-                ),
+                # Decode state exists only for tiles a reconstruction
+                # touched.
+                "tiles_touched": sum(s.tiles_touched for s in sessions),
             },
         }
 
@@ -832,6 +714,5 @@ class RetrievalService(ClosesOnExit):
 __all__ = [
     "SegmentCache",
     "RetrievalService",
-    "ServiceSession",
-    "TiledServiceSession",
+    "Session",
 ]

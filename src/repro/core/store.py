@@ -737,27 +737,31 @@ def store_tiled_field(store, tiled) -> dict:
 
 
 def open_tiled_field(store, name: str, cache=None, verify: bool = True):
-    """Open a stored tiled field lazily: tiles resolve on first touch.
+    """Open a stored field lazily as a tiled field, of either layout.
 
-    Reads only the ``<name>.tiles`` index record (through *cache* when
-    given, exactly like :func:`open_field`); each tile's sub-field is
-    opened — and its own index fetched — the first time something
-    touches it, and from there segment fetches follow the usual lazy
-    per-group economics. A region-of-interest reconstruction over the
-    returned :class:`~repro.core.tiling.LazyTiledField` therefore pays
-    the backing store only for the tiles its hyperslab overlaps.
+    A tiled field reads only its ``<name>.tiles`` index record (through
+    *cache* when given, exactly like :func:`open_field`); each tile's
+    sub-field opens — fetching its own index — on first touch, so a
+    region-of-interest reconstruction over the returned
+    :class:`~repro.core.tiling.LazyTiledField` pays the backing store
+    only for the tiles its hyperslab overlaps. An untiled field (no
+    ``<name>.tiles`` key: a manifest lookup, not a read) opens as a
+    one-tile field whose tile is the field :func:`open_field` just
+    opened; the stored format is the same either way.
     """
-    from repro.core.tiling import LazyTiledField, TileSpec
+    from repro.core.tiling import LazyTiledField, TileSpec, one_tile_field
 
+    tiled_key, index_key = tiled_index_key(name), f"{name}.index"
+    if tiled_key not in store:
+        if index_key not in store:
+            raise SegmentNotFoundError(
+                f"no tiled or untiled field {name!r} in store (neither "
+                f"{tiled_key!r} nor {index_key!r})"
+            )
+        field = open_field(store, name, cache=cache, verify=verify)
+        return one_tile_field(field, store=store, cache=cache, verify=verify)
     get = cache.get if cache is not None else store.get
-    try:
-        raw = bytes(get(tiled_index_key(name)))
-    except KeyError:  # third-party readers may raise the bare builtin
-        raise SegmentNotFoundError(
-            f"no tiled field {name!r} in store (missing "
-            f"{tiled_index_key(name)!r}; for untiled fields use "
-            f"open_field)"
-        ) from None
+    raw = bytes(get(tiled_key))
     try:
         index = json.loads(raw.decode())
         if not isinstance(index, dict):
@@ -772,8 +776,7 @@ def open_tiled_field(store, name: str, cache=None, verify: bool = True):
         ]
     except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
         raise SegmentCorruptionError(
-            f"tiled index record {tiled_index_key(name)!r} is corrupt: "
-            f"{exc}"
+            f"tiled index record {tiled_key!r} is corrupt: {exc}"
         ) from exc
     return LazyTiledField(
         shape=tuple(index["shape"]),

@@ -348,6 +348,25 @@ class LazyTiledField(TiledField):
         ])
 
 
+def one_tile_field(
+    field: RefactoredField, *, store, cache=None, verify: bool = True
+) -> LazyTiledField:
+    """A just-opened untiled *field* as the one tile of a
+    :class:`LazyTiledField` (no store access; a pickled copy re-opens
+    the tile by name like any other lazy tile)."""
+    zeros = (0,) * len(field.shape)
+    tiled = LazyTiledField(
+        shape=field.shape, dtype=field.dtype,
+        tiles=[TileSpec(index=zeros, offset=zeros,
+                        shape=tuple(field.shape))],
+        tile_field_names=[field.name], tile_bytes=[field.total_bytes()],
+        value_range=field.value_range, name=field.name,
+        store=store, cache=cache, verify=verify,
+    )
+    tiled.fields._fields[0] = field
+    return tiled
+
+
 def _task_refactor_tile(
     state, token, shm_name, shape, dtype_str, offset, extent, tile_name
 ):
@@ -835,13 +854,16 @@ class TiledReconstructor(ClosesOnExit):
         )
         decode = functools.partial(self._decode_tile, on_fault=on_fault)
         spec = resolve_backend(self.backend, self.num_workers)
-        if spec.kind == "processes" and spec.workers > 1:
-            # Worker-resident tile state: always route through the
-            # backend once resolved to it (even single-tile steps), so
-            # a tile's progressive state lives in exactly one place.
-            # ``pipelined`` is inert here — the workers already fetch
-            # their own segments store-side, overlapping I/O across the
-            # pool, and tile state must live in exactly one place.
+        if (
+            spec.kind == "processes" and spec.workers > 1
+            and self.tiled.num_tiles > 1
+        ):
+            # Worker-resident tile state lives in exactly one place, so
+            # a multi-tile field takes this route on every step once
+            # resolved to it; a one-tile field (an untiled variable)
+            # has nothing to fan out and stays here, reading through
+            # the caller's cache. ``pipelined`` is inert: workers fetch
+            # store-side, overlapping I/O across the pool.
             outcomes = self._decode_tiles_processes(
                 jobs, tol, on_fault, shared_process_backend(spec.workers)
             )

@@ -1,9 +1,10 @@
 """Cross-backend differential suite: serial / threads / processes.
 
 The execution backend must be *unobservable* except in wall-clock time:
-every engine (eager refactor, incremental and full-decode staircases,
-tiled region-of-interest retrieval, degraded-mode resume, service
-sessions) must produce bit-identical bytes, identical error bounds,
+every engine (eager refactor, incremental staircases against the
+full-decode oracle, tiled region-of-interest retrieval, degraded-mode
+resume, service sessions over tiled and one-tile fields) must produce
+bit-identical bytes, identical error bounds,
 identical ``IOCounters``/``DecodeCounters``, and identical
 degraded/failed-tile reporting under all three backends. Each test
 computes its reference on the serial engine and diffs a parametrized
@@ -34,6 +35,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.full_decode import full_decode
 
 from repro.core import backends
 from repro.core.backends import (
@@ -158,6 +160,14 @@ def tiled_stored(reference_tiled):
     return store
 
 
+@pytest.fixture(scope="module")
+def service_stored(reference_field, reference_tiled):
+    store = MemoryStore()
+    store_field(store, reference_field)
+    store_tiled_field(store, reference_tiled)
+    return store
+
+
 def _fresh_tiled_store(reference_tiled):
     store = MemoryStore()
     store_tiled_field(store, reference_tiled)
@@ -258,20 +268,17 @@ class TestReconstructDifferential:
     def test_eager_staircase(self, reference_field, reference_staircase):
         recon = Reconstructor(reference_field)
         for tol, ref in zip(STAIRCASE, reference_staircase):
-            _assert_steps_identical(recon.reconstruct(tolerance=tol), ref)
+            step = recon.reconstruct(tolerance=tol)
+            _assert_steps_identical(step, ref)
+            np.testing.assert_array_equal(
+                step.data, full_decode(reference_field, recon.fetched_groups)
+            )
         ref_session = Reconstructor(reference_field)
         for tol in STAIRCASE:
             ref_session.reconstruct(tolerance=tol)
         assert recon.fetched_groups == ref_session.fetched_groups
         assert recon.decode_counters == ref_session.decode_counters
         assert recon.decode_state_bytes() == ref_session.decode_state_bytes()
-
-    def test_full_decode_engine(self, reference_field, reference_staircase):
-        recon = Reconstructor(reference_field, incremental=False)
-        for tol, ref in zip(STAIRCASE, reference_staircase):
-            step = recon.reconstruct(tolerance=tol)
-            np.testing.assert_array_equal(step.data, ref.data)
-            assert step.error_bound == ref.error_bound
 
     def test_lazy_staircase_with_io_counters(self, stored,
                                              reference_staircase):
@@ -424,48 +431,88 @@ class TestDegradedResumeDifferential:
 
 # -- differential: service sessions ----------------------------------------
 
-class TestServiceDifferential:
-    def test_session_staircase(self, stored, reference_staircase):
-        service = RetrievalService(stored, prefetch=True)
-        ref_service = RetrievalService(stored, prefetch=True)
-        with service.session("vx") as got, \
-                ref_service.session("vx") as ref:
-            for tol, clean in zip(STAIRCASE, reference_staircase):
-                expected = ref.reconstruct(tolerance=tol)
-                ref_service.drain_prefetch()
-                step = got.reconstruct(tolerance=tol)
-                service.drain_prefetch()
-                np.testing.assert_array_equal(step.data, clean.data)
-                np.testing.assert_array_equal(step.data, expected.data)
-                assert step.cold_bytes == expected.cold_bytes
-                assert step.cache_hit_bytes == expected.cache_hit_bytes
-            assert got.stats() == ref.stats()
-        service.close()
-        ref_service.close()
+#: Session rows: (variable, region). An untiled variable is a one-tile
+#: field, so it is one more row of the same session, not another path.
+SESSION_ROWS = {"tiled-roi": ("rho", ROI), "one-tile": ("vx", None)}
 
+
+def _traffic(before: dict, after: dict, keys) -> dict:
+    return {key: after[key] - before[key] for key in keys}
+
+
+class TestServiceDifferential:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_tiled_session_roi_staircase(self, tiled_stored, backend):
-        service = RetrievalService(tiled_stored)
-        ref_service = RetrievalService(tiled_stored)
-        with service.tiled_session(
-            "rho", num_workers=2, backend=backend
-        ) as got, ref_service.tiled_session("rho") as ref:
+    @pytest.mark.parametrize("row", list(SESSION_ROWS))
+    def test_session_staircase(self, service_stored, reference_staircase,
+                               row, backend):
+        name, region = SESSION_ROWS[row]
+        service = RetrievalService(service_stored, prefetch=True)
+        ref_service = RetrievalService(service_stored, prefetch=True)
+        with service.session(
+            name, num_workers=2, backend=backend
+        ) as got, ref_service.session(name, backend="serial") as ref:
+            # process workers of a multi-tile field read the store
+            # directly (no shared cache), so the cold/hit *split* may
+            # differ there; the reads must not, and a one-tile field
+            # stays in this process on every backend
+            keys = ["fetched_bytes", "segment_reads"]
+            if row == "one-tile" or not backend.startswith("processes"):
+                keys += ["cold_bytes", "cache_hit_bytes"]
             for tol in STAIRCASE:
-                expected = ref.reconstruct(tolerance=tol, region=ROI)
-                step = got.reconstruct(tolerance=tol, region=ROI)
+                ref_before = ref.stats()
+                expected = ref.reconstruct(tolerance=tol, region=region)
+                ref_service.drain_prefetch()
+                got_before = got.stats()
+                step = got.reconstruct(tolerance=tol, region=region)
+                service.drain_prefetch()
                 np.testing.assert_array_equal(step.data, expected.data)
                 assert step.error_bound == expected.error_bound
+                assert (_traffic(got_before, got.stats(), keys)
+                        == _traffic(ref_before, ref.stats(), keys))
+                if row == "one-tile":  # and the untiled engine's answer
+                    clean = reference_staircase[STAIRCASE.index(tol)]
+                    np.testing.assert_array_equal(step.data, clean.data)
+                    assert step.error_bound == clean.error_bound
             assert got.tiles_touched == ref.tiles_touched
             assert got.fetched_bytes == ref.fetched_bytes
             assert got.decode_state_bytes == ref.decode_state_bytes
             got_stats, ref_stats = got.stats(), ref.stats()
-            # process workers read the store directly (no shared cache),
-            # so the cold/hit *split* may differ; the reads must not
             for key in ("tiles", "tiles_touched", "fetched_bytes",
-                        "decode_state_bytes", "segment_reads"):
+                        "decode_state_bytes", *keys):
                 assert got_stats[key] == ref_stats[key]
         service.close()
         ref_service.close()
+
+    def test_one_tile_session_ships_nothing(self, stored, monkeypatch):
+        """Under ``processes:2`` a one-tile session decodes in this
+        process: no field is shipped, and the shared cache sees exactly
+        the serial run's traffic."""
+        shipped = []
+        ensure_shared = ProcessBackend.ensure_shared
+
+        def recording(backend, token, obj):
+            shipped.append(token)
+            return ensure_shared(backend, token, obj)
+
+        monkeypatch.setattr(ProcessBackend, "ensure_shared", recording)
+
+        def run(spec):
+            monkeypatch.setenv(BACKEND_ENV, spec)
+            service = RetrievalService(stored)
+            with service.session("vx") as session:
+                steps = [session.reconstruct(tolerance=t) for t in STAIRCASE]
+                remote = session.reconstructor._remote
+            service.close()
+            return steps, service.cache.stats(), remote
+
+        serial, serial_cache, _ = run("serial")
+        got, got_cache, remote = run("processes:2")
+        assert not remote
+        assert not [t for t in shipped if t.startswith("tiled-field:")]
+        assert got_cache == serial_cache
+        for step, ref in zip(got, serial):
+            np.testing.assert_array_equal(step.data, ref.data)
+            assert step.error_bound == ref.error_bound
 
 
 # -- map_jobs properties ----------------------------------------------------
@@ -819,7 +866,7 @@ engine.reconstruct(tolerance=1e-2)
 store = MemoryStore()
 store_tiled_field(store, tiled)
 service = RetrievalService(store, prefetch=True)
-session = service.tiled_session("rho", backend="serial", pipelined=True)
+session = service.session("rho", backend="serial", pipelined=True)
 session.reconstruct(tolerance=1e-1)
 assert service.prefetch_requests > 0
 assert len(list(backends._LIVE_THREAD_POOLS)) == 3
@@ -1162,7 +1209,7 @@ class TestPoolHealthTelemetry:
         chaos = WorkerChaos({0: "exit"}, tmp_path)
         backend.install_chaos(chaos)
         try:
-            with service.tiled_session(
+            with service.session(
                 "rho", num_workers=2, backend="processes:2"
             ) as session:
                 session.reconstruct(tolerance=1e-2, region=ROI)
@@ -1179,7 +1226,7 @@ class TestPoolHealthTelemetry:
     def test_no_live_pool_reports_none_and_creates_none(self, tiled_stored):
         shutdown_all_backends()  # whatever earlier tests left running
         service = RetrievalService(tiled_stored)
-        with service.tiled_session("rho", backend="serial") as session:
+        with service.session("rho", backend="serial") as session:
             session.reconstruct(tolerance=1e-2, region=ROI)
             assert service.stats()["pool"] is None
         backend = current_process_backend()
@@ -1192,7 +1239,7 @@ class TestPoolHealthTelemetry:
         reset), not a snapshot of the dead one."""
         service = RetrievalService(tiled_stored)
         before = shared_process_backend(2)
-        with service.tiled_session(
+        with service.session(
             "rho", num_workers=2, backend="processes:2"
         ) as session:
             session.reconstruct(tolerance=1e-1, region=ROI)

@@ -597,7 +597,7 @@ class TestWorkerKillChaos:
         backend.install_chaos(chaos)
         service = RetrievalService(store)
         try:
-            with service.tiled_session(
+            with service.session(
                 "rho", num_workers=2, backend="processes:2"
             ) as session:
                 for tol in STAIRCASE:

@@ -243,18 +243,42 @@ class TestSegmentCache:
             SegmentCache(MemoryStore(), max_bytes=0)
 
 
+def _step(session, **kwargs):
+    """One session step plus its traffic, as deltas of ``stats()``."""
+    before = session.stats()
+    result = session.reconstruct(**kwargs)
+    after = session.stats()
+    return result, {
+        key: after[key] - before[key]
+        for key in ("fetched_bytes", "segment_reads", "cold_bytes",
+                    "cache_hit_bytes")
+    }
+
+
 class TestRetrievalService:
     def test_second_session_served_from_cache(self, dir_store):
         svc = RetrievalService(dir_store, cache_bytes=64 << 20)
-        r1 = svc.session("vel").reconstruct(tolerance=1e-3)
-        assert r1.cold_bytes > 0 and r1.cache_hit_bytes == 0
+        r1, t1 = _step(svc.session("vel"), tolerance=1e-3)
+        assert t1["cold_bytes"] > 0 and t1["cache_hit_bytes"] == 0
         dir_store.reads = 0
-        r2 = svc.session("vel").reconstruct(tolerance=1e-3)
-        assert r2.cold_bytes == 0  # fully cache-served
-        assert r2.cache_hit_bytes == r1.cold_bytes
+        r2, t2 = _step(svc.session("vel"), tolerance=1e-3)
+        assert t2["cold_bytes"] == 0  # fully cache-served
+        assert t2["cache_hit_bytes"] == t1["cold_bytes"]
         np.testing.assert_array_equal(r1.data, r2.data)
         # even the index blob came from the cache: zero store reads
         assert dir_store.reads == 0
+
+    def test_untiled_open_reads_its_index_once(self, dir_store):
+        svc = RetrievalService(dir_store)
+        session = svc.session("vel")
+        assert session.tiled.num_tiles == 1
+        assert svc.cache.misses == 1  # <name>.index, and nothing else
+        assert dir_store.reads == 1
+        session.reconstruct(tolerance=1e-1)
+        fetched = sum(session.reconstructor.touched_reconstructors()[0]
+                      .fetched_groups)
+        assert dir_store.reads == 1 + fetched
+        assert svc.cache.misses == 1 + fetched
 
     def test_concurrent_sessions_deterministic(self, field_and_data,
                                                dir_store):
@@ -268,7 +292,8 @@ class TestRetrievalService:
         def run(i):
             try:
                 with svc.session("vel") as session:
-                    results[i] = session.progressive(tolerances)
+                    results[i] = [_step(session, tolerance=t)
+                                  for t in tolerances]
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -281,16 +306,17 @@ class TestRetrievalService:
         assert not errors
         for i in range(4):
             assert len(results[i]) == len(tolerances)
-            for got, ref in zip(results[i], reference):
+            for (got, traffic), ref in zip(results[i], reference):
                 np.testing.assert_array_equal(got.data, ref.data)
-                assert got.incremental_bytes == ref.incremental_bytes
+                assert got.error_bound == ref.error_bound
+                assert traffic["fetched_bytes"] == ref.incremental_bytes
         # every session's traffic is accounted as either cold or cached;
         # the cache additionally carried one index resolve per session
         stats = svc.cache.stats()
         index_traffic = 4 * dir_store.size_of("vel.index")
         assert stats["miss_bytes"] + stats["hit_bytes"] == index_traffic + sum(
-            r.cold_bytes + r.cache_hit_bytes
-            for rs in results.values() for r in rs
+            traffic["cold_bytes"] + traffic["cache_hit_bytes"]
+            for steps in results.values() for _, traffic in steps
         )
 
     def test_prefetch_warms_next_group(self, dir_store):
@@ -300,13 +326,53 @@ class TestRetrievalService:
         svc.drain_prefetch()
         assert svc.prefetch_requests > 0
         # the next unfetched group of each level is already resident
-        for lv, have in zip(session.field.levels, session.fetched_groups):
+        [recon] = session.reconstructor.touched_reconstructors()
+        for lv, have in zip(recon.field.levels, recon.fetched_groups):
             if have < len(lv.refs):
                 assert lv.refs[have].key in svc.cache
         # so the tighter follow-up step reads less cold than its increment
-        r = session.reconstruct(tolerance=1e-4)
-        assert r.cache_hit_bytes > 0
-        assert r.cold_bytes < r.incremental_bytes
+        _, traffic = _step(session, tolerance=1e-4)
+        assert traffic["cache_hit_bytes"] > 0
+        assert traffic["cold_bytes"] < traffic["fetched_bytes"]
+        svc.close()
+
+    def test_every_step_cancels_its_stale_prefetches(self, dir_store):
+        """A sequential session cancels the previous step's queued warms
+        too: whichever route runs the step fetches those keys itself."""
+        svc = RetrievalService(dir_store, prefetch=True)
+        gate = threading.Event()
+        pool = svc._prefetch_threads.executor(2)
+        blockers = [pool.submit(gate.wait) for _ in range(2)]
+        try:
+            session = svc.session("vel")
+            assert not session.reconstructor.pipelined
+            session.reconstruct(tolerance=1e-1)  # its warms cannot start
+            queued = svc.prefetch_requests
+            assert queued > 0
+            session.reconstruct(tolerance=1e-4)
+        finally:
+            gate.set()
+            for blocker in blockers:
+                blocker.result()
+            svc.close()
+        assert svc.prefetch_cancelled == queued
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_session_staircase_equals_reconstructor(self, dtype, tmp_path):
+        data = gen.gaussian_random_field((12, 10, 9), -2.0, seed=4,
+                                         dtype=dtype)
+        store = DirectoryStore(tmp_path / "s")
+        store_field(store, refactor(data, name="w"))
+        svc = RetrievalService(store)
+        plain = Reconstructor(open_field(store, "w"))
+        with svc.session("w") as session:
+            for tol in (1e-1, 1e-3, 1e-5):
+                got, traffic = _step(session, tolerance=tol, relative=True)
+                want = plain.reconstruct(tolerance=tol, relative=True)
+                np.testing.assert_array_equal(got.data, want.data)
+                assert got.error_bound == want.error_bound
+                assert traffic["fetched_bytes"] == want.incremental_bytes
+                assert traffic["cold_bytes"] == want.cold_bytes
         svc.close()
 
     def test_retrieve_qoi_through_service(self, tmp_path):

@@ -1,9 +1,10 @@
 """Incremental plane-group decode engine + planner/result integrity.
 
-The central property (ISSUE 4): walking a tolerance staircase with the
-incremental engine is *bit-identical* to a from-scratch full decode at
-every step — for eager and store-backed lazy fields, serial and pooled
-decoding, tolerance-driven and explicit-plan stepping — while decoding
+The central property: walking a tolerance staircase with the
+incremental engine is *bit-identical* to a from-scratch full decode
+(the ``oracles.full_decode`` oracle) at every step — for eager and
+store-backed lazy fields, tolerance-driven and explicit-plan stepping,
+and service sessions — while decoding
 only the newly fetched plane groups (asserted via the instrumented
 decode counters). Plus regression tests for the four verified
 state/validation bugs fixed alongside it.
@@ -11,6 +12,7 @@ state/validation bugs fixed alongside it.
 
 import numpy as np
 import pytest
+from oracles.full_decode import full_decode
 
 from repro.bitplane.encoding import (
     apply_planes,
@@ -24,7 +26,13 @@ from repro.core.planner import plan_greedy, plan_round_robin
 from repro.core.reconstruct import Reconstructor, reconstruct
 from repro.core.refactor import RefactorConfig, refactor
 from repro.core.service import RetrievalService
-from repro.core.store import MemoryStore, open_field, store_field
+from repro.core.store import (
+    MemoryStore,
+    open_field,
+    open_tiled_field,
+    store_field,
+)
+from repro.core.tiling import TiledReconstructor
 from repro.data import generators as gen
 
 STAIRCASE = [1e-1, 1e-2, 1e-3, 1e-4]
@@ -159,14 +167,11 @@ class TestIncrementalReconstructor:
         inc_field = _lazy_copy(field) if lazy else field
         ful_field = _lazy_copy(field) if lazy else field
         inc = Reconstructor(inc_field)
-        full = Reconstructor(ful_field, incremental=False)
         for tol in STAIRCASE:
             ri = inc.reconstruct(tolerance=tol)
-            rf = full.reconstruct(tolerance=tol)
-            assert np.array_equal(ri.data, rf.data)
-            assert inc.fetched_groups == full.fetched_groups
-            assert ri.fetched_bytes == rf.fetched_bytes
-            # From-scratch single-shot at the same cumulative plan.
+            rf = full_decode(ful_field, inc.fetched_groups)
+            assert np.array_equal(ri.data, rf)
+            # A fresh session at the same cumulative plan.
             scratch = Reconstructor(
                 _lazy_copy(field) if lazy else field
             ).reconstruct(plan=ri.plan)
@@ -177,11 +182,10 @@ class TestIncrementalReconstructor:
     def test_staircase_bit_identical_negabinary(self, field_nega):
         field, data = field_nega
         inc = Reconstructor(field)
-        full = Reconstructor(field, incremental=False)
         for tol in STAIRCASE:
             ri = inc.reconstruct(tolerance=tol, relative=True)
-            rf = full.reconstruct(tolerance=tol, relative=True)
-            assert np.array_equal(ri.data, rf.data)
+            rf = full_decode(field, inc.fetched_groups)
+            assert np.array_equal(ri.data, rf)
             err = float(np.max(np.abs(
                 ri.data.astype(np.float64) - data.astype(np.float64)
             )))
@@ -224,12 +228,6 @@ class TestIncrementalReconstructor:
         r = recon.reconstruct(tolerance=STAIRCASE[-1])
         new_reads = lazy.io_counters.segment_reads - reads_after_first
         assert new_reads == r.decoded_groups  # one segment per new group
-
-    def test_full_mode_keeps_no_state(self, field_f64):
-        field, _ = field_f64
-        full = Reconstructor(field, incremental=False)
-        full.reconstruct(tolerance=1e-3)
-        assert full.decode_state_bytes() == 0
 
     def test_decode_state_bytes_reported(self, field_f64):
         field, _ = field_f64
@@ -317,6 +315,18 @@ class TestRelativeToleranceRecording:
         assert np.isnan(r.tolerance)
         assert r.relative_tolerance is None
 
+    @pytest.mark.parametrize("engine", ["untiled", "tiled"])
+    def test_relative_without_tolerance_is_rejected(self, field_f64, engine):
+        # Both engines agree: near-lossless has no fraction to scale.
+        field, _ = field_f64
+        store = MemoryStore()
+        store_field(store, field)
+        recon = (Reconstructor(open_field(store, field.name))
+                 if engine == "untiled"
+                 else TiledReconstructor(open_tiled_field(store, field.name)))
+        with pytest.raises(ValueError, match="requires a tolerance"):
+            recon.reconstruct(tolerance=None, relative=True)
+
 
 # ---------------------------------------------------------------------
 # Bug 4: failed fetch/decode must not commit progressive state
@@ -363,9 +373,7 @@ class TestCommitOnlyAfterDecode:
         assert recon.decode_counters.groups_decoded == 0
         # Retry succeeds and is bit-identical to an untroubled session.
         r = recon.reconstruct(tolerance=1e-3)
-        clean = Reconstructor(field, incremental=False).reconstruct(
-            tolerance=1e-3
-        )
+        clean = Reconstructor(field).reconstruct(tolerance=1e-3)
         assert np.array_equal(r.data, clean.data)
         assert r.fetched_bytes == clean.fetched_bytes
 
@@ -385,7 +393,7 @@ class TestCommitOnlyAfterDecode:
         assert recon.decode_state_bytes() == state_before
         # The session still refines correctly once the store recovers.
         r = recon.reconstruct(tolerance=1e-4)
-        clean = Reconstructor(field, incremental=False)
+        clean = Reconstructor(field)
         clean.reconstruct(tolerance=1e-1)
         ref = clean.reconstruct(tolerance=1e-4)
         assert np.array_equal(r.data, ref.data)
@@ -463,8 +471,7 @@ class TestServiceDecodeState:
         with service.session(field.name) as session:
             for tol in STAIRCASE:
                 r = session.reconstruct(tolerance=tol)
-                ref = Reconstructor(field, incremental=False).reconstruct(
-                    plan=r.plan
-                )
-                assert np.array_equal(r.data, ref.data)
+                [recon] = session.reconstructor.touched_reconstructors()
+                ref = full_decode(field, recon.fetched_groups)
+                assert np.array_equal(r.data, ref)
         service.close()

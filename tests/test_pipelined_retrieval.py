@@ -1,7 +1,7 @@
 """Pipelined progressive retrieval: differential + runtime tests.
 
 The pipelined route (``repro.pipeline.retrieval`` and its wiring into
-``TiledReconstructor``/``TiledServiceSession``) claims *bit-identical*
+``TiledReconstructor`` and the service ``Session``) claims *bit-identical*
 results, counters, and fault semantics versus the sequential route —
 only wall-clock may differ. This suite proves the claim differentially,
 `test_backends.py`-style: same inputs through both routes, byte-for-byte
@@ -462,18 +462,18 @@ class TestServicePipelined:
         store = DirectoryStore(tmp_path / "store")
         store_tiled_field(store, reference_tiled)
         svc = RetrievalService(store)
-        assert not svc.tiled_session("rho").reconstructor.pipelined
-        assert svc.tiled_session(
+        assert not svc.session("rho").reconstructor.pipelined
+        assert svc.session(
             "rho", pipelined=True).reconstructor.pipelined
         slow_svc = RetrievalService(
             FaultInjectingStore(store, latency_s=1e-4)
         )
-        assert slow_svc.tiled_session("rho").reconstructor.pipelined
-        assert not slow_svc.tiled_session(
+        assert slow_svc.session("rho").reconstructor.pipelined
+        assert not slow_svc.session(
             "rho", pipelined=False).reconstructor.pipelined
         mem_svc = RetrievalService(_fresh_tiled_store(reference_tiled))
-        assert not mem_svc.tiled_session("rho").reconstructor.pipelined
-        assert mem_svc.tiled_session(
+        assert not mem_svc.session("rho").reconstructor.pipelined
+        assert mem_svc.session(
             "rho", pipelined=True).reconstructor.pipelined
         svc.close()
         slow_svc.close()
@@ -537,8 +537,8 @@ class TestServicePipelined:
                                    prefetch=True)
         pip_svc = RetrievalService(_fresh_tiled_store(reference_tiled),
                                    prefetch=True)
-        seq = seq_svc.tiled_session("rho", pipelined=False)
-        pip = pip_svc.tiled_session("rho", pipelined=True)
+        seq = seq_svc.session("rho", pipelined=False)
+        pip = pip_svc.session("rho", pipelined=True)
         for t in STAIRCASE:
             a = seq.reconstruct(tolerance=t, region=ROI)
             b = pip.reconstruct(tolerance=t, region=ROI)

@@ -31,11 +31,8 @@ from repro.core.backends import (
 )
 from repro.core.reconstruct import Reconstructor, reconstruct
 from repro.core.refactor import RefactorConfig, Refactorer
-from repro.core.service import (
-    RetrievalService,
-    ServiceSession,
-    TiledServiceSession,
-)
+import repro.core
+from repro.core.service import RetrievalService, SegmentCache, Session
 from repro.core.tiling import (
     LazyTiledField,
     TiledReconstructor,
@@ -53,8 +50,7 @@ TILED_STEP = [("tolerance", None), ("relative", False), ("region", None),
 TILED_ENGINE = [("num_workers", 0), ("backend", None), ("pipelined", False)]
 
 SURFACE = [
-    (Reconstructor,
-     [("field", REQUIRED), ("incremental", True), ("transform", None)]),
+    (Reconstructor, [("field", REQUIRED), ("transform", None)]),
     (reconstruct,
      [("field", REQUIRED), ("tolerance", None), ("relative", False)]),
     (Reconstructor.reconstruct, STEP),
@@ -62,15 +58,11 @@ SURFACE = [
      [("step", REQUIRED), ("on_fault", "raise"), ("fetch_error", None)]),
     (TiledReconstructor, [("tiled", REQUIRED), *TILED_ENGINE]),
     (TiledReconstructor.reconstruct, TILED_STEP),
-    (RetrievalService.session, [("name", REQUIRED)]),
-    (ServiceSession, [("service", REQUIRED), ("field", REQUIRED)]),
-    (ServiceSession.reconstruct, STEP),
-    (RetrievalService.tiled_session,
+    (RetrievalService.session,
      [("name", REQUIRED), ("num_workers", 0), ("backend", None),
       ("pipelined", None)]),
-    (TiledServiceSession,
-     [("service", REQUIRED), ("tiled", REQUIRED), *TILED_ENGINE]),
-    (TiledServiceSession.reconstruct, TILED_STEP),
+    (Session, [("service", REQUIRED), ("tiled", REQUIRED), *TILED_ENGINE]),
+    (Session.reconstruct, TILED_STEP),
     (run_window,
      [("executor", REQUIRED), ("items", REQUIRED), ("fetch", REQUIRED),
       ("decode", REQUIRED), ("commit", None), ("window", 4)]),
@@ -96,22 +88,15 @@ SURFACE = [
 ]
 
 REMOVED_KEYWORDS = [
-    (Reconstructor, ["num_workers", "backend"]),
+    (Reconstructor, ["num_workers", "backend", "incremental"]),
     (reconstruct, ["num_workers", "backend"]),
     (Reconstructor.decode_step, ["level_runner"]),
     (TiledReconstructor,
      ["incremental", "pipeline_window", "fetch_workers"]),
     (TiledReconstructor.reconstruct, ["pipelined"]),
-    (RetrievalService.session,
-     ["num_workers", "backend", "pipelined", "pipeline_window",
-      "fetch_workers"]),
-    (ServiceSession,
-     ["num_workers", "backend", "pipelined", "pipeline_window",
-      "fetch_workers"]),
-    (ServiceSession.reconstruct, ["pipelined"]),
-    (RetrievalService.tiled_session, ["pipeline_window", "fetch_workers"]),
-    (TiledServiceSession, ["pipeline_window", "fetch_workers"]),
-    (TiledServiceSession.reconstruct, ["pipelined"]),
+    (RetrievalService.session, ["pipeline_window", "fetch_workers"]),
+    (Session, ["pipeline_window", "fetch_workers"]),
+    (Session.reconstruct, ["pipelined", "plan"]),
     (RefactorConfig, ["num_workers", "backend"]),
     (compress_planes, ["pool"]),
     (run_window, ["decode_pool", "decode_workers", "fetch_workers"]),
@@ -168,8 +153,21 @@ def test_removed_names_are_gone():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.core._pool")
     for name in ("fetch_level_groups", "step_segment_keys", "map_jobs",
-                 "close", "num_workers", "backend"):
+                 "close", "num_workers", "backend", "incremental",
+                 "_decode_level_full"):
         assert not hasattr(Reconstructor, name), name
+
+
+def test_one_session_class_and_one_opener():
+    """Every variable is served by one ``Session`` over one tiled
+    engine; ``tiled_session`` survives only as an alias of ``session``."""
+    assert "Session" in repro.core.__all__
+    for name in ("ServiceSession", "TiledServiceSession"):
+        assert not hasattr(repro.core, name), name
+        assert name not in repro.core.__all__
+    assert RetrievalService.tiled_session is RetrievalService.session
+    assert not hasattr(RetrievalService, "open_tiled")
+    assert not hasattr(SegmentCache, "warm")
 
 
 def test_pool_owners_compose_their_thread_pool():

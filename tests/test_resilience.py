@@ -999,7 +999,7 @@ class TestTiledDegradedReconstruction:
     def test_tiled_session_forwards_on_fault(self, tiled_store):
         data, tiled, store = tiled_store
         service = RetrievalService(store)
-        session = service.tiled_session("rho")
+        session = service.session("rho")
         out1, _ = session.reconstruct(tolerance=1e-1)
 
         broken = FaultInjectingStore(store, transient_rate=1.0,

@@ -9,8 +9,10 @@ The guarantees under test (ISSUE 5):
 * ``reconstruct(region=...)`` equals the same slice of a full-domain
   reconstruction at every staircase step, while touching (opening,
   fetching) only the tiles the region overlaps;
-* the service's tiled sessions share segment bytes through the cache
-  and report residency through ``stats()``.
+* the service's sessions share segment bytes through the cache and
+  report residency through ``stats()``;
+* a field written untiled opens as a one-tile field whose staircase
+  equals the untiled engine's.
 """
 
 import json
@@ -24,6 +26,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import SegmentNotFoundError
+from repro.core.faults import FaultInjectingStore
 from repro.core.reconstruct import Reconstructor
 from repro.core.refactor import refactor
 from repro.core.service import RetrievalService
@@ -114,6 +118,15 @@ class TestStoreRoundtrip:
         with pytest.raises(KeyError, match="tiled"):
             open_tiled_field(store, "nope")
 
+    def test_missing_field_error_names_both_keys(self, tmp_path):
+        store = FaultInjectingStore(DirectoryStore(tmp_path / "s"),
+                                    transient_rate=1.0)
+        with pytest.raises(SegmentNotFoundError) as info:
+            open_tiled_field(store, "nope")
+        assert "'nope.tiles'" in str(info.value)
+        assert "'nope.index'" in str(info.value)
+        assert store.reads == 0  # membership only: nothing was read
+
     def test_store_preserves_metadata(self, tiled, tmp_path):
         store = DirectoryStore(tmp_path / "s")
         store_tiled_field(store, tiled)
@@ -124,6 +137,46 @@ class TestStoreRoundtrip:
         assert lazy.name == "rho"
         assert [t.offset for t in lazy.tiles] == \
             [t.offset for t in tiled.tiles]
+
+
+class TestUntiledAsOneTile:
+    """A field written by ``store_field`` opens as a one-tile field."""
+
+    @pytest.fixture()
+    def stored(self, field):
+        store = MemoryStore()
+        store_field(store, refactor(field, name="u"))
+        store.reads = 0
+        return store
+
+    def test_one_tile_covers_the_domain(self, field, stored):
+        lazy = open_tiled_field(stored, "u")
+        assert stored.reads == 1  # u.index, once
+        assert lazy.num_tiles == 1
+        assert lazy.tiles[0].offset == (0, 0, 0)
+        assert lazy.tiles[0].shape == field.shape
+        assert lazy.opened_tiles == [0]  # the field just opened
+        assert lazy.total_bytes() == open_field(stored, "u").total_bytes()
+        lazy.fields[0]
+        assert stored.reads == 2  # the probe open above, nothing more
+
+    def test_staircase_matches_the_untiled_engine(self, stored):
+        tiled = TiledReconstructor(open_tiled_field(stored, "u"))
+        plain = Reconstructor(open_field(stored, "u"))
+        for tol in STAIRCASE:
+            got = tiled.reconstruct(tolerance=tol, relative=True)
+            want = plain.reconstruct(tolerance=tol, relative=True)
+            assert np.array_equal(got.data, want.data)
+            assert got.error_bound == want.error_bound
+        assert tiled.fetched_bytes == plain.fetched_bytes
+
+    def test_pickled_copy_reopens_the_tile_by_name(self, stored):
+        lazy = open_tiled_field(stored, "u")
+        copy = pickle.loads(pickle.dumps(lazy))
+        assert copy.opened_tiles == []
+        with TiledReconstructor(lazy) as a, TiledReconstructor(copy) as b:
+            assert np.array_equal(a.reconstruct(tolerance=1e-3).data,
+                                  b.reconstruct(tolerance=1e-3).data)
 
 
 class TestFieldsPickle:
@@ -151,7 +204,7 @@ class TestFieldsPickle:
         store = MemoryStore()
         store_tiled_field(store, tiled)
         service = RetrievalService(store)
-        lazy = service.open_tiled("rho")
+        lazy = service.open("rho")
         lazy.fields[0]
         assert lazy.opened_tiles == [0]
         copy = pickle.loads(pickle.dumps(lazy))
@@ -412,7 +465,7 @@ class TestTiledService:
         service = RetrievalService(store, cache_bytes=8 << 20)
         region = ((4, 16), (0, 12), (4, 16))
         slices = tuple(slice(a, b) for a, b in region)
-        with service.tiled_session("rho") as session:
+        with service.session("rho") as session:
             for tol in [1e-1, 1e-3]:
                 out, bound = session.reconstruct(tolerance=tol,
                                                  region=region)
@@ -440,11 +493,11 @@ class TestTiledService:
         # Pinned serial: the shared SegmentCache sits in the parent;
         # process-backed tiled sessions read the store directly and
         # bypass it (documented divergence, see docs/architecture.md).
-        with service.tiled_session("rho", backend="serial") as first:
+        with service.session("rho", backend="serial") as first:
             first.reconstruct(tolerance=1e-3, region=region)
             cold = first.stats()
             assert cold["cold_bytes"] > 0
-        with service.tiled_session("rho", backend="serial") as second:
+        with service.session("rho", backend="serial") as second:
             second.reconstruct(tolerance=1e-3, region=region)
             warm = second.stats()
         assert warm["cold_bytes"] == 0
@@ -456,7 +509,7 @@ class TestTiledService:
         store = MemoryStore()
         store_tiled_field(store, tiled)
         service = RetrievalService(store)
-        with service.tiled_session("rho") as session:
+        with service.session("rho") as session:
             out, _ = session.reconstruct(tolerance=1e-3, relative=True)
             assert float(np.max(np.abs(out - field))) <= \
                 1e-3 * tiled.value_range
@@ -468,8 +521,8 @@ class TestTiledService:
         store = MemoryStore()
         store_tiled_field(store, tiled)
         service = RetrievalService(store)
-        with service.tiled_session("rho") as serial, \
-                service.tiled_session("rho", num_workers=3) as parallel:
+        with service.session("rho") as serial, \
+                service.session("rho", num_workers=3) as parallel:
             out_s, bound_s = serial.reconstruct(tolerance=1e-3)
             out_p, bound_p = parallel.reconstruct(tolerance=1e-3)
         assert np.array_equal(out_s, out_p)
@@ -482,7 +535,7 @@ class TestTiledService:
         service = RetrievalService(store, prefetch=True)
         # Pinned serial: prefetch walks the parent-resident tile
         # reconstructors, which a process-backed session doesn't have.
-        with service.tiled_session("rho", backend="serial") as session:
+        with service.session("rho", backend="serial") as session:
             session.reconstruct(tolerance=1e-1,
                                 region=((0, 8), (0, 8), (0, 8)))
             service.drain_prefetch()
