@@ -74,7 +74,7 @@ class FaultInjectingStore:
         that key's access count, so runs with identical per-key access
         sequences see identical faults even under concurrency — and
         whether the keys were read one ``get`` at a time or batched in
-        ``get_many``.
+        ``settle_many``.
     transient_rate:
         Probability in ``[0, 1]`` that a ``get`` raises
         :class:`~repro.core.errors.TransientStoreError` (drawn before
@@ -85,7 +85,7 @@ class FaultInjectingStore:
         blob with exactly one deterministically-chosen bit flipped.
     latency_s:
         Injected sleep per request (via *sleep*), modeling a slow tier:
-        once per ``get`` and once per ``get_many``, however many keys.
+        once per ``get`` and once per ``settle_many``, however many keys.
     fail_first:
         Fail-N-then-succeed schedule: an ``int`` applies to every key,
         a mapping gives per-key counts; the first N accesses of a key
@@ -140,12 +140,8 @@ class FaultInjectingStore:
         return int(schedule)
 
     def get(self, key: str) -> bytes:
-        """One key: :meth:`get_many` of one."""
-        return self.get_many([key])[0]
-
-    def get_many(self, keys: Sequence[str]) -> list[bytes]:
-        """The blobs of *keys* in key order (see :meth:`settle_many`)."""
-        return finish_batch(keys, *self.settle_many(keys))
+        """One key: :meth:`settle_many` of one, raising its error."""
+        return finish_batch([key], *self.settle_many([key]))[0]
 
     def settle_many(self, keys: Sequence[str]) -> tuple[dict, dict]:
         """Read *keys* as one request, settled as ``({key: blob}, {key:
@@ -542,7 +538,7 @@ class RetryPolicy:
 class ResilientReader:
     """Retrying, verifying view of a :class:`~repro.core.store.SegmentReader`.
 
-    ``get`` and ``get_many`` run through *policy* (so transient faults
+    ``get`` and ``settle_many`` run through *policy* (so transient faults
     and heal-able corruption are retried with backoff — a batch retries
     only its failed keys, together); when *checksums* maps a key to
     its CRC32 (as recorded by :func:`~repro.core.store.store_field` —
@@ -583,7 +579,7 @@ class ResilientReader:
         self.__dict__.update(state)
         self._checksums_lock = threading.Lock()
 
-    def _get_many_once(self, keys: list[str]) -> tuple[dict, dict]:
+    def _settle_once(self, keys: list[str]) -> tuple[dict, dict]:
         values, errors = settle_many(self._reader, keys)
         with self._checksums_lock:
             expected = {key: self._checksums.get(key) for key in values}
@@ -597,16 +593,12 @@ class ResilientReader:
 
     def get(self, key: str) -> bytes:
         """Fetch *key* with retries and (when known) CRC verification."""
-        return self.get_many([key])[0]
-
-    def get_many(self, keys: Sequence[str]) -> list[bytes]:
-        """The blobs of *keys* in key order (see :meth:`settle_many`)."""
-        return finish_batch(keys, *self.settle_many(keys))
+        return finish_batch([key], *self.settle_many([key]))[0]
 
     def settle_many(self, keys: Sequence[str]) -> tuple[dict, dict]:
         """Fetch *keys* in one request per retry round, each verified,
         settled as ``({key: blob}, {key: error})``."""
-        return self.policy.run_many(self._get_many_once, keys)
+        return self.policy.run_many(self._settle_once, keys)
 
     def size_of(self, key: str) -> int:
         """Manifest-size lookup, retried under the same policy."""

@@ -71,6 +71,10 @@ class SegmentCache:
     shared in-flight future (the store is read once; the followers count
     as hits because they cost no extra store read). :meth:`resolve_settled`
     sends all of a batch's misses to the store in one batched read.
+
+    A key :meth:`prefetch` read cold is marked until it is evicted: the
+    first later hit on it, an entry hit or a follower of the prefetch's
+    own in-flight read, counts in ``prefetch_hits``.
     """
 
     def __init__(self, reader, max_bytes: int = 256 << 20) -> None:
@@ -82,6 +86,7 @@ class SegmentCache:
         self._entries: "OrderedDict[str, bytes]" = OrderedDict()
         self._inflight: dict[str, Future] = {}
         self._checksums: dict[str, int] = {}
+        self._prefetched: set[str] = set()
         self.current_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -91,6 +96,7 @@ class SegmentCache:
         self.oversize = 0
         self.corruption_refetches = 0
         self.corruption_failures = 0
+        self.prefetch_hits = 0
 
     def register_checksums(self, checksums: dict[str, int]) -> None:
         """Expect these CRC32s on cold fetches of the given keys.
@@ -103,15 +109,6 @@ class SegmentCache:
         """
         with self._lock:
             self._checksums.update(checksums)
-
-    def resolve(self, key: str) -> tuple[bytes, bool]:
-        """Return ``(blob, cold)``: the segment plus whether it was a miss."""
-        return self.resolve_many([key])[0]
-
-    def resolve_many(self, keys: Sequence[str]) -> list[tuple[bytes, bool]]:
-        """``(blob, cold)`` per key, in key order; the first failed key's
-        error is raised (see :meth:`resolve_settled`)."""
-        return finish_batch(keys, *self.resolve_settled(keys))
 
     def resolve_settled(self, keys: Sequence[str]) -> tuple[dict, dict]:
         """Resolve *keys* as ``({key: (blob, cold)}, {key: error})``.
@@ -126,6 +123,27 @@ class SegmentCache:
         only that key's outcome. The keys that arrive are cached whether
         or not others failed.
         """
+        return self._resolve(keys, prefetch=False)
+
+    def prefetch(self, key: str) -> None:
+        """Make *key* resident ahead of need, raising its read error.
+
+        When this call reads the key cold, it is marked: the first later
+        hit on it counts in ``prefetch_hits``. A prefetch's own hit does
+        not.
+        """
+        _, errors = self._resolve([key], prefetch=True)
+        if errors:
+            raise errors[key]
+
+    def get(self, key: str) -> bytes:
+        """The blob alone: a batch of one, raising its error."""
+        return finish_batch([key], *self.resolve_settled([key]))[0][0]
+
+    def _resolve(
+        self, keys: Sequence[str], prefetch: bool
+    ) -> tuple[dict, dict]:
+        # A prefetch marks the keys it reads cold and credits no hit.
         out: dict = {}
         lead: list[str] = []
         follow: list[tuple[str, Future]] = []
@@ -134,8 +152,7 @@ class SegmentCache:
                 blob = self._entries.get(key)
                 if blob is not None:
                     self._entries.move_to_end(key)
-                    self.hits += 1
-                    self.hit_bytes += len(blob)
+                    self._hit(key, blob, prefetch)
                     out[key] = (blob, False)
                 elif key in self._inflight:
                     follow.append((key, self._inflight[key]))
@@ -163,6 +180,8 @@ class SegmentCache:
                     self.misses += 1
                     self.miss_bytes += len(blob)
                     self._insert(key, blob)
+                    if prefetch and key in self._entries:
+                        self._prefetched.add(key)
                     out[key] = (blob, True)
             for key, future in zip(lead, futures):
                 if key in blobs:
@@ -176,22 +195,16 @@ class SegmentCache:
                 errors[key] = exc
                 continue
             with self._lock:
-                self.hits += 1
-                self.hit_bytes += len(blob)
+                self._hit(key, blob, prefetch)
             out[key] = (blob, False)
         return out, errors
 
-    def get(self, key: str) -> bytes:
-        """The blob alone — :meth:`resolve` without the cold flag."""
-        return self.resolve(key)[0]
-
-    def get_many(self, keys: Sequence[str]) -> list[bytes]:
-        """The blobs alone — :meth:`resolve_many` without the flags."""
-        return finish_batch(keys, *self.settle_many(keys))
-
-    def settle_many(self, keys: Sequence[str]) -> tuple[dict, dict]:
-        """:meth:`resolve_settled` without the cold flags."""
-        return _blobs_only(*self.resolve_settled(keys))
+    def _hit(self, key: str, blob: bytes, prefetch: bool) -> None:
+        self.hits += 1
+        self.hit_bytes += len(blob)
+        if not prefetch and key in self._prefetched:
+            self._prefetched.discard(key)
+            self.prefetch_hits += 1
 
     def _insert(self, key: str, blob: bytes) -> None:
         if len(blob) > self.max_bytes:
@@ -200,7 +213,8 @@ class SegmentCache:
         self._entries[key] = blob
         self.current_bytes += len(blob)
         while self.current_bytes > self.max_bytes:
-            _, evicted = self._entries.popitem(last=False)
+            evicted_key, evicted = self._entries.popitem(last=False)
+            self._prefetched.discard(evicted_key)
             self.current_bytes -= len(evicted)
             self.evictions += 1
 
@@ -214,7 +228,7 @@ class SegmentCache:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of :meth:`resolve` calls served without a store read."""
+        """Fraction of key lookups served without a store read."""
         with self._lock:
             hits, misses = self.hits, self.misses
         total = hits + misses
@@ -224,6 +238,7 @@ class SegmentCache:
         """Drop every entry (counters are kept)."""
         with self._lock:
             self._entries.clear()
+            self._prefetched.clear()
             self.current_bytes = 0
 
     def stats(self) -> dict:
@@ -243,11 +258,6 @@ class SegmentCache:
                 "corruption_refetches": self.corruption_refetches,
                 "corruption_failures": self.corruption_failures,
             }
-
-
-def _blobs_only(resolved: dict, errors: dict) -> tuple[dict, dict]:
-    """A settled resolve with the cold flags dropped."""
-    return {key: blob for key, (blob, _) in resolved.items()}, errors
 
 
 class Session(ClosesOnExit):
@@ -372,53 +382,6 @@ def _store_bears_latency(store) -> bool:
     return isinstance(value, (int, float)) and value > 0
 
 
-class _PrefetchAwareCache:
-    """Shared-cache facade that attributes hits to landed prefetches.
-
-    Duck-types the :class:`SegmentCache` surface that
-    :func:`~repro.core.store.open_field` and readers use (``resolve``/
-    ``resolve_many``/``resolve_settled``/``get``/``get_many``/
-    ``settle_many``/``register_checksums``/``__contains__``), delegating
-    everything to the service's shared cache; on a warm ``resolve`` it
-    additionally credits the service's ``prefetch_hits`` counter when a
-    background prefetch is what made the key resident. Sessions read
-    through this facade; the prefetch pool warms the shared cache
-    directly (a prefetch must not count itself as its own hit).
-    """
-
-    def __init__(self, service: "RetrievalService") -> None:
-        self._service = service
-        self._cache = service.cache
-
-    def resolve(self, key: str) -> tuple[bytes, bool]:
-        return self.resolve_many([key])[0]
-
-    def resolve_many(self, keys: Sequence[str]) -> list[tuple[bytes, bool]]:
-        return finish_batch(keys, *self.resolve_settled(keys))
-
-    def resolve_settled(self, keys: Sequence[str]) -> tuple[dict, dict]:
-        resolved, errors = self._cache.resolve_settled(keys)
-        for key, (_, cold) in resolved.items():
-            if not cold:
-                self._service._note_prefetch_hit(key)
-        return resolved, errors
-
-    def get(self, key: str) -> bytes:
-        return self.resolve(key)[0]
-
-    def get_many(self, keys: Sequence[str]) -> list[bytes]:
-        return finish_batch(keys, *self.settle_many(keys))
-
-    def settle_many(self, keys: Sequence[str]) -> tuple[dict, dict]:
-        return _blobs_only(*self.resolve_settled(keys))
-
-    def register_checksums(self, checksums: dict[str, int]) -> None:
-        self._cache.register_checksums(checksums)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._cache
-
-
 class RetrievalService(ClosesOnExit):
     """Multiplex progressive retrieval sessions over one segment cache.
 
@@ -451,21 +414,17 @@ class RetrievalService(ClosesOnExit):
         self._closed = False  # guarded by the futures lock
         self.prefetch_requests = 0
         self.prefetch_failures = 0
-        self.prefetch_hits = 0
         self.prefetch_cancelled = 0
         self.prefetch_skipped = 0
         self._prefetch_futures: list = []
-        # Queued-but-unfinished warms by key (cancellation targets) and
-        # keys a prefetch actually pulled cold (hit-attribution set) —
-        # both guarded, with the counters above, by the futures lock.
+        # Queued-but-unfinished warms by key (cancellation targets),
+        # guarded, with the counters above, by the futures lock.
         self._prefetch_pending: dict[str, Future] = {}
-        self._prefetch_landed: set[str] = set()
         self._futures_lock = threading.Lock()
         # Runs the prefetch warms and nothing else; it is no execution
         # backend, so neither ``REPRO_BACKEND`` nor a session's
         # ``num_workers`` sizes it.
         self._prefetch_threads = ThreadPool()
-        self._session_cache = _PrefetchAwareCache(self)
         # Live sessions, tracked weakly so abandoned sessions (never
         # close()d) don't leak; stats() reports their retained
         # decode-state residency. The lock covers add/discard/iteration
@@ -484,7 +443,7 @@ class RetrievalService(ClosesOnExit):
         cache — two sessions touching the same tile pay the backing
         store once.
         """
-        return open_tiled_field(self.store, name, cache=self._session_cache)
+        return open_tiled_field(self.store, name, cache=self.cache)
 
     def session(
         self,
@@ -536,7 +495,7 @@ class RetrievalService(ClosesOnExit):
         from repro.qoi.retrieval import retrieve_qoi
 
         fields = {
-            name: open_field(self.store, name, cache=self._session_cache)
+            name: open_field(self.store, name, cache=self.cache)
             for name in qoi.variables()
         }
         return retrieve_qoi(fields, qoi, tolerance, **kwargs)
@@ -588,8 +547,8 @@ class RetrievalService(ClosesOnExit):
         retries the store and surfaces the real error then. A key that
         became resident since it was queued (a session's own fetch beat
         the prefetch pool to it) is skipped without touching the cache
-        counters; a key this warm actually pulled cold is remembered so
-        a later session read can be credited as a ``prefetch_hit``.
+        counters, so a warm never credits itself; the cache credits a
+        later read of a key this warm pulled cold as a prefetch hit.
         """
         with self._futures_lock:
             self._prefetch_pending.pop(key, None)
@@ -598,10 +557,7 @@ class RetrievalService(ClosesOnExit):
                 with self._futures_lock:
                     self.prefetch_skipped += 1
                 return
-            _, cold = self.cache.resolve(key)
-            if cold:
-                with self._futures_lock:
-                    self._prefetch_landed.add(key)
+            self.cache.prefetch(key)
         except Exception:  # reprolint: disable=R2 -- speculative warm: the resolve path retries and surfaces the real error
             with self._futures_lock:
                 self.prefetch_failures += 1
@@ -609,8 +565,8 @@ class RetrievalService(ClosesOnExit):
     def cancel_stale_prefetches(self, keys) -> int:
         """Cancel still-queued prefetch warms for *keys*; return count.
 
-        The pipelined sessions call this with the segment keys their
-        next window is about to fetch anyway: a warm that has not
+        Every session step calls this with the previous step's warms,
+        which the step is about to fetch anyway: a warm that has not
         started yet would only duplicate scheduling work, so it is
         pulled from the queue (``prefetch_cancelled``). Warms already
         running — or already landed — are left alone; landed ones still
@@ -624,18 +580,6 @@ class RetrievalService(ClosesOnExit):
                     cancelled += 1
                     self.prefetch_cancelled += 1
         return cancelled
-
-    def _note_prefetch_hit(self, key: str) -> None:
-        """Credit a warm session read to the prefetch that landed it.
-
-        Called by the sessions' cache facade on every non-cold resolve;
-        each landed prefetch is credited at most once (the first read
-        that found it resident is the latency actually hidden).
-        """
-        with self._futures_lock:
-            if key in self._prefetch_landed:
-                self._prefetch_landed.discard(key)
-                self.prefetch_hits += 1
 
     def drain_prefetch(self) -> None:
         """Block until every scheduled prefetch has settled.
@@ -673,7 +617,6 @@ class RetrievalService(ClosesOnExit):
         with self._futures_lock:
             prefetch_requests = self.prefetch_requests
             prefetch_failures = self.prefetch_failures
-            prefetch_hits = self.prefetch_hits
             prefetch_cancelled = self.prefetch_cancelled
             prefetch_skipped = self.prefetch_skipped
         backend = current_process_backend()
@@ -684,7 +627,7 @@ class RetrievalService(ClosesOnExit):
             "cache": self.cache.stats(),
             "prefetch_requests": prefetch_requests,
             "prefetch_failures": prefetch_failures,
-            "prefetch_hits": prefetch_hits,
+            "prefetch_hits": self.cache.prefetch_hits,
             "prefetch_cancelled": prefetch_cancelled,
             "prefetch_skipped": prefetch_skipped,
             "store_reads": getattr(self.store, "reads", None),

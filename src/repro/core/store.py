@@ -14,10 +14,9 @@ Both satisfy the :class:`SegmentReader` protocol that the lazy
 retrieval layer (:func:`open_field`, :class:`repro.core.service.RetrievalService`)
 is written against, so any object with ``get``/``size_of``/``keys`` —
 an object store client, a test double — can back progressive sessions.
-``get_many`` is the batched read a progressive step issues once per
-tile-step; inside the library a batch travels settled (per-key values
-and errors, :func:`settle_many`), which falls back to a ``get`` loop
-for readers that do not define ``settle_many``.
+A progressive step reads its keys as one batch per tile-step, settled
+per key into values and errors (:func:`settle_many`); a reader whose
+class does not define ``settle_many`` is read with a ``get`` loop.
 
 Keys are ``(variable, level, group)`` triples flattened to strings.
 """
@@ -59,9 +58,7 @@ class SegmentReader(Protocol):
     """Read side of a segment store — what retrieval needs.
 
     ``get(key)`` returns the segment blob (raising ``KeyError`` when
-    absent), ``get_many(keys)`` the blobs of several keys in key order
-    (the same bytes as ``get`` per key; the first failed key's error is
-    raised), ``size_of(key)`` its serialized size *without* fetching it
+    absent), ``size_of(key)`` its serialized size *without* fetching it
     (manifest lookup), ``keys()`` the sorted stored keys, and membership
     tests route through ``__contains__``. The library reads a batch
     through :func:`settle_many`: a reader whose class defines
@@ -70,8 +67,6 @@ class SegmentReader(Protocol):
     """
 
     def get(self, key: str) -> bytes: ...
-
-    def get_many(self, keys: Sequence[str]) -> list[bytes]: ...
 
     def size_of(self, key: str) -> int: ...
 
@@ -159,10 +154,6 @@ class MemoryStore:
     def settle_many(self, keys: Sequence[str]) -> tuple[dict, dict]:
         """``get`` per key (one counted read each), settled."""
         return _settle_each(self.get, keys)
-
-    def get_many(self, keys: Sequence[str]) -> list[bytes]:
-        """The blobs of *keys* in key order (see :meth:`settle_many`)."""
-        return finish_batch(keys, *self.settle_many(keys))
 
     def __contains__(self, key: str) -> bool:
         return key in self._blobs
@@ -364,11 +355,7 @@ class DirectoryStore:
 
     def get(self, key: str) -> bytes:
         """Read one segment with a single ``pread`` (see :meth:`settle_many`)."""
-        return self.get_many([key])[0]
-
-    def get_many(self, keys: Sequence[str]) -> list[bytes]:
-        """The blobs of *keys* in key order (see :meth:`settle_many`)."""
-        return finish_batch(keys, *self.settle_many(keys))
+        return finish_batch([key], *self.settle_many([key]))[0]
 
     def settle_many(self, keys: Sequence[str]) -> tuple[dict, dict]:
         """Read *keys* as ``({key: blob}, {key: error})``, one ``pread``
@@ -662,8 +649,8 @@ def load_field(
 ):
     """Load a field's metadata and the requested prefix of groups.
 
-    ``groups_per_level=None`` loads everything *eagerly*: one
-    ``get_many`` for every segment up front. This is the baseline read
+    ``groups_per_level=None`` loads everything *eagerly*: one batched
+    read of every segment up front. This is the baseline read
     path the end-to-end retrieval benchmarks time; services answering
     tolerance queries should prefer :func:`open_field`, which defers
     each segment fetch until a decode touches it.

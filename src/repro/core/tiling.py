@@ -339,14 +339,6 @@ class LazyTiledField(TiledField):
         """Tile positions whose sub-fields have been opened so far."""
         return self.fields.opened_indices
 
-    def io_counters(self) -> IOCounters:
-        """Aggregate segment traffic of every opened tile sub-field."""
-        return IOCounters.total([
-            self.fields[i].io_counters
-            for i in self.opened_tiles
-            if getattr(self.fields[i], "io_counters", None) is not None
-        ])
-
 
 def one_tile_field(
     field: RefactoredField, *, store, cache=None, verify: bool = True

@@ -130,7 +130,7 @@ class TestLazyStaircaseChaos:
         self, stored, clean_staircase, seed, monkeypatch
     ):
         """The seeded staircase once with each step's fetch batched
-        (one ``get_many``) and once key by key: both bit-identical to
+        (one ``settle_many``) and once key by key: both bit-identical to
         the clean run and to each other, fetched bytes included."""
 
         def per_key_fetch_step(recon, step):

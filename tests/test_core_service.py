@@ -14,6 +14,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.errors import finish_batch
 from repro.core.reconstruct import Reconstructor
 from repro.core.refactor import refactor
 from repro.core.service import RetrievalService, SegmentCache
@@ -35,6 +36,11 @@ def field_and_data():
     data = gen.gaussian_random_field((16, 16, 16), -2.0, seed=9,
                                      dtype=np.float64)
     return data, refactor(data, name="vel")
+
+
+def _resolve(cache, key):
+    """``(blob, cold)`` for one key, raising its error."""
+    return finish_batch([key], *cache.resolve_settled([key]))[0]
 
 
 @pytest.fixture()
@@ -63,11 +69,50 @@ class TestSegmentReaderProtocol:
                 return b"payload-" + key.encode()
 
         cache = SegmentCache(Flaky(), max_bytes=1 << 20)
-        a1, cold1 = cache.resolve("k")
-        a2, cold2 = cache.resolve("k")
+        a1, cold1 = _resolve(cache, "k")
+        a2, cold2 = _resolve(cache, "k")
         assert (cold1, cold2) == (True, False)
         assert a1 == a2 == b"payload-k"
         assert cache._reader.calls == 1
+
+    def test_get_only_reader_serves_sessions(self, field_and_data):
+        """A reader with only ``get`` / ``size_of`` / ``keys`` /
+        ``__contains__`` satisfies the protocol and is read key by key:
+        a session staircase over it equals one over the store it wraps,
+        store reads included."""
+        _, f = field_and_data
+        inner = MemoryStore()
+        store_field(inner, f)
+
+        class GetOnly:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def get(self, key):
+                return self._inner.get(key)
+
+            def size_of(self, key):
+                return self._inner.size_of(key)
+
+            def keys(self):
+                return self._inner.keys()
+
+            def __contains__(self, key):
+                return key in self._inner
+
+        reader = GetOnly(inner)
+        assert isinstance(reader, SegmentReader)
+        runs, reads = [], []
+        for backing in (inner, reader):
+            before = inner.reads
+            with RetrievalService(backing) as svc, svc.session("vel") as s:
+                runs.append([s.reconstruct(tolerance=t, relative=True)
+                             for t in (1e-1, 1e-3, 1e-5)])
+            reads.append(inner.reads - before)
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got.data, want.data)
+            assert got.error_bound == want.error_bound
+        assert reads[0] == reads[1] > 1
 
 
 class TestManifestBatching:
@@ -220,7 +265,7 @@ class TestSegmentCache:
         store = MemoryStore()
         store.put("big", b"x" * 100)
         cache = SegmentCache(store, max_bytes=10)
-        blob, cold = cache.resolve("big")
+        blob, cold = _resolve(cache, "big")
         assert cold and blob == b"x" * 100
         assert "big" not in cache and cache.oversize == 1
 
@@ -438,6 +483,62 @@ class TestRetrievalService:
         assert svc._prefetch_threads._executor._max_workers == 2
         svc.close()
 
+    @staticmethod
+    def _three_key_service():
+        store = MemoryStore()
+        for key in "abc":
+            store.put(key, b"x" * 100)
+        return RetrievalService(store, cache_bytes=150, prefetch=True)
+
+    def test_landed_prefetch_is_credited_once(self):
+        svc = self._three_key_service()
+        svc._safe_warm("a")
+        svc.cache.get("a")
+        svc.cache.get("a")
+        assert svc.stats()["prefetch_hits"] == 1
+        svc.close()
+
+    def test_evicted_prefetch_is_never_credited(self):
+        """A warmed key evicted unread, then read cold and hit, is no
+        prefetch hit: the session paid the store for it."""
+        svc = self._three_key_service()
+        svc._safe_warm("a")
+        svc.cache.get("b")  # evicts a
+        assert "a" not in svc.cache
+        svc.cache.get("a")  # cold
+        svc.cache.get("a")  # a hit, but on the session's own read
+        assert svc.stats()["prefetch_hits"] == 0
+        svc._safe_warm("c")  # evicts a, lands c
+        svc.cache.clear()
+        svc.cache.get("c")
+        svc.cache.get("c")
+        assert svc.stats()["prefetch_hits"] == 0
+        svc.close()
+
+    def test_follower_of_a_prefetch_read_is_credited(self):
+        """A read that piggybacks on a prefetch's in-flight store read
+        is the prefetch hiding latency: it is credited, once."""
+        entered, gate = threading.Event(), threading.Event()
+
+        class Gated(MemoryStore):
+            def settle_many(self, keys):
+                entered.set()
+                gate.wait(timeout=5.0)
+                return super().settle_many(keys)
+
+        store = Gated()
+        store.put("a", b"x" * 100)
+        cache = SegmentCache(store, max_bytes=1 << 10)
+        warm = threading.Thread(target=cache.prefetch, args=("a",))
+        warm.start()
+        assert entered.wait(timeout=5.0)
+        threading.Timer(0.05, gate.set).start()
+        assert _resolve(cache, "a") == (b"x" * 100, False)
+        warm.join(timeout=5.0)
+        _resolve(cache, "a")
+        assert store.reads == 1
+        assert (cache.hits, cache.misses, cache.prefetch_hits) == (2, 1, 1)
+
     def test_prefetch_failures_are_swallowed_and_counted(self, dir_store):
         svc = RetrievalService(dir_store, prefetch=True)
         pool = svc._prefetch_threads.executor(2)
@@ -466,7 +567,7 @@ class TestRetrievalService:
         results = []
 
         def worker():
-            results.append(cache.resolve("k"))
+            results.append(_resolve(cache, "k"))
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
         for t in threads:
@@ -492,7 +593,8 @@ class TestRetrievalService:
         outs: list = [None] * len(batches)
 
         def worker(i):
-            outs[i] = cache.resolve_many(batches[i])
+            outs[i] = finish_batch(batches[i],
+                                   *cache.resolve_settled(batches[i]))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -560,7 +662,8 @@ class TestRetrievalService:
                 return super().resolve_settled(keys)
 
         cache = Probe(flaky, max_bytes=1 << 20)
-        recons = [Reconstructor(open_field(cache, "vel")) for _ in "ab"]
+        recons = [Reconstructor(open_field(flaky, "vel", cache=cache))
+                  for _ in "ab"]
         steps = [r.plan_step(1e-4) for r in recons]
         caught: dict = {}
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.backends import ProcessBackend, task_name
+from repro.core.errors import finish_batch
 from repro.core.refactor import refactor
 from repro.core.reconstruct import Reconstructor, reconstruct
 from repro.core.store import (
@@ -308,7 +309,7 @@ class TestStoreField:
         t_each = store.io_time_estimate(gbps)
         assert t_each == pytest.approx(len(segments) * latency + transfer_s())
         reset()
-        store.get_many(segments)
+        finish_batch(segments, *store.settle_many(segments))
         assert (store.requests, store.reads) == (1, len(segments))
         t_batch = store.io_time_estimate(gbps)
         assert t_batch == pytest.approx(latency + transfer_s())

@@ -544,8 +544,10 @@ class TestServicePipelined:
             b = pip.reconstruct(tolerance=t, region=ROI)
             assert np.array_equal(a.data, b.data)
             assert a.error_bound == b.error_bound
-        seq_svc.drain_prefetch()
-        pip_svc.drain_prefetch()
+            # Every warm lands before the next step on both sides, so
+            # the steps' cold/cache-hit split cannot race the prefetch.
+            seq_svc.drain_prefetch()
+            pip_svc.drain_prefetch()
         assert seq.stats() == pip.stats()
         seq_svc.close()
         pip_svc.close()

@@ -32,7 +32,10 @@ from repro.core.backends import (
 from repro.core.reconstruct import Reconstructor, reconstruct
 from repro.core.refactor import RefactorConfig, Refactorer
 import repro.core
+import repro.core.service
+from repro.core.faults import FaultInjectingStore, ResilientReader
 from repro.core.service import RetrievalService, SegmentCache, Session
+from repro.core.store import DirectoryStore, MemoryStore
 from repro.core.tiling import (
     LazyTiledField,
     TiledReconstructor,
@@ -168,6 +171,20 @@ def test_one_session_class_and_one_opener():
     assert RetrievalService.tiled_session is RetrievalService.session
     assert not hasattr(RetrievalService, "open_tiled")
     assert not hasattr(SegmentCache, "warm")
+
+
+def test_one_batch_method_per_read_layer():
+    """Every reader layer answers ``get`` + ``settle_many`` and the cache
+    ``get`` + ``resolve_settled``; the cache credits its own prefetch
+    hits, so no session-side facade fronts it."""
+    for layer in (MemoryStore, DirectoryStore, FaultInjectingStore,
+                  ResilientReader, SegmentCache):
+        assert not hasattr(layer, "get_many"), layer
+    for name in ("resolve", "resolve_many", "settle_many"):
+        assert not hasattr(SegmentCache, name), name
+    assert callable(SegmentCache.prefetch)
+    assert not hasattr(repro.core.service, "_PrefetchAwareCache")
+    assert not hasattr(LazyTiledField, "io_counters")
 
 
 def test_pool_owners_compose_their_thread_pool():

@@ -35,6 +35,7 @@ from repro.core.errors import (
     SegmentNotFoundError,
     StoreError,
     TransientStoreError,
+    finish_batch,
 )
 from repro.core.faults import FaultInjectingStore, ResilientReader, RetryPolicy
 from repro.core.refactor import refactor
@@ -1050,9 +1051,15 @@ def _outcome_one(get, key):
         return type(exc).__name__
 
 
+def _read_batch(reader, keys):
+    """The blobs of *keys* in key order from one ``settle_many``, raising
+    the first failed key's error."""
+    return finish_batch(keys, *reader.settle_many(keys))
+
+
 class TestBatchedReads:
-    """``get_many``: one request per call, the per-key ``get`` semantics
-    for every key in it, through every reader layer."""
+    """``settle_many``: one request per call, the per-key ``get``
+    semantics for every key in it, through every reader layer."""
 
     KEYS = [f"k{i}" for i in range(8)]
 
@@ -1062,25 +1069,22 @@ class TestBatchedReads:
             inner.put(key, bytes([i]) * (10 + i))
         return inner
 
-    def test_every_wrapper_defines_its_own_get_many(self, stored):
+    def test_every_wrapper_defines_its_own_settle_many(self, stored):
         """``__getattr__`` forwarding would hand a batch straight to the
         wrapped reader, skipping latency, fault draws, CRC checks and
-        retries: each library wrapper must define ``get_many`` (and the
-        settled read the layers above call) itself."""
-        from repro.core.service import _PrefetchAwareCache
-
+        retries: each library wrapper must define its batched read
+        (``settle_many``; the cache's ``resolve_settled``) itself."""
         flaky = FaultInjectingStore(stored, sleep=_noop_sleep)
         resilient = ResilientReader(flaky, fast_policy())
         service = RetrievalService(resilient)
-        wrappers = [flaky, resilient, service.cache,
-                    _PrefetchAwareCache(service)]
+        wrappers = [(flaky, "settle_many"), (resilient, "settle_many"),
+                    (service.cache, "resolve_settled")]
         try:
-            for wrapper in wrappers:
-                for name in ("get_many", "settle_many"):
-                    assert name in type(wrapper).__dict__, (wrapper, name)
-                    assert getattr(type(wrapper), name).__qualname__ == (
-                        f"{type(wrapper).__name__}.{name}"
-                    )
+            for wrapper, name in wrappers:
+                assert name in type(wrapper).__dict__, (wrapper, name)
+                assert getattr(type(wrapper), name).__qualname__ == (
+                    f"{type(wrapper).__name__}.{name}"
+                )
         finally:
             service.close()
 
@@ -1110,7 +1114,9 @@ class TestBatchedReads:
     def test_fault_store_charges_one_latency_per_call(self):
         inner = self._inner()
         flaky = FaultInjectingStore(inner, latency_s=0.5, sleep=_noop_sleep)
-        assert flaky.get_many(self.KEYS) == [inner.get(k) for k in self.KEYS]
+        assert _read_batch(flaky, self.KEYS) == [
+            inner.get(k) for k in self.KEYS
+        ]
         assert flaky.injected_latency_s == 0.5
         assert flaky.reads == len(self.KEYS)
         assert inner.log[0] == self.KEYS  # one batched inner request
@@ -1157,7 +1163,8 @@ class TestBatchedReads:
         flaky = FaultInjectingStore(stored, fail_first={victim: 1},
                                     sleep=_noop_sleep)
         reader = ResilientReader(flaky, fast_policy(max_attempts=1))
-        lazy = open_field(SegmentCache(reader) if batched else reader, "vx")
+        cache = SegmentCache(reader) if batched else None
+        lazy = open_field(reader, "vx", cache=cache)
         recon = Reconstructor(lazy)
         with pytest.raises(TransientStoreError):
             recon.reconstruct(1e-4)
@@ -1176,7 +1183,7 @@ class TestBatchedReads:
         )
         policy = fast_policy()
         reader = ResilientReader(flaky, policy)
-        assert reader.get_many(self.KEYS) == [
+        assert _read_batch(reader, self.KEYS) == [
             MemoryStore.get(inner, k) for k in self.KEYS
         ]
         # round 1 reads the six clean keys; k5 heals in round 2, k1 in 3
@@ -1197,14 +1204,14 @@ class TestBatchedReads:
         assert list(errors) == ["k2"]
         assert policy.giveups == 1 and policy.retries == 2
         with pytest.raises(TransientStoreError, match="k2"):
-            reader.get_many(self.KEYS)
+            _read_batch(reader, self.KEYS)
 
     def test_missing_key_is_not_retried(self):
         inner = self._inner()
         policy = fast_policy()
         reader = ResilientReader(inner, policy)
         with pytest.raises(SegmentNotFoundError):
-            reader.get_many(["k0", "nope", "k1"])
+            _read_batch(reader, ["k0", "nope", "k1"])
         assert policy.retries == 0
         assert inner.log == [["k0", "nope", "k1"]]
 
@@ -1212,7 +1219,7 @@ class TestBatchedReads:
     def test_seeded_schedules_are_equal_batched_or_not(self, corrupt):
         """Hypothesis: the multiset of ``(key, access_n, outcome)``, the
         injected-fault counters and the retry counts are identical for
-        ``get_many`` and a ``get`` loop over the same batches."""
+        ``settle_many`` and a ``get`` loop over the same batches."""
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
@@ -1267,7 +1274,7 @@ class TestBatchedReads:
             return real_pread(fd, n, offset)
 
         with mock.patch("os.pread", counting_pread):
-            assert store.get_many(["d", "a", "b"]) == [
+            assert _read_batch(store, ["d", "a", "b"]) == [
                 blobs["d"], blobs["a"], blobs["b"]
             ]
             # a+b are back to back: one read; c is a gap, never read
@@ -1276,7 +1283,7 @@ class TestBatchedReads:
             assert (store.requests, store.reads) == (1, 3)
             preads.clear()
             with pytest.raises(SegmentNotFoundError, match="nope"):
-                store.get_many(["c", "nope", "d"])
+                _read_batch(store, ["c", "nope", "d"])
             values, errors = store.settle_many(["c", "nope", "d"])
             assert values == {"c": blobs["c"], "d": blobs["d"]}
             assert list(errors) == ["nope"]

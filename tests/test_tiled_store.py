@@ -279,7 +279,7 @@ class TestPackLayout:
               suppress_health_check=[HealthCheck.too_slow])
     def test_tile_step_reads_one_pread_per_level_range(self, case):
         """In a fresh root every tile-step of a staircase is one
-        ``get_many`` whose merged reads issue at most one ``pread`` per
+        ``settle_many`` whose merged reads issue at most one ``pread`` per
         level range and read exactly the segments' bytes — no gap."""
         data, tile = case
         with tempfile.TemporaryDirectory() as root:
