@@ -19,8 +19,8 @@ Public API:
   format (serializable, device-independent) — and its store-backed
   :class:`~repro.core.stream.LazyRefactoredField` twin that resolves
   segments on first decode touch.
-- :mod:`~repro.core.store` — in-memory, directory-backed, and sharded
-  segment stores behind the :class:`~repro.core.store.SegmentReader`
+- :mod:`~repro.core.store` — in-memory and directory-backed (one
+  append-only pack file) segment stores behind the :class:`~repro.core.store.SegmentReader`
   protocol, plus :func:`~repro.core.store.store_field` /
   :func:`~repro.core.store.load_field` /
   :func:`~repro.core.store.open_field`.

@@ -35,7 +35,7 @@ from repro.bitplane.encoding import (
 )
 from repro.core.errors import StoreError
 from repro.core.planner import RetrievalPlan, plan_full, plan_greedy
-from repro.core.stream import RefactoredField
+from repro.core.stream import Counters, RefactoredField
 from repro.decompose import MultilevelTransform
 from repro.util.validation import check_on_fault, check_tolerance
 
@@ -105,46 +105,16 @@ class StepPlan:
     :meth:`Reconstructor.reconstruct`, which is literally
     ``plan_step`` → ``fetch_step`` → ``decode_step``.
 
-    ``io_before`` snapshots the field's I/O counters at plan time, so a
+    ``before`` is :meth:`Reconstructor.counters` at plan time, so a
     step whose fetch stage ran ahead on another thread still reports
-    the whole step's cold/cached traffic in its result.
+    the whole step's traffic and decode work in its result.
     """
 
     tolerance: float | None  # resolved absolute tolerance (None = all)
     relative_tolerance: float | None  # requested fraction, if any
     groups: list[int]  # per-level targets, merged with fetch progress
     incremental_bytes: int  # payload bytes the step newly requires
-    io_before: object | None = None  # IOCounters snapshot at plan time
-
-
-@dataclass
-class DecodeCounters:
-    """Cumulative decode-work accounting of one :class:`Reconstructor`.
-
-    The instrumentation behind the incremental-decode guarantee: tests
-    and benchmarks assert that a refinement step's deltas cover only the
-    newly planned plane groups.
-    """
-
-    groups_decoded: int = 0
-    planes_decoded: int = 0
-    level_decodes: int = 0  # level decode jobs that did any work
-    level_reuses: int = 0  # levels served verbatim from cached values
-
-    def snapshot(self) -> "DecodeCounters":
-        return DecodeCounters(
-            self.groups_decoded, self.planes_decoded,
-            self.level_decodes, self.level_reuses,
-        )
-
-    def since(self, earlier: "DecodeCounters") -> "DecodeCounters":
-        """Counter deltas accumulated after *earlier* was snapshotted."""
-        return DecodeCounters(
-            self.groups_decoded - earlier.groups_decoded,
-            self.planes_decoded - earlier.planes_decoded,
-            self.level_decodes - earlier.level_decodes,
-            self.level_reuses - earlier.level_reuses,
-        )
+    before: Counters  # the reconstructor's counters at plan time
 
 
 class Reconstructor:
@@ -201,7 +171,10 @@ class Reconstructor:
             )
         self.transform = transform
         self._fetched = [0] * len(field.levels)
-        self._fetched_bytes = 0
+        # Committed bytes and decode work; a lazy field counts its own
+        # segment traffic, and counters() sums the two.
+        self._counters = Counters()
+        self._io = getattr(field, "io_counters", None) or Counters()
         # Per-level retained decode state: integer partials + the last
         # finalized float values. Committed only after a whole step
         # succeeds, so a failed fetch/decode leaves the session able to
@@ -210,7 +183,6 @@ class Reconstructor:
             [None] * len(field.levels)
         )
         self._values: list[np.ndarray | None] = [None] * len(field.levels)
-        self.decode_counters = DecodeCounters()
 
     @property
     def fetched_groups(self) -> list[int]:
@@ -219,7 +191,15 @@ class Reconstructor:
 
     @property
     def fetched_bytes(self) -> int:
-        return self._fetched_bytes
+        return self._counters.fetched_bytes
+
+    def counters(self) -> Counters:
+        """This session's :class:`~repro.core.stream.Counters`: committed
+        bytes and decode work, the field's segment traffic (zero for an
+        eager field), and the :meth:`decode_state_bytes` gauge."""
+        total = self._counters + self._io
+        total.decode_state_bytes = self.decode_state_bytes()
+        return total
 
     def decode_state_bytes(self) -> int:
         """Resident bytes of retained per-level decode state.
@@ -315,11 +295,8 @@ class Reconstructor:
         SegmentRef` sizes alone). The returned :class:`StepPlan` feeds
         :meth:`fetch_step`, then :meth:`decode_step`.
         """
-        # Store-backed lazy fields track actual segment traffic; snapshot
-        # before planning (a pre-metadata index can force fetches there)
-        # to report this step's cold vs. cached split.
-        io = getattr(self.field, "io_counters", None)
-        io_before = io.snapshot() if io is not None else None
+        # Before planning: a pre-metadata index can force fetches there.
+        before = self.counters()
         if relative and tolerance is None:
             raise ValueError(
                 "relative=True requires a tolerance; near-lossless "
@@ -356,7 +333,7 @@ class Reconstructor:
             relative_tolerance=relative_requested,
             groups=groups,
             incremental_bytes=incremental,
-            io_before=io_before,
+            before=before,
         )
 
     def fetch_step(self, step: StepPlan) -> None:
@@ -401,7 +378,6 @@ class Reconstructor:
         check_on_fault(on_fault)
         resolved = step.tolerance
         relative_requested = step.relative_tolerance
-        io_before = step.io_before
         groups = list(step.groups)
         incremental = step.incremental_bytes
 
@@ -448,40 +424,32 @@ class Reconstructor:
         # Commit session state only now that every level decoded: a
         # failed fetch/decode above leaves fetch progress and retained
         # partials exactly as before the call (tested property).
-        step_groups = step_planes = 0
-        for idx, (values, state, decoded) in enumerate(outcomes):
+        c = self._counters
+        for idx, (values, state, (d_groups, d_planes)) in enumerate(outcomes):
             if state is not None:
                 self._states[idx] = state
                 self._values[idx] = values
-            d_groups, d_planes = decoded
-            step_groups += d_groups
-            step_planes += d_planes
+            c.groups_decoded += d_groups
+            c.planes_decoded += d_planes
             if d_groups or d_planes:
-                self.decode_counters.level_decodes += 1
+                c.level_decodes += 1
             else:
-                self.decode_counters.level_reuses += 1
-        self.decode_counters.groups_decoded += step_groups
-        self.decode_counters.planes_decoded += step_planes
+                c.level_reuses += 1
         self._fetched = groups
-        self._fetched_bytes += incremental
+        c.fetched_bytes += incremental
 
-        if io_before is not None:
-            io_step = self.field.io_counters.since(io_before)
-            cold_bytes = io_step.cold_bytes
-            cache_hit_bytes = io_step.cache_hit_bytes
-        else:
-            cold_bytes = cache_hit_bytes = 0
+        spent = self.counters() - step.before
         return ReconstructionResult(
             data=data,
             error_bound=bound,
             tolerance=float("nan") if resolved is None else float(resolved),
-            fetched_bytes=self._fetched_bytes,
+            fetched_bytes=c.fetched_bytes,
             incremental_bytes=incremental,
-            cold_bytes=cold_bytes,
-            cache_hit_bytes=cache_hit_bytes,
+            cold_bytes=spent.cold_bytes,
+            cache_hit_bytes=spent.cache_hit_bytes,
             relative_tolerance=relative_requested,
-            decoded_groups=step_groups,
-            decoded_planes=step_planes,
+            decoded_groups=spent.groups_decoded,
+            decoded_planes=spent.planes_decoded,
             degraded=degraded,
             failed_groups=failed_groups,
             plan=RetrievalPlan(

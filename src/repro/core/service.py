@@ -340,20 +340,20 @@ class Session(ClosesOnExit):
     def stats(self) -> dict:
         """This session's progressive-state accounting, JSON-ready.
 
-        I/O counters aggregate over wherever the session's tiles decode:
-        the parent's lazy tile fields (serial/thread backends, reads
-        through the shared cache) or the worker-resident reconstructors
-        (process backend, reads direct from the store).
+        The counters sum over wherever the session's tiles decode: the
+        parent (serial/thread backends, reads through the shared cache)
+        or the worker-resident reconstructors (process backend, reads
+        direct from the store).
         """
-        io = self.reconstructor.aggregate_io_counters()
+        c = self.reconstructor.counters()
         return {
             "tiles": self.tiled.num_tiles,
             "tiles_touched": self.tiles_touched,
-            "fetched_bytes": self.fetched_bytes,
-            "decode_state_bytes": self.decode_state_bytes,
-            "segment_reads": io.segment_reads,
-            "cold_bytes": io.cold_bytes,
-            "cache_hit_bytes": io.cache_hit_bytes,
+            "fetched_bytes": c.fetched_bytes,
+            "decode_state_bytes": c.decode_state_bytes,
+            "segment_reads": c.segment_reads,
+            "cold_bytes": c.cold_bytes,
+            "cache_hit_bytes": c.cache_hit_bytes,
         }
 
     def close(self) -> None:

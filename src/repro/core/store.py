@@ -49,8 +49,8 @@ from repro.core.stream import (
     LevelStream,
     RefactoredField,
     SegmentRef,
+    parse_group,
 )
-from repro.lossless.hybrid import CompressedGroup
 
 
 @runtime_checkable
@@ -546,18 +546,6 @@ def verified_many(
     return blobs, errors, len(bad), failed
 
 
-def _parse_group(key: str, blob: bytes) -> CompressedGroup:
-    """Parse a segment blob, converting structural failures to the
-    typed taxonomy (a truncated file must not surface as
-    ``struct.error`` from three layers down)."""
-    try:
-        return CompressedGroup.from_bytes(blob)
-    except (ValueError, struct.error, IndexError) as exc:
-        raise SegmentCorruptionError(
-            f"segment {key!r} is corrupt: {exc}"
-        ) from exc
-
-
 def store_field(store, field: RefactoredField) -> dict:
     """Write every plane group of *field* as its own segment.
 
@@ -675,7 +663,7 @@ def load_field(
     blobs, errors, _, _ = verified_many(store, wanted, checksums)
     finish_batch(wanted, blobs, errors)
     for lv, keys in zip(field.levels, level_keys):
-        lv.groups = [_parse_group(key, blobs[key]) for key in keys]
+        lv.groups = [parse_group(key, blobs[key]) for key in keys]
     return field
 
 

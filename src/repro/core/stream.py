@@ -20,6 +20,7 @@ progressive retrieval, extended to the storage layer.
 from __future__ import annotations
 
 import json
+import operator
 import struct
 import threading
 from collections.abc import Callable, Sequence
@@ -294,6 +295,18 @@ class SegmentRef:
     num_planes: int | None = None
 
 
+def parse_group(key: str, blob) -> CompressedGroup:
+    """Parse segment *key*'s blob, eager or lazy alike: a short or
+    garbled blob (e.g. truncated below its recorded byte count) raises
+    the typed taxonomy, not a codec-internal ``struct.error``."""
+    try:
+        return CompressedGroup.from_bytes(blob)
+    except (ValueError, struct.error, IndexError) as exc:
+        raise SegmentCorruptionError(
+            f"segment {key!r} is corrupt: {exc}"
+        ) from exc
+
+
 class _LazyGroupSequence(Sequence):
     """Sequence of :class:`CompressedGroup` resolved from a store on touch.
 
@@ -337,16 +350,7 @@ class _LazyGroupSequence(Sequence):
     def memoize(self, index: int, blob: bytes) -> None:
         """Parse a fetched blob into group *index*."""
         ref = self._refs[index]
-        try:
-            group = CompressedGroup.from_bytes(blob)
-        except (ValueError, struct.error, IndexError) as exc:
-            # A short or garbled blob (e.g. a segment truncated below
-            # its recorded byte count) must surface as the typed
-            # taxonomy, not a codec-internal struct.error.
-            raise SegmentCorruptionError(
-                f"segment {ref.key!r} is corrupt: {exc}"
-            ) from exc
-        self._parsed[index] = group
+        self._parsed[index] = group = parse_group(ref.key, blob)
         if ref.num_planes is None:
             ref.num_planes = group.num_planes
 
@@ -361,8 +365,10 @@ class LazyLevelStream(LevelStream):
 
     Planning queries (:meth:`bytes_for_groups`, :meth:`planes_in_groups`,
     and through it :meth:`error_bound_for_groups`) are answered from
-    :class:`SegmentRef` metadata without touching the store; only
-    :meth:`to_bitplane_stream` — an actual decode — fetches segments.
+    :class:`SegmentRef` metadata without touching the store; segments
+    are fetched by the owning field's batched
+    :meth:`~LazyRefactoredField.fetch_groups` (a step's fetch stage), or
+    one at a time when a group is touched before it was fetched.
     """
 
     def __init__(
@@ -411,43 +417,38 @@ class LazyLevelStream(LevelStream):
 
 
 @dataclass
-class IOCounters:
-    """Cumulative fetch accounting of one :class:`LazyRefactoredField`."""
+class Counters:
+    """Cumulative read-path accounting: segment traffic and decode work.
 
+    A :class:`LazyRefactoredField` counts its segment traffic into one
+    (``io_counters``); a :class:`~repro.core.reconstruct.Reconstructor`
+    counts its committed bytes and decode work into another, and its
+    ``counters()`` is the two summed plus the decode-state gauge. ``+``
+    and ``-`` work field by field, so a step's work is one subtraction
+    and an engine's total one sum. The field order is the process
+    route's wire order: a worker replies ``astuple(counters)`` and the
+    parent rebuilds ``Counters(*ints)``.
+    """
+
+    fetched_bytes: int = 0  # payload bytes of committed steps
+    decode_state_bytes: int = 0  # resident decode state (a gauge)
+    groups_decoded: int = 0
+    planes_decoded: int = 0
+    level_decodes: int = 0  # level decode jobs that did any work
+    level_reuses: int = 0  # levels served verbatim from cached values
     segment_reads: int = 0
-    bytes_fetched: int = 0
-    cold_bytes: int = 0
-    cache_hit_bytes: int = 0
+    cold_bytes: int = 0  # read from the backing store
+    cache_hit_bytes: int = 0  # served by a shared cache
 
-    def snapshot(self) -> "IOCounters":
-        return IOCounters(
-            self.segment_reads, self.bytes_fetched,
-            self.cold_bytes, self.cache_hit_bytes,
-        )
+    def __add__(self, other: "Counters") -> "Counters":
+        return Counters(*map(
+            operator.add, vars(self).values(), vars(other).values()
+        ))
 
-    def since(self, earlier: "IOCounters") -> "IOCounters":
-        """Counter deltas accumulated after *earlier* was snapshotted."""
-        return IOCounters(
-            self.segment_reads - earlier.segment_reads,
-            self.bytes_fetched - earlier.bytes_fetched,
-            self.cold_bytes - earlier.cold_bytes,
-            self.cache_hit_bytes - earlier.cache_hit_bytes,
-        )
-
-    @classmethod
-    def total(cls, counters: "Sequence[IOCounters]") -> "IOCounters":
-        """Elementwise sum — aggregate accounting over many lazy fields.
-
-        The tiled engine uses this to report one traffic figure for a
-        field whose tiles are independently-opened lazy sub-fields.
-        """
-        out = cls()
-        for c in counters:
-            out.segment_reads += c.segment_reads
-            out.bytes_fetched += c.bytes_fetched
-            out.cold_bytes += c.cold_bytes
-            out.cache_hit_bytes += c.cache_hit_bytes
-        return out
+    def __sub__(self, other: "Counters") -> "Counters":
+        return Counters(*map(
+            operator.sub, vars(self).values(), vars(other).values()
+        ))
 
 
 class LazyRefactoredField(RefactoredField):
@@ -458,9 +459,8 @@ class LazyRefactoredField(RefactoredField):
     reads a list of segment keys in one store request, settled as
     ``({key: (blob, cold)}, {key: error})``, where ``cold`` says the blob
     came from the backing store rather than a shared cache; the field
-    keeps cumulative per-segment :class:`IOCounters` so callers
-    (``Reconstructor``, ``retrieve_qoi``) can report cache-hit vs. cold
-    traffic per step.
+    counts its traffic into ``io_counters`` (a :class:`Counters`), which
+    its reconstructors report as cache-hit vs. cold traffic per step.
     """
 
     def __init__(
@@ -472,7 +472,7 @@ class LazyRefactoredField(RefactoredField):
         if len(level_refs) != len(template.levels):
             raise ValueError("level_refs must have one entry per level")
         self._resolve_settled = resolve_settled
-        self.io_counters = IOCounters()
+        self.io_counters = Counters()
         # Fetch stages run on the tiled engine's pool threads (the window's
         # fetch stage or the threads:N fan-out), and sessions may share an
         # opened field: lose no update.
@@ -532,7 +532,6 @@ class LazyRefactoredField(RefactoredField):
             c = self.io_counters
             for blob, cold in values.values():
                 c.segment_reads += 1
-                c.bytes_fetched += len(blob)
                 if cold:
                     c.cold_bytes += len(blob)
                 else:

@@ -66,10 +66,10 @@ from repro.core.backends import (
     worker_shared,
 )
 from repro.core.errors import ComputeError, StoreError
-from repro.core.reconstruct import DecodeCounters, Reconstructor
+from repro.core.reconstruct import Reconstructor
 from repro.core.refactor import RefactorConfig, Refactorer
 from repro.core.store import open_field
-from repro.core.stream import IOCounters, RefactoredField
+from repro.core.stream import Counters, RefactoredField
 from repro.decompose import MultilevelTransform
 from repro.pipeline.retrieval import FETCH_WORKERS, run_window
 from repro.util.validation import (
@@ -569,21 +569,6 @@ class TiledReconstructionResult(tuple):
         return self[1]
 
 
-def _tile_account(recon: Reconstructor) -> tuple:
-    """One tile's cumulative accounting as ten plain ints.
-
-    ``(fetched_bytes, decode_state_bytes, *DecodeCounters,
-    *IOCounters)`` — what a process worker's reply carries and what the
-    engine's aggregates sum; an eager tile reads no store, so its I/O
-    columns are zero.
-    """
-    io = getattr(recon.field, "io_counters", None) or IOCounters()
-    return (
-        recon.fetched_bytes, recon.decode_state_bytes(),
-        *astuple(recon.decode_counters), *astuple(io),
-    )
-
-
 def _task_decode_tile(state, session, token, position, window, tol, on_fault):
     """Process-backend task: one tile's progressive reconstruction step.
 
@@ -597,8 +582,9 @@ def _task_decode_tile(state, session, token, position, window, tol, on_fault):
     builds a fresh engine from the shared field and the tile starts from
     scratch, bit-identically. *window* is the tile-local overlap as
     ``(start, stop)`` pairs — message payloads stay plain ints. Returns
-    ``(block, bound, degraded, groups)`` plus the tile's
-    :func:`_tile_account` (``None`` while the tile never opened).
+    the tile outcome ``(block, bound, degraded, groups)`` plus the
+    tile's counters as plain ints (``None`` while the tile never
+    opened).
     """
     engine = state.get(("tiled-session", session))
     if engine is None:
@@ -606,13 +592,13 @@ def _task_decode_tile(state, session, token, position, window, tol, on_fault):
             worker_shared(state, token)
         )
     job = (position, (tuple(slice(lo, hi) for lo, hi in window), None))
-    outcome = engine._decode_tile(
+    block, *rest = engine._decode_tile(
         job, engine._fetch_tile(job, tol, on_fault), on_fault
     )
     recon = engine._recons.get(position)
     return (
-        (np.ascontiguousarray(outcome[2]), *outcome[3:]),
-        None if recon is None else _tile_account(recon),
+        (np.ascontiguousarray(block), *rest),
+        None if recon is None else astuple(recon.counters()),
     )
 
 
@@ -675,11 +661,11 @@ class TiledReconstructor(ClosesOnExit):
         self._state_lock = threading.Lock()
         # Process route: worker-resident engines are addressed by this
         # token, ``_remote`` says one may exist (close() releases it),
-        # and ``_shadow`` mirrors each remote tile's accounting after
-        # its latest step so the aggregates answer without a round-trip.
+        # and ``_shadow`` mirrors each remote tile's counters after its
+        # latest step so counters() answers without a round-trip.
         self._session_token = f"tiled-session:{uuid.uuid4().hex}"
         self._remote = False
-        self._shadow: dict[int, tuple] = {}
+        self._shadow: dict[int, Counters] = {}
 
     def _transform_for(self, field: RefactoredField) -> MultilevelTransform:
         key = (tuple(field.shape), field.num_levels, field.mode,
@@ -737,48 +723,31 @@ class TiledReconstructor(ClosesOnExit):
             recons = dict(self._recons)
         return [recons[i] for i in sorted(recons)]
 
-    def _tile_accounts(self) -> list[tuple]:
-        """Every touched tile's :func:`_tile_account`, local or remote."""
+    def counters(self) -> Counters:
+        """Summed :class:`~repro.core.stream.Counters` of every touched
+        tile, local or worker-resident.
+
+        Serial/thread sessions count in the parent's tile reconstructors
+        and lazy tile fields; process sessions count in the workers,
+        whose counters are mirrored back after every step. Eager
+        (in-memory) fields contribute no segment traffic either way.
+        """
         with self._state_lock:
-            remote = list(self._shadow.values())
-        local = [_tile_account(r) for r in self.touched_reconstructors()]
-        return local + remote
+            total = sum(self._shadow.values(), Counters())
+        return sum((r.counters() for r in self.touched_reconstructors()),
+                   total)
+
+    # The frozen end-to-end benchmark harness still reads it by this name.
+    aggregate_decode_counters = counters
 
     @property
     def fetched_bytes(self) -> int:
-        """Cumulative payload bytes fetched across touched tiles.
-
-        Covers both parent-side reconstructors and (under the process
-        backend) the worker-resident ones, whose accounting is mirrored
-        back after every step.
-        """
-        return sum(account[0] for account in self._tile_accounts())
+        """Cumulative payload bytes fetched across touched tiles."""
+        return self.counters().fetched_bytes
 
     def decode_state_bytes(self) -> int:
         """Resident bytes of retained decode state across touched tiles."""
-        return sum(account[1] for account in self._tile_accounts())
-
-    def aggregate_decode_counters(self) -> DecodeCounters:
-        """Summed :class:`~repro.core.reconstruct.DecodeCounters` of every
-        touched tile, local or worker-resident — the backend-independent
-        decode-work total the differential suite compares."""
-        accounts = self._tile_accounts()
-        return DecodeCounters(*(
-            sum(account[i] for account in accounts) for i in range(2, 6)
-        ))
-
-    def aggregate_io_counters(self) -> IOCounters:
-        """Summed segment traffic of every touched tile, local or remote.
-
-        Serial/thread sessions read through the parent's lazy tile
-        fields; process sessions read store-side in the workers, whose
-        counters are mirrored back after every step. Eager (in-memory)
-        fields contribute zeros either way.
-        """
-        accounts = self._tile_accounts()
-        return IOCounters(*(
-            sum(account[i] for account in accounts) for i in range(6, 10)
-        ))
+        return self.counters().decode_state_bytes
 
     def reconstruct(
         self,
@@ -880,10 +849,8 @@ class TiledReconstructor(ClosesOnExit):
         degraded = False
         failed_tiles: list[int] = []
         failed_groups: dict[int, list[int] | None] = {}
-        for outcome in outcomes:
-            position, region_local, block, bound, tile_degraded, groups = (
-                outcome
-            )
+        for (position, (_, region_local)), outcome in zip(jobs, outcomes):
+            block, bound, tile_degraded, groups = outcome
             if block is not None:  # pipelined commits wrote in-stream
                 out[region_local] = block
             worst = max(worst, bound)
@@ -932,23 +899,21 @@ class TiledReconstructor(ClosesOnExit):
         so the ``on_fault`` policy (raise, or degrade to the last
         committed refinement) is decided in one place for every route.
         """
-        position, (tile_local, region_local) = job
+        _, (tile_local, _) = job
         recon, step, fault = fetched
         if recon is None:
-            return self._unopened_outcome(position, tile_local, region_local)
+            return self._unopened_outcome(tile_local)
         result = recon.decode_step(
             step, on_fault=on_fault, fetch_error=fault
         )
         return (
-            position,
-            region_local,
             result.data[tile_local],
             result.error_bound,
             result.degraded,
             result.failed_groups,
         )
 
-    def _unopened_outcome(self, position, tile_local, region_local):
+    def _unopened_outcome(self, tile_local):
         """Degraded outcome of a tile with no committed refinement.
 
         The tile never opened (or its worker-resident state died with
@@ -957,16 +922,14 @@ class TiledReconstructor(ClosesOnExit):
         nothing, and is retried from scratch on the next call.
         """
         shape = tuple(loc.stop - loc.start for loc in tile_local)
-        block = np.zeros(shape, dtype=self.tiled.dtype)
-        return position, region_local, block, math.inf, True, None
+        return np.zeros(shape, dtype=self.tiled.dtype), math.inf, True, None
 
     def _commit_tile(self, job, outcome, out):
         """Commit stage: stitch the block, then drop it (O(window))."""
-        position, region_local, block, bound, tile_degraded, groups = (
-            outcome
-        )
+        _, (_, region_local) = job
+        block, *rest = outcome
         out[region_local] = block
-        return position, region_local, None, bound, tile_degraded, groups
+        return None, *rest
 
     def _decode_tiles_processes(
         self, jobs: list[tuple], tol: float | None, on_fault: str, backend
@@ -982,7 +945,7 @@ class TiledReconstructor(ClosesOnExit):
         backend restores shared objects onto a respawned worker and
         retries the in-flight call, which rebuilds that worker's tiles
         from scratch, while the survivors keep their state. Each reply
-        mirrors the tile's accounting into ``_shadow``.
+        mirrors the tile's counters into ``_shadow``.
         """
         field_token = f"tiled-field:{self._session_token}"
         backend.ensure_shared(field_token, self.tiled)
@@ -1002,15 +965,13 @@ class TiledReconstructor(ClosesOnExit):
         ], settle=True)
         outcomes = []
         failures: list[BaseException] = []
-        for (pos, (tile_local, region_local)), (ok, value) in zip(
-            jobs, settled
-        ):
+        for (pos, (tile_local, _)), (ok, value) in zip(jobs, settled):
             if ok:
-                outcome, account = value
-                if account is not None:
+                outcome, counts = value
+                if counts is not None:
                     with self._state_lock:
-                        self._shadow[pos] = account
-                outcomes.append((pos, region_local, *outcome))
+                        self._shadow[pos] = Counters(*counts)
+                outcomes.append(outcome)
             elif on_fault == "degrade" and isinstance(
                 value, (StoreError, ComputeError)
             ):
@@ -1018,9 +979,7 @@ class TiledReconstructor(ClosesOnExit):
                 # worker (crash, quarantine, or deadline kill): nothing
                 # is committed parent-side, so degrade like a
                 # never-opened tile.
-                outcomes.append(
-                    self._unopened_outcome(pos, tile_local, region_local)
-                )
+                outcomes.append(self._unopened_outcome(tile_local))
             else:
                 failures.append(value)
         if failures:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from repro.core.reconstruct import Reconstructor
-from repro.core.stream import RefactoredField
+from repro.core.stream import Counters, RefactoredField
 from repro.qoi.eb_methods import (
     EB_METHODS,
     cp_update,
@@ -101,21 +101,13 @@ def retrieve_qoi(
         raise ValueError(f"missing refactored variables: {sorted(missing)}")
 
     recons = {name: Reconstructor(fields[name]) for name in needed}
-    # Store-backed lazy fields carry cumulative fetch counters; snapshot
-    # them so this call reports only the traffic it caused itself.
-    io_start = {
-        name: io.snapshot()
-        for name in needed
-        if (io := getattr(fields[name], "io_counters", None)) is not None
-    }
 
-    def _io_totals() -> tuple[int, int]:
-        cold = hit = 0
-        for name, start in io_start.items():
-            step = fields[name].io_counters.since(start)
-            cold += step.cold_bytes
-            hit += step.cache_hit_bytes
-        return cold, hit
+    def counters() -> Counters:
+        return sum((r.counters() for r in recons.values()), Counters())
+
+    # Lazy fields count cumulative traffic: subtract where they stood,
+    # so this call reports only the traffic it caused itself.
+    start = counters()
 
     # Initial bounds follow the paper: derived from each variable's
     # value range rather than the tolerance, so the loop starts loose
@@ -143,14 +135,14 @@ def retrieve_qoi(
             values[name] = result.data.astype(np.float64)
             actual_bounds[name] = result.error_bound
         estimated = estimate_qoi_error(qoi, values, actual_bounds)
-        fetched = sum(r.fetched_bytes for r in recons.values())
+        spent = counters() - start
         history.append(
             QoIIterationRecord(
                 iteration=iteration,
                 error_bounds=dict(actual_bounds),
                 estimated_error=estimated,
-                fetched_bytes=fetched,
-                cold_bytes=_io_totals()[0],
+                fetched_bytes=spent.fetched_bytes,
+                cold_bytes=spent.cold_bytes,
             )
         )
         if estimated <= tolerance:
@@ -166,19 +158,19 @@ def retrieve_qoi(
         if exhausted:
             break  # nothing more to fetch; report the achieved estimate
     num_elements = int(np.prod(next(iter(fields.values())).shape))
-    cold_bytes, cache_hit_bytes = _io_totals()
+    spent = counters() - start
     return QoIRetrievalResult(
         values=values,
         qoi_values=qoi.evaluate(values),
         estimated_error=estimated,
         tolerance=tolerance,
         iterations=iteration,
-        fetched_bytes=sum(r.fetched_bytes for r in recons.values()),
+        fetched_bytes=spent.fetched_bytes,
         num_elements=num_elements,
         method=method,
         history=history,
-        cold_bytes=cold_bytes,
-        cache_hit_bytes=cache_hit_bytes,
+        cold_bytes=spent.cold_bytes,
+        cache_hit_bytes=spent.cache_hit_bytes,
     )
 
 

@@ -361,15 +361,15 @@ class TestProcessBackendChaosParity:
                                        num_workers=2, backend=backend)
             steps = [recon.reconstruct(tolerance=t, region=ROI)
                      for t in STAIRCASE]
-            io = recon.aggregate_io_counters().snapshot()
+            counters = recon.counters()
             recon.close()
-            return steps, io
+            return steps, counters
 
-        (s_steps, s_io) = run(None)
-        (p_steps, p_io) = run("processes:2")
+        (s_steps, s_counters) = run(None)
+        (p_steps, p_counters) = run("processes:2")
         # stream-level traffic sits above the retry layer, so the
         # healed schedules cost the same successful reads everywhere
-        assert s_io == p_io
+        assert s_counters == p_counters
         for a, b in zip(s_steps, p_steps):
             np.testing.assert_array_equal(a.data, b.data)
             assert a.error_bound == b.error_bound
@@ -430,14 +430,14 @@ class TestPipelinedChaos:
             )
             steps = [recon.reconstruct(tolerance=t, region=ROI)
                      for t in STAIRCASE]
-            io = recon.aggregate_io_counters().snapshot()
+            counters = recon.counters()
             recon.close()
-            return steps, flaky.injected_transients, io
+            return steps, flaky.injected_transients, counters
 
-        (s_steps, s_faults, s_io) = run(False)
-        (p_steps, p_faults, p_io) = run(True)
+        (s_steps, s_faults, s_counters) = run(False)
+        (p_steps, p_faults, p_counters) = run(True)
         assert s_faults == p_faults
-        assert s_io == p_io
+        assert s_counters == p_counters
         for a, b in zip(s_steps, p_steps):
             np.testing.assert_array_equal(a.data, b.data)
             assert a.error_bound == b.error_bound

@@ -212,10 +212,10 @@ class TestIncrementalReconstructor:
             assert r.decoded_groups == new_groups
             prev = recon.fetched_groups
         # Re-asking for an already-met tolerance does no decode work.
-        before = recon.decode_counters.snapshot()
+        before = recon.counters()
         r = recon.reconstruct(tolerance=STAIRCASE[-1])
         assert r.decoded_groups == 0 and r.decoded_planes == 0
-        delta = recon.decode_counters.since(before)
+        delta = recon.counters() - before
         assert delta.groups_decoded == 0 and delta.planes_decoded == 0
         assert delta.level_reuses == len(field.levels)
 
@@ -370,7 +370,7 @@ class TestCommitOnlyAfterDecode:
         assert recon.fetched_groups == [0] * len(field.levels)
         assert recon.fetched_bytes == 0
         assert recon.decode_state_bytes() == 0
-        assert recon.decode_counters.groups_decoded == 0
+        assert recon.counters().groups_decoded == 0
         # Retry succeeds and is bit-identical to an untroubled session.
         r = recon.reconstruct(tolerance=1e-3)
         clean = Reconstructor(field).reconstruct(tolerance=1e-3)

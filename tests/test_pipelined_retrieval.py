@@ -90,16 +90,6 @@ def _result_stats(result):
     )
 
 
-def _tiled_stats(recon):
-    io = recon.aggregate_io_counters()
-    dc = recon.aggregate_decode_counters()
-    return (
-        recon.fetched_bytes, io.segment_reads, io.cold_bytes,
-        io.cache_hit_bytes, dc.groups_decoded, dc.planes_decoded,
-        dc.level_decodes, dc.level_reuses,
-    )
-
-
 # -- runtime unit tests -----------------------------------------------------
 
 class TestRunWindowRuntime:
@@ -371,7 +361,7 @@ class TestTiledPipelinedParity:
             )
             out = [recon.reconstruct(tolerance=t, region=ROI)
                    for t in STAIRCASE]
-            stats = _tiled_stats(recon)
+            stats = recon.counters()
             recon.close()
             return out, stats
 
@@ -424,7 +414,7 @@ class TestTiledPipelinedParity:
             out.append((final.data.copy(), final.error_bound,
                         final.degraded, final.failed_tiles,
                         final.failed_groups))
-            stats = _tiled_stats(recon)
+            stats = recon.counters()
             recon.close()
             return out, stats
 

@@ -18,8 +18,11 @@ import dataclasses
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
+import repro.core.reconstruct
+import repro.core.stream
 import repro.pipeline
 import repro.pipeline.retrieval
 from repro.core.backends import (
@@ -30,12 +33,13 @@ from repro.core.backends import (
     task_name,
 )
 from repro.core.reconstruct import Reconstructor, reconstruct
-from repro.core.refactor import RefactorConfig, Refactorer
+from repro.core.refactor import RefactorConfig, Refactorer, refactor
 import repro.core
 import repro.core.service
 from repro.core.faults import FaultInjectingStore, ResilientReader
 from repro.core.service import RetrievalService, SegmentCache, Session
 from repro.core.store import DirectoryStore, MemoryStore
+from repro.core.stream import Counters
 from repro.core.tiling import (
     LazyTiledField,
     TiledReconstructor,
@@ -204,6 +208,30 @@ def test_pool_owners_compose_their_thread_pool():
     assert not hasattr(RetrievalService, "backend")
     assert repro.pipeline.retrieval.WINDOW == 4
     assert repro.pipeline.retrieval.FETCH_WORKERS == 2
+
+
+def test_one_counters_record():
+    """One record counts the read path's traffic and decode work. A
+    process worker replies with it as plain ints in field order, so the
+    order is pinned; the two partial records it replaced are gone."""
+    assert [f.name for f in dataclasses.fields(Counters)] == [
+        "fetched_bytes", "decode_state_bytes", "groups_decoded",
+        "planes_decoded", "level_decodes", "level_reuses",
+        "segment_reads", "cold_bytes", "cache_hit_bytes",
+    ]
+    a, b = Counters(*range(1, 10)), Counters(*range(10, 19))
+    assert a + b - b == a
+    assert dataclasses.astuple(a + b) == tuple(range(11, 29, 2))
+    assert not hasattr(repro.core.stream, "IOCounters")
+    assert not hasattr(repro.core.reconstruct, "DecodeCounters")
+    for name in ("snapshot", "since", "total", "bytes_fetched"):
+        assert not hasattr(Counters, name), name
+    assert not hasattr(TiledReconstructor, "aggregate_io_counters")
+    assert (TiledReconstructor.aggregate_decode_counters
+            is TiledReconstructor.counters)
+    recon = Reconstructor(refactor(np.linspace(0.0, 1.0, 64)))
+    assert not hasattr(recon, "decode_counters")
+    assert recon.counters() == Counters()
 
 
 def test_lazy_tiled_field_takes_a_store_not_an_opener():

@@ -829,8 +829,14 @@ class TestCorruptPersistedState:
         key = next(k for k in stored.keys() if ".index" not in k)
         stored.put(key, stored.get(key)[:3])
         lazy = open_field(stored, "vx", verify=False)
-        with pytest.raises(SegmentCorruptionError):
+        with pytest.raises(SegmentCorruptionError) as lazy_exc:
             Reconstructor(lazy).reconstruct(tolerance=None)
+        # One parser: the eager open of the same segment says the same.
+        with pytest.raises(SegmentCorruptionError) as eager_exc:
+            load_field(stored, "vx", verify=False)
+        assert type(eager_exc.value) is type(lazy_exc.value)
+        assert str(eager_exc.value) == str(lazy_exc.value)
+        assert key in str(lazy_exc.value)
 
     def test_legacy_index_without_checksums_still_opens(self, field,
                                                         stored):

@@ -428,7 +428,7 @@ class TestRegionRetrieval:
         # The touched tile reused its decode state: only newly planned
         # groups were decoded on the refinement step.
         tile_recon = recon._recons[0]
-        assert tile_recon.decode_counters.groups_decoded == \
+        assert tile_recon.counters().groups_decoded == \
             sum(tile_recon.fetched_groups)
 
     def test_empty_region_returns_empty(self, tiled):
