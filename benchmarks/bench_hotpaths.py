@@ -20,6 +20,11 @@ write pass made of small plane groups. Each row times
 ``build_code_lengths_reference`` and one ``huffman_ratio_upper_bound``,
 the histogram-only test that lets the selector skip the construction.
 
+The read path's per-tile floor is recorded as a curve
+(``tile_batch_sweep``): one staircase step of K tiles of 16^3 decoded
+as one batch (``Reconstructor.decode_steps``), K = 1 ... 64, as the
+wall per tile.
+
 Run standalone (writes the JSON):
 
     PYTHONPATH=src python benchmarks/bench_hotpaths.py
@@ -45,6 +50,9 @@ import numpy as np
 import pytest
 
 from repro.bitplane.align import AlignedFixedPoint
+from repro.core.reconstruct import Reconstructor
+from repro.core.refactor import Refactorer
+from repro.data import generators as gen
 from repro.bitplane.encoding import (
     decode_bitplanes,
     encode_bitplanes,
@@ -103,6 +111,10 @@ SMOKE_SWEEP_SIZES = (1792, 6048, 70000)
 #: the same code on both sides of the 0.9x floor, and with 7 reps that
 #: ratio still read 0.79-1.05 on the recording box.
 SWEEP_REPS = 21
+#: Tile batch widths of the batch-decode sweep, and its tile shape.
+TILE_BATCH_SIZES = (1, 2, 4, 8, 18, 32, 64)
+SMOKE_TILE_BATCH_SIZES = (1, 2, 4)
+BATCH_TILE = (16, 16, 16)
 #: The walk is forced only up to this many times the regime threshold
 #: (its tables cost ~200 bytes per payload byte).
 MAX_FORCED_WALK_FACTOR = 4
@@ -317,10 +329,52 @@ def code_length_sweep(
     return {"calls_per_timing": calls, "rows": rows}
 
 
+def tile_batch_sweep(
+    sizes=TILE_BATCH_SIZES, tile=BATCH_TILE, reps: int = REPS
+) -> dict:
+    """Per-tile decode wall of one staircase step, K tiles per batch.
+
+    K fresh reconstructors over same-shape eager tiles (one shared
+    transform, as in the tiled engine) plan a first step at relative
+    tolerance 1e-3 and decode it in one ``Reconstructor.decode_steps``
+    call; ``per_tile_us`` is the best-of-reps wall over K. Planning and
+    building the reconstructors are outside the timer. Every tile of a
+    batch must decode to the bytes of its own one-step call.
+    """
+    fields = [
+        Refactorer(tile).refactor(gen.gaussian_random_field(
+            tile, -2.0, seed=30 + i, dtype=np.float32), name=f"t{i}")
+        for i in range(max(sizes))
+    ]
+    transform = Reconstructor(fields[0]).transform
+
+    def items(k):
+        recons = [Reconstructor(f, transform=transform) for f in fields[:k]]
+        return [(r, r.plan_step(1e-3, relative=True), None) for r in recons]
+
+    rows = []
+    for k in sizes:
+        best, results = float("inf"), None
+        for _ in range(reps):
+            batch = items(k)
+            t0 = time.perf_counter()
+            results = Reconstructor.decode_steps(batch)
+            best = min(best, time.perf_counter() - t0)
+        for (recon, step, _), result in zip(items(k), results):
+            one = recon.decode_step(step)
+            assert one.data.tobytes() == result.data.tobytes(), \
+                f"batch of {k} diverged from the one-tile call"
+        rows.append({"tiles": k, "batch_ms": best * 1e3,
+                     "per_tile_us": best / k * 1e6})
+    return {"tile_shape": list(tile), "relative_tolerance": 1e-3,
+            "rows": rows}
+
+
 def run_benchmarks(
     n: int = N_ELEMENTS, num_bitplanes: int = NUM_BITPLANES, reps: int = REPS,
     sweep_sizes=SWEEP_SIZES, sweep_reps: int = SWEEP_REPS,
     code_length_calls: int = CODE_LENGTH_CALLS,
+    tile_batch_sizes=TILE_BATCH_SIZES, batch_tile=BATCH_TILE,
 ) -> dict:
     """Measure all hot paths; returns the BENCH_hotpaths payload."""
     rng = np.random.default_rng(0)
@@ -431,6 +485,8 @@ def run_benchmarks(
         },
         "huffman_decode_sweep": huffman_decode_sweep(sweep_sizes, sweep_reps),
         "code_length_sweep": code_length_sweep(sweep_reps, code_length_calls),
+        "tile_batch_sweep": tile_batch_sweep(
+            tile_batch_sizes, batch_tile, reps),
         "rle": {
             "encode_ms": t_renc * 1e3,
             "decode_ms": t_rdec * 1e3,
@@ -486,7 +542,9 @@ def main(argv: list[str] | None = None) -> None:
         # still exercise every fast-vs-reference pair; no floors, no
         # baseline overwrite.
         run_benchmarks(n=1 << 14, reps=1, sweep_sizes=SMOKE_SWEEP_SIZES,
-                       sweep_reps=1, code_length_calls=1)
+                       sweep_reps=1, code_length_calls=1,
+                       tile_batch_sizes=SMOKE_TILE_BATCH_SIZES,
+                       batch_tile=(8, 8, 8))
         print("bench_hotpaths smoke ok (tiny sizes, no floors, "
               "nothing written)")
         return
@@ -526,6 +584,11 @@ def main(argv: list[str] | None = None) -> None:
             f"{row['build_us']:.0f} us, "
             f"{row['vs_reference']:.1f}x vs heap reference, "
             f"ratio bound {row['ratio_bound_us']:.0f} us"
+        )
+    for row in results["tile_batch_sweep"]["rows"]:
+        print(
+            f"tile batch of {row['tiles']:>2} x 16^3: "
+            f"{row['per_tile_us']:.0f} us per tile"
         )
     print(
         f"rle: encode {results['rle']['encode_throughput_mbps']:.0f} MB/s, "

@@ -18,13 +18,14 @@ one:
   store: the pipeline must cost ≈ nothing when there is no latency to
   hide (overhead ≤ 5 %; ``speedup_pipelined_fast_store`` ≈ 1.0 joins
   the regression gate).
-* **Overlap quality.** An instrumented pipelined run records per-tile
-  stage walls; ``pipeline_efficiency`` is the ratio of that run's
-  ideal pipelined wall — ``max(fetch_sum / fetch_workers, decode_sum +
-  commit_sum)``, the bottleneck stage at perfect overlap — to the same
-  run's measured wall, so the ratio lands in (0, 1] by construction
-  (1.0 = the runtime hid everything it could).
-* **Model vs measured.** The same per-tile stage walls feed
+* **Overlap quality.** An instrumented pipelined run records the stage
+  walls of each window item (a tile batch); ``pipeline_efficiency`` is
+  the ratio of that run's ideal pipelined wall — ``max(fetch_sum /
+  fetch_workers, decode_sum + commit_sum)``, the bottleneck stage at
+  perfect overlap — to the same run's measured wall, so the ratio lands
+  in (0, 1] by construction (1.0 = the runtime hid everything it
+  could).
+* **Model vs measured.** The same per-batch stage walls feed
   :func:`repro.pipeline.scheduler.pipeline_speedup` as
   :class:`~repro.pipeline.scheduler.StageCosts` (fetch → input,
   decode → kernel, commit → output), so the seed Fig. 9 scheduler
@@ -64,7 +65,11 @@ import pytest
 
 from repro.core.faults import FaultInjectingStore
 from repro.core.store import DirectoryStore, open_tiled_field, store_tiled_field
-from repro.core.tiling import TiledReconstructor, TiledRefactorer
+from repro.core.tiling import (
+    TiledReconstructor,
+    TiledRefactorer,
+    normalize_region,
+)
 from repro.data import generators as gen
 from repro.gpu.device import H100
 from repro.gpu.hdem import HostDeviceModel
@@ -123,7 +128,7 @@ def _best_walls(fns, repeats: int) -> list[float]:
 
 
 def _instrument(recon: TiledReconstructor, stage_seconds: dict) -> None:
-    """Wrap the per-tile stage functions with wall-clock probes.
+    """Wrap the tile-batch stage functions with wall-clock probes.
 
     ``reconstruct`` binds the stage callables off the instance on every
     route, so instance-attribute wrappers installed before it see every
@@ -131,9 +136,9 @@ def _instrument(recon: TiledReconstructor, stage_seconds: dict) -> None:
     pool's threads — ``list.append`` is atomic, and the per-stage lists
     are only read after the run completes.
     """
-    for stage, name in (("fetch", "_fetch_tile"),
-                        ("decode", "_decode_tile"),
-                        ("commit", "_commit_tile")):
+    for stage, name in (("fetch", "_fetch_batch"),
+                        ("decode", "_decode_batch"),
+                        ("commit", "_commit_batch")):
         inner = getattr(recon, name)
 
         def timed(*args, _inner=inner, _sink=stage_seconds[stage], **kwargs):
@@ -181,8 +186,8 @@ def _calibrate_latency(store, tolerances, region,
 def _model_prediction(stage_seconds: dict) -> dict:
     """Seed Fig. 9 scheduler's pipelined-vs-serial ratio for this run.
 
-    Each tile-step becomes a sub-domain whose measured fetch/decode/
-    commit walls map onto ``StageCosts`` input/kernel/output — decode
+    Each tile batch's step becomes a sub-domain whose measured fetch/
+    decode/commit walls map onto ``StageCosts`` input/kernel/output — decode
     is bitplane decode + recomposition, Fig. 4's ``R``; there is no
     exclusive host-side lossless stage (``X`` costs 0, so the model's
     ``X_{i-1} → I_i`` rule degenerates to back-to-back prefetch, the
@@ -255,8 +260,11 @@ def _bench_roi_staircase(store, tolerances, region, repeats: int) -> dict:
 
     measured = wall_seq_slow / wall_pip_slow if wall_pip_slow else 0.0
     model = _model_prediction(stage_seconds)
+    field = open_tiled_field(store, "rho")
     return {
-        "tiles_in_region": len(stage_seconds["fetch"]) // len(tolerances),
+        "tiles_in_region": len(field.tiles_overlapping(
+            normalize_region(region, field.shape))),
+        "window_items_per_step": len(stage_seconds["fetch"]) // len(tolerances),
         "tolerances_relative": list(tolerances),
         "window": WINDOW,
         "fetch_workers": FETCH_WORKERS,

@@ -16,6 +16,7 @@ byte-identical between the single-pass and reference transposes.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -469,6 +470,7 @@ def apply_planes(
     ``start_plane`` must equal ``state.planes_applied`` (refinement is
     contiguous); the input state is never mutated, so callers can commit
     the returned state only once a whole multi-level step succeeded.
+    The one-state call of :func:`apply_planes_many`.
     """
     planes = list(planes)
     if start_plane != state.planes_applied:
@@ -476,54 +478,141 @@ def apply_planes(
             f"planes must resume at plane {state.planes_applied}, "
             f"got start_plane={start_plane}"
         )
-    end = start_plane + len(planes)
-    if end > state.total_planes:
-        raise ValueError(
-            f"planes [{start_plane}, {end}) exceed the stream's "
-            f"{state.total_planes} stored planes"
-        )
-    if not planes:
-        return state
-    words = state.words.copy()
-    signs = state.signs
-    n = state.num_elements
-    if state.signed_encoding == "negabinary":
-        from repro.bitplane.negabinary import negabinary_width
+    return apply_planes_many([state], [planes])[0] if planes else state
 
-        # Absolute plane j targets bit (width - 1 - j); a slice starting
-        # at plane p therefore injects exactly like the leading planes
-        # of a (width - p)-bit code.
-        width = negabinary_width(state.num_bitplanes)
-        words |= inject_code_planes(planes, n, width - start_plane)
-    else:
-        mag_planes = planes
-        mag_start = start_plane - 1
-        if start_plane == 0:
-            signs = np.unpackbits(
-                np.ascontiguousarray(planes[0], dtype=np.uint8),
-                count=n, bitorder="little",
-            ).astype(np.uint8)
-            mag_planes = planes[1:]
-            mag_start = 0
-        if mag_planes:
-            # Magnitude plane m targets bit (B - 1 - m): same shifted-
-            # width trick as above.
-            words |= inject_code_planes(
-                mag_planes, n, state.num_bitplanes - mag_start
+
+def _stack_rows(rows: list[np.ndarray]) -> np.ndarray:
+    """Rows as one ``(K, n)`` array; a single row is a view, not a copy."""
+    return rows[0][None] if len(rows) == 1 else np.stack(rows)
+
+
+def apply_planes_many(
+    states: list[PartialDecodeState], plane_lists: list[list[np.ndarray]]
+) -> list[PartialDecodeState]:
+    """:func:`apply_planes` over K same-geometry states at once.
+
+    State ``r`` gains ``plane_lists[r]`` from its own ``planes_applied``
+    on, so rows may sit at different planes and gain different counts.
+    Absolute plane ``p`` targets the same bit in every row (negabinary:
+    ``width - 1 - p``; sign-magnitude: plane 0 is the sign, magnitude
+    plane ``p`` bit ``B - p``), so one transpose injects every row. The
+    inputs are never mutated; the new states' words are the rows of one
+    fresh ``(K, n)`` block.
+    """
+    first = states[0]
+    n = first.num_elements
+    nega = first.signed_encoding == "negabinary"
+    top = first.num_bitplanes + 1 if nega else first.num_bitplanes
+    rows, sign_rows = [], []
+    for r, (state, planes) in enumerate(zip(states, plane_lists)):
+        start = state.planes_applied
+        if start + len(planes) > state.total_planes:
+            raise ValueError(
+                f"planes [{start}, {start + len(planes)}) exceed the "
+                f"stream's {state.total_planes} stored planes"
             )
-    return PartialDecodeState(
-        words=words,
-        signs=signs,
-        planes_applied=end,
-        num_elements=state.num_elements,
-        num_bitplanes=state.num_bitplanes,
-        exponent=state.exponent,
-        max_abs=state.max_abs,
-        dtype=state.dtype,
-        layout=state.layout,
-        warp_size=state.warp_size,
-        signed_encoding=state.signed_encoding,
+        if not nega and start == 0 and planes:
+            sign_rows.append(r)
+        rows.append([
+            (top - p, plane)
+            for p, plane in enumerate(planes, start) if nega or p
+        ])
+    # The new rows start as a copy of the old words (padded to whole
+    # plane bytes): plane bits are disjoint from the applied ones, so
+    # injecting is an OR in place.
+    width = (n + 7) & ~7
+    if len(states) == 1 and width == n:
+        words = first.words.copy()[None]
+    else:
+        words = np.zeros((len(states), width), dtype=np.uint64)
+        np.stack([state.words for state in states], out=words[:, :n])
+    if transpose.HOST_SUPPORTED:
+        transpose.planes_to_word_rows(rows, n, out=words)
+    else:
+        for row, row_words in zip(rows, words):
+            row_words[:n] |= inject_code_planes_reference(
+                [plane for _, plane in row], n, row[0][0] + 1 if row else 1)
+    signs = [state.signs for state in states]
+    if sign_rows:
+        unpacked = np.unpackbits(_stack_rows([
+            np.asarray(plane_lists[r][0], dtype=np.uint8) for r in sign_rows
+        ]), axis=1, count=n, bitorder="little")
+        for j, r in enumerate(sign_rows):
+            signs[r] = unpacked[j]
+    return [
+        PartialDecodeState(
+            row_words, sign, state.planes_applied + len(planes), n,
+            state.num_bitplanes, state.exponent, state.max_abs,
+            state.dtype, state.layout, state.warp_size,
+            state.signed_encoding,
+        )
+        for state, planes, row_words, sign in zip(
+            states, plane_lists, words if width == n else words[:, :n],
+            signs)
+    ]
+
+
+def finalize_many(states: list[PartialDecodeState]) -> np.ndarray:
+    """Float64 values of K same-geometry states as one ``(K, n)`` array.
+
+    Each row keeps its own exponent, dropped-plane count and signs, with
+    the arithmetic of :func:`~repro.bitplane.align.from_fixed_point`
+    per element; a ``warp`` layout is un-permuted to natural order.
+    """
+    first = states[0]
+    bits = first.num_bitplanes
+    words = _stack_rows([state.words for state in states])
+    if first.signed_encoding == "negabinary":
+        from repro.bitplane.negabinary import from_negabinary
+
+        values = from_negabinary(words).astype(np.float64)
+    else:
+        drops = [bits - max(0, s.planes_applied - 1) for s in states]
+        if any(drops):
+            # Centered truncation, as in from_fixed_point; a row that
+            # dropped nothing gets mask ~0 and center 0 (unchanged).
+            words = words & _per_row(
+                [_ALL_ONES ^ ((1 << d) - 1) for d in drops], np.uint64)
+            words |= np.minimum(
+                words, _per_row([(1 << d) >> 1 for d in drops], np.uint64))
+        values = words.astype(np.float64)
+    del words  # batch-sized temporaries: keep at most two alive
+    shifts = [state.exponent - bits for state in states]
+    normal = [-1022 <= shift <= 1023 for shift in shifts]
+    values *= _per_row(
+        [math.ldexp(1.0, s) if ok else 1.0 for s, ok in zip(shifts, normal)],
+        np.float64,
     )
+    for r, ok in enumerate(normal):
+        if not ok:  # the scale itself would over/underflow
+            values[r] = np.ldexp(values[r], shifts[r])
+    if first.signed_encoding != "negabinary":
+        signs = [state.signs for state in states]
+        if any(sign is not None for sign in signs):
+            sign_bits = _stack_rows([
+                np.zeros(first.num_elements, dtype=np.uint8)
+                if sign is None else sign for sign in signs
+            ]).astype(np.uint64)
+            sign_bits <<= np.uint64(63)
+            values.view(np.uint64)[:] |= sign_bits
+            del sign_bits
+    if first.layout == _WARP:
+        inv = register_block.inverse_tile_permutation(
+            first.num_elements, bits, first.warp_size)
+        values = (values[0][inv][None] if len(states) == 1
+                  else np.take(values, inv, axis=1))
+    return values
+
+
+_ALL_ONES = (1 << 64) - 1
+
+
+def _per_row(values: list, dtype) -> np.ndarray:
+    """One operand per row: a ``(K, 1)`` column, or a scalar for K = 1
+    (NumPy's scalar loops are the faster ones)."""
+    if len(values) == 1:
+        return dtype(values[0])
+    return np.array(values, dtype=dtype)[:, None]
 
 
 def finalize_decode(state: PartialDecodeState) -> np.ndarray:
@@ -531,42 +620,10 @@ def finalize_decode(state: PartialDecodeState) -> np.ndarray:
 
     Equals ``decode_bitplanes(stream, state.planes_applied)`` for the
     stream the state was built from (tested property); the state itself
-    is left untouched so further planes can still be applied.
+    is left untouched so further planes can still be applied. The
+    one-state call of :func:`finalize_many`.
     """
-    if state.signed_encoding == "negabinary":
-        codes = state.words
-        if state.layout == _WARP:
-            inv = register_block.inverse_tile_permutation(
-                state.num_elements, state.num_bitplanes, state.warp_size
-            )
-            codes = codes[inv]
-        from repro.bitplane.negabinary import from_negabinary
-
-        signed = from_negabinary(codes)
-        values = scale_pow2(
-            signed.astype(np.float64),
-            state.exponent - state.num_bitplanes,
-        )
-        return values.astype(state.dtype, copy=False)
-    signs = state.signs
-    if signs is None:
-        signs = np.zeros(state.num_elements, dtype=np.uint8)
-    aligned = AlignedFixedPoint(
-        signs=signs,
-        magnitudes=state.words,
-        exponent=state.exponent,
-        num_bitplanes=state.num_bitplanes,
-        max_abs=state.max_abs,
-        dtype=state.dtype,
-    )
-    kept = max(0, state.planes_applied - 1)
-    values = from_fixed_point(aligned, kept_planes=kept)
-    if state.layout == _WARP:
-        inv = register_block.inverse_tile_permutation(
-            state.num_elements, state.num_bitplanes, state.warp_size
-        )
-        values = values[inv]
-    return values
+    return finalize_many([state])[0].astype(state.dtype, copy=False)
 
 
 def _check_state_matches(

@@ -126,50 +126,66 @@ def planes_to_words(
 
     ``planes`` holds the leading (most significant) bitplanes; missing
     trailing planes decode as zero bits, which is what progressive
-    truncation requires. Runs entirely on packed data: the up-to-8
-    planes sharing a byte column are interleaved into 8×8 tiles and
-    flipped with :func:`transpose_8x8_tiles`.
+    truncation requires. The one-row call of :func:`planes_to_word_rows`.
     """
-    _require_little_endian()
     if width < 1 or width > _WORD_BITS:
         raise ValueError(f"width must be in [1, {_WORD_BITS}], got {width}")
-    k_planes = len(planes)
-    if k_planes > width:
+    if len(planes) > width:
         raise ValueError("more planes than word width")
-    words = np.zeros(num_elements, dtype=np.uint64)
-    if k_planes == 0 or num_elements == 0:
-        return words
+    return planes_to_word_rows(
+        [[(width - 1 - i, plane) for i, plane in enumerate(planes)]],
+        num_elements,
+    )[0, :num_elements]
+
+
+def planes_to_word_rows(
+    rows: list[list[tuple[int, np.ndarray]]],
+    num_elements: int,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """OR K rows of packed planes into K rows of uint64 words.
+
+    ``rows[r]`` lists ``(bit, plane)`` pairs: the packed plane's bits
+    are ORed onto that bit of row *r*'s words. Rows are padded to whole
+    plane bytes — *out* (updated in place, or fresh zeros) is a
+    C-contiguous ``(K, 8 * ceil(num_elements / 8))`` uint64 array — so
+    the K rows' 8×8 tiles form one flat run: the planes sharing a byte
+    column, of every row at once, are interleaved into tiles and
+    flipped with :func:`transpose_8x8_tiles`, one pass per byte column.
+    """
+    _require_little_endian()
     nbytes = _plane_nbytes(num_elements)
-    rows: list[np.ndarray] = []
-    for i, plane in enumerate(planes):
-        row = np.frombuffer(plane, dtype=np.uint8) if isinstance(
-            plane, (bytes, bytearray, memoryview)
-        ) else np.ascontiguousarray(plane, dtype=np.uint8).reshape(-1)
-        if row.size != nbytes:
-            raise ValueError(
-                f"plane {i}: expected {nbytes} packed bytes, got {row.size}"
-            )
-        rows.append(row)
-    word_bytes = words.view(np.uint8).reshape(num_elements, _WORD_BYTES)
-    tiles = np.empty((nbytes, _WORD_BYTES), dtype=np.uint8)
+    if out is None:
+        out = np.zeros((len(rows), nbytes * _WORD_BYTES), dtype=np.uint64)
+    columns: dict[int, list] = {}
+    for r, row in enumerate(rows):
+        for bit, plane in row:
+            if not 0 <= bit < _WORD_BITS:
+                raise ValueError(f"bit {bit} outside a {_WORD_BITS}-bit word")
+            data = np.frombuffer(plane, dtype=np.uint8) if isinstance(
+                plane, (bytes, bytearray, memoryview)
+            ) else np.ascontiguousarray(plane, dtype=np.uint8).reshape(-1)
+            if data.size != nbytes:
+                raise ValueError(
+                    f"plane for bit {bit}: expected {nbytes} packed "
+                    f"bytes, got {data.size}"
+                )
+            columns.setdefault(bit >> 3, []).append(
+                (slice(r * nbytes, (r + 1) * nbytes), bit & 7, data))
+    if not nbytes or not columns:
+        return out
+    word_bytes = out.view(np.uint8).reshape(-1, _WORD_BYTES)
+    tiles = np.empty((len(rows) * nbytes, _WORD_BYTES), dtype=np.uint8)
     lanes = tiles.reshape(-1).view(np.uint64)
     scratch = np.empty_like(lanes)
-    for k in range((width + 7) >> 3):
-        # Tile row j of byte column k carries bit position 8k + j, i.e.
-        # plane index width - 1 - (8k + j); absent planes are zero rows.
-        present = [
-            (j, width - 1 - (8 * k + j))
-            for j in range(_WORD_BYTES)
-            if 8 * k + j < width and 0 <= width - 1 - (8 * k + j) < k_planes
-        ]
-        if not present:
-            continue
+    for k, members in columns.items():
+        # Tile row j of byte column k carries bit position 8k + j.
         tiles[:] = 0
-        for j, i in present:
-            tiles[:, j] = rows[i]
+        for span, j, data in members:
+            tiles[span, j] = data
         flipped = _transpose_8x8_tiles_inplace(lanes, scratch)
-        word_bytes[:, k] = flipped.view(np.uint8)[:num_elements]
-    return words
+        word_bytes[:, k] |= flipped.view(np.uint8)
+    return out
 
 
 def transpose_sign_magnitude(

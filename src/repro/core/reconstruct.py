@@ -13,13 +13,11 @@ carries a rigorous L∞ ``error_bound`` that the actual error provably
 does not exceed (tested property).
 
 A step runs one way: :meth:`Reconstructor.plan_step` (metadata only) →
-:meth:`Reconstructor.fetch_step` (the only place a step reads the
-store) → :meth:`Reconstructor.decode_step` (a plain per-level loop,
-recompose, commit). :meth:`Reconstructor.reconstruct` is those three
-calls; the tiled engine's sequential, pipelined and process routes call
-the same three, only on different threads. An untiled reconstructor is
-serial — the execution backend applies to refactorers and to the tiled
-engine, whose unit of parallel work is a tile.
+:meth:`Reconstructor.fetch_step` (the only store read) →
+:meth:`Reconstructor.decode_step` (decode, recompose, commit).
+:meth:`Reconstructor.reconstruct` is those three calls. The decode is
+the one-step call of :meth:`Reconstructor.decode_steps`, the batch body
+the tiled engine runs over a batch of tiles on every route.
 """
 
 from __future__ import annotations
@@ -30,8 +28,8 @@ import numpy as np
 
 from repro.bitplane.encoding import (
     PartialDecodeState,
-    apply_planes,
-    finalize_decode,
+    apply_planes_many,
+    finalize_many,
 )
 from repro.core.errors import StoreError
 from repro.core.planner import RetrievalPlan, plan_full, plan_greedy
@@ -95,15 +93,11 @@ class StepPlan:
 
     Produced by :meth:`Reconstructor.plan_step` from pure metadata
     (tolerance resolution + planner output merged with the session's
-    committed fetch progress); consumed by
-    :meth:`Reconstructor.fetch_step` (which resolves exactly the
-    segments the step needs, levels ascending, groups ascending) and
-    :meth:`Reconstructor.decode_step` (which runs the decode pass and
-    commits). Splitting the phases is what lets the pipelined runtime
-    (:mod:`repro.pipeline.retrieval`) overlap one tile's fetch with
-    another's decode while staying bit-identical to
-    :meth:`Reconstructor.reconstruct`, which is literally
-    ``plan_step`` → ``fetch_step`` → ``decode_step``.
+    committed fetch progress); consumed by the fetch stage (exactly the
+    segments the step needs) and the decode stage (decode and commit).
+    Splitting the phases lets the pipelined runtime
+    (:mod:`repro.pipeline.retrieval`) overlap one batch's fetch with
+    another's decode, bit-identically.
 
     ``before`` is :meth:`Reconstructor.counters` at plan time, so a
     step whose fetch stage ran ahead on another thread still reports
@@ -127,10 +121,9 @@ class Reconstructor:
     runs it through :class:`~repro.core.tiling.TiledReconstructor`
     (an untiled variable is a one-tile field there).
 
-    Levels decode in a plain loop on the calling thread: the finest
-    level holds 7/8 of a 3-D field's coefficients, so a per-level
-    fan-out measured slower than this loop; parallelism lives one layer
-    up, across tiles (:class:`~repro.core.tiling.TiledReconstructor`).
+    Levels decode in a plain loop on the calling thread; parallelism and
+    batching live one layer up, across tiles
+    (:class:`~repro.core.tiling.TiledReconstructor`).
 
     ``transform`` lets a caller managing many same-geometry fields
     (the tiled engine: hundreds of identical-shape tiles) share one
@@ -337,24 +330,15 @@ class Reconstructor:
         )
 
     def fetch_step(self, step: StepPlan) -> None:
-        """Fetch stage of one step: resolve every segment it needs.
+        """Fetch stage of one step — the one place a step reads the store.
 
-        The one place a step reads the store, and one store request:
-        the keys of groups ``[committed, planned)`` of every level —
-        levels ascending, groups ascending — go out in a single
-        batched read (:meth:`~repro.core.stream.RefactoredField
-        .fetch_groups`), so a seeded fault schedule
-        (:class:`~repro.core.faults.FaultInjectingStore` keys its
-        deterministic draws on per-key access counts) replays
-        identically whether fetch runs inline or on a pipeline's fetch
-        stage. Fetched groups memoize on the field, so
-        :meth:`decode_step` finds them resident without touching the
-        store; the groups that arrived before a fault stay memoized,
-        and the retry pays only for the rest. Eager in-memory fields
-        no-op. Raises :class:`~repro.core.errors.StoreError` for the
-        first failing segment; the caller hands that error to
-        :meth:`decode_step` (as ``fetch_error``) rather than retrying,
-        which would shift access counts.
+        One request for the keys of groups ``[committed, planned)``,
+        levels then groups ascending, so a seeded fault schedule replays
+        identically on every route; what arrived before a fault stays
+        memoized. Raises the first failing key's
+        :class:`~repro.core.errors.StoreError`, which the caller hands
+        to :meth:`decode_step` as ``fetch_error`` (never retried: that
+        would shift per-key access counts).
         """
         self.field.fetch_groups(list(zip(self._fetched, step.groups)))
 
@@ -364,126 +348,93 @@ class Reconstructor:
         on_fault: str = "raise",
         fetch_error: BaseException | None = None,
     ) -> ReconstructionResult:
-        """Decode/recompose/commit one planned step.
+        """Decode, recompose and commit one planned step: the K = 1
+        call of :meth:`decode_steps`, reading nothing from the store."""
+        return self.decode_steps([(self, step, fetch_error)], on_fault)[0]
 
-        The decode phase of :meth:`reconstruct`: decodes ``step.groups``
-        level by level from the segments :meth:`fetch_step` memoized (so
-        it reads nothing from the store), assembles and recomposes, and
-        commits session state. ``fetch_error`` is the
-        :class:`~repro.core.errors.StoreError` the fetch stage raised,
-        if any: it is re-raised here so ``on_fault`` decides in one
-        place — ``"raise"`` propagates it, ``"degrade"`` falls back to
-        the committed refinement, which is store-free by construction.
+    @staticmethod
+    def decode_steps(items, on_fault: str = "raise") -> list:
+        """The decode body: K planned steps, each stage once per level.
+
+        *items* are ``(reconstructor, step, fetch_error)`` in job order.
+        Lossless decode runs per group; per level, injection and
+        finalization run over the ``(K, n)`` stack of same-geometry
+        steps (exponent, dropped planes and signs per row) and scatter
+        into a ``(K, *shape)`` stack that one recompose serves — the
+        arithmetic per element of K one-step calls. A fault is per step:
+        ``"degrade"`` answers it from its committed refinement (nothing
+        to decode, so nothing to fault again); ``"raise"`` commits the
+        steps before it, then raises it.
         """
         check_on_fault(on_fault)
-        resolved = step.tolerance
-        relative_requested = step.relative_tolerance
-        groups = list(step.groups)
-        incremental = step.incremental_bytes
+        rows, failure = [], None
+        for recon, step, fault in items:
+            try:
+                if fault is not None:
+                    raise fault
+                rows.append((recon, step, list(step.groups), None, [
+                    lv.decompress_group_range(have, want)
+                    if want > have else None
+                    for lv, have, want in zip(
+                        recon.field.levels, recon._fetched, step.groups)
+                ]))
+            except StoreError as exc:
+                if on_fault != "degrade":
+                    failure = exc
+                    break
+                rows.append((recon, step, list(recon._fetched),
+                             list(step.groups), [None] * len(step.groups)))
+        batches: dict[tuple, list[int]] = {}
+        for r, (recon, *_) in enumerate(rows):
+            batches.setdefault((recon.transform, recon.field.dtype, *(
+                (lv.num_bitplanes, lv.signed_encoding, lv.layout,
+                 lv.warp_size) for lv in recon.field.levels)), []).append(r)
+        decoded: list = [None] * len(rows)
+        for (transform, dtype, *_), members in batches.items():
+            batch = [rows[r] for r in members]
+            for r, out in zip(members, _decode_rows(transform, dtype, batch)):
+                decoded[r] = out
+        results = [recon._commit(step, groups, failed, *out) for (
+            recon, step, groups, failed, _), out in zip(rows, decoded)]
+        if failure is not None:
+            raise failure
+        return results
 
-        degraded = False
-        failed_groups: list[int] | None = None
-        try:
-            if fetch_error is not None:
-                raise fetch_error
-            outcomes = [
-                self._decode_level(idx, want)
-                for idx, want in enumerate(groups)
-            ]
-        except StoreError:
-            if on_fault != "degrade":
-                raise
-            # Fall back to the last committed refinement: every group in
-            # [0, have) is already memoized in the (lazy) field and every
-            # committed level value is cached, so this decode pass
-            # touches no store and cannot fault again.
-            degraded = True
-            failed_groups = groups
-            groups = list(self._fetched)
-            incremental = 0
-            outcomes = [
-                self._decode_level(idx, want)
-                for idx, want in enumerate(groups)
-            ]
-
-        level_values = [values for values, _, _ in outcomes]
-        coeffs = self.transform.assemble_levels(level_values)
-        # assemble_levels only reads the level arrays and returns a fresh
-        # owned float64 buffer, so the cached values survive the step and
-        # the recompose can run in place on the assembly (and the result
-        # is ours to hand out without a defensive copy).
-        data = self.transform.recompose(coeffs, overwrite=True).astype(
-            self.field.dtype, copy=False
-        )
-        bound = sum(
-            w * lv.error_bound_for_groups(g)
-            for w, lv, g in zip(
-                self.field.level_weights, self.field.levels, groups
-            )
-        )
-        # Commit session state only now that every level decoded: a
-        # failed fetch/decode above leaves fetch progress and retained
-        # partials exactly as before the call (tested property).
+    def _commit(self, step, groups, failed_groups, data, outcomes):
+        """Commit one decoded step (only now: a failed step leaves the
+        session exactly as it was) and describe it as a result."""
+        levels = self.field.levels
+        bound = sum(w * lv.error_bound_for_groups(g) for w, lv, g in zip(
+            self.field.level_weights, levels, groups))
         c = self._counters
         for idx, (values, state, (d_groups, d_planes)) in enumerate(outcomes):
-            if state is not None:
-                self._states[idx] = state
-                self._values[idx] = values
+            self._states[idx] = state
+            self._values[idx] = values
             c.groups_decoded += d_groups
             c.planes_decoded += d_planes
-            if d_groups or d_planes:
-                c.level_decodes += 1
-            else:
-                c.level_reuses += 1
+            c.level_decodes += bool(d_groups or d_planes)
+            c.level_reuses += not (d_groups or d_planes)
+        incremental = step.incremental_bytes if failed_groups is None else 0
         self._fetched = groups
         c.fetched_bytes += incremental
-
         spent = self.counters() - step.before
         return ReconstructionResult(
             data=data,
             error_bound=bound,
-            tolerance=float("nan") if resolved is None else float(resolved),
+            tolerance=(float("nan") if step.tolerance is None
+                       else float(step.tolerance)),
             fetched_bytes=c.fetched_bytes,
             incremental_bytes=incremental,
             cold_bytes=spent.cold_bytes,
             cache_hit_bytes=spent.cache_hit_bytes,
-            relative_tolerance=relative_requested,
+            relative_tolerance=step.relative_tolerance,
             decoded_groups=spent.groups_decoded,
             decoded_planes=spent.planes_decoded,
-            degraded=degraded,
+            degraded=failed_groups is not None,
             failed_groups=failed_groups,
-            plan=RetrievalPlan(
-                groups_per_level=groups,
-                error_bound=bound,
-                fetched_bytes=sum(
-                    lv.bytes_for_groups(g)
-                    for lv, g in zip(self.field.levels, groups)
-                ),
-            ),
+            plan=RetrievalPlan(groups, bound, sum(
+                lv.bytes_for_groups(g) for lv, g in zip(levels, groups))),
         )
-
-    def _decode_level(
-        self, idx: int, want: int
-    ) -> tuple[np.ndarray, PartialDecodeState | None, tuple[int, int]]:
-        """Decode only groups ``[have, want)`` into the retained state.
-
-        Reads (but never mutates) the session's committed state, so a
-        failure anywhere in the step leaves it retryable; returns the
-        advanced state for the caller to commit.
-        """
-        lv = self.field.levels[idx]
-        state = self._states[idx]
-        if state is None:
-            state = lv.empty_decode_state(np.dtype(np.float64))
-        have = self._fetched[idx]
-        if want > have:
-            planes = lv.decompress_group_range(have, want)
-            state = apply_planes(state, planes, state.planes_applied)
-            return finalize_decode(state), state, (want - have, len(planes))
-        values = self._values[idx]
-        if values is None:  # first step and this level planned 0 groups
-            values = finalize_decode(state)
-        return values, state, (0, 0)
 
     def progressive(
         self,
@@ -505,6 +456,47 @@ class Reconstructor:
                              on_fault=on_fault)
             for t in tolerances
         ]
+
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _decode_rows(transform, dtype, rows) -> list[tuple]:
+    """:meth:`Reconstructor.decode_steps` over same-geometry rows:
+    ``(data, outcomes)`` per row, ``outcomes[level] = (values, state,
+    (groups, planes))``. One row stacks nothing: its ``(1, n)``
+    operands are views of its own arrays."""
+    k = len(rows)
+    coeffs = np.zeros((k, *transform.shape))
+    flat = coeffs.reshape(k, -1)
+    recons = [row[0] for row in rows]
+    outcomes: list[list] = [[] for _ in rows]
+    for idx, index in enumerate(transform.level_indices()):
+        planes = [row[4][idx] for row in rows]
+        states = [recon._states[idx] or recon.field.levels[idx]
+                  .empty_decode_state(_FLOAT64) for recon in recons]
+        new = [r for r, p in enumerate(planes) if p is not None]
+        if new:
+            for r, state in zip(new, apply_planes_many(
+                    [states[r] for r in new], [planes[r] for r in new])):
+                states[r] = state
+        # An unchanged level reuses its cached values.
+        values = [recon._values[idx] if p is None else None
+                  for recon, p in zip(recons, planes)]
+        stale = [r for r, v in enumerate(values) if v is None]
+        if stale:  # refined, or never finalized (0 groups planned)
+            for r, v in zip(stale, finalize_many([states[r] for r in stale])):
+                values[r] = v
+        for row_coeffs, v in zip(flat, values):
+            row_coeffs[index] = v  # 1-D scatters beat one 2-D one
+        for out, recon, row, p, v, state in zip(
+                outcomes, recons, rows, planes, values, states):
+            out.append((v, state, (0, 0) if p is None else (
+                row[2][idx] - recon._fetched[idx], len(p))))
+    # The stack is ours: recompose in place, and hand out row views.
+    data = transform.recompose(coeffs[0] if k == 1 else coeffs,
+                               overwrite=True).astype(dtype, copy=False)
+    return list(zip(data[None] if k == 1 else data, outcomes))
 
 
 def reconstruct(

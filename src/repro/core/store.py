@@ -609,13 +609,10 @@ def store_field(store, field: RefactoredField) -> dict:
     return index
 
 
-def _read_index(
-    get: Callable[[str], bytes], name: str
-) -> tuple[dict, RefactoredField]:
-    key = f"{name}.index"
-    raw = bytes(get(key))
+def _read_index(raw, key: str) -> tuple[dict, RefactoredField]:
+    """Parse index record *key*'s blob into ``(index, field template)``."""
     try:
-        index = json.loads(raw.decode())
+        index = json.loads(bytes(raw).decode())
         if not isinstance(index, dict) or not isinstance(
             index.get("groups"), dict
         ):
@@ -649,7 +646,7 @@ def load_field(
     :class:`~repro.core.errors.SegmentCorruptionError`. Indexes written
     before checksums were recorded load unverified either way.
     """
-    index, field = _read_index(store.get, name)
+    index, field = _read_index(store.get(f"{name}.index"), f"{name}.index")
     checksums = index_checksums(index) if verify else {}
     level_keys = []
     for li, lv in enumerate(field.levels):
@@ -775,68 +772,74 @@ def open_field(
 ) -> LazyRefactoredField:
     """Open a stored field lazily: fetch segments on first decode touch.
 
-    Parameters
-    ----------
-    store:
-        Any :class:`SegmentReader` holding ``<name>.index`` plus the
-        segments :func:`store_field` wrote.
-    name:
-        Variable name the field was stored under.
-    cache:
-        Optional shared :class:`repro.core.service.SegmentCache` (or any
-        object with ``get(key)`` and ``resolve_settled(keys) -> ({key:
-        (blob, cold)}, {key: error})``). When given, all fetches route
-        through it, so concurrent sessions opened against the same cache
-        share segment bytes; without it every fetch is a cold store
-        read.
-    verify:
-        Check every fetched segment against its index-recorded CRC32
-        (default on; indexes written before checksums existed open
-        unverified either way). A mismatch is treated as transient
-        first — re-fetched once — then raised as
-        :class:`~repro.core.errors.SegmentCorruptionError`. With a
-        cache, the checksums are registered on it instead, so
-        verification happens exactly once per cold fetch and cached
-        blobs are known-good.
-
-    Returns a :class:`LazyRefactoredField`: planning runs on index
-    metadata alone, and only the plane groups a reconstruction actually
-    decodes are fetched — strictly fewer bytes than :func:`load_field`
-    whenever the tolerance stops short of near-lossless. With a cache,
-    the (immutable) index blob itself is also served from it, so warm
-    session opens touch the backing store not at all.
+    *store* holds ``<name>.index`` plus the segments :func:`store_field`
+    wrote. With a *cache* (a shared :class:`repro.core.service
+    .SegmentCache`, or anything with ``resolve_settled(keys) -> ({key:
+    (blob, cold)}, {key: error})``) every read, the index record's too,
+    routes through it, so sessions share segment bytes and warm opens
+    skip the store; without one every read is cold. ``verify`` checks
+    each fetched segment against its index CRC32 (re-fetched once on a
+    mismatch, then :class:`~repro.core.errors.SegmentCorruptionError`);
+    a cache gets the checksums registered and verifies each cold read.
+    Planning runs on index metadata alone, and only the plane groups a
+    reconstruction decodes are fetched.
     """
-    if cache is not None:
-        index, template = _read_index(cache.get, name)
-    else:
-        index, template = _read_index(store.get, name)
-    segments = index.get("segments", {})
-    checksums = index_checksums(index) if verify else {}
-    level_refs: list[list[SegmentRef]] = []
-    for lv in template.levels:
-        refs = []
-        for key in index["groups"].get(str(lv.level), []):
-            meta = segments.get(key)
-            if meta is not None:
-                refs.append(
-                    SegmentRef(
-                        key=key,
-                        nbytes=int(meta["bytes"]),
-                        num_planes=int(meta["planes"]),
-                    )
-                )
-            else:  # pre-metadata index: sizes via manifest, planes lazily
-                refs.append(SegmentRef(key=key, nbytes=store.size_of(key)))
-        level_refs.append(refs)
-    if cache is not None:
-        if checksums and hasattr(cache, "register_checksums"):
-            cache.register_checksums(checksums)
-        resolve_settled = cache.resolve_settled
-    else:
-        def resolve_settled(keys):
-            blobs, errors, _, _ = verified_many(store, keys, checksums)
-            return {key: (blob, True) for key, blob in blobs.items()}, errors
-    return LazyRefactoredField(template, level_refs, resolve_settled)
+    return finish_batch([name], *open_fields(store, [name], cache, verify))[0]
+
+
+def open_fields(
+    store, names: Sequence[str], cache=None, verify: bool = True
+) -> tuple[dict, dict]:
+    """:func:`open_field` of every name, reading their index records in
+    one request; settled as ``({name: field}, {name: error})``.
+
+    The fields share one resolver (*cache*, or a cold verifying reader
+    of *store*), so their plane groups can be fetched together too
+    (:func:`~repro.core.stream.fetch_fields`).
+    """
+    resolver = cache if cache is not None else _ColdResolver(store)
+    keys = [f"{name}.index" for name in names]
+    blobs, failed = resolver.resolve_settled(keys)
+    fields = {}
+    for name, key in zip(names, keys):
+        if key in failed:
+            failed[name] = failed.pop(key)
+            continue
+        try:
+            index, template = _read_index(blobs[key][0], key)
+        except SegmentCorruptionError as exc:
+            failed[name] = exc
+            continue
+        # A pre-metadata index has no segment table: sizes come from the
+        # manifest, plane counts lazily.
+        segments = index.get("segments", {})
+        level_refs = [[
+            SegmentRef(seg, int(segments[seg]["bytes"]),
+                       int(segments[seg]["planes"]))
+            if seg in segments else SegmentRef(seg, store.size_of(seg))
+            for seg in index["groups"].get(str(lv.level), [])
+        ] for lv in template.levels]
+        if verify and hasattr(resolver, "register_checksums"):
+            resolver.register_checksums(index_checksums(index))
+        fields[name] = LazyRefactoredField(
+            template, level_refs, resolver.resolve_settled)
+    return fields, failed
+
+
+class _ColdResolver:
+    """The cache-less resolver of :func:`open_fields`: every read goes
+    to *store*, CRC-verified against the registered checksums."""
+
+    def __init__(self, store) -> None:
+        self._store = store
+        self._checksums: dict[str, int] = {}
+
+    def register_checksums(self, checksums: dict[str, int]) -> None:
+        self._checksums.update(checksums)
+
+    def resolve_settled(self, keys: Sequence[str]) -> tuple[dict, dict]:
+        blobs, errors, _, _ = verified_many(self._store, keys, self._checksums)
+        return {key: (blob, True) for key, blob in blobs.items()}, errors
 
 
 __all__ = [
@@ -852,6 +855,7 @@ __all__ = [
     "store_field",
     "load_field",
     "open_field",
+    "open_fields",
     "store_tiled_field",
     "open_tiled_field",
 ]

@@ -25,6 +25,7 @@ import struct
 import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -178,11 +179,12 @@ class RefactoredField:
         return [lv.num_groups for lv in self.levels]
 
     def fetch_groups(self, ranges: Sequence[tuple[int, int]]) -> None:
-        """Make groups ``[start, stop)`` of each level resident.
-
-        An eager field holds every group in memory: nothing to fetch.
-        :class:`LazyRefactoredField` reads them from its store.
-        """
+        """Make groups ``[start, stop)`` of each level resident, in one
+        request (:func:`fetch_fields`); raises the first failed key's
+        error. An eager field holds every group already."""
+        error = fetch_fields([(self, ranges)])[0]
+        if error is not None:
+            raise error
 
     # -- serialization ----------------------------------------------------
     def to_bytes(self) -> bytes:
@@ -386,6 +388,10 @@ class LazyLevelStream(LevelStream):
         signed_encoding: str = "sign_magnitude",
     ) -> None:
         self.refs = refs
+        # Prefix sums for planning; plane counts once all are known.
+        self._byte_sums = list(accumulate((r.nbytes for r in refs), initial=0))
+        self._plane_sums: list[int] | None = None
+        self._bounds: dict[int, float] = {}
         super().__init__(
             level=level,
             num_elements=num_elements,
@@ -400,20 +406,31 @@ class LazyLevelStream(LevelStream):
 
     def bytes_for_groups(self, num_groups: int) -> int:
         """Serialized bytes of the first *num_groups* groups (no fetch)."""
-        return sum(r.nbytes for r in self.refs[:num_groups])
+        return self._byte_sums[min(num_groups, len(self.refs))]
 
     def planes_in_groups(self, num_groups: int) -> int:
         """Bitplanes in the first *num_groups* groups.
 
-        Served from ref metadata; refs written by old (pre-metadata)
+        Served from ref metadata as a prefix sum, built once every
+        plane count is known; refs written by old (pre-metadata)
         indexes resolve their group once and memoize the count.
         """
-        total = 0
-        for i, ref in enumerate(self.refs[:num_groups]):
-            if ref.num_planes is None:
-                ref.num_planes = self.groups[i].num_planes
-            total += ref.num_planes
-        return total
+        if self._plane_sums is None:
+            for i, ref in enumerate(self.refs[:num_groups]):
+                if ref.num_planes is None:
+                    ref.num_planes = self.groups[i].num_planes
+            if any(r.num_planes is None for r in self.refs):
+                return sum(r.num_planes for r in self.refs[:num_groups])
+            self._plane_sums = list(accumulate(
+                (r.num_planes for r in self.refs), initial=0))
+        return self._plane_sums[min(num_groups, len(self.refs))]
+
+    def error_bound_for_groups(self, num_groups: int) -> float:
+        """As :meth:`LevelStream.error_bound_for_groups`, memoized."""
+        if num_groups not in self._bounds:
+            self._bounds[num_groups] = super().error_bound_for_groups(
+                num_groups)
+        return self._bounds[num_groups]
 
 
 @dataclass
@@ -506,42 +523,59 @@ class LazyRefactoredField(RefactoredField):
             name=template.name,
         )
 
-    def fetch_groups(self, ranges: Sequence[tuple[int, int]]) -> None:
-        """Memoize groups ``[start, stop)`` of each level in one request.
-
-        ``ranges[i]`` is level *i*'s range; keys go levels ascending,
-        groups ascending, and already memoized groups are skipped.
-        """
-        self._fetch([
-            item for lv, (start, stop) in zip(self.levels, ranges)
-            for item in lv.groups.missing(start, stop)
-        ])
-
     def _fetch(self, wanted: list[tuple]) -> None:
-        """Resolve ``(sequence, index, key)`` triples with one batched read.
+        """Resolve ``(sequence, index, key)`` triples with one batched read."""
+        error = _fetch_wanted([(self, wanted)])[0]
+        if error is not None:
+            raise error
 
-        Every blob that arrives is counted and memoized, even when other
-        keys of the batch failed; then the first failed key's error (in
-        request order) is raised, so a retry reads only what is missing.
-        """
-        if not wanted:
-            return
-        keys = [key for _, _, key in wanted]
-        values, errors = self._resolve_settled(keys)
-        with self._io_lock:
-            c = self.io_counters
-            for blob, cold in values.values():
-                c.segment_reads += 1
-                if cold:
-                    c.cold_bytes += len(blob)
-                else:
-                    c.cache_hit_bytes += len(blob)
-        for seq, index, key in wanted:
-            if key in values:
-                try:
-                    seq.memoize(index, values[key][0])
-                except SegmentCorruptionError as exc:
-                    errors[key] = exc
-        for key in keys:
-            if key in errors:
-                raise errors[key]
+
+def fetch_fields(requests) -> list[BaseException | None]:
+    """Make groups ``[start, stop)`` of each level of ``(field, ranges)``
+    requests resident (eager fields hold them already), as
+    :func:`_fetch_wanted` reads them."""
+    return _fetch_wanted([
+        (field, [
+            item for lv, (start, stop) in zip(field.levels, ranges)
+            for item in lv.groups.missing(start, stop)
+        ] if isinstance(field, LazyRefactoredField) else [])
+        for field, ranges in requests
+    ])
+
+
+def _fetch_wanted(requests) -> list[BaseException | None]:
+    """Resolve ``(field, [(sequence, index, key)])`` requests with one
+    batched read per resolver (the tiles of one field share theirs),
+    keys in request order. Every blob that arrives is counted into its
+    own field and memoized, even when other keys failed; each request
+    gets its first failed key's error, or None, so a retry reads only
+    what is missing."""
+    errors: list[BaseException | None] = [None] * len(requests)
+    by_resolver: dict = {}
+    for i, (field, wanted) in enumerate(requests):
+        if wanted:
+            by_resolver.setdefault(field._resolve_settled, []).append(i)
+    for resolve, members in by_resolver.items():
+        values, failed = resolve(
+            [key for i in members for _, _, key in requests[i][1]])
+        for i in members:
+            field, wanted = requests[i]
+            with field._io_lock:
+                c = field.io_counters
+                for _, _, key in wanted:
+                    if key in values:
+                        blob, cold = values[key]
+                        c.segment_reads += 1
+                        if cold:
+                            c.cold_bytes += len(blob)
+                        else:
+                            c.cache_hit_bytes += len(blob)
+            for seq, index, key in wanted:
+                if key in values:
+                    try:
+                        seq.memoize(index, values[key][0])
+                    except SegmentCorruptionError as exc:
+                        failed[key] = exc
+                if errors[i] is None and key in failed:
+                    errors[i] = failed[key]
+    return errors

@@ -30,15 +30,14 @@ Three behaviours make tiling the production path rather than a toy:
   each touched tile's :class:`~repro.bitplane.encoding.PartialDecodeState`
   is reused across staircase steps exactly as in the untiled engine.
 
-A tile's retrieval step is written once, as a fetch stage and a decode
-stage (see :class:`TiledReconstructor`); the sequential, pipelined and
-process routes differ only in which thread or process runs them — by
-construction: a process worker holds a serial :class:`TiledReconstructor`
-over the session's field (tiled fields pickle, and ship once per
-worker) and calls the same two stage functions on it. The write side
-is the same shape: a process worker holds a serial
-:class:`TiledRefactorer` built from the shared config and refactors its
-tile with that engine's per-shape refactorer.
+A tile batch's retrieval step is written once, as a fetch stage and a
+decode stage (see :class:`TiledReconstructor`); the sequential,
+pipelined and process routes differ only in batch size and in which
+thread or process runs them — a process worker holds a serial
+:class:`TiledReconstructor` over the session's field (tiled fields
+pickle, and ship once per worker) and runs one-tile batches on it. The
+write side is the same shape: a process worker holds a serial
+:class:`TiledRefactorer` built from the shared config.
 """
 
 from __future__ import annotations
@@ -68,8 +67,8 @@ from repro.core.backends import (
 from repro.core.errors import ComputeError, StoreError
 from repro.core.reconstruct import Reconstructor
 from repro.core.refactor import RefactorConfig, Refactorer
-from repro.core.store import open_field
-from repro.core.stream import Counters, RefactoredField
+from repro.core.store import _ColdResolver, open_fields
+from repro.core.stream import Counters, RefactoredField, fetch_fields
 from repro.decompose import MultilevelTransform
 from repro.pipeline.retrieval import FETCH_WORKERS, run_window
 from repro.util.validation import (
@@ -209,7 +208,7 @@ class TiledField:
         blobs = [field.to_bytes() for field in self.fields]
         return TiledField, (
             self.shape, self.dtype, self.tiles,
-            _LazyTileFields(blobs, RefactoredField.from_bytes),
+            _LazyTileFields(blobs, _parse_tiles),
             self.value_range, self.name,
         )
 
@@ -217,19 +216,15 @@ class TiledField:
 class _LazyTileFields(Sequence):
     """Per-tile sub-fields resolved on first touch.
 
-    ``opener(names[i])`` yields tile *i*: a stored name opened against a
-    store, or serialized bytes parsed (a pickled eager field). Opened
-    fields are memoized per instance, so a region-of-interest session
-    touching the same tiles across staircase steps opens each tile (and
-    fetches its index segment) exactly once; untouched tiles cost
-    nothing, and a pickled copy starts with none opened.
+    ``opener(names)`` opens tiles in one batch, settled as ``({name:
+    field}, {name: error})``: stored names against a store (their index
+    records in one request), or a pickled eager field's serialized
+    tiles. Opened fields are memoized, so a session opens each tile
+    exactly once; untouched tiles cost nothing, and a pickled copy
+    starts with none opened.
     """
 
-    def __init__(
-        self,
-        names: list[str],
-        opener: Callable[[str], RefactoredField],
-    ) -> None:
+    def __init__(self, names: list, opener: Callable) -> None:
         self._names = names
         self._opener = opener
         self._fields: dict[int, RefactoredField] = {}
@@ -248,24 +243,38 @@ class _LazyTileFields(Sequence):
             index += len(self)
         if not 0 <= index < len(self):
             raise IndexError(index)
+        for error in self.open([index]).values():
+            raise error
         with self._lock:
-            field = self._fields.get(index)
-        if field is None:
-            # Open outside the lock: the opener does store I/O, and
-            # concurrent first touches of *different* tiles (the
-            # parallel reconstruct fan-out) must overlap. A racing
-            # duplicate open of the same tile is possible but harmless —
-            # setdefault keeps exactly one winner.
-            field = self._opener(self._names[index])
-            with self._lock:
-                field = self._fields.setdefault(index, field)
-        return field
+            return self._fields[index]
+
+    def open(self, indices: Sequence[int]) -> dict[int, BaseException]:
+        """Open the unopened tiles among *indices* in one batch; returns
+        the failed ones' errors by position. The opener runs outside the
+        lock (store I/O of concurrent batches overlaps); a racing
+        duplicate open is harmless — setdefault keeps one winner."""
+        with self._lock:
+            todo = [i for i in dict.fromkeys(indices) if i not in self._fields]
+        if not todo:
+            return {}
+        fields, errors = self._opener([self._names[i] for i in todo])
+        with self._lock:
+            for i in todo:
+                if self._names[i] in fields:
+                    self._fields.setdefault(i, fields[self._names[i]])
+        return {i: errors[self._names[i]] for i in todo
+                if self._names[i] in errors}
 
     @property
     def opened_indices(self) -> list[int]:
         """Tile positions opened so far — testing/telemetry hook."""
         with self._lock:
             return sorted(self._fields)
+
+
+def _parse_tiles(blobs: list[bytes]) -> tuple[dict, dict]:
+    """The opener of a pickled eager field's tiles: parse each blob."""
+    return {blob: RefactoredField.from_bytes(blob) for blob in blobs}, {}
 
 
 class LazyTiledField(TiledField):
@@ -278,11 +287,11 @@ class LazyTiledField(TiledField):
     ``tile_bytes`` — the per-tile stored sizes recorded at write time —
     lets :meth:`total_bytes` answer without opening a single tile.
 
-    Tiles open through ``open_field(store, name, cache=, verify=)``. The
-    field pickles as its index metadata plus *store* and *verify* —
-    never the cache, never an opened tile — so a process worker rebuilds
-    any tile from its own copy, reading the store directly and without
-    re-reading the ``<name>.tiles`` record.
+    Tiles open in batches through ``open_fields(store, names, cache=,
+    verify=)``. The field pickles as its index metadata plus *store*
+    and *verify* — never the cache, never an opened tile — so a process
+    worker rebuilds any tile from its own copy, reading the store
+    directly and without re-reading the ``<name>.tiles`` record.
     """
 
     def __init__(
@@ -306,8 +315,11 @@ class LazyTiledField(TiledField):
         # A partial, not a bound method or closure over self: either
         # would close a field -> fields -> opener -> field cycle and
         # leave dropped sessions to the cyclic collector.
+        # One resolver for every tile, so a tile batch's plane groups
+        # go out in one request with or without a shared cache.
         opener = functools.partial(
-            open_field, store, cache=cache, verify=verify
+            open_fields, store, verify=verify,
+            cache=_ColdResolver(store) if cache is None else cache,
         )
         super().__init__(
             shape=tuple(shape),
@@ -572,34 +584,38 @@ class TiledReconstructionResult(tuple):
 def _task_decode_tile(state, session, token, position, window, tol, on_fault):
     """Process-backend task: one tile's progressive reconstruction step.
 
-    The worker runs the engine itself: a plain serial
-    :class:`TiledReconstructor` over the session's shared field (shipped
-    once per worker under *token*), built on first use and kept resident
-    under the session's key, so each tile's warm reconstructor — decode
-    partials, fetch progress, counters — is reused across staircase
-    steps; sticky dispatch lands a tile on the same worker every time.
-    A worker that lost its state (respawned, or a replaced pool) simply
-    builds a fresh engine from the shared field and the tile starts from
-    scratch, bit-identically. *window* is the tile-local overlap as
-    ``(start, stop)`` pairs — message payloads stay plain ints. Returns
-    the tile outcome ``(block, bound, degraded, groups)`` plus the
-    tile's counters as plain ints (``None`` while the tile never
-    opened).
+    The worker runs a plain serial :class:`TiledReconstructor` over the
+    session's shared field (shipped once per worker under *token*),
+    resident under the session's key, so each tile's warm reconstructor
+    is reused across steps (sticky dispatch lands a tile on the same
+    worker); a worker that lost it rebuilds from the shared field and
+    the tile restarts bit-identically. The tile is a one-tile batch.
+    *window* is the tile-local overlap as ``(start, stop)`` pairs:
+    payloads stay plain ints. Returns the outcome ``(block, bound,
+    degraded, groups)`` and the tile's counters as plain ints (``None``
+    while the tile never opened).
     """
     engine = state.get(("tiled-session", session))
     if engine is None:
         engine = state[("tiled-session", session)] = TiledReconstructor(
             worker_shared(state, token)
         )
-    job = (position, (tuple(slice(lo, hi) for lo, hi in window), None))
-    block, *rest = engine._decode_tile(
-        job, engine._fetch_tile(job, tol, on_fault), on_fault
-    )
+    batch = [(position, (tuple(slice(lo, hi) for lo, hi in window), None))]
+    block, *rest = engine._decode_batch(
+        batch, engine._fetch_batch(batch, tol), on_fault
+    )[0]
     recon = engine._recons.get(position)
     return (
         (np.ascontiguousarray(block), *rest),
         None if recon is None else astuple(recon.counters()),
     )
+
+
+def _batches(jobs: list, count: int) -> list[list]:
+    """*jobs* in ``count`` contiguous batches (at least one job each)."""
+    count = min(max(count, 1), len(jobs))
+    bounds = [len(jobs) * i // max(count, 1) for i in range(count + 1)]
+    return [jobs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 class TiledReconstructor(ClosesOnExit):
@@ -611,33 +627,26 @@ class TiledReconstructor(ClosesOnExit):
     until a reconstruction actually needs a tile. Same-geometry tiles
     share one :class:`~repro.decompose.MultilevelTransform`.
 
-    A tile's step is one body — the fetch stage (:meth:`_fetch_tile`:
-    open + ``plan_step`` + ``fetch_step``, faults captured) and the
-    decode stage (:meth:`_decode_tile`: ``decode_step(fetch_error=)``)
-    — and every route runs those two functions: the sequential route
-    composes them per tile (serial, or ``num_workers > 1`` tiles at a
-    time on the instance's thread pool), the pipelined window runs
-    fetch two wide on that same pool and decode on the caller thread,
-    and a process worker calls them on its own resident engine
-    (:func:`_task_decode_tile`) — one body by construction. The
-    instance's pool therefore serves one purpose per engine: the tile
-    fan-out when ``pipelined`` is false, the window's fetch stage when
-    it is true. On every route a failed step returns only once nothing
-    it started is still running.
+    The unit of work is a tile batch, and its step is one body: the
+    fetch stage (:meth:`_fetch_batch`: open, plan, one segment request,
+    faults captured) and the decode stage (:meth:`_decode_batch`: one
+    ``Reconstructor.decode_steps`` call). The sequential route runs one
+    batch of every selected tile (``threads:N``: N batches on the
+    instance's pool), the pipelined window streams ``FETCH_WORKERS``
+    batches with fetch on that pool and decode on the caller thread,
+    and a process worker runs one-tile batches on its resident engine
+    (:func:`_task_decode_tile`). On every route a failed step returns
+    only once nothing it started is still running.
 
-    ``pipelined=True`` overlaps each tile's segment *fetch* with other
-    tiles' *decode* through the bounded
-    :func:`~repro.pipeline.retrieval.run_window` — the
-    paper's Fig. 4 stage overlap on the real retrieval stack. On a
-    latency-bearing store a staircase step then pays ≈max(fetch,
-    decode) instead of their sum, with bit-identical results, counters,
-    and fault semantics (each tile's store accesses stay one sequential
-    chain in the sequential path's exact order). With more than one
-    tile selected the window replaces the ``threads`` tile fan-out
-    (decode is then inline; single-tile steps stay sequential). The
-    process backend ignores the flag: its worker-resident sessions
-    already overlap store I/O across workers, and tile state must live
-    in exactly one place.
+    ``pipelined=True`` overlaps one batch's segment *fetch* with
+    another's *decode* through the bounded
+    :func:`~repro.pipeline.retrieval.run_window` — the paper's Fig. 4
+    stage overlap on the real retrieval stack: on a latency-bearing
+    store a step pays ≈max(fetch, decode) instead of their sum, with
+    bit-identical results, counters and fault semantics (per-key access
+    order is the sequential route's). It applies to multi-tile steps;
+    the process backend ignores it (its workers overlap store I/O
+    across the pool, and tile state must live in exactly one place).
     """
 
     def __init__(
@@ -685,16 +694,9 @@ class TiledReconstructor(ClosesOnExit):
         return transform
 
     def _reconstructor_for(self, position: int) -> Reconstructor:
-        """Tile *position*'s reconstructor, built on first touch.
-
-        Touching a lazily-opened tiled field here also opens the tile's
-        sub-field (one index fetch); untouched tiles stay unopened.
-        Runs inside the per-tile fetch stage, so first-touch opens of
-        different tiles — store I/O on a lazy field — overlap across
-        the fetch or worker pool instead of serializing up front.
-        Construction happens outside the memo lock; positions are unique
-        per step, so duplicate construction cannot arise within one call.
-        """
+        """Tile *position*'s reconstructor, built on first touch (the
+        fetch stage has opened the tile's field). Positions are unique
+        per step, so construction outside the lock cannot duplicate."""
         with self._state_lock:
             recon = self._recons.get(position)
         if recon is None:
@@ -810,41 +812,39 @@ class TiledReconstructor(ClosesOnExit):
         selected = self.tiled.tiles_overlapping(region_slices)
         jobs = [(pos, overlap) for pos, _, overlap in selected]
 
-        fetch = functools.partial(
-            self._fetch_tile, tol=tol, on_fault=on_fault
-        )
-        decode = functools.partial(self._decode_tile, on_fault=on_fault)
         spec = resolve_backend(self.backend, self.num_workers)
         if (
             spec.kind == "processes" and spec.workers > 1
             and self.tiled.num_tiles > 1
         ):
             # Worker-resident tile state lives in exactly one place, so
-            # a multi-tile field takes this route on every step once
-            # resolved to it; a one-tile field (an untiled variable)
-            # has nothing to fan out and stays here, reading through
-            # the caller's cache. ``pipelined`` is inert: workers fetch
-            # store-side, overlapping I/O across the pool.
+            # a multi-tile field takes this route on every step; a
+            # one-tile field stays here, reading through the caller's
+            # cache. ``pipelined`` is inert: workers overlap store I/O.
             outcomes = self._decode_tiles_processes(
                 jobs, tol, on_fault, shared_process_backend(spec.workers)
             )
-        elif self.pipelined and len(jobs) > 1:
-            # Stage overlap (Fig. 4): fetches run up to a window of
-            # tiles ahead, two at a time on the instance's pool; decode
-            # and the in-stream commit stay on this thread — serial and
-            # ``threads`` engines alike — so each block is stitched and
-            # released at once (resident decoded data stays O(window)).
-            outcomes = run_window(
-                self._threads.executor(FETCH_WORKERS), jobs, fetch, decode,
-                commit=functools.partial(self._commit_tile, out=out),
-            )
         else:
-            # The same two stages, composed per tile. First-touch opens
-            # happen inside the fan-out: on a store-backed field the
-            # per-tile index fetches overlap across worker threads.
-            outcomes = self._threads.map(
-                lambda job: decode(job, fetch(job)), jobs, spec.threads
-            )
+            fetch = functools.partial(self._fetch_batch, tol=tol)
+            decode = functools.partial(self._decode_batch, on_fault=on_fault)
+            if self.pipelined and len(jobs) > 1:
+                # Stage overlap (Fig. 4) over FETCH_WORKERS tile batches:
+                # their fetches run on the instance's pool while this
+                # thread decodes and commits — serial and ``threads``
+                # engines alike — stitching and releasing each batch's
+                # blocks at once (resident decoded data stays O(window)).
+                batched = run_window(
+                    self._threads.executor(FETCH_WORKERS),
+                    _batches(jobs, FETCH_WORKERS), fetch, decode,
+                    commit=functools.partial(self._commit_batch, out=out),
+                )
+            else:
+                # One batch, or ``threads:N`` batches on the pool.
+                batched = self._threads.map(
+                    lambda batch: decode(batch, fetch(batch)),
+                    _batches(jobs, spec.threads), spec.threads,
+                )
+            outcomes = [outcome for batch in batched for outcome in batch]
         worst = 0.0
         degraded = False
         failed_tiles: list[int] = []
@@ -866,52 +866,57 @@ class TiledReconstructor(ClosesOnExit):
             failed_groups=failed_groups,
         )
 
-    def _fetch_tile(self, job, tol, on_fault):
-        """Fetch stage: first-touch open + plan + segment resolution.
-
-        Returns ``(reconstructor, step, fault)``. Expected store faults
-        are *captured*, not raised, so under the pipelined window they
-        surface at decode time in tile order — the failure the
-        sequential route would pick — and so the faulted fetch is never
-        retried (a retry would shift per-key access counts and
-        desynchronize seeded fault schedules). A fault before the tile
-        ever opened returns ``(None, None, exc)`` under ``degrade`` (the
-        zeros/inf tile); plan-time faults always raise.
+    def _fetch_batch(self, batch, tol):
+        """Fetch stage of a tile batch: its unopened tiles open together
+        (one request for their index records), each tile plans, and all
+        missing plane groups go out in one more (keys in job order, then
+        level, then group). Returns ``(reconstructor, step, fault)`` per
+        job (no reconstructor: the tile failed to open). Store faults
+        are captured, to surface at decode time in job order, never
+        retried (a retry would shift per-key access counts and seeded
+        fault schedules); plan-time faults raise.
         """
-        position = job[0]
-        try:
-            recon = self._reconstructor_for(position)
-        except StoreError as exc:
-            if on_fault != "degrade":
-                raise
-            return None, None, exc
-        step = recon.plan_step(tol)
-        try:
-            recon.fetch_step(step)
-        except StoreError as exc:
-            return recon, step, exc
-        return recon, step, None
+        positions = [pos for pos, _ in batch]
+        fields = self.tiled.fields
+        faults = (fields.open(positions)
+                  if isinstance(fields, _LazyTileFields) else {})
+        fetched = []
+        for pos in positions:
+            recon = None if pos in faults else self._reconstructor_for(pos)
+            fetched.append((recon, recon and recon.plan_step(tol),
+                            faults.get(pos)))
+        errors = iter(fetch_fields([
+            (recon.field, list(zip(recon.fetched_groups, step.groups)))
+            for recon, step, _ in fetched if recon
+        ]))
+        return [(recon, step, next(errors) if recon else fault)
+                for recon, step, fault in fetched]
 
-    def _decode_tile(self, job, fetched, on_fault):
-        """Decode stage: one tile's plane-group decompress + commit.
-
-        A fetch fault captured upstream replays through ``decode_step``,
-        so the ``on_fault`` policy (raise, or degrade to the last
-        committed refinement) is decided in one place for every route.
+    def _decode_batch(self, batch, fetched, on_fault):
+        """Decode stage of a tile batch: one
+        :meth:`~repro.core.reconstruct.Reconstructor.decode_steps` call,
+        so ``on_fault`` is decided in one place for every route. Returns
+        ``(block, bound, degraded, groups)`` per job; a tile that never
+        opened degrades to zeros, or under ``"raise"`` ends the batch
+        once the tiles before it have committed.
         """
-        _, (tile_local, _) = job
-        recon, step, fault = fetched
-        if recon is None:
-            return self._unopened_outcome(tile_local)
-        result = recon.decode_step(
-            step, on_fault=on_fault, fetch_error=fault
-        )
-        return (
-            result.data[tile_local],
-            result.error_bound,
-            result.degraded,
-            result.failed_groups,
-        )
+        live = []
+        for recon, step, fault in fetched:
+            if recon is None and on_fault != "degrade":
+                Reconstructor.decode_steps(live, on_fault)
+                raise fault
+            if recon is not None:
+                live.append((recon, step, fault))
+        results = iter(Reconstructor.decode_steps(live, on_fault))
+        outcomes = []
+        for (_, (tile_local, _)), (recon, _, _) in zip(batch, fetched):
+            if recon is None:
+                outcomes.append(self._unopened_outcome(tile_local))
+            else:
+                result = next(results)
+                outcomes.append((result.data[tile_local], result.error_bound,
+                                 result.degraded, result.failed_groups))
+        return outcomes
 
     def _unopened_outcome(self, tile_local):
         """Degraded outcome of a tile with no committed refinement.
@@ -924,12 +929,13 @@ class TiledReconstructor(ClosesOnExit):
         shape = tuple(loc.stop - loc.start for loc in tile_local)
         return np.zeros(shape, dtype=self.tiled.dtype), math.inf, True, None
 
-    def _commit_tile(self, job, outcome, out):
-        """Commit stage: stitch the block, then drop it (O(window))."""
-        _, (_, region_local) = job
-        block, *rest = outcome
-        out[region_local] = block
-        return None, *rest
+    def _commit_batch(self, batch, outcomes, out):
+        """Commit stage: stitch the batch's blocks, then drop them."""
+        committed = []
+        for (_, (_, region_local)), (block, *rest) in zip(batch, outcomes):
+            out[region_local] = block
+            committed.append((None, *rest))
+        return committed
 
     def _decode_tiles_processes(
         self, jobs: list[tuple], tol: float | None, on_fault: str, backend

@@ -107,23 +107,25 @@ class MultilevelTransform:
         (which must then be an owned, writeable float64 C-array — e.g.
         fresh from :meth:`assemble_levels`), skipping the defensive
         copy; the per-step hot path of progressive reconstruction uses
-        this.
+        this. A ``(K, *shape)`` stack recomposes K fields at once, with
+        the same arithmetic per element as K separate calls.
         """
+        lead = (slice(None),) * (np.ndim(coeffs) - len(self.shape))
         if (
             overwrite
             and isinstance(coeffs, np.ndarray)
             and coeffs.dtype == np.float64
-            and coeffs.shape == self.shape
+            and coeffs.shape[len(lead):] == self.shape
             and coeffs.flags.c_contiguous
             and coeffs.flags.writeable
         ):
             data = coeffs
         else:
-            data = self._prepare(coeffs)
+            data = self._prepare(coeffs, batched=bool(lead))
         shapes = self.geometry.corner_shapes()
         for step in range(self.num_levels - 1, -1, -1):
-            block = data[tuple(slice(0, s) for s in shapes[step])]
-            self._recompose_level(block, step, absolute=False)
+            block = data[lead + tuple(slice(0, s) for s in shapes[step])]
+            self._recompose_level(block, step, False, batch_axes=len(lead))
         return data
 
     def recompose_absolute(self, coeffs: np.ndarray) -> np.ndarray:
@@ -176,10 +178,10 @@ class MultilevelTransform:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _prepare(self, data: np.ndarray) -> np.ndarray:
+    def _prepare(self, data: np.ndarray, batched: bool = False) -> np.ndarray:
         data = np.asarray(data)
         check_dtype_floating(data)
-        if data.shape != self.shape:
+        if (data.shape[1:] if batched else data.shape) != self.shape:
             raise ValueError(
                 f"data shape {data.shape} does not match transform shape "
                 f"{self.shape}"
@@ -193,10 +195,11 @@ class MultilevelTransform:
             self._decompose_axis(block, axis)
 
     def _recompose_level(
-        self, block: np.ndarray, step: int, absolute: bool
+        self, block: np.ndarray, step: int, absolute: bool,
+        batch_axes: int = 0,
     ) -> None:
         for axis in reversed(self.geometry.halved_axes(step)):
-            self._recompose_axis(block, axis, absolute)
+            self._recompose_axis(block, axis + batch_axes, absolute)
 
     def _decompose_axis(self, block: np.ndarray, axis: int) -> None:
         v = np.moveaxis(block, axis, 0)

@@ -11,14 +11,14 @@ onto host-side resources instead of DMA engines:
 =================  ====================================================
 Fig. 4 stage       Retrieval runtime stage
 =================  ====================================================
-``I`` (input)      segment fetch: store I/O through the lazy field's
-                   resolver (:class:`~repro.core.service.SegmentCache`,
-                   :class:`~repro.core.faults.ResilientReader`), run on
-                   the engine's two-wide fetch stage
-``X`` (lossless)   plane-group decompress + bitplane injection, on the
-                   caller thread
-``R``/``O``        recompose + commit of the decoded block into the
-                   stitched output, on the caller thread
+``I`` (input)      segment fetch, one request per tile batch, through
+                   the lazy fields' resolver (:class:`~repro.core
+                   .service.SegmentCache`, :class:`~repro.core.faults
+                   .ResilientReader`), on the two-wide fetch stage
+``X`` (lossless)   plane-group decompress + bitplane injection over the
+                   batch, on the caller thread
+``R``/``O``        one recompose of the batch + commit of its blocks
+                   into the stitched output, on the caller thread
 =================  ====================================================
 
 The window rules implement the DAG edges: a work item's fetch may start
@@ -34,12 +34,14 @@ foundation of the chaos-parity guarantee. A stage failure drains the
 in-flight window and then surfaces on the earliest item, exactly where
 the sequential route would have raised it.
 
-The work item is a tile: :class:`~repro.core.tiling.TiledReconstructor`
-hands :func:`run_window` its two per-tile stage functions — the same
-two its sequential route composes as ``decode(job, fetch(job))`` — and
-the executor of the thread pool it owns, which on a pipelined engine
-runs nothing but this fetch stage. The window and fetch-stage widths
-live here and nowhere else, as :data:`WINDOW` and :data:`FETCH_WORKERS`.
+The work item is a tile batch: :class:`~repro.core.tiling
+.TiledReconstructor` splits a step's tiles into :data:`FETCH_WORKERS`
+batches and hands :func:`run_window` its two batch stage functions —
+the same two its sequential route composes as ``decode(batch,
+fetch(batch))`` — and the executor of the thread pool it owns, which on
+a pipelined engine runs nothing but this fetch stage. The window and
+fetch-stage widths live here and nowhere else, as :data:`WINDOW` and
+:data:`FETCH_WORKERS`.
 """
 
 from __future__ import annotations
@@ -47,11 +49,12 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import wait
 
-#: Tiles in flight at once: fetched or decoding, not yet committed.
+#: Items (tile batches) in flight at once: fetched or decoding, not yet
+#: committed.
 WINDOW = 4
-#: Width of the fetch stage. Store I/O blocks on the network/disk and
-#: releases the GIL, so a couple of fetch threads overlap many tiles'
-#: latency.
+#: Width of the fetch stage, and the tile batches a pipelined step is
+#: split into. Store I/O blocks on the network/disk and releases the
+#: GIL, so a couple of fetch threads overlap many tiles' latency.
 FETCH_WORKERS = 2
 
 

@@ -1,5 +1,7 @@
 """Tests for the retrieval planner."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,10 @@ from repro.core.planner import (
     plan_round_robin,
 )
 from repro.core.refactor import RefactorConfig, refactor
+from repro.core.store import MemoryStore, open_field, store_field
+from repro.core.stream import LazyLevelStream, LevelStream, SegmentRef
 from repro.data import generators as gen
+from repro.lossless.hybrid import CompressedGroup
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +116,58 @@ class TestHelpers:
         assert big.covers(small)
         if big.fetched_bytes > small.fetched_bytes:
             assert not small.covers(big)
+
+
+class TestPrefixSumMetadata:
+    """A lazy level answers ``bytes_for_groups`` / ``planes_in_groups``
+    from prefix sums (built once its plane counts are known) and
+    ``error_bound_for_groups`` from a memo, with the same numbers the
+    plain sums over its refs give, pre-metadata refs included, and the
+    planner's output does not move."""
+
+    @staticmethod
+    def _level(refs, planes):
+        def fetch(wanted):
+            for seq, index, key in wanted:
+                seq.memoize(index, CompressedGroup(
+                    "direct", b"", (1,) * planes[index], 0).to_bytes())
+
+        return LazyLevelStream(
+            level=0, num_elements=8, num_bitplanes=64, exponent=0,
+            max_abs=1.0, layout="natural", warp_size=32, refs=refs,
+            fetch=fetch,
+        )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sums_equal_plain_sums_over_random_refs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 12))
+        planes = [int(p) for p in rng.integers(1, 9, n)]
+        known = rng.random(n) < (0.5 if seed % 2 else 1.0)
+        refs = [SegmentRef(f"k{i}", int(rng.integers(0, 500)),
+                           planes[i] if known[i] else None)
+                for i in range(n)]
+        nbytes = [r.nbytes for r in refs]
+        level = self._level(refs, planes)
+        for g in [int(x) for x in rng.permutation(n + 3)] * 2:
+            assert level.bytes_for_groups(g) == sum(nbytes[:g])
+            assert level.planes_in_groups(g) == sum(planes[:g])
+            # the memoized bound is the unmemoized computation
+            assert level.error_bound_for_groups(g) == (
+                LevelStream.error_bound_for_groups(level, g))
+        assert level.planes_in_groups(n) == sum(planes)
+
+    @pytest.mark.parametrize("drop_metadata", [False, True])
+    def test_plan_greedy_unchanged(self, field, drop_metadata):
+        store = MemoryStore()
+        index = store_field(store, field)
+        if drop_metadata:  # a pre-metadata index: planes resolve lazily
+            index["segments"] = {}
+            store.put(f"{field.name}.index", json.dumps(index).encode())
+        lazy = open_field(store, field.name)
+        start = [0] * len(field.levels)
+        for tol in (1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 0.0):
+            want = plan_greedy(field, tol, start=start)
+            got = plan_greedy(lazy, tol, start=start)
+            assert got == want
+            start = [g // 2 for g in want.groups_per_level]

@@ -43,9 +43,13 @@ from repro.core.store import (
     store_field,
     store_tiled_field,
 )
-from repro.core.tiling import TiledReconstructor, TiledRefactorer
+from repro.core.tiling import (
+    TiledReconstructor,
+    TiledRefactorer,
+    normalize_region,
+)
 from repro.data import generators as gen
-from repro.pipeline.retrieval import run_window
+from repro.pipeline.retrieval import FETCH_WORKERS, run_window
 
 pytestmark = pytest.mark.backend
 
@@ -291,7 +295,8 @@ class TestSingleFetchSeam:
         """``reconstruct()`` on every route touches, per field, exactly
         the keys the three stage calls touch, in the same order, with
         the same planted fault degrading the same step — and its
-        ``decode_step`` calls read nothing."""
+        ``decode_steps`` calls (every route's decode body) read
+        nothing."""
         clean = _recording_store(reference_field, reference_tiled)
         for field in _route_fields(route, clean):
             recon = Reconstructor(field)
@@ -319,18 +324,18 @@ class TestSingleFetchSeam:
         routed = _recording_store(reference_field, reference_tiled)
         routed.faulty = set(faulty)
         decode_reads = []
-        real_decode_step = Reconstructor.decode_step
+        real_decode_steps = Reconstructor.decode_steps
 
-        def counting_decode_step(self, step, **kwargs):
-            prefix = self.field.name + "."
-            before = sum(k.startswith(prefix) for k in list(routed.log))
-            out = real_decode_step(self, step, **kwargs)
-            after = sum(k.startswith(prefix) for k in list(routed.log))
+        def counting_decode_steps(items, on_fault="raise"):
+            prefixes = tuple(recon.field.name + "." for recon, *_ in items)
+            before = sum(k.startswith(prefixes) for k in list(routed.log))
+            out = real_decode_steps(items, on_fault)
+            after = sum(k.startswith(prefixes) for k in list(routed.log))
             decode_reads.append(after - before)
             return out
 
-        monkeypatch.setattr(Reconstructor, "decode_step",
-                            counting_decode_step)
+        monkeypatch.setattr(Reconstructor, "decode_steps",
+                            staticmethod(counting_decode_steps))
         engine = _route_engine(route, routed)
         results = [engine.reconstruct(tolerance=tol, on_fault="degrade")
                    for tol in SEAM_STAIRCASE]
@@ -541,6 +546,50 @@ class TestServicePipelined:
         assert seq.stats() == pip.stats()
         seq_svc.close()
         pip_svc.close()
+
+
+class TestOneRequestPerTileBatch:
+    """A tile batch is one store request: the sequential route sends a
+    step's plane groups in one request, the pipelined route in one per
+    batch (``min(FETCH_WORKERS, tiles)``), ``threads:N`` in N; a tile's
+    first touch adds one request per batch for the index records. A
+    latency-charging store charges once per request, so its charges
+    count requests exactly."""
+
+    ROUTES = [("serial", False, 1), ("serial", True, FETCH_WORKERS),
+              ("threads:3", False, 3)]
+
+    @pytest.mark.parametrize("backend,pipelined,width", ROUTES)
+    def test_requests_per_step(self, reference_tiled, backend, pipelined,
+                               width):
+        store = FaultInjectingStore(_fresh_tiled_store(reference_tiled),
+                                    latency_s=1.0, sleep=lambda s: None)
+        svc = RetrievalService(store)
+        session = svc.session("rho", backend=backend, pipelined=pipelined)
+        tiles = len(session.tiled.tiles_overlapping(
+            normalize_region(ROI, session.tiled.shape)))
+        batches = min(width, tiles)
+        for step, tol in enumerate(STAIRCASE):
+            before = store.injected_latency_s
+            session.reconstruct(tolerance=tol, region=ROI)
+            requests = store.injected_latency_s - before
+            assert requests == batches * (2 if step == 0 else 1), step
+        session.close()
+        svc.close()
+
+    def test_one_tile_step_is_one_request(self, reference_tiled):
+        store = FaultInjectingStore(_fresh_tiled_store(reference_tiled),
+                                    latency_s=1.0, sleep=lambda s: None)
+        recon = TiledReconstructor(open_tiled_field(store, "rho"),
+                                   backend="serial", pipelined=True)
+        one_tile = (slice(0, 12), slice(0, 12), slice(0, 12))
+        before = store.injected_latency_s
+        recon.reconstruct(STAIRCASE[0], region=one_tile)
+        assert store.injected_latency_s - before == 2  # index, groups
+        before = store.injected_latency_s
+        recon.reconstruct(STAIRCASE[1], region=one_tile)
+        assert store.injected_latency_s - before == 1
+        recon.close()
 
 
 class TestInstalledPackageImports:

@@ -210,7 +210,10 @@ class TestFieldsPickle:
         copy = pickle.loads(pickle.dumps(lazy))
         assert isinstance(copy, LazyTiledField)
         assert copy.opened_tiles == []
-        assert copy.fields._opener.keywords["cache"] is None
+        # no cache: the copy's tiles share a cold resolver of its store
+        resolver = copy.fields._opener.keywords["cache"]
+        assert resolver is not service.cache
+        assert resolver._store is copy.fields._opener.args[0]
         assert copy.tile_field_names == lazy.tile_field_names
         assert copy.total_bytes() == lazy.total_bytes()
         # the copy reads its own store copy: no ``.tiles`` re-read at
