@@ -73,7 +73,7 @@ from repro.core.tiling import (
 from repro.data import generators as gen
 from repro.gpu.device import H100
 from repro.gpu.hdem import HostDeviceModel
-from repro.pipeline.retrieval import FETCH_WORKERS, WINDOW
+from repro.pipeline.retrieval import FETCH_WORKERS
 from repro.pipeline.scheduler import StageCosts, pipeline_speedup
 
 pytestmark = pytest.mark.bench
@@ -254,8 +254,8 @@ def _bench_roi_staircase(store, tolerances, region, repeats: int) -> dict:
     # at most ``fetch_workers`` fetches overlap and decode+commit share
     # the caller thread, so ideal <= wall structurally and the ratio
     # lands in (0, 1] regardless of machine noise between runs. The
-    # window sizes recorded are the module's two constants, the one
-    # place they are written and the only pair an engine can run with.
+    # fetch width recorded is the module's constant, the one place it
+    # is written and the only width an engine can run with.
     ideal_wall = max(fetch_sum / FETCH_WORKERS, decode_sum + commit_sum)
 
     measured = wall_seq_slow / wall_pip_slow if wall_pip_slow else 0.0
@@ -266,7 +266,6 @@ def _bench_roi_staircase(store, tolerances, region, repeats: int) -> dict:
             normalize_region(region, field.shape))),
         "window_items_per_step": len(stage_seconds["fetch"]) // len(tolerances),
         "tolerances_relative": list(tolerances),
-        "window": WINDOW,
         "fetch_workers": FETCH_WORKERS,
         "segment_reads_per_staircase": reads,
         "injected_latency_per_get_s": latency_s,
@@ -328,7 +327,7 @@ def run(dims: tuple[int, ...] = DIMS,
 def _report(results: dict) -> None:
     r = results["roi_staircase"]
     print(f"\n== pipelined ROI staircase ({r['tiles_in_region']} tiles, "
-          f"window {r['window']}, {r['fetch_workers']} fetch workers, "
+          f"{r['fetch_workers']} fetch workers, "
           f"best-of-{results['config']['repeats_best_of']}) ==")
     print(f"fast store : sequential {r['wall_sequential_fast_s']*1e3:8.1f}ms"
           f"   pipelined {r['wall_pipelined_fast_s']*1e3:8.1f}ms   "

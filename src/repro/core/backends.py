@@ -31,12 +31,12 @@ for its prefetch warms. A serial owner never starts a thread.
 
 :class:`ProcessBackend` keeps long-lived daemon workers connected over
 pipes. Tasks are addressed by ``"module:function"`` name (never by
-pickling code objects), inputs travel as pickled arguments or — for
-large tile blocks — through :mod:`multiprocessing.shared_memory`
-buffers, and what an engine's tasks all need — a refactor config, a
-tiled field — is pickled once and shipped *once per worker* via
-:meth:`ProcessBackend.ensure_shared`, so warm per-worker tile engines
-can be rebuilt from it and reused across calls.
+pickling code objects) and take input through two channels: pickled
+call arguments — a write task's tile block and refactor config — and
+objects shipped *once per worker* via
+:meth:`ProcessBackend.ensure_shared` — a read session's tiled field,
+from which warm per-worker tile engines are rebuilt and reused across
+calls.
 Typed exceptions (:mod:`repro.core.errors`) pickle cleanly and are
 re-raised in the parent with their class and arguments intact, so
 retry/degrade classification works identically across the process
@@ -83,8 +83,6 @@ from collections import deque
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor, wait
 
-import numpy as np
-
 from repro.core.errors import (
     ComputeError,
     WorkerCrashedError,
@@ -123,11 +121,6 @@ WORKER_CHAOS_TOKEN = "worker-chaos"
 # consults so an engine configured with num_workers=4 stays serial when
 # it is *itself* running inside a pool worker.
 _IN_WORKER = False
-
-
-def in_worker() -> bool:
-    """True when the current process is a backend worker."""
-    return _IN_WORKER
 
 
 def default_process_workers() -> int:
@@ -359,64 +352,6 @@ def _decode_exc(encoded: tuple) -> BaseException:
     return exc
 
 
-# -- shared-memory tile shipping -------------------------------------------
-
-def share_array(arr: np.ndarray):
-    """Publish a contiguous array in a shared-memory segment.
-
-    Returns the ``SharedMemory`` handle (caller must ``close()`` and
-    ``unlink()`` after the consuming calls complete) — workers attach by
-    name with :func:`attach_shared_block` and copy out only their slice.
-    """
-    from multiprocessing import shared_memory
-
-    arr = np.ascontiguousarray(arr)
-    shm = shared_memory.SharedMemory(create=True, size=max(1, arr.nbytes))
-    view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-    view[...] = arr
-    del view
-    return shm
-
-
-def attach_shared_block(
-    name: str,
-    shape: Sequence[int],
-    dtype_str: str,
-    offset: Sequence[int],
-    extent: Sequence[int],
-) -> np.ndarray:
-    """Copy one tile block out of a shared-memory segment (worker side).
-
-    Attaches, slices ``[offset, offset + extent)``, copies the block to
-    an owned contiguous array, and detaches. The parent created the
-    segment, so the worker-side attach is unregistered from the
-    ``resource_tracker`` (Python registers attach-only handles too,
-    which would otherwise double-unlink the segment).
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # reprolint: disable=R2 -- best-effort tracker fixup; attach still works if unregister fails
-        pass
-    try:
-        full = np.ndarray(
-            tuple(int(s) for s in shape),
-            dtype=np.dtype(dtype_str),
-            buffer=shm.buf,
-        )
-        window = tuple(
-            slice(int(o), int(o) + int(e))
-            for o, e in zip(offset, extent)
-        )
-        block = np.array(full[window], order="C", copy=True)
-        del full
-    finally:
-        shm.close()
-    return block
-
-
 # -- worker main loop ------------------------------------------------------
 
 def _worker_main(task_conn, result_conn) -> None:
@@ -519,7 +454,7 @@ class ProcessBackend(ClosesOnExit):
     """A pool of persistent worker processes addressed by task name.
 
     Workers are daemonic, started lazily on first dispatch, and reused
-    across calls — worker-resident state (shipped configs, warm
+    across calls — worker-resident state (shipped objects, warm
     per-shape refactorers, per-session tile engines) survives between
     :meth:`map_calls` rounds. ``generation`` increments every time the
     worker set is (re)created or a slot respawned and ``uid`` names the
@@ -990,10 +925,6 @@ class ProcessBackend(ClosesOnExit):
         for worker in workers:
             self._reap(worker)
 
-    def call(self, name: str, *args, sticky=None):
-        """One task on one worker; returns its result."""
-        return self.map_calls([(name, args, sticky)])[0]
-
     def broadcast(self, name: str, *args) -> list:
         """Run the task once on *every* worker; results in slot order.
 
@@ -1008,11 +939,11 @@ class ProcessBackend(ClosesOnExit):
     def ensure_shared(self, token: str, obj) -> None:
         """Ship *obj* to every worker exactly once (per pool generation).
 
-        The "ship once" path for refactor configs, tiled fields and
-        store handles: *obj* is pickled once, every worker unpickles
-        its own copy, later calls with the same token are free, and a
-        pool restart (new generation) re-ships on the next call. Tasks
-        read it back with :func:`worker_shared`. The parent keeps the
+        The "ship once" path for tiled fields and fault injectors:
+        *obj* is pickled once, every worker unpickles its own copy,
+        later calls with the same token are free, and a pool restart
+        (new generation) re-ships on the next call. Tasks read it back
+        with :func:`worker_shared`. The parent keeps the
         pickled bytes so a respawned worker can be restored without the
         owning engine re-shipping (or re-serializing) anything.
         """
@@ -1171,13 +1102,10 @@ __all__ = [
     "parse_backend_spec",
     "resolve_backend",
     "default_process_workers",
-    "in_worker",
     "ClosesOnExit",
     "ThreadPool",
     "task_name",
     "worker_shared",
-    "share_array",
-    "attach_shared_block",
     "ProcessBackend",
     # Re-exported from repro.core.errors for backward compatibility
     # (the taxonomy is their home since the self-healing pool).

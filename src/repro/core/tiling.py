@@ -36,8 +36,9 @@ pipelined and process routes differ only in batch size and in which
 thread or process runs them — a process worker holds a serial
 :class:`TiledReconstructor` over the session's field (tiled fields
 pickle, and ship once per worker) and runs one-tile batches on it. The
-write side is the same shape: a process worker holds a serial
-:class:`TiledRefactorer` built from the shared config.
+write side is the same shape: each process call carries its tile block
+and the config, and a worker keeps per-shape
+:class:`~repro.core.refactor.Refactorer` instances keyed by that config.
 """
 
 from __future__ import annotations
@@ -55,11 +56,9 @@ import numpy as np
 from repro.core.backends import (
     ClosesOnExit,
     ThreadPool,
-    attach_shared_block,
     current_process_backend,
     parse_backend_spec,
     resolve_backend,
-    share_array,
     shared_process_backend,
     task_name,
     worker_shared,
@@ -371,27 +370,22 @@ def one_tile_field(
     return tiled
 
 
-def _task_refactor_tile(
-    state, token, shm_name, shape, dtype_str, offset, extent, tile_name
-):
-    """Process-backend task: refactor one tile out of shared memory.
+def _task_refactor_tile(state, config, block, tile_name):
+    """Process-backend task: refactor one tile block under *config*.
 
-    The tile block is copied out of the parent's shared-memory segment
-    (never pickled through the pipe). The worker refactors with the
-    parent's per-shape cache (:func:`_refactorer_for`) built from the
-    :class:`~repro.core.refactor.RefactorConfig` that arrived once per
-    worker under *token* alone — the parent planned the tiles — and kept
-    resident, so boundary tiles of the same shape reuse one refactorer
-    across calls exactly as in the parent. Returns the serialized field,
-    whose byte layout is the cross-backend identity contract.
+    The call carries everything: the parent's
+    :class:`~repro.core.refactor.RefactorConfig` and the tile's
+    contiguous block. The worker keeps one per-shape cache
+    (:func:`_refactorer_for`) per distinct config — a frozen, hashable
+    dataclass, so equal configs share one cache — and boundary tiles
+    of the same shape reuse one refactorer across calls exactly as in
+    the parent. Returns the serialized field, whose byte layout is the
+    cross-backend identity contract.
     """
-    refactorers = state.setdefault(("tiled-refactorer", token), {})
-    block = attach_shared_block(shm_name, shape, dtype_str, offset, extent)
-    refactorer = _refactorer_for(
-        refactorers, worker_shared(state, token),
-        tuple(int(e) for e in extent),
-    )
-    return refactorer.refactor(block, name=tile_name).to_bytes()
+    refactorers = state.setdefault(("tiled-refactorer", config), {})
+    return _refactorer_for(refactorers, config, block.shape).refactor(
+        block, name=tile_name
+    ).to_bytes()
 
 
 def _refactorer_for(
@@ -419,12 +413,11 @@ class TiledRefactorer(ClosesOnExit):
     Fig. 4, with per-shape :class:`~repro.core.refactor.Refactorer`
     instances (transform geometry, error weights) still shared across
     tiles. Resolving to the ``processes`` backend (``backend=`` /
-    ``REPRO_BACKEND``) instead publishes the field in a shared-memory
-    segment and fans tiles out across worker processes — true
-    parallelism, with the config pickled once per worker and warm
-    per-shape refactorers reused across calls. The tile order — and
-    every tile's serialized bytes — of the result is identical under
-    all three backends.
+    ``REPRO_BACKEND``) instead fans tiles out across worker processes
+    — true parallelism: each call carries its tile block and the
+    config, and warm per-shape refactorers are reused across calls.
+    The tile order — and every tile's serialized bytes — of the result
+    is identical under all three backends.
     """
 
     def __init__(
@@ -444,9 +437,6 @@ class TiledRefactorer(ClosesOnExit):
         self.backend = backend
         self._threads = ThreadPool()  # the threads:N tile fan-out
         self._refactorers: dict[tuple[int, ...], Refactorer] = {}
-        # ensure_shared token for shipping the config once per worker;
-        # a fresh UUID so recycled ids can never alias a stale config.
-        self._config_token = f"tiled-refactor-config:{uuid.uuid4().hex}"
 
     def _refactorer_for(self, shape: tuple[int, ...]) -> Refactorer:
         return _refactorer_for(self._refactorers, self.config, shape)
@@ -503,31 +493,23 @@ class TiledRefactorer(ClosesOnExit):
     ) -> list[RefactoredField]:
         """Fan tile refactors out across the process backend.
 
-        The whole field is published once in a shared-memory segment;
-        each call ships only coordinates, and each worker copies out
-        exactly its tile's block. Results come back as serialized
-        fields (the byte-identity contract), deserialized in tile
-        order. The segment is unlinked as soon as the calls settle.
+        Each call carries its tile's contiguous block and the config.
+        Results come back as serialized fields (the byte-identity
+        contract), deserialized in tile order.
         """
-        backend.ensure_shared(self._config_token, self.config)
-        arr = np.ascontiguousarray(data)
-        shm = share_array(arr)
-        try:
-            refactor_name = task_name(_task_refactor_tile)
-            blobs = backend.map_calls([
+        refactor_name = task_name(_task_refactor_tile)
+        blobs = backend.map_calls([
+            (
+                refactor_name,
                 (
-                    refactor_name,
-                    (
-                        self._config_token, shm.name, arr.shape,
-                        arr.dtype.str, tile.offset, tile.shape, tile_name,
-                    ),
-                    None,
-                )
-                for tile, tile_name in jobs
-            ])
-        finally:
-            shm.close()
-            shm.unlink()
+                    self.config,
+                    np.ascontiguousarray(data[tile.slices()]),
+                    tile_name,
+                ),
+                None,
+            )
+            for tile, tile_name in jobs
+        ])
         return [RefactoredField.from_bytes(blob) for blob in blobs]
 
     def close(self) -> None:
@@ -832,7 +814,7 @@ class TiledReconstructor(ClosesOnExit):
                 # their fetches run on the instance's pool while this
                 # thread decodes and commits — serial and ``threads``
                 # engines alike — stitching and releasing each batch's
-                # blocks at once (resident decoded data stays O(window)).
+                # blocks at once.
                 batched = run_window(
                     self._threads.executor(FETCH_WORKERS),
                     _batches(jobs, FETCH_WORKERS), fetch, decode,

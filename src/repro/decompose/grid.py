@@ -86,14 +86,6 @@ class LevelGeometry:
         before, after = shapes[step], shapes[step + 1]
         return [ax for ax in range(self.ndim) if after[ax] != before[ax]]
 
-    def level_shape(self, level: int) -> tuple[int, ...]:
-        """Corner-block shape containing all coefficients up to *level*.
-
-        Level 0 (coarsest) corresponds to the smallest corner block.
-        """
-        shapes = self.corner_shapes()
-        return shapes[self.num_levels - level]
-
     def level_indices(self) -> list[np.ndarray]:
         """Flat C-order indices of each level's coefficients.
 

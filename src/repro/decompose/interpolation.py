@@ -42,14 +42,6 @@ def predict_odd(even: np.ndarray, n: int) -> np.ndarray:
     return pred
 
 
-def merge_even_odd(even: np.ndarray, odd: np.ndarray, n: int) -> np.ndarray:
-    """Interleave even/odd node values back into a length-*n* axis."""
-    out = np.empty((n,) + even.shape[1:], dtype=even.dtype)
-    out[0::2] = even
-    out[1::2] = odd
-    return out
-
-
 def residual_load(detail: np.ndarray, n: int) -> np.ndarray:
     """Load vector ⟨residual, coarse hat functions⟩ for the MGARD correction.
 

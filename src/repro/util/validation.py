@@ -77,10 +77,3 @@ def check_shape_3d(shape: Sequence[int]) -> tuple[int, int, int]:
     if len(shape) != 3 or any(s <= 0 for s in shape):
         raise ValueError(f"expected a positive 3-D shape, got {shape}")
     return shape  # type: ignore[return-value]
-
-
-def as_contiguous_floats(data: Any) -> np.ndarray:
-    """Return *data* as a C-contiguous float array, validating dtype."""
-    arr = np.ascontiguousarray(data)
-    check_dtype_floating(arr)
-    return arr

@@ -59,7 +59,7 @@ from repro.core.errors import (
     WorkerTimeoutError,
 )
 from repro.core.faults import FaultInjectingStore, WorkerChaos
-from repro.core.refactor import refactor
+from repro.core.refactor import RefactorConfig, refactor
 from repro.core.reconstruct import Reconstructor
 from repro.core.service import RetrievalService
 from repro.core.store import (
@@ -248,6 +248,35 @@ class TestRefactorDifferential:
         for built, ref in zip(tiled.fields, reference_tiled.fields):
             assert built.to_bytes() == ref.to_bytes()
         assert tiled.value_range == reference_tiled.value_range
+
+
+def _task_refactorer_caches(state):
+    """Worker-side probe: the config key of every write-side cache."""
+    return [key[1] for key in state
+            if isinstance(key, tuple) and key[0] == "tiled-refactorer"]
+
+
+class TestWriteTasksCarryTheirInput:
+    """A write task's call carries its tile block and its config, so
+    nothing write-side is shipped out of band or piles up per
+    refactorer: equal configs share one worker cache."""
+
+    def test_equal_configs_share_one_worker_cache(self, data):
+        # A config no other test uses, so this test's caches are
+        # the only ones keyed by it.
+        config = RefactorConfig(num_bitplanes=23)
+        backend = shared_process_backend(2)
+        probe = task_name(_task_refactorer_caches)
+        shipped = set(backend._shared_objects)
+        before = backend.broadcast(probe)
+        for _ in range(5):
+            with TiledRefactorer((8, 8, 8), config=config,
+                                 backend="processes:2") as refactorer:
+                refactorer.refactor(data, name="rho")
+        after = backend.broadcast(probe)
+        assert set(backend._shared_objects) <= shipped
+        for held, now in zip(before, after):
+            assert [c for c in now if c not in held] == [config]
 
 
 # -- differential: reconstruction ------------------------------------------
@@ -591,15 +620,17 @@ class TestProcessBackendLifecycle:
             backend.ensure_shared(token, {"answer": 42})
             first = backend.generation
             assert first >= 1
-            got = backend.call(task_name(_read_shared), token)
+            got = backend.map_calls(
+                [(task_name(_read_shared), (token,), None)]
+            )[0]
             assert got == {"answer": 42}
             backend.close()
             # restart: generation bumps, shared state must be re-shipped
             backend.ensure_shared(token, {"answer": 43})
             assert backend.ensure_alive() == first + 1
-            assert backend.call(task_name(_read_shared), token) == {
-                "answer": 43
-            }
+            assert backend.map_calls(
+                [(task_name(_read_shared), (token,), None)]
+            )[0] == {"answer": 43}
         finally:
             backend.close()
 

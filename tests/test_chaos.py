@@ -656,6 +656,39 @@ class TestWorkerKillChaos:
             recon.close()
 
 
+class TestWriteSurvivesWorkerKill:
+    """The write side heals like the read side: a worker killed in the
+    middle of a ``processes:2`` tiled refactor is respawned, its tile
+    retried, and every tile's stream comes back byte-identical to the
+    serial refactor — the kill shows only in the health counters."""
+
+    pytestmark = pytest.mark.backend
+
+    @pytest.mark.parametrize("seed", CHAOS_SEEDS[:2])
+    def test_tiled_refactor_byte_identical_under_worker_kill(
+        self, data, tiled_stored, tmp_path, seed
+    ):
+        _, reference = tiled_stored
+        backend = shared_process_backend(2)
+        chaos = WorkerChaos.single_kill(
+            seed, num_tasks=len(reference.fields), scratch_dir=tmp_path
+        )
+        backend.install_chaos(chaos)
+        before = backend.health()["respawns"]
+        try:
+            with TiledRefactorer((8, 8, 8), num_workers=2,
+                                 backend="processes:2") as refactorer:
+                built = refactorer.refactor(data, name="rho")
+        finally:
+            backend.clear_chaos()
+        assert chaos.total_fired() == 1
+        assert backend.health()["respawns"] == before + 1
+        assert [f.to_bytes() for f in built.fields] == [
+            f.to_bytes() for f in reference.fields
+        ]
+        assert built.value_range == reference.value_range
+
+
 def _task_resident_engine(state, session):
     """Worker-side probe: this worker's resident engine for *session*."""
     engine = state.get(("tiled-session", session))

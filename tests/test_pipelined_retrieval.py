@@ -6,8 +6,8 @@ results, counters, and fault semantics versus the sequential route —
 only wall-clock may differ. This suite proves the claim differentially,
 `test_backends.py`-style: same inputs through both routes, byte-for-byte
 comparison of data and accounting, across decode backends and under
-seeded store faults. Runtime-level tests cover the bounded window,
-in-order commits, and failure draining directly; the fetch-seam tests
+seeded store faults. Runtime-level tests cover item order, in-order
+commits, and failure draining directly; the fetch-seam tests
 pin the one thing every route shares — ``fetch_step`` is the only place
 a step reads the store.
 """
@@ -102,16 +102,10 @@ class TestRunWindowRuntime:
         with ThreadPoolExecutor(max_workers=3) as executor:
             yield executor
 
-    @pytest.mark.parametrize("window", [0, -1])
-    def test_rejects_window_below_one(self, executor, window):
-        with pytest.raises(ValueError, match="window"):
-            run_window(executor, range(3), fetch=lambda i: i,
-                       decode=lambda i, f: f, window=window)
-
     def test_results_keep_item_order(self, executor):
         out = run_window(
             executor, range(10), fetch=lambda i: i * 10,
-            decode=lambda i, f: f + i, window=3,
+            decode=lambda i, f: f + i,
         )
         assert out == [i * 11 for i in range(10)]
 
@@ -120,29 +114,10 @@ class TestRunWindowRuntime:
         out = run_window(
             executor, range(5), fetch=lambda i: i,
             decode=lambda i, f: f * 2,
-            commit=lambda i, v: sink.append(v), window=2,
+            commit=lambda i, v: sink.append(v),
         )
         assert sink == [0, 2, 4, 6, 8]  # committed in item order
         assert out == [None] * 5  # bulky blocks retired, not retained
-
-    def test_window_bounds_fetched_but_undecoded(self, executor):
-        lock = threading.Lock()
-        inflight = {"now": 0, "max": 0}
-
-        def fetch(i):
-            with lock:
-                inflight["now"] += 1
-                inflight["max"] = max(inflight["max"], inflight["now"])
-            return i
-
-        def decode(i, fetched):
-            with lock:
-                inflight["now"] -= 1
-            return fetched
-
-        run_window(executor, range(20), fetch=fetch, decode=decode,
-                   window=3)
-        assert inflight["max"] <= 3
 
     def test_earliest_failure_wins_and_window_drains(self, executor):
         committed, started, finished = [], [], []
@@ -170,9 +145,9 @@ class TestRunWindowRuntime:
 
     def test_executor_is_reusable_across_runs(self, executor):
         assert run_window(executor, [1, 2], fetch=lambda i: i,
-                          decode=lambda i, f: f, window=2) == [1, 2]
+                          decode=lambda i, f: f) == [1, 2]
         assert run_window(executor, [3], fetch=lambda i: i,
-                          decode=lambda i, f: f, window=2) == [3]
+                          decode=lambda i, f: f) == [3]
 
 
 # -- the single fetch seam --------------------------------------------------

@@ -72,7 +72,7 @@ SURFACE = [
     (Session.reconstruct, TILED_STEP),
     (run_window,
      [("executor", REQUIRED), ("items", REQUIRED), ("fetch", REQUIRED),
-      ("decode", REQUIRED), ("commit", None), ("window", 4)]),
+      ("decode", REQUIRED), ("commit", None)]),
     (ThreadPool, []),
     (ThreadPool.executor, [("workers", REQUIRED)]),
     (ThreadPool.map,
@@ -106,7 +106,8 @@ REMOVED_KEYWORDS = [
     (Session.reconstruct, ["pipelined", "plan"]),
     (RefactorConfig, ["num_workers", "backend"]),
     (compress_planes, ["pool"]),
-    (run_window, ["decode_pool", "decode_workers", "fetch_workers"]),
+    (run_window,
+     ["decode_pool", "decode_workers", "fetch_workers", "window"]),
     (RetrievalService, ["num_workers"]),
     (ProcessBackend, ["start_method"]),
 ]
@@ -206,7 +207,7 @@ def test_pool_owners_compose_their_thread_pool():
     for engine in (Refactorer, Reconstructor):
         assert engine.__mro__[1:] == (object,), engine
     assert not hasattr(RetrievalService, "backend")
-    assert repro.pipeline.retrieval.WINDOW == 4
+    assert not hasattr(repro.pipeline.retrieval, "WINDOW")
     assert repro.pipeline.retrieval.FETCH_WORKERS == 2
 
 
