@@ -15,8 +15,9 @@ Three questions the fault-tolerance subsystem must answer with numbers:
   same staircase on the clean store — plus the injected-fault and
   retry counts, and a bit-identity check that recovery never changed
   an answer.
-* **What does losing a worker cost?** The same tiled staircase on the
-  process backend with one seeded mid-run worker kill
+* **What does losing a worker cost?** A tiled refactor on the process
+  backend (the pool's one route: reads run in the caller's process)
+  with one seeded mid-run worker kill
   (:class:`~repro.core.faults.WorkerChaos`) vs the clean parallel run.
   The self-healing pool respawns the dead worker and retries its task;
   the acceptance criterion is a recovered wall within 1.5× of the
@@ -60,11 +61,9 @@ from repro.core.refactor import refactor
 from repro.core.store import (
     DirectoryStore,
     open_field,
-    open_tiled_field,
     store_field,
-    store_tiled_field,
 )
-from repro.core.tiling import TiledReconstructor, TiledRefactorer
+from repro.core.tiling import TiledRefactorer
 from repro.data import generators as gen
 
 pytestmark = pytest.mark.bench
@@ -75,10 +74,12 @@ RESULT_PATH = REPO_ROOT / "BENCH_resilience.json"
 DIMS = (48, 48, 48)
 REPEATS = 5
 TOLERANCES = [1e-1, 1e-2, 1e-3]  # relative staircase
-#: Crash-recovery staircase: deeper, so the one-time kill cost (respawn
-#: + re-decode of the dead worker's resident tile state) is measured
-#: against a realistic progressive session rather than dominating it.
-CRASH_TOLERANCES = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
+#: Crash-recovery refactor: 64 tiles of 24³, long enough (~130 ms on
+#: 2 vCPUs) that one kill's fixed respawn cost is measured against a
+#: realistic write rather than dominating it, with enough tiles per
+#: worker that the retried tile balances out across the pool.
+CRASH_DIMS = (96, 96, 96)
+CRASH_TILE = (24, 24, 24)
 TRANSIENT_RATE = 0.10
 CHAOS_SEED = 7
 
@@ -86,9 +87,9 @@ CHAOS_SEED = 7
 #: the unverified clean cold-read wall.
 MAX_CHECKSUM_OVERHEAD = 0.05
 
-#: Acceptance ceiling: one worker kill (respawn + task retry + the dead
-#: slot's tiles rebuilt) may cost at most this fraction of the clean
-#: parallel wall — i.e. the recovered staircase stays within 1.5x.
+#: Acceptance ceiling: one worker kill (respawn + task retry) may cost
+#: at most this fraction of the clean parallel wall — i.e. the
+#: recovered refactor stays within 1.5x.
 MAX_CRASH_OVERHEAD = 0.5
 
 
@@ -177,42 +178,33 @@ def _bench_recovery(store: MemoryStore, tolerances, repeats: int) -> dict:
     }
 
 
-def _tiled_staircase(store, tolerances, num_workers=0, backend=None):
-    recon = TiledReconstructor(open_tiled_field(store, "rho"),
-                               num_workers=num_workers, backend=backend)
-    try:
-        out = None
-        for tol in tolerances:
-            out = recon.reconstruct(tolerance=tol, relative=True).data
-        return out
-    finally:
-        recon.close()
+def _tiled_refactor(data, tile, backend=None):
+    with TiledRefactorer(tile, num_workers=2, backend=backend) as refactorer:
+        return [f.to_bytes() for f in refactorer.refactor(data, name="rho")
+                .fields]
 
 
 def _bench_crash_recovery(tmp: Path, dims: tuple[int, ...],
-                          tolerances, repeats: int) -> dict:
-    """Tiled staircase on the process backend, one seeded worker kill.
+                          tile: tuple[int, ...], repeats: int) -> dict:
+    """Tiled refactor on the process backend, one seeded worker kill.
 
-    Clean parallel wall vs the wall with a mid-run
-    ``WorkerChaos.single_kill`` (``os._exit``, no cleanup): the pool
-    respawns the dead worker and retries its task, which rebuilds the
-    lost tiles from the shared field. Each crashed repeat gets a fresh marker directory so
-    the kill fires every time, and every recovered staircase is checked
-    bit-identical against the serial reference.
+    Reads run in the caller's process, so the pool's one route is the
+    write side. Clean ``processes:2`` refactor wall vs the wall with a
+    mid-run ``WorkerChaos.single_kill`` (``os._exit``, no cleanup): the
+    pool respawns the dead worker and retries its tile, whose call
+    carries its whole input. Each crashed repeat gets a fresh marker
+    directory so the kill fires every time, and every recovered
+    refactor is checked byte-identical, stream for stream, against the
+    serial refactor.
     """
     data = gen.gaussian_random_field(dims, -5.0 / 3.0, seed=29,
                                      dtype=np.float32)
-    tile = tuple(max(1, d // 2) for d in dims)
-    store = DirectoryStore(tmp / "tiled")
-    tiled = TiledRefactorer(tile).refactor(data, name="rho")
-    store_tiled_field(store, tiled)
-    num_tiles = len(tiled.tiles)
+    reference = _tiled_refactor(data, tile, backend="serial")
+    num_tiles = len(reference)
 
-    reference = _tiled_staircase(store, tolerances)
+    _tiled_refactor(data, tile, backend="processes:2")  # warm the pool
     wall_clean = _best_wall(
-        lambda: _tiled_staircase(store, tolerances,
-                                 num_workers=2, backend="processes:2"),
-        repeats,
+        lambda: _tiled_refactor(data, tile, backend="processes:2"), repeats
     )
 
     backend = shared_process_backend(2)
@@ -227,21 +219,19 @@ def _bench_crash_recovery(tmp: Path, dims: tuple[int, ...],
         backend.install_chaos(chaos)
         try:
             t0 = time.perf_counter()
-            recovered = _tiled_staircase(store, tolerances,
-                                         num_workers=2,
-                                         backend="processes:2")
+            recovered = _tiled_refactor(data, tile, backend="processes:2")
             wall_crashed = min(wall_crashed, time.perf_counter() - t0)
         finally:
             backend.clear_chaos()
         kills_fired += chaos.total_fired()
-        bit_identical = bit_identical and bool(
-            np.array_equal(recovered, reference)
-        )
+        bit_identical = bit_identical and recovered == reference
     respawns = backend.health()["respawns"] - respawns_before
 
     return {
+        "route": "tiled refactor, processes:2",
+        "dims": list(dims),
         "num_tiles": num_tiles,
-        "tolerances_relative": list(tolerances),
+        "tile_shape": list(tile),
         "wall_clean_s": wall_clean,
         "wall_crashed_s": wall_crashed,
         "crash_overhead_fraction": (
@@ -260,14 +250,15 @@ def _bench_crash_recovery(tmp: Path, dims: tuple[int, ...],
 
 def run(dims: tuple[int, ...] = DIMS,
         tolerances: list[float] = TOLERANCES,
-        repeats: int = REPEATS) -> dict:
+        repeats: int = REPEATS,
+        crash_dims: tuple[int, ...] = CRASH_DIMS,
+        crash_tile: tuple[int, ...] = CRASH_TILE) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         store = _build_store(Path(tmp) / "campaign", dims)
         overhead = _bench_checksum_overhead(store, tolerances[-1], repeats)
         recovery = _bench_recovery(store, tolerances, repeats)
-        crash_tols = (tolerances if len(tolerances) < 3
-                      else CRASH_TOLERANCES)
-        crash = _bench_crash_recovery(Path(tmp), dims, crash_tols, repeats)
+        crash = _bench_crash_recovery(Path(tmp), crash_dims, crash_tile,
+                                      repeats)
         return {
             "config": {
                 "dims": list(dims),
@@ -301,7 +292,7 @@ def _report(results: dict) -> None:
           f"retries {r['retries']}, giveups {r['giveups']}, "
           f"bit-identical {r['recovered_bit_identical']}")
     c = results["crash_recovery"]
-    print(f"\n== crash recovery (tiled staircase, {c['num_tiles']} tiles "
+    print(f"\n== crash recovery (tiled refactor, {c['num_tiles']} tiles "
           "on processes:2, one seeded worker kill per run) ==")
     print(f"clean {c['wall_clean_s']*1e3:8.1f}ms   "
           f"crashed {c['wall_crashed_s']*1e3:8.1f}ms   "
@@ -331,7 +322,8 @@ def main(argv: list[str] | None = None) -> None:
     args = sys.argv[1:] if argv is None else argv
     if "--smoke" in args:
         results = run(dims=(16, 16, 16), tolerances=[1e-1, 1e-2],
-                      repeats=2)
+                      repeats=2, crash_dims=(16, 16, 16),
+                      crash_tile=(8, 8, 8))
         assert results["recovery"]["recovered_bit_identical"]
         assert results["recovery"]["injected_transients"] > 0
         assert results["recovery"]["giveups"] == 0

@@ -22,13 +22,17 @@ Two sections, both on the tiled engine (``repro.core.tiling``):
   slab bit for bit at every step (``speedup_roi_fetch_bytes`` is the
   guarded bytes ratio).
 * **parallel vs serial ROI decode** — the same store-backed ROI
-  staircase decoded serially and under each parallel execution backend
-  (threads and true-parallel processes; see ``repro.core.backends``),
-  asserted bit-identical step for step. The headline
-  ``speedup_parallel_*`` keys record the best backend, so on a machine
-  where the GIL nullifies threads the process backend carries the
-  floor, and the per-backend ``ratio_vs_serial_*`` entries record each
-  engine honestly without being regression-guarded.
+  staircase decoded serially and under ``threads`` (reads run in the
+  caller's process; ``processes`` names the write side's pool, so a
+  ``processes`` read is a serial one), asserted bit-identical step for
+  step.
+
+The refactor section measures each parallel execution backend
+(threads and true-parallel processes; see ``repro.core.backends``).
+Its headline ``speedup_parallel_refactor`` records the best backend,
+so on a machine where the GIL nullifies threads the process backend
+carries the floor, and the per-backend ``ratio_vs_serial_*`` entries
+record each engine honestly without being regression-guarded.
 
 Writes ``BENCH_tiles.json`` at the repo root.
 
@@ -83,8 +87,10 @@ PAR_WORKERS = 4
 REPS = 3
 #: Parallel execution backends measured against the serial engine; the
 #: best of them backs the guarded headline speedups. Bare kinds are
-#: sized with the section's worker count.
+#: sized with the section's worker count. Reads measure ``threads``
+#: alone: they run in the caller's process under every backend.
 BACKENDS = ("threads", "processes")
+READ_BACKENDS = ("threads",)
 
 # -- region-of-interest section ---------------------------------------
 ROI_DIMS = (64, 64, 64)
@@ -336,7 +342,9 @@ def run(
         ),
         "parallel_roi_decode": _bench_parallel_roi_decode(
             roi_dims, roi_tile, roi_region, roi_tolerances, reps,
-            par_workers, backends
+            par_workers,
+            [b for b in backends if b.startswith("threads")]
+            or READ_BACKENDS,
         ),
     }
 
@@ -370,8 +378,9 @@ def _check_floors(results: dict) -> None:
     dec = results["parallel_roi_decode"]
     assert roi["roi_bytes_fraction"] <= MAX_ROI_BYTES_FRACTION, roi
     if results["config"]["cpu_count"] >= 2:
-        # With >= 2 CPUs the best backend (the process pool where the
-        # GIL defeats threads) must buy real wall-clock parallelism.
+        # With >= 2 CPUs the best backend (for the refactor, the
+        # process pool where the GIL defeats threads) must buy real
+        # wall-clock parallelism.
         assert (par["speedup_parallel_refactor"]
                 >= MIN_PARALLEL_SPEEDUP), par
         assert (dec["speedup_parallel_roi_decode"]
@@ -430,7 +439,9 @@ def test_tiles_benchmark() -> None:
 
 def _parse_backends(args: list[str]):
     """``--backend KIND[:N]`` (repeatable) restricts the measured
-    parallel backends; default is every kind in ``BACKENDS``."""
+    parallel backends; default is every kind in ``BACKENDS``. The read
+    section measures the ``threads`` ones (``threads`` alone when none
+    is named)."""
     picked = []
     skip = False
     for i, arg in enumerate(args):

@@ -39,7 +39,6 @@ from repro.core.errors import (
     StoreFormatError,
     TransientStoreError,
     WorkerCrashedError,
-    WorkerStateError,
     WorkerTimeoutError,
 )
 from repro.core.faults import (
@@ -110,7 +109,6 @@ __all__ = [
     "StoreFormatError",
     "ComputeError",
     "WorkerCrashedError",
-    "WorkerStateError",
     "WorkerTimeoutError",
     "FaultInjectingStore",
     "WorkerChaos",

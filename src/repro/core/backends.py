@@ -4,10 +4,12 @@ Everything that decides *where* a tiled engine's tiles run lives here:
 the selection rule (:func:`resolve_backend`) and the two mechanisms it
 selects between — :class:`ThreadPool`, a handle its owner holds, and
 :class:`ProcessBackend`, one pool shared process-wide. Untiled engines
-are serial and use neither. ``BENCH_tiles.json`` records what threads
-buy on the tiled refactor hot path: ~0.95x, i.e. nothing — the NumPy
-kernels release the GIL but the Python glue between them does not;
-worker *processes* are the true-parallel route.
+are serial and use neither. Reads run in the caller's process:
+``processes`` names the write side's pool (a tiled refactor), and a
+``processes`` read steps like a serial one. ``BENCH_tiles.json``
+records what threads buy on the tiled refactor hot path: ~0.95x, i.e.
+nothing — the NumPy kernels release the GIL but the Python glue between
+them does not; worker *processes* are the true-parallel write route.
 
 Backend selection (:func:`resolve_backend`) has three tiers, strongest
 first:
@@ -31,12 +33,10 @@ for its prefetch warms. A serial owner never starts a thread.
 
 :class:`ProcessBackend` keeps long-lived daemon workers connected over
 pipes. Tasks are addressed by ``"module:function"`` name (never by
-pickling code objects) and take input through two channels: pickled
-call arguments — a write task's tile block and refactor config — and
-objects shipped *once per worker* via
-:meth:`ProcessBackend.ensure_shared` — a read session's tiled field,
-from which warm per-worker tile engines are rebuilt and reused across
-calls.
+pickling code objects) and take their input as pickled call arguments
+— a write task's tile block and refactor config. The one object
+shipped *once per worker* (:meth:`ProcessBackend.ensure_shared`) is an
+installed fault injector (:meth:`ProcessBackend.install_chaos`).
 Typed exceptions (:mod:`repro.core.errors`) pickle cleanly and are
 re-raised in the parent with their class and arguments intact, so
 retry/degrade classification works identically across the process
@@ -47,22 +47,20 @@ Every live pool of either kind is registered for ``atexit`` teardown
 interpreter shutdown.
 
 The process pool is *self-healing*: a worker that dies mid-task is
-replaced in place (same slot, so sticky routing still lands on it), its
-shared objects are restored onto the replacement, and the in-flight
-task is retried under a bounded per-task budget. That is all the
-healing there is: an engine's task rebuilds whatever was resident from
-the shared object, so engines track nothing about which worker holds
-what, and ``broadcast`` is one :meth:`~ProcessBackend.map_calls` batch
-of one call per worker, not a second recovery loop. A task that keeps
-killing its workers is quarantined — settled as *that call's*
+replaced in place, its shared objects are restored onto the
+replacement, and the in-flight task is retried under a bounded per-task
+budget. That is all the healing there is — a write task carries its
+whole input, so a retry needs nothing else — and ``broadcast`` is one
+:meth:`~ProcessBackend.map_calls` batch of one call per worker, not a
+second recovery loop. A task that keeps killing its workers is
+quarantined — settled as *that call's*
 :class:`~repro.core.errors.WorkerCrashedError` while the rest of the
 batch completes. A hung-but-alive worker is bounded by per-call
 deadlines (``map_calls(..., deadline=)`` or the pool-level default):
 on expiry the worker is killed and respawned and the call settles as a
 :class:`~repro.core.errors.WorkerTimeoutError`. Respawns, retries,
 quarantines, and deadline kills are counted on the backend
-(:meth:`ProcessBackend.health`) and surfaced through
-``RetrievalService.stats()``.
+(:meth:`ProcessBackend.health`).
 """
 
 from __future__ import annotations
@@ -78,7 +76,6 @@ import time
 import traceback
 import uuid
 import weakref
-import zlib
 from collections import deque
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -86,7 +83,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from repro.core.errors import (
     ComputeError,
     WorkerCrashedError,
-    WorkerStateError,
     WorkerTimeoutError,
 )
 
@@ -105,8 +101,8 @@ _POLL_INTERVAL_S = 0.05
 #: dead or condemned worker (and again after the kill).
 _REAP_TIMEOUT_S = 1.0
 #: Budget for restoring shared objects onto a freshly-respawned worker;
-#: a replacement that cannot even unpickle the session state within
-#: this window is a hard failure, not something to heal around.
+#: a replacement that cannot even unpickle them within this window is a
+#: hard failure, not something to heal around.
 _RESPAWN_SHIP_TIMEOUT_S = 30.0
 #: Default per-task crash-retry budget: a task may kill this many
 #: workers and still be retried; one more death quarantines it.
@@ -311,17 +307,6 @@ def _resolve_task(name: str) -> Callable:
     return fn
 
 
-def worker_shared(state: dict, token: str):
-    """A worker-resident object previously shipped via ``ensure_shared``."""
-    try:
-        return state["shared"][token]
-    except KeyError:
-        raise WorkerStateError(
-            f"shared object {token!r} was never shipped to this worker "
-            "(backend restarted mid-session?)"
-        ) from None
-
-
 # -- exception transport ---------------------------------------------------
 
 def _encode_exc(exc: BaseException) -> tuple:
@@ -422,12 +407,6 @@ def _task_drop_shared(state, token):
     return None
 
 
-def _task_drop_session(state, token):
-    for key in [k for k in state if isinstance(k, tuple) and token in k]:
-        state.pop(key, None)
-    return None
-
-
 def _task_ping(state):
     return os.getpid()
 
@@ -436,8 +415,7 @@ def _task_ping(state):
 #: shared-object ship would kill the respawn/recovery machinery itself.
 _MAINTENANCE_TASKS = frozenset(
     f"{__name__}:{fn.__name__}"
-    for fn in (_task_put_shared, _task_drop_shared, _task_drop_session,
-               _task_ping)
+    for fn in (_task_put_shared, _task_drop_shared, _task_ping)
 )
 
 
@@ -455,32 +433,27 @@ class ProcessBackend(ClosesOnExit):
 
     Workers are daemonic, started lazily on first dispatch, and reused
     across calls — worker-resident state (shipped objects, warm
-    per-shape refactorers, per-session tile engines) survives between
-    :meth:`map_calls` rounds. ``generation`` increments every time the
-    worker set is (re)created or a slot respawned and ``uid`` names the
-    pool instance itself; both are telemetry (:meth:`health`). Engines
-    do not key on them: a fresh worker set has shipped nothing, so
-    their next :meth:`ensure_shared` ships again by itself.
+    per-shape refactorers) survives between :meth:`map_calls` rounds.
+    ``generation`` increments every time the worker set is (re)created
+    or a slot respawned and ``uid`` names the pool instance itself; both
+    are telemetry (:meth:`health`) that nothing keys on.
 
-    Dispatch is a barrier: one thread at a time feeds tasks (sticky
-    keys routing related tasks to the same worker, at most one in
-    flight per worker) while draining results, returning only when
-    every call settled. A task failure is re-raised in the parent
-    *after* the drain, with the earliest-submitted failure winning —
-    mirroring the serial loop's first-failure semantics while keeping
-    the pipes consistent.
+    Dispatch is a barrier: one thread at a time feeds tasks
+    (round-robin, at most one in flight per worker) while draining
+    results, returning only when every call settled. A task failure is
+    re-raised in the parent *after* the drain, with the
+    earliest-submitted failure winning — mirroring the serial loop's
+    first-failure semantics while keeping the pipes consistent.
 
     The pool heals itself instead of dying with its workers. A worker
     that crashes mid-task is respawned *in place* — the replacement
-    takes the dead worker's slot so sticky routing is undisturbed, and
-    every ``ensure_shared`` object is restored onto the replacement
-    before it sees a task (tokens stay valid across the respawn). The
-    in-flight task is retried on the replacement, where it rebuilds
-    whatever resident state it needs from those objects, under
-    ``max_task_retries``; a task that outlives its budget is
-    quarantined as that call's :class:`WorkerCrashedError` while the
-    rest of the batch completes (the same local-settlement contract as
-    unpicklable jobs). Deadlines (per ``map_calls`` call or
+    takes the dead worker's slot, and every ``ensure_shared`` object is
+    restored onto the replacement before it sees a task (tokens stay
+    valid across the respawn). The in-flight task is retried on the
+    replacement under ``max_task_retries``; a task that outlives its
+    budget is quarantined as that call's :class:`WorkerCrashedError`
+    while the rest of the batch completes (the same local-settlement
+    contract as unpicklable jobs). Deadlines (per ``map_calls`` call or
     ``default_deadline``) bound hung-but-alive workers: on expiry the
     worker is killed and respawned and the call settles as
     :class:`WorkerTimeoutError`. ``respawns`` / ``task_retries`` /
@@ -588,8 +561,7 @@ class ProcessBackend(ClosesOnExit):
     def _respawn(self, index: int) -> _Worker:
         """Replace the worker in *index*'s slot (call holding the lock).
 
-        The replacement keeps the slot so :meth:`worker_for` sticky
-        routing is undisturbed, and nothing is said to the other
+        The replacement keeps the slot, and nothing is said to the other
         workers, whose resident state stays warm. Shared objects are
         restored synchronously (from their pickled bytes, over
         :meth:`_recv` — the one dispatch that cannot go through
@@ -677,48 +649,35 @@ class ProcessBackend(ClosesOnExit):
             return self.generation
 
     # -- dispatch ---------------------------------------------------------
-    def worker_for(self, key) -> int:
-        """Sticky routing: a stable worker index for *key*.
-
-        Same key, same worker (CRC32 of the key's string form) — the
-        mechanism that keeps a tile's worker-resident decode state on
-        one process across progressive steps.
-        """
-        return zlib.crc32(str(key).encode()) % self.num_workers
-
     def map_calls(
         self,
-        calls: Sequence[tuple[str, tuple, object]],
+        calls: Sequence[tuple[str, tuple]],
         *,
         deadline: float | None = None,
-        settle: bool = False,
     ) -> list:
-        """Run ``(task_name, args, sticky_key)`` calls; results in order.
+        """Run ``(task_name, args)`` calls; results in order.
 
-        ``sticky_key=None`` round-robins; anything else routes through
-        :meth:`worker_for`. Dispatch interleaves feeding and draining
-        with at most one task in flight per worker: a worker only ever
-        receives a task while it is idle in ``recv`` with an empty
-        result pipe, so neither side can block writing a large payload
-        while the other is blocked writing its own (OS pipe buffers are
-        ~64KB — sending a whole batch before draining deadlocks as soon
-        as tasks and results together exceed them).
+        Call *i* goes to worker ``i % num_workers``. Dispatch
+        interleaves feeding and draining with at most one task in
+        flight per worker: a worker only ever receives a task while it
+        is idle in ``recv`` with an empty result pipe, so neither side
+        can block writing a large payload while the other is blocked
+        writing its own (OS pipe buffers are ~64KB — sending a whole
+        batch before draining deadlocks as soon as tasks and results
+        together exceed them).
 
         A worker that dies mid-task is respawned in place and the task
-        retried there (its slot keeps the sticky mapping) under the
-        per-task ``max_task_retries`` budget; past the budget the call
-        is quarantined as a :class:`WorkerCrashedError` and the batch
-        keeps going. *deadline* (falling back to ``default_deadline``;
-        seconds per task attempt) bounds hung-but-alive workers: on
-        expiry the worker is killed and respawned and the call settles
-        as :class:`WorkerTimeoutError`.
+        retried there under the per-task ``max_task_retries`` budget;
+        past the budget the call is quarantined as a
+        :class:`WorkerCrashedError` and the batch keeps going.
+        *deadline* (falling back to ``default_deadline``; seconds per
+        task attempt) bounds hung-but-alive workers: on expiry the
+        worker is killed and respawned and the call settles as
+        :class:`WorkerTimeoutError`.
 
-        Blocks until every call settled. With ``settle=False`` the
-        earliest-submitted failure is then re-raised (typed exceptions
-        survive the boundary intact); ``settle=True`` instead returns
-        one ``(ok, value_or_exception)`` pair per call so the caller —
-        e.g. degraded-mode tiled retrieval — can disposition failures
-        individually without losing the rest of the batch.
+        Blocks until every call settled, then re-raises the
+        earliest-submitted failure (typed exceptions survive the
+        boundary intact).
         """
         if not calls:
             return []
@@ -726,12 +685,8 @@ class ProcessBackend(ClosesOnExit):
         with self._lock:
             workers = self._ensure()
             queues: list[deque] = [deque() for _ in workers]
-            for seq, (name, args, key) in enumerate(calls):
-                index = (
-                    seq % len(workers) if key is None
-                    else self.worker_for(key)
-                )
-                queues[index].append((seq, name, tuple(args)))
+            for seq, (name, args) in enumerate(calls):
+                queues[seq % len(workers)].append((seq, name, tuple(args)))
             self.tasks_dispatched += len(calls)
             results: list = [None] * len(calls)
             failures: list[tuple[int, BaseException]] = []
@@ -862,13 +817,6 @@ class ProcessBackend(ClosesOnExit):
                         and now - sent_at[i] >= effective
                     ):
                         timed_out(i)
-        if settle:
-            outcomes: list[tuple[bool, object]] = [
-                (True, value) for value in results
-            ]
-            for seq, exc in failures:
-                outcomes[seq] = (False, exc)
-            return outcomes
         if failures:
             failures.sort(key=lambda item: item[0])
             raise failures[0][1]
@@ -928,24 +876,24 @@ class ProcessBackend(ClosesOnExit):
     def broadcast(self, name: str, *args) -> list:
         """Run the task once on *every* worker; results in slot order.
 
-        :meth:`map_calls` deals keyless calls round-robin, so call *i*
-        of one call per worker lands on worker *i* — with the same
-        respawn / retry / quarantine / deadline handling as any batch.
+        :meth:`map_calls` deals calls round-robin, so call *i* of one
+        call per worker lands on worker *i* — with the same respawn /
+        retry / quarantine / deadline handling as any batch.
         """
         with self._lock:
             count = len(self._ensure())
-            return self.map_calls([(name, args, None)] * count)
+            return self.map_calls([(name, args)] * count)
 
     def ensure_shared(self, token: str, obj) -> None:
         """Ship *obj* to every worker exactly once (per pool generation).
 
-        The "ship once" path for tiled fields and fault injectors:
-        *obj* is pickled once, every worker unpickles its own copy,
-        later calls with the same token are free, and a pool restart
-        (new generation) re-ships on the next call. Tasks read it back
-        with :func:`worker_shared`. The parent keeps the
-        pickled bytes so a respawned worker can be restored without the
-        owning engine re-shipping (or re-serializing) anything.
+        The "ship once" path of fault injectors (:meth:`install_chaos`):
+        *obj* is pickled once, every worker unpickles its own copy into
+        ``state["shared"][token]``, later calls with the same token are
+        free, and a pool restart (new generation) re-ships on the next
+        call. The parent keeps the pickled bytes so a respawned worker
+        is restored without anyone re-shipping (or re-serializing)
+        anything.
         """
         with self._lock:
             self._ensure()
@@ -1010,16 +958,6 @@ class ProcessBackend(ClosesOnExit):
                 "deadline_kills": self.deadline_kills,
             }
 
-    def drop_session(self, token: str) -> None:
-        """Best-effort release of worker-resident session state."""
-        try:
-            with self._lock:
-                if self._workers is None:
-                    return
-                self.broadcast(task_name(_task_drop_session), token)
-        except Exception:  # reprolint: disable=R2 -- best-effort release; stale session state is reclaimed on respawn
-            pass
-
     def map_jobs(self, fn: Callable, jobs: Sequence) -> list:
         """Order-preserving ``[fn(j) for j in jobs]`` across the workers.
 
@@ -1032,7 +970,7 @@ class ProcessBackend(ClosesOnExit):
         batch still settled and the pool intact.
         """
         apply_name = task_name(_task_apply)
-        return self.map_calls([(apply_name, (fn, job), None) for job in jobs])
+        return self.map_calls([(apply_name, (fn, job)) for job in jobs])
 
 
 # -- shared pool + atexit safety net ---------------------------------------
@@ -1065,16 +1003,6 @@ def shared_process_backend(num_workers: int | None = None) -> ProcessBackend:
         return backend
 
 
-def current_process_backend() -> ProcessBackend | None:
-    """The live shared backend, or ``None`` — never creates one.
-
-    The observability twin of :func:`shared_process_backend`: telemetry
-    callers (``RetrievalService.stats()``) must not spin a pool up just
-    to report that none exists.
-    """
-    return _SHARED_BACKEND
-
-
 def shutdown_all_backends(timeout: float = 1.0) -> None:
     """Stop every live process backend (the ``atexit`` safety net).
 
@@ -1105,15 +1033,12 @@ __all__ = [
     "ClosesOnExit",
     "ThreadPool",
     "task_name",
-    "worker_shared",
     "ProcessBackend",
     # Re-exported from repro.core.errors for backward compatibility
     # (the taxonomy is their home since the self-healing pool).
     "ComputeError",
     "WorkerCrashedError",
-    "WorkerStateError",
     "WorkerTimeoutError",
     "shared_process_backend",
-    "current_process_backend",
     "shutdown_all_backends",
 ]

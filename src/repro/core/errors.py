@@ -20,12 +20,9 @@ pre-taxonomy code leaked (``KeyError`` for missing segments,
 keep working while new callers can classify precisely.
 
 The *compute* tier has its own branch rooted at :class:`ComputeError`:
-the process backend's workers can crash, hang past a deadline, or lose
-worker-resident session state across a respawn. Those failures are not
-storage faults, but a degraded-mode retrieval must treat them the same
-way — fall back to the last committed refinement, report the failed
-tiles, retry on the next call — so the degrade paths catch
-``(StoreError, ComputeError)`` as one family of recoverable faults.
+the process backend's workers (a tiled refactor's pool) can crash or
+hang past a deadline. Those failures are not storage faults: reads run
+in the caller's process and degrade on store faults alone.
 """
 
 from __future__ import annotations
@@ -85,10 +82,7 @@ class ComputeError(Exception):
     """Base of every execution-backend failure this package raises.
 
     The compute-tier sibling of :class:`StoreError`: "the machinery
-    running the decode, not the math or the storage, went wrong".
-    Degraded-mode retrieval (``reconstruct(..., on_fault="degrade")``)
-    treats this family exactly like store faults — answer from the last
-    committed refinement, report the failure, retry next call.
+    running the work, not the math or the storage, went wrong".
     """
 
 
@@ -111,17 +105,6 @@ class WorkerTimeoutError(WorkerCrashedError, TimeoutError):
     call with this error instead of blocking the dispatching thread
     forever. Subclasses ``TimeoutError`` for callers that classify
     timeouts generically.
-    """
-
-
-class WorkerStateError(ComputeError, RuntimeError):
-    """A shared object a task needs was never shipped to its worker.
-
-    Raised by :func:`~repro.core.backends.worker_shared` only. Engine
-    tasks rebuild everything else they keep resident from their shared
-    object, and the backend restores shared objects onto a respawned
-    worker before it takes a task, so this means a token was dropped
-    (or never shipped) under a live call — not a state to heal around.
     """
 
 
@@ -170,7 +153,6 @@ __all__ = [
     "ComputeError",
     "WorkerCrashedError",
     "WorkerTimeoutError",
-    "WorkerStateError",
     "RETRYABLE_ERRORS",
     "BATCH_ERRORS",
     "finish_batch",

@@ -26,8 +26,8 @@ protocol:
   task index, with firing counts persisted to a scratch directory so a
   schedule survives the worker kills it causes. Installed with
   :meth:`~repro.core.backends.ProcessBackend.install_chaos`, it drives
-  the differential tests proving staircase results under worker-kill
-  chaos stay bit-identical to the serial backend.
+  the tests proving a tiled refactor under worker-kill chaos stays
+  byte-identical to the serial one.
 
 The layers compose: ``RetrievalService(ResilientReader(flaky, policy))``
 gives every session retried, verified fetches, and the service's
@@ -201,19 +201,6 @@ class FaultInjectingStore:
         """How many times *key* has been ``get`` so far."""
         with self._lock:
             return self._access_counts.get(key, 0)
-
-    # Shipped by value to process-backend workers. Fault decisions are
-    # pure functions of (seed, key, nth-access-of-key) and the access
-    # counters travel with the copy, so a worker that takes over a key's
-    # accesses replays exactly the schedule the parent would have seen.
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     # Membership goes through the type slot, so it cannot be delegated
     # via __getattr__ like the remaining reader/store surface is.
@@ -522,18 +509,6 @@ class RetryPolicy:
             "giveups": self.giveups,
         }
 
-    # Process-backend transport: the seeded RNG state and counters copy
-    # over; only the lock is recreated. ``sleep``/``clock`` must be
-    # module-level callables (the defaults are) to cross the boundary.
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_rng_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._rng_lock = threading.Lock()
-
 
 class ResilientReader:
     """Retrying, verifying view of a :class:`~repro.core.store.SegmentReader`.
@@ -567,17 +542,6 @@ class ResilientReader:
             self._checksums.update(
                 {k: int(v) for k, v in checksums.items()}
             )
-
-    # Process-backend transport: wrapped reader, policy, and registered
-    # checksums copy over; the lock is recreated worker-side.
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_checksums_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._checksums_lock = threading.Lock()
 
     def _settle_once(self, keys: list[str]) -> tuple[dict, dict]:
         values, errors = settle_many(self._reader, keys)

@@ -35,11 +35,7 @@ from concurrent.futures import CancelledError, Future
 
 from collections.abc import Sequence
 
-from repro.core.backends import (
-    ClosesOnExit,
-    ThreadPool,
-    current_process_backend,
-)
+from repro.core.backends import ClosesOnExit, ThreadPool
 from repro.core.errors import BATCH_ERRORS, finish_batch
 from repro.core.reconstruct import Reconstructor
 from repro.core.store import open_field, open_tiled_field, verified_many
@@ -338,13 +334,9 @@ class Session(ClosesOnExit):
         return self.reconstructor.decode_state_bytes()
 
     def stats(self) -> dict:
-        """This session's progressive-state accounting, JSON-ready.
-
-        The counters sum over wherever the session's tiles decode: the
-        parent (serial/thread backends, reads through the shared cache)
-        or the worker-resident reconstructors (process backend, reads
-        direct from the store).
-        """
+        """This session's progressive-state accounting, JSON-ready:
+        its reconstructor's counters, every read through the shared
+        cache."""
         c = self.reconstructor.counters()
         return {
             "tiles": self.tiled.num_tiles,
@@ -357,7 +349,7 @@ class Session(ClosesOnExit):
         }
 
     def close(self) -> None:
-        """Tear down the session's decode worker pool (idempotent)."""
+        """Tear down the session's decode thread pool (idempotent)."""
         with self.service._sessions_lock:
             self.service._sessions.discard(self)
         self.reconstructor.close()
@@ -458,12 +450,9 @@ class RetrievalService(ClosesOnExit):
         :class:`~repro.core.tiling.TiledReconstructor` for concurrent
         per-tile decoding; they are independent of the service's
         prefetch pool. The session supports region-of-interest steps
-        (``reconstruct(region=...)``). Under the ``processes`` backend
-        the tiles of a multi-tile variable decode in worker processes
-        that read the store directly — bypassing the service's shared
-        cache and prefetch (which are naturally inert: no parent-side
-        reconstructors exist to walk). A one-tile variable always
-        decodes on the calling thread, through the cache.
+        (``reconstruct(region=...)``). Reads run in this process,
+        through the shared cache, under every backend: ``processes``
+        steps like ``serial``.
 
         ``pipelined=None`` (the default) turns the per-tile pipelined
         fetch/decode overlap on exactly when the backing store bears
@@ -603,14 +592,6 @@ class RetrievalService(ClosesOnExit):
         their incremental decode engines keep resident (integer partials
         plus cached level values) — the memory the service trades for
         refinement steps that decode only the increment.
-
-        ``pool`` is the shared process backend's health snapshot
-        (respawns, task retries, quarantines, deadline kills — see
-        :meth:`~repro.core.backends.ProcessBackend.health`) whenever a
-        live shared pool exists — the one any ``processes`` tiled
-        session of this service decodes on — else ``None``; asking
-        never creates one. After a pool replacement (the shared backend
-        growing mid-session) it reports the *current* pool.
         """
         with self._sessions_lock:
             sessions = list(self._sessions)
@@ -619,10 +600,6 @@ class RetrievalService(ClosesOnExit):
             prefetch_failures = self.prefetch_failures
             prefetch_cancelled = self.prefetch_cancelled
             prefetch_skipped = self.prefetch_skipped
-        backend = current_process_backend()
-        pool = backend.health() if backend is not None else None
-        if pool is not None and not pool["alive"]:
-            pool = None  # closed or never started: no live pool
         return {
             "cache": self.cache.stats(),
             "prefetch_requests": prefetch_requests,
@@ -632,7 +609,6 @@ class RetrievalService(ClosesOnExit):
             "prefetch_skipped": prefetch_skipped,
             "store_reads": getattr(self.store, "reads", None),
             "store_bytes_read": getattr(self.store, "bytes_read", None),
-            "pool": pool,
             "sessions": {
                 "open": len(sessions),
                 "decode_state_bytes": sum(

@@ -158,8 +158,8 @@ class MemoryStore:
     def __contains__(self, key: str) -> bool:
         return key in self._blobs
 
-    # Shipped by value to process-backend workers (each gets its own
-    # copy of blobs and counters); only the lock cannot travel.
+    # Picklable (a copy gets its own blobs and counters); only the lock
+    # cannot travel.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_stats_lock"]
@@ -197,10 +197,10 @@ class DirectoryStore:
     tail bytes: the store reopens at the last flushed manifest and the
     next append lands after them. Overwriting a key leaves its old bytes
     dead in the pack (no compaction). Reads are ``os.pread`` on a
-    lazily opened descriptor — no seek state, so threads and forked
-    workers share it without a lock; descriptors do not travel through
-    pickling and are released by :meth:`close`. :meth:`settle_many` reads
-    each run of back-to-back segments with one ``pread``.
+    lazily opened descriptor — no seek state, so threads share it
+    without a lock; descriptors are released by :meth:`close`.
+    :meth:`settle_many` reads each run of back-to-back segments with one
+    ``pread``.
 
     Parameters
     ----------
@@ -442,19 +442,6 @@ class DirectoryStore:
     def __contains__(self, key: str) -> bool:
         with self._lock:
             return key in self._segments
-
-    # Shipped by value to process-backend workers: the path travels, the
-    # index/counters are copied at ship time, the lock is recreated and
-    # the descriptors stay behind (each worker opens its own).
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        state["_fds"] = {}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     def keys(self) -> list[str]:
         """Sorted list of manifest-recorded segment keys."""

@@ -442,9 +442,7 @@ class Counters:
     counts its committed bytes and decode work into another, and its
     ``counters()`` is the two summed plus the decode-state gauge. ``+``
     and ``-`` work field by field, so a step's work is one subtraction
-    and an engine's total one sum. The field order is the process
-    route's wire order: a worker replies ``astuple(counters)`` and the
-    parent rebuilds ``Counters(*ints)``.
+    and an engine's total one sum.
     """
 
     fetched_bytes: int = 0  # payload bytes of committed steps

@@ -12,8 +12,8 @@ Three behaviours make tiling the production path rather than a toy:
 * **Parallel tile fan-out** — :class:`TiledRefactorer` /
   :class:`TiledReconstructor` accept ``num_workers`` and run per-tile
   work on the :class:`~repro.core.backends.ThreadPool` each engine owns
-  (the NumPy kernels release the GIL, so tiles overlap across cores) or
-  on the shared process pool. Per-shape
+  (the NumPy kernels release the GIL, so tiles overlap across cores);
+  a refactor can also fan tiles out on the shared process pool. Per-shape
   :class:`~repro.core.refactor.Refactorer` instances and per-geometry
   transforms are still shared — boundary tiles reuse the interior
   tiles' geometry.
@@ -31,14 +31,12 @@ Three behaviours make tiling the production path rather than a toy:
   is reused across staircase steps exactly as in the untiled engine.
 
 A tile batch's retrieval step is written once, as a fetch stage and a
-decode stage (see :class:`TiledReconstructor`); the sequential,
-pipelined and process routes differ only in batch size and in which
-thread or process runs them — a process worker holds a serial
-:class:`TiledReconstructor` over the session's field (tiled fields
-pickle, and ship once per worker) and runs one-tile batches on it. The
-write side is the same shape: each process call carries its tile block
-and the config, and a worker keeps per-shape
-:class:`~repro.core.refactor.Refactorer` instances keyed by that config.
+decode stage (see :class:`TiledReconstructor`); the sequential and
+pipelined routes differ only in batch size and in which thread runs
+them. Reads run in the caller's process: ``processes`` names the write
+side's pool, where each call carries its tile block and the config and
+a worker keeps per-shape :class:`~repro.core.refactor.Refactorer`
+instances keyed by that config.
 """
 
 from __future__ import annotations
@@ -46,9 +44,8 @@ from __future__ import annotations
 import functools
 import math
 import threading
-import uuid
 from collections.abc import Callable, Sequence
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -56,14 +53,11 @@ import numpy as np
 from repro.core.backends import (
     ClosesOnExit,
     ThreadPool,
-    current_process_backend,
     parse_backend_spec,
     resolve_backend,
     shared_process_backend,
     task_name,
-    worker_shared,
 )
-from repro.core.errors import ComputeError, StoreError
 from repro.core.reconstruct import Reconstructor
 from repro.core.refactor import RefactorConfig, Refactorer
 from repro.core.store import _ColdResolver, open_fields
@@ -200,27 +194,14 @@ class TiledField:
                 hits.append((i, tile, overlap))
         return hits
 
-    def __reduce__(self):
-        # Group payloads are memoryviews and do not pickle: an eager
-        # field crosses a process boundary as its serialized tile bytes,
-        # each parsed on the receiving side's first touch of that tile.
-        blobs = [field.to_bytes() for field in self.fields]
-        return TiledField, (
-            self.shape, self.dtype, self.tiles,
-            _LazyTileFields(blobs, _parse_tiles),
-            self.value_range, self.name,
-        )
-
 
 class _LazyTileFields(Sequence):
     """Per-tile sub-fields resolved on first touch.
 
-    ``opener(names)`` opens tiles in one batch, settled as ``({name:
-    field}, {name: error})``: stored names against a store (their index
-    records in one request), or a pickled eager field's serialized
-    tiles. Opened fields are memoized, so a session opens each tile
-    exactly once; untouched tiles cost nothing, and a pickled copy
-    starts with none opened.
+    ``opener(names)`` opens stored tiles in one batch (their index
+    records in one request), settled as ``({name: field}, {name:
+    error})``. Opened fields are memoized, so a session opens each tile
+    exactly once; untouched tiles cost nothing.
     """
 
     def __init__(self, names: list, opener: Callable) -> None:
@@ -228,9 +209,6 @@ class _LazyTileFields(Sequence):
         self._opener = opener
         self._fields: dict[int, RefactoredField] = {}
         self._lock = threading.Lock()
-
-    def __reduce__(self):
-        return _LazyTileFields, (self._names, self._opener)
 
     def __len__(self) -> int:
         return len(self._names)
@@ -271,11 +249,6 @@ class _LazyTileFields(Sequence):
             return sorted(self._fields)
 
 
-def _parse_tiles(blobs: list[bytes]) -> tuple[dict, dict]:
-    """The opener of a pickled eager field's tiles: parse each blob."""
-    return {blob: RefactoredField.from_bytes(blob) for blob in blobs}, {}
-
-
 class LazyTiledField(TiledField):
     """A :class:`TiledField` whose per-tile sub-fields open on demand.
 
@@ -287,10 +260,7 @@ class LazyTiledField(TiledField):
     lets :meth:`total_bytes` answer without opening a single tile.
 
     Tiles open in batches through ``open_fields(store, names, cache=,
-    verify=)``. The field pickles as its index metadata plus *store*
-    and *verify* — never the cache, never an opened tile — so a process
-    worker rebuilds any tile from its own copy, reading the store
-    directly and without re-reading the ``<name>.tiles`` record.
+    verify=)``.
     """
 
     def __init__(
@@ -330,16 +300,6 @@ class LazyTiledField(TiledField):
         )
         self.tile_field_names = list(tile_field_names)
         self.tile_bytes = [int(b) for b in tile_bytes]
-        self._store = store
-        self._verify = bool(verify)
-
-    def __reduce__(self):
-        return functools.partial(
-            LazyTiledField, shape=self.shape, dtype=self.dtype,
-            tiles=self.tiles, tile_field_names=self.tile_field_names,
-            tile_bytes=self.tile_bytes, value_range=self.value_range,
-            name=self.name, store=self._store, verify=self._verify,
-        ), ()
 
     def total_bytes(self) -> int:
         """Stored payload size of every tile — served from the index."""
@@ -355,8 +315,7 @@ def one_tile_field(
     field: RefactoredField, *, store, cache=None, verify: bool = True
 ) -> LazyTiledField:
     """A just-opened untiled *field* as the one tile of a
-    :class:`LazyTiledField` (no store access; a pickled copy re-opens
-    the tile by name like any other lazy tile)."""
+    :class:`LazyTiledField` (no store access)."""
     zeros = (0,) * len(field.shape)
     tiled = LazyTiledField(
         shape=field.shape, dtype=field.dtype,
@@ -506,7 +465,6 @@ class TiledRefactorer(ClosesOnExit):
                     np.ascontiguousarray(data[tile.slices()]),
                     tile_name,
                 ),
-                None,
             )
             for tile, tile_name in jobs
         ])
@@ -563,36 +521,6 @@ class TiledReconstructionResult(tuple):
         return self[1]
 
 
-def _task_decode_tile(state, session, token, position, window, tol, on_fault):
-    """Process-backend task: one tile's progressive reconstruction step.
-
-    The worker runs a plain serial :class:`TiledReconstructor` over the
-    session's shared field (shipped once per worker under *token*),
-    resident under the session's key, so each tile's warm reconstructor
-    is reused across steps (sticky dispatch lands a tile on the same
-    worker); a worker that lost it rebuilds from the shared field and
-    the tile restarts bit-identically. The tile is a one-tile batch.
-    *window* is the tile-local overlap as ``(start, stop)`` pairs:
-    payloads stay plain ints. Returns the outcome ``(block, bound,
-    degraded, groups)`` and the tile's counters as plain ints (``None``
-    while the tile never opened).
-    """
-    engine = state.get(("tiled-session", session))
-    if engine is None:
-        engine = state[("tiled-session", session)] = TiledReconstructor(
-            worker_shared(state, token)
-        )
-    batch = [(position, (tuple(slice(lo, hi) for lo, hi in window), None))]
-    block, *rest = engine._decode_batch(
-        batch, engine._fetch_batch(batch, tol), on_fault
-    )[0]
-    recon = engine._recons.get(position)
-    return (
-        (np.ascontiguousarray(block), *rest),
-        None if recon is None else astuple(recon.counters()),
-    )
-
-
 def _batches(jobs: list, count: int) -> list[list]:
     """*jobs* in ``count`` contiguous batches (at least one job each)."""
     count = min(max(count, 1), len(jobs))
@@ -612,13 +540,13 @@ class TiledReconstructor(ClosesOnExit):
     The unit of work is a tile batch, and its step is one body: the
     fetch stage (:meth:`_fetch_batch`: open, plan, one segment request,
     faults captured) and the decode stage (:meth:`_decode_batch`: one
-    ``Reconstructor.decode_steps`` call). The sequential route runs one
-    batch of every selected tile (``threads:N``: N batches on the
-    instance's pool), the pipelined window streams ``FETCH_WORKERS``
-    batches with fetch on that pool and decode on the caller thread,
-    and a process worker runs one-tile batches on its resident engine
-    (:func:`_task_decode_tile`). On every route a failed step returns
-    only once nothing it started is still running.
+    ``Reconstructor.decode_steps`` call). Both run in the caller's
+    process: the sequential route runs one batch of every selected tile
+    (``serial`` and ``processes``; ``threads:N``: N batches on the
+    instance's pool), and the pipelined window streams
+    ``FETCH_WORKERS`` batches with fetch on that pool and decode on the
+    caller thread. On every route a failed step returns only once
+    nothing it started is still running.
 
     ``pipelined=True`` overlaps one batch's segment *fetch* with
     another's *decode* through the bounded
@@ -626,9 +554,8 @@ class TiledReconstructor(ClosesOnExit):
     stage overlap on the real retrieval stack: on a latency-bearing
     store a step pays ≈max(fetch, decode) instead of their sum, with
     bit-identical results, counters and fault semantics (per-key access
-    order is the sequential route's). It applies to multi-tile steps;
-    the process backend ignores it (its workers overlap store I/O
-    across the pool, and tile state must live in exactly one place).
+    order is the sequential route's). It applies to multi-tile steps
+    under every backend.
     """
 
     def __init__(
@@ -650,13 +577,6 @@ class TiledReconstructor(ClosesOnExit):
         self._recons: dict[int, Reconstructor] = {}
         self._transforms: dict[tuple, MultilevelTransform] = {}
         self._state_lock = threading.Lock()
-        # Process route: worker-resident engines are addressed by this
-        # token, ``_remote`` says one may exist (close() releases it),
-        # and ``_shadow`` mirrors each remote tile's counters after its
-        # latest step so counters() answers without a round-trip.
-        self._session_token = f"tiled-session:{uuid.uuid4().hex}"
-        self._remote = False
-        self._shadow: dict[int, Counters] = {}
 
     def _transform_for(self, field: RefactoredField) -> MultilevelTransform:
         key = (tuple(field.shape), field.num_levels, field.mode,
@@ -692,9 +612,9 @@ class TiledReconstructor(ClosesOnExit):
 
     @property
     def touched_tiles(self) -> list[int]:
-        """Tile positions with progressive state, local or remote."""
+        """Tile positions with progressive state."""
         with self._state_lock:
-            return sorted(set(self._recons) | set(self._shadow))
+            return sorted(self._recons)
 
     def touched_reconstructors(self) -> list[Reconstructor]:
         """Touched tiles' reconstructors, in tile-position order.
@@ -709,17 +629,9 @@ class TiledReconstructor(ClosesOnExit):
 
     def counters(self) -> Counters:
         """Summed :class:`~repro.core.stream.Counters` of every touched
-        tile, local or worker-resident.
-
-        Serial/thread sessions count in the parent's tile reconstructors
-        and lazy tile fields; process sessions count in the workers,
-        whose counters are mirrored back after every step. Eager
-        (in-memory) fields contribute no segment traffic either way.
-        """
-        with self._state_lock:
-            total = sum(self._shadow.values(), Counters())
+        tile (eager, in-memory fields contribute no segment traffic)."""
         return sum((r.counters() for r in self.touched_reconstructors()),
-                   total)
+                   Counters())
 
     # The frozen end-to-end benchmark harness still reads it by this name.
     aggregate_decode_counters = counters
@@ -794,39 +706,27 @@ class TiledReconstructor(ClosesOnExit):
         selected = self.tiled.tiles_overlapping(region_slices)
         jobs = [(pos, overlap) for pos, _, overlap in selected]
 
-        spec = resolve_backend(self.backend, self.num_workers)
-        if (
-            spec.kind == "processes" and spec.workers > 1
-            and self.tiled.num_tiles > 1
-        ):
-            # Worker-resident tile state lives in exactly one place, so
-            # a multi-tile field takes this route on every step; a
-            # one-tile field stays here, reading through the caller's
-            # cache. ``pipelined`` is inert: workers overlap store I/O.
-            outcomes = self._decode_tiles_processes(
-                jobs, tol, on_fault, shared_process_backend(spec.workers)
+        fetch = functools.partial(self._fetch_batch, tol=tol)
+        decode = functools.partial(self._decode_batch, on_fault=on_fault)
+        if self.pipelined and len(jobs) > 1:
+            # Stage overlap (Fig. 4) over FETCH_WORKERS tile batches:
+            # their fetches run on the instance's pool while this thread
+            # decodes and commits, stitching and releasing each batch's
+            # blocks at once.
+            batched = run_window(
+                self._threads.executor(FETCH_WORKERS),
+                _batches(jobs, FETCH_WORKERS), fetch, decode,
+                commit=functools.partial(self._commit_batch, out=out),
             )
         else:
-            fetch = functools.partial(self._fetch_batch, tol=tol)
-            decode = functools.partial(self._decode_batch, on_fault=on_fault)
-            if self.pipelined and len(jobs) > 1:
-                # Stage overlap (Fig. 4) over FETCH_WORKERS tile batches:
-                # their fetches run on the instance's pool while this
-                # thread decodes and commits — serial and ``threads``
-                # engines alike — stitching and releasing each batch's
-                # blocks at once.
-                batched = run_window(
-                    self._threads.executor(FETCH_WORKERS),
-                    _batches(jobs, FETCH_WORKERS), fetch, decode,
-                    commit=functools.partial(self._commit_batch, out=out),
-                )
-            else:
-                # One batch, or ``threads:N`` batches on the pool.
-                batched = self._threads.map(
-                    lambda batch: decode(batch, fetch(batch)),
-                    _batches(jobs, spec.threads), spec.threads,
-                )
-            outcomes = [outcome for batch in batched for outcome in batch]
+            # One batch (``serial`` and ``processes`` alike), or
+            # ``threads:N`` batches on the pool.
+            threads = resolve_backend(self.backend, self.num_workers).threads
+            batched = self._threads.map(
+                lambda batch: decode(batch, fetch(batch)),
+                _batches(jobs, threads), threads,
+            )
+        outcomes = [outcome for batch in batched for outcome in batch]
         worst = 0.0
         degraded = False
         failed_tiles: list[int] = []
@@ -903,10 +803,10 @@ class TiledReconstructor(ClosesOnExit):
     def _unopened_outcome(self, tile_local):
         """Degraded outcome of a tile with no committed refinement.
 
-        The tile never opened (or its worker-resident state died with
-        its worker): there is no stale answer to fall back on, so it
-        contributes zeros and an unbounded error for this step, caches
-        nothing, and is retried from scratch on the next call.
+        The tile never opened: there is no stale answer to fall back
+        on, so it contributes zeros and an unbounded error for this
+        step, caches nothing, and is retried from scratch on the next
+        call.
         """
         shape = tuple(loc.stop - loc.start for loc in tile_local)
         return np.zeros(shape, dtype=self.tiled.dtype), math.inf, True, None
@@ -919,86 +819,10 @@ class TiledReconstructor(ClosesOnExit):
             committed.append((None, *rest))
         return committed
 
-    def _decode_tiles_processes(
-        self, jobs: list[tuple], tol: float | None, on_fault: str, backend
-    ) -> list[tuple]:
-        """One step of every selected tile on the process backend.
-
-        The field ships once per worker (``ensure_shared``; a restarted
-        or replaced pool has shipped nothing, so it ships again by
-        itself) and each call carries only the tile position and plain
-        ints. Sticky dispatch pins a tile to one worker, whose resident
-        engine keeps the tile's warm reconstructor across staircase
-        steps. The parent tracks nothing about what lives where: the
-        backend restores shared objects onto a respawned worker and
-        retries the in-flight call, which rebuilds that worker's tiles
-        from scratch, while the survivors keep their state. Each reply
-        mirrors the tile's counters into ``_shadow``.
-        """
-        field_token = f"tiled-field:{self._session_token}"
-        backend.ensure_shared(field_token, self.tiled)
-        self._remote = True
-        decode_name = task_name(_task_decode_tile)
-        settled = backend.map_calls([
-            (
-                decode_name,
-                (
-                    self._session_token, field_token, pos,
-                    tuple((s.start, s.stop) for s in tile_local),
-                    tol, on_fault,
-                ),
-                pos,  # sticky: the tile's decode state lives here
-            )
-            for pos, (tile_local, _) in jobs
-        ], settle=True)
-        outcomes = []
-        failures: list[BaseException] = []
-        for (pos, (tile_local, _)), (ok, value) in zip(jobs, settled):
-            if ok:
-                outcome, counts = value
-                if counts is not None:
-                    with self._state_lock:
-                        self._shadow[pos] = Counters(*counts)
-                outcomes.append(outcome)
-            elif on_fault == "degrade" and isinstance(
-                value, (StoreError, ComputeError)
-            ):
-                # The tile's worker-resident refinement died with its
-                # worker (crash, quarantine, or deadline kill): nothing
-                # is committed parent-side, so degrade like a
-                # never-opened tile.
-                outcomes.append(self._unopened_outcome(tile_local))
-            else:
-                failures.append(value)
-        if failures:
-            raise failures[0]  # jobs are in tile order: the earliest
-        return outcomes
-
     def close(self) -> None:
-        """Release worker-resident session state, then the local pool.
-
-        Idempotent; the engine stays usable (either is rebuilt on the
-        next step that needs it). The shared process backend itself is
-        process-wide and is not closed here.
-        """
-        if self._remote:
-            self._remote = False
-            # Only a live pool can hold this session: look, never
-            # create one to drop from. Both drops are best-effort.
-            backend = current_process_backend()
-            if backend is not None:
-                backend.drop_session(self._session_token)
-                backend.drop_shared(f"tiled-field:{self._session_token}")
+        """Join the instance's thread pool (idempotent; the engine stays
+        usable and rebuilds the pool on the next step that needs it)."""
         self._threads.close()
-
-    def __del__(self) -> None:
-        # Worker-resident state is released by close() alone, and the
-        # service tracks its sessions weakly: an abandoned engine must
-        # still let go of it. (Thread pools need no finalizer.)
-        try:
-            self.close()
-        except Exception:  # reprolint: disable=R2 -- GC-time teardown: an exception in __del__ is unactionable and would only print noise
-            pass
 
     def progressive(
         self,

@@ -63,8 +63,7 @@ def run_window(executor, items, fetch, decode, commit=None):
     decode time. ``decode(item, fetched)`` and ``commit(item,
     decoded)`` run on the caller thread, in item order, whatever the
     engine's execution backend (decode state and output writes stay
-    single-threaded; the process backend keeps its own worker-resident
-    overlap and does not come through here). Commit's return value,
+    single-threaded). Commit's return value,
     when a commit hook is given, replaces the stored result — letting
     the caller retire bulky decoded blocks immediately instead of
     retaining them.

@@ -41,25 +41,6 @@ def pytest_configure(config: pytest.Config) -> None:
     os.environ[BACKEND_ENV] = spec
 
 
-def pytest_collection_modifyitems(
-    config: pytest.Config, items: list[pytest.Item]
-) -> None:
-    spec = config.getoption("--backend")
-    if spec is None or parse_backend_spec(spec)[0] != "processes":
-        return
-    # Mid-run mutations of a parent-side fault injector cannot reach
-    # the pickled store copies tiled process workers decode from; the
-    # equivalent coverage under processes uses pre-programmed
-    # ``fail_first`` schedules (see TestProcessBackendChaosParity).
-    skip = pytest.mark.skip(
-        reason="mutates a parent-side store mid-run; unreachable from "
-               "process-backend workers (use fail_first schedules)"
-    )
-    for item in items:
-        if "parent_store_mutation" in item.keywords:
-            item.add_marker(skip)
-
-
 @pytest.fixture
 def backend_option(request: pytest.FixtureRequest) -> str | None:
     """The ``--backend`` value (None when the suite runs natively)."""

@@ -43,14 +43,12 @@ from repro.core.backends import (
     BACKEND_ENV,
     ProcessBackend,
     ThreadPool,
-    current_process_backend,
     default_process_workers,
     parse_backend_spec,
     resolve_backend,
     shared_process_backend,
     shutdown_all_backends,
     task_name,
-    worker_shared,
 )
 from repro.core.errors import (
     StoreError,
@@ -381,9 +379,9 @@ class TestDegradedResumeDifferential:
     """Pre-programmed fault schedules replay identically everywhere.
 
     ``fail_first`` schedules are pure functions of per-key access
-    counts, which the process backend preserves: tiled fetches are
-    pinned to one worker per tile. (The untiled case has no backend
-    axis; it checks that the schedule replays identically at all.)
+    counts, and every backend reads in this process in the same key
+    order. (The untiled case has no backend axis; it checks that the
+    schedule replays identically at all.)
     """
 
     def test_untiled_degrade_then_resume(self, stored, reference_staircase):
@@ -480,14 +478,10 @@ class TestServiceDifferential:
         with service.session(
             name, num_workers=2, backend=backend
         ) as got, ref_service.session(name, backend="serial") as ref:
-            # process workers of a multi-tile field read the store
-            # directly (no shared cache), so the cold/hit *split* may
-            # differ there; the reads must not, and a one-tile field
-            # stays in this process on every backend
-            keys = ["fetched_bytes", "segment_reads"]
-            split = row == "one-tile" or not backend.startswith("processes")
-            if split:
-                keys += ["cold_bytes", "cache_hit_bytes"]
+            # every backend reads in this process, through the shared
+            # cache: even the cold/hit split matches
+            keys = ["fetched_bytes", "segment_reads", "cold_bytes",
+                    "cache_hit_bytes"]
             for tol in STAIRCASE:
                 ref_before = ref.stats()
                 expected = ref.reconstruct(tolerance=tol, region=region)
@@ -510,17 +504,49 @@ class TestServiceDifferential:
             for key in ("tiles", "tiles_touched", "fetched_bytes",
                         "decode_state_bytes", *keys):
                 assert got_stats[key] == ref_stats[key]
-            got_counters, ref_counters = (
-                s.reconstructor.counters() for s in (got, ref)
-            )
-            if not split:
-                got_counters, ref_counters = (
-                    dataclasses.replace(c, cold_bytes=0, cache_hit_bytes=0)
-                    for c in (got_counters, ref_counters)
-                )
-            assert got_counters == ref_counters
+            assert (got.reconstructor.counters()
+                    == ref.reconstructor.counters())
         service.close()
         ref_service.close()
+
+    def test_processes_session_reads_in_process(self, tiled_stored):
+        """A multi-tile ``processes:2`` session reads in this process,
+        through the service's shared cache: the shared pool dispatches
+        nothing, a second session over the same variable is served from
+        the cache alone, and both answer exactly as the serial session
+        does."""
+        with RetrievalService(tiled_stored) as ref_service:
+            with ref_service.session("rho", backend="serial") as ref:
+                expected = [ref.reconstruct(tolerance=t, region=ROI)
+                            for t in STAIRCASE]
+                ref_counters = ref.reconstructor.counters()
+                ref_stats = ref.stats()
+        pool = shared_process_backend(2)
+        dispatched = pool.health()["tasks_dispatched"]
+        runs = []
+        with RetrievalService(tiled_stored) as service:
+            for _ in range(2):
+                with service.session("rho", num_workers=2,
+                                     backend="processes:2") as got:
+                    steps = [got.reconstruct(tolerance=t, region=ROI)
+                             for t in STAIRCASE]
+                    runs.append((steps, got.reconstructor.counters(),
+                                 got.stats()))
+        assert pool.health()["tasks_dispatched"] == dispatched
+        (first, first_counters, _), (second, second_counters, stats) = runs
+        for steps in (first, second):
+            for step, want in zip(steps, expected):
+                np.testing.assert_array_equal(step.data, want.data)
+                assert step.error_bound == want.error_bound
+        assert first_counters == ref_counters
+        assert stats["cold_bytes"] == 0
+        assert stats["cache_hit_bytes"] == (ref_stats["cold_bytes"]
+                                            + ref_stats["cache_hit_bytes"])
+        assert stats["cache_hit_bytes"] > 0
+        assert second_counters == dataclasses.replace(
+            ref_counters, cold_bytes=0,
+            cache_hit_bytes=stats["cache_hit_bytes"],
+        )
 
     def test_one_tile_session_ships_nothing(self, stored, monkeypatch):
         """Under ``processes:2`` a one-tile session decodes in this
@@ -540,14 +566,12 @@ class TestServiceDifferential:
             service = RetrievalService(stored)
             with service.session("vx") as session:
                 steps = [session.reconstruct(tolerance=t) for t in STAIRCASE]
-                remote = session.reconstructor._remote
             service.close()
-            return steps, service.cache.stats(), remote
+            return steps, service.cache.stats()
 
-        serial, serial_cache, _ = run("serial")
-        got, got_cache, remote = run("processes:2")
-        assert not remote
-        assert not [t for t in shipped if t.startswith("tiled-field:")]
+        serial, serial_cache = run("serial")
+        got, got_cache = run("processes:2")
+        assert shipped == []
         assert got_cache == serial_cache
         for step, ref in zip(got, serial):
             np.testing.assert_array_equal(step.data, ref.data)
@@ -621,7 +645,7 @@ class TestProcessBackendLifecycle:
             first = backend.generation
             assert first >= 1
             got = backend.map_calls(
-                [(task_name(_read_shared), (token,), None)]
+                [(task_name(_read_shared), (token,))]
             )[0]
             assert got == {"answer": 42}
             backend.close()
@@ -629,7 +653,7 @@ class TestProcessBackendLifecycle:
             backend.ensure_shared(token, {"answer": 43})
             assert backend.ensure_alive() == first + 1
             assert backend.map_calls(
-                [(task_name(_read_shared), (token,), None)]
+                [(task_name(_read_shared), (token,))]
             )[0] == {"answer": 43}
         finally:
             backend.close()
@@ -663,7 +687,7 @@ class TestProcessBackendLifecycle:
 
 
 def _read_shared(state, token):
-    return worker_shared(state, token)
+    return state["shared"][token]
 
 
 def _reverse_blob(blob):
@@ -718,36 +742,6 @@ class TestPipeCapacity:
             assert backend.health()["respawns"] == 0
         finally:
             backend.close()
-
-
-class TestPoolReplacementReship:
-    def test_grown_shared_pool_forces_tile_reship(self, reference_tiled,
-                                                  tiled_stored):
-        """Growing the shared pool mid-session replaces it with a fresh
-        ProcessBackend whose generation counter restarts — and can land
-        on the same generation number the old pool had. The session
-        records neither: the fresh pool has shipped nothing, so the
-        next step's ``ensure_shared`` ships the field again and the
-        fresh workers rebuild their engines from it."""
-        ref = TiledReconstructor(open_tiled_field(tiled_stored, "rho"))
-        got = TiledReconstructor(
-            open_tiled_field(_fresh_tiled_store_from(tiled_stored), "rho"),
-            num_workers=2, backend="processes:2",
-        )
-        try:
-            expected = ref.reconstruct(tolerance=STAIRCASE[0], region=ROI)
-            step = got.reconstruct(tolerance=STAIRCASE[0], region=ROI)
-            np.testing.assert_array_equal(step.data, expected.data)
-            before = shared_process_backend(1)
-            grown = shared_process_backend(before.num_workers + 1)
-            assert grown is not before
-            assert grown.uid != before.uid
-            expected = ref.reconstruct(tolerance=STAIRCASE[1], region=ROI)
-            step = got.reconstruct(tolerance=STAIRCASE[1], region=ROI)
-            np.testing.assert_array_equal(step.data, expected.data)
-            assert step.error_bound == expected.error_bound
-        finally:
-            got.close()
 
 
 # -- one thread pool per owner ----------------------------------------------
@@ -911,7 +905,7 @@ session = service.session("rho", backend="serial", pipelined=True)
 session.reconstruct(tolerance=1e-1)
 assert service.prefetch_requests > 0
 assert len(list(backends._LIVE_THREAD_POOLS)) == 3
-assert backends.current_process_backend().alive
+assert backends._SHARED_BACKEND.alive
 print("leaked-ok", len(tiled.fields))
 # exit WITHOUT close() on the threads engine, the pipelined session,
 # the prefetching service or the shared process backend: the atexit
@@ -941,7 +935,6 @@ class TestUntiledEnginesSpawnNoPool:
 import hashlib
 import numpy as np
 from repro.core import backends
-from repro.core.backends import current_process_backend
 from repro.core.reconstruct import Reconstructor
 from repro.core.refactor import refactor
 from repro.data import generators as gen
@@ -952,7 +945,7 @@ field = refactor(data, name="vx")
 recon = Reconstructor(field)
 for tol in (1e-1, 1e-3, 1e-5):
     out = recon.reconstruct(tolerance=tol)
-assert current_process_backend() is None
+assert backends._SHARED_BACKEND is None
 assert not list(backends._LIVE_THREAD_POOLS)
 print("digest", hashlib.sha256(field.to_bytes()).hexdigest(),
       hashlib.sha256(out.data.tobytes()).hexdigest())
@@ -987,6 +980,12 @@ def _task_pid(state):
     return os.getpid()
 
 
+def _task_mark_square(state, root, x):
+    """``x * x``, leaving a marker file named *x* under *root*."""
+    (Path(root) / str(x)).touch()
+    return x * x
+
+
 def _is_zombie(pid: int) -> bool:
     """True when *pid* is a terminated-but-unreaped child (state Z)."""
     try:
@@ -1010,7 +1009,7 @@ class TestSelfHealingPool:
             chaos = WorkerChaos({3: mode}, tmp_path)
             backend.install_chaos(chaos)
             sq = task_name(_task_square)
-            results = backend.map_calls([(sq, (i,), None) for i in range(8)])
+            results = backend.map_calls([(sq, (i,)) for i in range(8)])
             assert results == [i * i for i in range(8)]
             assert chaos.total_fired() == 1
             health = backend.health()
@@ -1031,7 +1030,7 @@ class TestSelfHealingPool:
             backend.install_chaos(WorkerChaos({0: "exit"}, tmp_path))
             sq = task_name(_task_square)
             assert backend.map_calls(
-                [(sq, (i,), None) for i in range(4)]
+                [(sq, (i,)) for i in range(4)]
             ) == [0, 1, 4, 9]
             assert backend.health()["respawns"] == 1
             got = backend.broadcast(task_name(_read_shared), "cfg")
@@ -1039,41 +1038,21 @@ class TestSelfHealingPool:
         finally:
             backend.close()
 
-    def test_sticky_routing_survives_respawn(self, tmp_path):
-        """In-place slot replacement keeps ``worker_for`` stable: sticky
-        keys keep resolving to the same slot across a respawn."""
-        backend = ProcessBackend(2)
-        try:
-            key = "tile-(0, 1)"
-            index = backend.worker_for(key)
-            backend.install_chaos(WorkerChaos({0: "exit"}, tmp_path))
-            sq = task_name(_task_square)
-            results = backend.map_calls([(sq, (i,), key) for i in range(4)])
-            assert results == [0, 1, 4, 9]
-            assert backend.worker_for(key) == index
-            assert backend.health()["respawns"] == 1
-        finally:
-            backend.close()
-
     def test_poison_task_quarantined_batch_survives(self, tmp_path):
         """A task that kills every worker it lands on exhausts its retry
-        budget and settles as *that call's* failure; its batchmates
-        still return correct results."""
+        budget and settles as *that call's* failure: its batchmates
+        still run before the typed error is raised."""
         backend = ProcessBackend(2)
+        marks = tmp_path / "marks"
+        marks.mkdir()
         try:
             chaos = WorkerChaos({2: ("exit", 10)}, tmp_path)
             backend.install_chaos(chaos)
-            sq = task_name(_task_square)
-            outcomes = backend.map_calls(
-                [(sq, (i,), None) for i in range(6)], settle=True
-            )
-            for i, (ok, value) in enumerate(outcomes):
-                if i == 2:
-                    assert ok is False
-                    assert isinstance(value, WorkerCrashedError)
-                    assert "quarantined" in str(value)
-                else:
-                    assert ok is True and value == i * i
+            mark = task_name(_task_mark_square)
+            with pytest.raises(WorkerCrashedError, match="quarantined"):
+                backend.map_calls([(mark, (str(marks), i)) for i in range(6)])
+            assert sorted(int(p.name) for p in marks.iterdir()) == [
+                0, 1, 3, 4, 5]
             # budget = max_task_retries retries → retries + 1 crashes
             assert chaos.fired(2) == backend.max_task_retries + 1
             health = backend.health()
@@ -1084,16 +1063,16 @@ class TestSelfHealingPool:
             backend.close()
 
     def test_poison_task_raises_typed_and_pool_survives(self, tmp_path):
-        """Without ``settle`` the quarantine surfaces as a typed
+        """The quarantine surfaces as a typed
         :class:`WorkerCrashedError` — and the pool stays usable."""
         backend = ProcessBackend(2)
         try:
             backend.install_chaos(WorkerChaos({1: ("sigkill", 10)}, tmp_path))
             sq = task_name(_task_square)
             with pytest.raises(WorkerCrashedError, match="quarantined"):
-                backend.map_calls([(sq, (i,), None) for i in range(4)])
+                backend.map_calls([(sq, (i,)) for i in range(4)])
             backend.clear_chaos()
-            assert backend.map_calls([(sq, (5,), None)]) == [25]
+            assert backend.map_calls([(sq, (5,))]) == [25]
         finally:
             backend.close()
 
@@ -1101,18 +1080,23 @@ class TestSelfHealingPool:
         """A hung-but-alive worker is the failure mode only deadlines
         can bound: on expiry it is killed and respawned and the call
         settles as :class:`WorkerTimeoutError` while its batchmates
-        return normally. Run under a watchdog — before deadlines this
+        run normally. Run under a watchdog — before deadlines this
         blocked forever."""
         backend = ProcessBackend(2)
+        marks = tmp_path / "marks"
+        marks.mkdir()
         outcome = {}
 
         def run():
             backend.install_chaos(WorkerChaos({1: "hang"}, tmp_path))
-            sq = task_name(_task_square)
-            outcome["result"] = backend.map_calls(
-                [(sq, (i,), None) for i in range(4)],
-                deadline=1.0, settle=True,
-            )
+            mark = task_name(_task_mark_square)
+            try:
+                backend.map_calls(
+                    [(mark, (str(marks), i)) for i in range(4)],
+                    deadline=1.0,
+                )
+            except BaseException as exc:  # noqa: BLE001 - transported
+                outcome["exc"] = exc
 
         worker = threading.Thread(target=run, daemon=True)
         worker.start()
@@ -1120,10 +1104,9 @@ class TestSelfHealingPool:
         try:
             assert not worker.is_alive(), \
                 "deadline failed to bound a hung worker"
-            outcomes = outcome["result"]
-            assert [v for ok, v in outcomes if ok] == [0, 4, 9]
-            assert isinstance(outcomes[1][1], WorkerTimeoutError)
-            assert isinstance(outcomes[1][1], TimeoutError)  # taxonomy
+            assert isinstance(outcome["exc"], WorkerTimeoutError)
+            assert isinstance(outcome["exc"], TimeoutError)  # taxonomy
+            assert sorted(int(p.name) for p in marks.iterdir()) == [0, 2, 3]
             health = backend.health()
             assert health["deadline_kills"] == 1
             assert health["respawns"] == 1
@@ -1132,7 +1115,7 @@ class TestSelfHealingPool:
 
     def test_pool_default_deadline_applies(self, tmp_path):
         """``default_deadline`` covers calls that pass no per-call
-        deadline; without ``settle`` the timeout is raised typed."""
+        deadline; the timeout is raised typed."""
         backend = ProcessBackend(2, default_deadline=1.0)
         outcome = {}
 
@@ -1140,7 +1123,7 @@ class TestSelfHealingPool:
             backend.install_chaos(WorkerChaos({0: "hang"}, tmp_path))
             sq = task_name(_task_square)
             try:
-                backend.map_calls([(sq, (i,), None) for i in range(4)])
+                backend.map_calls([(sq, (i,)) for i in range(4)])
             except BaseException as exc:  # noqa: BLE001 - transported
                 outcome["exc"] = exc
 
@@ -1153,7 +1136,7 @@ class TestSelfHealingPool:
             assert isinstance(outcome["exc"], WorkerTimeoutError)
             backend.clear_chaos()
             sq = task_name(_task_square)
-            assert backend.map_calls([(sq, (7,), None)]) == [49]
+            assert backend.map_calls([(sq, (7,))]) == [49]
         finally:
             backend.close()
 
@@ -1165,7 +1148,7 @@ class TestSelfHealingPool:
         try:
             sq = task_name(_task_square)
             assert backend.map_calls(
-                [(sq, (i,), None) for i in range(4)]
+                [(sq, (i,)) for i in range(4)]
             ) == [0, 1, 4, 9]
             pids = backend.broadcast(task_name(_task_pid))
             os.kill(pids[0], signal.SIGKILL)
@@ -1174,7 +1157,7 @@ class TestSelfHealingPool:
                    and time.monotonic() < giveup):
                 time.sleep(0.01)
             assert backend.map_calls(
-                [(sq, (i,), None) for i in range(4)]
+                [(sq, (i,)) for i in range(4)]
             ) == [0, 1, 4, 9]
             assert backend.health()["respawns"] >= 1
         finally:
@@ -1187,7 +1170,7 @@ class TestSelfHealingPool:
         try:
             backend.install_chaos(WorkerChaos({0: "exit"}, tmp_path))
             sq = task_name(_task_square)
-            backend.map_calls([(sq, (i,), None) for i in range(4)])
+            backend.map_calls([(sq, (i,)) for i in range(4)])
             assert backend.health()["respawns"] == 1
             backend.close()
             health = backend.health()
@@ -1233,64 +1216,61 @@ class TestZombieReaping:
                 f"worker pid {pid} left a zombie after close()"
 
 
-# -- satellite: pool health through the service -----------------------------
+# -- satellite: pool health through the tiled refactor ---------------------
 
 class TestPoolHealthTelemetry:
-    """``stats()['pool']`` follows the live shared pool, which a tiled
-    session reaches by naming the backend on the *session* — the
-    service's own ``num_workers`` only sizes its prefetch threads."""
+    """``ProcessBackend.health()`` describes the shared pool a
+    ``processes`` tiled refactor runs on — the pool's one route; reads
+    run in the caller's process and never reach it."""
 
-    def test_service_stats_surface_pool_health(self, tiled_stored,
-                                               tmp_path):
-        """A worker kill inside a service session shows up in
-        ``RetrievalService.stats()['pool']`` — the operator-facing
-        window into pool recovery."""
-        service = RetrievalService(tiled_stored)
+    def test_refactor_kill_shows_in_pool_health(self, data, reference_tiled,
+                                                tmp_path):
+        """A worker kill inside a ``processes:2`` refactor shows up in
+        the shared pool's health counters, and only there."""
         backend = shared_process_backend(2)
+        before = backend.health()
         chaos = WorkerChaos({0: "exit"}, tmp_path)
         backend.install_chaos(chaos)
         try:
-            with service.session(
-                "rho", num_workers=2, backend="processes:2"
-            ) as session:
-                session.reconstruct(tolerance=1e-2, region=ROI)
-            pool = service.stats()["pool"]
-            assert pool is not None
-            assert pool["uid"] == backend.uid
-            assert pool["respawns"] >= 1
-            assert pool["task_retries"] >= 1
-            assert chaos.total_fired() == 1
+            with TiledRefactorer((8, 8, 8), num_workers=2,
+                                 backend="processes:2") as refactorer:
+                built = refactorer.refactor(data, name="rho")
         finally:
             backend.clear_chaos()
-            service.close()
+        assert chaos.total_fired() == 1
+        health = shared_process_backend(1).health()
+        assert health["uid"] == before["uid"]
+        assert health["respawns"] == before["respawns"] + 1
+        assert health["task_retries"] == before["task_retries"] + 1
+        assert [f.to_bytes() for f in built.fields] == [
+            f.to_bytes() for f in reference_tiled.fields
+        ]
 
-    def test_no_live_pool_reports_none_and_creates_none(self, tiled_stored):
+    def test_reads_create_no_pool(self, tiled_stored):
+        """A ``processes`` read session starts no pool: after teardown
+        the shared backend stays down through a whole staircase."""
         shutdown_all_backends()  # whatever earlier tests left running
         service = RetrievalService(tiled_stored)
-        with service.session("rho", backend="serial") as session:
-            session.reconstruct(tolerance=1e-2, region=ROI)
-            assert service.stats()["pool"] is None
-        backend = current_process_backend()
-        assert backend is None or not backend.alive  # asking spawned none
-        service.close()
-
-    def test_stats_track_replacement_pool(self, tiled_stored):
-        """Growing the shared backend mid-session replaces the pool;
-        stats() must report the *current* pool (fresh uid, counters
-        reset), not a snapshot of the dead one."""
-        service = RetrievalService(tiled_stored)
-        before = shared_process_backend(2)
         with service.session(
             "rho", num_workers=2, backend="processes:2"
         ) as session:
-            session.reconstruct(tolerance=1e-1, region=ROI)
-            first = service.stats()["pool"]
-            assert first["uid"] == before.uid
+            for tol in STAIRCASE[:2]:
+                session.reconstruct(tolerance=tol, region=ROI)
+        service.close()
+        backend = backends._SHARED_BACKEND
+        assert backend is None or not backend.alive
+
+    def test_health_tracks_replacement_pool(self, data, reference_tiled):
+        """Growing the shared backend replaces the pool; the next
+        refactor runs on the *current* pool (fresh uid, counters
+        reset), not on the dead one."""
+        before = shared_process_backend(2)
+        with TiledRefactorer((8, 8, 8), backend="processes:2") as refactorer:
+            refactorer.refactor(data, name="rho")
             grown = shared_process_backend(before.num_workers + 1)
             assert grown is not before
-            # the session still works: its field ships to the grown pool
-            session.reconstruct(tolerance=1e-2, region=ROI)
-            second = service.stats()["pool"]
-            assert second["uid"] == grown.uid
-            assert second["respawns"] == 0
-        service.close()
+            refactorer.refactor(data, name="rho")
+        health = shared_process_backend(1).health()
+        assert health["uid"] == grown.uid != before.uid
+        assert health["tasks_dispatched"] == reference_tiled.num_tiles
+        assert health["respawns"] == 0

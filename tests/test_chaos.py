@@ -12,12 +12,11 @@ so failures replay exactly; the retry policies here never sleep.
 """
 
 import json
-import os
 
 import numpy as np
 import pytest
 
-from repro.core.backends import shared_process_backend, task_name
+from repro.core.backends import shared_process_backend
 from repro.core.errors import SegmentCorruptionError, TransientStoreError
 from repro.core.faults import (
     FaultInjectingStore,
@@ -247,7 +246,6 @@ class TestDegradeAndResume:
         np.testing.assert_array_equal(first.data, second.data)
         np.testing.assert_array_equal(first.data, clean_staircase[0])
 
-    @pytest.mark.parent_store_mutation
     def test_tiled_roi_outage_degrades_then_resumes(self, tiled_stored):
         store, tiled = tiled_stored
         ref = TiledReconstructor(tiled)
@@ -340,13 +338,12 @@ class TestOnDiskCorruptionRecovery:
 class TestProcessBackendChaosParity:
     """Seeded chaos schedules replay bit-identically across backends.
 
-    Fault decisions are pure functions of ``(seed, key, nth-access)``
-    and the injector's per-key access counters travel with its pickled
-    copy, so the process backend sees the *same* schedule the serial
-    engine does: tiled fetches are pinned one-tile-per-worker. Retried
-    transients must therefore cost identical extra reads and zero
-    accuracy under every backend. (Untiled reconstructors are serial
-    and have no backend axis.)
+    Fault decisions are pure functions of ``(seed, key, nth-access)``,
+    and a ``processes`` read runs in this process against the same
+    injector, so it sees the *same* schedule the serial engine does.
+    Retried transients must therefore cost identical extra reads and
+    zero accuracy under every backend. (Untiled reconstructors are
+    serial and have no backend axis.)
     """
 
     @pytest.mark.backend
@@ -477,190 +474,14 @@ class TestPipelinedChaos:
             assert a.failed_groups == b.failed_groups
         assert serial[-1].degraded is False
 
-    @pytest.mark.backend
-    @pytest.mark.parametrize("seed", CHAOS_SEEDS[:2])
-    def test_tiled_worker_kill_with_pipelined_flag(self, tiled_stored,
-                                                   tmp_path, seed):
-        """Under ``processes:2`` the pipelined flag is inert (workers
-        already overlap their own store I/O) — but it must stay
-        *harmlessly* inert through seeded worker kills: the healed
-        staircase is still bit-identical to the clean reference."""
-        store, tiled = tiled_stored
-        ref = TiledReconstructor(tiled)
-        backend = shared_process_backend(2)
-        chaos = WorkerChaos.single_kill(seed, num_tasks=8,
-                                        scratch_dir=tmp_path)
-        backend.install_chaos(chaos)
-        before = backend.health()["respawns"]
-        recon = TiledReconstructor(
-            open_tiled_field(store, "rho"), num_workers=2,
-            backend="processes:2", pipelined=True,
-        )
-        try:
-            for tol in STAIRCASE:
-                expected = ref.reconstruct(tolerance=tol, region=ROI)
-                got = recon.reconstruct(tolerance=tol, region=ROI)
-                assert got.degraded is False
-                assert got.failed_tiles == []
-                np.testing.assert_array_equal(got.data, expected.data)
-                assert got.error_bound == expected.error_bound
-        finally:
-            backend.clear_chaos()
-            recon.close()
-        assert chaos.total_fired() == 1
-        assert backend.health()["respawns"] >= before + 1
-
-
-class TestWorkerKillChaos:
-    """Process-*level* chaos: seeded worker kills mid-staircase.
-
-    Where :class:`TestProcessBackendChaosParity` injects store faults,
-    these schedules kill the workers themselves (``os._exit``, no
-    cleanup) via :class:`WorkerChaos`. The self-healing pool must make
-    every kill invisible in the data — bit-identical to the serial
-    staircase — and visible *only* in the pool's health counters.
-    Marker files under ``tmp_path`` persist each schedule's fire counts
-    across the kills it causes, so every test also asserts the chaos
-    actually fired (no vacuous pass).
-    """
-
-    pytestmark = pytest.mark.backend
-
-    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-    def test_tiled_roi_staircase_bit_identical_under_worker_kill(
-        self, tiled_stored, tmp_path, seed
-    ):
-        """One seeded kill during the tiled ROI staircase (8 tiles per
-        step); the killed worker's resident tile engine is rebuilt
-        transparently."""
-        store, tiled = tiled_stored
-        ref = TiledReconstructor(tiled)
-        backend = shared_process_backend(2)
-        chaos = WorkerChaos.single_kill(seed, num_tasks=8,
-                                        scratch_dir=tmp_path)
-        backend.install_chaos(chaos)
-        before = backend.health()["respawns"]
-        recon = TiledReconstructor(open_tiled_field(store, "rho"),
-                                   num_workers=2, backend="processes:2")
-        try:
-            for tol in STAIRCASE:
-                expected = ref.reconstruct(tolerance=tol, region=ROI)
-                got = recon.reconstruct(tolerance=tol, region=ROI)
-                assert got.degraded is False
-                assert got.failed_tiles == []
-                np.testing.assert_array_equal(got.data, expected.data)
-                assert got.error_bound == expected.error_bound
-        finally:
-            backend.clear_chaos()
-            recon.close()
-        assert chaos.total_fired() == 1
-        assert backend.health()["respawns"] >= before + 1
-
-    def test_repeat_kill_rebuilds_worker_resident_state(
-        self, tiled_stored, tmp_path
-    ):
-        """Fail-first-2: the same call index dies in step 1 (nothing
-        resident yet — the in-batch retry builds the engine on the
-        replacement) *and* in step 2 (the slot's warm tiles died with
-        the worker — the retried task rebuilds them from the shared
-        field, from scratch). Both heals must stay bit-identical."""
-        store, tiled = tiled_stored
-        ref = TiledReconstructor(tiled)
-        backend = shared_process_backend(2)
-        chaos = WorkerChaos({1: ("exit", 2)}, tmp_path)
-        backend.install_chaos(chaos)
-        recon = TiledReconstructor(open_tiled_field(store, "rho"),
-                                   num_workers=2, backend="processes:2")
-        try:
-            for tol in STAIRCASE[:3]:
-                expected = ref.reconstruct(tolerance=tol, region=ROI)
-                got = recon.reconstruct(tolerance=tol, region=ROI)
-                assert got.degraded is False
-                np.testing.assert_array_equal(got.data, expected.data)
-        finally:
-            backend.clear_chaos()
-            recon.close()
-        assert chaos.fired(1) == 2
-
-    def test_service_session_staircase_under_worker_kill(
-        self, tiled_stored, tmp_path
-    ):
-        """The full service stack over a pool that loses a worker: the
-        tiled session's staircase stays bit-identical and the recovery
-        is visible through ``RetrievalService.stats()['pool']`` — with
-        the backend named only on the session, where it applies."""
-        store, tiled = tiled_stored
-        ref = TiledReconstructor(tiled)
-        backend = shared_process_backend(2)
-        before = backend.health()["respawns"]
-        chaos = WorkerChaos({0: "exit"}, tmp_path)
-        backend.install_chaos(chaos)
-        service = RetrievalService(store)
-        try:
-            with service.session(
-                "rho", num_workers=2, backend="processes:2"
-            ) as session:
-                for tol in STAIRCASE:
-                    expected = ref.reconstruct(tolerance=tol, region=ROI)
-                    step = session.reconstruct(tolerance=tol, region=ROI)
-                    assert step.degraded is False
-                    np.testing.assert_array_equal(step.data, expected.data)
-            pool = service.stats()["pool"]
-            assert pool is not None
-            assert pool["respawns"] >= before + 1
-        finally:
-            backend.clear_chaos()
-            service.close()
-        assert chaos.total_fired() == 1
-
-    def test_poison_tile_degrades_alone_then_resumes_bit_identical(
-        self, tiled_stored, tmp_path
-    ):
-        """A tile whose decode kills every worker it lands on exhausts
-        its retry budget and is quarantined; ``on_fault="degrade"``
-        reports exactly that tile in ``failed_tiles`` while the other
-        seven return real data. Once the poison clears, the same
-        staircase resumes bit-identically — crash loss heals like
-        store loss."""
-        store, tiled = tiled_stored
-        ref = TiledReconstructor(tiled)
-        ref_steps = [ref.reconstruct(tolerance=t, region=ROI)
-                     for t in STAIRCASE[:2]]
-        backend = shared_process_backend(2)
-        before = backend.health()["quarantines"]
-        chaos = WorkerChaos({1: ("exit", 10)}, tmp_path)
-        backend.install_chaos(chaos)
-        recon = TiledReconstructor(open_tiled_field(store, "rho"),
-                                   num_workers=2, backend="processes:2")
-        try:
-            degraded = recon.reconstruct(tolerance=STAIRCASE[0],
-                                         region=ROI, on_fault="degrade")
-            assert degraded.degraded is True
-            assert len(degraded.failed_tiles) == 1
-            assert backend.health()["quarantines"] == before + 1
-            # the poison fired through its whole budget: initial try
-            # plus max_task_retries consecutive fresh workers
-            assert chaos.fired(1) == backend.max_task_retries + 1
-
-            backend.clear_chaos()  # the poison clears
-            resumed = recon.reconstruct(tolerance=STAIRCASE[0],
-                                        region=ROI)
-            assert resumed.degraded is False
-            assert resumed.failed_tiles == []
-            np.testing.assert_array_equal(resumed.data, ref_steps[0].data)
-            nxt = recon.reconstruct(tolerance=STAIRCASE[1], region=ROI)
-            np.testing.assert_array_equal(nxt.data, ref_steps[1].data)
-            assert nxt.error_bound == ref_steps[1].error_bound
-        finally:
-            backend.clear_chaos()
-            recon.close()
-
-
 class TestWriteSurvivesWorkerKill:
-    """The write side heals like the read side: a worker killed in the
-    middle of a ``processes:2`` tiled refactor is respawned, its tile
-    retried, and every tile's stream comes back byte-identical to the
-    serial refactor — the kill shows only in the health counters."""
+    """Process-level chaos on the pool's one route, the tiled refactor:
+    a worker killed in the middle of a ``processes:2`` refactor is
+    respawned, its tile retried, and every tile's stream comes back
+    byte-identical to the serial refactor — the kill shows only in the
+    health counters. Marker files under ``tmp_path`` persist the
+    schedule's fire counts across the kills it causes, so the test
+    asserts the chaos actually fired (no vacuous pass)."""
 
     pytestmark = pytest.mark.backend
 
@@ -687,71 +508,3 @@ class TestWriteSurvivesWorkerKill:
             f.to_bytes() for f in reference.fields
         ]
         assert built.value_range == reference.value_range
-
-
-def _task_resident_engine(state, session):
-    """Worker-side probe: this worker's resident engine for *session*."""
-    engine = state.get(("tiled-session", session))
-    if engine is None:
-        return os.getpid(), None, []
-    return os.getpid(), id(engine), sorted(engine._recons)
-
-
-class TestSurvivorsStayWarm:
-    """Nothing tells a surviving worker that its neighbour died.
-
-    The parent keeps no record of which worker holds which tile, so a
-    kill costs exactly the dead slot's tiles: the survivor's resident
-    engine — the same object, the same warm reconstructors — carries on
-    across the kill, and only the replaced slot rebuilds from the
-    shared field.
-    """
-
-    pytestmark = pytest.mark.backend
-
-    def test_kill_rebuilds_only_the_dead_slot(self, tiled_stored, tmp_path):
-        store, tiled = tiled_stored
-        ref = TiledReconstructor(tiled)
-        backend = shared_process_backend(2)
-        recon = TiledReconstructor(open_tiled_field(store, "rho"),
-                                   num_workers=2, backend="processes:2")
-        probe = task_name(_task_resident_engine)
-
-        def step(tol):
-            expected = ref.reconstruct(tolerance=tol, region=ROI)
-            got = recon.reconstruct(tolerance=tol, region=ROI)
-            assert got.degraded is False
-            np.testing.assert_array_equal(got.data, expected.data)
-            assert got.error_bound == expected.error_bound
-
-        try:
-            step(STAIRCASE[0])
-            before = backend.broadcast(probe, recon._session_token)
-            # (the shared pool may be wider than 2: it only ever grows)
-            slots = [backend.worker_for(pos) for pos in recon.touched_tiles]
-            assert len(set(slots)) > 1  # more than one worker holds tiles
-            for slot, (_, engine, held) in enumerate(before):
-                assert held == [pos for pos, s in
-                                zip(recon.touched_tiles, slots) if s == slot]
-                assert (engine is not None) == bool(held)
-            victim = slots[-1]
-            chaos = WorkerChaos({slots.index(victim): "exit"}, tmp_path)
-            backend.install_chaos(chaos)  # dies on its first tile
-            step(STAIRCASE[1])
-            backend.clear_chaos()
-            assert chaos.total_fired() == 1
-            after = backend.broadcast(probe, recon._session_token)
-            for slot, (was, now) in enumerate(zip(before, after)):
-                if slot == victim:
-                    assert now[0] != was[0]  # a replacement process
-                    assert now[2] == was[2]  # rebuilt from the field
-                else:
-                    assert now == was  # same pid, engine, warm tiles
-            step(STAIRCASE[2])
-            final = backend.broadcast(probe, recon._session_token)
-            assert [f for i, f in enumerate(final) if i != victim] == [
-                b for i, b in enumerate(before) if i != victim]
-        finally:
-            backend.clear_chaos()
-            recon.close()
-

@@ -1,14 +1,12 @@
 """Tests for segment stores and the store-backed load path."""
 
 import os
-import pickle
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from repro.core.backends import ProcessBackend, task_name
 from repro.core.errors import finish_batch
 from repro.core.refactor import refactor
 from repro.core.reconstruct import Reconstructor, reconstruct
@@ -133,10 +131,6 @@ def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 
 
-def _task_get(state, store, key):
-    return store.get(key)
-
-
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="counts descriptors through /proc")
 class TestDescriptorLifecycle:
@@ -187,34 +181,6 @@ class TestDescriptorLifecycle:
                 store.close()
             del store  # the other half rely on collection
         assert _open_fds() == before
-
-    def test_pickle_round_trips_a_store_with_open_descriptors(self, written):
-        root, checksums = written
-        store = DirectoryStore(root)
-        key = next(iter(checksums))
-        blob = store.get(key)
-        store.put("extra", b"tail")
-        before = _open_fds()
-        clone = pickle.loads(pickle.dumps(store))
-        assert _open_fds() == before  # descriptors stayed behind
-        assert clone.keys() == store.keys()
-        assert clone.get(key) == blob and clone.get("extra") == b"tail"
-        clone.close()
-        assert store.get(key) == blob  # the original's are untouched
-
-    def test_served_store_ships_to_process_workers(self, written):
-        root, checksums = written
-        store = DirectoryStore(root)
-        keys = sorted(checksums)
-        blobs = [store.get(k) for k in keys]  # descriptor open at ship time
-        backend = ProcessBackend(2)
-        try:
-            shipped = backend.map_calls(
-                [(task_name(_task_get), (store, k), None) for k in keys]
-            )
-        finally:
-            backend.close()
-        assert shipped == blobs
 
     def test_concurrent_gets_share_one_descriptor(self, written):
         """Eight threads read disjoint keys through one instance (one

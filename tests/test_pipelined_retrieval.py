@@ -208,8 +208,6 @@ def _route_fields(route, store):
 def _route_engine(route, store):
     if route == "untiled":
         return Reconstructor(open_field(store, "vx"))
-    # Pinned serial: under processes the reads happen in the workers'
-    # pickled store copies, out of this log's sight.
     return TiledReconstructor(
         open_tiled_field(store, "rho"), backend="serial",
         pipelined=route.endswith("pipelined"),
@@ -369,7 +367,6 @@ class TestTiledPipelinedParity:
         recon.close()
         seq.close()
 
-    @pytest.mark.parent_store_mutation
     @pytest.mark.parametrize("seed", [5, 23])
     def test_degrade_parity_identical_failed_tiles(self, reference_tiled,
                                                    seed):

@@ -246,11 +246,13 @@ def test_lazy_tiled_field_takes_a_store_not_an_opener():
 
 
 def test_process_backend_tracks_no_resident_state():
-    """Engines rebuild worker state from one shared object, so the pool
-    exposes no per-slot stamps; ``broadcast`` is still one result per
-    worker, in slot order."""
-    assert not hasattr(ProcessBackend, "slot_generations")
-    assert not hasattr(ProcessBackend, "_broadcast_send")
+    """Reads run in the caller's process and a write call carries its
+    whole input, so the pool exposes no per-slot stamps, sticky routing
+    or session drops; ``broadcast`` is still one result per worker, in
+    slot order."""
+    for name in ("slot_generations", "_broadcast_send", "worker_for",
+                 "drop_session"):
+        assert not hasattr(ProcessBackend, name), name
     with ProcessBackend(2) as backend:
         pids = backend.broadcast(task_name(_task_ping))
         assert pids == [w.process.pid for w in backend._workers]

@@ -213,12 +213,12 @@ def test_r2_accepts_taxonomy_raise_and_locally_converted_raise():
     result = run("""
         from repro.core.errors import (
             SegmentCorruptionError,
-            WorkerStateError,
+            WorkerCrashedError,
         )
 
         def _task_decode(state, key):
             if key not in state:
-                raise WorkerStateError("no session")
+                raise WorkerCrashedError("no session")
             try:
                 value = state[key]
                 if not isinstance(value, dict):

@@ -978,7 +978,6 @@ class TestTiledDegradedReconstruction:
         assert all(g is None for g in res.failed_groups.values())
         np.testing.assert_array_equal(res.data, np.zeros_like(res.data))
 
-    @pytest.mark.parent_store_mutation
     def test_degrade_then_resume_bit_identical(self, tiled_store):
         data, tiled, store = tiled_store
         ref = TiledReconstructor(tiled)
@@ -1002,7 +1001,6 @@ class TestTiledDegradedReconstruction:
         assert resumed.degraded is False
         np.testing.assert_array_equal(resumed.data, ref2.data)
 
-    @pytest.mark.parent_store_mutation
     def test_tiled_session_forwards_on_fault(self, tiled_store):
         data, tiled, store = tiled_store
         service = RetrievalService(store)

@@ -17,7 +17,6 @@ The guarantees under test (ISSUE 5):
 
 import json
 import os
-import pickle
 import tempfile
 from unittest import mock
 
@@ -42,7 +41,6 @@ from repro.core.store import (
     tiled_index_key,
 )
 from repro.core.tiling import (
-    LazyTiledField,
     TiledReconstructor,
     TiledRefactorer,
     normalize_region,
@@ -169,65 +167,6 @@ class TestUntiledAsOneTile:
             assert np.array_equal(got.data, want.data)
             assert got.error_bound == want.error_bound
         assert tiled.fetched_bytes == plain.fetched_bytes
-
-    def test_pickled_copy_reopens_the_tile_by_name(self, stored):
-        lazy = open_tiled_field(stored, "u")
-        copy = pickle.loads(pickle.dumps(lazy))
-        assert copy.opened_tiles == []
-        with TiledReconstructor(lazy) as a, TiledReconstructor(copy) as b:
-            assert np.array_equal(a.reconstruct(tolerance=1e-3).data,
-                                  b.reconstruct(tolerance=1e-3).data)
-
-
-class TestFieldsPickle:
-    """A tiled field crosses a process boundary whole: a process worker
-    rebuilds any tile from its own copy (the ``processes`` route ships
-    nothing else)."""
-
-    def test_eager_field_roundtrips_bit_identically(self, tiled):
-        copy = pickle.loads(pickle.dumps(tiled))
-        assert (copy.shape, copy.dtype, copy.tiles, copy.value_range,
-                copy.name) == (tiled.shape, tiled.dtype, tiled.tiles,
-                               tiled.value_range, tiled.name)
-        assert copy.fields.opened_indices == []  # parsed on first touch
-        region = ((0, 8), (0, 8), (0, 8))
-        with TiledReconstructor(tiled) as ref, \
-                TiledReconstructor(copy) as got:
-            for tol in (1e-1, 1e-4):
-                want = ref.reconstruct(tolerance=tol, region=region)
-                step = got.reconstruct(tolerance=tol, region=region)
-                assert np.array_equal(step.data, want.data)
-                assert step.error_bound == want.error_bound
-        assert copy.total_bytes() == tiled.total_bytes()
-
-    def test_lazy_field_ships_store_not_cache_or_opened_tiles(self, tiled):
-        store = MemoryStore()
-        store_tiled_field(store, tiled)
-        service = RetrievalService(store)
-        lazy = service.open("rho")
-        lazy.fields[0]
-        assert lazy.opened_tiles == [0]
-        copy = pickle.loads(pickle.dumps(lazy))
-        assert isinstance(copy, LazyTiledField)
-        assert copy.opened_tiles == []
-        # no cache: the copy's tiles share a cold resolver of its store
-        resolver = copy.fields._opener.keywords["cache"]
-        assert resolver is not service.cache
-        assert resolver._store is copy.fields._opener.args[0]
-        assert copy.tile_field_names == lazy.tile_field_names
-        assert copy.total_bytes() == lazy.total_bytes()
-        # the copy reads its own store copy: no ``.tiles`` re-read at
-        # unpickle time, and tile opens never reach the original
-        own = copy.fields._opener.args[0]
-        assert own is not store
-        before, own_before = store.reads, own.reads
-        misses = service.cache.stats()["misses"]
-        copy.fields[1]
-        assert copy.opened_tiles == [1]
-        assert own.reads == own_before + 1  # tile 1's index record
-        assert store.reads == before
-        assert service.cache.stats()["misses"] == misses
-        service.close()
 
 
 @st.composite
@@ -403,8 +342,6 @@ class TestRegionRetrieval:
         store = DirectoryStore(tmp_path / "s")
         store_tiled_field(store, tiled)
 
-        # Pinned serial: measures the parent store's byte counters,
-        # which process workers' pickled store copies bypass.
         full = TiledReconstructor(open_tiled_field(store, "rho"),
                                   backend="serial")
         before = store.bytes_read
@@ -420,8 +357,6 @@ class TestRegionRetrieval:
         assert roi_bytes < full_bytes / 2
 
     def test_region_staircase_is_incremental_per_tile(self, tiled):
-        # Pinned serial: reaches into the parent-resident per-tile
-        # reconstructor (worker-resident under the process backend).
         recon = TiledReconstructor(tiled, backend="serial")
         region = ((0, 8), (0, 8), (0, 8))
         recon.reconstruct(tolerance=1e-1, region=region)

@@ -26,7 +26,7 @@ BROAD_EXCEPTION_NAMES = {"Exception", "BaseException"}
 TAXONOMY = {
     "StoreError", "SegmentNotFoundError", "TransientStoreError",
     "SegmentCorruptionError", "ComputeError", "WorkerCrashedError",
-    "WorkerTimeoutError", "WorkerStateError",
+    "WorkerTimeoutError",
 }
 
 #: Function-name prefixes for worker-task / store-resolver boundaries.
@@ -61,7 +61,7 @@ def _raised_name(node: ast.Raise) -> str | None:
     if isinstance(exc, ast.Call):
         exc = exc.func
     while isinstance(exc, ast.Attribute):
-        # errors.WorkerStateError(...) — last attribute is the class
+        # errors.WorkerCrashedError(...) — last attribute is the class
         return exc.attr
     if isinstance(exc, ast.Name):
         return exc.id
