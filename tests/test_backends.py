@@ -1038,6 +1038,25 @@ class TestSelfHealingPool:
         finally:
             backend.close()
 
+    def test_respawn_replaces_only_the_dead_slot(self, tmp_path):
+        """A respawn is in place: the dead slot gets a fresh process,
+        every other slot keeps its own, and call *i* of a batch still
+        lands on slot ``i % num_workers`` across the respawn."""
+        backend = ProcessBackend(2)
+        try:
+            pid = task_name(_task_pid)
+            before = backend.broadcast(pid)
+            backend.install_chaos(WorkerChaos({0: "exit"}, tmp_path))
+            during = backend.map_calls([(pid, ()) for _ in range(4)])
+            backend.clear_chaos()
+            after = backend.broadcast(pid)
+            assert after[0] != before[0]
+            assert after[1:] == before[1:]
+            assert during == after * 2
+            assert backend.health()["respawns"] == 1
+        finally:
+            backend.close()
+
     def test_poison_task_quarantined_batch_survives(self, tmp_path):
         """A task that kills every worker it lands on exhausts its retry
         budget and settles as *that call's* failure: its batchmates
@@ -1214,6 +1233,43 @@ class TestZombieReaping:
         for pid in pids:
             assert not _is_zombie(pid), \
                 f"worker pid {pid} left a zombie after close()"
+
+
+class TestPoolReplacement:
+    def test_grown_shared_pool_leaves_open_engines_identical(
+        self, data, reference_tiled
+    ):
+        """Growing the shared pool mid-session replaces it with a fresh
+        ProcessBackend that holds nothing. No open engine keeps anything
+        in the pool: a ``processes:2`` reader steps on bit-identically
+        across the replacement, and a refactorer built before it writes
+        byte-identical streams on the fresh pool."""
+        ref = TiledReconstructor(reference_tiled)
+        got = TiledReconstructor(
+            open_tiled_field(_fresh_tiled_store(reference_tiled), "rho"),
+            num_workers=2, backend="processes:2",
+        )
+        refactorer = TiledRefactorer((8, 8, 8), backend="processes:2")
+        try:
+            expected = ref.reconstruct(tolerance=STAIRCASE[0], region=ROI)
+            step = got.reconstruct(tolerance=STAIRCASE[0], region=ROI)
+            np.testing.assert_array_equal(step.data, expected.data)
+            before = shared_process_backend(1)
+            grown = shared_process_backend(before.num_workers + 1)
+            assert grown is not before
+            assert grown.uid != before.uid
+            expected = ref.reconstruct(tolerance=STAIRCASE[1], region=ROI)
+            step = got.reconstruct(tolerance=STAIRCASE[1], region=ROI)
+            np.testing.assert_array_equal(step.data, expected.data)
+            assert step.error_bound == expected.error_bound
+            built = refactorer.refactor(data, name="rho")
+        finally:
+            got.close()
+            refactorer.close()
+        assert grown.health()["tasks_dispatched"] == reference_tiled.num_tiles
+        assert [f.to_bytes() for f in built.fields] == [
+            f.to_bytes() for f in reference_tiled.fields
+        ]
 
 
 # -- satellite: pool health through the tiled refactor ---------------------

@@ -12,19 +12,24 @@ so failures replay exactly; the retry policies here never sleep.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from repro.core.backends import shared_process_backend
-from repro.core.errors import SegmentCorruptionError, TransientStoreError
+from repro.core.backends import shared_process_backend, task_name
+from repro.core.errors import (
+    SegmentCorruptionError,
+    TransientStoreError,
+    WorkerCrashedError,
+)
 from repro.core.faults import (
     FaultInjectingStore,
     ResilientReader,
     RetryPolicy,
     WorkerChaos,
 )
-from repro.core.refactor import refactor
+from repro.core.refactor import RefactorConfig, refactor
 from repro.core.reconstruct import Reconstructor
 from repro.core.service import RetrievalService
 from repro.core.store import (
@@ -88,6 +93,28 @@ def _resilient(store, seed, transient_rate=0.10, corrupt_rate=0.0,
                                 corrupt_rate=corrupt_rate,
                                 sleep=_noop_sleep)
     return flaky, ResilientReader(flaky, chaos_policy(max_attempts))
+
+
+def _processes_refactor(data):
+    """A ``processes:2`` tiled refactor of *data* on the shared pool."""
+    with TiledRefactorer((8, 8, 8), num_workers=2,
+                         backend="processes:2") as refactorer:
+        return refactorer.refactor(data, name="rho")
+
+
+def _streams(tiled):
+    return [f.to_bytes() for f in tiled.fields]
+
+
+def _assert_roi_staircase(recon, ref, steps=STAIRCASE):
+    """Each ROI step of *recon* is bit-identical to the clean *ref*."""
+    for tol in steps:
+        expected = ref.reconstruct(tolerance=tol, region=ROI)
+        got = recon.reconstruct(tolerance=tol, region=ROI)
+        assert got.degraded is False
+        assert got.failed_tiles == []
+        np.testing.assert_array_equal(got.data, expected.data)
+        assert got.error_bound == expected.error_bound
 
 
 class TestEagerChaos:
@@ -474,6 +501,182 @@ class TestPipelinedChaos:
             assert a.failed_groups == b.failed_groups
         assert serial[-1].degraded is False
 
+    @pytest.mark.backend
+    @pytest.mark.parametrize("seed", CHAOS_SEEDS[:2])
+    def test_tiled_worker_kill_with_pipelined_flag(self, data, tiled_stored,
+                                                   tmp_path, seed):
+        """A pipelined ``processes:2`` read runs in this process, so a
+        seeded kill schedule installed on the pool cannot reach it: the
+        staircase is bit-identical to the clean reference, the pool is
+        sent no task and the schedule stays unfired — until a
+        ``processes:2`` refactor runs on the pool, where it fires once
+        and heals byte-identically."""
+        store, tiled = tiled_stored
+        backend = shared_process_backend(2)
+        chaos = WorkerChaos.single_kill(seed, num_tasks=tiled.num_tiles,
+                                        scratch_dir=tmp_path)
+        backend.install_chaos(chaos)
+        before = backend.health()
+        try:
+            with TiledReconstructor(
+                open_tiled_field(store, "rho"), num_workers=2,
+                backend="processes:2", pipelined=True,
+            ) as recon:
+                _assert_roi_staircase(recon, TiledReconstructor(tiled))
+            assert chaos.total_fired() == 0
+            assert (backend.health()["tasks_dispatched"]
+                    == before["tasks_dispatched"])
+            built = _processes_refactor(data)
+        finally:
+            backend.clear_chaos()
+        assert chaos.total_fired() == 1
+        assert backend.health()["respawns"] == before["respawns"] + 1
+        assert _streams(built) == _streams(tiled)
+
+
+class TestWorkerKillChaos:
+    """Process-*level* chaos: seeded worker kills during the write that
+    a staircase later reads.
+
+    Where :class:`TestProcessBackendChaosParity` injects store faults,
+    these schedules kill the pool's workers themselves (``os._exit``,
+    no cleanup) via :class:`WorkerChaos` while a ``processes:2``
+    refactor runs on them. The self-healing pool must make every kill
+    invisible in the written streams and in every staircase read back
+    from them — bit-identical to the serial reference — and visible
+    *only* in the pool's health counters. Marker files under
+    ``tmp_path`` persist each schedule's fire counts across the kills
+    it causes, so every test also asserts the chaos actually fired (no
+    vacuous pass).
+    """
+
+    pytestmark = pytest.mark.backend
+
+    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
+    def test_tiled_roi_staircase_bit_identical_under_worker_kill(
+        self, data, tiled_stored, tmp_path, seed
+    ):
+        """One seeded kill among the refactor's tile tasks; the field it
+        writes reads back through a ``processes:2`` ROI staircase
+        bit-identical to the serial reference, and the read sends the
+        pool no task."""
+        _, tiled = tiled_stored
+        backend = shared_process_backend(2)
+        chaos = WorkerChaos.single_kill(seed, num_tasks=tiled.num_tiles,
+                                        scratch_dir=tmp_path)
+        backend.install_chaos(chaos)
+        before = backend.health()
+        try:
+            built = _processes_refactor(data)
+        finally:
+            backend.clear_chaos()
+        assert chaos.total_fired() == 1
+        assert backend.health()["respawns"] == before["respawns"] + 1
+        assert _streams(built) == _streams(tiled)
+        store = MemoryStore()
+        store_tiled_field(store, built)
+        dispatched = backend.health()["tasks_dispatched"]
+        with TiledReconstructor(open_tiled_field(store, "rho"),
+                                num_workers=2,
+                                backend="processes:2") as recon:
+            _assert_roi_staircase(recon, TiledReconstructor(tiled))
+        assert backend.health()["tasks_dispatched"] == dispatched
+
+    def test_repeat_kill_rebuilds_worker_resident_state(
+        self, data, tiled_stored, tmp_path
+    ):
+        """Fail-first-2: the same call dies on its first try *and* on
+        its in-batch retry, so its slot's per-shape refactorer cache is
+        lost twice and rebuilt from scratch on the third worker, which
+        succeeds. The next refactor, on the healed pool, runs clean.
+        Both are byte-identical to the serial refactor."""
+        _, tiled = tiled_stored
+        backend = shared_process_backend(2)
+        chaos = WorkerChaos({1: ("exit", 2)}, tmp_path)
+        backend.install_chaos(chaos)
+        before = backend.health()
+        try:
+            first = _processes_refactor(data)
+            assert chaos.fired(1) == 2
+            second = _processes_refactor(data)
+        finally:
+            backend.clear_chaos()
+        assert chaos.fired(1) == 2
+        health = backend.health()
+        assert health["respawns"] == before["respawns"] + 2
+        assert health["task_retries"] == before["task_retries"] + 2
+        assert health["quarantines"] == before["quarantines"]
+        assert _streams(first) == _streams(second) == _streams(tiled)
+        # the third worker on slot 1 ran every call dealt to that slot
+        _, cache, shapes = backend.broadcast(
+            task_name(_task_resident_refactorers), RefactorConfig()
+        )[1]
+        assert cache is not None
+        assert shapes == _slot_shapes(tiled, 1, backend.num_workers)
+
+    def test_service_session_staircase_under_worker_kill(
+        self, data, tiled_stored, tmp_path
+    ):
+        """A ``processes:2`` service session stays open while the pool
+        loses a worker to a refactor running between its steps: the
+        session reads in this process and never touches the pool, so
+        its staircase is bit-identical on both sides of the kill."""
+        store, tiled = tiled_stored
+        ref = TiledReconstructor(tiled)
+        backend = shared_process_backend(2)
+        chaos = WorkerChaos({0: "exit"}, tmp_path)
+        backend.install_chaos(chaos)
+        before = backend.health()
+        service = RetrievalService(store)
+        try:
+            with service.session(
+                "rho", num_workers=2, backend="processes:2"
+            ) as session:
+                for i, tol in enumerate(STAIRCASE):
+                    if i == 2:
+                        built = _processes_refactor(data)
+                    expected = ref.reconstruct(tolerance=tol, region=ROI)
+                    step = session.reconstruct(tolerance=tol, region=ROI)
+                    assert step.degraded is False
+                    np.testing.assert_array_equal(step.data, expected.data)
+                    assert step.error_bound == expected.error_bound
+            # the refactor's tiles are all the pool was sent
+            assert (backend.health()["tasks_dispatched"]
+                    == before["tasks_dispatched"] + tiled.num_tiles)
+        finally:
+            backend.clear_chaos()
+            service.close()
+        assert chaos.total_fired() == 1
+        assert backend.health()["respawns"] == before["respawns"] + 1
+        assert _streams(built) == _streams(tiled)
+
+    def test_poison_tile_quarantined_then_refactor_resumes_byte_identical(
+        self, data, tiled_stored, tmp_path
+    ):
+        """A tile whose refactor kills every worker it lands on exhausts
+        its retry budget and is quarantined: the refactor raises a typed
+        :class:`WorkerCrashedError` instead of returning a field with a
+        hole. Once the poison clears, the same refactor is
+        byte-identical to the serial one — crash loss heals."""
+        _, tiled = tiled_stored
+        backend = shared_process_backend(2)
+        before = backend.health()["quarantines"]
+        chaos = WorkerChaos({1: ("exit", 10)}, tmp_path)
+        backend.install_chaos(chaos)
+        try:
+            with pytest.raises(WorkerCrashedError, match="quarantined"):
+                _processes_refactor(data)
+            assert backend.health()["quarantines"] == before + 1
+            # the poison fired through its whole budget: initial try
+            # plus max_task_retries consecutive fresh workers
+            assert chaos.fired(1) == backend.max_task_retries + 1
+            backend.clear_chaos()  # the poison clears
+            resumed = _processes_refactor(data)
+        finally:
+            backend.clear_chaos()
+        assert _streams(resumed) == _streams(tiled)
+
+
 class TestWriteSurvivesWorkerKill:
     """Process-level chaos on the pool's one route, the tiled refactor:
     a worker killed in the middle of a ``processes:2`` refactor is
@@ -508,3 +711,62 @@ class TestWriteSurvivesWorkerKill:
             f.to_bytes() for f in reference.fields
         ]
         assert built.value_range == reference.value_range
+
+
+def _task_resident_refactorers(state, config):
+    """Worker-side probe: this worker's refactorer cache for *config*."""
+    cache = state.get(("tiled-refactorer", config))
+    if cache is None:
+        return os.getpid(), None, []
+    return os.getpid(), id(cache), sorted(cache)
+
+
+def _slot_shapes(tiled, slot, num_workers):
+    """The tile shapes of the refactor calls dealt to *slot*."""
+    return sorted({tile.shape for i, tile in enumerate(tiled.tiles)
+                   if i % num_workers == slot})
+
+
+class TestSurvivorsStayWarm:
+    """Nothing tells a surviving worker that its neighbour died.
+
+    A worker keeps its per-shape refactorer cache for its whole life,
+    so a kill costs exactly the dead slot's cache: every survivor keeps
+    its process and the very same cache across the kill, and only the
+    replaced slot rebuilds its cache, from the calls it then runs.
+    """
+
+    pytestmark = pytest.mark.backend
+
+    def test_kill_rebuilds_only_the_dead_slot(self, data, tiled_stored,
+                                              tmp_path):
+        _, tiled = tiled_stored
+        backend = shared_process_backend(2)
+        probe = task_name(_task_resident_refactorers)
+        config = RefactorConfig()
+
+        def step():
+            assert _streams(_processes_refactor(data)) == _streams(tiled)
+            return backend.broadcast(probe, config)
+
+        before = step()  # every slot warm
+        assert all(cache is not None for _, cache, _ in before)
+        # call #victim is the first call dealt to the last slot, so the
+        # replacement runs every call of that slot
+        victim = backend.num_workers - 1
+        chaos = WorkerChaos({victim: "exit"}, tmp_path)
+        backend.install_chaos(chaos)
+        try:
+            after = step()
+        finally:
+            backend.clear_chaos()
+        assert chaos.total_fired() == 1
+        for slot, (was, now) in enumerate(zip(before, after)):
+            if slot == victim:
+                assert now[0] != was[0]  # a replacement process
+                assert now[1] is not None
+                assert now[2] == _slot_shapes(tiled, victim,
+                                              backend.num_workers)
+            else:
+                assert now == was  # same pid, same cache, same shapes
+        assert step() == after  # nothing rebuilt once healed

@@ -17,8 +17,11 @@ from repro.core.store import (
     load_field,
     segment_checksum,
     segment_key,
+    open_tiled_field,
     store_field,
+    store_tiled_field,
 )
+from repro.core.tiling import TiledReconstructor, TiledRefactorer
 from repro.data import generators as gen
 
 
@@ -131,6 +134,18 @@ def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 
 
+def _fds_under(root) -> int:
+    """Descriptors this process holds open on files under *root*."""
+    held = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue  # closed since the listing
+        held += target.startswith(f"{root}{os.sep}")
+    return held
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="counts descriptors through /proc")
 class TestDescriptorLifecycle:
@@ -181,6 +196,34 @@ class TestDescriptorLifecycle:
                 store.close()
             del store  # the other half rely on collection
         assert _open_fds() == before
+
+    @pytest.mark.parametrize("backend",
+                             ["serial", "threads:2", "processes:2"])
+    def test_tiled_read_holds_one_descriptor_under_every_backend(
+        self, small_field, tmp_path, backend
+    ):
+        """A tiled read runs in this process under every backend, so all
+        its tiles share the store's one read descriptor (no worker opens
+        a copy of the store), and closing the store releases it."""
+        data, _ = small_field
+        root = tmp_path / "tiled"
+        tiled = TiledRefactorer((6, 6, 6), backend="serial").refactor(
+            data, name="rho")
+        writer = DirectoryStore(root)
+        store_tiled_field(writer, tiled)
+        writer.close()
+        ref = TiledReconstructor(tiled)
+        store = DirectoryStore(root)
+        with TiledReconstructor(open_tiled_field(store, "rho"),
+                                num_workers=2, backend=backend) as recon:
+            for tol in (1e-2, 1e-4):
+                got = recon.reconstruct(tolerance=tol)
+                want = ref.reconstruct(tolerance=tol)
+                np.testing.assert_array_equal(got.data, want.data)
+                assert got.error_bound == want.error_bound
+                assert _fds_under(root) == 1
+        store.close()
+        assert _fds_under(root) == 0
 
     def test_concurrent_gets_share_one_descriptor(self, written):
         """Eight threads read disjoint keys through one instance (one

@@ -168,6 +168,67 @@ class TestUntiledAsOneTile:
             assert got.error_bound == want.error_bound
         assert tiled.fetched_bytes == plain.fetched_bytes
 
+    def test_processes_staircase_reads_what_the_untiled_engine_reads(
+        self, stored
+    ):
+        """A ``processes:2`` read of the one tile runs in this process
+        on the tile the probe open already parsed: the untiled engine's
+        staircase, from exactly as many store reads."""
+        tiled = TiledReconstructor(open_tiled_field(stored, "u"),
+                                   num_workers=2, backend="processes:2")
+        plain = Reconstructor(open_field(stored, "u"))
+        runs = []
+        for engine in (tiled, plain):
+            start = stored.reads
+            steps = [engine.reconstruct(tolerance=tol, relative=True)
+                     for tol in STAIRCASE]
+            runs.append((steps, stored.reads - start))
+        tiled.close()
+        (got, got_reads), (want, want_reads) = runs
+        for a, b in zip(got, want):
+            assert np.array_equal(a.data, b.data)
+            assert a.error_bound == b.error_bound
+        assert got_reads == want_reads > 0
+
+
+class _KeyLog(MemoryStore):
+    """Records the key of every read."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def get(self, key):
+        self.log.append(key)
+        return super().get(key)
+
+
+class TestReadsOpenTilesInTheCallersField:
+    """A read runs in the caller's process under every backend, so what
+    it opens and fetches lands in the caller's own field: a later
+    reconstructor over the same field and region reads nothing from the
+    store."""
+
+    @pytest.mark.parametrize("backend",
+                             ["serial", "threads:2", "processes:2"])
+    def test_second_reader_reuses_the_opened_tiles(self, tiled, backend):
+        store = _KeyLog()
+        store_tiled_field(store, tiled)
+        lazy = open_tiled_field(store, "rho")
+        region = (slice(0, 10), slice(0, 14), None)
+        with TiledReconstructor(lazy, num_workers=2,
+                                backend=backend) as first:
+            got = first.reconstruct(tolerance=1e-3, region=region)
+            touched = first.touched_tiles
+        assert 1 < len(touched) < lazy.num_tiles
+        assert sorted(lazy.opened_tiles) == sorted(touched)
+        store.log.clear()
+        with TiledReconstructor(lazy) as again:
+            want = again.reconstruct(tolerance=1e-3, region=region)
+        assert store.log == []
+        assert np.array_equal(got.data, want.data)
+        assert got.error_bound == want.error_bound
+
 
 @st.composite
 def _field_and_tiling(draw):
