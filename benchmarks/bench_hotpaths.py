@@ -20,6 +20,12 @@ write pass made of small plane groups. Each row times
 ``build_code_lengths_reference`` and one ``huffman_ratio_upper_bound``,
 the histogram-only test that lets the selector skip the construction.
 
+A batch read hands every Huffman group of its tiles to one
+``HuffmanCodec.decode_many`` call (``huffman_batch_sweep``): S = 1 ... 64
+streams of 1792 symbols (a 16^3 tile's plane group) decoded by one call
+against a per-stream ``decode`` loop, plus the largest S at several
+slab caps, which is the evidence behind ``SLAB_PAYLOAD_BYTES``.
+
 The read path's per-tile floor is recorded as a curve
 (``tile_batch_sweep``): one staircase step of K tiles of 16^3 decoded
 as one batch (``Reconstructor.decode_steps``), K = 1 ... 64, as the
@@ -111,6 +117,16 @@ SMOKE_SWEEP_SIZES = (1792, 6048, 70000)
 #: the same code on both sides of the 0.9x floor, and with 7 reps that
 #: ratio still read 0.79-1.05 on the recording box.
 SWEEP_REPS = 21
+#: Stream counts of the Huffman batch sweep (1792-symbol streams, a
+#: 16^3 tile's plane group), the slab caps timed at its largest count,
+#: and its floors against the per-stream loop: >= 1.5x at 16 streams,
+#: and a one-stream call no slower than 0.9x of ``decode``.
+HUFFMAN_BATCH_SIZES = (1, 2, 4, 8, 16, 32, 64)
+SMOKE_HUFFMAN_BATCH_SIZES = (1, 4)
+HUFFMAN_BATCH_SYMBOLS = 1792
+SLAB_CAPS = (4096, 8192, 16384, 32768, 65536, 1 << 20)
+MIN_BATCH_GAIN_AT_16 = 1.5
+MIN_BATCH_GAIN_AT_1 = 0.9
 #: Tile batch widths of the batch-decode sweep, and its tile shape.
 TILE_BATCH_SIZES = (1, 2, 4, 8, 18, 32, 64)
 SMOKE_TILE_BATCH_SIZES = (1, 2, 4)
@@ -271,6 +287,66 @@ def huffman_decode_sweep(sizes=SWEEP_SIZES, reps: int = SWEEP_REPS) -> dict:
     return {"short_stream_bytes_per_round": limit, "rows": rows}
 
 
+def huffman_batch_sweep(
+    sizes=HUFFMAN_BATCH_SIZES, reps: int = SWEEP_REPS,
+    caps=SLAB_CAPS,
+) -> dict:
+    """Decode wall of S short streams: one call against a stream loop.
+
+    Every stream is a zero-heavy 1792-symbol group, coded on its own
+    (its own lengths and max_len), so a call mixes tables the way a
+    batch read's groups do. ``vs_loop`` is the median per-rep ratio of a
+    ``decode`` per stream (each stream its own walk) over one
+    ``decode_many`` (one walk per slab). ``cap_rows`` time the largest S
+    at each slab cap in alternation; the cap is a module constant, set
+    where these flatten. Outputs are asserted equal on every row.
+    """
+    codec = HuffmanCodec()
+    rng = np.random.default_rng(33)
+    datas = [
+        np.where(rng.random(HUFFMAN_BATCH_SYMBOLS) < 0.6, 0,
+                 rng.integers(0, 256, HUFFMAN_BATCH_SYMBOLS)).astype(np.uint8)
+        for _ in range(max(sizes))
+    ]
+    blobs = [codec.encode(d) for d in datas]
+    rows = []
+    for s in sizes:
+        walls, outs = _times_interleaved([
+            lambda: [codec.decode(b) for b in blobs[:s]],
+            lambda: codec.decode_many(blobs[:s]),
+        ], reps)
+        for out in outs:
+            assert all(np.array_equal(a, b) for a, b in zip(out, datas)), \
+                f"batched decode diverged at {s} streams"
+        t_loop, t_batch = walls.min(axis=0)
+        rows.append({
+            "streams": s,
+            "payload_bytes": sum(
+                codec._parse_stream(b)[-1].size for b in blobs[:s]),
+            "loop_ms": t_loop * 1e3,
+            "batch_ms": t_batch * 1e3,
+            "vs_loop": float(np.median(walls[:, 0] / walls[:, 1])),
+        })
+    saved = huffman.SLAB_PAYLOAD_BYTES
+
+    def capped(cap):
+        def run():
+            huffman.SLAB_PAYLOAD_BYTES = cap
+            try:
+                return codec.decode_many(blobs)
+            finally:
+                huffman.SLAB_PAYLOAD_BYTES = saved
+        return run
+
+    walls, outs = _times_interleaved([capped(c) for c in caps], reps)
+    for out in outs:
+        assert all(np.array_equal(a, b) for a, b in zip(out, datas))
+    cap_rows = [{"slab_payload_bytes": c, "batch_median_ms": float(w) * 1e3}
+                for c, w in zip(caps, np.median(walls, axis=0))]
+    return {"slab_payload_bytes": saved, "stream_symbols":
+            HUFFMAN_BATCH_SYMBOLS, "rows": rows, "cap_rows": cap_rows}
+
+
 def _sweep_histogram(shape: str, present: int, rng) -> np.ndarray:
     """A 256-bin histogram with *present* nonzero counts of *shape*."""
     if shape == "uniform":
@@ -375,6 +451,7 @@ def run_benchmarks(
     sweep_sizes=SWEEP_SIZES, sweep_reps: int = SWEEP_REPS,
     code_length_calls: int = CODE_LENGTH_CALLS,
     tile_batch_sizes=TILE_BATCH_SIZES, batch_tile=BATCH_TILE,
+    huffman_batch_sizes=HUFFMAN_BATCH_SIZES,
 ) -> dict:
     """Measure all hot paths; returns the BENCH_hotpaths payload."""
     rng = np.random.default_rng(0)
@@ -485,6 +562,8 @@ def run_benchmarks(
         },
         "huffman_decode_sweep": huffman_decode_sweep(sweep_sizes, sweep_reps),
         "code_length_sweep": code_length_sweep(sweep_reps, code_length_calls),
+        "huffman_batch_sweep": huffman_batch_sweep(
+            huffman_batch_sizes, sweep_reps),
         "tile_batch_sweep": tile_batch_sweep(
             tile_batch_sizes, batch_tile, reps),
         "rle": {
@@ -515,6 +594,14 @@ def test_hotpaths_meet_speedup_floors():
     assert huff["encode_speedup"] >= MIN_HUFFMAN_ENCODE_SPEEDUP, huff
     check_sweep_floors(results["huffman_decode_sweep"])
     check_code_length_floors(results["code_length_sweep"])
+    check_batch_floors(results["huffman_batch_sweep"])
+
+
+def check_batch_floors(sweep: dict) -> None:
+    """Floors of the Huffman batch sweep against the per-stream loop."""
+    rows = {row["streams"]: row for row in sweep["rows"]}
+    assert rows[16]["vs_loop"] >= MIN_BATCH_GAIN_AT_16, rows[16]
+    assert rows[1]["vs_loop"] >= MIN_BATCH_GAIN_AT_1, rows[1]
 
 
 def check_code_length_floors(sweep: dict) -> None:
@@ -544,7 +631,8 @@ def main(argv: list[str] | None = None) -> None:
         run_benchmarks(n=1 << 14, reps=1, sweep_sizes=SMOKE_SWEEP_SIZES,
                        sweep_reps=1, code_length_calls=1,
                        tile_batch_sizes=SMOKE_TILE_BATCH_SIZES,
-                       batch_tile=(8, 8, 8))
+                       batch_tile=(8, 8, 8),
+                       huffman_batch_sizes=SMOKE_HUFFMAN_BATCH_SIZES)
         print("bench_hotpaths smoke ok (tiny sizes, no floors, "
               "nothing written)")
         return
@@ -553,6 +641,7 @@ def main(argv: list[str] | None = None) -> None:
     print(f"wrote {path}")
     check_sweep_floors(results["huffman_decode_sweep"])
     check_code_length_floors(results["code_length_sweep"])
+    check_batch_floors(results["huffman_batch_sweep"])
     codec = results["bitplane_codec"]
     tr = results["bitplane_transpose"]
     huff = results["huffman"]
@@ -584,6 +673,12 @@ def main(argv: list[str] | None = None) -> None:
             f"{row['build_us']:.0f} us, "
             f"{row['vs_reference']:.1f}x vs heap reference, "
             f"ratio bound {row['ratio_bound_us']:.0f} us"
+        )
+    for row in results["huffman_batch_sweep"]["rows"]:
+        print(
+            f"huffman batch of {row['streams']:>2} x 1792 B: "
+            f"{row['batch_ms']:.2f} ms, {row['vs_loop']:.2f}x vs "
+            "a decode per stream"
         )
     for row in results["tile_batch_sweep"]["rows"]:
         print(

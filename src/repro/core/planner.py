@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.stream import RefactoredField
 from repro.util.validation import check_tolerance
 
@@ -32,25 +34,11 @@ class RetrievalPlan:
         )
 
 
-def _composed_bound(field: RefactoredField, groups: list[int]) -> float:
-    return sum(
-        w * lv.error_bound_for_groups(g)
-        for w, lv, g in zip(field.level_weights, field.levels, groups)
-    )
-
-
-def _fetched_bytes(field: RefactoredField, groups: list[int]) -> int:
-    return sum(
-        lv.bytes_for_groups(g) for lv, g in zip(field.levels, groups)
-    )
-
-
-def _finalize(field: RefactoredField, groups: list[int]) -> RetrievalPlan:
-    return RetrievalPlan(
-        groups_per_level=groups,
-        error_bound=_composed_bound(field, groups),
-        fetched_bytes=_fetched_bytes(field, groups),
-    )
+def _plan_at(table, groups: list[int]) -> RetrievalPlan:
+    """The plan fetching *groups*, read off a :func:`greedy_table`."""
+    at = (np.arange(len(groups)), groups)
+    return RetrievalPlan(groups, sum(table[0][at].tolist()),
+                         int(table[1][at].sum()))
 
 
 def plan_greedy(
@@ -60,45 +48,97 @@ def plan_greedy(
 ) -> RetrievalPlan:
     """Greedy error-per-byte retrieval plan (the HP-MDR default).
 
-    ``start`` seeds the plan with already-fetched group counts so
-    progressive refinement only pays for the increment. If the tolerance
-    is below the near-lossless floor, the full stream is planned (the
-    best achievable) — callers can compare ``error_bound`` to what they
-    asked for.
+    Each round fetches the next group of the level with the best error
+    reduction per byte (the lowest level on a tie) until the composed
+    bound meets *tolerance*. ``start`` seeds the plan with
+    already-fetched group counts so progressive refinement only pays
+    for the increment. If the tolerance is below the near-lossless
+    floor, the full stream is planned (the best achievable) — callers
+    can compare ``error_bound`` to what they asked for. The one-field
+    call of :func:`plan_greedy_many`.
     """
-    tolerance = check_tolerance(tolerance)
-    groups = list(start) if start is not None else [0] * len(field.levels)
-    if len(groups) != len(field.levels):
-        raise ValueError("start must have one entry per level")
-    for g, lv in zip(groups, field.levels):
-        if not 0 <= g <= lv.num_groups:
-            raise ValueError("start group count out of range")
+    return plan_greedy_many(
+        [greedy_table(field)], [check_tolerance(tolerance)], [start])[0]
 
-    per_level = [
-        w * lv.error_bound_for_groups(g)
-        for w, lv, g in zip(field.level_weights, field.levels, groups)
-    ]
-    total = sum(per_level)
-    while total > tolerance:
-        best_idx, best_score, best_new = -1, 0.0, 0.0
-        for idx, lv in enumerate(field.levels):
-            g = groups[idx]
-            if g >= lv.num_groups:
-                continue
-            new_err = field.level_weights[idx] * lv.error_bound_for_groups(
-                g + 1
-            )
-            gain = per_level[idx] - new_err
-            cost = lv.bytes_for_groups(g + 1) - lv.bytes_for_groups(g)
-            score = gain / max(cost, 1)
-            if best_idx < 0 or score > best_score:
-                best_idx, best_score, best_new = idx, score, new_err
-        if best_idx < 0:
-            break  # everything fetched; tolerance below lossless floor
-        groups[best_idx] += 1
-        total += best_new - per_level[best_idx]
-        per_level[best_idx] = best_new
-    return _finalize(field, groups)
+
+def greedy_table(field: RefactoredField) -> tuple[np.ndarray, ...]:
+    """*field*'s weighted bound and bytes after ``g`` groups per level
+    (``(L, G + 1)``, a level's last entry repeated past its end), and
+    the group counts."""
+    counts = np.array([lv.num_groups for lv in field.levels], np.int64)
+    depth = int(counts.max(initial=0)) + 1
+    bound, nbytes = (np.array([
+        row + row[-1:] * (depth - len(row)) for row in rows], dtype).reshape(
+            counts.size, depth) for rows, dtype in (
+        ([[w * lv.error_bound_for_groups(g) for g in range(c + 1)] for w, lv, c
+          in zip(field.level_weights, field.levels, counts.tolist())],
+         np.float64),
+        ([[lv.bytes_for_groups(g) for g in range(c + 1)] for lv, c
+          in zip(field.levels, counts.tolist())], np.int64)))
+    return bound, nbytes, counts
+
+
+def _padded(table, width: int, depth: int) -> tuple[np.ndarray, ...]:
+    """*table* grown to *width* levels and *depth* group counts."""
+    bound, nbytes, counts = table
+    rows, cols = (0, width - counts.size), (0, depth - bound.shape[1])
+    return (*(np.pad(np.pad(a, ((0, 0), cols), "edge"), (rows, (0, 0)))
+              for a in (bound, nbytes)), np.pad(counts, rows))
+
+
+def plan_greedy_many(
+    tables: list[tuple[np.ndarray, ...]],
+    tolerances: list[float],
+    starts: list[list[int] | None],
+) -> list[RetrievalPlan]:
+    """:func:`plan_greedy` of K fields at once, from their tables.
+
+    The greedy rounds merge the levels' score sequences, so they take
+    the steps in the stable order of (−prefix minimum of the level's
+    scores from the start, level, group): one sort of a padded
+    ``(K, S)`` array. The running bound is the loop's float arithmetic
+    (a fresh ``sum``, then ``+= new − old`` in order, as ``np.cumsum``
+    adds), and a plan is the shortest prefix meeting its tolerance.
+    """
+    tolerances = np.array([check_tolerance(t) for t in tolerances])
+    if not tables:
+        return []
+    sizes = [t[2].size for t in tables]
+    width, depth = max(sizes), max(t[0].shape[1] for t in tables)
+    if any(t[0].shape != (width, depth) for t in tables):
+        tables = [_padded(t, width, depth) for t in tables]
+    bound, nbytes, last = (np.array([t[i] for t in tables]) for i in range(3))
+    first = np.zeros(last.shape, dtype=np.int64)
+    for row, (start, size) in enumerate(zip(starts, sizes)):
+        if start is not None:
+            if len(start) != size:
+                raise ValueError("start must have one entry per level")
+            first[row, :size] = start
+    if ((first < 0) | (first > last)).any():
+        raise ValueError("start group count out of range")
+    k, steps = len(tables), width * (depth - 1)
+    ahead = np.arange(depth - 1) >= first[..., None]
+    live = ahead & (np.arange(depth - 1) < last[..., None])
+    score = np.where(ahead, (bound[..., :-1] - bound[..., 1:]) / np.maximum(
+        nbytes[..., 1:] - nbytes[..., :-1], 1), np.inf)
+    key = np.where(live, -np.minimum.accumulate(score, axis=-1), np.inf)
+    order = key.reshape(k, steps).argsort(axis=1, kind="stable")
+    rows, levels = np.arange(k)[:, None], np.arange(width)
+    delta = np.where(live, bound[..., 1:] - bound[..., :-1], 0.0)
+    totals = np.concatenate([np.array([
+        sum(b[:size]) for b, size in zip(
+            bound[rows, levels, first].tolist(), sizes)]).reshape(k, 1),
+        delta.reshape(k, steps)[rows, order]], 1).cumsum(axis=1)
+    met = totals <= tolerances[:, None]
+    taken = np.where(met.any(1), met.argmax(1), live.sum((1, 2)))
+    groups = first + np.bincount(
+        (rows * width + order // max(depth - 1, 1))[
+            np.arange(steps) < taken[:, None]],
+        minlength=k * width).reshape(k, width)
+    at = (rows, levels, groups)
+    return [RetrievalPlan(g[:size], sum(b[:size]), int(n)) for g, b, n, size
+            in zip(groups.tolist(), bound[at].tolist(), nbytes[at].sum(1),
+                   sizes)]
 
 
 def plan_round_robin(
@@ -115,22 +155,23 @@ def plan_round_robin(
     groups = list(start) if start is not None else [0] * len(field.levels)
     if len(groups) != len(field.levels):
         raise ValueError("start must have one entry per level")
-    while _composed_bound(field, groups) > tolerance:
+    table = greedy_table(field)
+    while _plan_at(table, groups).error_bound > tolerance:
         advanced = False
         for idx, lv in enumerate(field.levels):
             if groups[idx] < lv.num_groups:
                 groups[idx] += 1
                 advanced = True
-                if _composed_bound(field, groups) <= tolerance:
+                if _plan_at(table, groups).error_bound <= tolerance:
                     break
         if not advanced:
             break
-    return _finalize(field, groups)
+    return _plan_at(table, groups)
 
 
 def plan_full(field: RefactoredField) -> RetrievalPlan:
     """Plan fetching every stored group (near-lossless retrieval)."""
-    return _finalize(field, field.max_groups())
+    return _plan_at(greedy_table(field), field.max_groups())
 
 
 def plan_for_planes(
@@ -145,4 +186,4 @@ def plan_for_planes(
         while g < lv.num_groups and lv.planes_in_groups(g) < want:
             g += 1
         groups.append(g)
-    return _finalize(field, groups)
+    return _plan_at(greedy_table(field), groups)

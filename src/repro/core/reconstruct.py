@@ -32,9 +32,11 @@ from repro.bitplane.encoding import (
     finalize_many,
 )
 from repro.core.errors import StoreError
-from repro.core.planner import RetrievalPlan, plan_full, plan_greedy
+from repro.core.planner import (
+    RetrievalPlan, greedy_table, plan_full, plan_greedy_many)
 from repro.core.stream import Counters, RefactoredField
 from repro.decompose import MultilevelTransform
+from repro.lossless.hybrid import decompress_group_lists
 from repro.util.validation import check_on_fault, check_tolerance
 
 
@@ -176,6 +178,7 @@ class Reconstructor:
             [None] * len(field.levels)
         )
         self._values: list[np.ndarray | None] = [None] * len(field.levels)
+        self._plan_table = None
 
     @property
     def fetched_groups(self) -> list[int]:
@@ -286,48 +289,56 @@ class Reconstructor:
         with the session's committed fetch progress touch no segment
         payloads (lazy fields plan from :class:`~repro.core.stream.
         SegmentRef` sizes alone). The returned :class:`StepPlan` feeds
-        :meth:`fetch_step`, then :meth:`decode_step`.
+        :meth:`fetch_step`, then :meth:`decode_step`. The K = 1 call of
+        :meth:`plan_steps`.
         """
+        return self.plan_steps([self], tolerance, relative, plan)[0]
+
+    @staticmethod
+    def plan_steps(recons, tolerance=None, relative=False, plan=None) -> list:
+        """:meth:`plan_step` of K sessions at one tolerance, their greedy
+        plans from one :func:`~repro.core.planner.plan_greedy_many`."""
         # Before planning: a pre-metadata index can force fetches there.
-        before = self.counters()
+        befores = [recon.counters() for recon in recons]
         if relative and tolerance is None:
             raise ValueError(
                 "relative=True requires a tolerance; near-lossless "
                 "retrieval (tolerance=None) has no value range to scale"
             )
         requested = check_tolerance(tolerance, allow_none=True)
-        relative_requested = requested if relative else None
-        resolved = requested
-        if relative and requested is not None:
-            resolved = requested * self.field.value_range
-        if plan is not None:
-            self._validate_plan(plan)
-        elif requested is None:
-            plan = plan_full(self.field)
-        elif relative and self.field.value_range == 0.0:
-            # Constant field: value_range is 0, so every relative
-            # fraction resolves to absolute 0 — fetch everything
-            # deliberately (the documented near-lossless path) rather
-            # than silently asking the planner for an unreachable bound.
-            plan = plan_full(self.field)
-        else:
-            plan = plan_greedy(self.field, resolved, start=self._fetched)
-        # Progressive: never un-fetch; merge with what we already have.
-        groups = [
-            max(have, int(want))
-            for have, want in zip(self._fetched, plan.groups_per_level)
-        ]
-        incremental = sum(
-            lv.bytes_for_groups(g) - lv.bytes_for_groups(have)
-            for lv, g, have in zip(self.field.levels, groups, self._fetched)
-        )
-        return StepPlan(
-            tolerance=resolved,
-            relative_tolerance=relative_requested,
-            groups=groups,
-            incremental_bytes=incremental,
-            before=before,
-        )
+        resolved = [requested * recon.field.value_range
+                    if relative and requested is not None else requested
+                    for recon in recons]
+        plans = [plan] * len(recons)
+        greedy = []
+        for i, recon in enumerate(recons):
+            if plan is not None:
+                recon._validate_plan(plan)
+            elif requested is None or (
+                    relative and recon.field.value_range == 0.0):
+                # Constant field: every relative fraction resolves to
+                # 0, so take the documented near-lossless path.
+                plans[i] = plan_full(recon.field)
+            else:  # the session's table is built on its first plan
+                recon._plan_table = recon._plan_table or greedy_table(
+                    recon.field)
+                greedy.append(i)
+        for i, found in zip(greedy, plan_greedy_many(
+                [recons[i]._plan_table for i in greedy],
+                [resolved[i] for i in greedy],
+                [recons[i]._fetched for i in greedy])):
+            plans[i] = found
+        steps = []
+        for recon, p, tol, before in zip(recons, plans, resolved, befores):
+            # Progressive: never un-fetch; merge with what we already have.
+            groups = [max(have, int(want)) for have, want in zip(
+                recon._fetched, p.groups_per_level)]
+            steps.append(StepPlan(tol, requested if relative else None,
+                                  groups, sum(
+                lv.bytes_for_groups(g) - lv.bytes_for_groups(have)
+                for lv, g, have in zip(
+                    recon.field.levels, groups, recon._fetched)), before))
+        return steps
 
     def fetch_step(self, step: StepPlan) -> None:
         """Fetch stage of one step — the one place a step reads the store.
@@ -357,14 +368,16 @@ class Reconstructor:
         """The decode body: K planned steps, each stage once per level.
 
         *items* are ``(reconstructor, step, fetch_error)`` in job order.
-        Lossless decode runs per group; per level, injection and
-        finalization run over the ``(K, n)`` stack of same-geometry
-        steps (exponent, dropped planes and signs per row) and scatter
-        into a ``(K, *shape)`` stack that one recompose serves — the
-        arithmetic per element of K one-step calls. A fault is per step:
-        ``"degrade"`` answers it from its committed refinement (nothing
-        to decode, so nothing to fault again); ``"raise"`` commits the
-        steps before it, then raises it.
+        The steps' new groups are resolved first (a lazy group's
+        ``StoreError`` is its step's fault), then decoded by one
+        :func:`~repro.lossless.hybrid.decompress_group_lists` call; per
+        level, injection and finalization run over the ``(K, n)`` stack
+        of same-geometry steps (exponent, dropped planes and signs per
+        row) and scatter into a ``(K, *shape)`` stack that one recompose
+        serves — the arithmetic per element of K one-step calls. A fault
+        is per step: ``"degrade"`` answers it from its committed
+        refinement (nothing to decode, so nothing to fault again);
+        ``"raise"`` commits the steps before it, then raises it.
         """
         check_on_fault(on_fault)
         rows, failure = [], None
@@ -373,8 +386,7 @@ class Reconstructor:
                 if fault is not None:
                     raise fault
                 rows.append((recon, step, list(step.groups), None, [
-                    lv.decompress_group_range(have, want)
-                    if want > have else None
+                    lv.group_range(have, want) if want > have else None
                     for lv, have, want in zip(
                         recon.field.levels, recon._fetched, step.groups)
                 ]))
@@ -384,6 +396,10 @@ class Reconstructor:
                     break
                 rows.append((recon, step, list(recon._fetched),
                              list(step.groups), [None] * len(step.groups)))
+        planes = iter(decompress_group_lists([
+            groups for row in rows for groups in row[4] if groups]))
+        rows = [(*row[:4], [groups and next(planes) for groups in row[4]])
+                for row in rows]
         batches: dict[tuple, list[int]] = {}
         for r, (recon, *_) in enumerate(rows):
             batches.setdefault((recon.transform, recon.field.dtype, *(

@@ -86,6 +86,18 @@ class LevelStream:
             self.exponent, self.num_bitplanes, kept_mag, self.max_abs
         )
 
+    def group_range(
+        self, start_group: int, end_group: int
+    ) -> list[CompressedGroup]:
+        """Groups ``[start_group, end_group)``, checked against the level
+        (a lazy stream fetches the ones not yet resident)."""
+        if not 0 <= start_group <= end_group <= self.num_groups:
+            raise ValueError(
+                f"group range [{start_group}, {end_group}) out of bounds "
+                f"for {self.num_groups} groups"
+            )
+        return list(self.groups[start_group:end_group])
+
     def decompress_group_range(
         self, start_group: int, end_group: int
     ) -> list[np.ndarray]:
@@ -98,14 +110,9 @@ class LevelStream:
         returned planes begin at stored plane index
         ``planes_in_groups(start_group)``.
         """
-        if not 0 <= start_group <= end_group <= self.num_groups:
-            raise ValueError(
-                f"group range [{start_group}, {end_group}) out of bounds "
-                f"for {self.num_groups} groups"
-            )
         from repro.lossless.hybrid import decompress_groups
 
-        return decompress_groups(list(self.groups[start_group:end_group]))
+        return decompress_groups(self.group_range(start_group, end_group))
 
     def empty_decode_state(self, dtype: np.dtype) -> "PartialDecodeState":
         """Zero-plane incremental decode state for this level's stream.
@@ -391,7 +398,6 @@ class LazyLevelStream(LevelStream):
         # Prefix sums for planning; plane counts once all are known.
         self._byte_sums = list(accumulate((r.nbytes for r in refs), initial=0))
         self._plane_sums: list[int] | None = None
-        self._bounds: dict[int, float] = {}
         super().__init__(
             level=level,
             num_elements=num_elements,
@@ -425,12 +431,6 @@ class LazyLevelStream(LevelStream):
                 (r.num_planes for r in self.refs), initial=0))
         return self._plane_sums[min(num_groups, len(self.refs))]
 
-    def error_bound_for_groups(self, num_groups: int) -> float:
-        """As :meth:`LevelStream.error_bound_for_groups`, memoized."""
-        if num_groups not in self._bounds:
-            self._bounds[num_groups] = super().error_bound_for_groups(
-                num_groups)
-        return self._bounds[num_groups]
 
 
 @dataclass

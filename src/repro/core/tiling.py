@@ -750,10 +750,11 @@ class TiledReconstructor(ClosesOnExit):
 
     def _fetch_batch(self, batch, tol):
         """Fetch stage of a tile batch: its unopened tiles open together
-        (one request for their index records), each tile plans, and all
-        missing plane groups go out in one more (keys in job order, then
-        level, then group). Returns ``(reconstructor, step, fault)`` per
-        job (no reconstructor: the tile failed to open). Store faults
+        (one request for their index records), plan together (one
+        ``Reconstructor.plan_steps``), and all missing plane groups go
+        out in one more (keys in job order, then level, then group).
+        Returns ``(reconstructor, step, fault)`` per job (no
+        reconstructor: the tile failed to open). Store faults
         are captured, to surface at decode time in job order, never
         retried (a retry would shift per-key access counts and seeded
         fault schedules); plan-time faults raise.
@@ -762,11 +763,11 @@ class TiledReconstructor(ClosesOnExit):
         fields = self.tiled.fields
         faults = (fields.open(positions)
                   if isinstance(fields, _LazyTileFields) else {})
-        fetched = []
-        for pos in positions:
-            recon = None if pos in faults else self._reconstructor_for(pos)
-            fetched.append((recon, recon and recon.plan_step(tol),
-                            faults.get(pos)))
+        recons = [None if pos in faults else self._reconstructor_for(pos)
+                  for pos in positions]
+        steps = iter(Reconstructor.plan_steps([r for r in recons if r], tol))
+        fetched = [(recon, recon and next(steps), faults.get(pos))
+                   for pos, recon in zip(positions, recons)]
         errors = iter(fetch_fields([
             (recon.field, list(zip(recon.fetched_groups, step.groups)))
             for recon, step, _ in fetched if recon

@@ -234,17 +234,22 @@ def sliding_windows_u64(stream: np.ndarray, extra: int = 0) -> np.ndarray:
     return windows
 
 
-def bit_windows_all(stream: np.ndarray, width: int) -> np.ndarray:
+def bit_windows_all(
+    stream: np.ndarray, width: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """The ``width``-bit MSB-first window at *every* bit position.
 
-    Returns a fresh, writable ``int64`` array ``v`` of ``8 * (stream.size
-    + 1)`` entries where ``v[p]`` is bits ``p … p+width-1`` of the
-    zero-padded stream — ``peek_bits(stream, arange(8*(size+1)), width)``
-    computed as one broadcast shift + mask over the per-byte 64-bit
-    windows instead of one gather per position. The extra byte of
-    positions past the stream end reads zero padding. Costs 8 bytes per
-    *bit* of input, so it is for short streams only; callers reuse the
-    returned buffer as scratch.
+    Returns a writable ``int64`` array ``v`` of ``8 * (stream.size + 1)``
+    entries where ``v[p]`` is bits ``p … p+width-1`` of the zero-padded
+    stream — ``peek_bits(stream, arange(8*(size+1)), width)`` computed
+    as one broadcast shift + mask over the per-byte 64-bit windows
+    instead of one gather per position. The extra byte of positions past
+    the stream end reads zero padding. Costs 8 bytes per *bit* of input,
+    so it is for short streams only; callers reuse the returned buffer
+    as scratch. ``out``, a contiguous ``int64`` array of at least that
+    many entries, receives the windows in its leading entries (a caller
+    decoding many streams reuses one buffer instead of faulting in a
+    fresh one each time); the result is then a view of it.
     """
     if not 1 <= width <= MAX_PEEK_WIDTH:
         raise ValueError(f"width must be in [1, {MAX_PEEK_WIDTH}]")
@@ -252,11 +257,16 @@ def bit_windows_all(stream: np.ndarray, width: int) -> np.ndarray:
     windows = sliding_windows_u64(stream)[: stream.size + 1].copy()
     if NEEDS_BYTESWAP:
         windows.byteswap(inplace=True)
-    vals = np.empty((stream.size + 1, 8), dtype=np.uint64)
+    size = 8 * (stream.size + 1)
+    vals = (np.empty(size, dtype=np.uint64) if out is None
+            else out[:size].view(np.uint64))
+    # Shift in bit-offset-major order, then transpose: eight long rows
+    # beat one row of eight per byte, which NumPy loops over slowly.
     shifts = np.arange(64 - width, 56 - width, -1, dtype=np.uint64)
-    np.right_shift(windows[:, None], shifts, out=vals)
-    np.bitwise_and(vals, np.uint64((1 << width) - 1), out=vals)
-    return vals.reshape(-1).view(np.int64)
+    by_offset = np.right_shift(windows, shifts[:, None])
+    np.bitwise_and(by_offset, np.uint64((1 << width) - 1), out=by_offset)
+    vals.reshape(-1, 8)[:] = by_offset.T
+    return vals.view(np.int64)
 
 
 def peek_bits(

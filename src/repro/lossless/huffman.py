@@ -13,10 +13,11 @@ gathers, and every per-step temporary is allocated once outside the loop
 and reused via ``out=`` kernels. Lockstep costs a fixed number of rounds
 whatever the stream holds, so short streams (few chunks) instead decode
 by pointer jumping over a next-codeword table of every payload bit — the
-same format, ~70 NumPy calls instead of ~7000; see
-:meth:`HuffmanCodec.decode` for the rule. The original eight-gather
-formulation is retained as :meth:`HuffmanCodec.decode_reference` for
-equivalence tests and the ``bench_hotpaths`` baseline.
+same format, ~70 NumPy calls instead of ~7000 — and many short streams
+share one walk (:meth:`HuffmanCodec.decode_many`, which states the
+rule). The original eight-gather formulation is retained as
+:meth:`HuffmanCodec.decode_reference` for equivalence tests and the
+``bench_hotpaths`` baseline.
 
 Code lengths are limited to :data:`MAX_CODE_LENGTH` so the decoder can
 use a flat prefix LUT of ``2^maxlen`` entries.
@@ -51,6 +52,13 @@ SHORT_STREAM_BYTES_PER_ROUND = 32
 #: jump table is built by repeated squaring). ~sqrt(DEFAULT_CHUNK_SYMBOLS)
 #: balances entry-point gathers against walk steps.
 _WALK_SYMBOLS = 32
+#: Payload cap of one walk slab: width-sorted walk-regime streams share
+#: one walk while their payloads sum to at most this many bytes. Set
+#: from the ``cap_rows`` of ``huffman_batch_sweep`` in
+#: ``benchmarks/bench_hotpaths.py``: 8 and 16 KiB tie, larger slabs are
+#: slower (their ~210 bytes of tables per payload byte leave the cache),
+#: and the smaller cap halves a batch's transient tables.
+SLAB_PAYLOAD_BYTES = 8 * 1024
 
 _MAGIC = b"HUF1"
 _HEADER_FMT = "<4sQIB"
@@ -289,6 +297,33 @@ def _check_offsets_u32(offsets: np.ndarray) -> None:
         )
 
 
+def _slabs(walks: list[tuple]) -> list[list[tuple]]:
+    """Consecutive ``(index, stream)`` runs that share one walk.
+
+    A slab's payloads sum to at most :data:`SLAB_PAYLOAD_BYTES` and its
+    lanes (chunks x the slab's most rounds) to at most 16 per byte of
+    that cap, the most one stream's lanes can reach per payload byte
+    (every symbol costs a bit, and a chunk's lanes overrun its symbols
+    by less than one chunk). Same-chunk streams always meet the second
+    rule; it keeps odd mixes from padding many short chunks out to one
+    long one. A stream past either cap is a slab alone.
+    """
+    slabs: list[list[tuple]] = []
+    payload = chunks = rounds = 0
+    for item in walks:
+        _, (_, _, _, item_rounds, offsets, item_payload) = item
+        payload += item_payload.size
+        chunks += offsets.size - 1
+        rounds = max(rounds, item_rounds)
+        if not slabs or payload > SLAB_PAYLOAD_BYTES \
+                or rounds * chunks > 16 * SLAB_PAYLOAD_BYTES:
+            slabs.append([])
+            payload, chunks, rounds = (
+                item_payload.size, offsets.size - 1, item_rounds)
+        slabs[-1].append(item)
+    return slabs
+
+
 class HuffmanCodec:
     """Byte-alphabet canonical Huffman codec with chunked streams."""
 
@@ -453,7 +488,11 @@ class HuffmanCodec:
         return n, chunk, max_len, lengths_table, n_chunks, offsets, payload
 
     def decode(self, blob: bytes) -> np.ndarray:
-        """Chunk-parallel decode in one of two regimes, chosen per stream.
+        """Decode one stream: the one-stream call of :meth:`decode_many`."""
+        return self.decode_many([blob])[0]
+
+    def decode_many(self, blobs) -> list[np.ndarray]:
+        """Chunk-parallel decode of many streams, one regime per stream.
 
         Lockstep (:meth:`_decode_lockstep`) costs ``rounds = min(chunk,
         n)`` rounds of ~7 NumPy calls whatever the stream holds; the
@@ -463,59 +502,102 @@ class HuffmanCodec:
         <= SHORT_STREAM_BYTES_PER_ROUND * rounds`` (32 KiB of payload at
         the default 1024-symbol chunks — see the ``huffman_decode_sweep``
         rows of ``BENCH_hotpaths.json`` for the measured crossover).
-        Both regimes read the same stream format and are byte-identical
-        to :meth:`decode_reference` on valid streams; a corrupt stream
-        yields wrong bytes or ``ValueError``, never another exception.
+        Each stream is parsed once and all LUTs are built together;
+        lockstep streams decode one at a time, and the walk streams,
+        sorted by ``max_len``, share one walk per *slab* of at most
+        :data:`SLAB_PAYLOAD_BYTES` payload bytes (a larger stream is a
+        slab alone), so the walk's ~70 calls are paid per slab, not per
+        stream. Both regimes read the same stream format and are
+        byte-identical to :meth:`decode_reference` on valid streams; a
+        corrupt stream yields wrong bytes in its own output or
+        ``ValueError``, never another exception, and never changes
+        another stream's output.
         """
-        parsed = self._parse_stream(blob)
-        n, chunk, max_len, lengths_table, n_chunks, offsets, payload = parsed
-        if n == 0:
-            return np.empty(0, dtype=np.uint8)
-        lut16 = self._build_lut(lengths_table, max_len)
-        rounds = min(chunk, n)
-        if payload.size <= SHORT_STREAM_BYTES_PER_ROUND * rounds:
-            out = self._decode_short(lut16, max_len, rounds, offsets, payload)
-        else:
-            out = self._decode_lockstep(
-                lut16, max_len, rounds, offsets, payload
-            )
-        return out.reshape(-1)[:n]
+        parsed = [self._parse_stream(blob) for blob in blobs]
+        live = [i for i, stream in enumerate(parsed) if stream[0]]
+        luts = self._build_luts([parsed[i][3] for i in live],
+                                [parsed[i][2] for i in live])
+        out = [np.empty(0, dtype=np.uint8) for _ in blobs]
+        walks: list[tuple] = []
+        for i, lut16 in zip(live, luts):
+            n, chunk, max_len, _, _, offsets, payload = parsed[i]
+            rounds = min(chunk, n)
+            if payload.size <= SHORT_STREAM_BYTES_PER_ROUND * rounds:
+                walks.append((i, (n, lut16, max_len, rounds, offsets,
+                                  payload)))
+            else:
+                out[i] = self._decode_lockstep(
+                    lut16, max_len, rounds, offsets, payload
+                ).reshape(-1)[:n]
+        # Width-sorted, a slab's streams mostly share one window width.
+        walks.sort(key=lambda walk: walk[1][2])
+        slabs = _slabs(walks)
+        # The per-bit tables of every slab live in one set of buffers,
+        # sized for the largest: fresh pages cost as much as a pass.
+        bits = 8 * (1 + max((sum(s[5].size for _, s in slab)
+                             for slab in slabs), default=0))
+        scratch = [np.empty(bits, dtype=dtype)
+                   for dtype in (np.int64, np.int64, np.int64, np.uint16)]
+        for slab in slabs:
+            decoded = self._decode_short([s for _, s in slab], scratch)
+            for (i, _), symbols in zip(slab, decoded):
+                out[i] = symbols
+        return out
 
     @staticmethod
-    def _decode_short(
-        lut16: np.ndarray, max_len: int, rounds: int,
-        offsets: np.ndarray, payload: np.ndarray,
-    ) -> np.ndarray:
-        """Pointer-jumping decode: ``(n_chunks, >= rounds)`` symbols.
+    def _decode_short(streams, scratch) -> list[np.ndarray]:
+        """Pointer-jumping decode of a slab of streams, in one walk.
 
-        The gap-array-free scheme of GPU Huffman decoders, applied where
-        lanes are few. One broadcast shift + one LUT gather decode the
-        codeword at *every* bit position, giving the next-codeword table
-        ``nxt[p] = p + len(code at p)``; squaring it ``log2 walk`` times
-        (``jump = jump[jump]``) yields jump-by-``walk``-symbols, which
-        turns each chunk's header offset into ``entries = ceil(rounds /
-        walk)`` entry points with ``entries - 1`` gathers; ``walk - 1``
-        single-gather steps then advance all ``n_chunks * entries``
-        lanes at once and one final gather reads every symbol.
+        *streams* are ``(n, lut16, max_len, rounds, offsets, payload)``;
+        returns each stream's ``n`` symbols. *scratch* is three int64 and
+        a uint16 buffer of at least the slab's bit positions: the
+        per-bit tables live in them. The gap-array-free scheme
+        of GPU Huffman decoders, applied where lanes are few. The
+        payloads are concatenated and their windows read at the slab's
+        widest ``max_len`` in one broadcast shift; each stream's span of
+        bit positions then narrows its windows to its own width (if
+        narrower) and gathers its own LUT. That decodes the codeword at
+        *every* bit position, giving the next-codeword table ``nxt[p] =
+        p + len(code at p)``; squaring it ``log2 walk`` times (``jump =
+        jump[jump]``) yields jump-by-``walk``-symbols, which turns each
+        chunk's header offset into ``entries = ceil(rounds / walk)``
+        entry points with ``entries - 1`` gathers; ``walk - 1``
+        single-gather steps then advance every chunk lane of every
+        stream at once and one final gather reads every symbol. A lane
+        past its own chunk's symbols reads the next chunk's or stream's
+        bits: those symbols are discarded, and what one stream's lanes
+        read never reaches another stream's output.
 
         Every gather runs in ``mode="clip"``, which both skips NumPy's
         defensive copy of ``out`` and makes the last table slot a
         self-looping sentinel: lanes that run past a ragged tail (or a
         corrupt stream) park there and can never index out of range.
         """
-        n_chunks = offsets.size - 1
+        width = max(s[2] for s in streams)
+        rounds = max(s[3] for s in streams)
         walk = min(_WALK_SYMBOLS, rounds)
         entries = -(-rounds // walk)
-        # The window buffer is dead after the LUT gather: reuse it for
+        bases = np.cumsum([0, *(s[5].size for s in streams)])
+        # The window buffer is dead after the LUT gathers: reuse it for
         # the table so only three position-sized arrays are ever live.
-        nxt = bit_windows_all(payload, max_len)
-        fused = np.take(lut16, nxt, mode="clip")
+        nxt = bit_windows_all(np.concatenate([s[5] for s in streams]), width,
+                              out=scratch[0])
+        spare = [buf[:nxt.size] for buf in scratch[1:3]]
+        fused = scratch[3][:nxt.size]
+        spans = zip(8 * bases[:-1], [*(8 * bases[1:-1]), nxt.size])
+        for (_, lut16, max_len, *_), (first, last) in zip(streams, spans):
+            windows = nxt[first:last]
+            if max_len < width:
+                np.right_shift(windows, width - max_len, out=windows)
+            np.take(lut16, windows, out=fused[first:last], mode="clip")
         np.add(np.arange(nxt.size), fused >> 8, out=nxt)
 
-        pos = np.empty((walk, entries, n_chunks), dtype=np.int64)
-        np.multiply(offsets[:-1], 8, out=pos[0, 0])
+        starts = np.concatenate([
+            (base + s[4][:-1]) * 8 for base, s in zip(bases, streams)])
+        pos = np.empty((walk, entries, starts.size), dtype=np.int64)
+        pos[0, 0] = starts
         if entries > 1:
-            jump, spare = nxt, (np.empty_like(nxt), np.empty_like(nxt))
+            jump = nxt
             for i in range(walk.bit_length() - 1):
                 jump = np.take(jump, jump, out=spare[i & 1], mode="clip")
             for k in range(1, entries):
@@ -525,9 +607,14 @@ class HuffmanCodec:
             np.take(nxt, lanes[s - 1], out=lanes[s], mode="clip")
         symbols = np.take(fused, pos, mode="clip").astype(np.uint8)
         # (walk, entries, chunk) -> chunk-major symbol order.
-        return np.ascontiguousarray(symbols.transpose(2, 1, 0)).reshape(
-            n_chunks, entries * walk
-        )[:, :rounds]
+        symbols = np.ascontiguousarray(symbols.transpose(2, 1, 0)).reshape(
+            starts.size, entries * walk)
+        out, first = [], 0
+        for n, _, _, stream_rounds, offsets, _ in streams:
+            last = first + offsets.size - 1
+            out.append(symbols[first:last, :stream_rounds].reshape(-1)[:n])
+            first = last
+        return out
 
     @staticmethod
     def _decode_lockstep(
@@ -641,28 +728,44 @@ class HuffmanCodec:
         return out.reshape(-1)[:n]
 
     @staticmethod
-    def _build_lut(lengths_table: np.ndarray, max_len: int) -> np.ndarray:
-        """Fused prefix LUT: any max_len-bit window -> ``len << 8 | sym``.
+    def _build_luts(lengths_tables, max_lens) -> list[np.ndarray]:
+        """Fused prefix LUTs: any max_len-bit window -> ``len << 8 | sym``.
 
         Canonical codes tile the ``2**max_len`` prefixes in (length,
         symbol) order, each owning ``2**(max_len - len)`` consecutive
-        entries, so the table is one ``np.repeat`` over that order. An
-        incomplete code (a single-symbol stream) leaves the tail as
-        length-1 entries so every window still advances the cursor.
+        entries, so every stream's table is one run of a single
+        ``np.repeat`` over all streams' codes in (stream, length,
+        symbol) order. An incomplete code (a single-symbol stream)
+        leaves the tail as length-1 entries so every window still
+        advances the cursor. Returns one view per stream.
         """
-        if max_len < 1 or max_len > MAX_CODE_LENGTH:
-            raise ValueError(f"corrupt stream: max_len={max_len}")
-        syms, lens = _canonical_order(lengths_table)
-        if lens.size and int(lens[-1]) > max_len:
+        widths = np.array(max_lens, dtype=np.int64).reshape(-1)
+        if ((widths < 1) | (widths > MAX_CODE_LENGTH)).any():
+            bad = int(widths[(widths < 1) | (widths > MAX_CODE_LENGTH)][0])
+            raise ValueError(f"corrupt stream: max_len={bad}")
+        lengths = np.array(lengths_tables, dtype=np.int64).reshape(-1, 256)
+        flat = np.flatnonzero(lengths)
+        stream, lens = flat >> 8, lengths.reshape(-1)[flat]
+        if (lens > widths[stream]).any():
             raise ValueError("corrupt stream: code length exceeds max_len")
-        spans = np.left_shift(1, max_len - lens)
-        size = 1 << max_len
-        if int(spans.sum()) > size:
+        sizes = np.left_shift(1, widths)
+        tails = sizes - np.bincount(
+            stream, np.left_shift(1, widths[stream] - lens),
+            minlength=widths.size).astype(np.int64)
+        if (tails < 0).any():
             raise ValueError("corrupt stream: oversubscribed code lengths")
-        lut16 = np.full(size, 1 << 8, dtype=np.uint16)
-        filled = np.repeat(((lens << 8) | syms).astype(np.uint16), spans)
-        lut16[: filled.size] = filled
-        return lut16
+        # One sort key per code, (stream, length, symbol), whose low 13
+        # bits are its LUT value; each stream's tail sorts after its
+        # codes as length 31.
+        keys = np.sort(np.concatenate([
+            (stream << 13) | (lens << 8) | (flat & 255),
+            (np.arange(widths.size) << 13) | (31 << 8)]))
+        stream, lens = keys >> 13, (keys >> 8) & 31
+        tail = lens == 31
+        values = np.where(tail, 1 << 8, keys & 0x1FFF).astype(np.uint16)
+        luts = np.repeat(values, np.where(
+            tail, tails[stream], np.left_shift(1, widths[stream] - lens)))
+        return np.split(luts, np.cumsum(sizes)[:-1])
 
     @staticmethod
     def _build_lut_reference(
@@ -703,6 +806,11 @@ def huffman_encode(
 def huffman_decode(blob: bytes) -> np.ndarray:
     """Decode a stream produced by :func:`huffman_encode`."""
     return _DEFAULT_CODEC.decode(blob)
+
+
+def huffman_decode_many(blobs) -> list[np.ndarray]:
+    """Decode many :func:`huffman_encode` streams in one call."""
+    return _DEFAULT_CODEC.decode_many(blobs)
 
 
 def _ratio_for_payload_bits(n: int, payload_bits: int) -> float:

@@ -26,7 +26,7 @@ from repro.lossless.direct import direct_decode, direct_encode
 from repro.lossless.huffman import (
     build_code_lengths,
     estimate_huffman_ratio,
-    huffman_decode,
+    huffman_decode_many,
     huffman_encode,
     huffman_ratio_upper_bound,
 )
@@ -194,10 +194,19 @@ _ENCODERS = {
     "rle": rle_encode,
     "direct": direct_encode,
 }
+
+
+def _one_by_one(decode):
+    return lambda payloads: [decode(p) for p in payloads]
+
+
+#: Per method, the decoder of a list of payloads: Huffman decodes the
+#: whole list in one call (its short streams share walks), the others
+#: stream by stream.
 _DECODERS = {
-    "huffman": huffman_decode,
-    "rle": rle_decode,
-    "direct": direct_decode,
+    "huffman": huffman_decode_many,
+    "rle": _one_by_one(rle_decode),
+    "direct": _one_by_one(direct_decode),
 }
 
 
@@ -236,20 +245,46 @@ def decompress_groups(
     """Recover the leading planes from the first *num_groups* groups.
 
     Progressive retrieval decompresses only the groups it fetched;
-    ``None`` decompresses everything.
+    ``None`` decompresses everything. The one-list call of
+    :func:`decompress_group_lists`.
     """
     selected = groups if num_groups is None else groups[:num_groups]
-    planes: list[np.ndarray] = []
-    for group in selected:
-        merged = _DECODERS[group.method](group.payload)
-        if merged.size != group.original_size:
-            raise ValueError(
-                f"group {group.first_plane}: decoded {merged.size} bytes, "
-                f"expected {group.original_size}"
-            )
-        offset = 0
-        # Zero-copy split: each plane is a view into the decoded unit.
-        for size in group.plane_sizes:
-            planes.append(merged[offset : offset + size])
-            offset += size
+    return decompress_group_lists([list(selected)])[0]
+
+
+def decompress_group_lists(
+    lists: list[list[CompressedGroup]],
+) -> list[list[np.ndarray]]:
+    """Each list's planes, from one lossless call over all its groups.
+
+    The groups of every list are decoded together, method by method, so
+    a batch read's Huffman groups (every tile and level of it) go to one
+    :func:`~repro.lossless.huffman.huffman_decode_many` call. A group
+    whose decoded size disagrees with its plane sizes raises
+    ``ValueError``.
+    """
+    flat = [group for groups in lists for group in groups]
+    by_method: dict[str, list[int]] = {}
+    for i, group in enumerate(flat):
+        by_method.setdefault(group.method, []).append(i)
+    merged: list = [None] * len(flat)
+    for method, members in by_method.items():
+        decoded = _DECODERS[method]([flat[i].payload for i in members])
+        for i, out in zip(members, decoded):
+            merged[i] = out
+    planes: list[list[np.ndarray]] = []
+    outs = iter(merged)
+    for groups in lists:
+        planes.append([])
+        for group, out in zip(groups, outs):
+            if out.size != group.original_size:
+                raise ValueError(
+                    f"group {group.first_plane}: decoded {out.size} bytes, "
+                    f"expected {group.original_size}"
+                )
+            offset = 0
+            # Zero-copy split: each plane is a view into the decoded unit.
+            for size in group.plane_sizes:
+                planes[-1].append(out[offset : offset + size])
+                offset += size
     return planes

@@ -239,7 +239,7 @@ class TestTables:
         data = make_data(alphabet, 5000)
         lengths = build_code_lengths(np.bincount(data, minlength=256))
         max_len = int(lengths.max())
-        lut16 = HuffmanCodec._build_lut(lengths, max_len)
+        (lut16,) = HuffmanCodec._build_luts([lengths], [max_len])
         sym, length = HuffmanCodec._build_lut_reference(lengths, max_len)
         assert np.array_equal(lut16 & 0xFF, sym)
         assert np.array_equal(lut16 >> 8, length)
@@ -248,13 +248,13 @@ class TestTables:
         lengths = np.zeros(256, dtype=np.uint8)
         lengths[:3] = 1  # three 1-bit codes: Kraft sum 1.5
         with pytest.raises(ValueError, match="oversubscribed"):
-            HuffmanCodec._build_lut(lengths, 1)
+            HuffmanCodec._build_luts([lengths], [1])
         lengths[:3] = [1, 2, 9]
         with pytest.raises(ValueError, match="exceeds max_len"):
-            HuffmanCodec._build_lut(lengths, 8)
+            HuffmanCodec._build_luts([lengths], [8])
         for bad in (0, MAX_CODE_LENGTH + 1):
             with pytest.raises(ValueError, match="max_len"):
-                HuffmanCodec._build_lut(lengths, bad)
+                HuffmanCodec._build_luts([lengths], [bad])
 
     def test_bit_windows_all_matches_peek_bits(self):
         stream = np.random.default_rng(2).integers(0, 256, 97).astype(np.uint8)
@@ -435,22 +435,26 @@ class TestEndToEnd:
             return [recon.reconstruct(tolerance=t, relative=True,
                                       region=region) for t in tolerances]
 
+        # The seam is the batch decoder: a batch read hands all of its
+        # Huffman streams to one call, so both sides record the stream
+        # lengths of every call.
         fast_calls, ref_calls = [], []
         codec = HuffmanCodec()
 
-        def fast(blob):
-            fast_calls.append(len(blob))
-            return codec.decode(blob)
+        def fast(blobs):
+            fast_calls.append([len(blob) for blob in blobs])
+            return codec.decode_many(blobs)
 
-        def reference(blob):
-            ref_calls.append(len(blob))
-            return codec.decode_reference(blob)
+        def reference(blobs):
+            ref_calls.append([len(blob) for blob in blobs])
+            return [codec.decode_reference(blob) for blob in blobs]
 
         monkeypatch.setitem(hybrid._DECODERS, "huffman", fast)
         got = staircase()
         monkeypatch.setitem(hybrid._DECODERS, "huffman", reference)
         expect = staircase()
         assert fast_calls and fast_calls == ref_calls
+        assert max(map(len, fast_calls)) > 1  # tiles share one call
         for (data, bound), (ref_data, ref_bound) in zip(got, expect):
             assert data.tobytes() == ref_data.tobytes()
             assert bound == ref_bound
