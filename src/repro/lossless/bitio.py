@@ -259,14 +259,11 @@ def bit_windows_all(
         windows.byteswap(inplace=True)
     size = 8 * (stream.size + 1)
     vals = (np.empty(size, dtype=np.uint64) if out is None
-            else out[:size].view(np.uint64))
-    # Shift in bit-offset-major order, then transpose: eight long rows
-    # beat one row of eight per byte, which NumPy loops over slowly.
+            else out[:size].view(np.uint64)).reshape(-1, 8)
     shifts = np.arange(64 - width, 56 - width, -1, dtype=np.uint64)
-    by_offset = np.right_shift(windows, shifts[:, None])
-    np.bitwise_and(by_offset, np.uint64((1 << width) - 1), out=by_offset)
-    vals.reshape(-1, 8)[:] = by_offset.T
-    return vals.view(np.int64)
+    np.right_shift(windows[:, None], shifts, out=vals)
+    np.bitwise_and(vals, np.uint64((1 << width) - 1), out=vals)
+    return vals.reshape(-1).view(np.int64)
 
 
 def peek_bits(

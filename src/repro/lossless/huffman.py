@@ -28,6 +28,7 @@ from __future__ import annotations
 import heapq
 import math
 import struct
+from itertools import accumulate
 
 import numpy as np
 
@@ -55,9 +56,9 @@ _WALK_SYMBOLS = 32
 #: Payload cap of one walk slab: width-sorted walk-regime streams share
 #: one walk while their payloads sum to at most this many bytes. Set
 #: from the ``cap_rows`` of ``huffman_batch_sweep`` in
-#: ``benchmarks/bench_hotpaths.py``: 8 and 16 KiB tie, larger slabs are
-#: slower (their ~210 bytes of tables per payload byte leave the cache),
-#: and the smaller cap halves a batch's transient tables.
+#: ``benchmarks/bench_hotpaths.py``: 8 and 16 KiB near-tie, larger slabs
+#: are slower (their ~210 bytes of tables per payload byte leave the
+#: cache), and the smaller cap halves a batch's transient tables.
 SLAB_PAYLOAD_BYTES = 8 * 1024
 
 _MAGIC = b"HUF1"
@@ -531,13 +532,12 @@ class HuffmanCodec:
                 ).reshape(-1)[:n]
         # Width-sorted, a slab's streams mostly share one window width.
         walks.sort(key=lambda walk: walk[1][2])
-        slabs = _slabs(walks)
-        # The per-bit tables of every slab live in one set of buffers,
-        # sized for the largest: fresh pages cost as much as a pass.
-        bits = 8 * (1 + max((sum(s[5].size for _, s in slab)
-                             for slab in slabs), default=0))
-        scratch = [np.empty(bits, dtype=dtype)
-                   for dtype in (np.int64, np.int64, np.int64, np.uint16)]
+        # The slabs' per-bit tables share one set of buffers, the largest
+        # slab first so the rest fit: a fresh page costs about as much as
+        # a pass over it.
+        slabs = sorted(_slabs(walks), reverse=True,
+                       key=lambda slab: sum(s[5].size for _, s in slab))
+        scratch: dict = {}
         for slab in slabs:
             decoded = self._decode_short([s for _, s in slab], scratch)
             for (i, _), symbols in zip(slab, decoded):
@@ -549,10 +549,13 @@ class HuffmanCodec:
         """Pointer-jumping decode of a slab of streams, in one walk.
 
         *streams* are ``(n, lut16, max_len, rounds, offsets, payload)``;
-        returns each stream's ``n`` symbols. *scratch* is three int64 and
-        a uint16 buffer of at least the slab's bit positions: the
-        per-bit tables live in them. The gap-array-free scheme
-        of GPU Huffman decoders, applied where lanes are few. The
+        returns each stream's ``n`` symbols. The per-bit tables live in
+        *scratch*, the call's buffers by name, made on first use; a
+        stream past :data:`SLAB_PAYLOAD_BYTES` is a slab alone with
+        nothing to share, and its tables are its own (kept, they would
+        fragment the heap the smaller slabs then grow). The
+        gap-array-free scheme of GPU Huffman decoders, applied where
+        lanes are few. The
         payloads are concatenated and their windows read at the slab's
         widest ``max_len`` in one broadcast shift; each stream's span of
         bit positions then narrows its windows to its own width (if
@@ -577,27 +580,38 @@ class HuffmanCodec:
         rounds = max(s[3] for s in streams)
         walk = min(_WALK_SYMBOLS, rounds)
         entries = -(-rounds // walk)
-        bases = np.cumsum([0, *(s[5].size for s in streams)])
+        bases = list(accumulate((s[5].size for s in streams), initial=0))
+        size = 8 * (bases[-1] + 1)
+
+        def table(name, dtype=np.int64):
+            if bases[-1] > SLAB_PAYLOAD_BYTES:
+                return np.empty(size, dtype=dtype)
+            if name not in scratch or scratch[name].size < size:
+                scratch[name] = np.empty(size, dtype=dtype)
+            return scratch[name][:size]
+
         # The window buffer is dead after the LUT gathers: reuse it for
         # the table so only three position-sized arrays are ever live.
-        nxt = bit_windows_all(np.concatenate([s[5] for s in streams]), width,
-                              out=scratch[0])
-        spare = [buf[:nxt.size] for buf in scratch[1:3]]
-        fused = scratch[3][:nxt.size]
-        spans = zip(8 * bases[:-1], [*(8 * bases[1:-1]), nxt.size])
-        for (_, lut16, max_len, *_), (first, last) in zip(streams, spans):
+        payload = streams[0][5] if len(streams) == 1 else np.concatenate(
+            [s[5] for s in streams])
+        nxt = bit_windows_all(payload, width, out=table("nxt"))
+        fused = table("fused", np.uint16)
+        ends = [*bases[1:-1], bases[-1] + 1]
+        for (_, lut16, max_len, *_), first, last in zip(streams, bases, ends):
+            first, last = 8 * first, 8 * last
             windows = nxt[first:last]
             if max_len < width:
                 np.right_shift(windows, width - max_len, out=windows)
             np.take(lut16, windows, out=fused[first:last], mode="clip")
         np.add(np.arange(nxt.size), fused >> 8, out=nxt)
 
-        starts = np.concatenate([
-            (base + s[4][:-1]) * 8 for base, s in zip(bases, streams)])
-        pos = np.empty((walk, entries, starts.size), dtype=np.int64)
-        pos[0, 0] = starts
+        chunks = list(accumulate((s[4].size - 1 for s in streams), initial=0))
+        pos = np.empty((walk, entries, chunks[-1]), dtype=np.int64)
+        for s, base, first, last in zip(streams, bases, chunks, chunks[1:]):
+            np.add(s[4][:-1], base, out=pos[0, 0, first:last])
+        pos[0, 0] *= 8
         if entries > 1:
-            jump = nxt
+            jump, spare = nxt, (table("jump"), table("spare"))
             for i in range(walk.bit_length() - 1):
                 jump = np.take(jump, jump, out=spare[i & 1], mode="clip")
             for k in range(1, entries):
@@ -608,13 +622,10 @@ class HuffmanCodec:
         symbols = np.take(fused, pos, mode="clip").astype(np.uint8)
         # (walk, entries, chunk) -> chunk-major symbol order.
         symbols = np.ascontiguousarray(symbols.transpose(2, 1, 0)).reshape(
-            starts.size, entries * walk)
-        out, first = [], 0
-        for n, _, _, stream_rounds, offsets, _ in streams:
-            last = first + offsets.size - 1
-            out.append(symbols[first:last, :stream_rounds].reshape(-1)[:n])
-            first = last
-        return out
+            chunks[-1], entries * walk)
+        return [symbols[first:last, :stream_rounds].reshape(-1)[:n]
+                for (n, _, _, stream_rounds, _, _), first, last
+                in zip(streams, chunks, chunks[1:])]
 
     @staticmethod
     def _decode_lockstep(
@@ -739,33 +750,35 @@ class HuffmanCodec:
         leaves the tail as length-1 entries so every window still
         advances the cursor. Returns one view per stream.
         """
-        widths = np.array(max_lens, dtype=np.int64).reshape(-1)
-        if ((widths < 1) | (widths > MAX_CODE_LENGTH)).any():
-            bad = int(widths[(widths < 1) | (widths > MAX_CODE_LENGTH)][0])
-            raise ValueError(f"corrupt stream: max_len={bad}")
-        lengths = np.array(lengths_tables, dtype=np.int64).reshape(-1, 256)
+        widths = [int(w) for w in max_lens]
+        for w in widths:
+            if not 1 <= w <= MAX_CODE_LENGTH:
+                raise ValueError(f"corrupt stream: max_len={w}")
+        lengths = np.concatenate([np.asarray(t, np.uint8) for t in
+                                  lengths_tables] or [np.empty(0, np.uint8)])
+        # One key per code, (stream, length, symbol), whose low 16 bits
+        # are its LUT value: sorted, the keys are the canonical order of
+        # every stream's codes, stream after stream.
         flat = np.flatnonzero(lengths)
-        stream, lens = flat >> 8, lengths.reshape(-1)[flat]
-        if (lens > widths[stream]).any():
+        keys = np.sort(((flat >> 8) << 16) | (flat & 0xFF) | (
+            lengths[flat].astype(np.int64) << 8))
+        shift = np.array(widths, dtype=np.int64)[keys >> 16] - (
+            (keys >> 8) & 0xFF)
+        if shift.size and int(shift.min()) < 0:
             raise ValueError("corrupt stream: code length exceeds max_len")
-        sizes = np.left_shift(1, widths)
-        tails = sizes - np.bincount(
-            stream, np.left_shift(1, widths[stream] - lens),
-            minlength=widths.size).astype(np.int64)
-        if (tails < 0).any():
-            raise ValueError("corrupt stream: oversubscribed code lengths")
-        # One sort key per code, (stream, length, symbol), whose low 13
-        # bits are its LUT value; each stream's tail sorts after its
-        # codes as length 31.
-        keys = np.sort(np.concatenate([
-            (stream << 13) | (lens << 8) | (flat & 255),
-            (np.arange(widths.size) << 13) | (31 << 8)]))
-        stream, lens = keys >> 13, (keys >> 8) & 31
-        tail = lens == 31
-        values = np.where(tail, 1 << 8, keys & 0x1FFF).astype(np.uint16)
-        luts = np.repeat(values, np.where(
-            tail, tails[stream], np.left_shift(1, widths[stream] - lens)))
-        return np.split(luts, np.cumsum(sizes)[:-1])
+        spans = np.left_shift(1, shift)
+        filled = np.repeat((keys & 0xFFFF).astype(np.uint16), spans)
+        tables = np.full(sum(1 << w for w in widths), 1 << 8, dtype=np.uint16)
+        luts, start, at = [], 0, 0
+        for w, end in zip(widths, np.cumsum(np.bincount(
+                keys >> 16, spans, minlength=len(widths))).tolist()):
+            end = int(end)
+            if end - start > 1 << w:
+                raise ValueError("corrupt stream: oversubscribed code lengths")
+            luts.append(tables[at:at + (1 << w)])
+            luts[-1][:end - start] = filled[start:end]
+            start, at = end, at + (1 << w)
+        return luts
 
     @staticmethod
     def _build_lut_reference(

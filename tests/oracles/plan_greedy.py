@@ -1,4 +1,5 @@
-"""The greedy planner as a loop: :func:`repro.core.planner.plan_greedy`'s oracle.
+"""The greedy planner as a loop, :func:`repro.core.planner.plan_greedy`'s
+oracle.
 
 The library plans by sort and lookup (:func:`~repro.core.planner.
 plan_greedy_many`). This module keeps the round-by-round greedy loop it

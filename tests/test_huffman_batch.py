@@ -73,8 +73,8 @@ class TestBatchEqualsReference:
     def test_short_streams_share_walks(self):
         """64 tile groups decode in a handful of walks, not 64, and a
         lockstep stream between them does not join any."""
-        specs = [("zero_heavy", 1792, 1024)] * 32 + [("uniform", 40000, 1024)] \
-            + [("zero_heavy", 1792, 1024)] * 32
+        tile = ("zero_heavy", 1792, 1024)
+        specs = [tile] * 32 + [("uniform", 40000, 1024)] + [tile] * 32
         datas, blobs = make_mix(specs)
         codec = SpyCodec()
         got = codec.decode_many(blobs)
