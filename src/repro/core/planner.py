@@ -65,17 +65,17 @@ def greedy_table(field: RefactoredField) -> tuple[np.ndarray, ...]:
     """*field*'s weighted bound and bytes after ``g`` groups per level
     (``(L, G + 1)``, a level's last entry repeated past its end), and
     the group counts."""
-    counts = np.array([lv.num_groups for lv in field.levels], np.int64)
-    depth = int(counts.max(initial=0)) + 1
-    bound, nbytes = (np.array([
-        row + row[-1:] * (depth - len(row)) for row in rows], dtype).reshape(
-            counts.size, depth) for rows, dtype in (
-        ([[w * lv.error_bound_for_groups(g) for g in range(c + 1)] for w, lv, c
-          in zip(field.level_weights, field.levels, counts.tolist())],
-         np.float64),
-        ([[lv.bytes_for_groups(g) for g in range(c + 1)] for lv, c
-          in zip(field.levels, counts.tolist())], np.int64)))
-    return bound, nbytes, counts
+    counts = [lv.num_groups for lv in field.levels]
+    depth = max(counts, default=0) + 1
+    def padded(rows, dtype):  # a level's last entry repeated past its end
+        return np.array([row + row[-1:] * (depth - len(row)) for row in rows],
+                        dtype).reshape(len(rows), depth)
+    bound = padded([[w * lv.error_bound_for_groups(g) for g in range(c + 1)]
+                    for w, lv, c in zip(field.level_weights, field.levels,
+                                        counts)], np.float64)
+    nbytes = padded([[lv.bytes_for_groups(g) for g in range(c + 1)]
+                     for lv, c in zip(field.levels, counts)], np.int64)
+    return bound, nbytes, np.array(counts, dtype=np.int64)
 
 
 def _padded(table, width: int, depth: int) -> tuple[np.ndarray, ...]:
