@@ -33,7 +33,7 @@ from repro.bitplane.encoding import (
 )
 from repro.core.errors import StoreError
 from repro.core.planner import (
-    RetrievalPlan, greedy_table, plan_full, plan_greedy_many)
+    RetrievalPlan, plan_at, plan_full, plan_greedy_many)
 from repro.core.stream import Counters, RefactoredField
 from repro.decompose import MultilevelTransform
 from repro.lossless.hybrid import decompress_group_lists
@@ -309,28 +309,25 @@ class Reconstructor:
         resolved = [requested * recon.field.value_range
                     if relative and requested is not None else requested
                     for recon in recons]
-        plans = [plan] * len(recons)
-        greedy = []
-        for i, recon in enumerate(recons):
-            if plan is not None:
-                recon._validate_plan(plan)
-            elif requested is None or (
-                    relative and recon.field.value_range == 0.0):
-                # Constant field: every relative fraction resolves to
-                # 0, so take the documented near-lossless path.
-                plans[i] = plan_full(recon.field)
-            else:  # the session's table is built on its first plan
-                recon._plan_table = recon._plan_table or greedy_table(
-                    recon.field)
-                greedy.append(i)
+        for recon in recons if plan is not None else ():
+            recon._validate_plan(plan)
+        # Near-lossless, or a constant field (every relative fraction
+        # resolves to 0): the documented full plan.
+        plans = [plan or (plan_full(recon.field) if requested is None or (
+            relative and recon.field.value_range == 0.0) else None)
+            for recon in recons]
+        greedy = [i for i, p in enumerate(plans) if p is None]
+        tables = [recons[i]._plan_table for i in greedy]  # built once
         for i, found in zip(greedy, plan_greedy_many(
-                [recons[i]._plan_table for i in greedy],
+                [recons[i].field for i in greedy],
                 [resolved[i] for i in greedy],
-                [recons[i]._fetched for i in greedy])):
+                [recons[i]._fetched for i in greedy], tables)):
             plans[i] = found
+        for i, table in zip(greedy, tables):  # grown on a pre-metadata level
+            recons[i]._plan_table = table
+        # Progressive: never un-fetch; merge with what we already have.
         steps = []
         for recon, p, tol, before in zip(recons, plans, resolved, befores):
-            # Progressive: never un-fetch; merge with what we already have.
             groups = [max(have, int(want)) for have, want in zip(
                 recon._fetched, p.groups_per_level)]
             steps.append(StepPlan(tol, requested if relative else None,
@@ -419,9 +416,7 @@ class Reconstructor:
     def _commit(self, step, groups, failed_groups, data, outcomes):
         """Commit one decoded step (only now: a failed step leaves the
         session exactly as it was) and describe it as a result."""
-        levels = self.field.levels
-        bound = sum(w * lv.error_bound_for_groups(g) for w, lv, g in zip(
-            self.field.level_weights, levels, groups))
+        plan = plan_at(self.field, groups)
         c = self._counters
         for idx, (values, state, (d_groups, d_planes)) in enumerate(outcomes):
             self._states[idx] = state
@@ -436,7 +431,7 @@ class Reconstructor:
         spent = self.counters() - step.before
         return ReconstructionResult(
             data=data,
-            error_bound=bound,
+            error_bound=plan.error_bound,
             tolerance=(float("nan") if step.tolerance is None
                        else float(step.tolerance)),
             fetched_bytes=c.fetched_bytes,
@@ -448,8 +443,7 @@ class Reconstructor:
             decoded_planes=spent.planes_decoded,
             degraded=failed_groups is not None,
             failed_groups=failed_groups,
-            plan=RetrievalPlan(groups, bound, sum(
-                lv.bytes_for_groups(g) for lv, g in zip(levels, groups))),
+            plan=plan,
         )
 
     def progressive(

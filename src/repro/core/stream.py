@@ -63,6 +63,11 @@ class LevelStream:
         """Total bitplanes contained in the first *num_groups* groups."""
         return sum(g.num_planes for g in self.groups[:num_groups])
 
+    @property
+    def known_groups(self) -> int:
+        """Leading groups whose plane counts are known without a fetch."""
+        return self.num_groups
+
     def bytes_for_groups(self, num_groups: int) -> int:
         """Serialized bytes fetched for the first *num_groups* groups."""
         return sum(
@@ -431,6 +436,12 @@ class LazyLevelStream(LevelStream):
                 (r.num_planes for r in self.refs), initial=0))
         return self._plane_sums[min(num_groups, len(self.refs))]
 
+    @property
+    def known_groups(self) -> int:
+        """Leading refs with a plane count (all but on a pre-metadata
+        index, where only the resolved ones have one)."""
+        return next((i for i, r in enumerate(self.refs)
+                     if r.num_planes is None), len(self.refs))
 
 
 @dataclass

@@ -530,13 +530,15 @@ class HuffmanCodec:
                 out[i] = self._decode_lockstep(
                     lut16, max_len, rounds, offsets, payload
                 ).reshape(-1)[:n]
-        # Width-sorted, a slab's streams mostly share one window width.
-        walks.sort(key=lambda walk: walk[1][2])
-        # The slabs' per-bit tables share one set of buffers, the largest
-        # slab first so the rest fit: a fresh page costs about as much as
-        # a pass over it.
-        slabs = sorted(_slabs(walks), reverse=True,
-                       key=lambda slab: sum(s[5].size for _, s in slab))
+        slabs = [walks] if walks else []
+        if len(walks) > 1:
+            # Width-sorted, a slab's streams mostly share one window
+            # width. The slabs' per-bit tables share one set of buffers,
+            # the largest slab first so the rest fit: a fresh page costs
+            # about as much as a pass over it.
+            walks.sort(key=lambda walk: walk[1][2])
+            slabs = sorted(_slabs(walks), reverse=True,
+                           key=lambda slab: sum(s[5].size for _, s in slab))
         scratch: dict = {}
         for slab in slabs:
             decoded = self._decode_short([s for _, s in slab], scratch)
@@ -553,28 +555,30 @@ class HuffmanCodec:
         *scratch*, the call's buffers by name, made on first use; a
         stream past :data:`SLAB_PAYLOAD_BYTES` is a slab alone with
         nothing to share, and its tables are its own (kept, they would
-        fragment the heap the smaller slabs then grow). The
-        gap-array-free scheme of GPU Huffman decoders, applied where
-        lanes are few. The
-        payloads are concatenated and their windows read at the slab's
-        widest ``max_len`` in one broadcast shift; each stream's span of
-        bit positions then narrows its windows to its own width (if
-        narrower) and gathers its own LUT. That decodes the codeword at
-        *every* bit position, giving the next-codeword table ``nxt[p] =
-        p + len(code at p)``; squaring it ``log2 walk`` times (``jump =
-        jump[jump]``) yields jump-by-``walk``-symbols, which turns each
-        chunk's header offset into ``entries = ceil(rounds / walk)``
-        entry points with ``entries - 1`` gathers; ``walk - 1``
-        single-gather steps then advance every chunk lane of every
-        stream at once and one final gather reads every symbol. A lane
-        past its own chunk's symbols reads the next chunk's or stream's
-        bits: those symbols are discarded, and what one stream's lanes
-        read never reaches another stream's output.
+        fragment the heap the smaller slabs then grow).
+
+        The gap-array-free scheme of GPU Huffman decoders, applied where
+        lanes are few. The payloads are concatenated and their windows
+        read at the slab's widest ``max_len`` in one broadcast shift;
+        each stream's span of bit positions then narrows its windows to
+        its own width (if narrower) and gathers its own LUT. That decodes
+        the codeword at *every* bit position, giving the next-codeword
+        table ``nxt[p] = p + len(code at p)``; squaring it ``log2 walk``
+        times (``jump = jump[jump]``) yields jump-by-``walk``-symbols,
+        which turns each chunk's header offset into ``entries =
+        ceil(rounds / walk)`` entry points with ``entries - 1`` gathers;
+        ``walk - 1`` single-gather steps then advance every chunk lane of
+        every stream at once and one final gather reads every symbol. A
+        lane past its own chunk's symbols reads the next chunk's or
+        stream's bits: those symbols are discarded, and what one
+        stream's lanes read never reaches another stream's output.
 
         Every gather runs in ``mode="clip"``, which both skips NumPy's
         defensive copy of ``out`` and makes the last table slot a
         self-looping sentinel: lanes that run past a ragged tail (or a
         corrupt stream) park there and can never index out of range.
+        Gathers call ``ndarray.take``: the ``np.take`` wrapper costs more
+        (~1.5 µs a call) than a walk step's gather over a few lanes.
         """
         width = max(s[2] for s in streams)
         rounds = max(s[3] for s in streams)
@@ -602,24 +606,25 @@ class HuffmanCodec:
             windows = nxt[first:last]
             if max_len < width:
                 np.right_shift(windows, width - max_len, out=windows)
-            np.take(lut16, windows, out=fused[first:last], mode="clip")
+            lut16.take(windows, out=fused[first:last], mode="clip")
         np.add(np.arange(nxt.size), fused >> 8, out=nxt)
 
         chunks = list(accumulate((s[4].size - 1 for s in streams), initial=0))
         pos = np.empty((walk, entries, chunks[-1]), dtype=np.int64)
         for s, base, first, last in zip(streams, bases, chunks, chunks[1:]):
-            np.add(s[4][:-1], base, out=pos[0, 0, first:last])
-        pos[0, 0] *= 8
+            np.left_shift(s[4][:-1], 3, out=pos[0, 0, first:last])
+            if base:
+                pos[0, 0, first:last] += 8 * base
         if entries > 1:
             jump, spare = nxt, (table("jump"), table("spare"))
             for i in range(walk.bit_length() - 1):
-                jump = np.take(jump, jump, out=spare[i & 1], mode="clip")
+                jump = jump.take(jump, out=spare[i & 1], mode="clip")
             for k in range(1, entries):
-                np.take(jump, pos[0, k - 1], out=pos[0, k], mode="clip")
+                jump.take(pos[0, k - 1], out=pos[0, k], mode="clip")
         lanes = pos.reshape(walk, -1)
         for s in range(1, walk):
-            np.take(nxt, lanes[s - 1], out=lanes[s], mode="clip")
-        symbols = np.take(fused, pos, mode="clip").astype(np.uint8)
+            nxt.take(lanes[s - 1], out=lanes[s], mode="clip")
+        symbols = fused.take(pos, mode="clip").astype(np.uint8)
         # (walk, entries, chunk) -> chunk-major symbol order.
         symbols = np.ascontiguousarray(symbols.transpose(2, 1, 0)).reshape(
             chunks[-1], entries * walk)
@@ -746,7 +751,8 @@ class HuffmanCodec:
         symbol) order, each owning ``2**(max_len - len)`` consecutive
         entries, so every stream's table is one run of a single
         ``np.repeat`` over all streams' codes in (stream, length,
-        symbol) order. An incomplete code (a single-symbol stream)
+        symbol) order — one stable sort by (stream, length) of the
+        present symbols. An incomplete code (a single-symbol stream)
         leaves the tail as length-1 entries so every window still
         advances the cursor. Returns one view per stream.
         """
@@ -754,30 +760,34 @@ class HuffmanCodec:
         for w in widths:
             if not 1 <= w <= MAX_CODE_LENGTH:
                 raise ValueError(f"corrupt stream: max_len={w}")
-        lengths = np.concatenate([np.asarray(t, np.uint8) for t in
-                                  lengths_tables] or [np.empty(0, np.uint8)])
-        # One key per code, (stream, length, symbol), whose low 16 bits
-        # are its LUT value: sorted, the keys are the canonical order of
-        # every stream's codes, stream after stream.
-        flat = np.flatnonzero(lengths)
-        keys = np.sort(((flat >> 8) << 16) | (flat & 0xFF) | (
-            lengths[flat].astype(np.int64) << 8))
-        shift = np.array(widths, dtype=np.int64)[keys >> 16] - (
-            (keys >> 8) & 0xFF)
-        if shift.size and int(shift.min()) < 0:
+        if not widths:
+            return []
+        many = len(widths) > 1
+        lengths = np.concatenate(lengths_tables) if many else np.asarray(
+            lengths_tables[0], dtype=np.uint8)
+        flat = np.flatnonzero(lengths)  # (stream, symbol) order
+        lens = lengths[flat].astype(np.int64)
+        if many:  # the stream above the length: sorted, stream-major
+            lens |= (flat >> 8) << 8
+        order = lens.argsort(kind="stable")
+        flat, lens = flat[order], lens[order] & 0xFF
+        width = np.array(widths)[flat >> 8] if many else widths[:1]
+        if (lens > width).any():
             raise ValueError("corrupt stream: code length exceeds max_len")
-        spans = np.left_shift(1, shift)
-        filled = np.repeat((keys & 0xFFFF).astype(np.uint16), spans)
-        tables = np.full(sum(1 << w for w in widths), 1 << 8, dtype=np.uint16)
-        luts, start, at = [], 0, 0
-        for w, end in zip(widths, np.cumsum(np.bincount(
-                keys >> 16, spans, minlength=len(widths))).tolist()):
-            end = int(end)
-            if end - start > 1 << w:
+        spans = np.left_shift(1, width - lens)
+        filled = np.repeat(((lens << 8) | (flat & 0xFF)).astype(np.uint16),
+                           spans)
+        tables = np.full(sum(1 << w for w in widths), 1 << 8, np.uint16)
+        used = np.bincount(flat >> 8, spans, len(widths)).astype(
+            np.int64).tolist() if many else [filled.size]
+        luts = []
+        for at, start, w, size in zip(
+                accumulate((1 << w for w in widths), initial=0),
+                accumulate(used, initial=0), widths, used):
+            if size > 1 << w:
                 raise ValueError("corrupt stream: oversubscribed code lengths")
             luts.append(tables[at:at + (1 << w)])
-            luts[-1][:end - start] = filled[start:end]
-            start, at = end, at + (1 << w)
+            luts[-1][:size] = filled[start:start + size]
         return luts
 
     @staticmethod

@@ -16,7 +16,6 @@ from oracles.plan_greedy import plan_greedy_loop
 
 from repro.core.planner import (
     RetrievalPlan,
-    greedy_table,
     plan_full,
     plan_greedy,
     plan_greedy_many,
@@ -103,8 +102,7 @@ class TestLookupEqualsLoop:
         tolerances = [data.draw(TOLERANCES) for _ in batch]
         starts = [random_start(rng, f) if rng.random() < 0.7 else None
                   for f in batch]
-        got = plan_greedy_many([greedy_table(f) for f in batch],
-                               tolerances, starts)
+        got = plan_greedy_many(batch, tolerances, starts)
         assert got == [plan_greedy_loop(f, t, s)
                        for f, t, s in zip(batch, tolerances, starts)]
 
