@@ -564,10 +564,6 @@ class ResilientReader:
         settled as ``({key: blob}, {key: error})``."""
         return self.policy.run_many(self._settle_once, keys)
 
-    def size_of(self, key: str) -> int:
-        """Manifest-size lookup, retried under the same policy."""
-        return self.policy.run(self._reader.size_of, key)
-
     def keys(self) -> list[str]:
         return self._reader.keys()
 

@@ -66,30 +66,27 @@ def plan_greedy(
 
 def greedy_table(field: RefactoredField) -> tuple[np.ndarray, ...]:
     """*field*'s weighted bound and bytes after ``g`` groups per level
-    (``(L, G + 1)``, a level's last entry repeated past its end), its
-    group counts, and the groups the rows cover: all, but on a level of
-    a pre-metadata index only those whose plane counts are known."""
+    (``(L, G + 1)``, a level's last entry repeated past its end) and its
+    group counts."""
     counts = [lv.num_groups for lv in field.levels]
-    known = [lv.known_groups for lv in field.levels]
     depth = max(counts, default=0) + 1
     def padded(rows, dtype):  # a level's last entry repeated past its end
         return np.array([row + row[-1:] * (depth - len(row)) for row in rows],
                         dtype).reshape(len(rows), depth)
     bound = padded([[w * lv.error_bound_for_groups(g) for g in range(k + 1)]
                     for w, lv, k in zip(field.level_weights, field.levels,
-                                        known)], np.float64)
+                                        counts)], np.float64)
     nbytes = padded([[lv.bytes_for_groups(g) for g in range(k + 1)]
-                     for lv, k in zip(field.levels, known)], np.int64)
-    return bound, nbytes, *np.array([counts, known], np.int64).reshape(2, -1)
+                     for lv, k in zip(field.levels, counts)], np.int64)
+    return bound, nbytes, np.array(counts, np.int64)
 
 
 def _padded(table, width: int, depth: int) -> tuple[np.ndarray, ...]:
     """*table* grown to *width* levels and *depth* group counts."""
-    bound, nbytes, counts, known = table
+    bound, nbytes, counts = table
     rows, cols = (0, width - counts.size), (0, depth - bound.shape[1])
     return (*(np.pad(np.pad(a, ((0, 0), cols), "edge"), (rows, (0, 0)))
-              for a in (bound, nbytes)),
-            *(np.pad(a, rows) for a in (counts, known)))
+              for a in (bound, nbytes)), np.pad(counts, rows))
 
 
 def plan_greedy_many(
@@ -99,34 +96,7 @@ def plan_greedy_many(
     tables: list | None = None,
 ) -> list[RetrievalPlan]:
     """:func:`plan_greedy` of K fields at once, from their
-    :func:`greedy_table` s (*tables*: updated in place, ``None``
-    entries built).
-
-    A pre-metadata level's rows stop at its resolved groups and grow
-    only where the loop looked past them: at the first state of the
-    first such field's plan in which a level's start lies past its
-    rows, or the level sits at their end with the tolerance not yet
-    met, the level resolves its next group (through
-    :meth:`~repro.core.stream.LevelStream.planes_in_groups`) and the
-    batch is planned again. So a plan resolves the segments the loop
-    did, in its order.
-    """
-    tolerances = np.array([check_tolerance(t) for t in tolerances])
-    tables = [None] * len(fields) if tables is None else tables
-    tables[:] = [t or greedy_table(f) for t, f in zip(tables, fields)]
-    while True:
-        plans, grow = _plan_tables(tables, tolerances, starts)
-        if grow is None:
-            return plans
-        row, depths = grow
-        for lv, depth in zip(fields[row].levels, depths):
-            lv.planes_in_groups(depth)
-        tables[row] = greedy_table(fields[row])
-
-
-def _plan_tables(tables, tolerances, starts):
-    """``(plans, None)``, or ``(None, (row, depths))`` when field *row*
-    must first resolve its levels' groups to ``depths`` (0: none).
+    :func:`greedy_table` s (*tables*, ``None`` entries built).
 
     The greedy rounds merge the levels' score sequences, so they take
     the steps in the stable order of (−prefix minimum of the level's
@@ -135,14 +105,16 @@ def _plan_tables(tables, tolerances, starts):
     (a fresh ``sum``, then ``+= new − old`` in order, as ``np.cumsum``
     adds), and a plan is the shortest prefix meeting its tolerance.
     """
-    if not tables:
-        return [], None
+    tolerances = np.array([check_tolerance(t) for t in tolerances])
+    if not fields:
+        return []
+    tables = [t or greedy_table(f) for t, f in zip(
+        tables or [None] * len(fields), fields)]
     sizes = [t[2].size for t in tables]
     width, depth = max(sizes), max(t[0].shape[1] for t in tables)
     if any(t[0].shape != (width, depth) for t in tables):
         tables = [_padded(t, width, depth) for t in tables]
-    bound, nbytes, last, known = (
-        np.array([t[i] for t in tables]) for i in range(4))
+    bound, nbytes, last = (np.array([t[i] for t in tables]) for i in range(3))
     first = np.zeros(last.shape, dtype=np.int64)
     for row, (start, size) in enumerate(zip(starts, sizes)):
         if start is not None:
@@ -151,10 +123,9 @@ def _plan_tables(tables, tolerances, starts):
             first[row, :size] = start
     if ((first < 0) | (first > last)).any():
         raise ValueError("start group count out of range")
-    grow = np.where(first > known, first, 0)  # a start past the rows
     k, steps = len(tables), width * (depth - 1)
     ahead = np.arange(depth - 1) >= first[..., None]
-    live = ahead & (np.arange(depth - 1) < known[..., None])
+    live = ahead & (np.arange(depth - 1) < last[..., None])
     score = np.where(ahead, (bound[..., :-1] - bound[..., 1:]) / np.maximum(
         nbytes[..., 1:] - nbytes[..., :-1], 1), np.inf)
     key = np.where(live, -np.minimum.accumulate(score, axis=-1), np.inf)
@@ -167,19 +138,6 @@ def _plan_tables(tables, tolerances, starts):
         delta.reshape(k, steps)[rows, order]], 1).cumsum(axis=1)
     met = totals <= tolerances[:, None]
     taken = np.where(met.any(1), met.argmax(1), live.sum((1, 2)))
-    if (known < last).any():  # the steps taken when a level's rows end
-        at = np.empty_like(order)
-        at[rows, order] = np.arange(steps)
-        reach = np.where(known > first, at[rows, np.maximum(
-            levels * (depth - 1) + known - 1, 0)] + 1, 0)
-        # the loop looks past them only if the plan goes on from there
-        reach[(known == last) | ((reach >= taken[:, None])
-                                 & met.any(1)[:, None])] = steps + 1
-        grow = np.where(grow.any(1)[:, None], grow, np.where(
-            reach == reach.min(1)[:, None], known + 1, 0) * (reach <= steps))
-    if grow.any():
-        row = int(grow.any(1).argmax())
-        return None, (row, grow[row, :sizes[row]].tolist())
     groups = first + np.bincount(
         (rows * width + order // max(depth - 1, 1))[
             np.arange(steps) < taken[:, None]],
@@ -187,7 +145,7 @@ def _plan_tables(tables, tolerances, starts):
     at = (rows, levels, groups)
     return [RetrievalPlan(g[:size], sum(b[:size]), int(n)) for g, b, n, size
             in zip(groups.tolist(), bound[at].tolist(), nbytes[at].sum(1),
-                   sizes)], None
+                   sizes)]
 
 
 def plan_round_robin(

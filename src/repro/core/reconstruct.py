@@ -33,7 +33,7 @@ from repro.bitplane.encoding import (
 )
 from repro.core.errors import StoreError
 from repro.core.planner import (
-    RetrievalPlan, plan_at, plan_full, plan_greedy_many)
+    RetrievalPlan, greedy_table, plan_at, plan_full, plan_greedy_many)
 from repro.core.stream import Counters, RefactoredField
 from repro.decompose import MultilevelTransform
 from repro.lossless.hybrid import decompress_group_lists
@@ -287,10 +287,10 @@ class Reconstructor:
 
         Pure metadata: tolerance resolution, planning, and the merge
         with the session's committed fetch progress touch no segment
-        payloads (lazy fields plan from :class:`~repro.core.stream.
-        SegmentRef` sizes alone). The returned :class:`StepPlan` feeds
-        :meth:`fetch_step`, then :meth:`decode_step`. The K = 1 call of
-        :meth:`plan_steps`.
+        payloads (lazy fields plan from the sizes and plane counts of
+        their :class:`~repro.core.stream.SegmentRef` s). The returned
+        :class:`StepPlan` feeds :meth:`fetch_step`, then
+        :meth:`decode_step`. The K = 1 call of :meth:`plan_steps`.
         """
         return self.plan_steps([self], tolerance, relative, plan)[0]
 
@@ -298,8 +298,6 @@ class Reconstructor:
     def plan_steps(recons, tolerance=None, relative=False, plan=None) -> list:
         """:meth:`plan_step` of K sessions at one tolerance, their greedy
         plans from one :func:`~repro.core.planner.plan_greedy_many`."""
-        # Before planning: a pre-metadata index can force fetches there.
-        befores = [recon.counters() for recon in recons]
         if relative and tolerance is None:
             raise ValueError(
                 "relative=True requires a tolerance; near-lossless "
@@ -317,24 +315,25 @@ class Reconstructor:
             relative and recon.field.value_range == 0.0) else None)
             for recon in recons]
         greedy = [i for i, p in enumerate(plans) if p is None]
-        tables = [recons[i]._plan_table for i in greedy]  # built once
+        for i in greedy:  # built on a session's first greedy plan
+            if recons[i]._plan_table is None:
+                recons[i]._plan_table = greedy_table(recons[i].field)
         for i, found in zip(greedy, plan_greedy_many(
                 [recons[i].field for i in greedy],
                 [resolved[i] for i in greedy],
-                [recons[i]._fetched for i in greedy], tables)):
+                [recons[i]._fetched for i in greedy],
+                [recons[i]._plan_table for i in greedy])):
             plans[i] = found
-        for i, table in zip(greedy, tables):  # grown on a pre-metadata level
-            recons[i]._plan_table = table
         # Progressive: never un-fetch; merge with what we already have.
         steps = []
-        for recon, p, tol, before in zip(recons, plans, resolved, befores):
+        for recon, p, tol in zip(recons, plans, resolved):
             groups = [max(have, int(want)) for have, want in zip(
                 recon._fetched, p.groups_per_level)]
             steps.append(StepPlan(tol, requested if relative else None,
                                   groups, sum(
                 lv.bytes_for_groups(g) - lv.bytes_for_groups(have)
-                for lv, g, have in zip(
-                    recon.field.levels, groups, recon._fetched)), before))
+                for lv, g, have in zip(recon.field.levels, groups,
+                                       recon._fetched)), recon.counters()))
         return steps
 
     def fetch_step(self, step: StepPlan) -> None:

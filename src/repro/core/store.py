@@ -12,8 +12,8 @@ stay small here (one per plane group, what retrieval fetches); files don't:
 
 Both satisfy the :class:`SegmentReader` protocol that the lazy
 retrieval layer (:func:`open_field`, :class:`repro.core.service.RetrievalService`)
-is written against, so any object with ``get``/``size_of``/``keys`` —
-an object store client, a test double — can back progressive sessions.
+is written against, so any object with ``get``/``keys`` — an object
+store client, a test double — can back progressive sessions.
 A progressive step reads its keys as one batch per tile-step, settled
 per key into values and errors (:func:`settle_many`); a reader whose
 class does not define ``settle_many`` is read with a ``get`` loop.
@@ -58,17 +58,14 @@ class SegmentReader(Protocol):
     """Read side of a segment store — what retrieval needs.
 
     ``get(key)`` returns the segment blob (raising ``KeyError`` when
-    absent), ``size_of(key)`` its serialized size *without* fetching it
-    (manifest lookup), ``keys()`` the sorted stored keys, and membership
-    tests route through ``__contains__``. The library reads a batch
+    absent), ``keys()`` the sorted stored keys, and membership tests
+    route through ``__contains__``. The library reads a batch
     through :func:`settle_many`: a reader whose class defines
     ``settle_many(keys) -> ({key: blob}, {key: error})`` answers it in
     one request, any other is read with a ``get`` loop.
     """
 
     def get(self, key: str) -> bytes: ...
-
-    def size_of(self, key: str) -> int: ...
 
     def keys(self) -> list[str]: ...
 
@@ -483,14 +480,9 @@ def index_checksums(index: dict) -> dict[str, int]:
     """Per-segment CRC32 map from a :func:`store_field` index record.
 
     The composition hook for :class:`~repro.core.faults.ResilientReader`
-    and :meth:`~repro.core.service.SegmentCache.register_checksums`;
-    empty for indexes written before checksums were recorded.
+    and :meth:`~repro.core.service.SegmentCache.register_checksums`.
     """
-    return {
-        key: int(meta["crc32"])
-        for key, meta in index.get("segments", {}).items()
-        if isinstance(meta, dict) and "crc32" in meta
-    }
+    return {key: meta["crc32"] for key, meta in index["segments"].items()}
 
 
 def verified_many(
@@ -596,21 +588,44 @@ def store_field(store, field: RefactoredField) -> dict:
     return index
 
 
-def _read_index(raw, key: str) -> tuple[dict, RefactoredField]:
-    """Parse index record *key*'s blob into ``(index, field template)``."""
+def _read_index(raw, key: str) -> tuple[dict, RefactoredField, list]:
+    """Parse index record *key*'s blob into ``(index, field template,
+    per-level SegmentRef lists)``.
+
+    The one index shape: ``groups`` maps each level to a list of segment
+    keys, and ``segments`` gives every listed key an int ``bytes >= 0``,
+    ``planes >= 1`` and ``crc32``. Anything else raises
+    :class:`~repro.core.errors.SegmentCorruptionError`.
+    """
     try:
         index = json.loads(bytes(raw).decode())
-        if not isinstance(index, dict) or not isinstance(
-            index.get("groups"), dict
-        ):
-            raise ValueError("index record is not a field index object")
+        groups, segments = index["groups"], index["segments"]
+        if not (isinstance(groups, dict) and isinstance(segments, dict)):
+            raise ValueError("groups and segments must be objects")
         field = RefactoredField.from_bytes(bytes.fromhex(index["field"]))
+        level_refs = []
+        for lv in field.levels:
+            keys = groups.get(str(lv.level), [])
+            if not isinstance(keys, list):
+                raise ValueError(f"level {lv.level} lists {keys!r}, not keys")
+            refs = []
+            for seg in keys:
+                meta = segments.get(seg)
+                if not (isinstance(meta, dict)
+                        and type(meta.get("bytes")) is int
+                        and type(meta.get("planes")) is int
+                        and type(meta.get("crc32")) is int
+                        and meta["bytes"] >= 0 and meta["planes"] >= 1):
+                    raise ValueError(f"segment {seg!r} has entry {meta!r}, "
+                                     f"not {{bytes >= 0, planes >= 1, crc32}}")
+                refs.append(SegmentRef(seg, meta["bytes"], meta["planes"]))
+            level_refs.append(refs)
     except (ValueError, KeyError, TypeError, struct.error,
             UnicodeDecodeError) as exc:
         raise SegmentCorruptionError(
             f"index record {key!r} is corrupt: {exc}"
         ) from exc
-    return index, field
+    return index, field, level_refs
 
 
 def load_field(
@@ -630,19 +645,15 @@ def load_field(
     ``verify=True`` (the default) checks every fetched segment against
     its index-recorded CRC32 — a mismatch is re-fetched once (wire
     flips heal), then raised as
-    :class:`~repro.core.errors.SegmentCorruptionError`. Indexes written
-    before checksums were recorded load unverified either way.
+    :class:`~repro.core.errors.SegmentCorruptionError`.
     """
-    index, field = _read_index(store.get(f"{name}.index"), f"{name}.index")
+    index, field, level_refs = _read_index(
+        store.get(f"{name}.index"), f"{name}.index")
     checksums = index_checksums(index) if verify else {}
-    level_keys = []
-    for li, lv in enumerate(field.levels):
-        keys = index["groups"].get(str(lv.level), [])
-        want = (
-            len(keys) if groups_per_level is None else
-            min(groups_per_level[li], len(keys))
-        )
-        level_keys.append(keys[:want])
+    level_keys = [[ref.key for ref in refs] for refs in level_refs]
+    if groups_per_level is not None:
+        level_keys = [keys[:groups_per_level[li]]
+                      for li, keys in enumerate(level_keys)]
     wanted = [key for keys in level_keys for key in keys]
     blobs, errors, _, _ = verified_many(store, wanted, checksums)
     finish_batch(wanted, blobs, errors)
@@ -723,32 +734,26 @@ def open_tiled_field(store, name: str, cache=None, verify: bool = True):
     raw = bytes(get(tiled_key))
     try:
         index = json.loads(raw.decode())
-        if not isinstance(index, dict):
-            raise ValueError("tiled index is not an object")
-        tiles = [
-            TileSpec(
-                index=tuple(t["index"]),
-                offset=tuple(t["offset"]),
-                shape=tuple(t["shape"]),
-            )
-            for t in index["tiles"]
-        ]
+        tiles = index["tiles"]
+        names = [t["field"] for t in tiles]
+        if not all(isinstance(n, str) for n in [index["name"], *names]):
+            raise ValueError("field names must be strings")
+        parsed = dict(
+            shape=tuple(int(s) for s in index["shape"]),
+            dtype=np.dtype(index["dtype"]),
+            tiles=[TileSpec(index=tuple(t["index"]),
+                            offset=tuple(t["offset"]),
+                            shape=tuple(t["shape"])) for t in tiles],
+            tile_field_names=names,
+            tile_bytes=[int(t["bytes"]) for t in tiles],
+            value_range=float(index["value_range"]),
+            name=index["name"],
+        )
     except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
         raise SegmentCorruptionError(
             f"tiled index record {tiled_key!r} is corrupt: {exc}"
         ) from exc
-    return LazyTiledField(
-        shape=tuple(index["shape"]),
-        dtype=np.dtype(index["dtype"]),
-        tiles=tiles,
-        tile_field_names=[t["field"] for t in index["tiles"]],
-        tile_bytes=[int(t["bytes"]) for t in index["tiles"]],
-        value_range=float(index["value_range"]),
-        name=index["name"],
-        store=store,
-        cache=cache,
-        verify=verify,
-    )
+    return LazyTiledField(**parsed, store=store, cache=cache, verify=verify)
 
 
 def open_field(
@@ -793,19 +798,10 @@ def open_fields(
             failed[name] = failed.pop(key)
             continue
         try:
-            index, template = _read_index(blobs[key][0], key)
+            index, template, level_refs = _read_index(blobs[key][0], key)
         except SegmentCorruptionError as exc:
             failed[name] = exc
             continue
-        # A pre-metadata index has no segment table: sizes come from the
-        # manifest, plane counts lazily.
-        segments = index.get("segments", {})
-        level_refs = [[
-            SegmentRef(seg, int(segments[seg]["bytes"]),
-                       int(segments[seg]["planes"]))
-            if seg in segments else SegmentRef(seg, store.size_of(seg))
-            for seg in index["groups"].get(str(lv.level), [])
-        ] for lv in template.levels]
         if verify and hasattr(resolver, "register_checksums"):
             resolver.register_checksums(index_checksums(index))
         fields[name] = LazyRefactoredField(

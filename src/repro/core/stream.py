@@ -63,11 +63,6 @@ class LevelStream:
         """Total bitplanes contained in the first *num_groups* groups."""
         return sum(g.num_planes for g in self.groups[:num_groups])
 
-    @property
-    def known_groups(self) -> int:
-        """Leading groups whose plane counts are known without a fetch."""
-        return self.num_groups
-
     def bytes_for_groups(self, num_groups: int) -> int:
         """Serialized bytes fetched for the first *num_groups* groups."""
         return sum(
@@ -289,7 +284,8 @@ class RefactoredField:
 
 @dataclass
 class SegmentRef:
-    """Metadata handle for one stored plane-group segment.
+    """Metadata handle for one stored plane-group segment, read from
+    the field's index record: planning needs nothing else.
 
     Parameters
     ----------
@@ -297,16 +293,14 @@ class SegmentRef:
         Store key of the segment (``segment_key(variable, level, group)``).
     nbytes:
         Serialized size of the segment, i.e. ``len(group.to_bytes())`` —
-        what a fetch of this segment costs. Known without fetching.
+        what a fetch of this segment costs.
     num_planes:
-        Bitplanes contained in the group, or ``None`` when the index that
-        produced this ref predates per-segment metadata (then the first
-        plan that needs it fetches the group once to learn it).
+        Bitplanes contained in the group.
     """
 
     key: str
     nbytes: int
-    num_planes: int | None = None
+    num_planes: int
 
 
 def parse_group(key: str, blob) -> CompressedGroup:
@@ -363,10 +357,7 @@ class _LazyGroupSequence(Sequence):
 
     def memoize(self, index: int, blob: bytes) -> None:
         """Parse a fetched blob into group *index*."""
-        ref = self._refs[index]
-        self._parsed[index] = group = parse_group(ref.key, blob)
-        if ref.num_planes is None:
-            ref.num_planes = group.num_planes
+        self._parsed[index] = parse_group(self._refs[index].key, blob)
 
     @property
     def resolved_indices(self) -> list[int]:
@@ -400,9 +391,10 @@ class LazyLevelStream(LevelStream):
         signed_encoding: str = "sign_magnitude",
     ) -> None:
         self.refs = refs
-        # Prefix sums for planning; plane counts once all are known.
+        # Prefix sums for planning.
         self._byte_sums = list(accumulate((r.nbytes for r in refs), initial=0))
-        self._plane_sums: list[int] | None = None
+        self._plane_sums = list(accumulate(
+            (r.num_planes for r in refs), initial=0))
         super().__init__(
             level=level,
             num_elements=num_elements,
@@ -420,28 +412,8 @@ class LazyLevelStream(LevelStream):
         return self._byte_sums[min(num_groups, len(self.refs))]
 
     def planes_in_groups(self, num_groups: int) -> int:
-        """Bitplanes in the first *num_groups* groups.
-
-        Served from ref metadata as a prefix sum, built once every
-        plane count is known; refs written by old (pre-metadata)
-        indexes resolve their group once and memoize the count.
-        """
-        if self._plane_sums is None:
-            for i, ref in enumerate(self.refs[:num_groups]):
-                if ref.num_planes is None:
-                    ref.num_planes = self.groups[i].num_planes
-            if any(r.num_planes is None for r in self.refs):
-                return sum(r.num_planes for r in self.refs[:num_groups])
-            self._plane_sums = list(accumulate(
-                (r.num_planes for r in self.refs), initial=0))
+        """Bitplanes in the first *num_groups* groups (no fetch)."""
         return self._plane_sums[min(num_groups, len(self.refs))]
-
-    @property
-    def known_groups(self) -> int:
-        """Leading refs with a plane count (all but on a pre-metadata
-        index, where only the resolved ones have one)."""
-        return next((i for i, r in enumerate(self.refs)
-                     if r.num_planes is None), len(self.refs))
 
 
 @dataclass

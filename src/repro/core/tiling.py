@@ -754,10 +754,11 @@ class TiledReconstructor(ClosesOnExit):
         ``Reconstructor.plan_steps``), and all missing plane groups go
         out in one more (keys in job order, then level, then group).
         Returns ``(reconstructor, step, fault)`` per job (no
-        reconstructor: the tile failed to open). Store faults
-        are captured, to surface at decode time in job order, never
-        retried (a retry would shift per-key access counts and seeded
-        fault schedules); plan-time faults raise.
+        reconstructor: the tile failed to open). Planning reads no
+        segment, so every store fault is an open or fetch fault: each is
+        captured, to surface at decode time in job order, never retried
+        (a retry would shift per-key access counts and seeded fault
+        schedules).
         """
         positions = [pos for pos, _ in batch]
         fields = self.tiled.fields

@@ -1,17 +1,13 @@
 """Tests for the retrieval planner."""
 
-import json
-
 import numpy as np
 import pytest
-from oracles.plan_greedy import plan_greedy_loop
 
 from repro.core.errors import TransientStoreError
 from repro.core.planner import (
     plan_for_planes,
     plan_full,
     plan_greedy,
-    plan_greedy_many,
     plan_round_robin,
 )
 from repro.core.reconstruct import Reconstructor
@@ -124,49 +120,37 @@ class TestHelpers:
 
 class TestPrefixSumMetadata:
     """A lazy level answers ``bytes_for_groups`` / ``planes_in_groups``
-    from prefix sums (built once its plane counts are known), with the
-    same numbers the plain sums over its refs give, pre-metadata refs
-    included, and the planner's output does not move."""
+    from prefix sums over its refs, built at init, with the numbers an
+    eager level holding the same groups gives; planning never reads a
+    segment, and the planner's output does not move."""
 
     @staticmethod
-    def _level(refs, planes):
-        def fetch(wanted):
-            for seq, index, key in wanted:
-                seq.memoize(index, CompressedGroup(
-                    "direct", b"", (1,) * planes[index], 0).to_bytes())
-
-        return LazyLevelStream(
-            level=0, num_elements=8, num_bitplanes=64, exponent=0,
-            max_abs=1.0, layout="natural", warp_size=32, refs=refs,
-            fetch=fetch,
-        )
+    def _no_fetch(wanted):
+        raise AssertionError(f"planning fetched {wanted}")
 
     @pytest.mark.parametrize("seed", range(20))
     def test_sums_equal_plain_sums_over_random_refs(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(0, 12))
-        planes = [int(p) for p in rng.integers(1, 9, n)]
-        known = rng.random(n) < (0.5 if seed % 2 else 1.0)
         refs = [SegmentRef(f"k{i}", int(rng.integers(0, 500)),
-                           planes[i] if known[i] else None)
-                for i in range(n)]
-        nbytes = [r.nbytes for r in refs]
-        level = self._level(refs, planes)
+                           int(rng.integers(1, 9))) for i in range(n)]
+        geometry = dict(level=0, num_elements=8, num_bitplanes=64,
+                        exponent=0, max_abs=1.0, layout="natural",
+                        warp_size=32)
+        level = LazyLevelStream(**geometry, refs=refs, fetch=self._no_fetch)
+        plain = LevelStream(**geometry, groups=[
+            CompressedGroup("direct", b"", (1,) * r.num_planes, 0)
+            for r in refs])
         for g in [int(x) for x in rng.permutation(n + 3)] * 2:
-            assert level.bytes_for_groups(g) == sum(nbytes[:g])
-            assert level.planes_in_groups(g) == sum(planes[:g])
-            # the lazy level's bound is the plain level's computation
+            assert level.bytes_for_groups(g) == sum(
+                r.nbytes for r in refs[:g])
+            assert level.planes_in_groups(g) == plain.planes_in_groups(g)
             assert level.error_bound_for_groups(g) == (
-                LevelStream.error_bound_for_groups(level, g))
-        assert level.planes_in_groups(n) == sum(planes)
+                plain.error_bound_for_groups(g))
 
-    @pytest.mark.parametrize("drop_metadata", [False, True])
-    def test_plan_greedy_unchanged(self, field, drop_metadata):
+    def test_plan_greedy_unchanged(self, field):
         store = MemoryStore()
-        index = store_field(store, field)
-        if drop_metadata:  # a pre-metadata index: planes resolve lazily
-            index["segments"] = {}
-            store.put(f"{field.name}.index", json.dumps(index).encode())
+        store_field(store, field)
         lazy = open_field(store, field.name)
         start = [0] * len(field.levels)
         for tol in (1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 0.0):
@@ -175,102 +159,36 @@ class TestPrefixSumMetadata:
             assert got == want
             start = [g // 2 for g in want.groups_per_level]
 
+    def test_planning_reads_no_segment(self, field):
+        """Over a store whose every segment read fails, ``plan_step`` /
+        ``plan_steps`` plan from the index alone: the store sees only
+        the index reads."""
+        store = _IndexOnlyStore()
+        store_field(store, field)
+        index = f"{field.name}.index"
+        sessions = [Reconstructor(open_field(store, field.name))
+                    for _ in range(3)]
+        assert store.log == [index] * 3
+        steps = Reconstructor.plan_steps(sessions, 1e-3)
+        assert [s.groups for s in steps] == [
+            plan_greedy(field, 1e-3).groups_per_level] * 3
+        first = sessions[0]
+        assert first.plan_step(1e-2, relative=True).groups == plan_greedy(
+            field, 1e-2 * field.value_range).groups_per_level
+        assert first.plan_step().groups == field.max_groups()
+        assert store.log == [index] * 3
+        assert first.counters().segment_reads == 0
 
-class _LoggingStore(MemoryStore):
-    """Logs every key read; the keys in ``broken`` fail."""
+
+class _IndexOnlyStore(MemoryStore):
+    """Logs every key read; any key but an index record fails."""
 
     def __init__(self):
         super().__init__()
         self.log: list[str] = []
-        self.broken: set[str] = set()
 
     def get(self, key):
         self.log.append(key)
-        if key in self.broken:
+        if not key.endswith(".index"):
             raise TransientStoreError(key)
         return super().get(key)
-
-
-class TestPreMetadataResolution:
-    """On a pre-metadata index (no plane counts), planning resolves
-    groups to learn their plane counts. The lookup resolves exactly the
-    segments the greedy loop resolved, in the same order: a coarse plan
-    does not read the whole field, and a segment no plan looks at can
-    fail without failing the plan."""
-
-    @staticmethod
-    def _legacy_store(field):
-        store = _LoggingStore()
-        index = store_field(store, field)
-        index["segments"] = {}
-        store.put(f"{field.name}.index", json.dumps(index).encode())
-        return store
-
-    @staticmethod
-    def _planned(store, field, plan):
-        """*plan*'s result on a fresh open, and the keys it read."""
-        lazy = open_field(store, field.name)
-        store.log.clear()
-        return plan(lazy), list(store.log), lazy
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_reads_what_the_loop_read(self, field, seed):
-        rng = np.random.default_rng(seed)
-        store = self._legacy_store(field)
-        tolerances = rng.choice([1e-1, 1e-2, 1e-3, 1e-5, 0.0], 4)
-        starts = [None] + [
-            [int(rng.integers(0, lv.num_groups + 1)) for lv in field.levels]
-            for _ in range(3)]
-
-        def staircase(planner):
-            def run(lazy):
-                return [planner(lazy, t, s)
-                        for t, s in zip(tolerances, starts)]
-            return run
-
-        want, want_log, loop_field = self._planned(
-            store, field, staircase(plan_greedy_loop))
-        got, got_log, lazy = self._planned(
-            store, field, staircase(plan_greedy))
-        assert got == want
-        assert got_log == want_log
-        assert [lv.groups.resolved_indices for lv in lazy.levels] == [
-            lv.groups.resolved_indices for lv in loop_field.levels]
-        assert lazy.io_counters == loop_field.io_counters
-
-    def test_batch_reads_field_after_field(self, field):
-        """A batch resolves as the fields planned one by one would."""
-        store = self._legacy_store(field)
-        tolerances = [1e-2, 1e-4, 1e-1]
-        logs = []
-        for planner in (
-            lambda fields: plan_greedy_many(fields, tolerances, [None] * 3),
-            lambda fields: [plan_greedy_loop(f, t)
-                            for f, t in zip(fields, tolerances)],
-        ):
-            fresh = [open_field(store, field.name) for _ in tolerances]
-            store.log.clear()
-            logs.append((planner(fresh), list(store.log)))
-        assert logs[0] == logs[1]
-
-    def test_session_first_plan_traffic_equals_the_loops(self, field):
-        store = self._legacy_store(field)
-        session = Reconstructor(open_field(store, field.name))
-        session.reconstruct(1e-2)
-        loop = Reconstructor(open_field(store, field.name))
-        loop.reconstruct(plan=plan_greedy_loop(loop.field, 1e-2))
-        assert session.counters() == loop.counters()
-        assert session.counters().cold_bytes < store.total_bytes() // 2
-
-    def test_unplanned_deep_segment_fault_does_not_fail_the_plan(
-            self, field):
-        plan = plan_greedy(field, 1e-1)
-        store = self._legacy_store(field)
-        lazy = open_field(store, field.name)
-        # The loop looked one group past the plan on a level, no further.
-        store.broken = {ref.key for lv, g in zip(
-            lazy.levels, plan.groups_per_level) for ref in lv.refs[g + 1:]}
-        assert store.broken
-        result = Reconstructor(lazy).reconstruct(1e-1)
-        assert result.plan == plan
-        assert not store.broken & set(store.log)

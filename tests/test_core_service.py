@@ -8,7 +8,6 @@ tight byte budget without corrupting results; and concurrent sessions
 are deterministic with the second-session traffic served from cache.
 """
 
-import json
 import threading
 
 import numpy as np
@@ -214,21 +213,6 @@ class TestLazyField:
         r_lazy = Reconstructor(lazy).reconstruct()  # near-lossless
         r_eager = Reconstructor(load_field(dir_store, "vel")).reconstruct()
         np.testing.assert_array_equal(r_lazy.data, r_eager.data)
-
-    def test_pre_metadata_index_still_opens(self, field_and_data, tmp_path):
-        """Indexes written before the `segments` table stay readable."""
-        data, f = field_and_data
-        store = DirectoryStore(tmp_path / "old")
-        index = store_field(store, f)
-        legacy = {"field": index["field"], "groups": index["groups"]}
-        store.put("vel.index", json.dumps(legacy).encode())
-        lazy = open_field(store, "vel")
-        store.reads = store.bytes_read = 0
-        r = Reconstructor(lazy).reconstruct(tolerance=1e-3)
-        assert np.max(np.abs(r.data - data)) <= 1e-3
-        # plane-count discovery fetches during *planning* are still part
-        # of the step's cold accounting
-        assert r.cold_bytes == store.bytes_read
 
     def test_eager_results_report_zero_cold_bytes(self, field_and_data):
         _, f = field_and_data

@@ -10,7 +10,7 @@ Covers the fault-tolerance subsystem end to end:
 * :class:`~repro.core.faults.ResilientReader` retry + verification;
 * per-segment CRC32 recording and verify-on-fetch (direct and through
   the service :class:`~repro.core.service.SegmentCache`);
-* corrupt persisted state (truncated indexes/segments, legacy indexes);
+* corrupt persisted state (truncated indexes and segments);
 * degraded-mode progressive retrieval (``on_fault="degrade"``) and
   resume, for both plain and tiled sessions.
 """
@@ -624,12 +624,6 @@ class TestChecksumRecording:
         assert checksums
         assert all(isinstance(v, int) for v in checksums.values())
 
-    def test_index_checksums_empty_for_legacy_index(self, stored):
-        index = json.loads(stored.get("vx.index").decode())
-        for meta in index["segments"].values():
-            meta.pop("crc32")
-        assert index_checksums(index) == {}
-
 
 def _corrupt_one_segment(store, name="vx"):
     """Flip a bit of one payload segment in-place; return its key."""
@@ -837,17 +831,6 @@ class TestCorruptPersistedState:
         assert type(eager_exc.value) is type(lazy_exc.value)
         assert str(eager_exc.value) == str(lazy_exc.value)
         assert key in str(lazy_exc.value)
-
-    def test_legacy_index_without_checksums_still_opens(self, field,
-                                                        stored):
-        data, f = field
-        index = json.loads(stored.get("vx.index").decode())
-        for meta in index["segments"].values():
-            meta.pop("crc32")
-        stored.put("vx.index", json.dumps(index).encode())
-        lazy = open_field(stored, "vx")
-        result = Reconstructor(lazy).reconstruct(tolerance=1e-4)
-        assert float(np.max(np.abs(result.data - data))) <= 1e-4
 
     def test_truncated_tiled_index_is_typed(self, field):
         data, _ = field

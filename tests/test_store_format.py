@@ -23,6 +23,10 @@ per-group digests recorded before the code construction was rewritten
 (:data:`GROUP_DIGESTS`). A change to a code length or to a selector
 decision changes stored bytes and fails here.
 
+Every record of the golden store carries the full index shape, and
+:class:`TestMalformedRecords` pins what reading a record of any other
+shape does: it raises :class:`~repro.core.errors.SegmentCorruptionError`.
+
 Needs only pytest and NumPy: CI also runs this file from the
 ``clean-install`` job against the pip-installed package.
 """
@@ -40,6 +44,7 @@ from repro.core.reconstruct import Reconstructor
 from repro.core.refactor import refactor
 from repro.core.store import (
     DirectoryStore,
+    MemoryStore,
     load_field,
     open_field,
     open_tiled_field,
@@ -254,3 +259,85 @@ class TestFormatVersion:
         assert sorted(p.name for p in root.iterdir()) == sorted(
             [*flat, "manifest.json"]
         )
+
+
+def _segment(index):
+    """The first segment entry of an ``.index`` record."""
+    return index["segments"][index["groups"]["0"][0]]
+
+
+#: ``.index`` record mutations: each leaves a record of another shape.
+INDEX_MUTATIONS = {
+    "string-bytes": lambda i: _segment(i).update(
+        bytes=str(_segment(i)["bytes"])),
+    "entry-not-a-dict": lambda i: i["segments"].update(
+        {i["groups"]["0"][0]: list(_segment(i).values())}),
+    "level-not-a-list": lambda i: i["groups"].update(
+        {"0": i["groups"]["0"][0]}),
+    "missing-planes": lambda i: _segment(i).pop("planes"),
+    "zero-planes": lambda i: _segment(i).update(planes=0),
+    "segments-a-list": lambda i: i.update(
+        segments=list(i["segments"].values())),
+    "string-crc32": lambda i: _segment(i).update(
+        crc32=str(_segment(i)["crc32"])),
+    "no-segments": lambda i: i.pop("segments"),
+}
+
+#: ``.tiles`` record mutations, each of a field read when the record opens.
+TILES_MUTATIONS = {
+    "junk-dtype": lambda t: t.update(dtype="junk"),
+    "missing-shape": lambda t: t.pop("shape"),
+    "string-value-range": lambda t: t.update(value_range="wide"),
+    "missing-name": lambda t: t.pop("name"),
+    "tile-field-not-a-name": lambda t: t["tiles"][0].update(field=5),
+    "missing-tile-bytes": lambda t: t["tiles"][0].pop("bytes"),
+}
+
+MALFORMED = [
+    pytest.param("u.index", mutate, read, id=f"index-{case}-{how}")
+    for case, mutate in INDEX_MUTATIONS.items()
+    for how, read in [("open_field", open_field), ("load_field", load_field)]
+] + [
+    pytest.param("t.tiles", mutate, open_tiled_field, id=f"tiles-{case}")
+    for case, mutate in TILES_MUTATIONS.items()
+]
+
+
+class TestMalformedRecords:
+    @pytest.fixture()
+    def store(self):
+        """The golden store's records in memory, free to edit."""
+        golden = DirectoryStore(GOLDEN)
+        store = MemoryStore()
+        for key in golden.keys():
+            store.put(key, golden.get(key))
+        golden.close()
+        return store
+
+    @staticmethod
+    def _edit(store, key, mutate):
+        record = json.loads(store.get(key))
+        mutate(record)
+        store.put(key, json.dumps(record).encode())
+
+    @pytest.mark.parametrize("key, mutate, read", MALFORMED)
+    def test_malformed_record_is_typed(self, store, key, mutate, read):
+        self._edit(store, key, mutate)
+        with pytest.raises(SegmentCorruptionError, match=key):
+            read(store, key.split(".")[0])
+
+    def test_malformed_tile_index_degrades_only_its_tile(self, store):
+        clean = TiledReconstructor(open_tiled_field(store, "t")).reconstruct(
+            tolerance=1e-2)
+        tiled = open_tiled_field(store, "t")
+        bad = 1
+        self._edit(store, f"{tiled.tile_field_names[bad]}.index",
+                   lambda i: _segment(i).update(bytes="x"))
+        result = TiledReconstructor(tiled).reconstruct(
+            tolerance=1e-2, on_fault="degrade")
+        assert result.degraded and result.failed_tiles == [bad]
+        assert result.error_bound == float("inf")
+        slab = tiled.tiles[bad].slices()
+        assert not result.data[slab].any()
+        result.data[slab] = clean.data[slab]
+        np.testing.assert_array_equal(result.data, clean.data)
