@@ -33,27 +33,23 @@ for its prefetch warms. A serial owner never starts a thread.
 
 :class:`ProcessBackend` keeps long-lived daemon workers connected over
 pipes. Tasks are addressed by ``"module:function"`` name (never by
-pickling code objects) and take their input as pickled call arguments
-— a write task's tile block and refactor config. The one object
-shipped *once per worker* (:meth:`ProcessBackend.ensure_shared`) is an
-installed fault injector (:meth:`ProcessBackend.install_chaos`).
-Typed exceptions (:mod:`repro.core.errors`) pickle cleanly and are
-re-raised in the parent with their class and arguments intact, so
-retry/degrade classification works identically across the process
-boundary.
+pickling code objects). A task message carries its call — a write
+task's tile block and refactor config — and the installed fault
+schedule (:meth:`ProcessBackend.install_chaos`), if any; nothing
+reaches a worker out of band. Typed exceptions
+(:mod:`repro.core.errors`) pickle cleanly and are re-raised in the
+parent with their class and arguments intact, so retry/degrade
+classification works identically across the process boundary.
 
 Every live pool of either kind is registered for ``atexit`` teardown
 (workers are additionally daemonic), so a leaked pool can never hang
 interpreter shutdown.
 
 The process pool is *self-healing*: a worker that dies mid-task is
-replaced in place, its shared objects are restored onto the
-replacement, and the in-flight task is retried under a bounded per-task
-budget. That is all the healing there is — a write task carries its
-whole input, so a retry needs nothing else — and ``broadcast`` is one
-:meth:`~ProcessBackend.map_calls` batch of one call per worker, not a
-second recovery loop. A task that keeps killing its workers is
-quarantined — settled as *that call's*
+replaced in place and the in-flight message is requeued under a
+bounded per-task budget — it carries everything the task needs, so the
+replacement is sent nothing else. A task that keeps killing its
+workers is quarantined — settled as *that call's*
 :class:`~repro.core.errors.WorkerCrashedError` while the rest of the
 batch completes. A hung-but-alive worker is bounded by per-call
 deadlines (``map_calls(..., deadline=)`` or the pool-level default):
@@ -100,18 +96,9 @@ _POLL_INTERVAL_S = 0.05
 #: terminate → join budget before escalating to SIGKILL when reaping a
 #: dead or condemned worker (and again after the kill).
 _REAP_TIMEOUT_S = 1.0
-#: Budget for restoring shared objects onto a freshly-respawned worker;
-#: a replacement that cannot even unpickle them within this window is a
-#: hard failure, not something to heal around.
-_RESPAWN_SHIP_TIMEOUT_S = 30.0
 #: Default per-task crash-retry budget: a task may kill this many
 #: workers and still be retried; one more death quarantines it.
 _MAX_TASK_RETRIES = 2
-
-#: ``ensure_shared`` token under which a process-level fault injector
-#: (:class:`~repro.core.faults.WorkerChaos`) rides to every worker; the
-#: worker main loop consults it before each non-maintenance task.
-WORKER_CHAOS_TOKEN = "worker-chaos"
 
 # Set in worker processes only: the nested-pool guard resolve_backend
 # consults so an engine configured with num_workers=4 stays serial when
@@ -348,7 +335,7 @@ def _worker_main(task_conn, result_conn) -> None:
     _LIVE_BACKENDS.clear()
     global _SHARED_BACKEND
     _SHARED_BACKEND = None
-    state: dict = {"shared": {}}
+    state: dict = {}
     while True:
         try:
             message = task_conn.recv()
@@ -356,16 +343,12 @@ def _worker_main(task_conn, result_conn) -> None:
             break
         if message is None:
             break
-        seq, name, args = message
+        seq, name, args, chaos = message
         try:
-            # Process-level chaos rides in as a shared object: consult it
-            # before every *engine* task (never the shipping/maintenance
-            # tasks themselves, or installing chaos could fire it). Kill
-            # modes never return; a "raise" schedule settles as an
-            # ordinary task failure.
-            chaos = state["shared"].get(WORKER_CHAOS_TOKEN)
-            if chaos is not None and name not in _MAINTENANCE_TASKS:
-                chaos.before_task(seq, name)
+            # The installed fault schedule, if any: kill modes never
+            # return, "raise" settles as an ordinary task failure.
+            if chaos is not None:
+                pickle.loads(chaos).before_task(seq, name)
             result = _resolve_task(name)(state, *args)
             out = (seq, True, result)
         except BaseException as exc:  # reprolint: disable=R2 -- worker loop: every failure is encoded and shipped; the host re-raises it typed
@@ -397,26 +380,8 @@ def _task_apply(state, fn, job):
     return fn(job)
 
 
-def _task_put_shared(state, token, payload):
-    state["shared"][token] = pickle.loads(payload)
-    return None
-
-
-def _task_drop_shared(state, token):
-    state["shared"].pop(token, None)
-    return None
-
-
 def _task_ping(state):
     return os.getpid()
-
-
-#: Pool-plumbing tasks the chaos hook must never intercept: firing on a
-#: shared-object ship would kill the respawn/recovery machinery itself.
-_MAINTENANCE_TASKS = frozenset(
-    f"{__name__}:{fn.__name__}"
-    for fn in (_task_put_shared, _task_drop_shared, _task_ping)
-)
 
 
 class _Worker:
@@ -432,11 +397,11 @@ class ProcessBackend(ClosesOnExit):
     """A pool of persistent worker processes addressed by task name.
 
     Workers are daemonic, started lazily on first dispatch, and reused
-    across calls — worker-resident state (shipped objects, warm
-    per-shape refactorers) survives between :meth:`map_calls` rounds.
-    ``generation`` increments every time the worker set is (re)created
-    or a slot respawned and ``uid`` names the pool instance itself; both
-    are telemetry (:meth:`health`) that nothing keys on.
+    across calls — warm per-shape refactorers survive between
+    :meth:`map_calls` rounds. ``generation`` increments every time the
+    worker set is (re)created or a slot respawned and ``uid`` names the
+    pool instance itself; both are telemetry (:meth:`health`) that
+    nothing keys on.
 
     Dispatch is a barrier: one thread at a time feeds tasks
     (round-robin, at most one in flight per worker) while draining
@@ -446,14 +411,12 @@ class ProcessBackend(ClosesOnExit):
     first-failure semantics while keeping the pipes consistent.
 
     The pool heals itself instead of dying with its workers. A worker
-    that crashes mid-task is respawned *in place* — the replacement
-    takes the dead worker's slot, and every ``ensure_shared`` object is
-    restored onto the replacement before it sees a task (tokens stay
-    valid across the respawn). The in-flight task is retried on the
-    replacement under ``max_task_retries``; a task that outlives its
-    budget is quarantined as that call's :class:`WorkerCrashedError`
-    while the rest of the batch completes (the same local-settlement
-    contract as unpicklable jobs). Deadlines (per ``map_calls`` call or
+    that crashes mid-task is respawned *in place* and its message, fault
+    schedule included, is retried on the replacement under
+    ``max_task_retries``; a task that outlives its budget is
+    quarantined as that call's :class:`WorkerCrashedError` while the
+    rest of the batch completes (the same local-settlement contract as
+    unpicklable jobs). Deadlines (per ``map_calls`` call or
     ``default_deadline``) bound hung-but-alive workers: on expiry the
     worker is killed and respawned and the call settles as
     :class:`WorkerTimeoutError`. ``respawns`` / ``task_retries`` /
@@ -477,11 +440,9 @@ class ProcessBackend(ClosesOnExit):
         self.num_workers = int(num_workers)
         self._workers: list[_Worker] | None = None
         self._lock = threading.RLock()
-        self._shared_tokens: set[str] = set()
-        # The pickled bytes of everything shipped via ensure_shared,
-        # kept so a respawned worker can be restored without the owning
-        # engine even noticing the crash.
-        self._shared_objects: dict[str, bytes] = {}
+        # The installed fault schedule, pickled once; every task message
+        # carries it (None when no schedule is installed).
+        self._chaos: bytes | None = None
         self.uid = uuid.uuid4().hex
         self.generation = 0
         self.tasks_dispatched = 0
@@ -532,8 +493,6 @@ class ProcessBackend(ClosesOnExit):
         self.generation += 1
         workers = [self._spawn_worker(ctx) for _ in range(self.num_workers)]
         self._workers = workers
-        self._shared_tokens = set()
-        self._shared_objects = {}
         return workers
 
     @staticmethod
@@ -558,38 +517,19 @@ class ProcessBackend(ClosesOnExit):
             except Exception:  # reprolint: disable=R2 -- reaping a dead worker; a half-closed pipe is expected here
                 pass
 
-    def _respawn(self, index: int) -> _Worker:
+    def _respawn(self, index: int) -> None:
         """Replace the worker in *index*'s slot (call holding the lock).
 
-        The replacement keeps the slot, and nothing is said to the other
-        workers, whose resident state stays warm. Shared objects are
-        restored synchronously (from their pickled bytes, over
-        :meth:`_recv` — the one dispatch that cannot go through
-        :meth:`map_calls`, which is what calls this) before the
-        replacement sees a task, so ``ensure_shared`` tokens stay valid
-        and a respawn is invisible to the engines.
+        Nothing is said to the other workers, whose resident state stays
+        warm, and nothing is sent to the replacement: every message
+        carries its whole input, fault schedule included.
         """
         workers = self._workers
         assert workers is not None
         self._reap(workers[index])
         self.generation += 1
-        worker = workers[index] = self._spawn_worker(self._context())
+        workers[index] = self._spawn_worker(self._context())
         self.respawns += 1
-        put = task_name(_task_put_shared)
-        for seq, (token, payload) in enumerate(self._shared_objects.items()):
-            try:
-                worker.task_conn.send((seq, put, (token, payload)))
-                self._recv(worker, deadline=_RESPAWN_SHIP_TIMEOUT_S)
-            except WorkerCrashedError:
-                # The replacement itself failed while restoring state:
-                # the environment is broken, not one task — give up on
-                # the whole pool.
-                self._abandon()
-                raise WorkerCrashedError(
-                    "replacement worker died while restoring shared "
-                    f"object {token!r} after a respawn"
-                ) from None
-        return worker
 
     def close(self, timeout: float = _JOIN_TIMEOUT_S) -> None:
         """Stop the workers (idempotent). The pool restarts on next use.
@@ -613,8 +553,7 @@ class ProcessBackend(ClosesOnExit):
             return
         try:
             workers, self._workers = self._workers, None
-            self._shared_tokens = set()
-            self._shared_objects = {}
+            self._chaos = None
             # A closed pool starts its next life with clean health
             # telemetry: the counters describe the current worker set's
             # recovery history, not the process's.
@@ -686,7 +625,9 @@ class ProcessBackend(ClosesOnExit):
             workers = self._ensure()
             queues: list[deque] = [deque() for _ in workers]
             for seq, (name, args) in enumerate(calls):
-                queues[seq % len(workers)].append((seq, name, tuple(args)))
+                queues[seq % len(workers)].append(
+                    (seq, name, tuple(args), self._chaos)
+                )
             self.tasks_dispatched += len(calls)
             results: list = [None] * len(calls)
             failures: list[tuple[int, BaseException]] = []
@@ -822,57 +763,6 @@ class ProcessBackend(ClosesOnExit):
             raise failures[0][1]
         return results
 
-    def _recv(self, worker: _Worker, deadline: float | None = None):
-        """Receive one reply from *worker*, bounded by *deadline*.
-
-        Raises :class:`WorkerCrashedError` on death (after draining
-        anything flushed first) and :class:`WorkerTimeoutError` past
-        the deadline — the *caller* decides whether to respawn and
-        retry; this method never tears anything down.
-        """
-        start = time.monotonic()
-        while True:
-            if worker.result_conn.poll(_POLL_INTERVAL_S):
-                try:
-                    return worker.result_conn.recv()
-                except (EOFError, OSError) as exc:
-                    raise WorkerCrashedError(
-                        "process backend worker closed its result pipe "
-                        "mid-task"
-                    ) from exc
-            if not worker.process.is_alive():
-                # Drain anything flushed before death, then give up.
-                if worker.result_conn.poll(0):
-                    continue
-                raise WorkerCrashedError(
-                    f"process backend worker (pid "
-                    f"{worker.process.pid}) died with exit code "
-                    f"{worker.process.exitcode}"
-                )
-            if (
-                deadline is not None
-                and time.monotonic() - start >= deadline
-            ):
-                raise WorkerTimeoutError(
-                    f"process backend worker (pid {worker.process.pid}) "
-                    f"sent no reply within the {deadline:.3g}s deadline"
-                )
-
-    def _abandon(self) -> None:
-        """Discard the worker set after a crash (restart on next use).
-
-        Every abandoned worker is reaped (terminate → join → kill
-        escalation), never just terminated: an un-joined child stays a
-        zombie for the life of the parent process.
-        """
-        workers, self._workers = self._workers, None
-        self._shared_tokens = set()
-        self._shared_objects = {}
-        if not workers:
-            return
-        for worker in workers:
-            self._reap(worker)
-
     def broadcast(self, name: str, *args) -> list:
         """Run the task once on *every* worker; results in slot order.
 
@@ -884,56 +774,24 @@ class ProcessBackend(ClosesOnExit):
             count = len(self._ensure())
             return self.map_calls([(name, args)] * count)
 
-    def ensure_shared(self, token: str, obj) -> None:
-        """Ship *obj* to every worker exactly once (per pool generation).
-
-        The "ship once" path of fault injectors (:meth:`install_chaos`):
-        *obj* is pickled once, every worker unpickles its own copy into
-        ``state["shared"][token]``, later calls with the same token are
-        free, and a pool restart (new generation) re-ships on the next
-        call. The parent keeps the pickled bytes so a respawned worker
-        is restored without anyone re-shipping (or re-serializing)
-        anything.
-        """
-        with self._lock:
-            self._ensure()
-            if token in self._shared_tokens:
-                return
-            payload = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-            self.broadcast(task_name(_task_put_shared), token, payload)
-            self._shared_tokens.add(token)
-            self._shared_objects[token] = payload
-
-    def drop_shared(self, token: str) -> None:
-        """Best-effort release of a shipped shared object on all workers."""
-        try:
-            with self._lock:
-                if self._workers is None:
-                    return
-                self._shared_tokens.discard(token)
-                self._shared_objects.pop(token, None)
-                self.broadcast(task_name(_task_drop_shared), token)
-        except Exception:  # reprolint: disable=R2 -- best-effort release; a failed drop only costs worker memory until respawn
-            pass
-
     def install_chaos(self, chaos) -> None:
-        """Ship a process-level fault injector to every worker.
+        """Install a process-level fault injector for every later task.
 
         *chaos* (typically :class:`~repro.core.faults.WorkerChaos`) is
-        consulted by the worker main loop before each engine task; it
-        rides the normal shared-object path, so respawned workers get
-        it back automatically — a chaos schedule survives the very
-        kills it causes. Installing replaces any previous injector.
+        pickled once, here — an unpicklable one raises now — and no
+        worker is started. Every task message carries the bytes and the
+        worker calls ``before_task`` before running the task, so a
+        requeued message brings the schedule to the replacement of the
+        worker it killed. Installing replaces any previous injector.
         """
+        payload = pickle.dumps(chaos, pickle.HIGHEST_PROTOCOL)
         with self._lock:
-            self._ensure()
-            self._shared_tokens.discard(WORKER_CHAOS_TOKEN)
-            self._shared_objects.pop(WORKER_CHAOS_TOKEN, None)
-            self.ensure_shared(WORKER_CHAOS_TOKEN, chaos)
+            self._chaos = payload
 
     def clear_chaos(self) -> None:
-        """Remove an installed fault injector from every worker."""
-        self.drop_shared(WORKER_CHAOS_TOKEN)
+        """Remove the installed fault injector (later tasks run clean)."""
+        with self._lock:
+            self._chaos = None
 
     def health(self) -> dict:
         """Pool-health counter snapshot, JSON-ready.
@@ -987,9 +845,8 @@ def shared_process_backend(num_workers: int | None = None) -> ProcessBackend:
     forking per engine (a test suite under ``REPRO_BACKEND=processes``
     builds hundreds of engines). The pool is created at the first
     caller's width and *grows* when a later caller asks for more
-    workers — growth replaces the pool with a fresh one that has
-    shipped nothing, so engines' next ``ensure_shared`` ships again. It
-    never shrinks.
+    workers — growth replaces the pool with a fresh one (no worker-
+    resident state, no installed fault schedule). It never shrinks.
     """
     global _SHARED_BACKEND
     want = num_workers or default_process_workers()
@@ -1025,7 +882,6 @@ __all__ = [
     "BACKEND_ENV",
     "START_METHOD_ENV",
     "BACKEND_KINDS",
-    "WORKER_CHAOS_TOKEN",
     "BackendSpec",
     "parse_backend_spec",
     "resolve_backend",

@@ -25,9 +25,10 @@ protocol:
   (``os._exit``, SIGKILL, hang, raise) fired inside backend workers by
   task index, with firing counts persisted to a scratch directory so a
   schedule survives the worker kills it causes. Installed with
-  :meth:`~repro.core.backends.ProcessBackend.install_chaos`, it drives
-  the tests proving a tiled refactor under worker-kill chaos stays
-  byte-identical to the serial one.
+  :meth:`~repro.core.backends.ProcessBackend.install_chaos`, it rides
+  pickled in every task message of the pool, and drives the tests
+  proving a tiled refactor under worker-kill chaos stays byte-identical
+  to the serial one.
 
 The layers compose: ``RetrievalService(ResilientReader(flaky, policy))``
 gives every session retried, verified fetches, and the service's
@@ -216,11 +217,11 @@ class FaultInjectingStore:
 class WorkerChaos:
     """Deterministic process-level fault schedule for backend workers.
 
-    Ships to every worker through
-    :meth:`~repro.core.backends.ProcessBackend.install_chaos`; the
-    worker main loop calls :meth:`before_task` with each engine task's
-    call index (its ``seq`` within the batch) right before executing
-    it. The *plan* maps task indexes to fault modes:
+    Installed with
+    :meth:`~repro.core.backends.ProcessBackend.install_chaos`, it rides
+    pickled in every task message; the worker main loop calls
+    :meth:`before_task` with the task's call index (its ``seq`` within
+    the batch) right before executing it. The *plan* maps task indexes to fault modes:
 
     * ``"exit"`` — die hard via ``os._exit(CHAOS_EXIT_CODE)`` (no
       cleanup, no exception transport — the parent sees only the
@@ -236,10 +237,10 @@ class WorkerChaos:
     ``(mode, times)`` pair — the fail-first-N schedule: the first
     *times* executions of that task index fire, later ones succeed.
     Firing counts persist as marker files under *scratch_dir*, which is
-    what makes kill schedules converge: the respawned worker receives a
-    pickled copy of this object whose in-memory counters would be
-    fresh, but the on-disk count survives the kill, so the retried task
-    runs clean instead of re-killing every replacement. *seed* is
+    what makes kill schedules converge: each task message unpickles a
+    fresh copy of this object, and only the on-disk count survives the
+    kill, so the retried task runs clean instead of re-killing every
+    replacement. *seed* is
     recorded for schedule derivation (:meth:`single_kill`) and salts
     nothing at fire time — every decision is a pure function of the
     plan and the persisted counts, the property the differential

@@ -248,33 +248,34 @@ class TestRefactorDifferential:
         assert tiled.value_range == reference_tiled.value_range
 
 
-def _task_refactorer_caches(state):
-    """Worker-side probe: the config key of every write-side cache."""
-    return [key[1] for key in state
-            if isinstance(key, tuple) and key[0] == "tiled-refactorer"]
+def _task_resident_keys(state):
+    """Worker-side probe: every key of this worker's resident state."""
+    return list(state)
 
 
 class TestWriteTasksCarryTheirInput:
     """A write task's call carries its tile block and its config, so
-    nothing write-side is shipped out of band or piles up per
-    refactorer: equal configs share one worker cache."""
+    nothing is shipped out of band or piles up per refactorer: a
+    worker holds write-side caches only, and equal configs share one."""
 
     def test_equal_configs_share_one_worker_cache(self, data):
         # A config no other test uses, so this test's caches are
         # the only ones keyed by it.
         config = RefactorConfig(num_bitplanes=23)
         backend = shared_process_backend(2)
-        probe = task_name(_task_refactorer_caches)
-        shipped = set(backend._shared_objects)
+        probe = task_name(_task_resident_keys)
         before = backend.broadcast(probe)
         for _ in range(5):
             with TiledRefactorer((8, 8, 8), config=config,
                                  backend="processes:2") as refactorer:
                 refactorer.refactor(data, name="rho")
         after = backend.broadcast(probe)
-        assert set(backend._shared_objects) <= shipped
         for held, now in zip(before, after):
-            assert [c for c in now if c not in held] == [config]
+            assert all(isinstance(key, tuple) and len(key) == 2
+                       and key[0] == "tiled-refactorer"
+                       and isinstance(key[1], RefactorConfig)
+                       for key in now), now
+            assert [key[1] for key in now if key not in held] == [config]
 
 
 # -- differential: reconstruction ------------------------------------------
@@ -550,16 +551,16 @@ class TestServiceDifferential:
 
     def test_one_tile_session_ships_nothing(self, stored, monkeypatch):
         """Under ``processes:2`` a one-tile session decodes in this
-        process: no field is shipped, and the shared cache sees exactly
-        the serial run's traffic."""
+        process: the pool is sent no call, and the shared cache sees
+        exactly the serial run's traffic."""
         shipped = []
-        ensure_shared = ProcessBackend.ensure_shared
+        map_calls = ProcessBackend.map_calls
 
-        def recording(backend, token, obj):
-            shipped.append(token)
-            return ensure_shared(backend, token, obj)
+        def recording(backend, calls, **kwargs):
+            shipped.append(list(calls))
+            return map_calls(backend, calls, **kwargs)
 
-        monkeypatch.setattr(ProcessBackend, "ensure_shared", recording)
+        monkeypatch.setattr(ProcessBackend, "map_calls", recording)
 
         def run(spec):
             monkeypatch.setenv(BACKEND_ENV, spec)
@@ -637,24 +638,48 @@ class TestMapJobsProperties:
 
 
 class TestProcessBackendLifecycle:
-    def test_restart_bumps_generation_and_reships_shared(self):
+    def test_restart_bumps_generation_and_drops_chaos(self, tmp_path):
+        """``close()`` drops an installed schedule with the workers: the
+        restarted pool (a new generation) runs clean."""
         backend = ProcessBackend(2)
         try:
-            token = "test-shared-object"
-            backend.ensure_shared(token, {"answer": 42})
-            first = backend.generation
+            first = backend.ensure_alive()
             assert first >= 1
-            got = backend.map_calls(
-                [(task_name(_read_shared), (token,))]
-            )[0]
-            assert got == {"answer": 42}
+            chaos = WorkerChaos({0: "raise"}, tmp_path)
+            backend.install_chaos(chaos)
             backend.close()
-            # restart: generation bumps, shared state must be re-shipped
-            backend.ensure_shared(token, {"answer": 43})
             assert backend.ensure_alive() == first + 1
-            assert backend.map_calls(
-                [(task_name(_read_shared), (token,))]
-            )[0] == {"answer": 43}
+            sq = task_name(_task_square)
+            assert backend.map_calls([(sq, (3,))]) == [9]
+            assert chaos.total_fired() == 0
+        finally:
+            backend.close()
+
+    def test_install_chaos_starts_no_worker(self, tmp_path):
+        """Installing pickles the schedule and keeps the bytes: no
+        worker is started until a batch is dispatched."""
+        backend = ProcessBackend(2)
+        try:
+            chaos = WorkerChaos({0: "raise"}, tmp_path)
+            backend.install_chaos(chaos)
+            assert backend.health()["alive"] is False
+            sq = task_name(_task_square)
+            with pytest.raises(TransientStoreError, match="chaos"):
+                backend.map_calls([(sq, (i,)) for i in range(2)])
+            assert chaos.total_fired() == 1
+        finally:
+            backend.close()
+
+    def test_unpicklable_chaos_raises_at_install(self):
+        """A schedule that cannot cross the pipe raises at
+        ``install_chaos`` and leaves no worker running."""
+        backend = ProcessBackend(2)
+        try:
+            with pytest.raises(TypeError, match="pickle"):
+                backend.install_chaos(threading.Lock())
+            assert backend.health()["alive"] is False
+            sq = task_name(_task_square)
+            assert backend.map_calls([(sq, (4,))]) == [16]
         finally:
             backend.close()
 
@@ -684,10 +709,6 @@ class TestProcessBackendLifecycle:
         assert shared_process_backend(1).alive, \
             "a forked child's teardown reached the shared pool"
         assert host.map_jobs(_square, [4]) == [16]
-
-
-def _read_shared(state, token):
-    return state["shared"][token]
 
 
 def _reverse_blob(blob):
@@ -1020,21 +1041,24 @@ class TestSelfHealingPool:
         finally:
             backend.close()
 
-    def test_shared_objects_survive_respawn(self, tmp_path):
-        """The parent keeps every ``ensure_shared`` object's pickled
-        bytes; a respawned worker gets them restored without the owning
-        engine doing anything — a respawn is invisible to it."""
+    def test_chaos_rides_into_respawned_workers(self, tmp_path):
+        """Nothing is restored onto a replacement: the requeued message
+        carries the schedule, so a fail-first-2 call kills its first
+        worker *and* that worker's replacement, and the third worker
+        runs it."""
         backend = ProcessBackend(2)
         try:
-            backend.ensure_shared("cfg", {"answer": 42})
-            backend.install_chaos(WorkerChaos({0: "exit"}, tmp_path))
+            chaos = WorkerChaos({1: ("exit", 2)}, tmp_path)
+            backend.install_chaos(chaos)
             sq = task_name(_task_square)
             assert backend.map_calls(
                 [(sq, (i,)) for i in range(4)]
             ) == [0, 1, 4, 9]
-            assert backend.health()["respawns"] == 1
-            got = backend.broadcast(task_name(_read_shared), "cfg")
-            assert got == [{"answer": 42}] * backend.num_workers
+            assert chaos.fired(1) == 2
+            health = backend.health()
+            assert health["respawns"] == 2
+            assert health["task_retries"] == 2
+            assert health["quarantines"] == 0
         finally:
             backend.close()
 
@@ -1210,29 +1234,22 @@ class TestZombieReaping:
         reason="zombie detection reads /proc",
     )
 
-    def test_abandon_reaps_killed_and_live_workers(self):
-        """Regression: ``_abandon()`` used to terminate() without
-        join(), leaving every abandoned worker a zombie for the life of
-        the parent. It must reap (join) them all — including one that
-        already died on its own."""
+    @pytest.mark.parametrize("killed", [False, True],
+                             ids=["all-live", "one-killed"])
+    def test_close_reaps_all_workers(self, killed):
+        """``close()`` reaps (joins) every worker — including one that
+        already died on its own: terminating without joining leaves a
+        zombie for the life of the parent."""
         backend = ProcessBackend(2)
         backend.ensure_alive()
         procs = [w.process for w in backend._workers]
-        os.kill(procs[0].pid, signal.SIGKILL)
-        backend._abandon()
+        if killed:
+            os.kill(procs[0].pid, signal.SIGKILL)
+        backend.close()
         for proc in procs:
             assert not proc.is_alive()
             assert not _is_zombie(proc.pid), \
-                f"worker pid {proc.pid} left a zombie after _abandon()"
-
-    def test_close_reaps_all_workers(self):
-        backend = ProcessBackend(2)
-        backend.ensure_alive()
-        pids = [w.process.pid for w in backend._workers]
-        backend.close()
-        for pid in pids:
-            assert not _is_zombie(pid), \
-                f"worker pid {pid} left a zombie after close()"
+                f"worker pid {proc.pid} left a zombie after close()"
 
 
 class TestPoolReplacement:

@@ -21,6 +21,7 @@ import inspect
 import numpy as np
 import pytest
 
+import repro.core.backends
 import repro.core.reconstruct
 import repro.core.stream
 import repro.pipeline
@@ -251,8 +252,10 @@ def test_process_backend_tracks_no_resident_state():
     or session drops; ``broadcast`` is still one result per worker, in
     slot order."""
     for name in ("slot_generations", "_broadcast_send", "worker_for",
-                 "drop_session"):
+                 "drop_session", "ensure_shared", "drop_shared", "_recv",
+                 "_abandon"):
         assert not hasattr(ProcessBackend, name), name
+    assert not hasattr(repro.core.backends, "WORKER_CHAOS_TOKEN")
     with ProcessBackend(2) as backend:
         pids = backend.broadcast(task_name(_task_ping))
         assert pids == [w.process.pid for w in backend._workers]

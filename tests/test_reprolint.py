@@ -240,12 +240,14 @@ def test_r3_flags_lambda_and_nested_function_args():
                 return job * 2
             a = backend.map_jobs(decode, jobs)
             b = backend.map_calls(lambda j: j, jobs)
+            backend.install_chaos(lambda: None)
             return a, b
     """, "R3")
-    assert len(result.findings) == 2
+    assert len(result.findings) == 3
     messages = " ".join(f.message for f in result.findings)
     assert "nested function 'decode'" in messages
     assert "lambda" in messages
+    assert "install_chaos()" in messages
 
 
 def test_r3_accepts_module_level_and_bound_callables():

@@ -9,7 +9,7 @@ suite can only probe statistically:
   or convert to ``core.errors`` types; boundary functions raise only
   taxonomy types.
 * **R3 pickle-boundary** — no lambdas/closures into
-  ``map_calls``/``map_jobs``/``submit``/``ensure_shared``.
+  ``map_calls``/``map_jobs``/``submit``/``install_chaos``.
 * **R4 determinism** — no unseeded RNGs or wall-clock logic in codec,
   chaos, and decode modules.
 * **R5 api-validation** — ``tolerance`` parameters route through

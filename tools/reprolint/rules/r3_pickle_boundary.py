@@ -4,7 +4,7 @@
 ("module:function"); lambdas, nested functions, and locally-defined
 closures cannot cross the pipe (the PR 7 pipe-era unpicklable-job
 failure).  This rule flags lambda/nested-function arguments to the pool
-entry points ``map_calls``/``map_jobs``/``submit``/``ensure_shared``.
+entry points ``map_calls``/``map_jobs``/``submit``/``install_chaos``.
 
 Names are resolved within the enclosing function: passing ``fn`` where
 ``fn = lambda ...`` or ``def fn(...)`` was defined locally is flagged
@@ -19,7 +19,7 @@ import ast
 
 from tools.reprolint.core import Finding, ModuleContext, Rule, register
 
-POOL_ENTRY_POINTS = {"map_calls", "map_jobs", "submit", "ensure_shared"}
+POOL_ENTRY_POINTS = {"map_calls", "map_jobs", "submit", "install_chaos"}
 
 
 @register
@@ -28,7 +28,7 @@ class PickleBoundaryRule(Rule):
     name = "pickle-boundary"
     description = (
         "lambdas, closures, and nested functions must not be passed to "
-        "map_calls/map_jobs/submit/ensure_shared"
+        "map_calls/map_jobs/submit/install_chaos"
     )
     scopes = None
 
