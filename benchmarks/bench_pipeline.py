@@ -2,14 +2,15 @@
 
 The paper's pipelining claim (Fig. 4/9) is that sub-domain stages
 overlap until end-to-end time approaches the slowest stage, not the
-stage sum. PR 10 wires that discipline into the real tiled retrieval
-stack (:mod:`repro.pipeline.retrieval`); this benchmark measures the
-claim on a latency-injected store and checks the overhead on a fast
-one:
+stage sum. A pipelined :class:`~repro.core.tiling.TiledReconstructor`
+runs that discipline on the real tiled retrieval stack (batch fetches
+on a ``FETCH_WORKERS``-wide pool, decode on the caller thread); this
+benchmark measures the claim on a latency-injected store and checks the
+overhead on a fast one:
 
 * **Latency-bound ROI staircase.** A progressive tolerance staircase
   over a 36-tile region, sequential vs pipelined, on a
-  :class:`~repro.core.faults.FaultInjectingStore` whose per-``get``
+  :class:`~repro.core.faults.FaultInjectingStore` whose per-request
   sleep is calibrated so the staircase's total injected fetch latency
   ≈ its decode wall (fetch ≈ decode — the regime the paper pipelines
   for). The recorded ``speedup_pipelined_roi`` must stay ≥ 1.4× and is
@@ -19,16 +20,16 @@ one:
   hide (overhead ≤ 5 %; ``speedup_pipelined_fast_store`` ≈ 1.0 joins
   the regression gate).
 * **Overlap quality.** An instrumented pipelined run records the stage
-  walls of each window item (a tile batch); ``pipeline_efficiency`` is
-  the ratio of that run's ideal pipelined wall — ``max(fetch_sum /
-  fetch_workers, decode_sum + commit_sum)``, the bottleneck stage at
-  perfect overlap — to the same run's measured wall, so the ratio lands
-  in (0, 1] by construction (1.0 = the runtime hid everything it
-  could).
+  walls of each tile batch (decode includes stitching the batch into
+  the output); ``pipeline_efficiency`` is the ratio of that run's ideal
+  pipelined wall — ``max(fetch_sum / fetch_workers, decode_sum)``, the
+  bottleneck stage at perfect overlap — to the same run's measured
+  wall, so the ratio lands in (0, 1] by construction (1.0 = the runtime
+  hid everything it could).
 * **Model vs measured.** The same per-batch stage walls feed
   :func:`repro.pipeline.scheduler.pipeline_speedup` as
   :class:`~repro.pipeline.scheduler.StageCosts` (fetch → input,
-  decode → kernel, commit → output), so the seed Fig. 9 scheduler
+  decode → kernel, no output stage), so the seed Fig. 9 scheduler
   predicts a pipelined-vs-serial ratio for *this* workload from its
   DAG; ``model_predicted_ratio`` and ``model_vs_measured_delta`` are
   recorded (not "speedup"-named — the delta is diagnostic, not a
@@ -66,6 +67,7 @@ import pytest
 from repro.core.faults import FaultInjectingStore
 from repro.core.store import DirectoryStore, open_tiled_field, store_tiled_field
 from repro.core.tiling import (
+    FETCH_WORKERS,
     TiledReconstructor,
     TiledRefactorer,
     normalize_region,
@@ -73,7 +75,6 @@ from repro.core.tiling import (
 from repro.data import generators as gen
 from repro.gpu.device import H100
 from repro.gpu.hdem import HostDeviceModel
-from repro.pipeline.retrieval import FETCH_WORKERS
 from repro.pipeline.scheduler import StageCosts, pipeline_speedup
 
 pytestmark = pytest.mark.bench
@@ -89,7 +90,7 @@ ROI = (slice(4, 44), slice(4, 44), None)
 TOLERANCES = [1e-1, 3e-2, 1e-2, 3e-3]  # relative staircase
 REPEATS = 5
 
-#: Calibrated per-``get`` sleep is clamped to this range: the floor
+#: Calibrated per-request sleep is clamped to this range: the floor
 #: keeps the overlap measurable when decode is very fast, the ceiling
 #: bounds the benchmark's wall time.
 LATENCY_FLOOR_S = 2e-4
@@ -137,8 +138,7 @@ def _instrument(recon: TiledReconstructor, stage_seconds: dict) -> None:
     are only read after the run completes.
     """
     for stage, name in (("fetch", "_fetch_batch"),
-                        ("decode", "_decode_batch"),
-                        ("commit", "_commit_batch")):
+                        ("decode", "_decode_batch")):
         inner = getattr(recon, name)
 
         def timed(*args, _inner=inner, _sink=stage_seconds[stage], **kwargs):
@@ -169,27 +169,32 @@ def _staircase(store, tolerances, region, pipelined: bool,
 
 def _calibrate_latency(store, tolerances, region,
                        wall_decode_s: float) -> tuple[float, int]:
-    """Per-``get`` sleep so total injected latency ≈ the decode wall.
+    """Per-request sleep so total injected latency ≈ the decode wall.
 
-    Counts the staircase's store accesses through a zero-latency
-    :class:`FaultInjectingStore`, then splits the sequential decode
-    wall evenly across them — the fetch ≈ decode regime where
-    pipelining's win is ≈ 2x and anything sequential pays the sum.
+    The store charges its latency once per request (a batched read is
+    one request however many keys it carries), so the meter counts the
+    sequential staircase's requests: at ``latency_s=1.0`` with a no-op
+    sleep, its ``injected_latency_s`` is the request count. The
+    sequential decode wall is split evenly across them — the fetch ≈
+    decode regime where pipelining's win is ≈ 2x and anything
+    sequential pays the sum.
     """
-    meter = FaultInjectingStore(store, seed=0)
+    meter = FaultInjectingStore(store, seed=0, latency_s=1.0,
+                                sleep=lambda s: None)
     _staircase(meter, tolerances, region, pipelined=False)
-    reads = meter.reads
-    latency = wall_decode_s / reads if reads else LATENCY_FLOOR_S
-    return min(max(latency, LATENCY_FLOOR_S), LATENCY_CEIL_S), reads
+    requests = round(meter.injected_latency_s)
+    latency = wall_decode_s / requests if requests else LATENCY_FLOOR_S
+    return min(max(latency, LATENCY_FLOOR_S), LATENCY_CEIL_S), requests
 
 
 def _model_prediction(stage_seconds: dict) -> dict:
     """Seed Fig. 9 scheduler's pipelined-vs-serial ratio for this run.
 
     Each tile batch's step becomes a sub-domain whose measured fetch/
-    decode/commit walls map onto ``StageCosts`` input/kernel/output — decode
-    is bitplane decode + recomposition, Fig. 4's ``R``; there is no
-    exclusive host-side lossless stage (``X`` costs 0, so the model's
+    decode walls map onto ``StageCosts`` input/kernel — decode is
+    bitplane decode + recomposition + stitching, Fig. 4's ``R`` (no
+    separate output stage: ``O`` costs 0); there is no exclusive
+    host-side lossless stage (``X`` costs 0, so the model's
     ``X_{i-1} → I_i`` rule degenerates to back-to-back prefetch, the
     window the real runtime schedules). The HDEM DAG schedule then
     predicts the overlap the dependency rules allow for exactly this
@@ -197,10 +202,9 @@ def _model_prediction(stage_seconds: dict) -> dict:
     """
     stages = [
         StageCosts(input_s=f, kernel_s=d, lossless_s=0.0,
-                   serialize_s=0.0, output_s=c)
-        for f, d, c in zip(sorted(stage_seconds["fetch"], reverse=True),
-                           sorted(stage_seconds["decode"], reverse=True),
-                           sorted(stage_seconds["commit"], reverse=True))
+                   serialize_s=0.0, output_s=0.0)
+        for f, d in zip(sorted(stage_seconds["fetch"], reverse=True),
+                        sorted(stage_seconds["decode"], reverse=True))
     ]
     serial_s, pipelined_s, ratio = pipeline_speedup(
         HostDeviceModel(H100), stages, "reconstruct")
@@ -222,8 +226,8 @@ def _bench_roi_staircase(store, tolerances, region, repeats: int) -> dict:
     fast_identical = bool(np.array_equal(
         _staircase(store, tolerances, region, pipelined=True), reference))
 
-    latency_s, reads = _calibrate_latency(store, tolerances, region,
-                                          wall_seq_fast)
+    latency_s, requests = _calibrate_latency(store, tolerances, region,
+                                             wall_seq_fast)
 
     def slow_store():
         return FaultInjectingStore(store, seed=0, latency_s=latency_s,
@@ -239,7 +243,7 @@ def _bench_roi_staircase(store, tolerances, region, repeats: int) -> dict:
         _staircase(slow_store(), tolerances, region, pipelined=True),
         reference))
 
-    stage_seconds: dict = {"fetch": [], "decode": [], "commit": []}
+    stage_seconds: dict = {"fetch": [], "decode": []}
     t0 = time.perf_counter()
     instrumented = _staircase(slow_store(), tolerances, region,
                               pipelined=True, stage_seconds=stage_seconds)
@@ -249,14 +253,13 @@ def _bench_roi_staircase(store, tolerances, region, repeats: int) -> dict:
 
     fetch_sum = float(sum(stage_seconds["fetch"]))
     decode_sum = float(sum(stage_seconds["decode"]))
-    commit_sum = float(sum(stage_seconds["commit"]))
     # Efficiency compares the instrumented run against its OWN ideal:
-    # at most ``fetch_workers`` fetches overlap and decode+commit share
-    # the caller thread, so ideal <= wall structurally and the ratio
+    # at most ``fetch_workers`` fetches overlap and every decode runs
+    # on the caller thread, so ideal <= wall structurally and the ratio
     # lands in (0, 1] regardless of machine noise between runs. The
-    # fetch width recorded is the module's constant, the one place it
+    # fetch width recorded is the engine's constant, the one place it
     # is written and the only width an engine can run with.
-    ideal_wall = max(fetch_sum / FETCH_WORKERS, decode_sum + commit_sum)
+    ideal_wall = max(fetch_sum / FETCH_WORKERS, decode_sum)
 
     measured = wall_seq_slow / wall_pip_slow if wall_pip_slow else 0.0
     model = _model_prediction(stage_seconds)
@@ -264,11 +267,11 @@ def _bench_roi_staircase(store, tolerances, region, repeats: int) -> dict:
     return {
         "tiles_in_region": len(field.tiles_overlapping(
             normalize_region(region, field.shape))),
-        "window_items_per_step": len(stage_seconds["fetch"]) // len(tolerances),
+        "batches_per_step": len(stage_seconds["fetch"]) // len(tolerances),
         "tolerances_relative": list(tolerances),
         "fetch_workers": FETCH_WORKERS,
-        "segment_reads_per_staircase": reads,
-        "injected_latency_per_get_s": latency_s,
+        "store_requests_per_staircase": requests,
+        "injected_latency_per_request_s": latency_s,
         "wall_sequential_fast_s": wall_seq_fast,
         "wall_pipelined_fast_s": wall_pip_fast,
         "fast_store_overhead_fraction": (
@@ -288,7 +291,6 @@ def _bench_roi_staircase(store, tolerances, region, repeats: int) -> dict:
         "stage_sums_s": {
             "fetch": fetch_sum,
             "decode": decode_sum,
-            "commit": commit_sum,
         },
         "wall_instrumented_s": wall_instrumented,
         "ideal_pipelined_wall_s": ideal_wall,
@@ -336,12 +338,11 @@ def _report(results: dict) -> None:
           f"{r['wall_sequential_latency_s']*1e3:8.1f}ms   pipelined "
           f"{r['wall_pipelined_latency_s']*1e3:8.1f}ms   speedup "
           f"{r['speedup_pipelined_roi']:.2f}x "
-          f"({r['injected_latency_per_get_s']*1e3:.2f}ms/get x "
-          f"{r['segment_reads_per_staircase']} reads)")
+          f"({r['injected_latency_per_request_s']*1e3:.2f}ms/request x "
+          f"{r['store_requests_per_staircase']} requests)")
     s = r["stage_sums_s"]
     print(f"stage sums : fetch {s['fetch']*1e3:8.1f}ms   "
           f"decode {s['decode']*1e3:8.1f}ms   "
-          f"commit {s['commit']*1e3:8.1f}ms   "
           f"efficiency {r['pipeline_efficiency']:.2f}")
     print(f"Fig.9 model: predicted {r['model_predicted_ratio']:.2f}x   "
           f"measured {r['speedup_pipelined_roi']:.2f}x   "

@@ -28,8 +28,9 @@ the above — process pools never nest.
 :class:`ThreadPool` is owned, never inherited, and each owner uses its
 pool for one purpose: a ``pipelined=False`` tiled engine for the
 ``threads:N`` tile fan-out, a ``pipelined=True`` one for the fetch stage
-of :func:`repro.pipeline.retrieval.run_window`, the retrieval service
-for its prefetch warms. A serial owner never starts a thread.
+of its steps (decode runs on the caller, ``map``'s ``then=``), the
+retrieval service for its prefetch warms. :meth:`ThreadPool.map` is the
+one batch runner of a tiled step. A serial owner never starts a thread.
 
 :class:`ProcessBackend` keeps long-lived daemon workers connected over
 pipes. Tasks are addressed by ``"module:function"`` name (never by
@@ -220,6 +221,10 @@ class ClosesOnExit:
         self.close()
 
 
+def _result_only(job, result):
+    return result
+
+
 class ThreadPool:
     """A thread pool its owner holds: lazy, and usable again after close."""
 
@@ -238,21 +243,30 @@ class ThreadPool:
                 _LIVE_THREAD_POOLS.add(self._executor)
             return self._executor
 
-    def map(self, fn: Callable, jobs: Sequence, workers: int) -> list:
+    def map(
+        self, fn: Callable, jobs: Sequence, workers: int,
+        then: Callable | None = None,
+    ) -> list:
         """``[fn(j) for j in jobs]``, up to *workers* jobs at a time.
 
-        ``workers <= 1`` or a single job is the plain loop: a serial
-        owner never starts a thread. When a job raises, the queued jobs
-        are cancelled and the running ones waited for before the
-        earliest failure (in job order) propagates — no job outlives
-        the call.
+        With *then*, each result is ``then(job, fn(job))``: *then* runs
+        on the calling thread, in job order, as each ``fn`` lands, while
+        later jobs keep running on the pool — the in-order stage of a
+        pipelined step. ``workers <= 1`` or a single job is the plain
+        loop: a serial owner never starts a thread. When ``fn`` or
+        *then* raises, the queued jobs are cancelled and the running
+        ones waited for before the earliest failure (in job order)
+        propagates — no job outlives the call.
         """
+        if then is None:
+            then = _result_only
         if workers <= 1 or len(jobs) <= 1:
-            return [fn(job) for job in jobs]
+            return [then(job, fn(job)) for job in jobs]
         executor = self.executor(workers)
         futures = [executor.submit(fn, job) for job in jobs]
         try:
-            return [future.result() for future in futures]
+            return [then(job, future.result())
+                    for job, future in zip(jobs, futures)]
         except BaseException:
             for future in futures:
                 future.cancel()

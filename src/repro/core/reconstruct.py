@@ -97,9 +97,9 @@ class StepPlan:
     (tolerance resolution + planner output merged with the session's
     committed fetch progress); consumed by the fetch stage (exactly the
     segments the step needs) and the decode stage (decode and commit).
-    Splitting the phases lets the pipelined runtime
-    (:mod:`repro.pipeline.retrieval`) overlap one batch's fetch with
-    another's decode, bit-identically.
+    Splitting the phases lets a pipelined
+    :class:`~repro.core.tiling.TiledReconstructor` step overlap one
+    tile batch's fetch with another's decode, bit-identically.
 
     ``before`` is :meth:`Reconstructor.counters` at plan time, so a
     step whose fetch stage ran ahead on another thread still reports

@@ -368,7 +368,7 @@ def _store_bears_latency(store) -> bool:
     the one it fronts. A :class:`~repro.core.store.DirectoryStore`'s
     ``file_open_latency_s`` only feeds ``io_time_estimate`` and is never
     slept, so it does not count: over a zero-latency store a pipelined
-    session pays window bookkeeping for nothing.
+    session pays two-batch bookkeeping for nothing.
     """
     value = getattr(store, "latency_s", None)
     return isinstance(value, (int, float)) and value > 0

@@ -471,7 +471,7 @@ class LazyRefactoredField(RefactoredField):
             raise ValueError("level_refs must have one entry per level")
         self._resolve_settled = resolve_settled
         self.io_counters = Counters()
-        # Fetch stages run on the tiled engine's pool threads (the window's
+        # Fetch stages run on the tiled engine's pool threads (a pipelined
         # fetch stage or the threads:N fan-out), and sessions may share an
         # opened field: lose no update.
         self._io_lock = threading.Lock()

@@ -31,12 +31,13 @@ Three behaviours make tiling the production path rather than a toy:
   is reused across staircase steps exactly as in the untiled engine.
 
 A tile batch's retrieval step is written once, as a fetch stage and a
-decode stage (see :class:`TiledReconstructor`); the sequential and
-pipelined routes differ only in batch size and in which thread runs
-them. Reads run in the caller's process: ``processes`` names the write
-side's pool, where each call carries its tile block and the config and
-a worker keeps per-shape :class:`~repro.core.refactor.Refactorer`
-instances keyed by that config.
+decode stage (see :class:`TiledReconstructor`), and every route runs
+its batches through one runner, :meth:`~repro.core.backends.ThreadPool
+.map`; the routes differ only in batch count and in which thread runs
+each stage. Reads run in the caller's process: ``processes`` names the
+write side's pool, where each call carries its tile block and the
+config and a worker keeps per-shape
+:class:`~repro.core.refactor.Refactorer` instances keyed by that config.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from repro.core.refactor import RefactorConfig, Refactorer
 from repro.core.store import _ColdResolver, open_fields
 from repro.core.stream import Counters, RefactoredField, fetch_fields
 from repro.decompose import MultilevelTransform
-from repro.pipeline.retrieval import FETCH_WORKERS, run_window
 from repro.util.validation import (
     check_dtype_floating,
     check_on_fault,
@@ -521,6 +521,12 @@ class TiledReconstructionResult(tuple):
         return self[1]
 
 
+#: Width of a pipelined step's fetch stage, and the tile batches the
+#: step is split into. Store I/O blocks on the network/disk and releases
+#: the GIL, so a couple of fetch threads overlap many tiles' latency.
+FETCH_WORKERS = 2
+
+
 def _batches(jobs: list, count: int) -> list[list]:
     """*jobs* in ``count`` contiguous batches (at least one job each)."""
     count = min(max(count, 1), len(jobs))
@@ -540,22 +546,23 @@ class TiledReconstructor(ClosesOnExit):
     The unit of work is a tile batch, and its step is one body: the
     fetch stage (:meth:`_fetch_batch`: open, plan, one segment request,
     faults captured) and the decode stage (:meth:`_decode_batch`: one
-    ``Reconstructor.decode_steps`` call). Both run in the caller's
-    process: the sequential route runs one batch of every selected tile
-    (``serial`` and ``processes``; ``threads:N``: N batches on the
-    instance's pool), and the pipelined window streams
-    ``FETCH_WORKERS`` batches with fetch on that pool and decode on the
-    caller thread. On every route a failed step returns only once
-    nothing it started is still running.
+    ``Reconstructor.decode_steps`` call, stitched into the output). Both
+    run in the caller's process, through the instance's pool's
+    :meth:`~repro.core.backends.ThreadPool.map`: the sequential route
+    runs one batch of every selected tile (``serial`` and
+    ``processes``; ``threads:N``: N batches on the pool), and a
+    pipelined step ``FETCH_WORKERS`` batches with fetch on the pool and
+    decode on the caller thread (``then=``). On every route a failed
+    step returns only once nothing it started is still running.
 
     ``pipelined=True`` overlaps one batch's segment *fetch* with
-    another's *decode* through the bounded
-    :func:`~repro.pipeline.retrieval.run_window` — the paper's Fig. 4
-    stage overlap on the real retrieval stack: on a latency-bearing
-    store a step pays ≈max(fetch, decode) instead of their sum, with
-    bit-identical results, counters and fault semantics (per-key access
-    order is the sequential route's). It applies to multi-tile steps
-    under every backend.
+    another's *decode* — the paper's Fig. 4 stage overlap on the real
+    retrieval stack: every batch's fetch is submitted up front and the
+    caller decodes them in batch order as they land, so on a
+    latency-bearing store a step pays ≈max(fetch, decode) instead of
+    their sum, with bit-identical results, counters and fault semantics
+    (each batch's fetch is one request in the sequential route's key
+    order). Its pool is ``FETCH_WORKERS`` wide under every backend.
     """
 
     def __init__(
@@ -707,16 +714,14 @@ class TiledReconstructor(ClosesOnExit):
         jobs = [(pos, overlap) for pos, _, overlap in selected]
 
         fetch = functools.partial(self._fetch_batch, tol=tol)
-        decode = functools.partial(self._decode_batch, on_fault=on_fault)
-        if self.pipelined and len(jobs) > 1:
-            # Stage overlap (Fig. 4) over FETCH_WORKERS tile batches:
-            # their fetches run on the instance's pool while this thread
-            # decodes and commits, stitching and releasing each batch's
-            # blocks at once.
-            batched = run_window(
-                self._threads.executor(FETCH_WORKERS),
-                _batches(jobs, FETCH_WORKERS), fetch, decode,
-                commit=functools.partial(self._commit_batch, out=out),
+        decode = functools.partial(self._decode_batch, on_fault=on_fault,
+                                   out=out)
+        if self.pipelined:
+            # Stage overlap (Fig. 4): FETCH_WORKERS batches fetch on the
+            # instance's pool while this thread decodes each as it lands.
+            batched = self._threads.map(
+                fetch, _batches(jobs, FETCH_WORKERS), FETCH_WORKERS,
+                then=decode,
             )
         else:
             # One batch (``serial`` and ``processes`` alike), or
@@ -728,23 +733,16 @@ class TiledReconstructor(ClosesOnExit):
             )
         outcomes = [outcome for batch in batched for outcome in batch]
         worst = 0.0
-        degraded = False
-        failed_tiles: list[int] = []
         failed_groups: dict[int, list[int] | None] = {}
-        for (position, (_, region_local)), outcome in zip(jobs, outcomes):
-            block, bound, tile_degraded, groups = outcome
-            if block is not None:  # pipelined commits wrote in-stream
-                out[region_local] = block
+        for (position, _), (bound, degraded, groups) in zip(jobs, outcomes):
             worst = max(worst, bound)
-            if tile_degraded:
-                degraded = True
-                failed_tiles.append(position)
+            if degraded:
                 failed_groups[position] = groups
         return TiledReconstructionResult(
             out,
             worst,
-            degraded=degraded,
-            failed_tiles=failed_tiles,
+            degraded=bool(failed_groups),
+            failed_tiles=list(failed_groups),
             failed_groups=failed_groups,
         )
 
@@ -776,13 +774,16 @@ class TiledReconstructor(ClosesOnExit):
         return [(recon, step, next(errors) if recon else fault)
                 for recon, step, fault in fetched]
 
-    def _decode_batch(self, batch, fetched, on_fault):
+    def _decode_batch(self, batch, fetched, on_fault, out):
         """Decode stage of a tile batch: one
         :meth:`~repro.core.reconstruct.Reconstructor.decode_steps` call,
-        so ``on_fault`` is decided in one place for every route. Returns
-        ``(block, bound, degraded, groups)`` per job; a tile that never
-        opened degrades to zeros, or under ``"raise"`` ends the batch
-        once the tiles before it have committed.
+        so ``on_fault`` is decided in one place for every route. Stitches
+        each tile's block into *out* and returns ``(bound, degraded,
+        groups)`` per job. A tile that never opened has no committed
+        refinement to fall back on: it degrades to zeros and an
+        unbounded error (caching nothing, so the next call retries it
+        from scratch), or under ``"raise"`` ends the batch once the
+        tiles before it have committed.
         """
         live = []
         for recon, step, fault in fetched:
@@ -793,33 +794,17 @@ class TiledReconstructor(ClosesOnExit):
                 live.append((recon, step, fault))
         results = iter(Reconstructor.decode_steps(live, on_fault))
         outcomes = []
-        for (_, (tile_local, _)), (recon, _, _) in zip(batch, fetched):
+        for (_, (tile_local, region_local)), (recon, _, _) in zip(batch,
+                                                                  fetched):
             if recon is None:
-                outcomes.append(self._unopened_outcome(tile_local))
+                out[region_local] = 0
+                outcomes.append((math.inf, True, None))
             else:
                 result = next(results)
-                outcomes.append((result.data[tile_local], result.error_bound,
-                                 result.degraded, result.failed_groups))
+                out[region_local] = result.data[tile_local]
+                outcomes.append((result.error_bound, result.degraded,
+                                 result.failed_groups))
         return outcomes
-
-    def _unopened_outcome(self, tile_local):
-        """Degraded outcome of a tile with no committed refinement.
-
-        The tile never opened: there is no stale answer to fall back
-        on, so it contributes zeros and an unbounded error for this
-        step, caches nothing, and is retried from scratch on the next
-        call.
-        """
-        shape = tuple(loc.stop - loc.start for loc in tile_local)
-        return np.zeros(shape, dtype=self.tiled.dtype), math.inf, True, None
-
-    def _commit_batch(self, batch, outcomes, out):
-        """Commit stage: stitch the batch's blocks, then drop them."""
-        committed = []
-        for (_, (_, region_local)), (block, *rest) in zip(batch, outcomes):
-            out[region_local] = block
-            committed.append((None, *rest))
-        return committed
 
     def close(self) -> None:
         """Join the instance's thread pool (idempotent; the engine stays

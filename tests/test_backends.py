@@ -68,9 +68,12 @@ from repro.core.store import (
     store_field,
     store_tiled_field,
 )
-from repro.core.tiling import TiledReconstructor, TiledRefactorer
+from repro.core.tiling import (
+    FETCH_WORKERS,
+    TiledReconstructor,
+    TiledRefactorer,
+)
 from repro.data import generators as gen
-from repro.pipeline.retrieval import FETCH_WORKERS
 
 BACKENDS = ["serial", "threads:2", "processes:2"]
 STAIRCASE = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
@@ -812,9 +815,10 @@ class TestThreadPoolOwnership:
     @pytest.mark.parametrize("backend", ["serial", "threads:4"])
     def test_pipelined_step_owns_one_two_wide_executor(self, tiled_stored,
                                                        backend):
-        """A pipelined engine's pool is the window's fetch stage and
-        nothing else — ``threads:N`` does not widen it — and ``close()``
-        joins it; the next step re-creates it."""
+        """A pipelined engine's pool runs its steps' fetch stage and
+        nothing else (decode stays on the caller) — ``threads:N`` does
+        not widen it — and ``close()`` joins it; the next step
+        re-creates it."""
         before = set(backends._LIVE_THREAD_POOLS)
         recon = TiledReconstructor(
             open_tiled_field(tiled_stored, "rho"), backend=backend,

@@ -1,13 +1,14 @@
 """Pipelined progressive retrieval: differential + runtime tests.
 
-The pipelined route (``repro.pipeline.retrieval`` and its wiring into
-``TiledReconstructor`` and the service ``Session``) claims *bit-identical*
-results, counters, and fault semantics versus the sequential route —
-only wall-clock may differ. This suite proves the claim differentially,
+The pipelined route (``TiledReconstructor(pipelined=True)`` and its
+wiring into the service ``Session``) claims *bit-identical* results,
+counters, and fault semantics versus the sequential route — only
+wall-clock may differ. This suite proves the claim differentially,
 `test_backends.py`-style: same inputs through both routes, byte-for-byte
 comparison of data and accounting, across decode backends and under
-seeded store faults. Runtime-level tests cover item order, in-order
-commits, and failure draining directly; the fetch-seam tests
+seeded store faults. Runner-level tests cover ``ThreadPool.map``'s job
+order, its in-order ``then`` stage, and failure draining directly, and
+pin which thread decodes on each route; the fetch-seam tests
 pin the one thing every route shares — ``fetch_step`` is the only place
 a step reads the store.
 """
@@ -20,12 +21,12 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core.backends import ThreadPool
 from repro.core.errors import StoreError, TransientStoreError
 from repro.core.faults import FaultInjectingStore, ResilientReader
 from repro.core.refactor import refactor
@@ -44,12 +45,12 @@ from repro.core.store import (
     store_tiled_field,
 )
 from repro.core.tiling import (
+    FETCH_WORKERS,
     TiledReconstructor,
     TiledRefactorer,
     normalize_region,
 )
 from repro.data import generators as gen
-from repro.pipeline.retrieval import FETCH_WORKERS, run_window
 
 pytestmark = pytest.mark.backend
 
@@ -94,60 +95,112 @@ def _result_stats(result):
     )
 
 
-# -- runtime unit tests -----------------------------------------------------
+# -- the batch runner: ThreadPool.map(then=) ---------------------------------
 
-class TestRunWindowRuntime:
+class TestMapThenRunner:
     @pytest.fixture()
-    def executor(self):
-        with ThreadPoolExecutor(max_workers=3) as executor:
-            yield executor
+    def pool(self):
+        pool = ThreadPool()
+        yield pool
+        pool.close()
 
-    def test_results_keep_item_order(self, executor):
-        out = run_window(
-            executor, range(10), fetch=lambda i: i * 10,
-            decode=lambda i, f: f + i,
-        )
+    def test_results_keep_job_order(self, pool):
+        out = pool.map(lambda i: i * 10, list(range(10)), 3,
+                       then=lambda i, f: f + i)
         assert out == [i * 11 for i in range(10)]
 
-    def test_commit_return_value_replaces_result(self, executor):
+    def test_then_return_value_is_the_result(self, pool):
         sink = []
-        out = run_window(
-            executor, range(5), fetch=lambda i: i,
-            decode=lambda i, f: f * 2,
-            commit=lambda i, v: sink.append(v),
-        )
-        assert sink == [0, 2, 4, 6, 8]  # committed in item order
-        assert out == [None] * 5  # bulky blocks retired, not retained
+        out = pool.map(lambda i: i * 2, list(range(5)), 3,
+                       then=lambda i, v: sink.append(v))
+        assert sink == [0, 2, 4, 6, 8]  # then ran in job order
+        assert out == [None] * 5  # bulky results retired, not retained
 
-    def test_earliest_failure_wins_and_window_drains(self, executor):
-        committed, started, finished = [], [], []
+    @pytest.mark.parametrize("stage", ["fn", "then"])
+    def test_earliest_failure_wins_and_the_call_drains(self, pool, stage):
+        thened, started, finished = [], [], []
 
-        def fetch(i):
+        def fn(i):
             started.append(i)
+            if i == 2:
+                time.sleep(0.02)  # jobs 3 and 4 start meanwhile
+                if stage == "fn":
+                    raise RuntimeError("fn 2")
             if i == 4:
-                raise RuntimeError("fetch 4")
+                raise RuntimeError("fn 4")
             if i > 2:
-                time.sleep(0.05)  # still running when decode 2 raises
+                time.sleep(0.05)  # still running when job 2 fails
             finished.append(i)
             return i
 
-        def decode(i, fetched):
+        def then(i, result):
             if i == 2:
-                raise RuntimeError("decode 2")
-            return fetched
+                raise RuntimeError("then 2")
+            thened.append(i)
+            return result
 
-        with pytest.raises(RuntimeError, match="decode 2"):
-            run_window(executor, range(8), fetch=fetch, decode=decode,
-                       commit=lambda i, v: committed.append(i) or v)
-        assert committed == [0, 1]  # strictly in-order up to the fault
-        assert 3 in started  # fetched ahead of the failing decode...
-        assert sorted(finished) == sorted(set(started) - {4})  # ...drained
+        with pytest.raises(RuntimeError, match=f"{stage} 2"):
+            pool.map(fn, list(range(20)), 3, then=then)
+        assert thened == [0, 1]  # strictly in order up to the failure
+        assert 3 in started  # ran ahead of the failing job...
+        failed = {2, 4} if stage == "fn" else {4}
+        assert sorted(finished) == sorted(set(started) - failed)  # drained
+        assert len(started) < 20  # ...and the queued tail was cancelled
 
-    def test_executor_is_reusable_across_runs(self, executor):
-        assert run_window(executor, [1, 2], fetch=lambda i: i,
-                          decode=lambda i, f: f) == [1, 2]
-        assert run_window(executor, [3], fetch=lambda i: i,
-                          decode=lambda i, f: f) == [3]
+    def test_pool_is_reusable_across_calls(self, pool):
+        assert pool.map(lambda i: i, [1, 2], 2,
+                        then=lambda i, f: f) == [1, 2]
+        executor = pool._executor
+        assert pool.map(lambda i: i, [3, 4], 2,
+                        then=lambda i, f: -f) == [-3, -4]
+        assert pool._executor is executor
+
+    @pytest.mark.parametrize("jobs,workers", [([7], 4), ([1, 2, 3], 1)])
+    def test_one_job_or_one_worker_runs_inline(self, pool, jobs, workers):
+        seen = []
+
+        def fn(i):
+            seen.append(threading.current_thread())
+            return i
+
+        def then(i, f):
+            seen.append(threading.current_thread())
+            return f + 1
+
+        assert pool.map(fn, jobs, workers, then=then) == [j + 1 for j in jobs]
+        assert seen == [threading.current_thread()] * (2 * len(jobs))
+        assert pool._executor is None  # no thread was started
+
+
+class TestDecodeThreadPerRoute:
+    @pytest.mark.parametrize("backend,pipelined,on_caller", [
+        ("serial", True, True), ("threads:4", True, True),
+        ("threads:2", False, False),
+    ])
+    def test_decode_batch_thread(self, reference_tiled, backend, pipelined,
+                                 on_caller):
+        """A pipelined step decodes every batch on the thread that called
+        ``reconstruct`` (fetch alone goes to its two-wide pool), whatever
+        the backend; a ``threads:N`` step decodes on the pool threads."""
+        recon = TiledReconstructor(
+            open_tiled_field(_fresh_tiled_store(reference_tiled), "rho"),
+            backend=backend, pipelined=pipelined,
+        )
+        threads = []
+        decode_batch = recon._decode_batch
+
+        def spy(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return decode_batch(*args, **kwargs)
+
+        recon._decode_batch = spy
+        try:
+            recon.reconstruct(tolerance=1e-2, region=ROI)
+        finally:
+            recon.close()
+        caller = threading.current_thread()
+        assert len(threads) == 2
+        assert all((t is caller) == on_caller for t in threads)
 
 
 # -- the single fetch seam --------------------------------------------------
@@ -351,7 +404,7 @@ class TestTiledPipelinedParity:
         assert ref_stats == got_stats
 
     def test_single_tile_step_stays_sequential(self, reference_tiled):
-        # One-tile regions bypass the window (nothing to overlap) but
+        # One-tile regions run map's plain loop (nothing to overlap) but
         # must still return the exact sequential answer.
         recon = TiledReconstructor(
             open_tiled_field(_fresh_tiled_store(reference_tiled), "rho"),
@@ -566,20 +619,20 @@ class TestOneRequestPerTileBatch:
 
 class TestInstalledPackageImports:
     def test_real_runtime_imports_without_networkx(self):
-        """``setup.cfg`` declares NumPy only: the default-on pipelined
-        service path must import with the simulated layer's undeclared
-        ``networkx`` absent, and that layer must still resolve lazily
-        (to an ImportError naming networkx) from ``repro.pipeline``."""
+        """``setup.cfg`` declares NumPy only: the real runtime must import
+        with the simulated layer's undeclared ``networkx`` absent and
+        load no ``repro.pipeline`` module at all; the simulated layer
+        still imports submodule by submodule (``dag`` to an ImportError
+        naming networkx)."""
         script = """
 import sys
 sys.modules["networkx"] = None  # any `import networkx` now fails
 import repro.core.service
-import repro.pipeline.retrieval
-import repro.pipeline
-assert "repro.pipeline.dag" not in sys.modules
-repro.pipeline.StageCosts  # needs no networkx
+loaded = [m for m in sys.modules if m.startswith("repro.pipeline")]
+assert not loaded, loaded
+import repro.pipeline.scheduler  # needs no networkx
 try:
-    repro.pipeline.build_refactor_dag
+    import repro.pipeline.dag
 except ImportError as exc:
     assert "networkx" in str(exc), exc
 else:
@@ -595,11 +648,3 @@ print("numpy-only-ok")
         )
         assert result.returncode == 0, result.stderr
         assert "numpy-only-ok" in result.stdout
-
-    def test_lazy_names_still_resolve(self):
-        import repro.pipeline as pipeline
-        from repro.pipeline.dag import build_refactor_dag
-
-        assert pipeline.build_refactor_dag is build_refactor_dag
-        with pytest.raises(AttributeError):
-            pipeline.no_such_name

@@ -267,14 +267,16 @@ def test_r3_accepts_module_level_and_bound_callables():
     assert result.findings == []
 
 
-# -- pipelined-retrieval runtime fixtures (R1 + R3) -------------------------
+# -- tiled batch-runner fixtures (R1 + R3) ----------------------------------
 #
-# The pipeline window shares state between the fetch pool and the caller
-# thread, so `pipeline/retrieval.py` is exactly the shape R1 and R3
-# exist for. These fixtures model its hazards; the final test holds the
-# real module to both rules with an empty baseline.
+# A pipelined tiled step shares state between its fetch pool and the
+# caller thread that decodes, so the batch runner (`ThreadPool.map` in
+# `core/backends.py`) and its caller (`core/tiling.py`) are exactly the
+# shape R1 and R3 exist for. These fixtures model their hazards; the
+# final test holds both real modules to both rules with an empty
+# baseline.
 
-PIPELINE_PATH = "src/repro/pipeline/retrieval_fixture.py"
+PIPELINE_PATH = "src/repro/core/tiling_fixture.py"
 
 
 def test_r1_flags_pipeline_pool_handle_touched_unguarded():
@@ -356,11 +358,12 @@ def test_r3_accepts_module_chain_function_and_partial():
     assert result.findings == []
 
 
-def test_real_pipeline_retrieval_module_is_r1_r3_clean():
-    source = (REPO_ROOT / "src/repro/pipeline/retrieval.py").read_text()
+@pytest.mark.parametrize("path", ["src/repro/core/backends.py",
+                                  "src/repro/core/tiling.py"])
+def test_real_batch_runner_modules_are_r1_r3_clean(path):
+    source = (REPO_ROOT / path).read_text()
     rules = [all_rules()["R1"], all_rules()["R3"]]
-    result = lint_source(source, "src/repro/pipeline/retrieval.py",
-                         rules=rules)
+    result = lint_source(source, path, rules=rules)
     assert result.findings == []
     assert result.suppressed == []  # clean outright, not via pragmas
 
