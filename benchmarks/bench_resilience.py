@@ -4,10 +4,14 @@ Three questions the fault-tolerance subsystem must answer with numbers:
 
 * **What does integrity cost when nothing is wrong?** The clean
   cold-read path — open a directory-backed field, fetch every segment,
-  decode to the tightest staircase tolerance — with CRC32 verification
-  on vs off, best-of-N walls. The acceptance criterion is overhead
-  ≤ 5 %; the recorded ``speedup_verified_vs_unverified`` ratio is
-  guarded by ``check_regression.py`` like every other speedup.
+  decode to the tightest staircase tolerance — always verifies each
+  segment's CRC32, so the verification work is timed on its own: the
+  best-of-N time of ``segment_checksum`` over exactly the blobs one
+  cold read fetches, against the best-of-N read+decode wall. The
+  acceptance criterion is overhead ≤ 5 % of that wall; the recorded
+  ``speedup_verified_vs_unverified`` ratio (wall without the CRC time
+  over the wall) is guarded by ``check_regression.py`` like every
+  other speedup.
 * **What does recovery cost when things go wrong?** A progressive
   tolerance staircase through a 10 %-transient store behind
   :class:`~repro.core.faults.ResilientReader` (zero-backoff policy, so
@@ -61,6 +65,7 @@ from repro.core.refactor import refactor
 from repro.core.store import (
     DirectoryStore,
     open_field,
+    segment_checksum,
     store_field,
 )
 from repro.core.tiling import TiledRefactorer
@@ -84,7 +89,7 @@ TRANSIENT_RATE = 0.10
 CHAOS_SEED = 7
 
 #: Acceptance ceiling: verification may cost at most this fraction of
-#: the unverified clean cold-read wall.
+#: the (verified) clean cold read+decode wall.
 MAX_CHECKSUM_OVERHEAD = 0.05
 
 #: Acceptance ceiling: one worker kill (respawn + task retry) may cost
@@ -110,26 +115,30 @@ def _best_wall(fn, repeats: int) -> float:
     return best
 
 
-def _cold_read(store, tight_tol: float, verify: bool) -> np.ndarray:
-    """One clean cold read: open, fetch every needed segment, decode."""
-    recon = Reconstructor(open_field(store, "vel", verify=verify))
-    return recon.reconstruct(tolerance=tight_tol, relative=True).data
+def _cold_read(store, tight_tol: float):
+    """One clean cold read: open, fetch (and CRC-verify) every needed
+    segment, decode. Returns the opened field."""
+    field = open_field(store, "vel")
+    Reconstructor(field).reconstruct(tolerance=tight_tol, relative=True)
+    return field
 
 
 def _bench_checksum_overhead(store: DirectoryStore, tight_tol: float,
                              repeats: int) -> dict:
-    """Cold read+decode, verification on vs off (best-of-*repeats*)."""
-    wall_plain = _best_wall(
-        lambda: _cold_read(store, tight_tol, verify=False), repeats
-    )
-    wall_verified = _best_wall(
-        lambda: _cold_read(store, tight_tol, verify=True), repeats
-    )
-    overhead = (wall_verified - wall_plain) / wall_plain if wall_plain else 0.0
+    """Cold read+decode wall and the CRC32 work inside it: the checksum
+    of every blob one cold read fetches (best-of-*repeats* each)."""
+    wall_verified = _best_wall(lambda: _cold_read(store, tight_tol), repeats)
+    field = _cold_read(store, tight_tol)
+    blobs = [store.get(lv.refs[i].key) for lv in field.levels
+             for i in lv.groups.resolved_indices]
+    crc_s = _best_wall(lambda: [segment_checksum(b) for b in blobs], repeats)
+    wall_plain = wall_verified - crc_s
     return {
         "wall_unverified_s": wall_plain,
         "wall_verified_s": wall_verified,
-        "checksum_overhead_fraction": overhead,
+        "checksum_overhead_fraction": (
+            crc_s / wall_verified if wall_verified else 0.0
+        ),
         # Guarded ratio: ~1.0 when verification is effectively free;
         # a drop below 0.8x the recorded value fails check_regression.
         "speedup_verified_vs_unverified": (
@@ -280,9 +289,10 @@ def _report(results: dict) -> None:
     r = results["recovery"]
     print("\n== checksum overhead (clean cold read+decode, best-of-"
           f"{results['config']['repeats_best_of']}) ==")
-    print(f"unverified {o['wall_unverified_s']*1e3:8.1f}ms   "
-          f"verified {o['wall_verified_s']*1e3:8.1f}ms   "
-          f"overhead {o['checksum_overhead_fraction']:+.1%}")
+    crc_s = o["wall_verified_s"] - o["wall_unverified_s"]
+    print(f"read+decode {o['wall_verified_s']*1e3:8.1f}ms   "
+          f"CRC32 of its segments {crc_s*1e3:6.2f}ms   "
+          f"overhead {o['checksum_overhead_fraction']:.2%}")
     print(f"\n== recovery under {r['transient_rate']:.0%}-transient store "
           "(staircase, zero-backoff retries) ==")
     print(f"clean {r['wall_clean_s']*1e3:8.1f}ms   "

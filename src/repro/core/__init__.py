@@ -56,7 +56,6 @@ from repro.core.store import (
     MemoryStore,
     SegmentReader,
     SegmentStore,
-    index_checksums,
     load_field,
     open_field,
     open_tiled_field,
@@ -101,7 +100,6 @@ __all__ = [
     "store_tiled_field",
     "open_tiled_field",
     "segment_checksum",
-    "index_checksums",
     "StoreError",
     "SegmentNotFoundError",
     "TransientStoreError",

@@ -17,9 +17,9 @@ protocol:
   default: transient faults and corruption retry, missing keys do not).
 * :class:`ResilientReader` — wraps any reader with the policy's retries
   plus optional CRC32 verification against index-recorded checksums
-  (see :func:`~repro.core.store.index_checksums`), so one composable
-  object turns a flaky store into one that either answers correctly or
-  raises a classified error after a bounded effort.
+  (each :class:`~repro.core.stream.SegmentRef`'s ``crc32``), so one
+  composable object turns a flaky store into one that either answers
+  correctly or raises a classified error after a bounded effort.
 * :class:`WorkerChaos` — the *compute*-tier sibling of
   :class:`FaultInjectingStore`: a schedule of process-level faults
   (``os._exit``, SIGKILL, hang, raise) fired inside backend workers by
@@ -31,9 +31,9 @@ protocol:
   to the serial one.
 
 The layers compose: ``RetrievalService(ResilientReader(flaky, policy))``
-gives every session retried, verified fetches, and the service's
-:class:`~repro.core.service.SegmentCache` adds its own checksum gate on
-cold fetches.
+gives every session retried fetches, and the service's
+:class:`~repro.core.service.SegmentCache` verifies every cold fetch
+against the CRC32 its caller names.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import random
 import signal
 import threading
 import time
-import zlib
 from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -54,7 +53,7 @@ from repro.core.errors import (
     TransientStoreError,
     finish_batch,
 )
-from repro.core.store import settle_many
+from repro.core.store import segment_checksum, settle_many
 
 #: Exit status a :class:`WorkerChaos` ``"exit"`` schedule dies with —
 #: recognizable in ``WorkerCrashedError`` messages and test asserts.
@@ -517,8 +516,9 @@ class ResilientReader:
     ``get`` and ``settle_many`` run through *policy* (so transient faults
     and heal-able corruption are retried with backoff — a batch retries
     only its failed keys, together); when *checksums* maps a key to
-    its CRC32 (as recorded by :func:`~repro.core.store.store_field` —
-    see :func:`~repro.core.store.index_checksums`), every fetched blob
+    its CRC32 (as recorded by :func:`~repro.core.store.store_field`:
+    ``{r.key: r.crc32 for lv in field.levels for r in lv.refs}`` of a
+    field :func:`~repro.core.store.open_field` opened), every fetched blob
     is verified and mismatches raise
     :class:`~repro.core.errors.SegmentCorruptionError` — which the
     default policy classification also retries, since a flip on the
@@ -549,7 +549,7 @@ class ResilientReader:
         with self._checksums_lock:
             expected = {key: self._checksums.get(key) for key in values}
         for key, want in expected.items():
-            if want is not None and zlib.crc32(values[key]) != want:
+            if want is not None and segment_checksum(values[key]) != want:
                 del values[key]
                 errors[key] = SegmentCorruptionError(
                     f"segment {key!r} failed CRC32 verification"

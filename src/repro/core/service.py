@@ -33,12 +33,13 @@ import weakref
 from collections import OrderedDict
 from concurrent.futures import CancelledError, Future
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 from repro.core.backends import ClosesOnExit, ThreadPool
 from repro.core.errors import BATCH_ERRORS, finish_batch
 from repro.core.reconstruct import Reconstructor
 from repro.core.store import open_field, open_tiled_field, verified_many
+from repro.core.stream import SegmentRef
 from repro.core.tiling import (
     LazyTiledField,
     TiledReconstructionResult,
@@ -81,7 +82,6 @@ class SegmentCache:
         self._lock = threading.RLock()
         self._entries: "OrderedDict[str, bytes]" = OrderedDict()
         self._inflight: dict[str, Future] = {}
-        self._checksums: dict[str, int] = {}
         self._prefetched: set[str] = set()
         self.current_bytes = 0
         self.hits = 0
@@ -94,50 +94,45 @@ class SegmentCache:
         self.corruption_failures = 0
         self.prefetch_hits = 0
 
-    def register_checksums(self, checksums: dict[str, int]) -> None:
-        """Expect these CRC32s on cold fetches of the given keys.
-
-        :func:`~repro.core.store.open_field` registers each field's
-        per-segment checksums here, so every *cold* read through the
-        cache is verified once before it is cached or handed to any
-        waiter; cache hits reuse the already-verified bytes without
-        re-hashing.
-        """
-        with self._lock:
-            self._checksums.update(checksums)
-
-    def resolve_settled(self, keys: Sequence[str]) -> tuple[dict, dict]:
+    def resolve_settled(
+        self, keys: Sequence[str], expected: Mapping[str, int] | None = None
+    ) -> tuple[dict, dict]:
         """Resolve *keys* as ``({key: (blob, cold)}, {key: error})``.
 
-        Hits refresh their recency. The misses this call leads go to the
-        backing store in one batched read (without holding the cache
-        lock), are CRC-verified per key when a checksum is known — a
-        mismatch is re-fetched once (``corruption_refetches``), a second
-        one fails the key (``corruption_failures``) — and are inserted,
+        Hits refresh their recency and reuse the already-verified bytes
+        without re-hashing. The misses this call leads go to the backing
+        store in one batched read (without holding the cache lock), are
+        checked against their CRC32 in *expected* (``{key: crc32}``;
+        index records name none) — a mismatch is re-fetched once
+        (``corruption_refetches``), a second one fails the key
+        (``corruption_failures``) and is not cached — and are inserted,
         evicting LRU entries past the budget. Misses another call is
         already reading piggyback on its in-flight future, which carries
         only that key's outcome. The keys that arrive are cached whether
         or not others failed.
         """
-        return self._resolve(keys, prefetch=False)
+        return self._resolve(keys, expected or {}, prefetch=False)
 
-    def prefetch(self, key: str) -> None:
-        """Make *key* resident ahead of need, raising its read error.
+    def prefetch(self, key: str, crc32: int) -> None:
+        """Make *key* resident ahead of need, verified against *crc32*,
+        raising its read error.
 
         When this call reads the key cold, it is marked: the first later
         hit on it counts in ``prefetch_hits``. A prefetch's own hit does
         not.
         """
-        _, errors = self._resolve([key], prefetch=True)
+        _, errors = self._resolve([key], {key: crc32}, prefetch=True)
         if errors:
             raise errors[key]
 
     def get(self, key: str) -> bytes:
-        """The blob alone: a batch of one, raising its error."""
+        """The blob alone, read with no expected CRC (index records): a
+        batch of one, raising its error."""
         return finish_batch([key], *self.resolve_settled([key]))[0][0]
 
     def _resolve(
-        self, keys: Sequence[str], prefetch: bool
+        self, keys: Sequence[str], expected: Mapping[str, int],
+        prefetch: bool,
     ) -> tuple[dict, dict]:
         # A prefetch marks the keys it reads cold and credits no hit.
         out: dict = {}
@@ -155,7 +150,6 @@ class SegmentCache:
                 else:
                     self._inflight[key] = Future()
                     lead.append(key)
-            expected = {key: self._checksums.get(key) for key in lead}
         errors: dict = {}
         if lead:
             try:
@@ -497,21 +491,18 @@ class RetrievalService(ClosesOnExit):
         futures lock is shared across sessions."""
         if not self.prefetch:
             return []
-        keys = []
-        for recon in recons:
-            for lv, have in zip(recon.field.levels, recon.fetched_groups):
-                refs = getattr(lv, "refs", None)
-                if (
-                    refs and have < len(refs)
-                    and refs[have].key not in self.cache
-                ):
-                    keys.append(refs[have].key)
-        self._enqueue_prefetch(keys)
-        return keys
+        refs = [
+            lv.refs[have]
+            for recon in recons
+            for lv, have in zip(recon.field.levels, recon.fetched_groups)
+            if have < len(lv.refs) and lv.refs[have].key not in self.cache
+        ]
+        self._enqueue_prefetch(refs)
+        return [ref.key for ref in refs]
 
-    def _enqueue_prefetch(self, keys: list[str]) -> None:
-        """Submit background warms for *keys* under one lock round."""
-        if not keys:
+    def _enqueue_prefetch(self, refs: list[SegmentRef]) -> None:
+        """Submit background warms for *refs* under one lock round."""
+        if not refs:
             return
         with self._futures_lock:
             if self._closed:
@@ -522,14 +513,15 @@ class RetrievalService(ClosesOnExit):
             self._prefetch_futures = [
                 f for f in self._prefetch_futures if not f.done()
             ]
-            for key in keys:
+            for ref in refs:
                 self.prefetch_requests += 1
-                future = pool.submit(self._safe_warm, key)
-                self._prefetch_pending[key] = future
+                future = pool.submit(self._safe_warm, ref)
+                self._prefetch_pending[ref.key] = future
                 self._prefetch_futures.append(future)
 
-    def _safe_warm(self, key: str) -> None:
-        """Speculative cache warm: failures are counted, never raised.
+    def _safe_warm(self, ref: SegmentRef) -> None:
+        """Speculative cache warm of *ref*'s segment, verified against
+        its CRC32: failures are counted, never raised.
 
         A prefetched segment the client never asked for must not crash
         anything; if the client *does* ask for it later, the resolve
@@ -540,13 +532,13 @@ class RetrievalService(ClosesOnExit):
         later read of a key this warm pulled cold as a prefetch hit.
         """
         with self._futures_lock:
-            self._prefetch_pending.pop(key, None)
+            self._prefetch_pending.pop(ref.key, None)
         try:
-            if key in self.cache:
+            if ref.key in self.cache:
                 with self._futures_lock:
                     self.prefetch_skipped += 1
                 return
-            self.cache.prefetch(key)
+            self.cache.prefetch(ref.key, ref.crc32)
         except Exception:  # reprolint: disable=R2 -- speculative warm: the resolve path retries and surfaces the real error
             with self._futures_lock:
                 self.prefetch_failures += 1

@@ -476,15 +476,6 @@ def segment_checksum(blob: bytes) -> int:
     return zlib.crc32(blob) & 0xFFFFFFFF
 
 
-def index_checksums(index: dict) -> dict[str, int]:
-    """Per-segment CRC32 map from a :func:`store_field` index record.
-
-    The composition hook for :class:`~repro.core.faults.ResilientReader`
-    and :meth:`~repro.core.service.SegmentCache.register_checksums`.
-    """
-    return {key: meta["crc32"] for key, meta in index["segments"].items()}
-
-
 def verified_many(
     reader, keys: Sequence[str], expected: Mapping[str, int]
 ) -> tuple[dict, dict, int, int]:
@@ -494,9 +485,10 @@ def verified_many(
     heal on re-fetch — so the mismatched keys are fetched once more, in
     one batched call; a second mismatch fails that key with
     :class:`~repro.core.errors.SegmentCorruptionError` (the stored bytes
-    themselves are bad). Keys without an *expected* checksum pass
-    unchecked. Returns ``(blobs, errors, refetched, failed)``: the last
-    two count the keys read twice and the keys failing twice.
+    themselves are bad). Keys without an *expected* checksum (index
+    records) pass unchecked. Returns ``(blobs, errors, refetched,
+    failed)``: the last two count the keys read twice and the keys
+    failing twice.
     """
     blobs, errors = settle_many(reader, keys)
     bad = [
@@ -588,13 +580,14 @@ def store_field(store, field: RefactoredField) -> dict:
     return index
 
 
-def _read_index(raw, key: str) -> tuple[dict, RefactoredField, list]:
-    """Parse index record *key*'s blob into ``(index, field template,
+def _read_index(raw, key: str) -> tuple[RefactoredField, list]:
+    """Parse index record *key*'s blob into ``(field template,
     per-level SegmentRef lists)``.
 
     The one index shape: ``groups`` maps each level to a list of segment
     keys, and ``segments`` gives every listed key an int ``bytes >= 0``,
-    ``planes >= 1`` and ``crc32``. Anything else raises
+    ``planes >= 1`` and ``crc32``, which its :class:`SegmentRef` carries.
+    Anything else raises
     :class:`~repro.core.errors.SegmentCorruptionError`.
     """
     try:
@@ -618,21 +611,21 @@ def _read_index(raw, key: str) -> tuple[dict, RefactoredField, list]:
                         and meta["bytes"] >= 0 and meta["planes"] >= 1):
                     raise ValueError(f"segment {seg!r} has entry {meta!r}, "
                                      f"not {{bytes >= 0, planes >= 1, crc32}}")
-                refs.append(SegmentRef(seg, meta["bytes"], meta["planes"]))
+                refs.append(SegmentRef(seg, meta["bytes"], meta["planes"],
+                                       meta["crc32"]))
             level_refs.append(refs)
     except (ValueError, KeyError, TypeError, struct.error,
             UnicodeDecodeError) as exc:
         raise SegmentCorruptionError(
             f"index record {key!r} is corrupt: {exc}"
         ) from exc
-    return index, field, level_refs
+    return field, level_refs
 
 
 def load_field(
     store,
     name: str,
     groups_per_level: list[int] | None = None,
-    verify: bool = True,
 ):
     """Load a field's metadata and the requested prefix of groups.
 
@@ -642,23 +635,22 @@ def load_field(
     tolerance queries should prefer :func:`open_field`, which defers
     each segment fetch until a decode touches it.
 
-    ``verify=True`` (the default) checks every fetched segment against
-    its index-recorded CRC32 — a mismatch is re-fetched once (wire
-    flips heal), then raised as
+    Every fetched segment is checked against its index-recorded CRC32:
+    a mismatch is re-fetched once (wire flips heal), then raised as
     :class:`~repro.core.errors.SegmentCorruptionError`.
     """
-    index, field, level_refs = _read_index(
+    field, level_refs = _read_index(
         store.get(f"{name}.index"), f"{name}.index")
-    checksums = index_checksums(index) if verify else {}
-    level_keys = [[ref.key for ref in refs] for refs in level_refs]
     if groups_per_level is not None:
-        level_keys = [keys[:groups_per_level[li]]
-                      for li, keys in enumerate(level_keys)]
-    wanted = [key for keys in level_keys for key in keys]
-    blobs, errors, _, _ = verified_many(store, wanted, checksums)
-    finish_batch(wanted, blobs, errors)
-    for lv, keys in zip(field.levels, level_keys):
-        lv.groups = [parse_group(key, blobs[key]) for key in keys]
+        level_refs = [refs[:groups_per_level[li]]
+                      for li, refs in enumerate(level_refs)]
+    wanted = [ref for refs in level_refs for ref in refs]
+    keys = [ref.key for ref in wanted]
+    blobs, errors, _, _ = verified_many(
+        store, keys, {ref.key: ref.crc32 for ref in wanted})
+    finish_batch(keys, blobs, errors)
+    for lv, refs in zip(field.levels, level_refs):
+        lv.groups = [parse_group(ref.key, blobs[ref.key]) for ref in refs]
     return field
 
 
@@ -706,7 +698,7 @@ def store_tiled_field(store, tiled) -> dict:
     return index
 
 
-def open_tiled_field(store, name: str, cache=None, verify: bool = True):
+def open_tiled_field(store, name: str, cache=None):
     """Open a stored field lazily as a tiled field, of either layout.
 
     A tiled field reads only its ``<name>.tiles`` index record (through
@@ -728,8 +720,8 @@ def open_tiled_field(store, name: str, cache=None, verify: bool = True):
                 f"no tiled or untiled field {name!r} in store (neither "
                 f"{tiled_key!r} nor {index_key!r})"
             )
-        field = open_field(store, name, cache=cache, verify=verify)
-        return one_tile_field(field, store=store, cache=cache, verify=verify)
+        field = open_field(store, name, cache=cache)
+        return one_tile_field(field, store=store, cache=cache)
     get = cache.get if cache is not None else store.get
     raw = bytes(get(tiled_key))
     try:
@@ -753,34 +745,30 @@ def open_tiled_field(store, name: str, cache=None, verify: bool = True):
         raise SegmentCorruptionError(
             f"tiled index record {tiled_key!r} is corrupt: {exc}"
         ) from exc
-    return LazyTiledField(**parsed, store=store, cache=cache, verify=verify)
+    return LazyTiledField(**parsed, store=store, cache=cache)
 
 
-def open_field(
-    store,
-    name: str,
-    cache=None,
-    verify: bool = True,
-) -> LazyRefactoredField:
+def open_field(store, name: str, cache=None) -> LazyRefactoredField:
     """Open a stored field lazily: fetch segments on first decode touch.
 
     *store* holds ``<name>.index`` plus the segments :func:`store_field`
     wrote. With a *cache* (a shared :class:`repro.core.service
-    .SegmentCache`, or anything with ``resolve_settled(keys) -> ({key:
-    (blob, cold)}, {key: error})``) every read, the index record's too,
-    routes through it, so sessions share segment bytes and warm opens
-    skip the store; without one every read is cold. ``verify`` checks
-    each fetched segment against its index CRC32 (re-fetched once on a
-    mismatch, then :class:`~repro.core.errors.SegmentCorruptionError`);
-    a cache gets the checksums registered and verifies each cold read.
-    Planning runs on index metadata alone, and only the plane groups a
-    reconstruction decodes are fetched.
+    .SegmentCache`, or anything with ``resolve_settled(keys,
+    expected=None) -> ({key: (blob, cold)}, {key: error})``) every read,
+    the index record's too, routes through it, so sessions share segment
+    bytes and warm opens skip the store; without one every read is cold.
+    A segment read passes *expected*, ``{key: crc32}`` from its
+    :class:`SegmentRef` s, and the resolver checks each blob it reads
+    from the store (re-fetched once on a mismatch, then
+    :class:`~repro.core.errors.SegmentCorruptionError`); index records
+    name no CRC. Planning runs on index metadata alone, and only the
+    plane groups a reconstruction decodes are fetched.
     """
-    return finish_batch([name], *open_fields(store, [name], cache, verify))[0]
+    return finish_batch([name], *open_fields(store, [name], cache))[0]
 
 
 def open_fields(
-    store, names: Sequence[str], cache=None, verify: bool = True
+    store, names: Sequence[str], cache=None
 ) -> tuple[dict, dict]:
     """:func:`open_field` of every name, reading their index records in
     one request; settled as ``({name: field}, {name: error})``.
@@ -798,12 +786,10 @@ def open_fields(
             failed[name] = failed.pop(key)
             continue
         try:
-            index, template, level_refs = _read_index(blobs[key][0], key)
+            template, level_refs = _read_index(blobs[key][0], key)
         except SegmentCorruptionError as exc:
             failed[name] = exc
             continue
-        if verify and hasattr(resolver, "register_checksums"):
-            resolver.register_checksums(index_checksums(index))
         fields[name] = LazyRefactoredField(
             template, level_refs, resolver.resolve_settled)
     return fields, failed
@@ -811,17 +797,15 @@ def open_fields(
 
 class _ColdResolver:
     """The cache-less resolver of :func:`open_fields`: every read goes
-    to *store*, CRC-verified against the registered checksums."""
+    to *store*, CRC-verified against *expected* (``{key: crc32}``)."""
 
     def __init__(self, store) -> None:
         self._store = store
-        self._checksums: dict[str, int] = {}
 
-    def register_checksums(self, checksums: dict[str, int]) -> None:
-        self._checksums.update(checksums)
-
-    def resolve_settled(self, keys: Sequence[str]) -> tuple[dict, dict]:
-        blobs, errors, _, _ = verified_many(self._store, keys, self._checksums)
+    def resolve_settled(
+        self, keys: Sequence[str], expected: Mapping[str, int] | None = None
+    ) -> tuple[dict, dict]:
+        blobs, errors, _, _ = verified_many(self._store, keys, expected or {})
         return {key: (blob, True) for key, blob in blobs.items()}, errors
 
 
@@ -833,7 +817,6 @@ __all__ = [
     "segment_key",
     "settle_many",
     "segment_checksum",
-    "index_checksums",
     "tiled_index_key",
     "store_field",
     "load_field",

@@ -65,9 +65,7 @@ class LevelStream:
 
     def bytes_for_groups(self, num_groups: int) -> int:
         """Serialized bytes fetched for the first *num_groups* groups."""
-        return sum(
-            len(g.to_bytes()) for g in self.groups[:num_groups]
-        )
+        return sum(g.nbytes for g in self.groups[:num_groups])
 
     def error_bound_for_groups(self, num_groups: int) -> float:
         """Per-coefficient L∞ bound with only *num_groups* groups fetched."""
@@ -296,11 +294,15 @@ class SegmentRef:
         what a fetch of this segment costs.
     num_planes:
         Bitplanes contained in the group.
+    crc32:
+        :func:`~repro.core.store.segment_checksum` of the serialized
+        segment, which every read of it must match.
     """
 
     key: str
     nbytes: int
     num_planes: int
+    crc32: int
 
 
 def parse_group(key: str, blob) -> CompressedGroup:
@@ -324,14 +326,14 @@ class _LazyGroupSequence(Sequence):
     per-session analogue of the service's shared byte cache. The memo
     (holding zero-copy views of the fetched blobs) lives as long as the
     opened field does, independent of any shared cache's eviction budget.
-    A miss goes through *fetch*, the owning field's batched read of
-    ``(sequence, index, key)`` triples, which memoizes through
-    :meth:`memoize`.
+    A miss is read through *reads*, the owning field's
+    :class:`ReadState`, and memoized through :meth:`memoize`; the
+    sequence holds no reference to the field itself.
     """
 
-    def __init__(self, refs: list[SegmentRef], fetch: Callable) -> None:
+    def __init__(self, refs: list[SegmentRef], reads: "ReadState") -> None:
         self._refs = refs
-        self._fetch = fetch
+        self._reads = reads
         self._parsed: dict[int, CompressedGroup] = {}
 
     def __len__(self) -> int:
@@ -345,13 +347,16 @@ class _LazyGroupSequence(Sequence):
         if not 0 <= index < len(self):
             raise IndexError(index)
         if index not in self._parsed:
-            self._fetch([(self, index, self._refs[index].key)])
+            error = _fetch_wanted(
+                [(self._reads, self.missing(index, index + 1))])[0]
+            if error is not None:
+                raise error
         return self._parsed[index]
 
     def missing(self, start: int, stop: int) -> list[tuple]:
-        """``(self, index, key)`` per unmemoized index in ``[start, stop)``."""
+        """``(self, index, ref)`` per unmemoized index in ``[start, stop)``."""
         return [
-            (self, i, self._refs[i].key)
+            (self, i, self._refs[i])
             for i in range(start, stop) if i not in self._parsed
         ]
 
@@ -371,9 +376,10 @@ class LazyLevelStream(LevelStream):
     Planning queries (:meth:`bytes_for_groups`, :meth:`planes_in_groups`,
     and through it :meth:`error_bound_for_groups`) are answered from
     :class:`SegmentRef` metadata without touching the store; segments
-    are fetched by the owning field's batched
-    :meth:`~LazyRefactoredField.fetch_groups` (a step's fetch stage), or
-    one at a time when a group is touched before it was fetched.
+    are fetched through *reads* (the owning field's :class:`ReadState`)
+    by the field's batched :meth:`~LazyRefactoredField.fetch_groups` (a
+    step's fetch stage), or one at a time when a group is touched
+    before it was fetched.
     """
 
     def __init__(
@@ -387,7 +393,7 @@ class LazyLevelStream(LevelStream):
         layout: str,
         warp_size: int,
         refs: list[SegmentRef],
-        fetch: Callable,
+        reads: "ReadState",
         signed_encoding: str = "sign_magnitude",
     ) -> None:
         self.refs = refs
@@ -403,7 +409,7 @@ class LazyLevelStream(LevelStream):
             max_abs=max_abs,
             layout=layout,
             warp_size=warp_size,
-            groups=_LazyGroupSequence(refs, fetch),
+            groups=_LazyGroupSequence(refs, reads),
             signed_encoding=signed_encoding,
         )
 
@@ -449,32 +455,49 @@ class Counters:
         ))
 
 
+@dataclass
+class ReadState:
+    """A lazy field's read state: its resolver, the :class:`Counters`
+    its segment traffic lands in, and the lock guarding them.
+
+    The field and its group sequences share this record and no sequence
+    refers to its field, so a dropped field (with its memoized segments)
+    is freed by reference counting, not left to the cyclic collector.
+    """
+
+    resolve_settled: Callable
+    counters: Counters = field(default_factory=Counters)
+    # Fetch stages run on the tiled engine's pool threads (a pipelined
+    # fetch stage or the threads:N fan-out), and sessions may share an
+    # opened field: lose no update.
+    lock: threading.Lock = field(default_factory=threading.Lock)
+
+
 class LazyRefactoredField(RefactoredField):
     """A :class:`RefactoredField` whose plane groups resolve on first touch.
 
     Built by :func:`repro.core.store.open_field` from a field-less metadata
-    template plus per-level :class:`SegmentRef` lists. ``resolve_settled``
-    reads a list of segment keys in one store request, settled as
-    ``({key: (blob, cold)}, {key: error})``, where ``cold`` says the blob
-    came from the backing store rather than a shared cache; the field
-    counts its traffic into ``io_counters`` (a :class:`Counters`), which
-    its reconstructors report as cache-hit vs. cold traffic per step.
+    template plus per-level :class:`SegmentRef` lists.
+    ``resolve_settled(keys, expected)`` reads a list of segment keys in
+    one store request, each checked against its CRC32 in *expected*,
+    settled as ``({key: (blob, cold)}, {key: error})``, where ``cold``
+    says the blob came from the backing store rather than a shared
+    cache; the field counts its traffic into ``io_counters`` (the
+    :class:`Counters` of the :class:`ReadState` it shares with its group
+    sequences), which its reconstructors report as cache-hit vs. cold
+    traffic per step.
     """
 
     def __init__(
         self,
         template: RefactoredField,
         level_refs: list[list[SegmentRef]],
-        resolve_settled: Callable[[list[str]], tuple[dict, dict]],
+        resolve_settled: Callable[[list[str], dict], tuple[dict, dict]],
     ) -> None:
         if len(level_refs) != len(template.levels):
             raise ValueError("level_refs must have one entry per level")
-        self._resolve_settled = resolve_settled
-        self.io_counters = Counters()
-        # Fetch stages run on the tiled engine's pool threads (a pipelined
-        # fetch stage or the threads:N fan-out), and sessions may share an
-        # opened field: lose no update.
-        self._io_lock = threading.Lock()
+        self._reads = ReadState(resolve_settled)
+        self.io_counters = self._reads.counters
         levels = [
             LazyLevelStream(
                 level=lv.level,
@@ -485,7 +508,7 @@ class LazyRefactoredField(RefactoredField):
                 layout=lv.layout,
                 warp_size=lv.warp_size,
                 refs=refs,
-                fetch=self._fetch,
+                reads=self._reads,
                 signed_encoding=lv.signed_encoding,
             )
             for lv, refs in zip(template.levels, level_refs)
@@ -504,59 +527,57 @@ class LazyRefactoredField(RefactoredField):
             name=template.name,
         )
 
-    def _fetch(self, wanted: list[tuple]) -> None:
-        """Resolve ``(sequence, index, key)`` triples with one batched read."""
-        error = _fetch_wanted([(self, wanted)])[0]
-        if error is not None:
-            raise error
 
 
 def fetch_fields(requests) -> list[BaseException | None]:
     """Make groups ``[start, stop)`` of each level of ``(field, ranges)``
     requests resident (eager fields hold them already), as
-    :func:`_fetch_wanted` reads them."""
+    :func:`_fetch_wanted` reads them through each field's
+    :class:`ReadState`."""
     return _fetch_wanted([
-        (field, [
+        (field._reads, [
             item for lv, (start, stop) in zip(field.levels, ranges)
             for item in lv.groups.missing(start, stop)
-        ] if isinstance(field, LazyRefactoredField) else [])
+        ]) if isinstance(field, LazyRefactoredField) else (None, [])
         for field, ranges in requests
     ])
 
 
 def _fetch_wanted(requests) -> list[BaseException | None]:
-    """Resolve ``(field, [(sequence, index, key)])`` requests with one
+    """Resolve ``(reads, [(sequence, index, ref)])`` requests with one
     batched read per resolver (the tiles of one field share theirs),
-    keys in request order. Every blob that arrives is counted into its
-    own field and memoized, even when other keys failed; each request
-    gets its first failed key's error, or None, so a retry reads only
-    what is missing."""
+    keys in request order, each read naming its ref's CRC32. Every blob
+    that arrives is counted into its own :class:`ReadState` and
+    memoized, even when other keys failed; each request gets its first
+    failed key's error, or None, so a retry reads only what is
+    missing."""
     errors: list[BaseException | None] = [None] * len(requests)
     by_resolver: dict = {}
-    for i, (field, wanted) in enumerate(requests):
+    for i, (reads, wanted) in enumerate(requests):
         if wanted:
-            by_resolver.setdefault(field._resolve_settled, []).append(i)
+            by_resolver.setdefault(reads.resolve_settled, []).append(i)
     for resolve, members in by_resolver.items():
+        refs = [ref for i in members for _, _, ref in requests[i][1]]
         values, failed = resolve(
-            [key for i in members for _, _, key in requests[i][1]])
+            [ref.key for ref in refs], {ref.key: ref.crc32 for ref in refs})
         for i in members:
-            field, wanted = requests[i]
-            with field._io_lock:
-                c = field.io_counters
-                for _, _, key in wanted:
-                    if key in values:
-                        blob, cold = values[key]
+            reads, wanted = requests[i]
+            with reads.lock:
+                c = reads.counters
+                for _, _, ref in wanted:
+                    if ref.key in values:
+                        blob, cold = values[ref.key]
                         c.segment_reads += 1
                         if cold:
                             c.cold_bytes += len(blob)
                         else:
                             c.cache_hit_bytes += len(blob)
-            for seq, index, key in wanted:
-                if key in values:
+            for seq, index, ref in wanted:
+                if ref.key in values:
                     try:
-                        seq.memoize(index, values[key][0])
+                        seq.memoize(index, values[ref.key][0])
                     except SegmentCorruptionError as exc:
-                        failed[key] = exc
-                if errors[i] is None and key in failed:
-                    errors[i] = failed[key]
+                        failed[ref.key] = exc
+                if errors[i] is None and ref.key in failed:
+                    errors[i] = failed[ref.key]
     return errors

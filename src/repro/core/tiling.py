@@ -259,8 +259,7 @@ class LazyTiledField(TiledField):
     ``tile_bytes`` — the per-tile stored sizes recorded at write time —
     lets :meth:`total_bytes` answer without opening a single tile.
 
-    Tiles open in batches through ``open_fields(store, names, cache=,
-    verify=)``.
+    Tiles open in batches through ``open_fields(store, names, cache=)``.
     """
 
     def __init__(
@@ -275,7 +274,6 @@ class LazyTiledField(TiledField):
         name: str,
         store,
         cache=None,
-        verify: bool = True,
     ) -> None:
         if not (len(tiles) == len(tile_field_names) == len(tile_bytes)):
             raise ValueError(
@@ -287,7 +285,7 @@ class LazyTiledField(TiledField):
         # One resolver for every tile, so a tile batch's plane groups
         # go out in one request with or without a shared cache.
         opener = functools.partial(
-            open_fields, store, verify=verify,
+            open_fields, store,
             cache=_ColdResolver(store) if cache is None else cache,
         )
         super().__init__(
@@ -312,7 +310,7 @@ class LazyTiledField(TiledField):
 
 
 def one_tile_field(
-    field: RefactoredField, *, store, cache=None, verify: bool = True
+    field: RefactoredField, *, store, cache=None
 ) -> LazyTiledField:
     """A just-opened untiled *field* as the one tile of a
     :class:`LazyTiledField` (no store access)."""
@@ -323,7 +321,7 @@ def one_tile_field(
                         shape=tuple(field.shape))],
         tile_field_names=[field.name], tile_bytes=[field.total_bytes()],
         value_range=field.value_range, name=field.name,
-        store=store, cache=cache, verify=verify,
+        store=store, cache=cache,
     )
     tiled.fields._fields[0] = field
     return tiled

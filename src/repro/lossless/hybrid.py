@@ -91,6 +91,12 @@ class CompressedGroup:
     def num_planes(self) -> int:
         return len(self.plane_sizes)
 
+    @property
+    def nbytes(self) -> int:
+        """Serialized size, ``len(to_bytes())``, without serializing."""
+        return (struct.calcsize(_GROUP_FMT) + 8 * self.num_planes
+                + len(self.payload))
+
     def to_bytes(self) -> bytes:
         head = struct.pack(
             _GROUP_FMT,

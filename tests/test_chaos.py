@@ -189,17 +189,16 @@ class TestLazyStaircaseChaos:
 
         The checksums live in the *retry* layer here, so a segment
         corrupted several accesses in a row still heals (the resolver
-        above re-fetches only once on mismatch)."""
-        import json
-
-        from repro.core.store import index_checksums
-
+        above re-fetches only once on mismatch). Opening reads only the
+        index, so the opened field's refs can arm the retry layer
+        before any segment is read."""
         flaky, reader = _resilient(stored, seed, transient_rate=0.05,
                                    corrupt_rate=0.25)
+        field = open_field(reader, "vx")
         reader.register_checksums(
-            index_checksums(json.loads(stored.get("vx.index").decode()))
+            {r.key: r.crc32 for lv in field.levels for r in lv.refs}
         )
-        recon = Reconstructor(open_field(reader, "vx"))
+        recon = Reconstructor(field)
         for tol, ref in zip(STAIRCASE, clean_staircase):
             np.testing.assert_array_equal(
                 recon.reconstruct(tolerance=tol).data, ref

@@ -13,7 +13,12 @@ from repro.core.planner import (
 from repro.core.reconstruct import Reconstructor
 from repro.core.refactor import RefactorConfig, refactor
 from repro.core.store import MemoryStore, open_field, store_field
-from repro.core.stream import LazyLevelStream, LevelStream, SegmentRef
+from repro.core.stream import (
+    LazyLevelStream,
+    LevelStream,
+    ReadState,
+    SegmentRef,
+)
 from repro.data import generators as gen
 from repro.lossless.hybrid import CompressedGroup
 
@@ -125,19 +130,20 @@ class TestPrefixSumMetadata:
     segment, and the planner's output does not move."""
 
     @staticmethod
-    def _no_fetch(wanted):
-        raise AssertionError(f"planning fetched {wanted}")
+    def _no_resolve(keys, expected):
+        raise AssertionError(f"planning fetched {keys}")
 
     @pytest.mark.parametrize("seed", range(20))
     def test_sums_equal_plain_sums_over_random_refs(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(0, 12))
         refs = [SegmentRef(f"k{i}", int(rng.integers(0, 500)),
-                           int(rng.integers(1, 9))) for i in range(n)]
+                           int(rng.integers(1, 9)), 0) for i in range(n)]
         geometry = dict(level=0, num_elements=8, num_bitplanes=64,
                         exponent=0, max_abs=1.0, layout="natural",
                         warp_size=32)
-        level = LazyLevelStream(**geometry, refs=refs, fetch=self._no_fetch)
+        level = LazyLevelStream(**geometry, refs=refs,
+                                reads=ReadState(self._no_resolve))
         plain = LevelStream(**geometry, groups=[
             CompressedGroup("direct", b"", (1,) * r.num_planes, 0)
             for r in refs])

@@ -8,7 +8,9 @@ tight byte budget without corrupting results; and concurrent sessions
 are deterministic with the second-session traffic served from cache.
 """
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -23,9 +25,12 @@ from repro.core.store import (
     SegmentReader,
     load_field,
     open_field,
+    segment_checksum,
     store_field,
+    store_tiled_field,
 )
-from repro.core.stream import LazyRefactoredField
+from repro.core.stream import LazyRefactoredField, SegmentRef
+from repro.core.tiling import TiledRefactorer
 from repro.data import generators as gen
 from repro.qoi import v_total
 
@@ -218,6 +223,50 @@ class TestLazyField:
         _, f = field_and_data
         r = Reconstructor(f).reconstruct(tolerance=1e-3)
         assert r.cold_bytes == 0 and r.cache_hit_bytes == 0
+
+
+@pytest.fixture()
+def no_cyclic_gc():
+    """Only reference counting frees objects inside the test."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestFieldLifetime:
+    """A dropped lazy field is freed by reference counting, memoized
+    segments and all: its group sequences share its read state, not the
+    field itself, so no field -> levels -> groups -> field cycle waits
+    for the cyclic collector."""
+
+    def test_opened_field_dies_on_del(self, dir_store, no_cyclic_gc):
+        lazy = open_field(dir_store, "vel")
+        Reconstructor(lazy).reconstruct(tolerance=1e-3)
+        assert lazy.levels[-1].groups.resolved_indices
+        alive = weakref.ref(lazy)
+        del lazy
+        assert alive() is None
+
+    def test_closed_session_tile_fields_die_on_del(self, field_and_data,
+                                                   no_cyclic_gc):
+        data, _ = field_and_data
+        store = MemoryStore()
+        store_tiled_field(store,
+                          TiledRefactorer((8, 8, 8)).refactor(data, "rho"))
+        with RetrievalService(store, prefetch=True) as svc:
+            session = svc.session("rho")
+            session.reconstruct(tolerance=1e-3)
+            svc.drain_prefetch()
+            tiled = session.tiled
+            alive = [weakref.ref(tiled)] + [
+                weakref.ref(tiled.fields[i]) for i in tiled.opened_tiles]
+            assert len(alive) == 1 + tiled.num_tiles
+            session.close()
+            del session, tiled
+            assert [ref() for ref in alive] == [None] * len(alive)
 
 
 class TestSegmentCache:
@@ -474,25 +523,42 @@ class TestRetrievalService:
             store.put(key, b"x" * 100)
         return RetrievalService(store, cache_bytes=150, prefetch=True)
 
+    @staticmethod
+    def _ref(key):
+        """A warm target for one of the three 100-byte segments."""
+        return SegmentRef(key, 100, 1, segment_checksum(b"x" * 100))
+
     def test_landed_prefetch_is_credited_once(self):
         svc = self._three_key_service()
-        svc._safe_warm("a")
+        svc._safe_warm(self._ref("a"))
         svc.cache.get("a")
         svc.cache.get("a")
         assert svc.stats()["prefetch_hits"] == 1
+        svc.close()
+
+    def test_prefetch_verifies_before_caching(self):
+        """A warm checks its ref's CRC32: bytes that do not match are
+        re-fetched once, then counted as a failed prefetch and never
+        cached."""
+        svc = self._three_key_service()
+        svc._safe_warm(SegmentRef("a", 100, 1, segment_checksum(b"y" * 100)))
+        assert "a" not in svc.cache
+        assert svc.stats()["prefetch_failures"] == 1
+        assert (svc.cache.corruption_refetches,
+                svc.cache.corruption_failures) == (1, 1)
         svc.close()
 
     def test_evicted_prefetch_is_never_credited(self):
         """A warmed key evicted unread, then read cold and hit, is no
         prefetch hit: the session paid the store for it."""
         svc = self._three_key_service()
-        svc._safe_warm("a")
+        svc._safe_warm(self._ref("a"))
         svc.cache.get("b")  # evicts a
         assert "a" not in svc.cache
         svc.cache.get("a")  # cold
         svc.cache.get("a")  # a hit, but on the session's own read
         assert svc.stats()["prefetch_hits"] == 0
-        svc._safe_warm("c")  # evicts a, lands c
+        svc._safe_warm(self._ref("c"))  # evicts a, lands c
         svc.cache.clear()
         svc.cache.get("c")
         svc.cache.get("c")
@@ -513,7 +579,8 @@ class TestRetrievalService:
         store = Gated()
         store.put("a", b"x" * 100)
         cache = SegmentCache(store, max_bytes=1 << 10)
-        warm = threading.Thread(target=cache.prefetch, args=("a",))
+        warm = threading.Thread(
+            target=cache.prefetch, args=("a", segment_checksum(b"x" * 100)))
         warm.start()
         assert entered.wait(timeout=5.0)
         threading.Timer(0.05, gate.set).start()
@@ -528,7 +595,8 @@ class TestRetrievalService:
         pool = svc._prefetch_threads.executor(2)
         with svc._futures_lock:
             svc._prefetch_futures.append(
-                pool.submit(svc._safe_warm, "no-such-segment")
+                pool.submit(svc._safe_warm,
+                            SegmentRef("no-such-segment", 1, 1, 0))
             )
         svc.drain_prefetch()  # must not raise
         assert svc.prefetch_failures == 1
@@ -640,10 +708,10 @@ class TestRetrievalService:
         follower_in = threading.Event()
 
         class Probe(SegmentCache):
-            def resolve_settled(self, keys):
+            def resolve_settled(self, keys, expected=None):
                 if threading.current_thread().name == "follower":
                     follower_in.set()
-                return super().resolve_settled(keys)
+                return super().resolve_settled(keys, expected)
 
         cache = Probe(flaky, max_bytes=1 << 20)
         recons = [Reconstructor(open_field(flaky, "vel", cache=cache))

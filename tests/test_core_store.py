@@ -13,7 +13,6 @@ from repro.core.reconstruct import Reconstructor, reconstruct
 from repro.core.store import (
     DirectoryStore,
     MemoryStore,
-    index_checksums,
     load_field,
     segment_checksum,
     segment_key,
@@ -156,7 +155,8 @@ class TestDescriptorLifecycle:
         store = DirectoryStore(root)
         index = store_field(store, f)
         store.close()
-        return root, index_checksums(index)
+        return root, {key: meta["crc32"]
+                      for key, meta in index["segments"].items()}
 
     def test_metadata_only_instance_holds_no_descriptor(self, written):
         root, checksums = written

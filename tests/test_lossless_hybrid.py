@@ -219,6 +219,26 @@ class TestGroupSerialization:
             assert g2.first_plane == g.first_plane
             assert g2.payload == g.payload
 
+    @pytest.mark.parametrize("method", sorted(_ENCODERS))
+    @pytest.mark.parametrize("group_size", [1, 5])
+    def test_nbytes_is_serialized_length(self, method, group_size):
+        """``nbytes`` is ``len(to_bytes())`` without serializing: for
+        every method, one-plane groups and a short last group (33
+        planes in fives), built or parsed (payload a view)."""
+        planes = bitplanes_of(n=512)
+        groups = []
+        for start in range(0, len(planes), group_size):
+            members = planes[start:start + group_size]
+            merged = np.concatenate([p.reshape(-1) for p in members])
+            groups.append(CompressedGroup(
+                method, _ENCODERS[method](merged),
+                tuple(int(p.size) for p in members), start))
+        if group_size > 1:
+            assert groups[-1].num_planes < group_size  # a short last group
+        for g in groups:
+            parsed = CompressedGroup.from_bytes(g.to_bytes())
+            assert g.nbytes == parsed.nbytes == len(g.to_bytes())
+
     def test_bad_magic(self):
         with pytest.raises(ValueError):
             CompressedGroup.from_bytes(b"ZZZZ" + b"\0" * 32)

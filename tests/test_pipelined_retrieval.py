@@ -44,6 +44,7 @@ from repro.core.store import (
     store_field,
     store_tiled_field,
 )
+from repro.core.stream import SegmentRef
 from repro.core.tiling import (
     FETCH_WORKERS,
     TiledReconstructor,
@@ -518,9 +519,10 @@ class TestServicePipelined:
         svc.drain_prefetch()
         # Re-enqueue a key that is already resident: the warm must
         # skip it without touching the cache hit/miss counters.
-        key = next(iter(svc.cache._entries))
+        ref = next(r for lv in session.tiled.fields[0].levels
+                   for r in lv.refs if r.key in svc.cache)
         before = svc.cache.stats()
-        svc._enqueue_prefetch([key])
+        svc._enqueue_prefetch([ref])
         svc.drain_prefetch()
         after = svc.cache.stats()
         assert svc.stats()["prefetch_skipped"] >= 1
@@ -538,7 +540,8 @@ class TestServicePipelined:
         blockers = [
             pool.submit(gate.wait) for _ in range(pool._max_workers)
         ]
-        svc._enqueue_prefetch(["vx/stale/0", "vx/stale/1"])
+        svc._enqueue_prefetch([SegmentRef("vx/stale/0", 1, 1, 0),
+                               SegmentRef("vx/stale/1", 1, 1, 0)])
         cancelled = svc.cancel_stale_prefetches(
             ["vx/stale/0", "vx/stale/1", "vx/never/queued"]
         )

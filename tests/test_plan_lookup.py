@@ -50,13 +50,13 @@ def synthetic_field(rng, num_levels: int) -> RefactoredField:
         else:
             groups = [(int(rng.integers(1, 5)), int(rng.integers(0, 4)))
                       for _ in range(int(rng.integers(0, 6)))]
-        refs = [SegmentRef(f"l{idx}g{g}", nbytes, planes)
+        refs = [SegmentRef(f"l{idx}g{g}", nbytes, planes, 0)
                 for g, (planes, nbytes) in enumerate(groups)]
         return LazyLevelStream(
             level=idx, num_elements=8, num_bitplanes=12,
             exponent=int(rng.integers(-3, 4)),
             max_abs=float(rng.choice([0.0, 0.75, 3.0])), layout="natural",
-            warp_size=32, refs=refs, fetch=None,
+            warp_size=32, refs=refs, reads=None,
             signed_encoding=str(rng.choice(["sign_magnitude",
                                             "negabinary"])),
         )

@@ -23,6 +23,7 @@ import pytest
 
 import repro.core.backends
 import repro.core.reconstruct
+import repro.core.store
 import repro.core.stream
 import repro.core.tiling
 import repro.pipeline
@@ -39,8 +40,16 @@ import repro.core
 import repro.core.service
 from repro.core.faults import FaultInjectingStore, ResilientReader
 from repro.core.service import RetrievalService, SegmentCache, Session
-from repro.core.store import DirectoryStore, MemoryStore
-from repro.core.stream import Counters
+from repro.core.store import (
+    DirectoryStore,
+    MemoryStore,
+    _ColdResolver,
+    load_field,
+    open_field,
+    open_fields,
+    open_tiled_field,
+)
+from repro.core.stream import Counters, SegmentRef
 from repro.core.tiling import (
     LazyTiledField,
     TiledReconstructor,
@@ -86,7 +95,7 @@ SURFACE = [
      [("shape", REQUIRED), ("dtype", REQUIRED), ("tiles", REQUIRED),
       ("tile_field_names", REQUIRED), ("tile_bytes", REQUIRED),
       ("value_range", REQUIRED), ("name", REQUIRED), ("store", REQUIRED),
-      ("cache", None), ("verify", True)]),
+      ("cache", None)]),
     (ProcessBackend,
      [("num_workers", REQUIRED), ("default_deadline", None),
       ("max_task_retries", 2)]),
@@ -106,6 +115,11 @@ REMOVED_KEYWORDS = [
     (compress_planes, ["pool"]),
     (RetrievalService, ["num_workers"]),
     (ProcessBackend, ["start_method"]),
+    (open_field, ["verify"]),
+    (open_fields, ["verify"]),
+    (open_tiled_field, ["verify"]),
+    (load_field, ["verify"]),
+    (LazyTiledField, ["verify"]),
 ]
 
 
@@ -193,6 +207,27 @@ def test_one_batch_method_per_read_layer():
     assert callable(SegmentCache.prefetch)
     assert not hasattr(repro.core.service, "_PrefetchAwareCache")
     assert not hasattr(LazyTiledField, "io_counters")
+
+
+def test_checksums_ride_in_segment_refs():
+    """A segment's CRC32 is a field of its ``SegmentRef`` and every
+    segment read names it (``resolve_settled(keys, expected)``), so no
+    resolver keeps a checksum registry. The retry layer keeps its own
+    opt-in table."""
+    assert [f.name for f in dataclasses.fields(SegmentRef)] == [
+        "key", "nbytes", "num_planes", "crc32"]
+    for resolver in (SegmentCache, _ColdResolver):
+        assert not hasattr(resolver, "register_checksums"), resolver
+        assert _parameters(resolver.resolve_settled) == [
+            ("keys", REQUIRED), ("expected", None)]
+    assert _parameters(SegmentCache.prefetch) == [
+        ("key", REQUIRED), ("crc32", REQUIRED)]
+    assert not any("checksum" in name
+                   for name in vars(SegmentCache(MemoryStore())))
+    assert not hasattr(repro.core, "index_checksums")
+    assert "index_checksums" not in repro.core.__all__
+    assert not hasattr(repro.core.store, "index_checksums")
+    assert callable(ResilientReader.register_checksums)
 
 
 def test_pool_owners_compose_their_thread_pool():

@@ -17,6 +17,7 @@ Covers the fault-tolerance subsystem end to end:
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -44,7 +45,6 @@ from repro.core.service import RetrievalService, SegmentCache
 from repro.core.store import (
     DirectoryStore,
     MemoryStore,
-    index_checksums,
     load_field,
     open_field,
     open_tiled_field,
@@ -52,6 +52,7 @@ from repro.core.store import (
     store_field,
     store_tiled_field,
 )
+from repro.core.stream import parse_group
 from repro.core.tiling import (
     TiledReconstructionResult,
     TiledReconstructor,
@@ -306,8 +307,8 @@ class TestCrashConsistency:
         store = DirectoryStore(root)
         assert store.keys() == expect.keys()  # exactly A, nothing of B
         assert store.total_bytes() == expect.total_bytes()
-        for key, crc in index_checksums(index_a).items():
-            assert segment_checksum(store.get(key)) == crc
+        for key, meta in index_a["segments"].items():
+            assert segment_checksum(store.get(key)) == meta["crc32"]
         assert store.get("A.index") == expect.get("A.index")
         orphan_end = (root / "segments.pack").stat().st_size
         assert orphan_end > store.total_bytes()  # B's tail is on disk
@@ -618,11 +619,11 @@ class TestChecksumRecording:
         for key, meta in segments.items():
             assert meta["crc32"] == segment_checksum(stored.get(key))
 
-    def test_index_checksums_roundtrip(self, stored):
-        index = json.loads(stored.get("vx.index").decode())
-        checksums = index_checksums(index)
-        assert checksums
-        assert all(isinstance(v, int) for v in checksums.values())
+    def test_refs_carry_stored_crc32(self, stored):
+        refs = [r for lv in open_field(stored, "vx").levels for r in lv.refs]
+        assert refs
+        for ref in refs:
+            assert ref.crc32 == segment_checksum(stored.get(ref.key))
 
 
 def _corrupt_one_segment(store, name="vx"):
@@ -639,17 +640,6 @@ class TestVerifiedLoadAndOpen:
         _corrupt_one_segment(stored)
         with pytest.raises(SegmentCorruptionError):
             load_field(stored, "vx")
-
-    def test_load_field_verify_off_skips_checksums(self, field, stored):
-        # A bit flip in the middle of a compressed payload does not
-        # necessarily break parsing — but verification must be the
-        # layer that catches it, not luck. verify=False documents the
-        # escape hatch: parse errors still surface as typed corruption.
-        _corrupt_one_segment(stored)
-        try:
-            load_field(stored, "vx", verify=False)
-        except SegmentCorruptionError:
-            pass  # parse-level detection is acceptable here
 
     def test_open_field_heals_one_time_flip(self, field, stored):
         data, f = field
@@ -773,18 +763,56 @@ class TestSegmentCacheIntegrity:
 
         store = CountingStore()
         cache = SegmentCache(store, max_bytes=1 << 20)
-        cache.register_checksums({"k": segment_checksum(blob)})
+        expected = {"k": segment_checksum(blob)}
+
+        def read():
+            values, _ = cache.resolve_settled(["k"], expected)
+            results.append(values["k"][0])
+
         results = []
-        threads = [
-            threading.Thread(target=lambda: results.append(cache.get("k")))
-            for _ in range(8)
-        ]
+        threads = [threading.Thread(target=read) for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
             t.join(10.0)
         assert results == [blob] * 8
         assert store.reads == 1
+
+    def test_mismatched_expected_crc_refetches_once_then_fails(self):
+        store = MemoryStore()
+        store.put("k", b"stored bytes")
+        cache = SegmentCache(store, max_bytes=1 << 20)
+        expected = {"k": segment_checksum(b"written bytes")}
+        values, errors = cache.resolve_settled(["k"], expected)
+        assert values == {}
+        assert isinstance(errors["k"], SegmentCorruptionError)
+        assert "'k'" in str(errors["k"])
+        assert store.reads == 2  # the read and one re-fetch
+        assert (cache.corruption_refetches,
+                cache.corruption_failures) == (1, 1)
+        assert "k" not in cache and cache.current_bytes == 0
+        _, errors = cache.resolve_settled(["k"], expected)
+        assert isinstance(errors["k"], SegmentCorruptionError)
+        assert store.reads == 4  # nothing was cached: read cold again
+
+    def test_closed_sessions_leave_no_per_field_state(self):
+        """Opening many fields registers nothing in the shared cache:
+        once the sessions close and the cache is cleared, every
+        container it holds is empty."""
+        rng = np.random.default_rng(11)
+        store = MemoryStore()
+        names = [f"f{i}" for i in range(6)]
+        for name in names:
+            store_field(store, refactor(rng.standard_normal((8, 8, 6)),
+                                        name=name))
+        with RetrievalService(store) as svc:
+            for name in names:
+                with svc.session(name) as session:
+                    session.reconstruct(tolerance=1e-2, relative=True)
+            svc.cache.clear()
+            held = {attr: value for attr, value in vars(svc.cache).items()
+                    if isinstance(value, (dict, set, list))}
+            assert held and not any(held.values()), held
 
 
 class TestCorruptPersistedState:
@@ -814,20 +842,20 @@ class TestCorruptPersistedState:
         stored.put(key, stored.get(key)[:3])
         with pytest.raises(SegmentCorruptionError):
             load_field(stored, "vx")
-        # Even with verification off, the parse layer types the failure
+        # Below the CRC check, the parse layer types a short blob too
         # instead of leaking struct.error/IndexError from the codec.
-        with pytest.raises(SegmentCorruptionError):
-            load_field(stored, "vx", verify=False)
+        with pytest.raises(SegmentCorruptionError, match=re.escape(key)):
+            parse_group(key, stored.get(key))
 
     def test_truncated_segment_lazy_path_is_typed(self, field, stored):
         key = next(k for k in stored.keys() if ".index" not in k)
         stored.put(key, stored.get(key)[:3])
-        lazy = open_field(stored, "vx", verify=False)
+        lazy = open_field(stored, "vx")
         with pytest.raises(SegmentCorruptionError) as lazy_exc:
             Reconstructor(lazy).reconstruct(tolerance=None)
-        # One parser: the eager open of the same segment says the same.
+        # One check: the eager open of the same segment says the same.
         with pytest.raises(SegmentCorruptionError) as eager_exc:
-            load_field(stored, "vx", verify=False)
+            load_field(stored, "vx")
         assert type(eager_exc.value) is type(lazy_exc.value)
         assert str(eager_exc.value) == str(lazy_exc.value)
         assert key in str(lazy_exc.value)
@@ -852,7 +880,7 @@ class TestDegradedReconstruction:
 
     def test_raise_is_default(self, field, stored):
         flaky = FaultInjectingStore(stored, sleep=_noop_sleep)
-        lazy = open_field(flaky, "vx", verify=False)
+        lazy = open_field(flaky, "vx")
         flaky.transient_rate = 1.0
         with pytest.raises(TransientStoreError):
             Reconstructor(lazy).reconstruct(tolerance=1e-2)
