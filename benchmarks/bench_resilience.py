@@ -188,9 +188,8 @@ def _bench_recovery(store: MemoryStore, tolerances, repeats: int) -> dict:
 
 
 def _tiled_refactor(data, tile, backend=None):
-    with TiledRefactorer(tile, num_workers=2, backend=backend) as refactorer:
-        return [f.to_bytes() for f in refactorer.refactor(data, name="rho")
-                .fields]
+    refactorer = TiledRefactorer(tile, num_workers=2, backend=backend)
+    return [f.to_bytes() for f in refactorer.refactor(data, name="rho").fields]
 
 
 def _bench_crash_recovery(tmp: Path, dims: tuple[int, ...],

@@ -3,13 +3,14 @@
 Two sections, both on the tiled engine (``repro.core.tiling``):
 
 * **parallel vs sequential tiled refactor** — the same multi-tile field
-  refactored by one :class:`~repro.core.tiling.TiledRefactorer` with a
-  worker pool (tiles fan out across threads; the NumPy kernels release
-  the GIL) and one without, asserted byte-identical stream for stream.
-  The recorded ``speedup_parallel_refactor`` is wall-clock, so it only
-  expresses real parallelism: the ≥2× acceptance floor is enforced on
-  machines with at least 2 CPUs, while on a single-core machine the
-  floor degrades to "threading must not regress the sequential path"
+  refactored by one :class:`~repro.core.tiling.TiledRefactorer` on the
+  process pool (tiles fan out across worker processes, the one parallel
+  write route: a ``threads`` refactor is the serial loop) and one
+  without, asserted byte-identical stream for stream. The recorded
+  ``speedup_parallel_refactor`` is wall-clock, so it only expresses
+  real parallelism: the ≥2× acceptance floor is enforced on machines
+  with at least 2 CPUs, while on a single-core machine the floor
+  degrades to "the pool must not badly regress the sequential path"
   (the measurement is recorded either way and guarded by
   ``check_regression.py``).
 * **region-of-interest vs full-domain retrieval** — a tiled field
@@ -27,12 +28,10 @@ Two sections, both on the tiled engine (``repro.core.tiling``):
   ``processes`` read is a serial one), asserted bit-identical step for
   step.
 
-The refactor section measures each parallel execution backend
-(threads and true-parallel processes; see ``repro.core.backends``).
-Its headline ``speedup_parallel_refactor`` records the best backend,
-so on a machine where the GIL nullifies threads the process backend
-carries the floor, and the per-backend ``ratio_vs_serial_*`` entries
-record each engine honestly without being regression-guarded.
+The refactor section measures the ``processes`` backend, the decode
+section ``threads`` (see ``repro.core.backends``): each side's one
+parallel route. The per-backend ``ratio_vs_serial_*`` entries record
+each engine without being regression-guarded.
 
 Writes ``BENCH_tiles.json`` at the repo root.
 
@@ -87,9 +86,12 @@ PAR_WORKERS = 4
 REPS = 3
 #: Parallel execution backends measured against the serial engine; the
 #: best of them backs the guarded headline speedups. Bare kinds are
-#: sized with the section's worker count. Reads measure ``threads``
-#: alone: they run in the caller's process under every backend.
+#: sized with the section's worker count. Refactors measure
+#: ``processes`` alone (a ``threads`` refactor is the serial loop), reads
+#: ``threads`` alone (they run in the caller's process under every
+#: backend).
 BACKENDS = ("threads", "processes")
+WRITE_BACKENDS = ("processes",)
 READ_BACKENDS = ("threads",)
 
 # -- region-of-interest section ---------------------------------------
@@ -100,9 +102,9 @@ ROI_TILE = (16, 16, 16)  # 64 tiles
 ROI_REGION = ((8, 24), (8, 24), (8, 24))
 ROI_TOLERANCES = [1e-1, 1e-2, 1e-3]  # relative staircase
 
-#: Acceptance floors for ISSUE 5. The parallel floor applies on
-#: machines where a thread pool *can* help (>= 2 CPUs); single-core
-#: machines instead require that threading does not badly regress the
+#: Acceptance floors. The parallel floor applies on machines where a
+#: parallel route *can* help (>= 2 CPUs); single-core machines instead
+#: require that the refactor's process pool does not badly regress the
 #: sequential path.
 MIN_PARALLEL_SPEEDUP = 2.0
 MIN_SINGLE_CORE_RATIO = 0.7
@@ -161,7 +163,6 @@ def _bench_parallel_refactor(
         t_par, _ = _best_time(
             lambda: par.refactor(data, name="par"), reps
         )
-        par.close()
         out[f"parallel_ms_{kind}"] = t_par * 1e3
         out[f"ratio_vs_serial_{kind}"] = t_seq / t_par
         if t_par < best_t:
@@ -335,7 +336,9 @@ def run(
             "backends": list(backends),
         },
         "parallel_refactor": _bench_parallel_refactor(
-            dims, tile, reps, par_workers, backends
+            dims, tile, reps, par_workers,
+            [b for b in backends if b.startswith("processes")]
+            or WRITE_BACKENDS,
         ),
         "roi_retrieval": _bench_roi_retrieval(
             roi_dims, roi_tile, roi_region, roi_tolerances
@@ -378,8 +381,8 @@ def _check_floors(results: dict) -> None:
     dec = results["parallel_roi_decode"]
     assert roi["roi_bytes_fraction"] <= MAX_ROI_BYTES_FRACTION, roi
     if results["config"]["cpu_count"] >= 2:
-        # With >= 2 CPUs the best backend (for the refactor, the
-        # process pool where the GIL defeats threads) must buy real
+        # With >= 2 CPUs each side's parallel route (the process pool
+        # for the refactor, threads for the decode) must buy real
         # wall-clock parallelism.
         assert (par["speedup_parallel_refactor"]
                 >= MIN_PARALLEL_SPEEDUP), par
@@ -439,9 +442,10 @@ def test_tiles_benchmark() -> None:
 
 def _parse_backends(args: list[str]):
     """``--backend KIND[:N]`` (repeatable) restricts the measured
-    parallel backends; default is every kind in ``BACKENDS``. The read
-    section measures the ``threads`` ones (``threads`` alone when none
-    is named)."""
+    parallel backends; default is every kind in ``BACKENDS``. The
+    refactor section measures the ``processes`` ones (``processes``
+    alone when none is named), the read section the ``threads`` ones
+    (``threads`` alone when none is named)."""
     picked = []
     skip = False
     for i, arg in enumerate(args):

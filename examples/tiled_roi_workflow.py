@@ -2,8 +2,8 @@
 """Tiled store + region-of-interest progressive retrieval (paper Fig. 4).
 
 A simulation campaign writes a domain larger than any consumer wants to
-read: the field is refactored tile by tile (in parallel — tiles are
-independent streams) into a packed directory store, and analysts then
+read: the field is refactored tile by tile (in parallel on worker processes —
+tiles are independent streams) into a packed directory store, and analysts then
 retrieve *regions*, not domains. Only the tiles a region overlaps are
 opened, fetched, and decoded; walking a tolerance staircase over the
 region refines each touched tile incrementally.
@@ -31,9 +31,10 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         store = DirectoryStore(Path(tmp) / "campaign")
 
-        print(f"Refactoring {tile} tiles in parallel and storing ...")
-        with TiledRefactorer(tile, num_workers=4) as refac:
-            tiled = refac.refactor(data, name="temperature")
+        print(f"Refactoring {tile} tiles on 2 worker processes and "
+              f"storing ...")
+        tiled = TiledRefactorer(tile, backend="processes:2").refactor(
+            data, name="temperature")
         store_tiled_field(store, tiled)
         print(f"  {tiled.num_tiles} tiles, {len(store.keys())} segments "
               f"in one pack, {store.total_bytes() / 1e6:.2f} MB stored, "

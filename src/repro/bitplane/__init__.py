@@ -43,7 +43,6 @@ from repro.bitplane.encoding import (
     begin_decode_state,
     decode,
     decode_bitplanes,
-    decode_bitplanes_incremental,
     encode,
     encode_bitplanes,
     finalize_decode,
@@ -63,7 +62,6 @@ __all__ = [
     "decode",
     "encode_bitplanes",
     "decode_bitplanes",
-    "decode_bitplanes_incremental",
     "begin_decode_state",
     "apply_planes",
     "finalize_decode",

@@ -626,62 +626,6 @@ def finalize_decode(state: PartialDecodeState) -> np.ndarray:
     return finalize_many([state])[0].astype(state.dtype, copy=False)
 
 
-def _check_state_matches(
-    state: PartialDecodeState, stream: BitplaneStream
-) -> None:
-    for attr in (
-        "num_elements", "num_bitplanes", "exponent", "max_abs",
-        "dtype", "layout", "warp_size", "signed_encoding",
-    ):
-        if getattr(state, attr) != getattr(stream, attr):
-            raise ValueError(
-                f"decode state does not match stream: {attr} "
-                f"{getattr(state, attr)!r} != {getattr(stream, attr)!r}"
-            )
-
-
-def decode_bitplanes_incremental(
-    stream: BitplaneStream,
-    num_planes: int | None = None,
-    state: PartialDecodeState | None = None,
-) -> tuple[np.ndarray, PartialDecodeState]:
-    """Resumable :func:`decode_bitplanes`: decode only the new planes.
-
-    With ``state=None`` this decodes planes ``[0, num_planes)`` and
-    returns the values plus the retained state; passing that state back
-    with a larger ``num_planes`` decodes only planes
-    ``[state.planes_applied, num_planes)`` and injects them into the
-    retained integer partials. The returned values are bit-identical to
-    ``decode_bitplanes(stream, num_planes)`` at every step.
-    """
-    total = stream.num_planes
-    k = total if num_planes is None else int(num_planes)
-    if not 0 <= k <= total:
-        raise ValueError(f"num_planes must be in [0, {total}], got {k}")
-    if state is None:
-        state = begin_decode_state(
-            num_elements=stream.num_elements,
-            num_bitplanes=stream.num_bitplanes,
-            exponent=stream.exponent,
-            max_abs=stream.max_abs,
-            dtype=stream.dtype,
-            layout=stream.layout,
-            warp_size=stream.warp_size,
-            signed_encoding=stream.signed_encoding,
-        )
-    else:
-        _check_state_matches(state, stream)
-    if k < state.planes_applied:
-        raise ValueError(
-            f"state already holds {state.planes_applied} planes; "
-            f"cannot decode back down to {k} (build a fresh state)"
-        )
-    state = apply_planes(
-        state, stream.planes[state.planes_applied:k], state.planes_applied
-    )
-    return finalize_decode(state), state
-
-
 # Short aliases used across the library.
 encode = encode_bitplanes
 decode = decode_bitplanes

@@ -55,7 +55,6 @@ from repro.core.store import (
     DirectoryStore,
     MemoryStore,
     SegmentReader,
-    SegmentStore,
     load_field,
     open_field,
     open_tiled_field,
@@ -91,7 +90,6 @@ __all__ = [
     "plan_greedy",
     "plan_round_robin",
     "SegmentReader",
-    "SegmentStore",
     "MemoryStore",
     "DirectoryStore",
     "store_field",

@@ -4,12 +4,12 @@ Everything that decides *where* a tiled engine's tiles run lives here:
 the selection rule (:func:`resolve_backend`) and the two mechanisms it
 selects between — :class:`ThreadPool`, a handle its owner holds, and
 :class:`ProcessBackend`, one pool shared process-wide. Untiled engines
-are serial and use neither. Reads run in the caller's process:
-``processes`` names the write side's pool (a tiled refactor), and a
-``processes`` read steps like a serial one. ``BENCH_tiles.json``
-records what threads buy on the tiled refactor hot path: ~0.95x, i.e.
-nothing — the NumPy kernels release the GIL but the Python glue between
-them does not; worker *processes* are the true-parallel write route.
+are serial and use neither. Each side takes the route that pays:
+a tiled refactor fans out only on ``processes`` (threads measured
+0.87–0.95x of the serial loop — the NumPy kernels release the GIL but
+the Python glue between them does not), so ``threads`` refactors run
+the serial loop; reads run in the caller's process, fan tiles out on
+``threads``, and a ``processes`` read steps like a serial one.
 
 Backend selection (:func:`resolve_backend`) has three tiers, strongest
 first:
@@ -26,7 +26,7 @@ Inside a worker process every engine resolves to serial regardless of
 the above — process pools never nest.
 
 :class:`ThreadPool` is owned, never inherited, and each owner uses its
-pool for one purpose: a ``pipelined=False`` tiled engine for the
+pool for one purpose: a ``pipelined=False`` tiled reconstructor for the
 ``threads:N`` tile fan-out, a ``pipelined=True`` one for the fetch stage
 of its steps (decode runs on the caller, ``map``'s ``then=``), the
 retrieval service for its prefetch warms. :meth:`ThreadPool.map` is the
@@ -42,9 +42,10 @@ reaches a worker out of band. Typed exceptions
 parent with their class and arguments intact, so retry/degrade
 classification works identically across the process boundary.
 
-Every live pool of either kind is registered for ``atexit`` teardown
-(workers are additionally daemonic), so a leaked pool can never hang
-interpreter shutdown.
+Every live process pool is registered for ``atexit`` teardown (workers
+are additionally daemonic), and the interpreter joins idle thread-pool
+workers itself before any ``atexit`` handler runs, so a leaked pool can
+never hang interpreter shutdown.
 
 The process pool is *self-healing*: a worker that dies mid-task is
 replaced in place and the in-flight message is requeued under a
@@ -53,8 +54,8 @@ replacement is sent nothing else. A task that keeps killing its
 workers is quarantined — settled as *that call's*
 :class:`~repro.core.errors.WorkerCrashedError` while the rest of the
 batch completes. A hung-but-alive worker is bounded by per-call
-deadlines (``map_calls(..., deadline=)`` or the pool-level default):
-on expiry the worker is killed and respawned and the call settles as a
+deadlines (``map_calls(..., deadline=)``): on expiry the worker is
+killed and respawned and the call settles as a
 :class:`~repro.core.errors.WorkerTimeoutError`. Respawns, retries,
 quarantines, and deadline kills are counted on the backend
 (:meth:`ProcessBackend.health`).
@@ -97,8 +98,8 @@ _POLL_INTERVAL_S = 0.05
 #: terminate → join budget before escalating to SIGKILL when reaping a
 #: dead or condemned worker (and again after the kill).
 _REAP_TIMEOUT_S = 1.0
-#: Default per-task crash-retry budget: a task may kill this many
-#: workers and still be retried; one more death quarantines it.
+#: Per-task crash-retry budget: a task may kill this many workers and
+#: still be retried; one more death quarantines it.
 _MAX_TASK_RETRIES = 2
 
 # Set in worker processes only: the nested-pool guard resolve_backend
@@ -195,22 +196,6 @@ def resolve_backend(
 
 # -- thread pools ----------------------------------------------------------
 
-#: Live thread pools, shut down (without waiting) at interpreter exit so
-#: an owner that was never close()d cannot stall shutdown on idle workers.
-_LIVE_THREAD_POOLS: "weakref.WeakSet[ThreadPoolExecutor]" = weakref.WeakSet()
-
-
-def _shutdown_thread_pools() -> None:
-    for pool in list(_LIVE_THREAD_POOLS):
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # reprolint: disable=R2 -- atexit hook: executor state is arbitrary at interpreter shutdown and raising would mask other exit handlers
-            pass
-
-
-atexit.register(_shutdown_thread_pools)
-
-
 class ClosesOnExit:
     """``with owner:`` calls ``owner.close()`` on exit (stateless)."""
 
@@ -240,7 +225,6 @@ class ThreadPool:
         with self._lock:
             if self._executor is None:
                 self._executor = ThreadPoolExecutor(max_workers=workers)
-                _LIVE_THREAD_POOLS.add(self._executor)
             return self._executor
 
     def map(
@@ -426,31 +410,20 @@ class ProcessBackend(ClosesOnExit):
 
     The pool heals itself instead of dying with its workers. A worker
     that crashes mid-task is respawned *in place* and its message, fault
-    schedule included, is retried on the replacement under
-    ``max_task_retries``; a task that outlives its budget is
+    schedule included, is retried on the replacement under the
+    ``_MAX_TASK_RETRIES`` budget; a task that outlives it is
     quarantined as that call's :class:`WorkerCrashedError` while the
     rest of the batch completes (the same local-settlement contract as
-    unpicklable jobs). Deadlines (per ``map_calls`` call or
-    ``default_deadline``) bound hung-but-alive workers: on expiry the
-    worker is killed and respawned and the call settles as
-    :class:`WorkerTimeoutError`. ``respawns`` / ``task_retries`` /
+    unpicklable jobs). Per-call deadlines (``map_calls(deadline=)``)
+    bound hung-but-alive workers: on expiry the worker is killed and
+    respawned and the call settles as :class:`WorkerTimeoutError`. ``respawns`` / ``task_retries`` /
     ``quarantines`` / ``deadline_kills`` count every recovery action
     (snapshot via :meth:`health`; reset by :meth:`close`).
     """
 
-    def __init__(
-        self,
-        num_workers: int,
-        *,
-        default_deadline: float | None = None,
-        max_task_retries: int = _MAX_TASK_RETRIES,
-    ) -> None:
+    def __init__(self, num_workers: int) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if default_deadline is not None and default_deadline <= 0:
-            raise ValueError("default_deadline must be > 0")
-        if max_task_retries < 0:
-            raise ValueError("max_task_retries must be >= 0")
         self.num_workers = int(num_workers)
         self._workers: list[_Worker] | None = None
         self._lock = threading.RLock()
@@ -460,8 +433,6 @@ class ProcessBackend(ClosesOnExit):
         self.uid = uuid.uuid4().hex
         self.generation = 0
         self.tasks_dispatched = 0
-        self.default_deadline = default_deadline
-        self.max_task_retries = int(max_task_retries)
         self.respawns = 0
         self.task_retries = 0
         self.quarantines = 0
@@ -620,13 +591,12 @@ class ProcessBackend(ClosesOnExit):
         together exceed them).
 
         A worker that dies mid-task is respawned in place and the task
-        retried there under the per-task ``max_task_retries`` budget;
+        retried there under the per-task ``_MAX_TASK_RETRIES`` budget;
         past the budget the call is quarantined as a
         :class:`WorkerCrashedError` and the batch keeps going.
-        *deadline* (falling back to ``default_deadline``; seconds per
-        task attempt) bounds hung-but-alive workers: on expiry the
-        worker is killed and respawned and the call settles as
-        :class:`WorkerTimeoutError`.
+        *deadline* (seconds per task attempt) bounds hung-but-alive
+        workers: on expiry the worker is killed and respawned and the
+        call settles as :class:`WorkerTimeoutError`.
 
         Blocks until every call settled, then re-raises the
         earliest-submitted failure (typed exceptions survive the
@@ -634,7 +604,6 @@ class ProcessBackend(ClosesOnExit):
         """
         if not calls:
             return []
-        effective = self.default_deadline if deadline is None else deadline
         with self._lock:
             workers = self._ensure()
             queues: list[deque] = [deque() for _ in workers]
@@ -687,7 +656,7 @@ class ProcessBackend(ClosesOnExit):
                 if message is not None:
                     seq = message[0]
                     count = crashes[seq] = crashes.get(seq, 0) + 1
-                    if count > self.max_task_retries:
+                    if count > _MAX_TASK_RETRIES:
                         self.quarantines += 1
                         failures.append((seq, WorkerCrashedError(
                             f"task {message[1]!r} (call #{seq}) killed "
@@ -714,7 +683,7 @@ class ProcessBackend(ClosesOnExit):
                 self._respawn(index)
                 failures.append((message[0], WorkerTimeoutError(
                     f"task {message[1]!r} (call #{message[0]}) exceeded "
-                    f"the {effective:.3g}s deadline on worker pid {pid}; "
+                    f"the {deadline:.3g}s deadline on worker pid {pid}; "
                     "worker killed and respawned"
                 )))
                 settled += 1
@@ -768,25 +737,14 @@ class ProcessBackend(ClosesOnExit):
                             continue  # flushed before death; drain next
                         crashed(i)
                     elif (
-                        effective is not None
-                        and now - sent_at[i] >= effective
+                        deadline is not None
+                        and now - sent_at[i] >= deadline
                     ):
                         timed_out(i)
         if failures:
             failures.sort(key=lambda item: item[0])
             raise failures[0][1]
         return results
-
-    def broadcast(self, name: str, *args) -> list:
-        """Run the task once on *every* worker; results in slot order.
-
-        :meth:`map_calls` deals calls round-robin, so call *i* of one
-        call per worker lands on worker *i* — with the same respawn /
-        retry / quarantine / deadline handling as any batch.
-        """
-        with self._lock:
-            count = len(self._ensure())
-            return self.map_calls([(name, args)] * count)
 
     def install_chaos(self, chaos) -> None:
         """Install a process-level fault injector for every later task.

@@ -11,10 +11,11 @@ protocol:
   from ``(seed, key, nth access of that key)``, so a fixed access
   pattern replays the exact same fault schedule regardless of thread
   interleaving — the property the chaos test harness builds on.
-* :class:`RetryPolicy` — exponential backoff with deterministic jitter,
-  optional per-attempt timeout and overall deadline, and a retryable-
-  error classification (:data:`~repro.core.errors.RETRYABLE_ERRORS` by
-  default: transient faults and corruption retry, missing keys do not).
+* :class:`RetryPolicy` — exponential backoff with deterministic jitter
+  (capped at :data:`MAX_DELAY_S`), optional per-attempt timeout and
+  overall deadline, and the :data:`~repro.core.errors.RETRYABLE_ERRORS`
+  classification (transient faults and corruption retry, missing keys
+  do not).
 * :class:`ResilientReader` — wraps any reader with the policy's retries
   plus optional CRC32 verification against index-recorded checksums
   (each :class:`~repro.core.stream.SegmentRef`'s ``crc32``), so one
@@ -333,6 +334,10 @@ class WorkerChaos:
         )
 
 
+#: Cap on one backoff delay, whatever the retry number.
+MAX_DELAY_S = 2.0
+
+
 class RetryPolicy:
     """Bounded, classified retries with exponential backoff and jitter.
 
@@ -341,25 +346,22 @@ class RetryPolicy:
     max_attempts:
         Total tries per call (first attempt included); ``1`` disables
         retries.
-    base_delay_s / max_delay_s:
+    base_delay_s:
         Backoff before retry *k* (1-based) sleeps
-        ``min(max_delay_s, base_delay_s * 2**(k-1))`` scaled by jitter.
+        ``min(MAX_DELAY_S, base_delay_s * 2**(k-1))`` scaled by jitter.
     jitter:
         Fractional jitter: each delay is multiplied by a deterministic
         draw from ``[1, 1 + jitter]`` (seeded — two policies built with
         the same seed back off identically).
     deadline_s:
-        Overall budget per :meth:`run` call: when the elapsed time plus
-        the next planned delay would exceed it, the last error is
-        raised instead of sleeping.
+        Overall budget per :meth:`run_many` call: when the elapsed time
+        plus the next planned delay would exceed it, the pending keys
+        keep their last error instead of sleeping.
     attempt_timeout_s:
         Per-attempt wall limit. The attempt runs in a daemon thread and
         is abandoned on timeout (a blocking store call cannot be
         cancelled from outside), surfacing as a retryable
         :class:`~repro.core.errors.TransientStoreError`.
-    retryable:
-        Exception classes worth retrying
-        (:data:`~repro.core.errors.RETRYABLE_ERRORS` by default).
     sleep / clock:
         Injectable for tests (defaults ``time.sleep`` /
         ``time.monotonic``).
@@ -372,19 +374,17 @@ class RetryPolicy:
         self,
         max_attempts: int = 4,
         base_delay_s: float = 0.01,
-        max_delay_s: float = 2.0,
         jitter: float = 0.1,
         deadline_s: float | None = None,
         attempt_timeout_s: float | None = None,
-        retryable: tuple[type[BaseException], ...] = RETRYABLE_ERRORS,
         seed: int = 0,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if base_delay_s < 0 or max_delay_s < 0:
-            raise ValueError("delays must be >= 0")
+        if base_delay_s < 0:
+            raise ValueError("base_delay_s must be >= 0")
         if jitter < 0:
             raise ValueError("jitter must be >= 0")
         if deadline_s is not None and deadline_s <= 0:
@@ -393,11 +393,9 @@ class RetryPolicy:
             raise ValueError("attempt_timeout_s must be > 0")
         self.max_attempts = int(max_attempts)
         self.base_delay_s = float(base_delay_s)
-        self.max_delay_s = float(max_delay_s)
         self.jitter = float(jitter)
         self.deadline_s = deadline_s
         self.attempt_timeout_s = attempt_timeout_s
-        self.retryable = tuple(retryable)
         self._sleep = sleep
         self._clock = clock
         self._rng = random.Random(seed)
@@ -410,9 +408,7 @@ class RetryPolicy:
         """Backoff before 1-based *retry_number* (jitter applied)."""
         if retry_number < 1:
             raise ValueError("retry_number is 1-based")
-        base = min(
-            self.max_delay_s, self.base_delay_s * 2.0 ** (retry_number - 1)
-        )
+        base = min(MAX_DELAY_S, self.base_delay_s * 2.0 ** (retry_number - 1))
         if not self.jitter:
             return base
         with self._rng_lock:
@@ -441,14 +437,6 @@ class RetryPolicy:
                 f"attempt exceeded {self.attempt_timeout_s}s timeout"
             ) from None
 
-    def run(self, fn: Callable, *args):
-        """Call ``fn(*args)``, retrying classified failures per policy:
-        :meth:`run_many` over a single key."""
-        values, errors = self.run_many(lambda _: ({0: fn(*args)}, {}), [0])
-        if errors:
-            raise errors[0]
-        return values[0]
-
     def run_many(
         self, fn: Callable, keys: Sequence[str]
     ) -> tuple[dict, dict]:
@@ -473,13 +461,13 @@ class RetryPolicy:
             self.attempts += len(pending)
             try:
                 got, failed = self._attempt(fn, (pending,))
-            except self.retryable as exc:
+            except RETRYABLE_ERRORS as exc:
                 got, failed = {}, dict.fromkeys(pending, exc)
             values.update(got)
             errors.update(failed)
             pending = [
                 key for key in pending
-                if isinstance(failed.get(key), self.retryable)
+                if isinstance(failed.get(key), RETRYABLE_ERRORS)
             ]
             if not pending:
                 break

@@ -179,17 +179,3 @@ def plan_full(field: RefactoredField) -> RetrievalPlan:
     """Plan fetching every stored group (near-lossless retrieval)."""
     return plan_at(field, field.max_groups())
 
-
-def plan_for_planes(
-    field: RefactoredField, planes_per_level: list[int]
-) -> RetrievalPlan:
-    """Plan covering at least the requested bitplane count per level."""
-    if len(planes_per_level) != len(field.levels):
-        raise ValueError("planes_per_level must have one entry per level")
-    groups = []
-    for lv, want in zip(field.levels, planes_per_level):
-        g = 0
-        while g < lv.num_groups and lv.planes_in_groups(g) < want:
-            g += 1
-        groups.append(g)
-    return plan_at(field, groups)

@@ -213,32 +213,10 @@ class Reconstructor:
                 total += int(values.nbytes)
         return total
 
-    def _validate_plan(self, plan: RetrievalPlan) -> None:
-        """Reject malformed explicit plans at the API boundary.
-
-        A wrong-length ``groups_per_level`` previously zip-truncated
-        silently (too long) or died deep in ``assemble_levels`` (too
-        short); out-of-range group counts failed inside the codec.
-        """
-        groups = plan.groups_per_level
-        levels = self.field.levels
-        if len(groups) != len(levels):
-            raise ValueError(
-                f"plan has {len(groups)} per-level group counts but the "
-                f"field has {len(levels)} levels"
-            )
-        for idx, (g, lv) in enumerate(zip(groups, levels)):
-            if not 0 <= int(g) <= lv.num_groups:
-                raise ValueError(
-                    f"plan group count {g} for level {idx} is outside "
-                    f"[0, {lv.num_groups}]"
-                )
-
     def reconstruct(
         self,
         tolerance: float | None = None,
         relative: bool = False,
-        plan: RetrievalPlan | None = None,
         on_fault: str = "raise",
     ) -> ReconstructionResult:
         """Reconstruct to *tolerance* (L∞), fetching only the increment.
@@ -250,11 +228,10 @@ class Reconstructor:
         documented near-lossless path instead of silently demanding an
         unreachable bound. ``tolerance=None`` retrieves everything
         (near-lossless); with ``relative=True`` it is rejected, as in
-        :class:`~repro.core.tiling.TiledReconstructor`. An explicit
-        ``plan`` overrides planning. Session state (fetch progress and
-        retained decode partials) commits only after the whole step
-        decodes successfully, so a failed lazy-store fetch can simply be
-        retried.
+        :class:`~repro.core.tiling.TiledReconstructor`. Session state
+        (fetch progress and retained decode partials) commits only
+        after the whole step decodes successfully, so a failed
+        lazy-store fetch can simply be retried.
 
         ``on_fault`` controls what a storage-tier failure
         (:class:`~repro.core.errors.StoreError` — a missing segment,
@@ -267,7 +244,7 @@ class Reconstructor:
         resumes exactly where the fault hit.
         """
         check_on_fault(on_fault)
-        step = self.plan_step(tolerance, relative=relative, plan=plan)
+        step = self.plan_step(tolerance, relative=relative)
         fetch_error = None
         try:
             self.fetch_step(step)
@@ -281,7 +258,6 @@ class Reconstructor:
         self,
         tolerance: float | None = None,
         relative: bool = False,
-        plan: RetrievalPlan | None = None,
     ) -> StepPlan:
         """Resolve one step's tolerance and per-level group targets.
 
@@ -292,10 +268,10 @@ class Reconstructor:
         :class:`StepPlan` feeds :meth:`fetch_step`, then
         :meth:`decode_step`. The K = 1 call of :meth:`plan_steps`.
         """
-        return self.plan_steps([self], tolerance, relative, plan)[0]
+        return self.plan_steps([self], tolerance, relative)[0]
 
     @staticmethod
-    def plan_steps(recons, tolerance=None, relative=False, plan=None) -> list:
+    def plan_steps(recons, tolerance=None, relative=False) -> list:
         """:meth:`plan_step` of K sessions at one tolerance, their greedy
         plans from one :func:`~repro.core.planner.plan_greedy_many`."""
         if relative and tolerance is None:
@@ -307,12 +283,10 @@ class Reconstructor:
         resolved = [requested * recon.field.value_range
                     if relative and requested is not None else requested
                     for recon in recons]
-        for recon in recons if plan is not None else ():
-            recon._validate_plan(plan)
         # Near-lossless, or a constant field (every relative fraction
         # resolves to 0): the documented full plan.
-        plans = [plan or (plan_full(recon.field) if requested is None or (
-            relative and recon.field.value_range == 0.0) else None)
+        plans = [plan_full(recon.field) if requested is None or (
+            relative and recon.field.value_range == 0.0) else None
             for recon in recons]
         greedy = [i for i, p in enumerate(plans) if p is None]
         for i in greedy:  # built on a session's first greedy plan
@@ -444,27 +418,6 @@ class Reconstructor:
             failed_groups=failed_groups,
             plan=plan,
         )
-
-    def progressive(
-        self,
-        tolerances: list[float],
-        relative: bool = False,
-        on_fault: str = "raise",
-    ) -> list[ReconstructionResult]:
-        """Reconstruct at a decreasing tolerance schedule.
-
-        Returns one result per tolerance; ``incremental_bytes`` of each
-        step is the extra data movement that step required — the series
-        plotted in Fig. 8(b). ``on_fault="degrade"`` lets a faulting
-        staircase keep walking: failed steps return the last committed
-        refinement (marked ``degraded``) and later steps retry the
-        missing increments.
-        """
-        return [
-            self.reconstruct(tolerance=t, relative=relative,
-                             on_fault=on_fault)
-            for t in tolerances
-        ]
 
 
 _FLOAT64 = np.dtype(np.float64)

@@ -72,13 +72,6 @@ class SegmentReader(Protocol):
     def __contains__(self, key: str) -> bool: ...
 
 
-@runtime_checkable
-class SegmentStore(SegmentReader, Protocol):
-    """A :class:`SegmentReader` that also accepts writes."""
-
-    def put(self, key: str, blob: bytes) -> None: ...
-
-
 def segment_key(variable: str, level: int, group: int) -> str:
     """Canonical segment naming: ``<var>.L<level>.G<group>``."""
     if "/" in variable or "\0" in variable:
@@ -622,15 +615,10 @@ def _read_index(raw, key: str) -> tuple[RefactoredField, list]:
     return field, level_refs
 
 
-def load_field(
-    store,
-    name: str,
-    groups_per_level: list[int] | None = None,
-):
-    """Load a field's metadata and the requested prefix of groups.
+def load_field(store, name: str):
+    """Load a field's metadata and every segment, *eagerly*.
 
-    ``groups_per_level=None`` loads everything *eagerly*: one batched
-    read of every segment up front. This is the baseline read
+    One batched read of every segment up front: the baseline read
     path the end-to-end retrieval benchmarks time; services answering
     tolerance queries should prefer :func:`open_field`, which defers
     each segment fetch until a decode touches it.
@@ -641,9 +629,6 @@ def load_field(
     """
     field, level_refs = _read_index(
         store.get(f"{name}.index"), f"{name}.index")
-    if groups_per_level is not None:
-        level_refs = [refs[:groups_per_level[li]]
-                      for li, refs in enumerate(level_refs)]
     wanted = [ref for refs in level_refs for ref in refs]
     keys = [ref.key for ref in wanted]
     blobs, errors, _, _ = verified_many(
@@ -811,7 +796,6 @@ class _ColdResolver:
 
 __all__ = [
     "SegmentReader",
-    "SegmentStore",
     "MemoryStore",
     "DirectoryStore",
     "segment_key",

@@ -30,7 +30,6 @@ from itertools import accumulate
 import numpy as np
 
 from repro.bitplane.align import plane_error_bound
-from repro.bitplane.encoding import BitplaneStream
 from repro.core.errors import SegmentCorruptionError
 from repro.lossless.hybrid import CompressedGroup
 from repro.util.serialize import pack_arrays, unpack_arrays
@@ -128,26 +127,6 @@ class LevelStream:
             exponent=self.exponent,
             max_abs=self.max_abs,
             dtype=np.dtype(dtype),
-            layout=self.layout,
-            warp_size=self.warp_size,
-            signed_encoding=self.signed_encoding,
-        )
-
-    def to_bitplane_stream(
-        self, num_groups: int, dtype: np.dtype, design: str
-    ) -> BitplaneStream:
-        """Materialize the truncated bitplane stream for decoding."""
-        from repro.lossless.hybrid import decompress_groups
-
-        planes = decompress_groups(self.groups, num_groups)
-        return BitplaneStream(
-            planes=planes,
-            num_elements=self.num_elements,
-            num_bitplanes=self.num_bitplanes,
-            exponent=self.exponent,
-            max_abs=self.max_abs,
-            dtype=np.dtype(dtype),
-            design=design,
             layout=self.layout,
             warp_size=self.warp_size,
             signed_encoding=self.signed_encoding,

@@ -10,13 +10,14 @@ so the global L∞ guarantee is simply the max of the per-tile guarantees.
 Three behaviours make tiling the production path rather than a toy:
 
 * **Parallel tile fan-out** — :class:`TiledRefactorer` /
-  :class:`TiledReconstructor` accept ``num_workers`` and run per-tile
-  work on the :class:`~repro.core.backends.ThreadPool` each engine owns
-  (the NumPy kernels release the GIL, so tiles overlap across cores);
-  a refactor can also fan tiles out on the shared process pool. Per-shape
-  :class:`~repro.core.refactor.Refactorer` instances and per-geometry
-  transforms are still shared — boundary tiles reuse the interior
-  tiles' geometry.
+  :class:`TiledReconstructor` accept ``num_workers`` / ``backend``. A
+  refactor fans tiles out on the shared process pool (``processes``);
+  a read runs per-tile work on the
+  :class:`~repro.core.backends.ThreadPool` its engine owns
+  (``threads``: the NumPy kernels release the GIL, so tiles overlap
+  across cores). Per-shape :class:`~repro.core.refactor.Refactorer`
+  instances and per-geometry transforms are shared — boundary tiles
+  reuse the interior tiles' geometry.
 * **Lazy everything** — :class:`TiledReconstructor` builds a tile's
   :class:`~repro.core.reconstruct.Reconstructor` (and through it the
   retained incremental decode state) only when a reconstruction first
@@ -348,33 +349,27 @@ def _task_refactor_tile(state, config, block, tile_name):
 def _refactorer_for(
     refactorers: dict, config: RefactorConfig, shape: tuple[int, ...]
 ) -> Refactorer:
-    """The cached :class:`Refactorer` of *shape* in *refactorers*.
-
-    Boundary tiles share geometry, so there is one per distinct shape.
-    The transform's lazily-built level indices are warmed here so the
-    shared instance is read-only by the time tiles fan out across
-    worker threads.
-    """
+    """The cached :class:`Refactorer` of *shape* in *refactorers*
+    (boundary tiles share geometry, so one per distinct shape)."""
     if shape not in refactorers:
-        refactorer = Refactorer(shape, config)
-        refactorer.transform.level_indices()
-        refactorers[shape] = refactorer
+        refactorers[shape] = Refactorer(shape, config)
     return refactorers[shape]
 
 
-class TiledRefactorer(ClosesOnExit):
+class TiledRefactorer:
     """Refactor large fields tile by tile (the streaming write path).
 
-    ``num_workers > 1`` refactors independent tiles concurrently on the
-    instance's own thread pool — the within-device pipeline of
-    Fig. 4, with per-shape :class:`~repro.core.refactor.Refactorer`
-    instances (transform geometry, error weights) still shared across
-    tiles. Resolving to the ``processes`` backend (``backend=`` /
-    ``REPRO_BACKEND``) instead fans tiles out across worker processes
-    — true parallelism: each call carries its tile block and the
-    config, and warm per-shape refactorers are reused across calls.
-    The tile order — and every tile's serialized bytes — of the result
-    is identical under all three backends.
+    Tiles refactor one after another in the calling thread, sharing
+    per-shape :class:`~repro.core.refactor.Refactorer` instances
+    (transform geometry, error weights). Resolving to the ``processes``
+    backend (``backend=`` / ``REPRO_BACKEND``; ``num_workers`` sizes the
+    pool when the spec does not) fans tiles out across worker processes
+    — the one parallel write route: each call carries its tile block
+    and the config, and warm per-shape refactorers are reused across
+    calls. ``threads`` (and a bare ``num_workers > 1``) runs the serial
+    loop: a thread fan-out lost to it at every tile size measured. The
+    tile order — and every tile's serialized bytes — of the result is
+    identical under every backend.
     """
 
     def __init__(
@@ -392,11 +387,7 @@ class TiledRefactorer(ClosesOnExit):
         if backend is not None:
             parse_backend_spec(backend)  # validates, raises on junk
         self.backend = backend
-        self._threads = ThreadPool()  # the threads:N tile fan-out
         self._refactorers: dict[tuple[int, ...], Refactorer] = {}
-
-    def _refactorer_for(self, shape: tuple[int, ...]) -> Refactorer:
-        return _refactorer_for(self._refactorers, self.config, shape)
 
     def refactor(self, data: np.ndarray, name: str = "var") -> TiledField:
         data = np.asarray(data)
@@ -425,17 +416,12 @@ class TiledRefactorer(ClosesOnExit):
                 data, jobs, shared_process_backend(spec.workers)
             )
         else:
-            for tile in tiles:  # materialize shared state before the fan-out
-                self._refactorer_for(tile.shape)
-
-            def refactor_tile(job) -> RefactoredField:
-                tile, tile_name = job
-                block = np.ascontiguousarray(data[tile.slices()])
-                return self._refactorers[tile.shape].refactor(
-                    block, name=tile_name
-                )
-
-            fields = self._threads.map(refactor_tile, jobs, spec.threads)
+            fields = [
+                _refactorer_for(self._refactorers, self.config, tile.shape)
+                .refactor(np.ascontiguousarray(data[tile.slices()]),
+                          name=tile_name)
+                for tile, tile_name in jobs
+            ]
         return TiledField(
             shape=data.shape,
             dtype=data.dtype,
@@ -467,14 +453,6 @@ class TiledRefactorer(ClosesOnExit):
             for tile, tile_name in jobs
         ])
         return [RefactoredField.from_bytes(blob) for blob in blobs]
-
-    def close(self) -> None:
-        """Join the instance's thread pool (idempotent).
-
-        The shared process backend is process-wide and is not closed
-        here; its own ``atexit`` registry tears it down.
-        """
-        self._threads.close()
 
 
 class TiledReconstructionResult(tuple):
@@ -808,22 +786,6 @@ class TiledReconstructor(ClosesOnExit):
         """Join the instance's thread pool (idempotent; the engine stays
         usable and rebuilds the pool on the next step that needs it)."""
         self._threads.close()
-
-    def progressive(
-        self,
-        tolerances: Sequence[float],
-        relative: bool = False,
-        region: Sequence | None = None,
-        on_fault: str = "raise",
-    ) -> list["TiledReconstructionResult"]:
-        """Reconstruct at a decreasing tolerance schedule over *region*."""
-        return [
-            self.reconstruct(
-                tolerance=t, relative=relative, region=region,
-                on_fault=on_fault,
-            )
-            for t in tolerances
-        ]
 
 
 __all__ = [

@@ -29,7 +29,6 @@ from repro.lossless.hybrid import (
     HybridConfig,
     compress_planes,
     decompress_groups,
-    estimate_group_ratios,
 )
 from repro.lossless.rle import (
     estimate_rle_ratio,
@@ -53,5 +52,4 @@ __all__ = [
     "HybridConfig",
     "compress_planes",
     "decompress_groups",
-    "estimate_group_ratios",
 ]

@@ -135,35 +135,6 @@ class CompressedGroup:
         )
 
 
-def estimate_group_ratios(
-    merged: np.ndarray, freqs: np.ndarray | None = None
-) -> tuple[float, float]:
-    """(Huffman, RLE) compression-ratio estimates for a merged group.
-
-    Computes *both* estimates eagerly — the diagnostic/ablation helper.
-    The production selector (:func:`_select_and_encode`) is lazier: it
-    skips the Huffman code construction when the histogram bound already
-    fails the threshold, and the RLE run scan when the Huffman estimate
-    clears it. Pass ``freqs = np.bincount(merged,
-    minlength=256)`` to reuse a histogram computed elsewhere.
-    """
-    return (
-        estimate_huffman_ratio(merged, freqs=freqs),
-        estimate_rle_ratio(merged),
-    )
-
-
-def _select_method(merged: np.ndarray, config: HybridConfig) -> str:
-    """The decision logic of Algorithm 2 (selection only).
-
-    Delegates to :func:`_select_and_encode` so there is exactly one copy
-    of the decision order; callers that only need the method name pay
-    for the winning encode, so the compression loop uses
-    :func:`_select_and_encode` directly and keeps the payload.
-    """
-    return _select_and_encode(merged, config)[0]
-
-
 def _select_and_encode(
     merged: np.ndarray, config: HybridConfig
 ) -> tuple[str, bytes]:

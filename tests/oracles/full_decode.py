@@ -17,8 +17,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bitplane.encoding import decode_bitplanes
+from repro.bitplane.encoding import BitplaneStream, decode_bitplanes
 from repro.decompose import MultilevelTransform
+from repro.lossless.hybrid import decompress_groups
+
+
+def level_stream(lv, num_groups: int, design: str) -> BitplaneStream:
+    """Level *lv*'s first *num_groups* plane groups as a float64
+    bitplane stream."""
+    return BitplaneStream(
+        planes=decompress_groups(lv.groups, num_groups),
+        num_elements=lv.num_elements,
+        num_bitplanes=lv.num_bitplanes,
+        exponent=lv.exponent,
+        max_abs=lv.max_abs,
+        dtype=np.dtype(np.float64),
+        design=design,
+        layout=lv.layout,
+        warp_size=lv.warp_size,
+        signed_encoding=lv.signed_encoding,
+    )
 
 
 def full_decode(field, groups_per_level) -> np.ndarray:
@@ -31,9 +49,7 @@ def full_decode(field, groups_per_level) -> np.ndarray:
     field.fetch_groups([(0, int(g)) for g in groups_per_level])
     levels = []
     for lv, want in zip(field.levels, groups_per_level):
-        stream = lv.to_bitplane_stream(
-            int(want), np.dtype(np.float64), field.design
-        )
+        stream = level_stream(lv, int(want), field.design)
         levels.append(decode_bitplanes(stream, lv.planes_in_groups(want)))
     coeffs = transform.assemble_levels(levels)
     return transform.recompose(coeffs, overwrite=True).astype(

@@ -266,13 +266,13 @@ class TestWriteTasksCarryTheirInput:
         # the only ones keyed by it.
         config = RefactorConfig(num_bitplanes=23)
         backend = shared_process_backend(2)
-        probe = task_name(_task_resident_keys)
-        before = backend.broadcast(probe)
+        per_worker = ([(task_name(_task_resident_keys), ())]
+                      * backend.num_workers)
+        before = backend.map_calls(per_worker)
         for _ in range(5):
-            with TiledRefactorer((8, 8, 8), config=config,
-                                 backend="processes:2") as refactorer:
-                refactorer.refactor(data, name="rho")
-        after = backend.broadcast(probe)
+            TiledRefactorer((8, 8, 8), config=config,
+                            backend="processes:2").refactor(data, name="rho")
+        after = backend.map_calls(per_worker)
         for held, now in zip(before, after):
             assert all(isinstance(key, tuple) and len(key) == 2
                        and key[0] == "tiled-refactorer"
@@ -770,17 +770,30 @@ class TestPipeCapacity:
 
 # -- one thread pool per owner ----------------------------------------------
 
+def _pool_threads() -> set:
+    """Live thread-pool worker threads (``ThreadPoolExecutor-N_M``)."""
+    return {t for t in threading.enumerate()
+            if t.name.startswith("ThreadPoolExecutor-")}
+
+
 class TestThreadPoolOwnership:
-    def test_concurrent_first_touches_create_one_executor(self):
+    def test_concurrent_first_touches_create_one_executor(self,
+                                                         monkeypatch):
         pool = ThreadPool()
         barrier = threading.Barrier(8)
-        seen = []
+        seen, created = [], []
+
+        class CountingExecutor(backends.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(backends, "ThreadPoolExecutor", CountingExecutor)
 
         def touch():
             barrier.wait(timeout=10)
             seen.append(pool.executor(2))
 
-        before = set(backends._LIVE_THREAD_POOLS)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -794,7 +807,7 @@ class TestThreadPoolOwnership:
             sys.setswitchinterval(interval)
         try:
             assert len(seen) == 8 and len(set(map(id, seen))) == 1
-            assert set(backends._LIVE_THREAD_POOLS) - before == {seen[0]}
+            assert created == [seen[0]] and pool._executor is seen[0]
         finally:
             pool.close()
 
@@ -802,15 +815,30 @@ class TestThreadPoolOwnership:
                                                      tiled_stored,
                                                      monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
-        before = set(backends._LIVE_THREAD_POOLS)
-        refac = TiledRefactorer((8, 8, 8))
-        refac.refactor(data, name="rho")
+        before = set(threading.enumerate())
+        TiledRefactorer((8, 8, 8)).refactor(data, name="rho")
         recon = TiledReconstructor(open_tiled_field(tiled_stored, "rho"))
         for tol in STAIRCASE:
             recon.reconstruct(tolerance=tol, region=ROI)
-        assert refac._threads._executor is None
         assert recon._threads._executor is None
-        assert set(backends._LIVE_THREAD_POOLS) <= before
+        assert set(threading.enumerate()) <= before
+
+    @pytest.mark.parametrize("options", [{"backend": "threads:2"},
+                                         {"num_workers": 4}],
+                             ids=["threads:2", "num_workers=4"])
+    def test_threads_refactor_is_the_serial_loop(self, data,
+                                                 reference_tiled, options,
+                                                 monkeypatch):
+        """The write side has no thread route: a ``threads`` or bare
+        ``num_workers > 1`` refactor starts no thread and writes the
+        serial loop's bytes."""
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        before = set(threading.enumerate())
+        tiled = TiledRefactorer((8, 8, 8), **options).refactor(data,
+                                                               name="rho")
+        assert set(threading.enumerate()) <= before
+        assert [f.to_bytes() for f in tiled.fields] == [
+            f.to_bytes() for f in reference_tiled.fields]
 
     @pytest.mark.parametrize("backend", ["serial", "threads:4"])
     def test_pipelined_step_owns_one_two_wide_executor(self, tiled_stored,
@@ -819,18 +847,18 @@ class TestThreadPoolOwnership:
         nothing else (decode stays on the caller) — ``threads:N`` does
         not widen it — and ``close()`` joins it; the next step
         re-creates it."""
-        before = set(backends._LIVE_THREAD_POOLS)
+        before = _pool_threads()
         recon = TiledReconstructor(
             open_tiled_field(tiled_stored, "rho"), backend=backend,
             pipelined=True,
         )
         for tol in STAIRCASE[:2]:
             recon.reconstruct(tolerance=tol, region=ROI)
-        (executor,) = set(backends._LIVE_THREAD_POOLS) - before
-        assert executor is recon._threads._executor
+        executor = recon._threads._executor
         assert executor._max_workers == FETCH_WORKERS == 2
         workers = list(executor._threads)
         assert workers and all(t.is_alive() for t in workers)
+        assert _pool_threads() - before == set(workers)
         recon.close()
         assert recon._threads._executor is None
         assert not any(t.is_alive() for t in workers)
@@ -911,6 +939,7 @@ class TestAtexitSafety:
         """A process that uses both backends and exits without closing
         anything must still terminate promptly with status 0."""
         script = """
+import threading
 import numpy as np
 from repro.core import backends
 from repro.core.service import RetrievalService
@@ -929,12 +958,14 @@ service = RetrievalService(store, prefetch=True)
 session = service.session("rho", backend="serial", pipelined=True)
 session.reconstruct(tolerance=1e-1)
 assert service.prefetch_requests > 0
-assert len(list(backends._LIVE_THREAD_POOLS)) == 3
+assert len({t.name.rsplit("_", 1)[0] for t in threading.enumerate()
+            if t.name.startswith("ThreadPoolExecutor-")}) == 3
 assert backends._SHARED_BACKEND.alive
 print("leaked-ok", len(tiled.fields))
 # exit WITHOUT close() on the threads engine, the pipelined session,
-# the prefetching service or the shared process backend: the atexit
-# registries must reap them all
+# the prefetching service or the shared process backend: the
+# interpreter joins the idle thread-pool workers itself, and the
+# process backends' atexit registry reaps the rest
 """
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get(
@@ -958,6 +989,7 @@ class TestUntiledEnginesSpawnNoPool:
         thread pool, and produce the in-process serial bytes."""
         script = """
 import hashlib
+import threading
 import numpy as np
 from repro.core import backends
 from repro.core.reconstruct import Reconstructor
@@ -971,7 +1003,7 @@ recon = Reconstructor(field)
 for tol in (1e-1, 1e-3, 1e-5):
     out = recon.reconstruct(tolerance=tol)
 assert backends._SHARED_BACKEND is None
-assert not list(backends._LIVE_THREAD_POOLS)
+assert threading.enumerate() == [threading.main_thread()]
 print("digest", hashlib.sha256(field.to_bytes()).hexdigest(),
       hashlib.sha256(out.data.tobytes()).hexdigest())
 """
@@ -1072,12 +1104,12 @@ class TestSelfHealingPool:
         lands on slot ``i % num_workers`` across the respawn."""
         backend = ProcessBackend(2)
         try:
-            pid = task_name(_task_pid)
-            before = backend.broadcast(pid)
+            per_worker = [(task_name(_task_pid), ())] * backend.num_workers
+            before = backend.map_calls(per_worker)
             backend.install_chaos(WorkerChaos({0: "exit"}, tmp_path))
-            during = backend.map_calls([(pid, ()) for _ in range(4)])
+            during = backend.map_calls(per_worker * 2)
             backend.clear_chaos()
-            after = backend.broadcast(pid)
+            after = backend.map_calls(per_worker)
             assert after[0] != before[0]
             assert after[1:] == before[1:]
             assert during == after * 2
@@ -1100,12 +1132,13 @@ class TestSelfHealingPool:
                 backend.map_calls([(mark, (str(marks), i)) for i in range(6)])
             assert sorted(int(p.name) for p in marks.iterdir()) == [
                 0, 1, 3, 4, 5]
-            # budget = max_task_retries retries → retries + 1 crashes
-            assert chaos.fired(2) == backend.max_task_retries + 1
+            # budget = _MAX_TASK_RETRIES retries → retries + 1 crashes
+            budget = backends._MAX_TASK_RETRIES
+            assert chaos.fired(2) == budget + 1
             health = backend.health()
             assert health["quarantines"] == 1
-            assert health["task_retries"] == backend.max_task_retries
-            assert health["respawns"] == backend.max_task_retries + 1
+            assert health["task_retries"] == budget
+            assert health["respawns"] == budget + 1
         finally:
             backend.close()
 
@@ -1160,33 +1193,6 @@ class TestSelfHealingPool:
         finally:
             backend.close()
 
-    def test_pool_default_deadline_applies(self, tmp_path):
-        """``default_deadline`` covers calls that pass no per-call
-        deadline; the timeout is raised typed."""
-        backend = ProcessBackend(2, default_deadline=1.0)
-        outcome = {}
-
-        def run():
-            backend.install_chaos(WorkerChaos({0: "hang"}, tmp_path))
-            sq = task_name(_task_square)
-            try:
-                backend.map_calls([(sq, (i,)) for i in range(4)])
-            except BaseException as exc:  # noqa: BLE001 - transported
-                outcome["exc"] = exc
-
-        worker = threading.Thread(target=run, daemon=True)
-        worker.start()
-        worker.join(timeout=60)
-        try:
-            assert not worker.is_alive(), \
-                "default deadline failed to bound a hung worker"
-            assert isinstance(outcome["exc"], WorkerTimeoutError)
-            backend.clear_chaos()
-            sq = task_name(_task_square)
-            assert backend.map_calls([(sq, (7,))]) == [49]
-        finally:
-            backend.close()
-
     def test_worker_killed_between_batches_heals_on_next_dispatch(self):
         """Death while idle (no task in flight): the next dispatch sees
         the closed pipe or the EOF, replaces the worker, and the batch
@@ -1197,7 +1203,8 @@ class TestSelfHealingPool:
             assert backend.map_calls(
                 [(sq, (i,)) for i in range(4)]
             ) == [0, 1, 4, 9]
-            pids = backend.broadcast(task_name(_task_pid))
+            pids = backend.map_calls(
+                [(task_name(_task_pid), ())] * backend.num_workers)
             os.kill(pids[0], signal.SIGKILL)
             giveup = time.monotonic() + 10
             while (backend._workers[0].process.is_alive()
@@ -1286,7 +1293,6 @@ class TestPoolReplacement:
             built = refactorer.refactor(data, name="rho")
         finally:
             got.close()
-            refactorer.close()
         assert grown.health()["tasks_dispatched"] == reference_tiled.num_tiles
         assert [f.to_bytes() for f in built.fields] == [
             f.to_bytes() for f in reference_tiled.fields
@@ -1309,9 +1315,9 @@ class TestPoolHealthTelemetry:
         chaos = WorkerChaos({0: "exit"}, tmp_path)
         backend.install_chaos(chaos)
         try:
-            with TiledRefactorer((8, 8, 8), num_workers=2,
-                                 backend="processes:2") as refactorer:
-                built = refactorer.refactor(data, name="rho")
+            built = TiledRefactorer(
+                (8, 8, 8), num_workers=2, backend="processes:2"
+            ).refactor(data, name="rho")
         finally:
             backend.clear_chaos()
         assert chaos.total_fired() == 1
@@ -1342,11 +1348,11 @@ class TestPoolHealthTelemetry:
         refactor runs on the *current* pool (fresh uid, counters
         reset), not on the dead one."""
         before = shared_process_backend(2)
-        with TiledRefactorer((8, 8, 8), backend="processes:2") as refactorer:
-            refactorer.refactor(data, name="rho")
-            grown = shared_process_backend(before.num_workers + 1)
-            assert grown is not before
-            refactorer.refactor(data, name="rho")
+        refactorer = TiledRefactorer((8, 8, 8), backend="processes:2")
+        refactorer.refactor(data, name="rho")
+        grown = shared_process_backend(before.num_workers + 1)
+        assert grown is not before
+        refactorer.refactor(data, name="rho")
         health = shared_process_backend(1).health()
         assert health["uid"] == grown.uid != before.uid
         assert health["tasks_dispatched"] == reference_tiled.num_tiles

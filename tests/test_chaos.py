@@ -17,7 +17,11 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.backends import shared_process_backend, task_name
+from repro.core.backends import (
+    _MAX_TASK_RETRIES,
+    shared_process_backend,
+    task_name,
+)
 from repro.core.errors import (
     SegmentCorruptionError,
     TransientStoreError,
@@ -97,9 +101,8 @@ def _resilient(store, seed, transient_rate=0.10, corrupt_rate=0.0,
 
 def _processes_refactor(data):
     """A ``processes:2`` tiled refactor of *data* on the shared pool."""
-    with TiledRefactorer((8, 8, 8), num_workers=2,
-                         backend="processes:2") as refactorer:
-        return refactorer.refactor(data, name="rho")
+    return TiledRefactorer((8, 8, 8), num_workers=2,
+                           backend="processes:2").refactor(data, name="rho")
 
 
 def _streams(tiled):
@@ -584,31 +587,34 @@ class TestWorkerKillChaos:
     def test_repeat_kill_rebuilds_worker_resident_state(
         self, data, tiled_stored, tmp_path
     ):
-        """Fail-first-2: the same call dies on its first try *and* on
-        its in-batch retry, so its slot's per-shape refactorer cache is
-        lost twice and rebuilt from scratch on the third worker, which
-        succeeds. The next refactor, on the healed pool, runs clean.
-        Both are byte-identical to the serial refactor."""
+        """Fail-first-budget: the same call dies on its first try *and*
+        on every in-batch retry the budget allows, so its slot's
+        per-shape refactorer cache is lost that many times and rebuilt
+        from scratch on the last worker, which succeeds. The next
+        refactor, on the healed pool, runs clean. Both are
+        byte-identical to the serial refactor."""
         _, tiled = tiled_stored
         backend = shared_process_backend(2)
-        chaos = WorkerChaos({1: ("exit", 2)}, tmp_path)
+        kills = _MAX_TASK_RETRIES
+        chaos = WorkerChaos({1: ("exit", kills)}, tmp_path)
         backend.install_chaos(chaos)
         before = backend.health()
         try:
             first = _processes_refactor(data)
-            assert chaos.fired(1) == 2
+            assert chaos.fired(1) == kills
             second = _processes_refactor(data)
         finally:
             backend.clear_chaos()
-        assert chaos.fired(1) == 2
+        assert chaos.fired(1) == kills
         health = backend.health()
-        assert health["respawns"] == before["respawns"] + 2
-        assert health["task_retries"] == before["task_retries"] + 2
+        assert health["respawns"] == before["respawns"] + kills
+        assert health["task_retries"] == before["task_retries"] + kills
         assert health["quarantines"] == before["quarantines"]
         assert _streams(first) == _streams(second) == _streams(tiled)
-        # the third worker on slot 1 ran every call dealt to that slot
-        _, cache, shapes = backend.broadcast(
-            task_name(_task_resident_refactorers), RefactorConfig()
+        # the last worker on slot 1 ran every call dealt to that slot
+        _, cache, shapes = backend.map_calls(
+            [(task_name(_task_resident_refactorers), (RefactorConfig(),))]
+            * backend.num_workers
         )[1]
         assert cache is not None
         assert shapes == _slot_shapes(tiled, 1, backend.num_workers)
@@ -667,8 +673,8 @@ class TestWorkerKillChaos:
                 _processes_refactor(data)
             assert backend.health()["quarantines"] == before + 1
             # the poison fired through its whole budget: initial try
-            # plus max_task_retries consecutive fresh workers
-            assert chaos.fired(1) == backend.max_task_retries + 1
+            # plus _MAX_TASK_RETRIES consecutive fresh workers
+            assert chaos.fired(1) == _MAX_TASK_RETRIES + 1
             backend.clear_chaos()  # the poison clears
             resumed = _processes_refactor(data)
         finally:
@@ -699,9 +705,7 @@ class TestWriteSurvivesWorkerKill:
         backend.install_chaos(chaos)
         before = backend.health()["respawns"]
         try:
-            with TiledRefactorer((8, 8, 8), num_workers=2,
-                                 backend="processes:2") as refactorer:
-                built = refactorer.refactor(data, name="rho")
+            built = _processes_refactor(data)
         finally:
             backend.clear_chaos()
         assert chaos.total_fired() == 1
@@ -741,12 +745,12 @@ class TestSurvivorsStayWarm:
                                               tmp_path):
         _, tiled = tiled_stored
         backend = shared_process_backend(2)
-        probe = task_name(_task_resident_refactorers)
-        config = RefactorConfig()
+        per_worker = [(task_name(_task_resident_refactorers),
+                       (RefactorConfig(),))] * backend.num_workers
 
         def step():
             assert _streams(_processes_refactor(data)) == _streams(tiled)
-            return backend.broadcast(probe, config)
+            return backend.map_calls(per_worker)
 
         before = step()  # every slot warm
         assert all(cache is not None for _, cache, _ in before)

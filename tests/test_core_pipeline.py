@@ -123,7 +123,8 @@ class TestProgressive:
     def test_incremental_bytes_sum_to_total(self, field3d):
         _, f = field3d
         recon = Reconstructor(f)
-        results = recon.progressive([1e-1, 1e-2, 1e-3, 1e-4])
+        results = [recon.reconstruct(tolerance=t)
+                   for t in (1e-1, 1e-2, 1e-3, 1e-4)]
         total = sum(r.incremental_bytes for r in results)
         assert total == results[-1].fetched_bytes
 

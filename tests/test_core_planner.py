@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.errors import TransientStoreError
 from repro.core.planner import (
-    plan_for_planes,
     plan_full,
     plan_greedy,
     plan_round_robin,
@@ -102,18 +101,6 @@ class TestHelpers:
         plan = plan_full(field)
         assert plan.groups_per_level == field.max_groups()
         assert plan.fetched_bytes == field.total_bytes()
-
-    def test_plan_for_planes(self, field):
-        want = [3] * len(field.levels)
-        plan = plan_for_planes(field, want)
-        for lv, g, w in zip(field.levels, plan.groups_per_level, want):
-            assert lv.planes_in_groups(g) >= min(
-                w, lv.planes_in_groups(lv.num_groups)
-            )
-
-    def test_plan_for_planes_validates(self, field):
-        with pytest.raises(ValueError):
-            plan_for_planes(field, [1])
 
     def test_covers(self, field):
         small = plan_greedy(field, 1e-1)

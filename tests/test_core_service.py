@@ -362,7 +362,8 @@ class TestRetrievalService:
                                                dir_store):
         data, f = field_and_data
         tolerances = [1e-1, 1e-3, 1e-5]
-        reference = Reconstructor(f).progressive(tolerances)
+        recon = Reconstructor(f)
+        reference = [recon.reconstruct(tolerance=t) for t in tolerances]
         svc = RetrievalService(dir_store, cache_bytes=64 << 20)
         results: dict[int, list] = {}
         errors: list[Exception] = []

@@ -281,18 +281,6 @@ class TestStoreField:
         r1 = reconstruct(loaded, tolerance=1e-4)
         assert np.max(np.abs(r1.data - data)) <= 1e-4
 
-    def test_load_partial_prefix(self, small_field):
-        data, f = small_field
-        store = MemoryStore()
-        store_field(store, f)
-        want = [min(1, lv.num_groups) for lv in f.levels]
-        loaded = load_field(store, "vel_x", groups_per_level=want)
-        assert [lv.num_groups for lv in loaded.levels] == want
-        # Coarse reconstruction from the partial field still works.
-        recon = Reconstructor(loaded)
-        r = recon.reconstruct(tolerance=1e300)
-        assert r.data.shape == data.shape
-
     def test_small_files_effect(self, small_field, tmp_path):
         """Modeled I/O latency is charged per request, not per segment:
         the same segments cost one latency each when read one ``get`` at

@@ -3,12 +3,14 @@
 The central property: walking a tolerance staircase with the
 incremental engine is *bit-identical* to a from-scratch full decode
 (the ``oracles.full_decode`` oracle) at every step — for eager and
-store-backed lazy fields, tolerance-driven and explicit-plan stepping,
-and service sessions — while decoding
-only the newly fetched plane groups (asserted via the instrumented
-decode counters). Plus regression tests for the four verified
-state/validation bugs fixed alongside it.
+store-backed lazy fields, a fresh session stepping straight to the same
+groups, and service sessions — while decoding only the newly fetched
+plane groups (asserted via the instrumented decode counters). Plus
+regression tests for the verified state/validation bugs fixed
+alongside it.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from repro.bitplane.encoding import (
     apply_planes,
     begin_decode_state,
     decode_bitplanes,
-    decode_bitplanes_incremental,
     encode_bitplanes,
     finalize_decode,
 )
@@ -59,6 +60,36 @@ def _lazy_copy(field):
     return open_field(store, field.name)
 
 
+def _resume(stream, k=None, state=None):
+    """Planes ``[state.planes_applied, k)`` of *stream* injected into
+    *state* (a fresh one when ``None``): ``(values, state)`` through
+    ``begin_decode_state`` / ``apply_planes`` / ``finalize_decode``."""
+    if state is None:
+        state = begin_decode_state(
+            num_elements=stream.num_elements,
+            num_bitplanes=stream.num_bitplanes,
+            exponent=stream.exponent,
+            max_abs=stream.max_abs,
+            dtype=stream.dtype,
+            layout=stream.layout,
+            warp_size=stream.warp_size,
+            signed_encoding=stream.signed_encoding,
+        )
+    k = stream.num_planes if k is None else k
+    state = apply_planes(
+        state, stream.planes[state.planes_applied:k], state.planes_applied
+    )
+    return finalize_decode(state), state
+
+
+def _fresh_step(field, groups):
+    """A fresh session's one step straight to *groups* per level."""
+    recon = Reconstructor(field)
+    step = dataclasses.replace(recon.plan_step(), groups=list(groups))
+    recon.fetch_step(step)
+    return recon.decode_step(step)
+
+
 # ---------------------------------------------------------------------
 # Codec level: resumable decode == full decode, bit for bit
 # ---------------------------------------------------------------------
@@ -74,7 +105,7 @@ class TestResumableCodec:
         checkpoints = [0, 1, 2, 7, 13, stream.num_planes]
         state = None
         for k in checkpoints:
-            values, state = decode_bitplanes_incremental(stream, k, state)
+            values, state = _resume(stream, k, state)
             reference = decode_bitplanes(stream, k)
             assert np.array_equal(values, reference)
             assert state.planes_applied == k
@@ -85,19 +116,17 @@ class TestResumableCodec:
         stream = encode_bitplanes(data, num_bitplanes=12)
         state = None
         for k in range(stream.num_planes + 1):
-            values, state = decode_bitplanes_incremental(stream, k, state)
+            values, state = _resume(stream, k, state)
             assert np.array_equal(values, decode_bitplanes(stream, k))
 
     def test_finalize_leaves_state_reusable(self):
         data = np.linspace(-1, 1, 50)
         stream = encode_bitplanes(data, num_bitplanes=16)
-        _, state = decode_bitplanes_incremental(stream, 4)
+        _, state = _resume(stream, 4)
         first = finalize_decode(state)
         second = finalize_decode(state)  # idempotent, no state mutation
         assert np.array_equal(first, second)
-        values, _ = decode_bitplanes_incremental(
-            stream, stream.num_planes, state
-        )
+        values, _ = _resume(stream, stream.num_planes, state)
         assert np.array_equal(values, decode_bitplanes(stream))
 
     def test_apply_planes_requires_contiguous_resume(self):
@@ -116,42 +145,18 @@ class TestResumableCodec:
 
     def test_apply_planes_rejects_overflow(self):
         stream = encode_bitplanes(np.arange(9.0), num_bitplanes=8)
-        _, state = decode_bitplanes_incremental(stream)
+        _, state = _resume(stream)
         with pytest.raises(ValueError, match="stored planes"):
             apply_planes(state, stream.planes[:1], state.planes_applied)
 
-    def test_resume_cannot_go_backwards(self):
-        stream = encode_bitplanes(np.arange(9.0), num_bitplanes=8)
-        _, state = decode_bitplanes_incremental(stream, 5)
-        with pytest.raises(ValueError, match="fresh state"):
-            decode_bitplanes_incremental(stream, 3, state)
-
-    def test_state_stream_mismatch_rejected(self):
-        a = encode_bitplanes(np.arange(9.0), num_bitplanes=8)
-        b = encode_bitplanes(np.arange(10.0), num_bitplanes=8)
-        _, state = decode_bitplanes_incremental(a, 3)
-        with pytest.raises(ValueError, match="does not match"):
-            decode_bitplanes_incremental(b, 5, state)
-
-    def test_state_dtype_mismatch_rejected(self):
-        # Same geometry, different output dtype: resuming would
-        # silently break bit-identity with decode_bitplanes.
-        a = encode_bitplanes(np.arange(9.0, dtype=np.float32),
-                             num_bitplanes=8)
-        b = encode_bitplanes(np.arange(9.0, dtype=np.float64),
-                             num_bitplanes=8)
-        _, state = decode_bitplanes_incremental(a, 3)
-        with pytest.raises(ValueError, match="does not match"):
-            decode_bitplanes_incremental(b, 5, state)
-
     def test_empty_apply_is_identity(self):
         stream = encode_bitplanes(np.arange(33.0), num_bitplanes=8)
-        _, state = decode_bitplanes_incremental(stream, 3)
+        _, state = _resume(stream, 3)
         assert apply_planes(state, [], 3) is state
 
     def test_state_nbytes_counts_retained_arrays(self):
         stream = encode_bitplanes(np.arange(100.0), num_bitplanes=8)
-        _, state = decode_bitplanes_incremental(stream, 2)
+        _, state = _resume(stream, 2)
         assert state.nbytes == state.words.nbytes + state.signs.nbytes
 
 
@@ -172,9 +177,8 @@ class TestIncrementalReconstructor:
             rf = full_decode(ful_field, inc.fetched_groups)
             assert np.array_equal(ri.data, rf)
             # A fresh session at the same cumulative plan.
-            scratch = Reconstructor(
-                _lazy_copy(field) if lazy else field
-            ).reconstruct(plan=ri.plan)
+            scratch = _fresh_step(_lazy_copy(field) if lazy else field,
+                                  ri.plan.groups_per_level)
             assert np.array_equal(ri.data, scratch.data)
             err = float(np.max(np.abs(ri.data - data)))
             assert err <= ri.error_bound
@@ -190,15 +194,6 @@ class TestIncrementalReconstructor:
                 ri.data.astype(np.float64) - data.astype(np.float64)
             )))
             assert err <= ri.error_bound
-
-    def test_explicit_plan_staircase(self, field_f64):
-        field, _ = field_f64
-        plans = [plan_greedy(field, tol) for tol in STAIRCASE]
-        inc = Reconstructor(field)
-        for plan in plans:
-            ri = inc.reconstruct(plan=plan)
-            scratch = Reconstructor(field).reconstruct(plan=plan)
-            assert np.array_equal(ri.data, scratch.data)
 
     def test_refinement_decodes_only_increment(self, field_f64):
         field, _ = field_f64
@@ -259,36 +254,6 @@ class TestNonFiniteTolerance:
             recon.reconstruct(tolerance=bad)
         with pytest.raises(ValueError, match="finite"):
             recon.reconstruct(tolerance=bad, relative=True)
-
-
-# ---------------------------------------------------------------------
-# Bug 2: malformed explicit plans fail at the API boundary
-# ---------------------------------------------------------------------
-class TestPlanValidation:
-    def test_short_plan_rejected(self, field_f64):
-        field, _ = field_f64
-        plan = plan_greedy(field, 1e-2)
-        plan.groups_per_level = plan.groups_per_level[:1]
-        with pytest.raises(ValueError, match="levels"):
-            Reconstructor(field).reconstruct(plan=plan)
-
-    def test_long_plan_rejected(self, field_f64):
-        field, _ = field_f64
-        plan = plan_greedy(field, 1e-2)
-        plan.groups_per_level = plan.groups_per_level + [1]
-        with pytest.raises(ValueError, match="levels"):
-            Reconstructor(field).reconstruct(plan=plan)
-
-    def test_out_of_range_group_count_rejected(self, field_f64):
-        field, _ = field_f64
-        plan = plan_greedy(field, 1e-2)
-        plan.groups_per_level = list(plan.groups_per_level)
-        plan.groups_per_level[0] = field.levels[0].num_groups + 3
-        with pytest.raises(ValueError, match="outside"):
-            Reconstructor(field).reconstruct(plan=plan)
-        plan.groups_per_level[0] = -1
-        with pytest.raises(ValueError, match="outside"):
-            Reconstructor(field).reconstruct(plan=plan)
 
 
 # ---------------------------------------------------------------------

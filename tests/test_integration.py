@@ -14,7 +14,11 @@ from repro.core.refactor import RefactorConfig, refactor
 from repro.core.reconstruct import reconstruct
 from repro.core.stream import RefactoredField
 from repro.core.store import DirectoryStore, MemoryStore, load_field, store_field
-from repro.core.tiling import TiledReconstructor, TiledRefactorer
+from repro.core.tiling import (
+    TiledReconstructor,
+    TiledRefactorer,
+    _refactorer_for,
+)
 from repro.data import generators as gen
 from repro.gpu.device import H100, MI250X
 from repro.gpu.events import Task
@@ -45,8 +49,9 @@ class TestExecutorDrivenTiling:
             tasks.append(Task(f"O{i}", "d2h", 1e-3, (f"D{i}",)))
 
             def do(i=i, block=block):
-                results[i] = refac._refactorer_for(block.shape).refactor(
-                    np.ascontiguousarray(block), name=f"t{i}")
+                results[i] = _refactorer_for(
+                    refac._refactorers, refac.config, block.shape,
+                ).refactor(np.ascontiguousarray(block), name=f"t{i}")
                 return i
 
             actions[f"D{i}"] = do
@@ -118,16 +123,6 @@ class TestFailureInjection:
         del store._blobs[victim]
         with pytest.raises(KeyError):
             load_field(store, "v")
-
-    def test_wrong_shape_plan_rejected(self, field_data):
-        field = refactor(field_data)
-        other = refactor(gen.gaussian_random_field((8, 8, 8), seed=1,
-                                                   dtype=np.float64))
-        from repro.core.planner import plan_greedy
-
-        plan = plan_greedy(other, 1e-3)
-        with pytest.raises((ValueError, IndexError)):
-            Reconstructor(field).reconstruct(plan=plan)
 
 
 class TestMixedPrecisionWorkflow:

@@ -9,11 +9,11 @@ from repro.lossless.hybrid import (
     CompressedGroup,
     HybridConfig,
     _select_and_encode,
-    _select_method,
     compress_planes,
     decompress_groups,
-    estimate_group_ratios,
 )
+from repro.lossless.huffman import estimate_huffman_ratio
+from repro.lossless.rle import estimate_rle_ratio
 
 
 def bitplanes_of(n=4096, seed=0, dtype=np.float32):
@@ -125,10 +125,8 @@ class TestSharedScans:
         shared, every code from the retained heap construction."""
         from repro.lossless.huffman import (
             build_code_lengths_reference,
-            estimate_huffman_ratio,
             huffman_encode,
         )
-        from repro.lossless.rle import estimate_rle_ratio
         if merged.size <= config.size_threshold:
             return "direct", _ENCODERS["direct"](merged)
         lengths = build_code_lengths_reference(
@@ -151,7 +149,6 @@ class TestSharedScans:
         the ``m`` where the ratio first clears the threshold and return
         its neighbours.
         """
-        from repro.lossless.huffman import estimate_huffman_ratio
         rng = np.random.default_rng(seed)
         noise = rng.integers(1, 256, n).astype(np.uint8)
         rank = rng.permutation(n)
@@ -182,7 +179,7 @@ class TestSharedScans:
             )
             method, payload = _select_and_encode(merged, config)
             assert (method, payload) == self.naive_select(merged, config)
-            assert method == _select_method(merged, config)
+            assert method == _select_and_encode(merged, config)[0]
             assert payload == _ENCODERS[method](merged)
 
     @pytest.mark.parametrize("cr_threshold", [1.0, 2.0, 4.0])
@@ -200,12 +197,13 @@ class TestSharedScans:
             chosen.append(method)
         assert "huffman" in chosen and chosen.count("huffman") < len(chosen)
 
-    def test_estimate_group_ratios_with_shared_histogram(self):
+    def test_ratio_estimates_with_shared_histogram(self):
         planes = bitplanes_of(n=1 << 12)
         merged = np.concatenate([p.reshape(-1) for p in planes[:4]])
         freqs = np.bincount(merged, minlength=256)
-        assert estimate_group_ratios(merged, freqs=freqs) == \
-            estimate_group_ratios(merged)
+        assert estimate_huffman_ratio(merged, freqs=freqs) == \
+            estimate_huffman_ratio(merged)
+        assert estimate_rle_ratio(merged) > 0
 
 
 class TestGroupSerialization:

@@ -8,6 +8,8 @@ and bytes must be equal — not close — from every start, on refactored
 fields and on synthetic levels built to tie.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from hypothesis import strategies as st
 from oracles.plan_greedy import plan_greedy_loop
 
 from repro.core.planner import (
-    RetrievalPlan,
     plan_full,
     plan_greedy,
     plan_greedy_many,
@@ -115,16 +116,22 @@ class TestLookupEqualsLoop:
     )
     def test_session_staircases(self, fields, index, staircase, detour):
         """Tightening and loosening staircases from committed starts;
-        a detour through ``plan_full`` or an explicit ``plan=`` leaves
-        the session off the greedy path, and later steps start there."""
+        a detour through ``plan_full`` or a step to explicit group
+        counts leaves the session off the greedy path, and later steps
+        start there."""
         field = fields[index]
         recon = Reconstructor(field)
         for i, relative in enumerate(staircase):
             if i == 1 and detour == "full":
                 recon.reconstruct(None)
             elif i == 1 and detour == "explicit":
-                groups = [lv.num_groups // 2 for lv in field.levels]
-                recon.reconstruct(plan=RetrievalPlan(groups, 0.0, 0))
+                groups = [max(have, lv.num_groups // 2) for have, lv in zip(
+                    recon.fetched_groups, field.levels)]
+                detour_step = dataclasses.replace(recon.plan_step(None),
+                                                  groups=groups)
+                recon.fetch_step(detour_step)
+                assert recon.decode_step(
+                    detour_step).plan.groups_per_level == groups
             start = recon.fetched_groups
             absolute = relative * field.value_range
             step = recon.plan_step(relative, relative=True)

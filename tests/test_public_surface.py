@@ -17,15 +17,21 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import inspect
+import time
 
 import numpy as np
 import pytest
 
+import repro.bitplane
+import repro.bitplane.encoding
 import repro.core.backends
+import repro.core.planner
 import repro.core.reconstruct
 import repro.core.store
 import repro.core.stream
 import repro.core.tiling
+import repro.lossless
+import repro.lossless.hybrid
 import repro.pipeline
 from repro.core.backends import (
     ClosesOnExit,
@@ -38,7 +44,7 @@ from repro.core.reconstruct import Reconstructor, reconstruct
 from repro.core.refactor import RefactorConfig, Refactorer, refactor
 import repro.core
 import repro.core.service
-from repro.core.faults import FaultInjectingStore, ResilientReader
+from repro.core.faults import FaultInjectingStore, ResilientReader, RetryPolicy
 from repro.core.service import RetrievalService, SegmentCache, Session
 from repro.core.store import (
     DirectoryStore,
@@ -49,7 +55,7 @@ from repro.core.store import (
     open_fields,
     open_tiled_field,
 )
-from repro.core.stream import Counters, SegmentRef
+from repro.core.stream import Counters, LevelStream, SegmentRef
 from repro.core.tiling import (
     LazyTiledField,
     TiledReconstructor,
@@ -59,8 +65,7 @@ from repro.lossless.hybrid import compress_planes
 
 REQUIRED = inspect.Parameter.empty
 
-STEP = [("tolerance", None), ("relative", False), ("plan", None),
-        ("on_fault", "raise")]
+STEP = [("tolerance", None), ("relative", False), ("on_fault", "raise")]
 TILED_STEP = [("tolerance", None), ("relative", False), ("region", None),
               ("on_fault", "raise")]
 TILED_ENGINE = [("num_workers", 0), ("backend", None), ("pipelined", False)]
@@ -70,6 +75,9 @@ SURFACE = [
     (reconstruct,
      [("field", REQUIRED), ("tolerance", None), ("relative", False)]),
     (Reconstructor.reconstruct, STEP),
+    (Reconstructor.plan_step, [("tolerance", None), ("relative", False)]),
+    (Reconstructor.plan_steps,
+     [("recons", REQUIRED), ("tolerance", None), ("relative", False)]),
     (Reconstructor.decode_step,
      [("step", REQUIRED), ("on_fault", "raise"), ("fetch_error", None)]),
     (TiledReconstructor, [("tiled", REQUIRED), *TILED_ENGINE]),
@@ -96,14 +104,21 @@ SURFACE = [
       ("tile_field_names", REQUIRED), ("tile_bytes", REQUIRED),
       ("value_range", REQUIRED), ("name", REQUIRED), ("store", REQUIRED),
       ("cache", None)]),
-    (ProcessBackend,
-     [("num_workers", REQUIRED), ("default_deadline", None),
-      ("max_task_retries", 2)]),
+    (ProcessBackend, [("num_workers", REQUIRED)]),
+    (ProcessBackend.map_calls, [("calls", REQUIRED), ("deadline", None)]),
+    (RetryPolicy,
+     [("max_attempts", 4), ("base_delay_s", 0.01), ("jitter", 0.1),
+      ("deadline_s", None), ("attempt_timeout_s", None), ("seed", 0),
+      ("sleep", time.sleep), ("clock", time.monotonic)]),
+    (load_field, [("store", REQUIRED), ("name", REQUIRED)]),
 ]
 
 REMOVED_KEYWORDS = [
     (Reconstructor, ["num_workers", "backend", "incremental"]),
     (reconstruct, ["num_workers", "backend"]),
+    (Reconstructor.reconstruct, ["plan"]),
+    (Reconstructor.plan_step, ["plan"]),
+    (Reconstructor.plan_steps, ["plan"]),
     (Reconstructor.decode_step, ["level_runner"]),
     (TiledReconstructor,
      ["incremental", "pipeline_window", "fetch_workers"]),
@@ -114,11 +129,13 @@ REMOVED_KEYWORDS = [
     (RefactorConfig, ["num_workers", "backend"]),
     (compress_planes, ["pool"]),
     (RetrievalService, ["num_workers"]),
-    (ProcessBackend, ["start_method"]),
+    (ProcessBackend, ["start_method", "default_deadline",
+                      "max_task_retries"]),
+    (RetryPolicy, ["max_delay_s", "retryable"]),
     (open_field, ["verify"]),
     (open_fields, ["verify"]),
     (open_tiled_field, ["verify"]),
-    (load_field, ["verify"]),
+    (load_field, ["verify", "groups_per_level"]),
     (LazyTiledField, ["verify"]),
 ]
 
@@ -183,6 +200,38 @@ def test_removed_names_are_gone():
         assert not hasattr(Reconstructor, name), name
 
 
+def test_test_only_entry_points_are_gone():
+    """Entry points whose only callers were tests: a staircase is a
+    loop over ``reconstruct``, a plan comes from the planner, a worker
+    is reached by one ``map_calls`` call each, and a tiled refactor has
+    no thread pool to close."""
+    for owner, name in [
+        (Reconstructor, "progressive"), (Reconstructor, "_validate_plan"),
+        (TiledReconstructor, "progressive"),
+        (repro.core.planner, "plan_for_planes"),
+        (repro.core.store, "SegmentStore"), (repro.core, "SegmentStore"),
+        (LevelStream, "to_bitplane_stream"),
+        (ProcessBackend, "broadcast"), (RetryPolicy, "run"),
+        (TiledRefactorer, "close"), (TiledRefactorer, "__enter__"),
+        (TiledRefactorer, "__exit__"), (TiledRefactorer, "_refactorer_for"),
+        (repro.core.backends, "_LIVE_THREAD_POOLS"),
+        (repro.core.backends, "_shutdown_thread_pools"),
+        (repro.bitplane, "decode_bitplanes_incremental"),
+        (repro.bitplane.encoding, "decode_bitplanes_incremental"),
+        (repro.bitplane.encoding, "_check_state_matches"),
+        (repro.lossless, "estimate_group_ratios"),
+        (repro.lossless.hybrid, "estimate_group_ratios"),
+        (repro.lossless.hybrid, "_select_method"),
+    ]:
+        assert not hasattr(owner, name), (owner, name)
+    for package, name in [(repro.core, "SegmentStore"),
+                          (repro.bitplane, "decode_bitplanes_incremental"),
+                          (repro.lossless, "estimate_group_ratios")]:
+        assert name not in package.__all__, name
+    assert repro.core.backends._MAX_TASK_RETRIES == 2
+    assert not hasattr(TiledRefactorer((4,)), "_threads")
+
+
 def test_one_session_class_and_one_opener():
     """Every variable is served by one ``Session`` over one tiled
     engine; ``tiled_session`` survives only as an alias of ``session``."""
@@ -232,17 +281,18 @@ def test_checksums_ride_in_segment_refs():
 
 def test_pool_owners_compose_their_thread_pool():
     """A thread pool is a handle an object owns, not a class it
-    inherits: the three owners share only the stateless ``with``
+    inherits: the two owners share only the stateless ``with``
     protocol, none dispatches through a generic ``map_jobs``, and the
-    service is not an execution-backend host at all."""
+    service is not an execution-backend host at all. The write side
+    owns no pool."""
     assert set(vars(ClosesOnExit)) <= {
         "__module__", "__doc__", "__dict__", "__weakref__",
         "__enter__", "__exit__",
     }
-    for owner in (TiledRefactorer, TiledReconstructor, RetrievalService):
+    for owner in (TiledReconstructor, RetrievalService):
         assert owner.__mro__[1:] == (ClosesOnExit, object), owner
         assert not hasattr(owner, "map_jobs"), owner
-    for engine in (Refactorer, Reconstructor):
+    for engine in (Refactorer, Reconstructor, TiledRefactorer):
         assert engine.__mro__[1:] == (object,), engine
     assert not hasattr(RetrievalService, "backend")
     assert repro.core.tiling.FETCH_WORKERS == 2
@@ -285,14 +335,15 @@ def test_lazy_tiled_field_takes_a_store_not_an_opener():
 def test_process_backend_tracks_no_resident_state():
     """Reads run in the caller's process and a write call carries its
     whole input, so the pool exposes no per-slot stamps, sticky routing
-    or session drops; ``broadcast`` is still one result per worker, in
-    slot order."""
+    or session drops; one call per worker lands on each worker, in slot
+    order."""
     for name in ("slot_generations", "_broadcast_send", "worker_for",
                  "drop_session", "ensure_shared", "drop_shared", "_recv",
                  "_abandon"):
         assert not hasattr(ProcessBackend, name), name
     assert not hasattr(repro.core.backends, "WORKER_CHAOS_TOKEN")
     with ProcessBackend(2) as backend:
-        pids = backend.broadcast(task_name(_task_ping))
+        pids = backend.map_calls(
+            [(task_name(_task_ping), ())] * backend.num_workers)
         assert pids == [w.process.pid for w in backend._workers]
         assert len(set(pids)) == 2

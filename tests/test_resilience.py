@@ -38,7 +38,12 @@ from repro.core.errors import (
     TransientStoreError,
     finish_batch,
 )
-from repro.core.faults import FaultInjectingStore, ResilientReader, RetryPolicy
+from repro.core.faults import (
+    MAX_DELAY_S,
+    FaultInjectingStore,
+    ResilientReader,
+    RetryPolicy,
+)
 from repro.core.refactor import refactor
 from repro.core.reconstruct import Reconstructor
 from repro.core.service import RetrievalService, SegmentCache
@@ -446,10 +451,11 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(attempt_timeout_s=0)
 
-    def test_exponential_backoff_without_jitter(self):
-        p = RetryPolicy(base_delay_s=0.01, max_delay_s=0.05, jitter=0.0)
+    def test_exponential_backoff_capped_at_max_delay(self):
+        assert MAX_DELAY_S == 2.0
+        p = RetryPolicy(base_delay_s=0.5, jitter=0.0)
         assert [p.delay_for(k) for k in (1, 2, 3, 4, 5)] == pytest.approx(
-            [0.01, 0.02, 0.04, 0.05, 0.05]
+            [0.5, 1.0, 2.0, 2.0, 2.0]
         )
 
     def test_jitter_is_bounded_and_seeded(self):
@@ -464,35 +470,35 @@ class TestRetryPolicy:
         p = fast_policy(max_attempts=5)
         calls = {"n": 0}
 
-        def flaky():
+        def flaky(keys):
             calls["n"] += 1
             if calls["n"] < 3:
-                raise TransientStoreError("boom")
-            return "ok"
+                return {}, dict.fromkeys(keys, TransientStoreError("boom"))
+            return dict.fromkeys(keys, "ok"), {}
 
-        assert p.run(flaky) == "ok"
+        assert p.run_many(flaky, ["k"]) == ({"k": "ok"}, {})
         assert p.attempts == 3
         assert p.retries == 2
         assert p.giveups == 0
 
-    def test_non_retryable_raises_immediately(self):
+    def test_non_retryable_settles_immediately(self):
         p = fast_policy()
 
-        def missing():
-            raise SegmentNotFoundError("gone")
+        def missing(keys):
+            return {}, dict.fromkeys(keys, SegmentNotFoundError("gone"))
 
-        with pytest.raises(SegmentNotFoundError):
-            p.run(missing)
+        values, errors = p.run_many(missing, ["k"])
+        assert values == {} and isinstance(errors["k"], SegmentNotFoundError)
         assert p.attempts == 1 and p.retries == 0
 
-    def test_exhaustion_raises_last_error(self):
+    def test_exhaustion_settles_last_error(self):
         p = fast_policy(max_attempts=3)
 
-        def always():
-            raise TransientStoreError("still down")
+        def always(keys):
+            return {}, dict.fromkeys(keys, TransientStoreError("still down"))
 
-        with pytest.raises(TransientStoreError):
-            p.run(always)
+        values, errors = p.run_many(always, ["k"])
+        assert values == {} and isinstance(errors["k"], TransientStoreError)
         assert p.attempts == 3
         assert p.giveups == 1
 
@@ -507,32 +513,31 @@ class TestRetryPolicy:
             slept.append(d)
             now["t"] += d
 
-        p = RetryPolicy(max_attempts=100, base_delay_s=1.0,
-                        max_delay_s=1.0, jitter=0.0, deadline_s=2.5,
-                        sleep=sleep, clock=clock)
+        p = RetryPolicy(max_attempts=100, base_delay_s=1.0, jitter=0.0,
+                        deadline_s=3.5, sleep=sleep, clock=clock)
 
-        def always():
-            raise TransientStoreError("down")
+        def always(keys):
+            return {}, dict.fromkeys(keys, TransientStoreError("down"))
 
-        with pytest.raises(TransientStoreError):
-            p.run(always)
-        # Two 1s sleeps fit the 2.5s budget; the third would not.
-        assert slept == [1.0, 1.0]
+        _, errors = p.run_many(always, ["k"])
+        assert isinstance(errors["k"], TransientStoreError)
+        # 1s then 2s fit the 3.5s budget; the next 2s (capped) would not.
+        assert slept == [1.0, 2.0]
         assert p.giveups == 1
 
     def test_attempt_timeout_classified_transient_and_retried(self):
         release = threading.Event()
         calls = {"n": 0}
 
-        def slow_then_fast():
+        def slow_then_fast(keys):
             calls["n"] += 1
             if calls["n"] == 1:
                 release.wait(5.0)  # hangs well past the attempt timeout
-            return "ok"
+            return dict.fromkeys(keys, "ok"), {}
 
         p = fast_policy(max_attempts=3, attempt_timeout_s=0.05)
         try:
-            assert p.run(slow_then_fast) == "ok"
+            assert p.run_many(slow_then_fast, ["k"]) == ({"k": "ok"}, {})
             assert p.attempts == 2
             assert p.retries == 1
         finally:
@@ -540,7 +545,7 @@ class TestRetryPolicy:
 
     def test_stats_snapshot(self):
         p = fast_policy()
-        p.run(lambda: "ok")
+        p.run_many(lambda keys: (dict.fromkeys(keys, "ok"), {}), ["k"])
         assert p.stats() == {"attempts": 1, "retries": 0, "giveups": 0}
 
 
@@ -1028,7 +1033,9 @@ class TestTiledDegradedReconstruction:
         service.cache._reader = store
         resumed = session.reconstruct(tolerance=1e-5)
         assert resumed.degraded is False
-        ref = TiledReconstructor(tiled).progressive([1e-1, 1e-5])[-1]
+        ref = TiledReconstructor(tiled)
+        ref.reconstruct(tolerance=1e-1)
+        ref = ref.reconstruct(tolerance=1e-5)
         np.testing.assert_array_equal(resumed.data, ref.data)
 
 
