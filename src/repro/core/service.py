@@ -103,7 +103,7 @@ class SegmentCache:
         without re-hashing. The misses this call leads go to the backing
         store in one batched read (without holding the cache lock), are
         checked against their CRC32 in *expected* (``{key: crc32}``;
-        index records name none) — a mismatch is re-fetched once
+        an index record checks itself) — a mismatch is re-fetched once
         (``corruption_refetches``), a second one fails the key
         (``corruption_failures``) and is not cached — and are inserted,
         evicting LRU entries past the budget. Misses another call is
@@ -126,8 +126,8 @@ class SegmentCache:
             raise errors[key]
 
     def get(self, key: str) -> bytes:
-        """The blob alone, read with no expected CRC (index records): a
-        batch of one, raising its error."""
+        """The blob alone, read with no expected CRC (an index record
+        still checks itself): a batch of one, raising its error."""
         return finish_batch([key], *self.resolve_settled([key]))[0][0]
 
     def _resolve(

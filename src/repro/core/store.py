@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import struct
 import threading
@@ -472,23 +473,20 @@ def segment_checksum(blob: bytes) -> int:
 def verified_many(
     reader, keys: Sequence[str], expected: Mapping[str, int]
 ) -> tuple[dict, dict, int, int]:
-    """One batched read of *keys*, each checked against its CRC32.
+    """One batched read of *keys*, each checked before it is returned.
 
+    A segment is checked against its CRC32 in *expected*; an index
+    record (``.index``, ``.tiles``) checks itself (:func:`_intact`).
     A mismatch is first treated as transient — flips on the read path
     heal on re-fetch — so the mismatched keys are fetched once more, in
     one batched call; a second mismatch fails that key with
     :class:`~repro.core.errors.SegmentCorruptionError` (the stored bytes
-    themselves are bad). Keys without an *expected* checksum (index
-    records) pass unchecked. Returns ``(blobs, errors, refetched,
-    failed)``: the last two count the keys read twice and the keys
-    failing twice.
+    themselves are bad). Returns ``(blobs, errors, refetched, failed)``:
+    the last two count the keys read twice and the keys failing twice.
     """
     blobs, errors = settle_many(reader, keys)
-    bad = [
-        key for key, blob in blobs.items()
-        if expected.get(key) is not None
-        and segment_checksum(blob) != expected[key]
-    ]
+    bad = [key for key, blob in blobs.items()
+           if not _intact(key, blob, expected)]
     failed = 0
     if bad:
         again, again_errors = settle_many(reader, bad)
@@ -498,10 +496,16 @@ def verified_many(
             if key not in again:
                 continue
             blob = again[key]
-            if segment_checksum(blob) == expected[key]:
+            if _intact(key, blob, expected):
                 blobs[key] = blob
                 continue
             failed += 1
+            if expected.get(key) is None:
+                errors[key] = SegmentCorruptionError(
+                    f"index record {key!r} failed verification after "
+                    "re-fetch"
+                )
+                continue
             errors[key] = SegmentCorruptionError(
                 f"segment {key!r} failed CRC32 verification after "
                 f"re-fetch (expected {expected[key]:#010x}, got "
@@ -510,108 +514,251 @@ def verified_many(
     return blobs, errors, len(bad), failed
 
 
-def store_field(store, field: RefactoredField) -> dict:
+def _intact(key: str, blob, expected: Mapping[str, int]) -> bool:
+    """Whether *blob* checks out as *key*: against its expected CRC32;
+    an index record against itself (a binary one by its CRC32 trailer,
+    a v2 JSON one by parsing); any other key passes."""
+    want = expected.get(key)
+    if want is not None:
+        return segment_checksum(blob) == want
+    if not key.endswith((".index", ".tiles")):
+        return True
+    if bytes(blob[:4]) in (_INDEX_MAGIC, _TILES_MAGIC):
+        return _sealed(blob)
+    try:
+        (_read_tiled_index if key.endswith(".tiles") else _read_index)(
+            blob, key)
+    except SegmentCorruptionError:
+        return False
+    return True
+
+
+# -- index records ----------------------------------------------------------
+#
+# ``<name>.index`` and ``<name>.tiles`` are binary records, version 3
+# (little-endian), each ending in the CRC32 of all the bytes before it:
+#
+#   <4sH        magic (b"MDRI" for .index, b"MDRT" for .tiles), version
+#   <B          string count, then per string <H length + UTF-8 bytes
+#
+# .index:  <4BIIIdB   name, dtype, mode, design (string ids), num_levels,
+#                     min_size, group_size, value_range, ndim D
+#          <{D}Q      shape;  <B W + <{W}d level_weights;  <B levels
+#          per level  <BQHidBHBH level, num_elements, num_bitplanes,
+#                     exponent, max_abs, layout id, warp_size,
+#                     signed_encoding id, group count G, then the three
+#                     columns <{G}I bytes, <{G}B planes, <{G}I crc32
+# .tiles:  strings [name, dtype];  <dB value_range, ndim D;  <{D}Q shape;
+#          <{D}Q tile shape;  <I tile count T;  <{T}Q per-tile bytes
+#
+#   <I          CRC32
+#
+# No record holds a key: group g of level l is segment_key(name, l, g),
+# the tiles are plan_tiles(shape, tile shape), and tile i's field is
+# tile_field_name(name, tiles[i].index). A record without the magic is
+# version 2, JSON, read by the converters below.
+
+_HEADER = struct.Struct("<4sH")
+_TRAILER = struct.Struct("<I")
+_INDEX_FIELD, _INDEX_LEVEL = "<4BIIIdB", "<BQHidBHBH"
+_INDEX_MAGIC, _TILES_MAGIC = b"MDRI", b"MDRT"
+_RECORD_VERSION = 3
+_RECORD_ERRORS = (ValueError, KeyError, TypeError, IndexError, struct.error)
+
+
+def _seal(magic: bytes, strings: Sequence[str], *parts: bytes) -> bytes:
+    """A record: header, string table, *parts*, CRC32 trailer."""
+    encoded = [s.encode() for s in strings]
+    body = b"".join([
+        _HEADER.pack(magic, _RECORD_VERSION),
+        struct.pack("<B", len(encoded)),
+        *(struct.pack("<H", len(s)) + s for s in encoded),
+        *parts,
+    ])
+    return body + _TRAILER.pack(zlib.crc32(body))
+
+
+def _sealed(raw) -> bool:
+    """Whether *raw* ends in the CRC32 of the bytes before it."""
+    size = len(raw) - _TRAILER.size
+    return size >= _HEADER.size and zlib.crc32(
+        memoryview(raw)[:size]) == _TRAILER.unpack_from(raw, size)[0]
+
+
+class _Cursor:
+    """Reads a sealed record's fields front to back; reading past the
+    last one is a ``struct.error``."""
+
+    def __init__(self, raw, magic: bytes) -> None:
+        if not _sealed(raw):
+            raise ValueError(f"{len(raw)} bytes that fail the record's "
+                             f"CRC32 trailer")
+        got, version = _HEADER.unpack_from(raw)
+        if got != magic or version != _RECORD_VERSION:
+            raise ValueError(f"header {got!r} version {version}, not "
+                             f"{magic!r} version {_RECORD_VERSION}")
+        self._body = memoryview(raw)[:len(raw) - _TRAILER.size]
+        self._at = _HEADER.size
+        self.strings = []
+        for _ in range(self.take("<B")[0]):
+            (size,) = self.take("<H")
+            self.strings.append(bytes(self.take(f"<{size}s")[0]).decode())
+
+    def take(self, fmt: str) -> tuple:
+        values = struct.unpack_from(fmt, self._body, self._at)
+        self._at += struct.calcsize(fmt)
+        return values
+
+    def done(self) -> None:
+        if self._at != len(self._body):
+            raise ValueError(f"{len(self._body) - self._at} bytes past "
+                             f"the record's last field")
+
+
+def _index_record(field: RefactoredField, columns: list) -> bytes:
+    """*field*'s ``.index`` record; ``columns[l]`` is level *l*'s
+    ``(bytes, planes, crc32)`` lists."""
+    dtype = np.dtype(field.dtype).name
+    strings = list(dict.fromkeys([
+        field.name, dtype, field.mode, field.design,
+        *(s for lv in field.levels for s in (lv.layout, lv.signed_encoding)),
+    ]))
+    sid = {s: i for i, s in enumerate(strings)}
+    parts = [
+        struct.pack(
+            _INDEX_FIELD, sid[field.name], sid[dtype], sid[field.mode],
+            sid[field.design], field.num_levels, field.min_size,
+            field.group_size, field.value_range, len(field.shape)),
+        struct.pack(f"<{len(field.shape)}Q", *field.shape),
+        struct.pack(f"<B{len(field.level_weights)}d",
+                    len(field.level_weights), *field.level_weights),
+        struct.pack("<B", len(field.levels)),
+    ]
+    for lv, (sizes, planes, crcs) in zip(field.levels, columns):
+        n = len(sizes)
+        parts.append(struct.pack(
+            _INDEX_LEVEL, lv.level, lv.num_elements, lv.num_bitplanes,
+            lv.exponent, lv.max_abs, sid[lv.layout], lv.warp_size,
+            sid[lv.signed_encoding], n))
+        parts.append(struct.pack(f"<{n}I{n}B{n}I", *sizes, *planes, *crcs))
+    return _seal(_INDEX_MAGIC, strings, *parts)
+
+
+def store_field(store, field: RefactoredField) -> bytes:
     """Write every plane group of *field* as its own segment.
 
-    Returns the index record that :func:`load_field` / :func:`open_field`
-    need; it is also written to the store under ``<name>.index`` as
-    JSON-encoded bytes. Besides the per-level key lists the index carries
-    a ``"segments"`` table with each segment's serialized size, plane
-    count, and CRC32 checksum — the metadata that lets :func:`open_field`
-    plan retrievals without fetching a single group and lets every
-    reader verify fetched bytes. Directory-backed stores get their
-    manifest flushed once (via :meth:`DirectoryStore.batch`), not per
-    segment.
+    Then writes, and returns, the binary index record that
+    :func:`load_field` / :func:`open_field` need, under
+    ``<name>.index``: the field's metadata and, per level, each
+    segment's serialized size, plane count and CRC32 — what lets
+    :func:`open_field` plan retrievals without fetching a single group
+    and lets every reader verify fetched bytes. Directory-backed stores
+    get their manifest flushed once (via :meth:`DirectoryStore.batch`),
+    not per segment.
     """
-    meta_field = RefactoredField(
-        shape=field.shape,
-        dtype=field.dtype,
-        mode=field.mode,
-        num_levels=field.num_levels,
-        min_size=field.min_size,
-        group_size=field.group_size,
-        design=field.design,
-        level_weights=field.level_weights,
-        levels=[
-            LevelStream(
-                level=lv.level,
-                num_elements=lv.num_elements,
-                num_bitplanes=lv.num_bitplanes,
-                exponent=lv.exponent,
-                max_abs=lv.max_abs,
-                layout=lv.layout,
-                warp_size=lv.warp_size,
-                groups=[],
-                signed_encoding=lv.signed_encoding,
-            )
-            for lv in field.levels
-        ],
-        value_range=field.value_range,
-        name=field.name,
-    )
-    index = {
-        "field": meta_field.to_bytes().hex(),
-        "groups": {},
-        "segments": {},
-    }
+    columns = []
     batch = store.batch() if hasattr(store, "batch") else nullcontext()
     with batch:
         for lv in field.levels:
+            sizes, planes, crcs = [], [], []
             for g, group in enumerate(lv.groups):
-                key = segment_key(field.name, lv.level, g)
                 blob = group.to_bytes()
-                store.put(key, blob)
-                index["groups"].setdefault(str(lv.level), []).append(key)
-                index["segments"][key] = {
-                    "bytes": len(blob),
-                    "planes": group.num_planes,
-                    "crc32": segment_checksum(blob),
-                }
-        store.put(
-            f"{field.name}.index", json.dumps(index).encode()
-        )
-    return index
+                store.put(segment_key(field.name, lv.level, g), blob)
+                sizes.append(len(blob))
+                planes.append(group.num_planes)
+                crcs.append(segment_checksum(blob))
+            columns.append((sizes, planes, crcs))
+        try:
+            record = _index_record(field, columns)
+        except struct.error as exc:
+            raise ValueError(
+                f"field {field.name!r} does not fit an index record: {exc}"
+            ) from exc
+        store.put(f"{field.name}.index", record)
+    return record
 
 
 def _read_index(raw, key: str) -> tuple[RefactoredField, list]:
     """Parse index record *key*'s blob into ``(field template,
     per-level SegmentRef lists)``.
 
-    The one index shape: ``groups`` maps each level to a list of segment
-    keys, and ``segments`` gives every listed key an int ``bytes >= 0``,
-    ``planes >= 1`` and ``crc32``, which its :class:`SegmentRef` carries.
-    Anything else raises
-    :class:`~repro.core.errors.SegmentCorruptionError`.
+    A binary record must pass its CRC32 trailer and parse to its last
+    byte; a v2 JSON one must carry its full segment table (see
+    :func:`_index_from_json`). Anything else raises
+    :class:`~repro.core.errors.SegmentCorruptionError` naming *key*.
     """
     try:
-        index = json.loads(bytes(raw).decode())
-        groups, segments = index["groups"], index["segments"]
-        if not (isinstance(groups, dict) and isinstance(segments, dict)):
-            raise ValueError("groups and segments must be objects")
-        field = RefactoredField.from_bytes(bytes.fromhex(index["field"]))
-        level_refs = []
-        for lv in field.levels:
-            keys = groups.get(str(lv.level), [])
-            if not isinstance(keys, list):
-                raise ValueError(f"level {lv.level} lists {keys!r}, not keys")
-            refs = []
-            for seg in keys:
-                meta = segments.get(seg)
-                if not (isinstance(meta, dict)
-                        and type(meta.get("bytes")) is int
-                        and type(meta.get("planes")) is int
-                        and type(meta.get("crc32")) is int
-                        and meta["bytes"] >= 0 and meta["planes"] >= 1):
-                    raise ValueError(f"segment {seg!r} has entry {meta!r}, "
-                                     f"not {{bytes >= 0, planes >= 1, crc32}}")
-                refs.append(SegmentRef(seg, meta["bytes"], meta["planes"],
-                                       meta["crc32"]))
-            level_refs.append(refs)
-    except (ValueError, KeyError, TypeError, struct.error,
-            UnicodeDecodeError) as exc:
+        if bytes(raw[:4]) == _INDEX_MAGIC:
+            return _index_from_record(raw)
+        return _index_from_json(raw)
+    except _RECORD_ERRORS as exc:
         raise SegmentCorruptionError(
             f"index record {key!r} is corrupt: {exc}"
         ) from exc
+
+
+def _index_from_record(raw) -> tuple[RefactoredField, list]:
+    at = _Cursor(raw, _INDEX_MAGIC)
+    s = at.strings
+    (name, dtype, mode, design, num_levels, min_size, group_size,
+     value_range, ndim) = at.take(_INDEX_FIELD)
+    shape = at.take(f"<{ndim}Q")
+    weights = list(at.take(f"<{at.take('<B')[0]}d"))
+    levels, level_refs = [], []
+    for _ in range(at.take("<B")[0]):
+        (level, num_elements, num_bitplanes, exponent, max_abs, layout,
+         warp_size, signed, n) = at.take(_INDEX_LEVEL)
+        columns = at.take(f"<{n}I{n}B{n}I")
+        if 0 in columns[n:2 * n]:
+            raise ValueError(f"level {level} has a group of 0 planes")
+        keys = [segment_key(s[name], level, g) for g in range(n)]
+        level_refs.append(list(map(
+            SegmentRef, keys, columns[:n], columns[n:2 * n], columns[2 * n:]
+        )))
+        levels.append(LevelStream(
+            level=level, num_elements=num_elements,
+            num_bitplanes=num_bitplanes, exponent=exponent,
+            max_abs=max_abs, layout=s[layout], warp_size=warp_size,
+            signed_encoding=s[signed],
+        ))
+    at.done()
+    field = RefactoredField(
+        shape=tuple(shape), dtype=np.dtype(s[dtype]), mode=s[mode],
+        num_levels=num_levels, min_size=min_size, group_size=group_size,
+        design=s[design], level_weights=weights, levels=levels,
+        value_range=value_range, name=s[name],
+    )
+    return field, level_refs
+
+
+def _index_from_json(raw) -> tuple[RefactoredField, list]:
+    """The v2 converter: ``groups`` maps each level to a list of
+    segment keys, and ``segments`` gives every listed key an int
+    ``bytes >= 0``, ``planes >= 1`` and ``crc32``; ``field`` is the
+    template's ``to_bytes()`` as hex."""
+    index = json.loads(bytes(raw).decode())
+    groups, segments = index["groups"], index["segments"]
+    if not (isinstance(groups, dict) and isinstance(segments, dict)):
+        raise ValueError("groups and segments must be objects")
+    field = RefactoredField.from_bytes(bytes.fromhex(index["field"]))
+    level_refs = []
+    for lv in field.levels:
+        keys = groups.get(str(lv.level), [])
+        if not isinstance(keys, list):
+            raise ValueError(f"level {lv.level} lists {keys!r}, not keys")
+        refs = []
+        for seg in keys:
+            meta = segments.get(seg)
+            if not (isinstance(meta, dict)
+                    and type(meta.get("bytes")) is int
+                    and type(meta.get("planes")) is int
+                    and type(meta.get("crc32")) is int
+                    and meta["bytes"] >= 0 and meta["planes"] >= 1):
+                raise ValueError(f"segment {seg!r} has entry {meta!r}, "
+                                 f"not {{bytes >= 0, planes >= 1, crc32}}")
+            refs.append(SegmentRef(seg, meta["bytes"], meta["planes"],
+                                   meta["crc32"]))
+        level_refs.append(refs)
     return field, level_refs
 
 
@@ -623,12 +770,15 @@ def load_field(store, name: str):
     tolerance queries should prefer :func:`open_field`, which defers
     each segment fetch until a decode touches it.
 
-    Every fetched segment is checked against its index-recorded CRC32:
-    a mismatch is re-fetched once (wire flips heal), then raised as
-    :class:`~repro.core.errors.SegmentCorruptionError`.
+    The index record and every fetched segment are checked (the record
+    against its own trailer, a segment against its index-recorded
+    CRC32): a mismatch is re-fetched once (wire flips heal), then
+    raised as :class:`~repro.core.errors.SegmentCorruptionError`.
     """
-    field, level_refs = _read_index(
-        store.get(f"{name}.index"), f"{name}.index")
+    key = f"{name}.index"
+    blobs, errors, _, _ = verified_many(store, [key], {})
+    field, level_refs = _read_index(finish_batch([key], blobs, errors)[0],
+                                    key)
     wanted = [ref for refs in level_refs for ref in refs]
     keys = [ref.key for ref in wanted]
     blobs, errors, _, _ = verified_many(
@@ -646,57 +796,131 @@ def tiled_index_key(name: str) -> str:
     return f"{name}.tiles"
 
 
-def store_tiled_field(store, tiled) -> dict:
+def tile_field_name(name: str, index: Sequence[int]) -> str:
+    """Name of tile *index*'s sub-field of tiled field *name*, e.g.
+    ``var.T0_1_0``."""
+    return f"{name}.T" + "_".join(map(str, index))
+
+
+def store_tiled_field(store, tiled) -> bytes:
     """Write a :class:`~repro.core.tiling.TiledField` tile by tile.
 
     Every tile's sub-field goes through :func:`store_field` (per-segment
     keys under the tile's own name, e.g. ``var.T0_1_0.L2.G3``), and one
-    tiled index record — domain shape/dtype/value range plus each tile's
-    placement, sub-field name, and stored size — lands under
-    ``<name>.tiles``. Directory-backed stores get their manifest flushed
-    once for the whole write (the per-tile :func:`store_field` batches
-    nest inside this one), not per tile or per segment.
+    binary tiled index record — domain shape/dtype/value range, the
+    tile shape, and each tile's stored size — lands under
+    ``<name>.tiles``. The tiles must be the regular grid of
+    :class:`~repro.core.tiling.TiledRefactorer` (``plan_tiles`` of the
+    first tile's shape, named by :func:`tile_field_name`), which the
+    record rebuilds rather than lists. Directory-backed stores get their
+    manifest flushed once for the whole write (the per-tile
+    :func:`store_field` batches nest inside this one), not per tile or
+    per segment.
 
     Returns the tiled index record that :func:`open_tiled_field` reads.
     """
-    index = {
-        "name": tiled.name,
-        "shape": [int(s) for s in tiled.shape],
-        "dtype": np.dtype(tiled.dtype).name,
-        "value_range": float(tiled.value_range),
-        "tiles": [],
-    }
+    from repro.core.tiling import plan_tiles
+
+    ndim = len(tiled.shape)
+    tile_shape = tiled.tiles[0].shape if tiled.tiles else (1,) * ndim
+    if list(tiled.tiles) != plan_tiles(tiled.shape, tile_shape):
+        raise ValueError(
+            f"tiled field {tiled.name!r} is not the regular grid of "
+            f"{tile_shape} tiles over {tuple(tiled.shape)}"
+        )
+    tile_bytes = []
     batch = store.batch() if hasattr(store, "batch") else nullcontext()
     with batch:
         for tile, field in zip(tiled.tiles, tiled.fields):
+            if field.name != tile_field_name(tiled.name, tile.index):
+                raise ValueError(
+                    f"tile {tile.index} is named {field.name!r}, not "
+                    f"{tile_field_name(tiled.name, tile.index)!r}"
+                )
             store_field(store, field)
-            index["tiles"].append({
-                "index": [int(i) for i in tile.index],
-                "offset": [int(o) for o in tile.offset],
-                "shape": [int(s) for s in tile.shape],
-                "field": field.name,
-                "bytes": field.total_bytes(),
-            })
-        store.put(
-            tiled_index_key(tiled.name), json.dumps(index).encode()
+            tile_bytes.append(field.total_bytes())
+        record = _seal(
+            _TILES_MAGIC, [tiled.name, np.dtype(tiled.dtype).name],
+            struct.pack(f"<dB{ndim}Q{ndim}QI{len(tile_bytes)}Q",
+                        tiled.value_range, ndim, *tiled.shape, *tile_shape,
+                        len(tile_bytes), *tile_bytes),
         )
-    return index
+        store.put(tiled_index_key(tiled.name), record)
+    return record
+
+
+def _read_tiled_index(raw, key: str) -> dict:
+    """Parse tiled index record *key*'s blob into the keywords of a
+    :class:`~repro.core.tiling.LazyTiledField` (bar ``store`` /
+    ``cache``), checked like :func:`_read_index`."""
+    try:
+        if bytes(raw[:4]) == _TILES_MAGIC:
+            return _tiles_from_record(raw)
+        return _tiles_from_json(raw)
+    except _RECORD_ERRORS as exc:
+        raise SegmentCorruptionError(
+            f"tiled index record {key!r} is corrupt: {exc}"
+        ) from exc
+
+
+def _tiles_from_record(raw) -> dict:
+    from repro.core.tiling import plan_tiles
+
+    at = _Cursor(raw, _TILES_MAGIC)
+    name, dtype = at.strings
+    value_range, ndim = at.take("<dB")
+    shape, tile_shape = at.take(f"<{ndim}Q"), at.take(f"<{ndim}Q")
+    (count,) = at.take("<I")
+    tile_bytes = list(at.take(f"<{count}Q"))
+    at.done()
+    if 0 in tile_shape or count != math.prod(
+            -(-s // t) for s, t in zip(shape, tile_shape)):
+        raise ValueError(f"{count} tiles do not cover {shape} in "
+                         f"{tile_shape} tiles")
+    tiles = plan_tiles(shape, tile_shape)
+    return dict(
+        shape=tuple(shape), dtype=np.dtype(dtype), tiles=tiles,
+        tile_field_names=[tile_field_name(name, t.index) for t in tiles],
+        tile_bytes=tile_bytes, value_range=value_range, name=name,
+    )
+
+
+def _tiles_from_json(raw) -> dict:
+    """The v2 converter: every tile's placement and field name listed."""
+    from repro.core.tiling import TileSpec
+
+    index = json.loads(bytes(raw).decode())
+    tiles = index["tiles"]
+    names = [t["field"] for t in tiles]
+    if not all(isinstance(n, str) for n in [index["name"], *names]):
+        raise ValueError("field names must be strings")
+    return dict(
+        shape=tuple(int(s) for s in index["shape"]),
+        dtype=np.dtype(index["dtype"]),
+        tiles=[TileSpec(index=tuple(t["index"]), offset=tuple(t["offset"]),
+                        shape=tuple(t["shape"])) for t in tiles],
+        tile_field_names=names,
+        tile_bytes=[int(t["bytes"]) for t in tiles],
+        value_range=float(index["value_range"]),
+        name=index["name"],
+    )
 
 
 def open_tiled_field(store, name: str, cache=None):
     """Open a stored field lazily as a tiled field, of either layout.
 
     A tiled field reads only its ``<name>.tiles`` index record (through
-    *cache* when given, exactly like :func:`open_field`); each tile's
-    sub-field opens — fetching its own index — on first touch, so a
-    region-of-interest reconstruction over the returned
-    :class:`~repro.core.tiling.LazyTiledField` pays the backing store
-    only for the tiles its hyperslab overlaps. An untiled field (no
-    ``<name>.tiles`` key: a manifest lookup, not a read) opens as a
-    one-tile field whose tile is the field :func:`open_field` just
-    opened; the stored format is the same either way.
+    *cache* when given, exactly like :func:`open_field`, and checked
+    before it is cached); each tile's sub-field opens — fetching its
+    own index — on first touch, so a region-of-interest reconstruction
+    over the returned :class:`~repro.core.tiling.LazyTiledField` pays
+    the backing store only for the tiles its hyperslab overlaps. An
+    untiled field (no ``<name>.tiles`` key: a manifest lookup, not a
+    read) opens as a one-tile field whose tile is the field
+    :func:`open_field` just opened; the stored format is the same
+    either way.
     """
-    from repro.core.tiling import LazyTiledField, TileSpec, one_tile_field
+    from repro.core.tiling import LazyTiledField, one_tile_field
 
     tiled_key, index_key = tiled_index_key(name), f"{name}.index"
     if tiled_key not in store:
@@ -707,30 +931,10 @@ def open_tiled_field(store, name: str, cache=None):
             )
         field = open_field(store, name, cache=cache)
         return one_tile_field(field, store=store, cache=cache)
-    get = cache.get if cache is not None else store.get
-    raw = bytes(get(tiled_key))
-    try:
-        index = json.loads(raw.decode())
-        tiles = index["tiles"]
-        names = [t["field"] for t in tiles]
-        if not all(isinstance(n, str) for n in [index["name"], *names]):
-            raise ValueError("field names must be strings")
-        parsed = dict(
-            shape=tuple(int(s) for s in index["shape"]),
-            dtype=np.dtype(index["dtype"]),
-            tiles=[TileSpec(index=tuple(t["index"]),
-                            offset=tuple(t["offset"]),
-                            shape=tuple(t["shape"])) for t in tiles],
-            tile_field_names=names,
-            tile_bytes=[int(t["bytes"]) for t in tiles],
-            value_range=float(index["value_range"]),
-            name=index["name"],
-        )
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-        raise SegmentCorruptionError(
-            f"tiled index record {tiled_key!r} is corrupt: {exc}"
-        ) from exc
-    return LazyTiledField(**parsed, store=store, cache=cache)
+    resolver = cache if cache is not None else _ColdResolver(store)
+    raw = finish_batch([tiled_key], *resolver.resolve_settled([tiled_key]))
+    return LazyTiledField(**_read_tiled_index(raw[0][0], tiled_key),
+                          store=store, cache=cache)
 
 
 def open_field(store, name: str, cache=None) -> LazyRefactoredField:
@@ -745,9 +949,11 @@ def open_field(store, name: str, cache=None) -> LazyRefactoredField:
     A segment read passes *expected*, ``{key: crc32}`` from its
     :class:`SegmentRef` s, and the resolver checks each blob it reads
     from the store (re-fetched once on a mismatch, then
-    :class:`~repro.core.errors.SegmentCorruptionError`); index records
-    name no CRC. Planning runs on index metadata alone, and only the
-    plane groups a reconstruction decodes are fetched.
+    :class:`~repro.core.errors.SegmentCorruptionError`); an index
+    record names no CRC but is checked against its own (a v2 JSON one
+    by parsing), before a cache keeps it. Planning runs on index
+    metadata alone, and only the plane groups a reconstruction decodes
+    are fetched.
     """
     return finish_batch([name], *open_fields(store, [name], cache))[0]
 
@@ -802,6 +1008,7 @@ __all__ = [
     "settle_many",
     "segment_checksum",
     "tiled_index_key",
+    "tile_field_name",
     "store_field",
     "load_field",
     "open_field",

@@ -62,7 +62,7 @@ from repro.core.backends import (
 )
 from repro.core.reconstruct import Reconstructor
 from repro.core.refactor import RefactorConfig, Refactorer
-from repro.core.store import _ColdResolver, open_fields
+from repro.core.store import _ColdResolver, open_fields, tile_field_name
 from repro.core.stream import Counters, RefactoredField, fetch_fields
 from repro.decompose import MultilevelTransform
 from repro.util.validation import (
@@ -116,15 +116,14 @@ def plan_tiles(
         raise ValueError("tile_shape rank must match data rank")
     if any(t < 1 for t in tile_shape):
         raise ValueError("tile extents must be >= 1")
+    # A tile picks one position per axis (C order); the three products
+    # below walk the same picks in step.
     counts = [-(-s // t) for s, t in zip(shape, tile_shape)]
-    tiles = []
-    for index in product(*(range(c) for c in counts)):
-        offset = tuple(i * t for i, t in zip(index, tile_shape))
-        extent = tuple(
-            min(t, s - o) for t, s, o in zip(tile_shape, shape, offset)
-        )
-        tiles.append(TileSpec(index=index, offset=offset, shape=extent))
-    return tiles
+    offsets = [range(0, c * t, t) for c, t in zip(counts, tile_shape)]
+    extents = [[min(t, s - o) for o in axis]
+               for axis, s, t in zip(offsets, shape, tile_shape)]
+    return list(map(TileSpec, product(*map(range, counts)),
+                    product(*offsets), product(*extents)))
 
 
 def normalize_region(
@@ -404,8 +403,7 @@ class TiledRefactorer:
             value_range = 0.0
         tiles = plan_tiles(data.shape, self.tile_shape)
         jobs = [
-            (tile, f"{name}.T" + "_".join(map(str, tile.index)))
-            for tile in tiles
+            (tile, tile_field_name(name, tile.index)) for tile in tiles
         ]
         spec = resolve_backend(self.backend, self.num_workers)
         if (

@@ -695,7 +695,10 @@ class HuffmanCodec:
                 for _ in range(peel):
                     np.right_shift(win, shift, out=val)
                     np.bitwise_and(val, mask, out=val)
-                    np.take(lut16, val, out=comb)
+                    # In range by construction (val < 2**max_len, the
+                    # LUT's size): "clip" skips np.take's buffered
+                    # bounds-checking path.
+                    lut16.take(val, out=comb, mode="clip")
                     out16[:, step] = comb
                     np.right_shift(comb, 8, out=lens)
                     np.subtract(shift, lens, out=shift, casting="unsafe")

@@ -15,7 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.core.errors import finish_batch
+from repro.core.errors import SegmentCorruptionError, finish_batch
 from repro.core.reconstruct import Reconstructor
 from repro.core.refactor import refactor
 from repro.core.service import RetrievalService, SegmentCache
@@ -331,6 +331,78 @@ def _step(session, **kwargs):
         for key in ("fetched_bytes", "segment_reads", "cold_bytes",
                     "cache_hit_bytes")
     }
+
+
+class _FlipOnWire(MemoryStore):
+    """Flips one bit of *key* on its first *times* reads; the stored
+    bytes stay intact."""
+
+    def __init__(self, key, times=1):
+        super().__init__()
+        self.key, self.times = key, times
+
+    def get(self, key):
+        blob = super().get(key)
+        if key != self.key or self.times == 0:
+            return blob
+        self.times -= 1
+        flipped = bytearray(blob)
+        flipped[len(flipped) // 2] ^= 0x04
+        return bytes(flipped)
+
+
+def _staircase(service, name):
+    """``(data bytes, bound)`` of a three-step session over *name*."""
+    session = service.session(name)
+    steps = [session.reconstruct(tolerance=t) for t in (1e-1, 1e-3, 1e-6)]
+    return [(r.data.tobytes(), r.error_bound) for r in steps]
+
+
+#: Index records of an untiled field ("vel") and a tiled one ("rho").
+RECORD_KEYS = ["vel.index", "rho.tiles", "rho.T1_0_1.index"]
+
+
+class TestIndexRecordIntegrity:
+    @pytest.fixture()
+    def fill(self, field_and_data):
+        data, f = field_and_data
+        tiled = TiledRefactorer((8, 8, 8)).refactor(data, name="rho")
+
+        def fill(store):
+            store_field(store, f)
+            store_tiled_field(store, tiled)
+            return store
+
+        return fill
+
+    @pytest.mark.parametrize("key", RECORD_KEYS)
+    def test_record_flipped_on_the_wire_is_refetched(self, fill, key):
+        """The first read of the record is flipped: it is re-fetched
+        before it is cached, so every open succeeds and steps exactly
+        like one over a clean store."""
+        name = key.split(".")[0]
+        clean = _staircase(RetrievalService(fill(MemoryStore())), name)
+        store = fill(_FlipOnWire(key))
+        svc = RetrievalService(store)
+        assert _staircase(svc, name) == clean
+        assert (store.times, svc.cache.corruption_refetches,
+                svc.cache.corruption_failures) == (0, 1, 0)
+        assert _staircase(svc, name) == clean  # the later open, too
+
+    @pytest.mark.parametrize("key", RECORD_KEYS)
+    def test_record_that_fails_twice_is_raised_and_not_cached(
+        self, fill, key
+    ):
+        name = key.split(".")[0]
+        clean = _staircase(RetrievalService(fill(MemoryStore())), name)
+        store = fill(_FlipOnWire(key, times=2))
+        svc = RetrievalService(store)
+        with pytest.raises(SegmentCorruptionError, match=key):
+            _staircase(svc, name)
+        assert key not in svc.cache
+        assert (svc.cache.corruption_refetches,
+                svc.cache.corruption_failures) == (1, 1)
+        assert _staircase(svc, name) == clean  # the wire healed
 
 
 class TestRetrievalService:

@@ -14,6 +14,7 @@ from repro.core.store import (
     DirectoryStore,
     MemoryStore,
     load_field,
+    open_field,
     segment_checksum,
     segment_key,
     open_tiled_field,
@@ -153,10 +154,12 @@ class TestDescriptorLifecycle:
         _, f = small_field
         root = tmp_path / "store"
         store = DirectoryStore(root)
-        index = store_field(store, f)
+        store_field(store, f)
+        checksums = {ref.key: ref.crc32
+                     for lv in open_field(store, f.name).levels
+                     for ref in lv.refs}
         store.close()
-        return root, {key: meta["crc32"]
-                      for key, meta in index["segments"].items()}
+        return root, checksums
 
     def test_metadata_only_instance_holds_no_descriptor(self, written):
         root, checksums = written

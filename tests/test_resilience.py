@@ -50,6 +50,7 @@ from repro.core.service import RetrievalService, SegmentCache
 from repro.core.store import (
     DirectoryStore,
     MemoryStore,
+    _read_index,
     load_field,
     open_field,
     open_tiled_field,
@@ -307,13 +308,16 @@ class TestCrashConsistency:
         rng = np.random.default_rng(5)  # the writer's two fields
         a, b = (rng.standard_normal((12, 10, 8)).cumsum(axis=0) for _ in "ab")
         expect = MemoryStore()
-        index_a = store_field(expect, refactor(a, name="A"))
+        store_field(expect, refactor(a, name="A"))
+        refs_a = [ref for lv in open_field(expect, "A").levels
+                  for ref in lv.refs]
 
         store = DirectoryStore(root)
         assert store.keys() == expect.keys()  # exactly A, nothing of B
         assert store.total_bytes() == expect.total_bytes()
-        for key, meta in index_a["segments"].items():
-            assert segment_checksum(store.get(key)) == meta["crc32"]
+        assert len(refs_a) == len(store.keys()) - 1  # every segment of A
+        for ref in refs_a:
+            assert segment_checksum(store.get(ref.key)) == ref.crc32
         assert store.get("A.index") == expect.get("A.index")
         orphan_end = (root / "segments.pack").stat().st_size
         assert orphan_end > store.total_bytes()  # B's tail is on disk
@@ -618,11 +622,12 @@ class TestResilientReader:
 
 class TestChecksumRecording:
     def test_store_field_records_crc32(self, field, stored):
-        index = json.loads(stored.get("vx.index").decode())
-        segments = index["segments"]
-        assert segments, "index must carry a segments table"
-        for key, meta in segments.items():
-            assert meta["crc32"] == segment_checksum(stored.get(key))
+        _, level_refs = _read_index(stored.get("vx.index"), "vx.index")
+        refs = [ref for refs in level_refs for ref in refs]
+        assert len(refs) == sum(lv.num_groups for lv in field[1].levels), \
+            "index must carry a segment table"
+        for ref in refs:
+            assert ref.crc32 == segment_checksum(stored.get(ref.key))
 
     def test_refs_carry_stored_crc32(self, stored):
         refs = [r for lv in open_field(stored, "vx").levels for r in lv.refs]

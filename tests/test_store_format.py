@@ -1,31 +1,36 @@
 """On-disk format contract of :class:`~repro.core.store.DirectoryStore`.
 
-``tests/data/golden_store_v2/`` is a format-2 store (``segments.pack`` +
-``manifest.json`` offset index) written once by the code that introduced
-the packed layout. Every later layout change must keep reading it
-bit-identically — the SHA-256 digests below are the baseline — and a
-directory in a layout this code does *not* read must be rejected with
-:class:`~repro.core.errors.StoreFormatError`, never opened as an empty
-store or reported as garbled bytes.
+``tests/data/golden_store_v3/`` and ``tests/data/golden_store_v2/`` are
+format-2 stores (``segments.pack`` + ``manifest.json`` offset index)
+holding the same fields: v3 with binary index records (``.index`` /
+``.tiles``), v2 with the JSON records written before them. Both must
+keep reading bit-identically — the SHA-256 digests below are the
+baseline — and a directory in a layout this code does *not* read must
+be rejected with :class:`~repro.core.errors.StoreFormatError`, never
+opened as an empty store or reported as garbled bytes. v2 is a
+read-only fixture: nothing writes it any more.
 
-The golden store holds :func:`golden_fields` — values that are exact in
-float32, so the originals are reproducible on any platform — written
-with::
+The golden stores hold :func:`golden_fields` — values that are exact in
+float32, so the originals are reproducible on any platform — and v3 is
+written with::
 
-    store = DirectoryStore(GOLDEN)
+    store = DirectoryStore(GOLDEN_V3)
     store_field(store, refactor(u, name="u"))
     store_tiled_field(store, TiledRefactorer(TILE).refactor(t, name="t"))
 
-The write side is pinned too: re-running that recipe must reproduce the
-two golden files byte for byte, and — the golden fields being too small
-to reach the Huffman coder — a 24^3 refactor must reproduce the
-per-group digests recorded before the code construction was rewritten
-(:data:`GROUP_DIGESTS`). A change to a code length or to a selector
-decision changes stored bytes and fails here.
+The write side is pinned too: re-running that recipe must reproduce
+v3's two files byte for byte, every segment blob in v3 must equal
+v2's (only the index records differ), and — the golden fields being
+too small to reach the Huffman coder — a 24^3 refactor must reproduce
+the per-group digests recorded before the code construction was
+rewritten (:data:`GROUP_DIGESTS`). A change to a code length or to a
+selector decision changes stored bytes and fails here.
 
-Every record of the golden store carries the full index shape, and
-:class:`TestMalformedRecords` pins what reading a record of any other
-shape does: it raises :class:`~repro.core.errors.SegmentCorruptionError`.
+A record that does not check out raises
+:class:`~repro.core.errors.SegmentCorruptionError` naming its key:
+:class:`TestMalformedRecords` edits v2's JSON records (read by the v2
+converter), :class:`TestRecordFuzz` flips every bit of, and truncates
+at every length, v3's binary ones.
 
 Needs only pytest and NumPy: CI also runs this file from the
 ``clean-install`` job against the pip-installed package.
@@ -34,6 +39,8 @@ Needs only pytest and NumPy: CI also runs this file from the
 import hashlib
 import json
 import shutil
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +52,9 @@ from repro.core.refactor import refactor
 from repro.core.store import (
     DirectoryStore,
     MemoryStore,
+    _index_record,
+    _read_index,
+    _read_tiled_index,
     load_field,
     open_field,
     open_tiled_field,
@@ -54,7 +64,11 @@ from repro.core.store import (
 from repro.core.tiling import TiledReconstructor, TiledRefactorer
 from repro.data.generators import lognormal_density
 
-GOLDEN = Path(__file__).parent / "data" / "golden_store_v2"
+GOLDEN_V2 = Path(__file__).parent / "data" / "golden_store_v2"
+GOLDEN_V3 = Path(__file__).parent / "data" / "golden_store_v3"
+GOLDENS = {"v2": GOLDEN_V2, "v3": GOLDEN_V3}
+RECORDS = {"u.index", "t.tiles", *(f"t.T{i}_{j}_0.index"
+                                   for i in range(2) for j in range(2))}
 FILES = ["manifest.json", "segments.pack"]
 TILE = (6, 5, 6)  # 2 x 2 x 1 tiles over the (12, 10, 6) field
 TOLERANCES = [1e-2, 1e-5]
@@ -156,23 +170,29 @@ READERS = {
 }
 
 
+@pytest.fixture(params=list(GOLDENS))
+def golden(request):
+    """Each golden store's root (v3 binary records, v2 JSON ones)."""
+    return GOLDENS[request.param]
+
+
 class TestGoldenStore:
-    def test_layout_is_one_pack_and_a_format_2_index(self):
-        assert sorted(p.name for p in GOLDEN.iterdir()) == FILES
-        assert sum(p.stat().st_size for p in GOLDEN.iterdir()) < 20_000
-        manifest = json.loads((GOLDEN / "manifest.json").read_text())
+    def test_layout_is_one_pack_and_a_format_2_index(self, golden):
+        assert sorted(p.name for p in golden.iterdir()) == FILES
+        assert sum(p.stat().st_size for p in golden.iterdir()) < 20_000
+        manifest = json.loads((golden / "manifest.json").read_text())
         assert manifest["format"] == 2
-        store = DirectoryStore(GOLDEN)
+        store = DirectoryStore(golden)
         assert store.keys() == sorted(manifest["segments"])
-        assert {"u.index", "t.tiles"} <= set(store.keys())
+        assert RECORDS <= set(store.keys())
         # no dead bytes: the pack is exactly the live segments
-        assert store.total_bytes() == (GOLDEN / "segments.pack").stat().st_size
+        assert store.total_bytes() == (golden / "segments.pack").stat().st_size
 
     @pytest.mark.parametrize("row", list(READERS))
-    def test_reconstructions_match_recorded_digests(self, row):
+    def test_reconstructions_match_recorded_digests(self, golden, row):
         originals = dict(zip("ut", golden_fields()))
         name, build = READERS[row]
-        recon = build(DirectoryStore(GOLDEN))
+        recon = build(DirectoryStore(golden))
         for tol in TOLERANCES:
             result = recon.reconstruct(tolerance=tol)
             data, bound = result.data, result.error_bound
@@ -185,9 +205,9 @@ class TestGoldenStore:
             digest = hashlib.sha256(data.tobytes()).hexdigest()
             assert digest == DIGESTS[name, tol], (row, tol, digest)
 
-    def test_every_segment_verifies_and_reading_writes_nothing(self):
-        before = {p.name: p.read_bytes() for p in GOLDEN.iterdir()}
-        store = DirectoryStore(GOLDEN)
+    def test_every_segment_verifies_and_reading_writes_nothing(self, golden):
+        before = {p.name: p.read_bytes() for p in golden.iterdir()}
+        store = DirectoryStore(golden)
         load_field(store, "u")  # CRC-checks every segment it fetches
         tiled = open_tiled_field(store, "t")
         for tile in range(len(tiled.tiles)):
@@ -195,7 +215,20 @@ class TestGoldenStore:
         assert store.reads == len(store.keys())  # every blob, once
         assert store.bytes_read == store.total_bytes()
         store.close()
-        assert {p.name: p.read_bytes() for p in GOLDEN.iterdir()} == before
+        assert {p.name: p.read_bytes() for p in golden.iterdir()} == before
+
+    def test_v3_differs_from_v2_in_its_index_records_only(self):
+        v2, v3 = DirectoryStore(GOLDEN_V2), DirectoryStore(GOLDEN_V3)
+        assert v3.keys() == v2.keys()
+        for key in v2.keys():
+            if key in RECORDS:
+                assert v3.get(key)[:4] in (b"MDRI", b"MDRT"), key
+                assert v2.get(key)[:1] == b"{", key
+                assert v3.size_of(key) * 4 < v2.size_of(key), key
+            else:
+                assert v3.get(key) == v2.get(key), key
+        v2.close()
+        v3.close()
 
 
 class TestWriteSideGolden:
@@ -208,7 +241,7 @@ class TestWriteSideGolden:
         assert sorted(p.name for p in (tmp_path / "s").iterdir()) == FILES
         for name in FILES:
             assert (tmp_path / "s" / name).read_bytes() \
-                == (GOLDEN / name).read_bytes(), name
+                == (GOLDEN_V3 / name).read_bytes(), name
 
     def test_plane_groups_match_recorded_digests(self):
         data = lognormal_density((24,) * 3, seed=3)
@@ -227,7 +260,7 @@ class TestWriteSideGolden:
 class TestFormatVersion:
     @pytest.fixture()
     def copy(self, tmp_path):
-        shutil.copytree(GOLDEN, tmp_path / "s")
+        shutil.copytree(GOLDEN_V2, tmp_path / "s")
         return tmp_path / "s"
 
     @pytest.mark.parametrize("fmt", [1, 3, "2", None])
@@ -306,8 +339,8 @@ MALFORMED = [
 class TestMalformedRecords:
     @pytest.fixture()
     def store(self):
-        """The golden store's records in memory, free to edit."""
-        golden = DirectoryStore(GOLDEN)
+        """The v2 golden store's records in memory, free to edit."""
+        golden = DirectoryStore(GOLDEN_V2)
         store = MemoryStore()
         for key in golden.keys():
             store.put(key, golden.get(key))
@@ -341,3 +374,97 @@ class TestMalformedRecords:
         assert not result.data[slab].any()
         result.data[slab] = clean.data[slab]
         np.testing.assert_array_equal(result.data, clean.data)
+
+
+def _outcome(read, *args, key):
+    """``True`` when ``read(*args)`` raises a corruption error naming
+    *key*; otherwise what it did instead."""
+    try:
+        read(*args)
+    except SegmentCorruptionError as exc:
+        return repr(key) in str(exc) or f"unnamed: {exc}"
+    except Exception as exc:  # any other outcome is the finding
+        return f"{type(exc).__name__}: {exc}"
+    return "a result"
+
+
+#: v3 record -> (its parser, the reader that opens it by field name).
+FUZZED = {
+    "u.index": (_read_index, open_field),
+    "t.tiles": (_read_tiled_index, open_tiled_field),
+}
+
+
+def _reseal(body: bytes) -> bytes:
+    """*body* with a CRC32 trailer that matches it."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+class TestRecordFuzz:
+    @pytest.fixture()
+    def store(self):
+        """The v3 golden store's records in memory, free to edit."""
+        golden = DirectoryStore(GOLDEN_V3)
+        store = MemoryStore()
+        for key in golden.keys():
+            store.put(key, golden.get(key))
+        golden.close()
+        return store
+
+    @pytest.mark.parametrize("key", list(FUZZED))
+    def test_every_bit_flip_and_truncation_is_typed(self, store, key):
+        raw = store.get(key)
+        flips = []
+        for bit in range(8 * len(raw)):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            flips.append(bytes(flipped))
+        cases = [raw[:n] for n in range(len(raw))] + flips
+        parse, read = FUZZED[key]
+        wrong = {}
+        for i, case in enumerate(cases):
+            store.put(key, case)
+            for how, outcome in [
+                ("parse", _outcome(parse, case, key, key=key)),
+                ("read", _outcome(read, store, key.split(".")[0], key=key)),
+            ]:
+                if outcome is not True:
+                    wrong[i, how] = outcome
+        assert not wrong, dict(list(wrong.items())[:5])
+        assert len(cases) == 9 * len(raw)
+
+    RESEALED = {
+        "trailing-byte": lambda body: body + b"\0",
+        "short-body": lambda body: body[:-1],
+        "version-2": lambda body: body[:4] + struct.pack("<H", 2) + body[6:],
+        "magic-swapped": lambda body: (
+            (b"MDRT" if body[:4] == b"MDRI" else b"MDRI") + body[4:]),
+    }
+
+    @pytest.mark.parametrize("case", list(RESEALED))
+    @pytest.mark.parametrize("key", list(FUZZED))
+    def test_sealed_record_of_another_shape_is_typed(self, store, key, case):
+        """A record whose CRC32 matches but whose fields do not parse
+        to its last byte (a writer bug, not a wire flip)."""
+        record = _reseal(self.RESEALED[case](store.get(key)[:-4]))
+        parse, read = FUZZED[key]
+        store.put(key, record)
+        assert _outcome(parse, record, key, key=key) is True
+        assert _outcome(read, store, key.split(".")[0], key=key) is True
+
+    def test_tile_count_must_cover_the_grid(self, store):
+        body = store.get("t.tiles")[:-4]  # ..., <I count=4, <4Q bytes
+        assert struct.unpack_from("<I", body, len(body) - 36) == (4,)
+        record = _reseal(body[:-36] + struct.pack("<I", 3) + body[-32:-8])
+        assert _outcome(_read_tiled_index, record, "t.tiles",
+                        key="t.tiles") is True
+
+    def test_zero_plane_group_is_typed(self, store):
+        template, level_refs = _read_index(store.get("u.index"), "u.index")
+        columns = [([r.nbytes for r in refs], [r.num_planes for r in refs],
+                    [r.crc32 for r in refs]) for refs in level_refs]
+        assert _read_index(_index_record(template, columns), "u.index") \
+            == (template, level_refs)  # the writer's own round trip
+        columns[0][1][0] = 0
+        record = _index_record(template, columns)
+        assert _outcome(_read_index, record, "u.index", key="u.index") is True
