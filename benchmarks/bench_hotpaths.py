@@ -31,6 +31,13 @@ The read path's per-tile floor is recorded as a curve
 as one batch (``Reconstructor.decode_steps``), K = 1 ... 64, as the
 wall per tile.
 
+The inverse transform is swept by cube size (``recompose_sweep``,
+16^3 ... 80^3 float64): ``MultilevelTransform.recompose``, which lifts
+in place on the natural grid, timed in alternation against the
+corner-packed transform it replaced (``tests/oracles/
+corner_transform.py``), on coefficients that recompose to the same
+bytes.
+
 Run standalone (writes the JSON):
 
     PYTHONPATH=src python benchmarks/bench_hotpaths.py
@@ -59,6 +66,7 @@ from repro.bitplane.align import AlignedFixedPoint
 from repro.core.reconstruct import Reconstructor
 from repro.core.refactor import Refactorer
 from repro.data import generators as gen
+from repro.decompose import MultilevelTransform
 from repro.bitplane.encoding import (
     decode_bitplanes,
     encode_bitplanes,
@@ -75,6 +83,9 @@ pytestmark = pytest.mark.bench
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_hotpaths.json"
+
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+from oracles.corner_transform import CornerPackedTransform  # noqa: E402
 
 N_ELEMENTS = 1 << 20
 NUM_BITPLANES = 32
@@ -131,6 +142,14 @@ MIN_BATCH_GAIN_AT_1 = 0.9
 TILE_BATCH_SIZES = (1, 2, 4, 8, 18, 32, 64)
 SMOKE_TILE_BATCH_SIZES = (1, 2, 4)
 BATCH_TILE = (16, 16, 16)
+#: Cube edges of the recompose sweep (float64), and its floors against
+#: the corner-packed oracle: >= 1.3x at 80^3 (read_staircase's field
+#: size) and no slower than 0.9x at 16^3 (a tile).
+RECOMPOSE_EDGES = (16, 48, 64, 80)
+SMOKE_RECOMPOSE_EDGES = (8, 16)
+RECOMPOSE_REPS = 15
+MIN_RECOMPOSE_GAIN_AT_80 = 1.3
+MIN_RECOMPOSE_GAIN_AT_16 = 0.9
 #: The walk is forced only up to this many times the regime threshold
 #: (its tables cost ~200 bytes per payload byte).
 MAX_FORCED_WALK_FACTOR = 4
@@ -410,11 +429,12 @@ def tile_batch_sweep(
 ) -> dict:
     """Per-tile decode wall of one staircase step, K tiles per batch.
 
-    K fresh reconstructors over same-shape eager tiles (one shared
-    transform, as in the tiled engine) plan a first step at relative
-    tolerance 1e-3 and decode it in one ``Reconstructor.decode_steps``
-    call; ``per_tile_us`` is the best-of-reps wall over K. Planning and
-    building the reconstructors are outside the timer. Every tile of a
+    K fresh reconstructors over same-shape eager tiles (sharing the
+    process's one transform of their geometry, as in the tiled engine)
+    plan a first step at relative tolerance 1e-3 and decode it in one
+    ``Reconstructor.decode_steps`` call; ``per_tile_us`` is the
+    best-of-reps wall over K. Planning and building the reconstructors
+    are outside the timer. Every tile of a
     batch must decode to the bytes of its own one-step call.
     """
     fields = [
@@ -422,10 +442,9 @@ def tile_batch_sweep(
             tile, -2.0, seed=30 + i, dtype=np.float32), name=f"t{i}")
         for i in range(max(sizes))
     ]
-    transform = Reconstructor(fields[0]).transform
 
     def items(k):
-        recons = [Reconstructor(f, transform=transform) for f in fields[:k]]
+        recons = [Reconstructor(f) for f in fields[:k]]
         return [(r, r.plan_step(1e-3, relative=True), None) for r in recons]
 
     rows = []
@@ -446,12 +465,54 @@ def tile_batch_sweep(
             "rows": rows}
 
 
+def recompose_sweep(
+    edges=RECOMPOSE_EDGES, reps: int = RECOMPOSE_REPS
+) -> dict:
+    """``recompose`` wall per cube edge, natural layout vs corner-packed.
+
+    Both transforms recompose the same levels of a Gaussian random
+    field (each assembled in its own layout) in place, in alternating
+    reps; the copy each rep starts from is outside the timer.
+    ``vs_corner_packed`` is the median of the per-rep ratios; the two
+    outputs must be byte-identical.
+    """
+    rows = []
+    for edge in edges:
+        shape = (edge,) * 3
+        natural = MultilevelTransform(shape)
+        corner = CornerPackedTransform(shape)
+        levels = natural.extract_levels(natural.decompose(
+            gen.gaussian_random_field(shape, -2.0, seed=edge)))
+        sources = [natural.assemble_levels(levels),
+                   corner.assemble_levels(levels)]
+        walls = np.empty((reps, 2))
+        outputs = [None, None]
+        for rep in range(reps):
+            order = (0, 1) if rep % 2 == 0 else (1, 0)
+            for i in order:
+                work = sources[i].copy()
+                transform = (natural, corner)[i]
+                t0 = time.perf_counter()
+                outputs[i] = transform.recompose(work, overwrite=True)
+                walls[rep, i] = time.perf_counter() - t0
+        assert outputs[0].tobytes() == outputs[1].tobytes(), \
+            f"natural recompose diverged from corner-packed at {shape}"
+        rows.append({
+            "edge": edge,
+            "natural_ms": float(walls[:, 0].min()) * 1e3,
+            "corner_packed_ms": float(walls[:, 1].min()) * 1e3,
+            "vs_corner_packed": float(np.median(walls[:, 1] / walls[:, 0])),
+        })
+    return {"dtype": "float64", "reps": reps, "rows": rows}
+
+
 def run_benchmarks(
     n: int = N_ELEMENTS, num_bitplanes: int = NUM_BITPLANES, reps: int = REPS,
     sweep_sizes=SWEEP_SIZES, sweep_reps: int = SWEEP_REPS,
     code_length_calls: int = CODE_LENGTH_CALLS,
     tile_batch_sizes=TILE_BATCH_SIZES, batch_tile=BATCH_TILE,
     huffman_batch_sizes=HUFFMAN_BATCH_SIZES,
+    recompose_edges=RECOMPOSE_EDGES,
 ) -> dict:
     """Measure all hot paths; returns the BENCH_hotpaths payload."""
     rng = np.random.default_rng(0)
@@ -566,6 +627,7 @@ def run_benchmarks(
             huffman_batch_sizes, sweep_reps),
         "tile_batch_sweep": tile_batch_sweep(
             tile_batch_sizes, batch_tile, reps),
+        "recompose_sweep": recompose_sweep(recompose_edges),
         "rle": {
             "encode_ms": t_renc * 1e3,
             "decode_ms": t_rdec * 1e3,
@@ -595,6 +657,14 @@ def test_hotpaths_meet_speedup_floors():
     check_sweep_floors(results["huffman_decode_sweep"])
     check_code_length_floors(results["code_length_sweep"])
     check_batch_floors(results["huffman_batch_sweep"])
+    check_recompose_floors(results["recompose_sweep"])
+
+
+def check_recompose_floors(sweep: dict) -> None:
+    """Floors of the recompose sweep against the corner-packed oracle."""
+    rows = {row["edge"]: row for row in sweep["rows"]}
+    assert rows[80]["vs_corner_packed"] >= MIN_RECOMPOSE_GAIN_AT_80, rows[80]
+    assert rows[16]["vs_corner_packed"] >= MIN_RECOMPOSE_GAIN_AT_16, rows[16]
 
 
 def check_batch_floors(sweep: dict) -> None:
@@ -632,7 +702,8 @@ def main(argv: list[str] | None = None) -> None:
                        sweep_reps=1, code_length_calls=1,
                        tile_batch_sizes=SMOKE_TILE_BATCH_SIZES,
                        batch_tile=(8, 8, 8),
-                       huffman_batch_sizes=SMOKE_HUFFMAN_BATCH_SIZES)
+                       huffman_batch_sizes=SMOKE_HUFFMAN_BATCH_SIZES,
+                       recompose_edges=SMOKE_RECOMPOSE_EDGES)
         print("bench_hotpaths smoke ok (tiny sizes, no floors, "
               "nothing written)")
         return
@@ -642,6 +713,7 @@ def main(argv: list[str] | None = None) -> None:
     check_sweep_floors(results["huffman_decode_sweep"])
     check_code_length_floors(results["code_length_sweep"])
     check_batch_floors(results["huffman_batch_sweep"])
+    check_recompose_floors(results["recompose_sweep"])
     codec = results["bitplane_codec"]
     tr = results["bitplane_transpose"]
     huff = results["huffman"]
@@ -684,6 +756,11 @@ def main(argv: list[str] | None = None) -> None:
         print(
             f"tile batch of {row['tiles']:>2} x 16^3: "
             f"{row['per_tile_us']:.0f} us per tile"
+        )
+    for row in results["recompose_sweep"]["rows"]:
+        print(
+            f"recompose {row['edge']}^3: {row['natural_ms']:.2f} ms, "
+            f"{row['vs_corner_packed']:.2f}x vs corner-packed"
         )
     print(
         f"rle: encode {results['rle']['encode_throughput_mbps']:.0f} MB/s, "

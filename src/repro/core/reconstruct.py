@@ -35,7 +35,7 @@ from repro.core.errors import StoreError
 from repro.core.planner import (
     RetrievalPlan, greedy_table, plan_at, plan_full, plan_greedy_many)
 from repro.core.stream import Counters, RefactoredField
-from repro.decompose import MultilevelTransform
+from repro.decompose import transform_for
 from repro.lossless.hybrid import decompress_group_lists
 from repro.util.validation import check_on_fault, check_tolerance
 
@@ -127,44 +127,16 @@ class Reconstructor:
     batching live one layer up, across tiles
     (:class:`~repro.core.tiling.TiledReconstructor`).
 
-    ``transform`` lets a caller managing many same-geometry fields
-    (the tiled engine: hundreds of identical-shape tiles) share one
-    :class:`~repro.decompose.MultilevelTransform` across their
-    reconstructors instead of rebuilding the grid geometry per field;
-    it must match the field's shape/levels/mode. The transform is
-    read-only during reconstruction, so sharing it is safe even when
-    tiles decode concurrently.
+    The grid transform comes from
+    :func:`~repro.decompose.transform_for`, so every reconstructor of a
+    geometry shares the process's one (read-only during reconstruction,
+    so safe even when tiles decode concurrently).
     """
 
-    def __init__(
-        self,
-        field: RefactoredField,
-        transform: MultilevelTransform | None = None,
-    ) -> None:
+    def __init__(self, field: RefactoredField) -> None:
         self.field = field
-        if transform is None:
-            transform = MultilevelTransform(
-                field.shape,
-                num_levels=field.num_levels,
-                mode=field.mode,
-                min_size=field.min_size,
-            )
-        elif (
-            transform.shape != tuple(field.shape)
-            or transform.num_levels != field.num_levels
-            or transform.mode != field.mode
-            or transform.geometry.min_size != field.min_size
-        ):
-            raise ValueError(
-                f"shared transform geometry (shape={transform.shape}, "
-                f"num_levels={transform.num_levels}, "
-                f"mode={transform.mode!r}, "
-                f"min_size={transform.geometry.min_size}) does not match "
-                f"the field (shape={tuple(field.shape)}, "
-                f"num_levels={field.num_levels}, mode={field.mode!r}, "
-                f"min_size={field.min_size})"
-            )
-        self.transform = transform
+        self.transform = transform_for(
+            field.shape, field.num_levels, field.mode, field.min_size)
         self._fetched = [0] * len(field.levels)
         # Committed bytes and decode work; a lazy field counts its own
         # segment traffic, and counters() sums the two.
@@ -429,7 +401,7 @@ def _decode_rows(transform, dtype, rows) -> list[tuple]:
     (groups, planes))``. One row stacks nothing: its ``(1, n)``
     operands are views of its own arrays."""
     k = len(rows)
-    coeffs = np.zeros((k, *transform.shape))
+    coeffs = np.empty((k, *transform.shape))  # the levels partition it
     flat = coeffs.reshape(k, -1)
     recons = [row[0] for row in rows]
     outcomes: list[list] = [[] for _ in rows]

@@ -15,7 +15,7 @@ import numpy as np
 from repro.bitplane.align import MAX_BITPLANES
 from repro.bitplane.encoding import DESIGNS, encode_bitplanes
 from repro.core.stream import LevelStream, RefactoredField
-from repro.decompose import MultilevelTransform
+from repro.decompose import transform_for
 from repro.decompose.norms import level_error_weights
 from repro.lossless.hybrid import HybridConfig, compress_planes
 from repro.util.validation import check_dtype_floating
@@ -71,12 +71,9 @@ class Refactorer:
         self, shape: tuple[int, ...], config: RefactorConfig | None = None
     ) -> None:
         self.config = config or RefactorConfig()
-        self.transform = MultilevelTransform(
-            shape,
-            num_levels=self.config.num_levels,
-            mode=self.config.mode,
-            min_size=self.config.min_size,
-        )
+        self.transform = transform_for(
+            shape, self.config.num_levels, self.config.mode,
+            self.config.min_size)
         self._weights = level_error_weights(self.transform)
 
     @property

@@ -64,7 +64,6 @@ from repro.core.reconstruct import Reconstructor
 from repro.core.refactor import RefactorConfig, Refactorer
 from repro.core.store import _ColdResolver, open_fields, tile_field_name
 from repro.core.stream import Counters, RefactoredField, fetch_fields
-from repro.decompose import MultilevelTransform
 from repro.util.validation import (
     check_dtype_floating,
     check_on_fault,
@@ -515,7 +514,8 @@ class TiledReconstructor(ClosesOnExit):
     and through them the retained incremental decode state — are built
     lazily on first touch, so wrapping a 1000-tile field costs nothing
     until a reconstruction actually needs a tile. Same-geometry tiles
-    share one :class:`~repro.decompose.MultilevelTransform`.
+    share the process's one :class:`~repro.decompose.MultilevelTransform`
+    of their geometry (:func:`~repro.decompose.transform_for`).
 
     The unit of work is a tile batch, and its step is one body: the
     fetch stage (:meth:`_fetch_batch`: open, plan, one segment request,
@@ -556,25 +556,7 @@ class TiledReconstructor(ClosesOnExit):
         self.pipelined = bool(pipelined)
         self._threads = ThreadPool()  # tile fan-out, or the fetch stage
         self._recons: dict[int, Reconstructor] = {}
-        self._transforms: dict[tuple, MultilevelTransform] = {}
         self._state_lock = threading.Lock()
-
-    def _transform_for(self, field: RefactoredField) -> MultilevelTransform:
-        key = (tuple(field.shape), field.num_levels, field.mode,
-               field.min_size)
-        with self._state_lock:
-            transform = self._transforms.get(key)
-        if transform is None:
-            transform = MultilevelTransform(
-                field.shape,
-                num_levels=field.num_levels,
-                mode=field.mode,
-                min_size=field.min_size,
-            )
-            transform.level_indices()  # warm before any concurrent use
-            with self._state_lock:
-                transform = self._transforms.setdefault(key, transform)
-        return transform
 
     def _reconstructor_for(self, position: int) -> Reconstructor:
         """Tile *position*'s reconstructor, built on first touch (the
@@ -583,10 +565,7 @@ class TiledReconstructor(ClosesOnExit):
         with self._state_lock:
             recon = self._recons.get(position)
         if recon is None:
-            field = self.tiled.fields[position]
-            recon = Reconstructor(
-                field, transform=self._transform_for(field)
-            )
+            recon = Reconstructor(self.tiled.fields[position])
             with self._state_lock:
                 recon = self._recons.setdefault(position, recon)
         return recon

@@ -15,6 +15,8 @@ package provides:
     solves per axis), improving rate-distortion at the cost of looser
     (but still rigorous) error weights.
 
+- :func:`~repro.decompose.transform.transform_for` — the process's one
+  shared transform per geometry (level index sets built once).
 - :mod:`~repro.decompose.norms` — per-level error weights and the
   composition rule ``|u - û|∞ ≤ Σ_ℓ w_ℓ · e_ℓ`` used by the retrieval
   planner to guarantee requested tolerances.
@@ -22,7 +24,7 @@ package provides:
 
 from repro.decompose.grid import LevelGeometry, coarse_size, num_levels_for_shape
 from repro.decompose.norms import compose_error_bound, level_error_weights
-from repro.decompose.transform import MultilevelTransform
+from repro.decompose.transform import MultilevelTransform, transform_for
 
 __all__ = [
     "LevelGeometry",
@@ -31,4 +33,5 @@ __all__ = [
     "num_levels_for_shape",
     "compose_error_bound",
     "level_error_weights",
+    "transform_for",
 ]

@@ -1,10 +1,13 @@
 """Dyadic-ish grid hierarchy bookkeeping.
 
-MGARD-style transforms store coefficients *in place*: after decomposing
-level ℓ, the corner block of the array holds the coarse approximation and
-the remainder holds that level's detail coefficients. This module tracks
-corner shapes per level and builds flat index sets for extracting each
-level's coefficients in a deterministic (C-order) layout.
+The multilevel transform keeps coefficients *in place on the natural
+grid*: halving step *s* works on the sub-lattice of stride ``2**h`` per
+axis (``h`` = how often that axis halved before step *s*), leaves the
+coarse approximation on its even nodes and that step's details on its
+odd ones. This module tracks the grid shape and strides per step and
+builds each level's flat index set. A level lists its coefficients in
+the C order they would have in the corner-packed layout (coarse block
+in the corner, details around it), the order every stored stream uses.
 """
 
 from __future__ import annotations
@@ -40,11 +43,12 @@ def num_levels_for_shape(shape: tuple[int, ...], min_size: int = 4) -> int:
 
 @dataclass(frozen=True)
 class LevelGeometry:
-    """Corner-block shapes for every level of a multilevel transform.
+    """Grid shapes, strides and index sets for every level of a
+    multilevel transform.
 
-    ``shapes[0]`` is the full (finest) shape; ``shapes[k]`` is the corner
-    block after ``k`` halvings; ``shapes[num_levels]`` is the coarsest
-    block. Level indices used throughout the library: level ``0`` is the
+    ``shapes[0]`` is the full (finest) shape; ``shapes[k]`` is the grid
+    after ``k`` halvings (the sub-lattice of ``strides()[k]``);
+    ``shapes[num_levels]`` is the coarsest grid. Level indices used throughout the library: level ``0`` is the
     *coarsest* coefficient set (the nodal values of the coarsest grid) and
     level ``num_levels`` is the finest detail set.
     """
@@ -69,7 +73,8 @@ class LevelGeometry:
         return len(self.shape)
 
     def corner_shapes(self) -> list[tuple[int, ...]]:
-        """Shapes of the corner block after 0..num_levels halvings."""
+        """Grid shapes after 0..num_levels halvings (in the corner-packed
+        order, the corner block a level's coarse values fill)."""
         shapes = [tuple(self.shape)]
         current = list(self.shape)
         for _ in range(self.num_levels):
@@ -86,29 +91,47 @@ class LevelGeometry:
         before, after = shapes[step], shapes[step + 1]
         return [ax for ax in range(self.ndim) if after[ax] != before[ax]]
 
+    def strides(self) -> list[tuple[int, ...]]:
+        """Per-axis stride of the sub-lattice each halving step works on;
+        entry ``num_levels`` strides the coarsest grid's nodes."""
+        shapes = self.corner_shapes()
+        out = [(1,) * self.ndim]
+        for before, after in zip(shapes, shapes[1:]):
+            out.append(tuple(s << (a != b) for s, a, b in zip(
+                out[-1], after, before)))
+        return out
+
     def level_indices(self) -> list[np.ndarray]:
-        """Flat C-order indices of each level's coefficients.
+        """Flat natural-layout indices of each level's coefficients.
 
         Returns ``num_levels + 1`` index arrays: entry 0 selects the
-        coarsest corner block; entry ℓ>0 selects the detail coefficients
-        introduced when refining from level ℓ-1 to ℓ.
+        coarsest grid's nodes; entry ℓ>0 selects the detail coefficients
+        introduced when refining from level ℓ-1 to ℓ. Each lists its
+        nodes in corner-packed C order. Level ℓ > 0 holds step
+        ``s = num_levels - ℓ``'s odd nodes: its region is the corner
+        block of ``n_s`` nodes per axis minus the next-coarser block of
+        ``n_{s+1}``, and along each axis position ``c < n_{s+1}`` is node
+        ``c`` of step ``s + 1``'s sub-lattice and ``c >= n_{s+1}`` odd
+        node ``c - n_{s+1}`` of step *s*'s, so a region's natural indices
+        are the outer sum of per-axis maps, masked to its odd nodes.
         """
-        shapes = self.corner_shapes()
-        full = self.shape
+        shapes, strides = self.corner_shapes(), self.strides()
+        row = np.cumprod((1,) + self.shape[:0:-1])[::-1]
 
-        def corner_mask(corner: tuple[int, ...]) -> np.ndarray:
-            mask = np.zeros(full, dtype=bool)
-            mask[tuple(slice(0, c) for c in corner)] = True
-            return mask
+        def region(step):
+            """Natural indices of the nodes step *step* leaves odd (all
+            of the coarsest grid's for *step* = num_levels)."""
+            flat, odd = np.zeros((), np.intp), np.zeros((), bool)
+            for ax, n in enumerate(shapes[step]):
+                m = shapes[step + 1][ax] if step < self.num_levels else n
+                pos = np.concatenate([
+                    np.arange(m) * strides[min(step + 1, self.num_levels)][ax],
+                    (2 * np.arange(n - m) + 1) * strides[step][ax]])
+                flat = np.add.outer(flat, pos * row[ax])
+                odd = np.logical_or.outer(odd, np.arange(n) >= m)
+            return flat[odd] if step < self.num_levels else flat.reshape(-1)
 
-        indices: list[np.ndarray] = []
-        prev = corner_mask(shapes[self.num_levels])
-        indices.append(np.flatnonzero(prev))
-        for level in range(1, self.num_levels + 1):
-            cur = corner_mask(shapes[self.num_levels - level])
-            indices.append(np.flatnonzero(cur & ~prev))
-            prev = cur
-        return indices
+        return [region(step) for step in range(self.num_levels, -1, -1)]
 
     def level_sizes(self) -> list[int]:
         """Element counts per level (coarsest first)."""

@@ -20,26 +20,23 @@ import numpy as np
 from repro.decompose.grid import coarse_size
 
 
-def split_even_odd(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split along axis 0 into even-index and odd-index node values."""
-    return v[0::2], v[1::2]
-
-
-def predict_odd(even: np.ndarray, n: int) -> np.ndarray:
-    """Linear-interpolation prediction of odd-node values.
+def lift(odd: np.ndarray, even: np.ndarray, n: int, op) -> None:
+    """Apply ``op`` (``np.subtract`` to decompose, ``np.add`` to
+    recompose) of the odd nodes' prediction to *odd*, in place.
 
     Odd node ``2i+1`` is predicted by ``(even[i] + even[i+1]) / 2``. When
     ``n`` is even the last odd node has no right neighbor and is predicted
     by its left neighbor alone — weights stay nonnegative and sum to one,
-    which keeps L∞ error composition exact.
+    which keeps L∞ error composition exact. *odd* and *even* are the
+    axis-0 node views of an ``n``-node grid (``even`` read, ``odd``
+    written).
     """
-    n_odd = n // 2
-    pred = np.empty((n_odd,) + even.shape[1:], dtype=even.dtype)
-    interior = n_odd if n % 2 == 1 else n_odd - 1
-    pred[:interior] = 0.5 * (even[:interior] + even[1 : interior + 1])
+    interior = n // 2 if n % 2 == 1 else n // 2 - 1
+    pred = even[:interior] + even[1 : interior + 1]
+    pred *= 0.5
+    op(odd[:interior], pred, out=odd[:interior])
     if n % 2 == 0:
-        pred[interior] = even[interior]
-    return pred
+        op(odd[interior:], even[interior : interior + 1], out=odd[interior:])
 
 
 def residual_load(detail: np.ndarray, n: int) -> np.ndarray:
@@ -133,7 +130,8 @@ def _abs_correction_matrix(n: int) -> np.ndarray:
 def abs_correction_from_detail(detail: np.ndarray, n: int) -> np.ndarray:
     """Upper bound on |correction| given elementwise |detail| bounds."""
     mat = _abs_correction_matrix(n)
-    flat = detail.reshape(detail.shape[0], -1)
+    # Contiguous, so BLAS sums in one order whatever the view's strides.
+    flat = np.ascontiguousarray(detail).reshape(detail.shape[0], -1)
     out = mat @ flat
     return out.reshape((mat.shape[0],) + detail.shape[1:]).astype(
         detail.dtype, copy=False

@@ -2,9 +2,17 @@
 
 ``MultilevelTransform`` is the Python counterpart of GPU-MGARD's
 (re)decomposer: it turns an n-D field into hierarchical coefficients
-stored corner-packed (coarse approximation in the corner block, details
-around it), level by level, axis by axis. The transform is an exact
-inverse pair up to floating-point round-off.
+level by level, axis by axis, lifting in place on the field's natural
+grid. Halving step *s* updates the sub-lattice of stride ``2**h`` per
+axis (``h`` = the axis's earlier halvings): each axis pass subtracts
+from every odd node the interpolation of its even neighbours (recompose
+adds it back) as one strided update, so coefficients never move — the
+coarse values stay on the even nodes, the step's details on the odd
+ones.
+:meth:`~MultilevelTransform.level_indices` lists each level's nodes in
+the order of the corner-packed layout (coarse block in the corner,
+details around it), which every stored stream uses. The transform is an
+exact inverse pair up to floating-point round-off.
 
 Two modes:
 
@@ -17,6 +25,9 @@ Two modes:
 """
 
 from __future__ import annotations
+
+import threading
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,7 +70,15 @@ class MultilevelTransform:
             num_levels = num_levels_for_shape(shape, min_size)
         self.geometry = LevelGeometry(shape, num_levels, min_size)
         self.mode = mode
-        self._level_indices: list[np.ndarray] | None = None
+        self._indices = tuple(self.geometry.level_indices())
+        for index in self._indices:
+            index.setflags(write=False)
+        # Per halving step: its sub-lattice and the axes it halves.
+        self._steps = [
+            (tuple(slice(None, None, st) for st in strides),
+             self.geometry.halved_axes(step))
+            for step, strides in enumerate(
+                self.geometry.strides()[:num_levels])]
 
     # ------------------------------------------------------------------
     # Public geometry accessors
@@ -78,10 +97,8 @@ class MultilevelTransform:
         return self.geometry.num_levels + 1
 
     def level_indices(self) -> list[np.ndarray]:
-        """Cached flat indices for each level's coefficients."""
-        if self._level_indices is None:
-            self._level_indices = self.geometry.level_indices()
-        return self._level_indices
+        """Each level's flat natural-layout indices (read-only)."""
+        return list(self._indices)
 
     def level_sizes(self) -> list[int]:
         return [idx.size for idx in self.level_indices()]
@@ -90,18 +107,21 @@ class MultilevelTransform:
     # Core transform
     # ------------------------------------------------------------------
     def decompose(self, data: np.ndarray) -> np.ndarray:
-        """Forward transform: field → corner-packed coefficients."""
+        """Forward transform: field → coefficients on the natural grid."""
         coeffs = self._prepare(data)
-        shapes = self.geometry.corner_shapes()
-        for step in range(self.num_levels):
-            block = coeffs[tuple(slice(0, s) for s in shapes[step])]
-            self._decompose_level(block, step)
+        for sub, axes in self._steps:
+            lattice = coeffs[sub]
+            for axis in axes:
+                even, odd, n = self._halves(lattice, axis)
+                interp.lift(odd, even, n, np.subtract)
+                if self.mode == "mgard":
+                    even += interp.correction_from_detail(odd, n)
         return coeffs
 
     def recompose(
         self, coeffs: np.ndarray, *, overwrite: bool = False
     ) -> np.ndarray:
-        """Inverse transform: corner-packed coefficients → field.
+        """Inverse transform: natural-grid coefficients → field.
 
         ``overwrite=True`` lets the transform work directly in *coeffs*
         (which must then be an owned, writeable float64 C-array — e.g.
@@ -122,10 +142,7 @@ class MultilevelTransform:
             data = coeffs
         else:
             data = self._prepare(coeffs, batched=bool(lead))
-        shapes = self.geometry.corner_shapes()
-        for step in range(self.num_levels - 1, -1, -1):
-            block = data[lead + tuple(slice(0, s) for s in shapes[step])]
-            self._recompose_level(block, step, False, batch_axes=len(lead))
+        self._recompose(data, lead, absolute=False)
         return data
 
     def recompose_absolute(self, coeffs: np.ndarray) -> np.ndarray:
@@ -138,10 +155,7 @@ class MultilevelTransform:
         data = self._prepare(coeffs)
         if np.any(data < 0):
             raise ValueError("absolute recompose expects nonnegative input")
-        shapes = self.geometry.corner_shapes()
-        for step in range(self.num_levels - 1, -1, -1):
-            block = data[tuple(slice(0, s) for s in shapes[step])]
-            self._recompose_level(block, step, absolute=True)
+        self._recompose(data, (), absolute=True)
         return data
 
     # ------------------------------------------------------------------
@@ -151,10 +165,11 @@ class MultilevelTransform:
         """Split a coefficient array into per-level 1-D arrays.
 
         Entry 0 is the coarsest set; entry ``num_levels`` the finest
-        details. Ordering within each level is deterministic C-order.
+        details. Each level lists its coefficients in the C order of the
+        corner-packed layout (see :meth:`LevelGeometry.level_indices`).
         """
         flat = coeffs.reshape(-1)
-        return [flat[idx].copy() for idx in self.level_indices()]
+        return [flat[idx] for idx in self._indices]  # gathers copy
 
     def assemble_levels(self, levels: list[np.ndarray]) -> np.ndarray:
         """Inverse of :meth:`extract_levels`."""
@@ -164,7 +179,7 @@ class MultilevelTransform:
                 f"expected {len(indices)} level arrays, got {len(levels)}"
             )
         dtype = np.result_type(*[lv.dtype for lv in levels])
-        out = np.zeros(self.shape, dtype=dtype)
+        out = np.empty(self.shape, dtype=dtype)  # the levels partition it
         flat = out.reshape(-1)
         for idx, values in zip(indices, levels):
             if values.size != idx.size:
@@ -190,50 +205,46 @@ class MultilevelTransform:
         # through the original dtype at the pipeline boundary.
         return np.array(data, dtype=np.float64, copy=True)
 
-    def _decompose_level(self, block: np.ndarray, step: int) -> None:
-        for axis in self.geometry.halved_axes(step):
-            self._decompose_axis(block, axis)
+    @staticmethod
+    def _halves(lattice: np.ndarray, axis: int):
+        """``(even, odd, n)`` node views of *lattice* along *axis*, that
+        axis moved to the front (``np.moveaxis``'s view, without its
+        argument checks)."""
+        v = lattice.transpose(
+            (axis, *range(axis), *range(axis + 1, lattice.ndim)))
+        return v[0::2], v[1::2], v.shape[0]
 
-    def _recompose_level(
-        self, block: np.ndarray, step: int, absolute: bool,
-        batch_axes: int = 0,
-    ) -> None:
-        for axis in reversed(self.geometry.halved_axes(step)):
-            self._recompose_axis(block, axis + batch_axes, absolute)
+    def _recompose(self, data: np.ndarray, lead: tuple, absolute: bool):
+        for sub, axes in reversed(self._steps):
+            lattice = data[lead + sub]
+            for axis in reversed(axes):
+                even, odd, n = self._halves(lattice, axis + len(lead))
+                if self.mode == "mgard":
+                    if absolute:
+                        even += interp.abs_correction_from_detail(odd, n)
+                    else:
+                        even -= interp.correction_from_detail(odd, n)
+                interp.lift(odd, even, n, np.add)
 
-    def _decompose_axis(self, block: np.ndarray, axis: int) -> None:
-        v = np.moveaxis(block, axis, 0)
-        n = v.shape[0]
-        even, odd = interp.split_even_odd(v)
-        pred = interp.predict_odd(even, n)
-        detail = odd - pred
-        coarse = even.copy()
-        if self.mode == "mgard" and detail.shape[0] > 0:
-            coarse += interp.correction_from_detail(detail, n)
-        m = coarse.shape[0]
-        v[:m] = coarse
-        v[m:] = detail
 
-    def _recompose_axis(
-        self, block: np.ndarray, axis: int, absolute: bool
-    ) -> None:
-        v = np.moveaxis(block, axis, 0)
-        n = v.shape[0]
-        m = (n + 1) // 2
-        # Only the even half needs a defensive copy: the detail half is
-        # fully consumed into `odd` before any write below touches `v`,
-        # and the interleaved writes land on disjoint index sets. Saves
-        # one full-block temporary plus the merge/writeback pass of the
-        # previous out-of-place formulation; identical arithmetic order,
-        # so the output is bit-for-bit unchanged.
-        even = v[:m].copy()
-        detail = v[m:]
-        if self.mode == "mgard" and detail.shape[0] > 0:
-            if absolute:
-                even += interp.abs_correction_from_detail(detail, n)
-            else:
-                even -= interp.correction_from_detail(detail, n)
-        odd = interp.predict_odd(even, n)
-        odd += detail
-        v[1::2] = odd
-        v[0::2] = even
+def transform_for(
+    shape: tuple[int, ...],
+    num_levels: int | None = None,
+    mode: str = "hierarchical",
+    min_size: int = 4,
+) -> MultilevelTransform:
+    """The process's one :class:`MultilevelTransform` of a geometry.
+
+    Its level index sets are built once and read-only, so every engine
+    of that geometry (refactorers, reconstructors, same-shape tiles,
+    concurrent threads) shares it instead of rebuilding them.
+    """
+    shape = tuple(int(s) for s in shape)
+    if num_levels is None:
+        num_levels = num_levels_for_shape(shape, min_size)
+    with _SHARED_LOCK:  # one build even when threads ask at once
+        return _shared_transform(shape, int(num_levels), mode, int(min_size))
+
+
+_SHARED_LOCK = threading.Lock()
+_shared_transform = lru_cache(maxsize=32)(MultilevelTransform)

@@ -97,9 +97,7 @@ class _CountingStore(MemoryStore):
 def _open(store, fields) -> list[Reconstructor]:
     opened, errors = open_fields(store, [f.name for f in fields])
     assert not errors
-    transform = Reconstructor(opened[fields[0].name]).transform
-    return [Reconstructor(opened[f.name], transform=transform)
-            for f in fields]
+    return [Reconstructor(opened[f.name]) for f in fields]
 
 
 def _stored(fields, store=None):

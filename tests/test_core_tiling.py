@@ -207,25 +207,6 @@ class TestLazyConstruction:
         recon.reconstruct(tolerance=1e-2)  # full domain touches the rest
         assert recon.touched_tiles == list(range(len(tiled.tiles)))
 
-    def test_reconstructor_rejects_mismatched_shared_transform(self):
-        """Every geometry knob — including min_size, which changes the
-        corner shapes — must match for a shared transform."""
-        from repro.core.reconstruct import Reconstructor
-        from repro.core.refactor import refactor
-        from repro.decompose import MultilevelTransform
-
-        f = refactor(np.linspace(0.0, 1.0, 64))
-        good = MultilevelTransform(
-            f.shape, num_levels=f.num_levels, mode=f.mode,
-            min_size=f.min_size,
-        )
-        Reconstructor(f, transform=good).reconstruct(tolerance=1e-3)
-        bad = MultilevelTransform(
-            f.shape, num_levels=f.num_levels, mode=f.mode, min_size=2
-        )
-        with pytest.raises(ValueError, match="min_size"):
-            Reconstructor(f, transform=bad)
-
     def test_same_shape_tiles_share_transforms(self, field):
         tiled = TiledRefactorer((12, 12, 12)).refactor(field)
         # Pinned serial: the memo under test lives in the parent's
@@ -234,7 +215,12 @@ class TestLazyConstruction:
         recon = TiledReconstructor(tiled, backend="serial")
         recon.reconstruct(tolerance=1e-2)
         # 20x24x28 over 12^3 tiles yields at most 8 distinct shapes but
-        # 12 tiles; the transform memo must not exceed the shape count.
-        assert len(recon._transforms) <= 8
+        # 12 tiles; equal-shape tiles hold the very same transform.
+        by_shape: dict = {}
+        for tile in recon.touched_reconstructors():
+            by_shape.setdefault(tuple(tile.field.shape), set()).add(
+                id(tile.transform))
         shapes = {tuple(f.shape) for f in tiled.fields}
-        assert len(recon._transforms) == len(shapes)
+        assert len(shapes) <= 8 < len(tiled.fields)
+        assert set(by_shape) == shapes
+        assert all(len(ids) == 1 for ids in by_shape.values())

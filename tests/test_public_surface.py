@@ -56,6 +56,7 @@ from repro.core.store import (
     open_tiled_field,
 )
 from repro.core.stream import Counters, LevelStream, SegmentRef
+from repro.decompose import transform_for
 from repro.core.tiling import (
     LazyTiledField,
     TiledReconstructor,
@@ -71,7 +72,7 @@ TILED_STEP = [("tolerance", None), ("relative", False), ("region", None),
 TILED_ENGINE = [("num_workers", 0), ("backend", None), ("pipelined", False)]
 
 SURFACE = [
-    (Reconstructor, [("field", REQUIRED), ("transform", None)]),
+    (Reconstructor, [("field", REQUIRED)]),
     (reconstruct,
      [("field", REQUIRED), ("tolerance", None), ("relative", False)]),
     (Reconstructor.reconstruct, STEP),
@@ -111,10 +112,13 @@ SURFACE = [
       ("deadline_s", None), ("attempt_timeout_s", None), ("seed", 0),
       ("sleep", time.sleep), ("clock", time.monotonic)]),
     (load_field, [("store", REQUIRED), ("name", REQUIRED)]),
+    (transform_for,
+     [("shape", REQUIRED), ("num_levels", None), ("mode", "hierarchical"),
+      ("min_size", 4)]),
 ]
 
 REMOVED_KEYWORDS = [
-    (Reconstructor, ["num_workers", "backend", "incremental"]),
+    (Reconstructor, ["num_workers", "backend", "incremental", "transform"]),
     (reconstruct, ["num_workers", "backend"]),
     (Reconstructor.reconstruct, ["plan"]),
     (Reconstructor.plan_step, ["plan"]),
@@ -198,6 +202,8 @@ def test_removed_names_are_gone():
                  "close", "num_workers", "backend", "incremental",
                  "_decode_level_full"):
         assert not hasattr(Reconstructor, name), name
+    # A geometry's transform is the process's one (transform_for).
+    assert not hasattr(TiledReconstructor, "_transform_for")
 
 
 def test_test_only_entry_points_are_gone():
