@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -426,6 +426,31 @@ class PartialDecodeState:
         if self.signs is not None:
             total += int(self.signs.nbytes)
         return total
+
+    def prefix(self, planes: int) -> "PartialDecodeState":
+        """This state cut to its first *planes* planes, for finalizing.
+
+        :func:`finalize_many` of the cut equals it of a fresh state
+        holding planes ``[0, planes)``: sign-magnitude keeps its words,
+        because finalizing already masks the planes past
+        ``planes_applied``; negabinary masks its low digits; zero planes
+        hold no signs, so nothing finalizes to −0.0. The cut shares the
+        sign bits and is never resumed: planes are injected into a
+        committed state only.
+        """
+        if not 0 <= planes <= self.planes_applied:
+            raise ValueError(
+                f"a state holding {self.planes_applied} planes has no "
+                f"{planes}-plane prefix"
+            )
+        if planes == self.planes_applied:
+            return self
+        words = self.words
+        if self.signed_encoding == "negabinary":
+            low = min(self.total_planes - planes, 64)
+            words = words & np.uint64(_ALL_ONES ^ ((1 << low) - 1))
+        return replace(self, words=words, planes_applied=planes,
+                       signs=self.signs if planes else None)
 
 
 def begin_decode_state(

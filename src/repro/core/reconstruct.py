@@ -108,7 +108,7 @@ class StepPlan:
 
     tolerance: float | None  # resolved absolute tolerance (None = all)
     relative_tolerance: float | None  # requested fraction, if any
-    groups: list[int]  # per-level targets, merged with fetch progress
+    groups: list[int]  # per-level targets; may lie below committed
     incremental_bytes: int  # payload bytes the step newly requires
     before: Counters  # the reconstructor's counters at plan time
 
@@ -257,30 +257,11 @@ class Reconstructor:
                     for recon in recons]
         # Near-lossless, or a constant field (every relative fraction
         # resolves to 0): the documented full plan.
-        plans = [plan_full(recon.field) if requested is None or (
-            relative and recon.field.value_range == 0.0) else None
-            for recon in recons]
-        greedy = [i for i, p in enumerate(plans) if p is None]
-        for i in greedy:  # built on a session's first greedy plan
-            if recons[i]._plan_table is None:
-                recons[i]._plan_table = greedy_table(recons[i].field)
-        for i, found in zip(greedy, plan_greedy_many(
-                [recons[i].field for i in greedy],
-                [resolved[i] for i in greedy],
-                [recons[i]._fetched for i in greedy],
-                [recons[i]._plan_table for i in greedy])):
-            plans[i] = found
-        # Progressive: never un-fetch; merge with what we already have.
-        steps = []
-        for recon, p, tol in zip(recons, plans, resolved):
-            groups = [max(have, int(want)) for have, want in zip(
-                recon._fetched, p.groups_per_level)]
-            steps.append(StepPlan(tol, requested if relative else None,
-                                  groups, sum(
-                lv.bytes_for_groups(g) - lv.bytes_for_groups(have)
-                for lv, g, have in zip(recon.field.levels, groups,
-                                       recon._fetched)), recon.counters()))
-        return steps
+        full = [requested is None or (
+            relative and recon.field.value_range == 0.0) for recon in recons]
+        # Progressive: never un-fetch; plan on from what we already have.
+        return _plan_from(recons, resolved, [r._fetched for r in recons],
+                          full, requested if relative else None)
 
     def fetch_step(self, step: StepPlan) -> None:
         """Fetch stage of one step — the one place a step reads the store.
@@ -316,7 +297,10 @@ class Reconstructor:
         level, injection and finalization run over the ``(K, n)`` stack
         of same-geometry steps (exponent, dropped planes and signs per
         row) and scatter into a ``(K, *shape)`` stack that one recompose
-        serves — the arithmetic per element of K one-step calls. A fault
+        serves — the arithmetic per element of K one-step calls. A level
+        whose target lies below its committed count (a QoI call resuming
+        a kept reconstructor) finalizes a prefix of the committed state,
+        which stays committed: the answer is a fresh decode's. A fault
         is per step: ``"degrade"`` answers it from its committed
         refinement (nothing to decode, so nothing to fault again);
         ``"raise"`` commits the steps before it, then raises it.
@@ -371,7 +355,7 @@ class Reconstructor:
             c.level_decodes += bool(d_groups or d_planes)
             c.level_reuses += not (d_groups or d_planes)
         incremental = step.incremental_bytes if failed_groups is None else 0
-        self._fetched = groups
+        self._fetched = [max(have, g) for have, g in zip(self._fetched, groups)]
         c.fetched_bytes += incremental
         spent = self.counters() - step.before
         return ReconstructionResult(
@@ -392,14 +376,53 @@ class Reconstructor:
         )
 
 
+def _plan_from(recons, tolerances, starts, full=None,
+               relative_tolerance=None) -> list[StepPlan]:
+    """:class:`StepPlan` s of K sessions, each reaching its own tolerance
+    from its own *starts*, the greedy plans from one
+    :func:`~repro.core.planner.plan_greedy_many` (``full[i]``: plan
+    everything instead).
+
+    A step's targets are ``max(start, planned)``. A session step starts
+    from the committed counts; a QoI call starts from the counts it has
+    planned itself, so a target may lie below the committed count: the
+    decode body answers that level from a prefix of the committed state.
+    """
+    full = full or [False] * len(recons)
+    plans = [plan_full(recon.field) if f else None
+             for recon, f in zip(recons, full)]
+    greedy = [i for i, p in enumerate(plans) if p is None]
+    for i in greedy:  # built on a session's first greedy plan
+        if recons[i]._plan_table is None:
+            recons[i]._plan_table = greedy_table(recons[i].field)
+    for i, found in zip(greedy, plan_greedy_many(
+            [recons[i].field for i in greedy],
+            [tolerances[i] for i in greedy],
+            [starts[i] for i in greedy],
+            [recons[i]._plan_table for i in greedy])):
+        plans[i] = found
+    steps = []
+    for recon, p, tol, start in zip(recons, plans, tolerances, starts):
+        groups = [max(have, int(want))
+                  for have, want in zip(start, p.groups_per_level)]
+        steps.append(StepPlan(tol, relative_tolerance, groups, sum(
+            lv.bytes_for_groups(max(g, have)) - lv.bytes_for_groups(have)
+            for lv, g, have in zip(recon.field.levels, groups,
+                                   recon._fetched)), recon.counters()))
+    return steps
+
+
 _FLOAT64 = np.dtype(np.float64)
 
 
 def _decode_rows(transform, dtype, rows) -> list[tuple]:
     """:meth:`Reconstructor.decode_steps` over same-geometry rows:
     ``(data, outcomes)`` per row, ``outcomes[level] = (values, state,
-    (groups, planes))``. One row stacks nothing: its ``(1, n)``
-    operands are views of its own arrays."""
+    (groups, planes))``, the level's state and values to commit. One
+    row stacks nothing: its ``(1, n)`` operands are views of its own
+    arrays. A level whose target lies below the committed count is
+    answered from the committed state's prefix and commits it unchanged.
+    """
     k = len(rows)
     coeffs = np.empty((k, *transform.shape))  # the levels partition it
     flat = coeffs.reshape(k, -1)
@@ -414,19 +437,24 @@ def _decode_rows(transform, dtype, rows) -> list[tuple]:
             for r, state in zip(new, apply_planes_many(
                     [states[r] for r in new], [planes[r] for r in new])):
                 states[r] = state
+        cut = {r: states[r].prefix(recon.field.levels[idx].planes_in_groups(
+            row[2][idx])) for r, (recon, row) in enumerate(zip(recons, rows))
+            if row[2][idx] < recon._fetched[idx]}
         # An unchanged level reuses its cached values.
-        values = [recon._values[idx] if p is None else None
-                  for recon, p in zip(recons, planes)]
+        values = [recon._values[idx] if p is None and r not in cut else None
+                  for r, (recon, p) in enumerate(zip(recons, planes))]
         stale = [r for r, v in enumerate(values) if v is None]
-        if stale:  # refined, or never finalized (0 groups planned)
-            for r, v in zip(stale, finalize_many([states[r] for r in stale])):
+        if stale:  # refined, cut, or never finalized (0 groups planned)
+            for r, v in zip(stale, finalize_many(
+                    [cut.get(r, states[r]) for r in stale])):
                 values[r] = v
         for row_coeffs, v in zip(flat, values):
             row_coeffs[index] = v  # 1-D scatters beat one 2-D one
-        for out, recon, row, p, v, state in zip(
-                outcomes, recons, rows, planes, values, states):
-            out.append((v, state, (0, 0) if p is None else (
-                row[2][idx] - recon._fetched[idx], len(p))))
+        for r, (out, recon, row, p, v, state) in enumerate(zip(
+                outcomes, recons, rows, planes, values, states)):
+            out.append((recon._values[idx] if r in cut else v, state,
+                        (0, 0) if p is None else (
+                            row[2][idx] - recon._fetched[idx], len(p))))
     # The stack is ours: recompose in place, and hand out row views.
     data = transform.recompose(coeffs[0] if k == 1 else coeffs,
                                overwrite=True).astype(dtype, copy=False)

@@ -13,7 +13,11 @@ layer:
   sessions and :func:`~repro.qoi.retrieval.retrieve_qoi` calls over one
   shared cache, with optional background prefetch of each session's next
   planned plane group, on a small
-  :class:`~repro.core.backends.ThreadPool` it owns;
+  :class:`~repro.core.backends.ThreadPool` it owns. For QoI calls it
+  keeps one :class:`~repro.core.reconstruct.Reconstructor` per variable
+  until :meth:`~RetrievalService.close`: each call still plans as a
+  fresh call would and gets exactly a fresh call's answer, but decodes
+  only the plane groups no earlier call has;
 * :class:`Session` — one client's stateful progressive session over a
   variable, run by a :class:`~repro.core.tiling.TiledReconstructor`. An
   untiled variable opens as a one-tile field, so every variable is
@@ -418,6 +422,11 @@ class RetrievalService(ClosesOnExit):
         # concurrent adds from other threads).
         self._sessions: "weakref.WeakSet[Session]" = weakref.WeakSet()
         self._sessions_lock = threading.Lock()
+        # One opened field and Reconstructor per QoI variable, kept for
+        # the service's life: a QoI call decodes only the plane groups
+        # no earlier call has. The lock runs one call at a time on them.
+        self._qoi_recons: dict[str, Reconstructor] = {}
+        self._qoi_lock = threading.Lock()
 
     def open(self, name: str) -> LazyTiledField:
         """Open variable *name*, tiled or not, through the shared cache.
@@ -469,19 +478,31 @@ class RetrievalService(ClosesOnExit):
     def retrieve_qoi(self, qoi, tolerance: float, **kwargs):
         """QoI-controlled retrieval over lazily-opened variables.
 
-        Opens every variable the QoI references through the shared cache
-        and runs :func:`repro.qoi.retrieval.retrieve_qoi` (Algorithm 3);
-        ``kwargs`` are forwarded (``method``, ``initial_bounds``, ...).
-        The result's ``cold_bytes``/``cache_hit_bytes`` report how much
-        of the fetched traffic the cache absorbed.
+        Runs Algorithm 3 (:func:`repro.qoi.retrieval.retrieve_qoi`;
+        ``kwargs`` are forwarded: ``method``, ``initial_bounds``, ...)
+        on one :class:`~repro.core.reconstruct.Reconstructor` per
+        variable, opened through the shared cache on first use and kept
+        until :meth:`close`. A call plans as a fresh call would and
+        gets exactly its answer, bit for bit; the kept decode state only
+        spares it the plane groups an earlier call already decoded. The
+        result's ``cold_bytes``/``cache_hit_bytes`` report the segment
+        traffic the call really caused (none when earlier calls decoded
+        everything it needs). Calls run one at a time; after
+        :meth:`close` each call opens its variables afresh.
         """
-        from repro.qoi.retrieval import retrieve_qoi
+        from repro.qoi.retrieval import _retrieve
 
-        fields = {
-            name: open_field(self.store, name, cache=self.cache)
-            for name in qoi.variables()
-        }
-        return retrieve_qoi(fields, qoi, tolerance, **kwargs)
+        with self._futures_lock:
+            closed = self._closed
+        with self._qoi_lock:
+            kept = {} if closed else self._qoi_recons
+            recons = {}
+            for name in sorted(qoi.variables()):
+                if name not in kept:
+                    kept[name] = Reconstructor(
+                        open_field(self.store, name, cache=self.cache))
+                recons[name] = kept[name]
+            return _retrieve(recons, qoi, tolerance, **kwargs)
 
     # -- prefetch ---------------------------------------------------------
     def _schedule_prefetch(self, recons: Sequence[Reconstructor]) -> list[str]:
@@ -587,6 +608,9 @@ class RetrievalService(ClosesOnExit):
         """
         with self._sessions_lock:
             sessions = list(self._sessions)
+        with self._qoi_lock:
+            qoi_state = sum(
+                r.decode_state_bytes() for r in self._qoi_recons.values())
         with self._futures_lock:
             prefetch_requests = self.prefetch_requests
             prefetch_failures = self.prefetch_failures
@@ -603,7 +627,7 @@ class RetrievalService(ClosesOnExit):
             "store_bytes_read": getattr(self.store, "bytes_read", None),
             "sessions": {
                 "open": len(sessions),
-                "decode_state_bytes": sum(
+                "decode_state_bytes": qoi_state + sum(
                     s.decode_state_bytes for s in sessions
                 ),
                 # Decode state exists only for tiles a reconstruction
@@ -613,9 +637,12 @@ class RetrievalService(ClosesOnExit):
         }
 
     def close(self) -> None:
-        """Stop scheduling, drain prefetches, stop the pool (idempotent)."""
+        """Stop scheduling, drain prefetches, stop the pool, drop the
+        kept QoI reconstructors (idempotent)."""
         with self._futures_lock:
             self._closed = True
+        with self._qoi_lock:
+            self._qoi_recons.clear()
         try:
             self.drain_prefetch()
         finally:

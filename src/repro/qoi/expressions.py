@@ -174,12 +174,10 @@ class _Square(QoI):
         return v * v
 
     def interval(self, values, bounds):
-        lo, hi = self.a.interval(values, bounds)
-        lo2, hi2 = lo * lo, hi * hi
-        upper = np.maximum(lo2, hi2)
-        # Interval straddling zero has minimum square 0.
-        lower = np.where((lo <= 0) & (hi >= 0), 0.0, np.minimum(lo2, hi2))
-        return lower, upper
+        lower, upper = _abs_interval(*self.a.interval(values, bounds))
+        # Squaring is monotone on |x|, so these are the squares' bounds.
+        return (np.multiply(lower, lower, out=lower),
+                np.multiply(upper, upper, out=upper))
 
     def variables(self):
         return self.a.variables()
@@ -219,10 +217,8 @@ class _Abs(QoI):
         return np.abs(self.a.evaluate(values))
 
     def interval(self, values, bounds):
-        lo, hi = self.a.interval(values, bounds)
-        upper = np.maximum(np.abs(lo), np.abs(hi))
-        lower = np.where((lo <= 0) & (hi >= 0), 0.0,
-                         np.minimum(np.abs(lo), np.abs(hi)))
+        lower, upper = _abs_interval(*self.a.interval(values, bounds))
+        lower += 0.0  # a straddling interval's −0.0 is +0.0
         return lower, upper
 
     def variables(self):
@@ -230,6 +226,18 @@ class _Abs(QoI):
 
     def __repr__(self):
         return f"abs({self.a!r})"
+
+
+def _abs_interval(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """``|x|``'s bounds over ``[lo, hi]`` as fresh float64 arrays, in the
+    clamp form: lower ``max(0, max(lo, −hi))`` (0 when the interval
+    straddles zero), upper ``max(|lo|, |hi|)``."""
+    shape = np.broadcast(lo, hi).shape
+    lower, upper = np.empty(shape), np.empty(shape)
+    np.maximum(np.abs(lo, out=lower), np.abs(hi, out=upper), out=upper)
+    np.maximum(lo, np.negative(hi, out=lower), out=lower)
+    np.maximum(lower, 0.0, out=lower)
+    return lower, upper
 
 
 # -- public constructors --------------------------------------------------
@@ -277,9 +285,15 @@ def pointwise_qoi_error(
     does the truth; the distance from the reconstructed QoI to the
     farther envelope edge bounds the error.
     """
+    return _pointwise(qoi, values, bounds)[0]
+
+
+def _pointwise(qoi, values, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`pointwise_qoi_error` and the centre ``qoi.evaluate(values)``
+    it measures from."""
     lo, hi = qoi.interval(values, bounds)
     center = qoi.evaluate(values)
-    return np.maximum(hi - center, center - lo)
+    return np.maximum(hi - center, center - lo), center
 
 
 def estimate_qoi_error(
@@ -291,5 +305,11 @@ def estimate_qoi_error(
 
     This is the τ′ of Algorithm 3 — cheap, fully vectorized, rigorous.
     """
-    pw = pointwise_qoi_error(qoi, values, bounds)
-    return float(np.max(pw)) if pw.size else 0.0
+    return _estimate(qoi, values, bounds)[0]
+
+
+def _estimate(qoi, values, bounds) -> tuple[float, np.ndarray]:
+    """:func:`estimate_qoi_error` and the centre it measured from, which
+    Algorithm 3 returns as the QoI values rather than evaluate again."""
+    pw, center = _pointwise(qoi, values, bounds)
+    return (float(np.max(pw)) if pw.size else 0.0), center

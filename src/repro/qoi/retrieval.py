@@ -15,15 +15,15 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from repro.core.reconstruct import Reconstructor
-from repro.core.stream import Counters, RefactoredField
+from repro.core.reconstruct import Reconstructor, _plan_from
+from repro.core.stream import Counters, RefactoredField, fetch_fields
 from repro.qoi.eb_methods import (
     EB_METHODS,
     cp_update,
     ma_update,
     mape_update,
 )
-from repro.qoi.expressions import QoI, estimate_qoi_error
+from repro.qoi.expressions import QoI, _estimate
 
 
 @dataclass
@@ -89,21 +89,49 @@ def retrieve_qoi(
     MAPE's ``c``. Initial bounds default to the tolerance itself — loose
     enough that the loop genuinely iterates, as in the paper.
     """
+    missing = qoi.variables() - set(fields)
+    if missing:
+        raise ValueError(f"missing refactored variables: {sorted(missing)}")
+    return _retrieve(
+        {name: Reconstructor(fields[name]) for name in qoi.variables()},
+        qoi, tolerance, method, switch_threshold, initial_bounds,
+        max_iterations,
+    )
+
+
+def _retrieve(
+    recons: dict[str, Reconstructor],
+    qoi: QoI,
+    tolerance: float,
+    method: str = "mape",
+    switch_threshold: float = 10.0,
+    initial_bounds: dict[str, float] | None = None,
+    max_iterations: int = 200,
+) -> QoIRetrievalResult:
+    """Algorithm 3 on one :class:`Reconstructor` per QoI variable.
+
+    The call plans as a fresh call would, from its own group counts
+    (zero at the start), and asks the reconstructors for exactly those
+    groups: a reconstructor that earlier calls left further along
+    answers a level from a prefix of its committed state and decodes
+    only the groups it never had. So every answer is bit-identical to a
+    fresh call's, and ``fetched_bytes`` is its plan's bytes, while
+    ``cold_bytes`` / ``cache_hit_bytes`` count the segments this call
+    really read.
+    """
     if method not in EB_METHODS:
         raise ValueError(f"method must be one of {EB_METHODS}, got {method!r}")
     if tolerance <= 0:
         raise ValueError("tolerance must be > 0")
     if switch_threshold <= 1.0:
         raise ValueError("switch_threshold must be > 1")
-    needed = qoi.variables()
-    missing = needed - set(fields)
-    if missing:
-        raise ValueError(f"missing refactored variables: {sorted(missing)}")
-
-    recons = {name: Reconstructor(fields[name]) for name in needed}
+    names = sorted(recons)
+    kept = [recons[name] for name in names]
+    fields = {name: recons[name].field for name in names}
+    groups = {name: [0] * len(fields[name].levels) for name in names}
 
     def counters() -> Counters:
-        return sum((r.counters() for r in recons.values()), Counters())
+        return sum((r.counters() for r in kept), Counters())
 
     # Lazy fields count cumulative traffic: subtract where they stood,
     # so this call reports only the traffic it caused itself.
@@ -115,7 +143,7 @@ def retrieve_qoi(
     bounds = dict(initial_bounds) if initial_bounds else {
         name: max(float(tolerance),
                   0.05 * fields[name].value_range or float(tolerance))
-        for name in needed
+        for name in names
     }
     for name, b in bounds.items():
         if b <= 0:
@@ -125,48 +153,58 @@ def retrieve_qoi(
     values: dict[str, np.ndarray] = {}
     actual_bounds: dict[str, float] = {}
     estimated = float("inf")
+    center = None
     iteration = 0
     while iteration < max_iterations:
         iteration += 1
-        # Fetch + recompose every variable to its current bound
-        # (the pipelined memory/compute phase of Algorithm 3).
-        for name in sorted(needed):
-            result = recons[name].reconstruct(tolerance=bounds[name])
+        # Fetch + recompose every variable to its current bound (the
+        # pipelined memory/compute phase of Algorithm 3): one plan and
+        # one store request for all variables. Each decodes on its own:
+        # a stacked decode holds K variables' temporaries at once.
+        steps = _plan_from(kept, [bounds[name] for name in names],
+                           [groups[name] for name in names])
+        for error in fetch_fields([(recon.field, list(zip(
+                recon.fetched_groups, step.groups)))
+                for recon, step in zip(kept, steps)]):
+            if error is not None:
+                raise error
+        for name, recon, step in zip(names, kept, steps):
+            result = recon.decode_step(step)
+            groups[name] = step.groups
             values[name] = result.data.astype(np.float64)
             actual_bounds[name] = result.error_bound
-        estimated = estimate_qoi_error(qoi, values, actual_bounds)
+        estimated, center = _estimate(qoi, values, actual_bounds)
         spent = counters() - start
         history.append(
             QoIIterationRecord(
                 iteration=iteration,
                 error_bounds=dict(actual_bounds),
                 estimated_error=estimated,
-                fetched_bytes=spent.fetched_bytes,
+                fetched_bytes=_plan_bytes(fields, groups),
                 cold_bytes=spent.cold_bytes,
             )
         )
         if estimated <= tolerance:
             break
         bounds = _next_bounds(
-            method, qoi, values, recons, actual_bounds, tolerance,
+            method, qoi, values, fields, groups, actual_bounds, tolerance,
             estimated, switch_threshold,
         )
         exhausted = all(
-            recons[name].fetched_groups == fields[name].max_groups()
-            for name in needed
+            groups[name] == fields[name].max_groups() for name in names
         )
         if exhausted:
             break  # nothing more to fetch; report the achieved estimate
-    num_elements = int(np.prod(next(iter(fields.values())).shape))
+    qoi_values = qoi.evaluate(values) if center is None else center
     spent = counters() - start
     return QoIRetrievalResult(
         values=values,
-        qoi_values=qoi.evaluate(values),
+        qoi_values=qoi_values,
         estimated_error=estimated,
         tolerance=tolerance,
         iterations=iteration,
-        fetched_bytes=spent.fetched_bytes,
-        num_elements=num_elements,
+        fetched_bytes=_plan_bytes(fields, groups),
+        num_elements=int(np.size(qoi_values)),
         method=method,
         history=history,
         cold_bytes=spent.cold_bytes,
@@ -174,18 +212,23 @@ def retrieve_qoi(
     )
 
 
+def _plan_bytes(fields, groups) -> int:
+    """Payload bytes of the plan fetching *groups* of every field."""
+    return sum(lv.bytes_for_groups(g) for name, field in fields.items()
+               for lv, g in zip(field.levels, groups[name]))
+
+
 def _next_bounds(
     method: str,
     qoi: QoI,
     values: dict[str, np.ndarray],
-    recons: dict[str, Reconstructor],
+    fields: dict[str, RefactoredField],
+    fetched: dict[str, list[int]],
     bounds: dict[str, float],
     tolerance: float,
     estimated: float,
     switch_threshold: float,
 ) -> dict[str, float]:
-    fields = {name: r.field for name, r in recons.items()}
-    fetched = {name: r.fetched_groups for name, r in recons.items()}
     if method == "cp":
         return cp_update(qoi, values, bounds, tolerance)
     if method == "ma":

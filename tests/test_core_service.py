@@ -405,6 +405,19 @@ class TestIndexRecordIntegrity:
         assert _staircase(svc, name) == clean  # the wire healed
 
 
+@pytest.fixture(scope="module")
+def qoi_store(tmp_path_factory):
+    """Three velocity components in one store, and their data."""
+    store = DirectoryStore(tmp_path_factory.mktemp("qoi"))
+    data = {}
+    for i, name in enumerate(("Vx", "Vy", "Vz")):
+        data[name] = gen.gaussian_random_field(
+            (12, 12, 12), -2.0, seed=20 + i, dtype=np.float64
+        )
+        store_field(store, refactor(data[name], name=name))
+    return store, data
+
+
 class TestRetrievalService:
     def test_second_session_served_from_cache(self, dir_store):
         svc = RetrievalService(dir_store, cache_bytes=64 << 20)
@@ -526,26 +539,89 @@ class TestRetrievalService:
                 assert traffic["cold_bytes"] == want.cold_bytes
         svc.close()
 
-    def test_retrieve_qoi_through_service(self, tmp_path):
-        shape = (12, 12, 12)
-        rng = {}
-        store = DirectoryStore(tmp_path / "qoi")
-        for i, name in enumerate(("Vx", "Vy", "Vz")):
-            rng[name] = gen.gaussian_random_field(
-                shape, -2.0, seed=20 + i, dtype=np.float64
-            )
-            store_field(store, refactor(rng[name], name=name))
+    def test_retrieve_qoi_through_service(self, qoi_store):
+        store, _ = qoi_store
         svc = RetrievalService(store, cache_bytes=64 << 20)
         tol = 1e-2
         result = svc.retrieve_qoi(v_total(["Vx", "Vy", "Vz"]), tol)
         assert result.estimated_error <= tol
         assert result.cold_bytes > 0
         assert result.history[-1].cold_bytes == result.cold_bytes
-        # second identical query is served from the shared cache
+        # The kept reconstructors already hold every group the second
+        # identical query needs: it decodes no group, reads no segment,
+        # not even a cached one, and answers the same bits with the
+        # same plan bytes.
+        decoded = sum(r.counters().groups_decoded
+                      for r in svc._qoi_recons.values())
         again = svc.retrieve_qoi(v_total(["Vx", "Vy", "Vz"]), tol)
-        assert again.cold_bytes == 0
-        assert again.cache_hit_bytes > 0
+        assert sum(r.counters().groups_decoded
+                   for r in svc._qoi_recons.values()) == decoded
+        assert again.cold_bytes == 0 and again.cache_hit_bytes == 0
+        assert again.fetched_bytes == result.fetched_bytes
         np.testing.assert_array_equal(result.qoi_values, again.qoi_values)
+
+    def test_close_frees_the_kept_qoi_reconstructors(self, qoi_store,
+                                                      no_cyclic_gc):
+        store, _ = qoi_store
+        svc = RetrievalService(store)
+        qoi = v_total(["Vx", "Vy", "Vz"])
+        first = svc.retrieve_qoi(qoi, 1e-2)
+        kept = [weakref.ref(r) for r in svc._qoi_recons.values()]
+        fields = [weakref.ref(r.field) for r in svc._qoi_recons.values()]
+        assert len(kept) == 3 and all(ref() is not None for ref in kept)
+        svc.close()
+        assert not svc._qoi_recons
+        assert all(ref() is None for ref in kept + fields)
+        # A closed service still answers, from variables opened afresh
+        # for the call and kept by nobody.
+        again = svc.retrieve_qoi(qoi, 1e-2)
+        assert not svc._qoi_recons
+        assert again.cold_bytes == 0 and again.cache_hit_bytes > 0
+        np.testing.assert_array_equal(first.qoi_values, again.qoi_values)
+
+    def test_threads_sharing_a_service_get_the_serial_results(
+            self, qoi_store):
+        store, _ = qoi_store
+        qoi = v_total(["Vx", "Vy", "Vz"])
+        tolerances = [1e-1, 1e-3, 1e-2, 1e-4]
+        serial = RetrievalService(store)
+        want = [serial.retrieve_qoi(qoi, t) for t in tolerances]
+        serial.close()
+        svc = RetrievalService(store)
+        got: dict[int, object] = {}
+
+        def client(indices):
+            for i in indices:
+                got[i] = svc.retrieve_qoi(qoi, tolerances[i])
+
+        threads = [threading.Thread(target=client, args=(idx,))
+                   for idx in ([0, 1], [2, 3])]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        svc.close()
+        for i, w in enumerate(want):
+            g = got[i]
+            assert g.qoi_values.tobytes() == w.qoi_values.tobytes()
+            assert (g.estimated_error, g.iterations, g.fetched_bytes) == (
+                w.estimated_error, w.iterations, w.fetched_bytes)
+
+    def test_stats_count_the_kept_qoi_state(self, qoi_store):
+        store, _ = qoi_store
+        svc = RetrievalService(store)
+        assert svc.stats()["sessions"]["decode_state_bytes"] == 0
+        svc.retrieve_qoi(v_total(["Vx", "Vy", "Vz"]), 1e-3)
+        kept = sum(r.decode_state_bytes() for r in svc._qoi_recons.values())
+        assert kept > 0
+        assert svc.stats()["sessions"]["decode_state_bytes"] == kept
+        session = svc.session("Vx")
+        session.reconstruct(tolerance=1e-2)
+        assert svc.stats()["sessions"]["decode_state_bytes"] == (
+            kept + session.decode_state_bytes)
+        svc.close()
+        session.close()
+        assert svc.stats()["sessions"]["decode_state_bytes"] == 0
 
     def test_stats_shape(self, dir_store):
         svc = RetrievalService(dir_store)

@@ -22,6 +22,7 @@ from repro.bitplane.encoding import (
     decode_bitplanes,
     encode_bitplanes,
     finalize_decode,
+    finalize_many,
 )
 from repro.core.planner import plan_greedy, plan_round_robin
 from repro.core.reconstruct import Reconstructor, reconstruct
@@ -154,6 +155,38 @@ class TestResumableCodec:
         _, state = _resume(stream, 3)
         assert apply_planes(state, [], 3) is state
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("encoding", ["sign_magnitude", "negabinary"])
+    @pytest.mark.parametrize("layout", ["locality_block", "register_block"])
+    def test_prefix_finalizes_as_a_fresh_decode(self, dtype, encoding,
+                                                layout):
+        """A state holding q planes cut to p <= q finalizes bit for bit
+        as a fresh decode of the first p planes, p = 0 included (no
+        signs, so no −0.0), alone or batched with other cuts."""
+        rng = np.random.default_rng(17)
+        data = (rng.standard_normal(301) * 3).astype(dtype)
+        data[::7] = 0.0
+        data[1::11] *= -1e-3
+        stream = encode_bitplanes(data, num_bitplanes=23, design=layout,
+                                  signed_encoding=encoding)
+        for q in (0, 1, 2, 9, stream.num_planes):
+            _, held = _resume(stream, q)
+            cuts, fresh = [], []
+            for p in range(q + 1):
+                cut = held.prefix(p)
+                want, state = _resume(stream, p)
+                assert cut.planes_applied == p
+                assert finalize_decode(cut).tobytes() == want.tobytes()
+                assert finalize_decode(cut).tobytes() == (
+                    decode_bitplanes(stream, p).tobytes())
+                cuts.append(cut)
+                fresh.append(state)
+            assert finalize_many(cuts).tobytes() == (
+                finalize_many(fresh).tobytes())
+            assert held.prefix(q) is held
+            with pytest.raises(ValueError, match="prefix"):
+                held.prefix(q + 1)
+
     def test_state_nbytes_counts_retained_arrays(self):
         stream = encode_bitplanes(np.arange(100.0), num_bitplanes=8)
         _, state = _resume(stream, 2)
@@ -194,6 +227,36 @@ class TestIncrementalReconstructor:
                 ri.data.astype(np.float64) - data.astype(np.float64)
             )))
             assert err <= ri.error_bound
+
+    @pytest.mark.parametrize("which", ["field_f64", "field_nega"])
+    def test_steps_below_committed_answer_a_fresh_decode(self, which,
+                                                         request):
+        """Steps to arbitrary group vectors, some levels below what the
+        session committed, two sessions per batch: each answers the
+        data and bound of a fresh session's step to the same groups,
+        decodes only groups it never had, and commits the running
+        maximum."""
+        field, _ = request.getfixturevalue(which)
+        rng = np.random.default_rng(23)
+        recons = [Reconstructor(_lazy_copy(field)) for _ in range(2)]
+        for _ in range(12):
+            targets = [[int(rng.integers(0, m + 1))
+                        for m in field.max_groups()] for _ in recons]
+            before = [r.fetched_groups for r in recons]
+            steps = [dataclasses.replace(r.plan_step(), groups=list(g))
+                     for r, g in zip(recons, targets)]
+            for r, step in zip(recons, steps):
+                r.fetch_step(step)
+            got = Reconstructor.decode_steps(
+                [(r, step, None) for r, step in zip(recons, steps)])
+            for r, g, had, result in zip(recons, targets, before, got):
+                want = _fresh_step(field, g)
+                assert result.data.tobytes() == want.data.tobytes()
+                assert result.error_bound == want.error_bound
+                assert result.plan.groups_per_level == g
+                assert r.fetched_groups == list(map(max, had, g))
+                assert result.decoded_groups == sum(
+                    max(0, b - a) for a, b in zip(had, g))
 
     def test_refinement_decodes_only_increment(self, field_f64):
         field, _ = field_f64

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.qoi_intervals import abs_interval, square_interval
 
+from repro.data import generators as gen
 from repro.qoi.expressions import (
+    QoI,
+    _Abs,
+    _Square,
     absval,
     const,
     estimate_qoi_error,
@@ -98,6 +103,95 @@ class TestIntervals:
         lo, hi = sqrt(var("x")).interval({"x": np.array([0.01])}, {"x": 0.1})
         assert lo[0] == 0.0
         assert hi[0] == pytest.approx(np.sqrt(0.11))
+
+
+class _Given(QoI):
+    """A leaf whose interval is fixed ``(lo, hi)`` arrays (fresh copies)."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = np.asarray(lo, float), np.asarray(hi, float)
+
+    def interval(self, values, bounds):
+        return self.lo.copy(), self.hi.copy()
+
+    def evaluate(self, values):
+        return (self.lo + self.hi) / 2
+
+    def variables(self):
+        return set()
+
+
+def _bits(pair):
+    """The arrays' bytes, every NaN made the same (a NaN's sign and
+    payload carry nothing, and negating one flips its sign)."""
+    return [np.where(np.isnan(x), np.nan, x).astype(np.float64).tobytes()
+            for x in pair]
+
+
+# Straddling, touching, negative, positive, signed-zero, subnormal,
+# huge, infinite and NaN intervals (lo <= hi, as interval nodes give).
+_EDGE = np.array([
+    (-1.0, 2.0), (-2.0, 1.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0),
+    (-0.0, 3.0), (0.0, 3.0), (-3.0, -0.0), (-3.0, 0.0), (-5.0, -2.0),
+    (2.0, 5.0), (-5e-324, 5e-324), (5e-324, 1e-310), (-1e-310, -5e-324),
+    (-1e200, 1e200), (1e200, 1e300), (-1e300, -1e200), (-np.inf, np.inf),
+    (-np.inf, -1.0), (1.0, np.inf), (np.nan, 1.0), (-1.0, np.nan),
+    (np.nan, np.nan), (-2.5, 2.5), (-7.0, 7.0 - 1e-15),
+])
+
+
+def _qoi_inputs():
+    """The value/bound inputs of this file and of the QoI retrieval
+    tests: random grids and a turbulence velocity field, at bounds from
+    far below to far above the values."""
+    velocity = dict(zip(("vx", "vy", "vz"), gen.turbulence_velocity(
+        (12, 12, 12), seed=3, dtype=np.float64)))
+    for vals in (grids(), grids(seed=5), velocity):
+        for eb in (0.0, 1e-6, 1e-2, 0.05, 0.5, 10.0):
+            yield vals, {k: eb for k in vals}
+
+
+class TestClampFormsMatchOracle:
+    """The clamp forms of ``square`` and ``abs`` give the old where/min/
+    max forms' floats, bit for bit."""
+
+    @pytest.mark.parametrize("node, oracle", [(_Square, square_interval),
+                                              (_Abs, abs_interval)])
+    @np.errstate(over="ignore")  # 1e200² overflows in either form
+    def test_edge_intervals(self, node, oracle):
+        lo, hi = _EDGE[:, 0], _EDGE[:, 1]
+        assert _bits(node(_Given(lo, hi)).interval({}, {})) == _bits(
+            oracle(lo.copy(), hi.copy()))
+        for i in range(len(_EDGE)):  # 0-d operands, as a constant gives
+            assert _bits(node(_Given(lo[i], hi[i])).interval({}, {})) == \
+                _bits(oracle(lo[i], hi[i]))
+
+    @pytest.mark.parametrize("node, oracle", [(_Square, square_interval),
+                                              (_Abs, abs_interval)])
+    def test_qoi_inputs(self, node, oracle):
+        for vals, bounds in _qoi_inputs():
+            for child in (var("vx"), var("vx") - var("vy"),
+                          var("vy") * var("vz") - 0.1):
+                got = node(child).interval(vals, bounds)
+                assert _bits(got) == _bits(oracle(
+                    *child.interval(vals, bounds)))
+
+    def test_pointwise_error_and_estimate(self, monkeypatch):
+        """V_total's pointwise error and estimate, and an ``abs`` QoI's,
+        equal what the old forms give."""
+        qois = [v_total(), absval(var("vx") - var("vy")) + square(var("vz"))]
+        inputs = list(_qoi_inputs())
+        new = [(pointwise_qoi_error(q, v, b), estimate_qoi_error(q, v, b))
+               for q in qois for v, b in inputs]
+        monkeypatch.setattr(_Square, "interval", lambda self, v, b:
+                            square_interval(*self.a.interval(v, b)))
+        monkeypatch.setattr(_Abs, "interval", lambda self, v, b:
+                            abs_interval(*self.a.interval(v, b)))
+        old = [(pointwise_qoi_error(q, v, b), estimate_qoi_error(q, v, b))
+               for q in qois for v, b in inputs]
+        for (pw, est), (pw_old, est_old) in zip(new, old):
+            assert pw.tobytes() == pw_old.tobytes()
+            assert np.float64(est).tobytes() == np.float64(est_old).tobytes()
 
 
 class TestErrorEstimation:

@@ -12,6 +12,7 @@ from repro.qoi import (
     v_total,
 )
 from repro.qoi.eb_methods import next_group_bound
+from repro.qoi.expressions import const
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +120,13 @@ class TestRetrieveQoI:
         original, fields = velocity_fields
         result = retrieve_qoi(fields, v_total(), 1e-2)
         assert result.qoi_values.shape == original["vx"].shape
+        assert result.num_elements == original["vx"].size
+
+    def test_qoi_without_variables_fetches_nothing(self, velocity_fields):
+        _, fields = velocity_fields
+        result = retrieve_qoi(fields, const(2.0), 1e-2)
+        assert (result.iterations, result.fetched_bytes) == (1, 0)
+        assert result.estimated_error == 0.0 and result.qoi_values == 2.0
 
 
 class TestNextGroupBound:
