@@ -17,7 +17,8 @@ layer:
   keeps one :class:`~repro.core.reconstruct.Reconstructor` per variable
   until :meth:`~RetrievalService.close`: each call still plans as a
   fresh call would and gets exactly a fresh call's answer, but decodes
-  only the plane groups no earlier call has;
+  only the plane groups no earlier call has, and replays, rather than
+  recomputes, an iteration an earlier call already answered;
 * :class:`Session` — one client's stateful progressive session over a
   variable, run by a :class:`~repro.core.tiling.TiledReconstructor`. An
   untiled variable opens as a one-tile field, so every variable is
@@ -424,8 +425,12 @@ class RetrievalService(ClosesOnExit):
         self._sessions_lock = threading.Lock()
         # One opened field and Reconstructor per QoI variable, kept for
         # the service's life: a QoI call decodes only the plane groups
-        # no earlier call has. The lock runs one call at a time on them.
+        # no earlier call has. Beside them, the outcomes of the Algorithm
+        # 3 iterations they answered, so a call that plans what an
+        # earlier one did replays it. The lock runs one call at a time
+        # on both.
         self._qoi_recons: dict[str, Reconstructor] = {}
+        self._qoi_memo = None  # a qoi.retrieval._IterationMemo, made on use
         self._qoi_lock = threading.Lock()
 
     def open(self, name: str) -> LazyTiledField:
@@ -484,25 +489,36 @@ class RetrievalService(ClosesOnExit):
         variable, opened through the shared cache on first use and kept
         until :meth:`close`. A call plans as a fresh call would and
         gets exactly its answer, bit for bit; the kept decode state only
-        spares it the plane groups an earlier call already decoded. The
+        spares it the plane groups an earlier call already decoded, and
+        an iteration that plans what an earlier call's did, and cannot
+        end this call, replays that iteration's recorded outcome without
+        fetching, recomposing or estimating (``stats()["qoi"]``). The
         result's ``cold_bytes``/``cache_hit_bytes`` report the segment
         traffic the call really caused (none when earlier calls decoded
-        everything it needs). Calls run one at a time; after
-        :meth:`close` each call opens its variables afresh.
+        everything it needs). A bad argument raises ``ValueError``
+        before any segment is read. Calls run one at a time; after
+        :meth:`close` each call opens its variables afresh and replays
+        only its own iterations.
         """
-        from repro.qoi.retrieval import _retrieve
+        from repro.qoi.retrieval import _IterationMemo, _retrieve
 
         with self._futures_lock:
             closed = self._closed
         with self._qoi_lock:
-            kept = {} if closed else self._qoi_recons
+            if closed:
+                kept, memo = {}, _IterationMemo()
+            else:
+                kept = self._qoi_recons
+                if self._qoi_memo is None:
+                    self._qoi_memo = _IterationMemo()
+                memo = self._qoi_memo
             recons = {}
             for name in sorted(qoi.variables()):
                 if name not in kept:
                     kept[name] = Reconstructor(
                         open_field(self.store, name, cache=self.cache))
                 recons[name] = kept[name]
-            return _retrieve(recons, qoi, tolerance, **kwargs)
+            return _retrieve(recons, memo, qoi, tolerance, **kwargs)
 
     # -- prefetch ---------------------------------------------------------
     def _schedule_prefetch(self, recons: Sequence[Reconstructor]) -> list[str]:
@@ -611,6 +627,9 @@ class RetrievalService(ClosesOnExit):
         with self._qoi_lock:
             qoi_state = sum(
                 r.decode_state_bytes() for r in self._qoi_recons.values())
+            memo = self._qoi_memo
+            qoi = {"memo_entries": 0 if memo is None else len(memo),
+                   "memo_hits": 0 if memo is None else memo.hits}
         with self._futures_lock:
             prefetch_requests = self.prefetch_requests
             prefetch_failures = self.prefetch_failures
@@ -634,15 +653,19 @@ class RetrievalService(ClosesOnExit):
                 # touched.
                 "tiles_touched": sum(s.tiles_touched for s in sessions),
             },
+            # The kept QoI iteration outcomes, and the iterations they
+            # answered without a fetch, recompose or estimate.
+            "qoi": qoi,
         }
 
     def close(self) -> None:
         """Stop scheduling, drain prefetches, stop the pool, drop the
-        kept QoI reconstructors (idempotent)."""
+        kept QoI reconstructors and iteration outcomes (idempotent)."""
         with self._futures_lock:
             self._closed = True
         with self._qoi_lock:
             self._qoi_recons.clear()
+            self._qoi_memo = None
         try:
             self.drain_prefetch()
         finally:

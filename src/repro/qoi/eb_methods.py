@@ -4,9 +4,10 @@ Each method answers the same question inside Algorithm 3: given that the
 current per-variable bounds ``{ε_i}`` yield an estimated QoI error
 ``τ′ > τ``, what should the next ``{ε_i}`` be?
 
-* **CP** (CPU porting): locate the grid point with the worst estimated
-  QoI error, then repeatedly halve *all* bounds and re-evaluate that one
-  point (with its stale reconstructed values) until it satisfies τ.
+* **CP** (CPU porting): take the grid point with the worst estimated
+  QoI error (the estimate's own argmax), then repeatedly halve *all*
+  bounds and re-evaluate that one point (with its stale reconstructed
+  values) until it satisfies τ.
   Converges in few iterations but over-preserves — stale single-point
   data makes the decayed bounds stricter than necessary.
 * **MA** (minimal augmentation): advance each variable by exactly one
@@ -53,21 +54,22 @@ def next_group_bound(field: RefactoredField, fetched: list[int]) -> float:
 
 def cp_update(
     qoi: QoI,
-    values: dict[str, np.ndarray],
+    point_values: dict[str, float],
     bounds: dict[str, float],
     tolerance: float,
 ) -> dict[str, float]:
     """CP: decay all bounds against the stale worst point (GPU argmax +
-    CPU halving loop in the paper's implementation)."""
-    pw = pointwise_qoi_error(qoi, values, bounds)
-    flat_idx = int(np.argmax(pw))
-    point_values = {
-        name: np.asarray([np.ravel(v)[flat_idx]])
-        for name, v in values.items()
-    }
+    CPU halving loop in the paper's implementation).
+
+    *point_values* are each variable's reconstructed value at the grid
+    point with the largest estimated QoI error under *bounds* — the
+    argmax the estimate already found, so no grid-wide pass runs here.
+    """
+    point = {name: np.asarray([v], dtype=np.float64)
+             for name, v in point_values.items()}
     eb = dict(bounds)
     for _ in range(_MAX_HALVINGS):
-        point_err = pointwise_qoi_error(qoi, point_values, eb)[0]
+        point_err = pointwise_qoi_error(qoi, point, eb)[0]
         if point_err <= tolerance:
             break
         eb = {k: v / 2.0 for k, v in eb.items()}

@@ -308,8 +308,34 @@ def estimate_qoi_error(
     return _estimate(qoi, values, bounds)[0]
 
 
-def _estimate(qoi, values, bounds) -> tuple[float, np.ndarray]:
-    """:func:`estimate_qoi_error` and the centre it measured from, which
-    Algorithm 3 returns as the QoI values rather than evaluate again."""
+def _estimate(qoi, values, bounds) -> tuple[float, np.ndarray, int]:
+    """:func:`estimate_qoi_error`, the centre it measured from, which
+    Algorithm 3 returns as the QoI values rather than evaluate again, and
+    the flat index of the worst point, which CP decays its bounds
+    against (``-1`` on an empty grid)."""
     pw, center = _pointwise(qoi, values, bounds)
-    return (float(np.max(pw)) if pw.size else 0.0), center
+    if not pw.size:
+        return 0.0, center, -1
+    worst = int(np.argmax(pw))
+    return float(pw.flat[worst]), center, worst
+
+
+_UNARY = {_Square: "square", _Sqrt: "sqrt", _Abs: "abs"}
+_BINARY = {_Add: "add", _Sub: "sub", _Mul: "mul"}
+
+
+def _memo_key(qoi: QoI):
+    """A hashable key equal for equal expressions: a library node keys
+    by its structure (a constant by ``float.hex``, so ``0.0`` and
+    ``-0.0`` differ); any other :class:`QoI` keys by identity, so whoever
+    stores the key must also hold the object."""
+    kind = type(qoi)
+    if kind is _Var:
+        return ("var", qoi.name)
+    if kind is _Const:
+        return ("const", qoi.value.hex())
+    if kind in _UNARY:
+        return (_UNARY[kind], _memo_key(qoi.a))
+    if kind in _BINARY:
+        return (_BINARY[kind], _memo_key(qoi.a), _memo_key(qoi.b))
+    return ("id", id(qoi))

@@ -11,6 +11,7 @@ Every schedule is deterministic (seed-driven, per-key access counts),
 so failures replay exactly; the retry policies here never sleep.
 """
 
+import dataclasses
 import json
 import os
 
@@ -24,6 +25,7 @@ from repro.core.backends import (
 )
 from repro.core.errors import (
     SegmentCorruptionError,
+    StoreError,
     TransientStoreError,
     WorkerCrashedError,
 )
@@ -47,6 +49,7 @@ from repro.core.store import (
 )
 from repro.core.tiling import TiledReconstructor, TiledRefactorer
 from repro.data import generators as gen
+from repro.qoi import retrieval, retrieve_qoi, v_total
 
 STAIRCASE = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
 CHAOS_SEEDS = [1, 2, 3, 4, 5]
@@ -298,6 +301,68 @@ class TestDegradeAndResume:
             resumed = recon.reconstruct(tolerance=tol, region=ROI)
             assert resumed.degraded is False
             np.testing.assert_array_equal(resumed.data, expected.data)
+
+
+class TestServiceQoIChaos:
+    """A service QoI call whose store fails a segment mid-call raises,
+    records no outcome for the iteration that failed, and a retry
+    equals a fresh call bit for bit."""
+
+    NAMES = ("Vx", "Vy", "Vz")
+
+    @pytest.fixture(scope="class")
+    def velocity(self):
+        store = MemoryStore()
+        for name, values in zip(self.NAMES, gen.turbulence_velocity(
+                (12, 12, 12), seed=5, dtype=np.float64)):
+            store_field(store, refactor(values, name=name))
+        return store
+
+    def _late_key(self, store, qoi, tol) -> str:
+        """A segment the call first plans after its first iteration."""
+        groups = []
+        for cap in (1, 200):
+            with RetrievalService(store) as clean:
+                clean.retrieve_qoi(qoi, tol, max_iterations=cap)
+                groups.append({name: recon.fetched_groups for name, recon
+                               in clean._qoi_recons.items()})
+        first, final = groups
+        field = open_field(store, "Vx")
+        for level, (g1, g) in enumerate(zip(first["Vx"], final["Vx"])):
+            if g > g1:
+                return field.levels[level].refs[g - 1].key
+        raise AssertionError("the call's later iterations plan no new Vx group")
+
+    def test_failed_iteration_records_nothing_and_retry_is_fresh(
+            self, velocity, monkeypatch):
+        qoi, tol = v_total(self.NAMES), 1e-4
+        want = retrieve_qoi({n: load_field(velocity, n) for n in self.NAMES},
+                            qoi, tol)
+        key = self._late_key(velocity, qoi, tol)
+        flaky = FaultInjectingStore(velocity, fail_first={key: 1})
+        estimates = []
+        estimate = retrieval._estimate
+        monkeypatch.setattr(retrieval, "_estimate", lambda *args: (
+            estimates.append(1), estimate(*args))[1])
+        with RetrievalService(flaky) as service:
+            with pytest.raises(StoreError, match=key):
+                service.retrieve_qoi(qoi, tol)
+            assert flaky.injected_transients == 1
+            # Only the iterations that completed were recorded; the
+            # retry replays them.
+            completed = len(estimates)
+            assert 1 <= completed < want.iterations
+            assert service.stats()["qoi"] == {
+                "memo_entries": completed, "memo_hits": 0}
+            got = service.retrieve_qoi(qoi, tol)
+            assert service.stats()["qoi"]["memo_hits"] == completed
+        assert got.qoi_values.tobytes() == want.qoi_values.tobytes()
+        for name in self.NAMES:
+            assert got.values[name].tobytes() == want.values[name].tobytes()
+        assert (got.estimated_error, got.iterations, got.fetched_bytes) == (
+            want.estimated_error, want.iterations, want.fetched_bytes)
+        assert [dataclasses.replace(h, cold_bytes=0) for h in got.history] \
+            == [dataclasses.replace(h, cold_bytes=0) for h in want.history]
 
 
 class TestOnDiskCorruptionRecovery:

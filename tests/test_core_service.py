@@ -9,6 +9,7 @@ are deterministic with the second-session traffic served from cache.
 """
 
 import gc
+import sys
 import threading
 import weakref
 
@@ -32,7 +33,7 @@ from repro.core.store import (
 from repro.core.stream import LazyRefactoredField, SegmentRef
 from repro.core.tiling import TiledRefactorer
 from repro.data import generators as gen
-from repro.qoi import v_total
+from repro.qoi import retrieval, v_total
 
 
 @pytest.fixture(scope="module")
@@ -580,13 +581,17 @@ class TestRetrievalService:
         np.testing.assert_array_equal(first.qoi_values, again.qoi_values)
 
     def test_threads_sharing_a_service_get_the_serial_results(
-            self, qoi_store):
+            self, qoi_store, monkeypatch):
         store, _ = qoi_store
         qoi = v_total(["Vx", "Vy", "Vz"])
-        tolerances = [1e-1, 1e-3, 1e-2, 1e-4]
+        tolerances = [1e-1, 1e-3, 1e-2, 1e-4] * 2
         serial = RetrievalService(store)
         want = [serial.retrieve_qoi(qoi, t) for t in tolerances]
         serial.close()
+        estimates = []
+        estimate = retrieval._estimate
+        monkeypatch.setattr(retrieval, "_estimate", lambda *args: (
+            estimates.append(1), estimate(*args))[1])
         svc = RetrievalService(store)
         got: dict[int, object] = {}
 
@@ -594,12 +599,22 @@ class TestRetrievalService:
             for i in indices:
                 got[i] = svc.retrieve_qoi(qoi, tolerances[i])
 
+        # More clients than cores, switching often: every iteration is
+        # either estimated or replayed, so a lost update shows.
         threads = [threading.Thread(target=client, args=(idx,))
-                   for idx in ([0, 1], [2, 3])]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+                   for idx in ([0, 1], [2, 3], [4, 5], [6, 7])]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert svc.stats()["qoi"]["memo_hits"] + len(estimates) == sum(
+            g.iterations for g in got.values())
         svc.close()
         for i, w in enumerate(want):
             g = got[i]

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.cp_update import cp_update_grid
 from oracles.qoi_intervals import abs_interval, square_interval
 
 from repro.data import generators as gen
+from repro.qoi.eb_methods import cp_update
 from repro.qoi.expressions import (
     QoI,
+    _estimate,
     _Abs,
     _Square,
     absval,
@@ -192,6 +195,31 @@ class TestClampFormsMatchOracle:
         for (pw, est), (pw_old, est_old) in zip(new, old):
             assert pw.tobytes() == pw_old.tobytes()
             assert np.float64(est).tobytes() == np.float64(est_old).tobytes()
+
+
+class TestWorstPoint:
+    """The estimate returns the argmax of the pointwise error it
+    computed, and CP decaying against that point's values gives the
+    grid-wide form's bounds."""
+
+    QOIS = [v_total(), absval(var("vx") - var("vy")) + square(var("vz"))]
+
+    def test_estimate_returns_the_argmax(self):
+        for qoi in self.QOIS:
+            for vals, bounds in _qoi_inputs():
+                pw = pointwise_qoi_error(qoi, vals, bounds)
+                estimate, _, worst = _estimate(qoi, vals, bounds)
+                assert worst == int(np.argmax(pw))
+                assert np.float64(estimate).tobytes() == np.max(pw).tobytes()
+
+    def test_cp_update_at_the_worst_point(self):
+        for qoi in self.QOIS:
+            for vals, bounds in _qoi_inputs():
+                worst = _estimate(qoi, vals, bounds)[2]
+                point = {k: float(v.flat[worst]) for k, v in vals.items()}
+                for tol in (1e-1, 1e-4):
+                    assert cp_update(qoi, point, bounds, tol) == (
+                        cp_update_grid(qoi, vals, bounds, tol))
 
 
 class TestErrorEstimation:

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.reconstruct import Reconstructor
 from repro.core.refactor import refactor
+from repro.core.service import RetrievalService
+from repro.core.store import MemoryStore, store_field
 from repro.data import generators as gen
 from repro.qoi import (
     EB_METHODS,
@@ -12,7 +15,8 @@ from repro.qoi import (
     v_total,
 )
 from repro.qoi.eb_methods import next_group_bound
-from repro.qoi.expressions import const
+from repro.qoi import retrieval
+from repro.qoi.expressions import const, var
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +131,75 @@ class TestRetrieveQoI:
         result = retrieve_qoi(fields, const(2.0), 1e-2)
         assert (result.iterations, result.fetched_bytes) == (1, 0)
         assert result.estimated_error == 0.0 and result.qoi_values == 2.0
+
+
+@pytest.fixture(scope="module")
+def mixed_fields(velocity_fields):
+    """The velocity fields plus a field ``w`` of another shape."""
+    _, fields = velocity_fields
+    w = gen.turbulence_velocity((8, 12, 12), seed=3, dtype=np.float64)[0]
+    return {**fields, "w": refactor(w, name="w")}
+
+
+@pytest.fixture(scope="module")
+def mixed_store(mixed_fields):
+    store = MemoryStore()
+    for field in mixed_fields.values():
+        store_field(store, field)
+    return store
+
+
+# (QoI, keyword arguments, what the ValueError must name)
+BAD_CALLS = [
+    (v_total(), dict(initial_bounds={"vx": 0.5, "vz": 0.5}),
+     r"initial_bounds .*'vy'"),
+    (v_total(), dict(initial_bounds={"vx": 0.5, "vy": np.nan, "vz": 0.5}),
+     r"initial_bounds\['vy'\]"),
+    (v_total(), dict(initial_bounds={"vx": 0.5, "vy": 0.5, "vz": np.inf}),
+     r"initial_bounds\['vz'\]"),
+    (v_total(), dict(max_iterations=0), "max_iterations"),
+    (v_total(), dict(tolerance=np.nan), "tolerance"),
+    (var("vx") + var("w"), {}, "shape"),
+]
+
+
+class TestArgumentsCheckedFirst:
+    """Both entry points reject a bad argument with a ValueError naming
+    it, before any segment is fetched or decoded."""
+
+    @pytest.fixture
+    def untouched(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fetched or decoded before validating")
+
+        monkeypatch.setattr(retrieval, "fetch_fields", refuse)
+        monkeypatch.setattr(Reconstructor, "decode_step", refuse)
+
+    @pytest.mark.parametrize("qoi, kwargs, names", BAD_CALLS)
+    def test_retrieve_qoi(self, mixed_fields, untouched, qoi, kwargs,
+                          names):
+        kwargs = {"tolerance": 1e-2, **kwargs}
+        with pytest.raises(ValueError, match=names):
+            retrieve_qoi(mixed_fields, qoi, **kwargs)
+
+    @pytest.mark.parametrize("qoi, kwargs, names", BAD_CALLS)
+    def test_service(self, mixed_store, untouched, qoi, kwargs, names):
+        kwargs = {"tolerance": 1e-2, **kwargs}
+        with RetrievalService(mixed_store) as service:
+            with pytest.raises(ValueError, match=names):
+                service.retrieve_qoi(qoi, **kwargs)
+            stats = service.stats()
+            assert stats["sessions"]["decode_state_bytes"] == 0
+            assert stats["qoi"]["memo_entries"] == 0
+
+    def test_extra_initial_bounds_are_ignored(self, velocity_fields):
+        _, fields = velocity_fields
+        bounds = {k: 0.5 for k in fields}
+        want = retrieve_qoi(fields, v_total(), 1e-2, initial_bounds=bounds)
+        got = retrieve_qoi(fields, v_total(), 1e-2,
+                           initial_bounds={**bounds, "p": 1.0})
+        assert got.qoi_values.tobytes() == want.qoi_values.tobytes()
+        assert got.history == want.history
 
 
 class TestNextGroupBound:
