@@ -36,7 +36,9 @@ The inverse transform is swept by cube size (``recompose_sweep``,
 in place on the natural grid, timed in alternation against the
 corner-packed transform it replaced (``tests/oracles/
 corner_transform.py``), on coefficients that recompose to the same
-bytes.
+bytes. The seed Huffman kernels (``encode_reference``,
+``decode_reference``, ``build_code_lengths_reference``) are the test
+oracles of ``tests/oracles/huffman_seed.py``.
 
 Run standalone (writes the JSON):
 
@@ -86,6 +88,11 @@ RESULT_PATH = REPO_ROOT / "BENCH_hotpaths.json"
 
 sys.path.insert(0, str(REPO_ROOT / "tests"))
 from oracles.corner_transform import CornerPackedTransform  # noqa: E402
+from oracles.huffman_seed import (  # noqa: E402
+    build_code_lengths_reference,
+    decode_reference,
+    encode_reference,
+)
 
 N_ELEMENTS = 1 << 20
 NUM_BITPLANES = 32
@@ -272,7 +279,7 @@ def huffman_decode_sweep(sizes=SWEEP_SIZES, reps: int = SWEEP_REPS) -> dict:
         payload = codec._parse_stream(blob)[-1].size
         rounds = min(codec.chunk_symbols, n)
         walls, outs = _times_interleaved([
-            lambda: codec.decode_reference(blob),
+            lambda: decode_reference(blob),
             lambda: codec.decode(blob),
             lambda: _decode_forced(codec, blob, 0),
         ], reps)
@@ -405,7 +412,7 @@ def code_length_sweep(
             freqs = _sweep_histogram(shape, present, rng)
             n = int(freqs.sum())
             walls, outs = _times_interleaved([
-                batch(lambda: huffman.build_code_lengths_reference(freqs)),
+                batch(lambda: build_code_lengths_reference(freqs)),
                 batch(lambda: huffman.build_code_lengths(freqs)),
                 batch(lambda: huffman.huffman_ratio_upper_bound(n, freqs)),
             ], reps)
@@ -559,13 +566,13 @@ def run_benchmarks(
     codec = HuffmanCodec()
     hdata = (rng.standard_normal(n) * 6).astype(np.int64).astype(np.uint8)
     t_henc_ref, blob_ref = _best_time(
-        lambda: codec.encode_reference(hdata), reps
+        lambda: encode_reference(hdata), reps
     )
     t_henc, blob = _best_time(lambda: codec.encode(hdata), reps)
     assert blob == blob_ref, \
         "word-packed encode diverged from the per-bit reference encoder"
     t_hdec_ref, out_ref = _best_time(
-        lambda: codec.decode_reference(blob), reps
+        lambda: decode_reference(blob), reps
     )
     t_hdec, out_fast = _best_time(lambda: codec.decode(blob), reps)
     assert np.array_equal(out_ref, out_fast)

@@ -41,9 +41,7 @@ from repro.bitplane.encoding import (
     PartialDecodeState,
     apply_planes,
     begin_decode_state,
-    decode,
     decode_bitplanes,
-    encode,
     encode_bitplanes,
     finalize_decode,
 )
@@ -58,8 +56,6 @@ __all__ = [
     "PartialDecodeState",
     "DESIGNS",
     "SHUFFLE_VARIANTS",
-    "encode",
-    "decode",
     "encode_bitplanes",
     "decode_bitplanes",
     "begin_decode_state",

@@ -5,19 +5,19 @@ The heavy lifting is a bit-matrix transpose: ``N`` fixed-point values of
 plane, stored first). The transpose runs as a *single pass* over the
 data through :mod:`repro.bitplane.transpose` — one ``unpackbits`` into
 an ``(N, B)`` bit matrix, one transpose, one row-wise ``packbits`` —
-instead of ``B`` separate shift/mask/pack sweeps (the retained
-``*_reference`` functions). Designs differ in the *order* bits land in
+instead of ``B`` separate shift/mask/pack sweeps (the ``*_reference``
+functions, the route on big-endian hosts, where the single-pass
+transpose does not apply). Designs differ in the *order* bits land in
 the stream — ``natural`` element order for locality-block and
 register-shuffle, warp-transposed tiles for register-block — and in
 their simulated GPU cost (see :mod:`repro.gpu.costmodel`). Decoded
 values are identical across designs (HP-MDR's portability property) and
-byte-identical between the single-pass and reference transposes.
+byte-identical between the single-pass and per-plane transposes.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,7 +30,6 @@ from repro.bitplane.align import (
     plane_error_bound,
     scale_pow2,
 )
-from repro.util.serialize import pack_arrays, unpack_arrays
 
 #: The three parallelization designs of Section 4.
 DESIGNS = ("locality_block", "register_shuffle", "register_block")
@@ -40,11 +39,6 @@ SHUFFLE_VARIANTS = ("ballot", "shift", "match_any", "reduce_add")
 
 _NATURAL = "natural"
 _WARP = "warp"
-
-_HEADER_FMT = "<4sH16s8sBQHiidH"
-_MAGIC = b"BPLS"
-_VERSION = 1
-
 
 #: Supported signed-value encodings (MDR offers both).
 SIGNED_ENCODINGS = ("sign_magnitude", "negabinary")
@@ -99,51 +93,6 @@ class BitplaneStream:
             self.exponent, self.num_bitplanes, kept, self.max_abs
         )
 
-    # -- serialization --------------------------------------------------
-    def to_bytes(self) -> bytes:
-        header = struct.pack(
-            _HEADER_FMT,
-            _MAGIC,
-            _VERSION,
-            self.design.encode().ljust(16, b"\0"),
-            self.layout.encode().ljust(8, b"\0"),
-            1 if self.dtype == np.dtype(np.float64) else 0,
-            self.num_elements,
-            self.num_bitplanes,
-            self.exponent,
-            SIGNED_ENCODINGS.index(self.signed_encoding),
-            self.max_abs,
-            self.warp_size,
-        )
-        return header + pack_arrays(self.planes)
-
-    @classmethod
-    def from_bytes(cls, buf: bytes | memoryview) -> "BitplaneStream":
-        """Zero-copy deserialization: planes are read-only views of *buf*."""
-        head_size = struct.calcsize(_HEADER_FMT)
-        (magic, version, design, layout, is64, n, b, exponent, enc_id,
-         max_abs, warp) = struct.unpack_from(_HEADER_FMT, buf, 0)
-        if magic != _MAGIC:
-            raise ValueError("not a bitplane stream")
-        if version != _VERSION:
-            raise ValueError(f"unsupported bitplane stream version {version}")
-        if enc_id >= len(SIGNED_ENCODINGS):
-            raise ValueError(f"unknown signed encoding id {enc_id}")
-        payloads = unpack_arrays(memoryview(buf)[head_size:])
-        planes = [np.frombuffer(p, dtype=np.uint8) for p in payloads]
-        return cls(
-            planes=planes,
-            num_elements=n,
-            num_bitplanes=b,
-            exponent=exponent,
-            max_abs=max_abs,
-            dtype=np.dtype(np.float64 if is64 else np.float32),
-            design=design.rstrip(b"\0").decode(),
-            layout=layout.rstrip(b"\0").decode(),
-            warp_size=warp,
-            signed_encoding=SIGNED_ENCODINGS[enc_id],
-        )
-
 
 # ---------------------------------------------------------------------
 # Plane extraction / injection on natural-order fixed-point values
@@ -155,8 +104,8 @@ def extract_planes(
 
     Single-pass bit-matrix transpose (see
     :mod:`repro.bitplane.transpose`), most significant plane first;
-    byte-identical to :func:`extract_planes_reference` (which also
-    serves as the endian-neutral fallback on big-endian hosts).
+    byte-identical to :func:`extract_planes_reference`, which runs
+    instead on big-endian hosts.
     """
     if not transpose.HOST_SUPPORTED:
         return extract_planes_reference(signs, mags, num_bitplanes)
@@ -182,10 +131,11 @@ def inject_planes(
 def extract_planes_reference(
     signs: np.ndarray, mags: np.ndarray, num_bitplanes: int
 ) -> list[np.ndarray]:
-    """Per-plane reference transpose: one shift/mask/pack pass per plane.
+    """Per-plane transpose: one shift/mask/pack pass per plane.
 
-    Retained for equivalence tests and the ``bench_hotpaths`` baseline;
-    production call sites use the single-pass :func:`extract_planes`.
+    The big-endian route of :func:`extract_planes` (the single-pass
+    transpose needs ``transpose.HOST_SUPPORTED``), and the baseline
+    ``bench_hotpaths`` times it against.
     """
     planes = [np.packbits(signs, bitorder="little")]
     for b in range(num_bitplanes - 1, -1, -1):
@@ -199,7 +149,8 @@ def inject_planes_reference(
     num_elements: int,
     num_bitplanes: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-plane reference inverse of :func:`extract_planes_reference`."""
+    """Per-plane inverse of :func:`extract_planes_reference`: the
+    big-endian route of :func:`inject_planes`."""
     signs = np.zeros(num_elements, dtype=np.uint8)
     mags = np.zeros(num_elements, dtype=np.uint64)
     if not planes:
@@ -241,7 +192,8 @@ def inject_code_planes(
 def extract_code_planes_reference(
     codes: np.ndarray, width: int
 ) -> list[np.ndarray]:
-    """Per-plane reference for :func:`extract_code_planes`."""
+    """Per-plane transpose of unsigned codes: the big-endian route of
+    :func:`extract_code_planes`."""
     planes = []
     for b in range(width - 1, -1, -1):
         bits = ((codes >> np.uint64(b)) & np.uint64(1)).astype(np.uint8)
@@ -252,7 +204,9 @@ def extract_code_planes_reference(
 def inject_code_planes_reference(
     planes: list[np.ndarray], num_elements: int, width: int
 ) -> np.ndarray:
-    """Per-plane reference for :func:`inject_code_planes`."""
+    """Per-plane inverse of :func:`extract_code_planes_reference`: the
+    big-endian route of :func:`inject_code_planes` and of
+    :func:`apply_planes_many`."""
     if len(planes) > width:
         raise ValueError("more planes than code width")
     codes = np.zeros(num_elements, dtype=np.uint64)
@@ -649,8 +603,3 @@ def finalize_decode(state: PartialDecodeState) -> np.ndarray:
     one-state call of :func:`finalize_many`.
     """
     return finalize_many([state])[0].astype(state.dtype, copy=False)
-
-
-# Short aliases used across the library.
-encode = encode_bitplanes
-decode = decode_bitplanes

@@ -64,7 +64,8 @@ def pointwise_error_bound(
     """Pointwise (per-grid-node) reconstruction-error bound.
 
     Sharper than :func:`compose_error_bound` where coefficient influence
-    is uneven; used by QoI error estimation, which needs spatial bounds.
+    is uneven. No retrieval path calls it: the QoI estimator
+    (:mod:`repro.qoi`) works from each variable's scalar L∞ bound.
     """
     sizes = transform.level_sizes()
     if len(level_errors) != len(sizes):

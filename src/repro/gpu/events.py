@@ -50,11 +50,6 @@ class Timeline:
     def makespan(self) -> float:
         return max((t.end for t in self.tasks.values()), default=0.0)
 
-    def engine_busy_time(self, engine: str) -> float:
-        return sum(
-            t.end - t.start for t in self.tasks.values() if t.engine == engine
-        )
-
     def validate(self, tasks: list[Task]) -> None:
         """Raise if the schedule violates any constraint."""
         by_name = {t.name: t for t in tasks}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.gpu.costmodel import CostModel
 from repro.gpu.device import DeviceSpec
-from repro.gpu.events import EventSimulator, Task, Timeline, serial_makespan
+from repro.gpu.events import EventSimulator, Task, Timeline
 
 #: The HDEM engine names (Fig. 4 color coding).
 H2D = "h2d"  # green: host-to-device DMA
@@ -54,7 +54,3 @@ class HostDeviceModel:
         timeline = self.simulator.run(tasks)
         timeline.validate(tasks)
         return timeline
-
-    def serial_time(self, tasks: list[Task]) -> float:
-        """The non-pipelined execution time of the same tasks."""
-        return serial_makespan(tasks)

@@ -15,9 +15,9 @@ whatever the stream holds, so short streams (few chunks) instead decode
 by pointer jumping over a next-codeword table of every payload bit — the
 same format, ~70 NumPy calls instead of ~7000 — and many short streams
 share one walk (:meth:`HuffmanCodec.decode_many`, which states the
-rule). The original eight-gather formulation is retained as
-:meth:`HuffmanCodec.decode_reference` for equivalence tests and the
-``bench_hotpaths`` baseline.
+rule). The seed kernels these replaced — the eight-gather lockstep
+decoder, the per-bit packer and the heap code construction — are the
+test oracles in ``tests/oracles/huffman_seed.py``.
 
 Code lengths are limited to :data:`MAX_CODE_LENGTH` so the decoder can
 use a flat prefix LUT of ``2^maxlen`` entries.
@@ -36,7 +36,6 @@ from repro.lossless.bitio import (
     NEEDS_BYTESWAP,
     bit_windows_all,
     pack_sorted_canonical_bits,
-    pack_varlen_bits_reference,
     sliding_windows_u64,
 )
 
@@ -76,9 +75,9 @@ def build_code_lengths(
     in a FIFO behind the leaves and the two lightest nodes are always at
     one of the two queue heads — no heap. A leaf wins a weight tie
     against a merged node and merged nodes tie in creation order, which
-    is exactly the ``(freq, tiebreak)`` order of the heap in
-    :func:`build_code_lengths_reference`: the same pairs merge, so the
-    lengths are identical, not merely optimal.
+    is exactly the ``(freq, tiebreak)`` order of the seed construction's
+    heap (the test oracle in ``tests/oracles/huffman_seed.py``): the
+    same pairs merge, so the lengths are identical, not merely optimal.
     """
     freqs = np.asarray(freqs, dtype=np.int64)
     if freqs.ndim != 1 or freqs.size > 256:
@@ -134,54 +133,6 @@ def build_code_lengths(
     depths = np.empty(n, dtype=np.int64)
     depths[order] = [merged_depth[k] + 1 for k in leaf_parent]
     depths = _limit_lengths(depths, weights, max_length)
-    lengths[present] = depths.astype(np.uint8)
-    return lengths
-
-
-def build_code_lengths_reference(
-    freqs: np.ndarray, max_length: int = MAX_CODE_LENGTH
-) -> np.ndarray:
-    """Seed construction: a ``heapq`` of ``(freq, tiebreak, node)``.
-
-    Retained as the oracle :func:`build_code_lengths` must equal length
-    for length (equivalence tests, the ``bench_hotpaths`` baseline);
-    production callers use :func:`build_code_lengths`.
-    """
-    freqs = np.asarray(freqs, dtype=np.int64)
-    if freqs.ndim != 1 or freqs.size > 256:
-        raise ValueError("freqs must be 1-D with at most 256 symbols")
-    if freqs.size and int(freqs.min()) < 0:
-        raise ValueError("frequencies must be nonnegative")
-    lengths = np.zeros(freqs.size, dtype=np.uint8)
-    present = np.flatnonzero(freqs)
-    if present.size == 0:
-        return lengths
-    if present.size == 1:
-        lengths[present[0]] = 1
-        return lengths
-
-    # Heap of (freq, tiebreak, node-id); parents recorded for depth walk.
-    heap = [(int(freqs[s]), int(s), int(i)) for i, s in enumerate(present)]
-    heapq.heapify(heap)
-    parent: list[int] = [-1] * present.size
-    counter = present.size
-    while len(heap) > 1:
-        f1, _, n1 = heapq.heappop(heap)
-        f2, _, n2 = heapq.heappop(heap)
-        parent.append(-1)
-        parent[n1] = counter
-        parent[n2] = counter
-        heapq.heappush(heap, (f1 + f2, 256 + counter, counter))
-        counter += 1
-    depths = np.zeros(present.size, dtype=np.int64)
-    for leaf in range(present.size):
-        node, d = leaf, 0
-        while parent[node] != -1:
-            node = parent[node]
-            d += 1
-        depths[leaf] = d
-
-    depths = _limit_lengths(depths, np.asarray(freqs[present]), max_length)
     lengths[present] = depths.astype(np.uint8)
     return lengths
 
@@ -329,8 +280,9 @@ class HuffmanCodec:
     """Byte-alphabet canonical Huffman codec with chunked streams."""
 
     def __init__(self, chunk_symbols: int = DEFAULT_CHUNK_SYMBOLS) -> None:
-        if chunk_symbols < 1:
-            raise ValueError("chunk_symbols must be >= 1")
+        # The stream header stores the chunk size as a uint32.
+        if not 1 <= chunk_symbols <= 0xFFFFFFFF:
+            raise ValueError("chunk_symbols must be in [1, 2**32 - 1]")
         self.chunk_symbols = int(chunk_symbols)
 
     # -- encode ---------------------------------------------------------
@@ -338,7 +290,7 @@ class HuffmanCodec:
         self, data: np.ndarray | bytes, freqs: np.ndarray | None = None,
         lengths: np.ndarray | None = None,
     ) -> bytes:
-        """Word-packed chunked encode (byte-identical to the seed encoder).
+        """Word-packed chunked encode.
 
         Each symbol's canonical code is shifted into its destination
         64-bit stream lane and the per-lane contributions are OR-merged
@@ -358,22 +310,6 @@ class HuffmanCodec:
         lengths that do not cover exactly the symbols ``freqs`` counts,
         or that no prefix code can have, are rejected.
         """
-        return self._encode_impl(data, freqs, fast=True, lengths=lengths)
-
-    def encode_reference(
-        self, data: np.ndarray | bytes, freqs: np.ndarray | None = None
-    ) -> bytes:
-        """Seed encoder: per-bit scatter packing.
-
-        Retained for equivalence tests and the ``bench_hotpaths``
-        baseline; production callers use :meth:`encode`.
-        """
-        return self._encode_impl(data, freqs, fast=False)
-
-    def _encode_impl(
-        self, data: np.ndarray | bytes, freqs: np.ndarray | None, fast: bool,
-        lengths: np.ndarray | None = None,
-    ) -> bytes:
         data = np.frombuffer(bytes(data), dtype=np.uint8) if isinstance(
             data, (bytes, bytearray)
         ) else np.ascontiguousarray(data, dtype=np.uint8)
@@ -430,19 +366,11 @@ class HuffmanCodec:
             prefix, np.repeat(offsets[:-1] * 8 - prefix[starts], counts),
             out=prefix,
         )
-        if fast:
-            # Canonical codes are already masked to their lengths and
-            # positions are nondecreasing, so the trusted packer applies;
-            # sym_codes/positions are packing-only temporaries, so the
-            # kernel may consume them in place.
-            payload = pack_sorted_canonical_bits(
-                sym_codes, sym_lengths, positions, int(offsets[-1] * 8),
-                consume=True,
-            )
-        else:
-            payload = pack_varlen_bits_reference(
-                sym_codes, sym_lengths, positions, int(offsets[-1] * 8)
-            )
+        # Canonical codes are already masked to their lengths and
+        # positions are nondecreasing, so the trusted packer applies;
+        # sym_codes/positions are packing-only temporaries it consumes.
+        payload = pack_sorted_canonical_bits(
+            sym_codes, sym_lengths, positions, int(offsets[-1] * 8))
         offsets32 = offsets.astype(np.uint32)
         return (
             header_head
@@ -509,10 +437,11 @@ class HuffmanCodec:
         :data:`SLAB_PAYLOAD_BYTES` payload bytes (a larger stream is a
         slab alone), so the walk's ~70 calls are paid per slab, not per
         stream. Both regimes read the same stream format and are
-        byte-identical to :meth:`decode_reference` on valid streams; a
-        corrupt stream yields wrong bytes in its own output or
-        ``ValueError``, never another exception, and never changes
-        another stream's output.
+        byte-identical on valid streams to the seed lockstep decoder,
+        the test oracle in ``tests/oracles/huffman_seed.py``; a corrupt
+        stream yields wrong bytes in its own output or ``ValueError``,
+        never another exception, and never changes another stream's
+        output.
         """
         parsed = [self._parse_stream(blob) for blob in blobs]
         live = [i for i, stream in enumerate(parsed) if stream[0]]
@@ -713,39 +642,6 @@ class HuffmanCodec:
                 peel = min(int(shift.min()) // max_len + 1, steps - step)
         return (out16 & np.uint16(0xFF)).astype(np.uint8)
 
-    def decode_reference(self, blob: bytes) -> np.ndarray:
-        """Seed lockstep decoder: eight byte gathers per step.
-
-        Retained for equivalence tests and the ``bench_hotpaths``
-        baseline; production callers use :meth:`decode`.
-        """
-        parsed = self._parse_stream(blob)
-        n, chunk, max_len, lengths_table, n_chunks, offsets, payload = parsed
-        if n == 0:
-            return np.empty(0, dtype=np.uint8)
-
-        lut_sym, lut_len = self._build_lut_reference(lengths_table, max_len)
-
-        cursors = offsets[:-1] * 8
-        out = np.empty((n_chunks, chunk), dtype=np.uint8)
-        padded = np.zeros(payload.size + 8, dtype=np.uint8)
-        padded[: payload.size] = payload
-        steps = min(chunk, n)
-        shift_base = np.uint64(64 - max_len)
-        mask = np.uint64((1 << max_len) - 1)
-        for step in range(steps):
-            byte_idx = np.minimum(cursors >> 3, payload.size)
-            window = np.zeros(n_chunks, dtype=np.uint64)
-            for k in range(8):
-                window |= padded[byte_idx + k].astype(np.uint64) << np.uint64(
-                    8 * (7 - k)
-                )
-            vals = (window >> (shift_base - (cursors & 7).astype(np.uint64))) \
-                & mask
-            out[:, step] = lut_sym[vals]
-            cursors = cursors + lut_len[vals]
-        return out.reshape(-1)[:n]
-
     @staticmethod
     def _build_luts(lengths_tables, max_lens) -> list[np.ndarray]:
         """Fused prefix LUTs: any max_len-bit window -> ``len << 8 | sym``.
@@ -792,24 +688,6 @@ class HuffmanCodec:
             luts.append(tables[at:at + (1 << w)])
             luts[-1][:size] = filled[start:start + size]
         return luts
-
-    @staticmethod
-    def _build_lut_reference(
-        lengths_table: np.ndarray, max_len: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Seed LUT builder (per-symbol slice fills), the decode oracle's."""
-        if max_len < 1 or max_len > MAX_CODE_LENGTH:
-            raise ValueError(f"corrupt stream: max_len={max_len}")
-        codes_table = canonical_codes(lengths_table)
-        size = 1 << max_len
-        lut_sym = np.zeros(size, dtype=np.uint8)
-        lut_len = np.ones(size, dtype=np.int64)
-        for sym in np.flatnonzero(lengths_table):
-            l = int(lengths_table[sym])
-            base = int(codes_table[sym]) << (max_len - l)
-            lut_sym[base : base + (1 << (max_len - l))] = sym
-            lut_len[base : base + (1 << (max_len - l))] = l
-        return lut_sym, lut_len
 
 
 _DEFAULT_CODEC = HuffmanCodec()

@@ -17,7 +17,6 @@ from repro.util.serialize import (
 )
 from repro.util.validation import (
     check_dtype_floating,
-    check_positive,
     check_shape_3d,
     require,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "read_header",
     "write_header",
     "check_dtype_floating",
-    "check_positive",
     "check_shape_3d",
     "require",
 ]

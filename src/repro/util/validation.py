@@ -18,12 +18,6 @@ def require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def check_positive(name: str, value: float) -> None:
-    """Validate that a scalar parameter is strictly positive."""
-    if not value > 0:
-        raise ValueError(f"{name} must be > 0, got {value!r}")
-
-
 def check_tolerance(
     tolerance: Any, *, allow_none: bool = False
 ) -> float | None:

@@ -85,16 +85,6 @@ class TestNegabinaryStreams:
             stream.exponent, 40, stream.num_planes, stream.max_abs)
         assert np.max(np.abs(rec - data)) <= bound
 
-    def test_serialization_preserves_encoding(self):
-        from repro.bitplane.encoding import BitplaneStream
-
-        stream = encode_bitplanes(sample(256), 16,
-                                  signed_encoding="negabinary")
-        back = BitplaneStream.from_bytes(stream.to_bytes())
-        assert back.signed_encoding == "negabinary"
-        np.testing.assert_array_equal(
-            decode_bitplanes(back, 10), decode_bitplanes(stream, 10))
-
     def test_invalid_encoding_rejected(self):
         with pytest.raises(ValueError):
             encode_bitplanes(sample(16), 8, signed_encoding="ternary")

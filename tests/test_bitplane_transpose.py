@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitplane import register_block
+from repro.bitplane import register_block, transpose
 from repro.bitplane.encoding import (
     DESIGNS,
     decode_bitplanes,
@@ -27,6 +27,9 @@ from repro.bitplane.transpose import (
     transpose_8x8_tiles,
     words_to_planes,
 )
+from repro.core.reconstruct import Reconstructor
+from repro.core.refactor import RefactorConfig, refactor
+from repro.core.tiling import TiledReconstructor, TiledRefactorer
 
 #: Sizes straddling every alignment boundary the kernels care about:
 #: byte packing (8), uint64 lanes (64), and the warp*B tile (32*B).
@@ -197,3 +200,62 @@ def test_property_transpose_roundtrips_like_reference(
     s_fast, m_fast = inject_planes(fast_planes[:k], n, width)
     np.testing.assert_array_equal(s_ref, s_fast)
     np.testing.assert_array_equal(m_ref, m_fast)
+
+
+def _write_and_staircase(data, config, tile_shape=None):
+    """Every plane group's bytes, then a relative 1e-1 / 1e-3 / 1e-6
+    staircase's ``(data bytes, error_bound)`` per step."""
+    if tile_shape is None:
+        fields = [refactor(data, config)]
+        recon = Reconstructor(fields[0])
+    else:
+        tiled = TiledRefactorer(tile_shape, config, backend="serial") \
+            .refactor(data)
+        fields = tiled.fields
+        recon = TiledReconstructor(tiled, backend="serial")
+    groups = [g.to_bytes() for f in fields for lv in f.levels
+              for g in lv.groups]
+    steps = [recon.reconstruct(tolerance=t, relative=True)
+             for t in (1e-1, 1e-3, 1e-6)]
+    return groups, [(step.data.tobytes(), step.error_bound)
+                    for step in steps]
+
+
+class TestBigEndianRoute:
+    """On a big-endian host (``transpose.HOST_SUPPORTED`` False) the
+    codec runs the per-plane ``*_reference`` kernels. The single-pass
+    kernels raise there, so a refactor and staircase that complete with
+    the flag off ran that route end to end; they must match the native
+    route byte for byte."""
+
+    @staticmethod
+    def both_routes(monkeypatch, data, config, tile_shape=None):
+        native = _write_and_staircase(data, config, tile_shape)
+        with monkeypatch.context() as patch:
+            patch.setattr(transpose, "HOST_SUPPORTED", False)
+            big_endian = _write_and_staircase(data, config, tile_shape)
+        return native, big_endian
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("design", ["register_block", "locality_block"])
+    @pytest.mark.parametrize("encoding", ["sign_magnitude", "negabinary"])
+    def test_untiled(self, monkeypatch, encoding, design, dtype):
+        data = np.random.default_rng(11).standard_normal((20, 18, 17)) \
+            .cumsum(axis=0).astype(dtype)
+        config = RefactorConfig(design=design, signed_encoding=encoding)
+        native, big_endian = self.both_routes(monkeypatch, data, config)
+        assert big_endian == native
+
+    def test_tiled_batches_same_shape_tiles(self, monkeypatch):
+        """33 x 32 x 17 in 16^3 tiles: same-shape tiles decode as one
+        ``apply_planes_many`` batch, whose per-row fallback runs here."""
+        data = np.random.default_rng(12).standard_normal((33, 32, 17)) \
+            .cumsum(axis=1).astype(np.float32)
+        native, big_endian = self.both_routes(
+            monkeypatch, data, RefactorConfig(), (16, 16, 16))
+        assert big_endian == native
+
+    def test_single_pass_kernels_refuse_the_flag(self, monkeypatch):
+        monkeypatch.setattr(transpose, "HOST_SUPPORTED", False)
+        with pytest.raises(RuntimeError, match="little-endian"):
+            words_to_planes(np.arange(8, dtype=np.uint64), 4)

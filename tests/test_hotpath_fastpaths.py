@@ -1,15 +1,15 @@
-"""Fast-path behavior introduced by the hot-loop PR: vectorized Huffman
-decode equivalence, worker-pool determinism, and zero-copy
-deserialization."""
+"""Fast-path behavior of the hot loops: vectorized Huffman decode
+against the seed decoder (``tests/oracles/huffman_seed.py``), the
+strided window read, and zero-copy deserialization."""
 
 import numpy as np
 import pytest
+from oracles.huffman_seed import decode_reference, peek_bits
 
-from repro.bitplane.encoding import BitplaneStream, encode_bitplanes
 from repro.core.reconstruct import Reconstructor
 from repro.core.refactor import RefactorConfig, Refactorer
 from repro.core.stream import RefactoredField
-from repro.lossless.bitio import peek_bits, sliding_windows_u64
+from repro.lossless.bitio import NEEDS_BYTESWAP, sliding_windows_u64
 from repro.lossless.huffman import HuffmanCodec
 from repro.lossless.hybrid import CompressedGroup
 
@@ -23,7 +23,7 @@ class TestHuffmanFastDecode:
         codec = HuffmanCodec()
         blob = codec.encode(data)
         fast = codec.decode(blob)
-        ref = codec.decode_reference(blob)
+        ref = decode_reference(blob)
         np.testing.assert_array_equal(fast, ref)
         np.testing.assert_array_equal(fast, data)
 
@@ -34,7 +34,7 @@ class TestHuffmanFastDecode:
         codec = HuffmanCodec(chunk_symbols=chunk)
         blob = codec.encode(data)
         np.testing.assert_array_equal(codec.decode(blob), data)
-        np.testing.assert_array_equal(codec.decode_reference(blob), data)
+        np.testing.assert_array_equal(decode_reference(blob), data)
 
     def test_constant_data_max_skew(self):
         codec = HuffmanCodec()
@@ -51,7 +51,7 @@ class TestHuffmanFastDecode:
         codec = HuffmanCodec()
         blob = codec.encode(data)
         np.testing.assert_array_equal(
-            codec.decode(blob), codec.decode_reference(blob)
+            codec.decode(blob), decode_reference(blob)
         )
 
 
@@ -65,36 +65,23 @@ class TestSlidingWindows:
         assert int(w[0]) == expect0
         assert int(w[10]) == 0  # fully past the end: zero padding
 
-    def test_peek_bits_matches_manual_windows(self):
+    def test_one_gather_matches_eight_byte_gathers(self):
+        """The lockstep decoder's window read — one gather from the
+        strided view, byteswapped, shifted — equals the seed's."""
         rng = np.random.default_rng(3)
         stream = rng.integers(0, 256, 500).astype(np.uint8)
         pos = rng.integers(0, 8 * stream.size + 64, 300)
+        windows = sliding_windows_u64(stream, extra=8)[pos >> 3]
+        if NEEDS_BYTESWAP:
+            windows.byteswap(inplace=True)
         for width in (1, 8, 13, 56):
-            got = peek_bits(stream, pos, width)
-            padded = np.zeros(stream.size + 8, np.uint8)
-            padded[: stream.size] = stream
-            byte_idx = np.minimum(pos >> 3, stream.size)
-            window = np.zeros(pos.shape, np.uint64)
-            for k in range(8):
-                window |= padded[byte_idx + k].astype(np.uint64) \
-                    << np.uint64(8 * (7 - k))
-            exp = (
-                window >> (np.uint64(64 - width)
-                           - (pos & 7).astype(np.uint64))
-            ) & np.uint64((1 << width) - 1)
-            np.testing.assert_array_equal(got, exp)
+            got = (windows >> (np.uint64(64 - width)
+                               - (pos & 7).astype(np.uint64))) \
+                & np.uint64((1 << width) - 1)
+            np.testing.assert_array_equal(got, peek_bits(stream, pos, width))
 
 
 class TestZeroCopyDeserialization:
-    def test_bitplane_stream_planes_view_source_buffer(self):
-        data = np.random.default_rng(2).standard_normal(300) \
-            .astype(np.float32)
-        blob = encode_bitplanes(data, 16).to_bytes()
-        stream = BitplaneStream.from_bytes(blob)
-        # Views, not copies: read-only and byte-identical to reserialize.
-        assert all(not p.flags.writeable for p in stream.planes)
-        assert stream.to_bytes() == blob
-
     def test_compressed_group_payload_views_source_buffer(self):
         from repro.lossless.direct import direct_encode
 

@@ -2,8 +2,8 @@
 
 Walk-regime streams share one pointer-jumping walk per slab of at most
 ``SLAB_PAYLOAD_BYTES`` of payload; lockstep streams still decode one at
-a time. Each output must equal the retained seed decoder
-``decode_reference`` stream by stream, a corrupt stream may only turn
+a time. Each output must equal the seed decoder ``decode_reference``
+(``tests/oracles/huffman_seed.py``) stream by stream, a corrupt stream may only turn
 into ``ValueError`` or wrong bytes in its own output, and a call's
 transient memory stays bounded by one slab (invariant 3(d)).
 """
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.huffman_seed import decode_reference
 from test_huffman_short_streams import encode, make_data, within_deadline
 
 import repro.lossless.huffman as huffman
@@ -67,7 +68,7 @@ class TestBatchEqualsReference:
         assert len(got) == len(blobs)
         for out, data, blob in zip(got, datas, blobs):
             assert out.dtype == np.uint8
-            assert np.array_equal(out, codec.decode_reference(blob))
+            assert np.array_equal(out, decode_reference(blob))
             assert np.array_equal(out, data)
 
     def test_short_streams_share_walks(self):

@@ -3,8 +3,8 @@
 ``HuffmanCodec.decode`` picks one of two regimes from header fields:
 the pointer-jumping walk for streams with few payload bytes per
 lockstep round, the 64-bit-window lockstep loop for the rest. Both must
-be byte-identical to the retained seed decoder ``decode_reference`` on
-every valid stream, and a corrupt stream may only yield wrong bytes or
+be byte-identical to the seed decoder ``decode_reference``
+(``tests/oracles/huffman_seed.py``) on every valid stream, and a corrupt stream may only yield wrong bytes or
 ``ValueError`` — never another exception, never a hang.
 """
 
@@ -15,6 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.huffman_seed import (
+    build_lut_reference,
+    decode_reference,
+    peek_bits,
+)
 
 import repro.lossless.huffman as huffman
 from repro.core.backends import BACKEND_ENV
@@ -22,7 +27,7 @@ from repro.core.store import MemoryStore, open_tiled_field, store_tiled_field
 from repro.core.tiling import TiledReconstructor, TiledRefactorer
 from repro.data import generators as gen
 from repro.lossless import hybrid
-from repro.lossless.bitio import bit_windows_all, peek_bits
+from repro.lossless.bitio import bit_windows_all
 from repro.lossless.huffman import (
     MAX_CODE_LENGTH,
     SHORT_STREAM_BYTES_PER_ROUND,
@@ -131,7 +136,7 @@ class TestDifferential:
             fast = codec.decode(blob)
             assert fast.dtype == np.uint8
             assert np.array_equal(fast, data), (n, chunk, alphabet)
-            assert np.array_equal(codec.decode_reference(blob), data)
+            assert np.array_equal(decode_reference(blob), data)
 
     def test_deep_alphabet_reaches_max_code_length(self):
         data = make_data("deep", 1792)
@@ -151,7 +156,7 @@ class TestDifferential:
         assert header_max_len(blob) == MAX_CODE_LENGTH
         assert np.array_equal(codec.decode(blob), data)
         assert codec.regimes == ["walk"]
-        assert np.array_equal(codec.decode_reference(blob), data)
+        assert np.array_equal(decode_reference(blob), data)
 
     @pytest.mark.parametrize("chunk", [7, 64, 1024])
     def test_ragged_last_chunk(self, chunk):
@@ -180,7 +185,7 @@ class TestDifferential:
         blob = codec.encode(data)
         expect = np.frombuffer(data, dtype=np.uint8)
         assert np.array_equal(codec.decode(blob), expect)
-        assert np.array_equal(codec.decode_reference(blob), expect)
+        assert np.array_equal(decode_reference(blob), expect)
 
 
 class TestRegimeRule:
@@ -197,7 +202,7 @@ class TestRegimeRule:
             assert payload == n
             assert np.array_equal(codec.decode(blob), data)
             assert codec.regimes == [regime]
-            assert np.array_equal(codec.decode_reference(blob), data)
+            assert np.array_equal(decode_reference(blob), data)
 
     def test_rule_scales_with_rounds_not_chunk_count(self):
         """Tiny chunks mean few lockstep rounds: lockstep stays cheap."""
@@ -240,7 +245,7 @@ class TestTables:
         lengths = build_code_lengths(np.bincount(data, minlength=256))
         max_len = int(lengths.max())
         (lut16,) = HuffmanCodec._build_luts([lengths], [max_len])
-        sym, length = HuffmanCodec._build_lut_reference(lengths, max_len)
+        sym, length = build_lut_reference(lengths, max_len)
         assert np.array_equal(lut16 & 0xFF, sym)
         assert np.array_equal(lut16 >> 8, length)
 
@@ -347,7 +352,7 @@ class TestZeroCopyPayloads:
         fast = codec.decode(loaded.payload)
         assert codec.regimes == ["walk"]
         assert np.array_equal(fast, np.concatenate(planes))
-        assert np.array_equal(fast, codec.decode_reference(loaded.payload))
+        assert np.array_equal(fast, decode_reference(loaded.payload))
         out = hybrid.decompress_groups([loaded])
         assert all(np.array_equal(a, b) for a, b in zip(out, planes))
 
@@ -447,7 +452,7 @@ class TestEndToEnd:
 
         def reference(blobs):
             ref_calls.append([len(blob) for blob in blobs])
-            return [codec.decode_reference(blob) for blob in blobs]
+            return [decode_reference(blob) for blob in blobs]
 
         monkeypatch.setitem(hybrid._DECODERS, "huffman", fast)
         got = staircase()

@@ -1,97 +1,67 @@
-"""Tests for vectorized bit packing/peeking."""
+"""Tests for vectorized bit packing and bit-window reads."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lossless.bitio import MAX_PEEK_WIDTH, pack_varlen_bits, peek_bits
+from repro.lossless.bitio import (
+    MAX_PEEK_WIDTH,
+    bit_windows_all,
+    pack_sorted_canonical_bits,
+)
 
 
-class TestPackVarlen:
+def pack(codes, lengths, positions, total_bits):
+    return pack_sorted_canonical_bits(
+        np.array(codes, dtype=np.uint64), np.array(lengths),
+        np.array(positions), total_bits,
+    )
+
+
+class TestPackSortedCanonical:
     def test_single_code(self):
-        out = pack_varlen_bits(
-            np.array([0b101], dtype=np.uint64),
-            np.array([3]),
-            np.array([0]),
-            3,
-        )
-        assert out[0] == 0b10100000
+        assert pack([0b101], [3], [0], 3)[0] == 0b10100000
 
     def test_adjacent_codes(self):
-        out = pack_varlen_bits(
-            np.array([0b1, 0b01, 0b111], dtype=np.uint64),
-            np.array([1, 2, 3]),
-            np.array([0, 1, 3]),
-            6,
-        )
-        assert out[0] == 0b10111100
+        assert pack([0b1, 0b01, 0b111], [1, 2, 3], [0, 1, 3], 6)[0] \
+            == 0b10111100
 
     def test_positions_with_gap(self):
-        out = pack_varlen_bits(
-            np.array([0b11], dtype=np.uint64),
-            np.array([2]),
-            np.array([8]),
-            10,
-        )
-        assert out.tolist() == [0, 0b11000000]
+        assert pack([0b11], [2], [8], 10).tolist() == [0, 0b11000000]
 
     def test_empty(self):
-        out = pack_varlen_bits(
-            np.empty(0, np.uint64), np.empty(0, int), np.empty(0, int), 0
-        )
-        assert out.size == 0
-
-    def test_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            pack_varlen_bits(
-                np.array([1], dtype=np.uint64),
-                np.array([4]),
-                np.array([0]),
-                3,
-            )
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            pack_varlen_bits(
-                np.array([1], dtype=np.uint64),
-                np.array([1, 2]),
-                np.array([0]),
-                8,
-            )
+        assert pack([], [], [], 0).size == 0
 
 
-class TestPeekBits:
+class TestBitWindows:
     def test_reads_back_packed(self):
         stream = np.array([0b10110100, 0b01000000], dtype=np.uint8)
-        assert peek_bits(stream, np.array([0]), 4)[0] == 0b1011
-        assert peek_bits(stream, np.array([4]), 4)[0] == 0b0100
-        assert peek_bits(stream, np.array([6]), 4)[0] == 0b0001
+        assert bit_windows_all(stream, 4)[[0, 4, 6]].tolist() \
+            == [0b1011, 0b0100, 0b0001]
 
     def test_cross_byte_boundary(self):
         stream = np.array([0xFF, 0x00, 0xFF], dtype=np.uint8)
-        assert peek_bits(stream, np.array([4]), 16)[0] == 0xF00F
+        assert bit_windows_all(stream, 16)[4] == 0xF00F
 
     def test_past_end_reads_zero(self):
-        stream = np.array([0xFF], dtype=np.uint8)
-        assert peek_bits(stream, np.array([100]), 8)[0] == 0
-        assert peek_bits(stream, np.array([6]), 8)[0] == 0b11000000
+        windows = bit_windows_all(np.array([0xFF], dtype=np.uint8), 8)
+        assert windows.size == 16
+        assert windows[6] == 0b11000000
+        assert windows[8:].tolist() == [0] * 8
 
-    def test_vectorized_positions(self):
+    def test_every_position(self):
         stream = np.array([0b10101010], dtype=np.uint8)
-        vals = peek_bits(stream, np.arange(8), 1)
-        assert vals.tolist() == [1, 0, 1, 0, 1, 0, 1, 0]
+        assert bit_windows_all(stream, 1)[:8].tolist() \
+            == [1, 0, 1, 0, 1, 0, 1, 0]
 
     def test_width_validation(self):
         stream = np.zeros(4, dtype=np.uint8)
         with pytest.raises(ValueError):
-            peek_bits(stream, np.array([0]), 0)
+            bit_windows_all(stream, 0)
         with pytest.raises(ValueError):
-            peek_bits(stream, np.array([0]), MAX_PEEK_WIDTH + 1)
-
-    def test_negative_position_rejected(self):
-        with pytest.raises(ValueError):
-            peek_bits(np.zeros(4, np.uint8), np.array([-1]), 4)
+            bit_windows_all(stream, MAX_PEEK_WIDTH + 1)
+        assert not bit_windows_all(stream, MAX_PEEK_WIDTH).any()
 
 
 @settings(max_examples=50, deadline=None)
@@ -99,16 +69,15 @@ class TestPeekBits:
     lengths=st.lists(st.integers(1, 24), min_size=1, max_size=200),
     seed=st.integers(0, 2**31),
 )
-def test_property_pack_then_peek_roundtrip(lengths, seed):
-    """Packing codes back-to-back then peeking each one recovers it."""
+def test_property_pack_then_read_roundtrip(lengths, seed):
+    """Packing codes back-to-back then reading each one recovers it."""
     rng = np.random.default_rng(seed)
     lengths = np.asarray(lengths, dtype=np.int64)
     codes = np.array(
         [int(rng.integers(0, 1 << l)) for l in lengths], dtype=np.uint64
     )
     positions = np.cumsum(lengths) - lengths
-    total = int(lengths.sum())
-    stream = pack_varlen_bits(codes, lengths, positions, total)
+    stream = pack(codes, lengths, positions, int(lengths.sum()))
+    windows = {w: bit_windows_all(stream, w) for w in set(lengths.tolist())}
     for code, length, pos in zip(codes, lengths, positions):
-        got = peek_bits(stream, np.array([pos]), int(length))[0]
-        assert got == code
+        assert windows[int(length)][pos] == code

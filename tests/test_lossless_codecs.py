@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from oracles.huffman_seed import build_code_lengths_reference
 
 from repro.lossless.direct import direct_decode, direct_encode
 from repro.lossless.huffman import (
     HuffmanCodec,
     build_code_lengths,
-    build_code_lengths_reference,
     canonical_codes,
     estimate_huffman_ratio,
     huffman_decode,
@@ -110,7 +110,7 @@ def histograms(draw, max_count=1 << 40):
 
 
 class TestTwoQueueConstruction:
-    """:func:`build_code_lengths` against the retained heap oracle."""
+    """:func:`build_code_lengths` against the seed heap oracle."""
 
     @settings(max_examples=200, deadline=None)
     @given(freqs=histograms(), max_length=st.sampled_from([9, 12, 16]))
@@ -222,6 +222,12 @@ class TestHuffmanRoundtrip:
     def test_invalid_chunk_symbols(self):
         with pytest.raises(ValueError):
             HuffmanCodec(chunk_symbols=0)
+        # The stream header stores the chunk size as a uint32.
+        with pytest.raises(ValueError, match="chunk_symbols"):
+            HuffmanCodec(chunk_symbols=2**32)
+        codec = HuffmanCodec(chunk_symbols=2**32 - 1)
+        data = np.arange(10, dtype=np.uint8)
+        np.testing.assert_array_equal(codec.decode(codec.encode(data)), data)
 
 
 class TestHuffmanEstimate:

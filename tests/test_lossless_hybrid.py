@@ -122,11 +122,10 @@ class TestSharedScans:
     @staticmethod
     def naive_select(merged, config):
         """The seed formulation of Algorithm 2: nothing pruned, nothing
-        shared, every code from the retained heap construction."""
-        from repro.lossless.huffman import (
-            build_code_lengths_reference,
-            huffman_encode,
-        )
+        shared, every code from the seed heap construction."""
+        from oracles.huffman_seed import build_code_lengths_reference
+
+        from repro.lossless.huffman import huffman_encode
         if merged.size <= config.size_threshold:
             return "direct", _ENCODERS["direct"](merged)
         lengths = build_code_lengths_reference(

@@ -31,8 +31,13 @@ import repro.core.store
 import repro.core.stream
 import repro.core.tiling
 import repro.lossless
+import repro.lossless.bitio
+import repro.lossless.huffman
 import repro.lossless.hybrid
 import repro.pipeline
+import repro.util
+import repro.util.validation
+from repro.bitplane.encoding import BitplaneStream
 from repro.core.backends import (
     ClosesOnExit,
     ProcessBackend,
@@ -57,11 +62,14 @@ from repro.core.store import (
 )
 from repro.core.stream import Counters, LevelStream, SegmentRef
 from repro.decompose import transform_for
+from repro.gpu.events import Timeline
+from repro.gpu.hdem import HostDeviceModel
 from repro.core.tiling import (
     LazyTiledField,
     TiledReconstructor,
     TiledRefactorer,
 )
+from repro.lossless.huffman import HuffmanCodec, huffman_encode
 from repro.lossless.hybrid import compress_planes
 
 REQUIRED = inspect.Parameter.empty
@@ -115,6 +123,11 @@ SURFACE = [
     (transform_for,
      [("shape", REQUIRED), ("num_levels", None), ("mode", "hierarchical"),
       ("min_size", 4)]),
+    (HuffmanCodec, [("chunk_symbols", 1024)]),
+    (HuffmanCodec.encode,
+     [("data", REQUIRED), ("freqs", None), ("lengths", None)]),
+    (huffman_encode,
+     [("data", REQUIRED), ("freqs", None), ("lengths", None)]),
 ]
 
 REMOVED_KEYWORDS = [
@@ -236,6 +249,37 @@ def test_test_only_entry_points_are_gone():
         assert name not in package.__all__, name
     assert repro.core.backends._MAX_TASK_RETRIES == 2
     assert not hasattr(TiledRefactorer((4,)), "_threads")
+
+
+def test_one_huffman_encoder_and_one_packer():
+    """The seed Huffman kernels are test oracles
+    (``tests/oracles/huffman_seed.py``): the codec has one encode body
+    with no route switch, and the bit module one packer. Entry points
+    whose only callers were tests are gone with them — a bitplane
+    stream travels as a refactored field's plane groups, never as bytes
+    of its own."""
+    for name in ("encode_reference", "decode_reference",
+                 "_build_lut_reference", "_encode_impl"):
+        assert not hasattr(HuffmanCodec, name), name
+    for name, method in vars(HuffmanCodec).items():
+        if "encode" in name:
+            assert "fast" not in inspect.signature(method).parameters, name
+    assert not hasattr(repro.lossless.huffman, "build_code_lengths_reference")
+    for name in ("pack_varlen_bits", "pack_varlen_bits_reference",
+                 "peek_bits"):
+        assert not hasattr(repro.lossless.bitio, name), name
+    for name in ("to_bytes", "from_bytes"):
+        assert not hasattr(BitplaneStream, name), name
+    assert not hasattr(repro.bitplane.encoding, "_MAGIC")
+    for name in ("encode", "decode"):
+        assert not hasattr(repro.bitplane, name), name
+        assert not hasattr(repro.bitplane.encoding, name), name
+        assert name not in repro.bitplane.__all__, name
+    assert not hasattr(repro.util, "check_positive")
+    assert not hasattr(repro.util.validation, "check_positive")
+    assert "check_positive" not in repro.util.__all__
+    assert not hasattr(Timeline, "engine_busy_time")
+    assert not hasattr(HostDeviceModel, "serial_time")
 
 
 def test_one_session_class_and_one_opener():
