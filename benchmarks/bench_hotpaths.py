@@ -38,7 +38,11 @@ corner-packed transform it replaced (``tests/oracles/
 corner_transform.py``), on coefficients that recompose to the same
 bytes. The seed Huffman kernels (``encode_reference``,
 ``decode_reference``, ``build_code_lengths_reference``) are the test
-oracles of ``tests/oracles/huffman_seed.py``.
+oracles of ``tests/oracles/huffman_seed.py``, and the seed plane inject
+(``inject_planes_reference``) is that of ``tests/oracles/
+bitplane_decode.py``. The ``inject_*`` keys time it against the
+library's inject: ``apply_planes`` on a zero decode state, which fills
+the state's magnitude words and sign bits.
 
 Run standalone (writes the JSON):
 
@@ -70,12 +74,12 @@ from repro.core.refactor import Refactorer
 from repro.data import generators as gen
 from repro.decompose import MultilevelTransform
 from repro.bitplane.encoding import (
+    apply_planes,
+    begin_decode_state,
     decode_bitplanes,
     encode_bitplanes,
     extract_planes,
     extract_planes_reference,
-    inject_planes,
-    inject_planes_reference,
 )
 import repro.lossless.huffman as huffman
 from repro.lossless.huffman import HuffmanCodec
@@ -87,6 +91,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_hotpaths.json"
 
 sys.path.insert(0, str(REPO_ROOT / "tests"))
+from oracles.bitplane_decode import inject_planes_reference  # noqa: E402
 from oracles.corner_transform import CornerPackedTransform  # noqa: E402
 from oracles.huffman_seed import (  # noqa: E402
     build_code_lengths_reference,
@@ -540,11 +545,14 @@ def run_benchmarks(
     t_inj_ref, im_ref = _best_time(
         lambda: inject_planes_reference(planes_ref, n, num_bitplanes), reps
     )
+    zero = begin_decode_state(
+        num_elements=n, num_bitplanes=num_bitplanes, exponent=0,
+        max_abs=0.0, dtype=np.float64)
     t_inj, im_fast = _best_time(
-        lambda: inject_planes(planes_fast, n, num_bitplanes), reps
+        lambda: apply_planes(zero, planes_fast, 0), reps
     )
-    assert np.array_equal(im_ref[0], im_fast[0])
-    assert np.array_equal(im_ref[1], im_fast[1])
+    assert np.array_equal(im_ref[0], im_fast.signs)
+    assert np.array_equal(im_ref[1], im_fast.words)
 
     # -- end-to-end encode/decode (register_block, the paper default) ---
     t_enc_seed, (seed_planes, seed_meta) = _best_time(

@@ -6,7 +6,8 @@ tolerances at 1M elements and measures each step's wall time for:
 * **full** — the from-scratch decode of ``tests/oracles/full_decode.py``,
   which re-decodes every fetched plane group of every level from plane
   0 on every step (at the plans the incremental walk chose, so planning
-  is not part of its time);
+  is not part of its time), timed with the library's
+  ``decode_bitplanes`` per level and checked with the per-plane oracle;
 * **incremental** — :class:`~repro.core.reconstruct.Reconstructor`,
   which retains per-level integer partials and decodes only the plane
   groups newly planned since the previous step.
@@ -45,6 +46,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.bitplane.encoding import decode_bitplanes
 from repro.core.reconstruct import Reconstructor
 from repro.core.refactor import refactor
 from repro.data import generators as gen
@@ -112,7 +114,7 @@ def _walk_timed(field, tolerances, plans=None) -> list[float]:
         if plans is None:
             recon.reconstruct(tolerance=tol, relative=True)
         else:
-            full_decode(field, plans[i])
+            full_decode(field, plans[i], decode=decode_bitplanes)
         walls.append(time.perf_counter() - t0)
     return walls
 

@@ -31,7 +31,6 @@ from repro.bitplane.align import (
     AlignedFixedPoint,
     align_to_fixed_point,
     compute_exponent,
-    from_fixed_point,
     plane_error_bound,
 )
 from repro.bitplane.encoding import (
@@ -50,7 +49,6 @@ __all__ = [
     "AlignedFixedPoint",
     "align_to_fixed_point",
     "compute_exponent",
-    "from_fixed_point",
     "plane_error_bound",
     "BitplaneStream",
     "PartialDecodeState",

@@ -98,51 +98,6 @@ def align_to_fixed_point(
     )
 
 
-def from_fixed_point(
-    aligned: AlignedFixedPoint, kept_planes: int | None = None
-) -> np.ndarray:
-    """Reconstruct floats from (possibly truncated) fixed-point values.
-
-    ``kept_planes`` counts magnitude bitplanes from the most significant;
-    ``None`` keeps all. Truncated nonzero values are centered by half the
-    dropped range, halving the expected error while preserving the
-    ``2^(e-k)`` worst-case bound.
-    """
-    B = aligned.num_bitplanes
-    k = B if kept_planes is None else int(kept_planes)
-    if not 0 <= k <= B:
-        raise ValueError(f"kept_planes must be in [0, {B}], got {kept_planes}")
-    mags = aligned.magnitudes
-    if k < B:
-        drop = B - k
-        mask = np.uint64(~np.uint64((1 << drop) - 1))
-        truncated = mags & mask
-        # Centering adds 2^(drop-1) to every nonzero value. A nonzero
-        # truncation is >= 2^drop, so min(truncated, half) selects
-        # exactly {0, half}, and the center bit lies below the kept
-        # bits, making OR equal to ADD — two passes instead of the
-        # compare/select/add of the previous np.where formulation,
-        # bit-identical output.
-        center = np.minimum(truncated, np.uint64(1 << (drop - 1)))
-        truncated |= center
-        mags = truncated
-    values = scale_pow2(mags.astype(np.float64), aligned.exponent - B)
-    # Values are nonnegative here, so ORing the IEEE sign bit in place
-    # negates exactly — far cheaper than a boolean-masked multiply. For
-    # narrower output dtypes, cast first and flip the narrow sign bit
-    # (positive-value rounding is sign-symmetric), halving the traffic.
-    if aligned.dtype == np.dtype(np.float32):
-        out = values.astype(np.float32)
-        out.view(np.uint32)[:] |= (
-            aligned.signs.astype(np.uint32) << np.uint32(31)
-        )
-        return out
-    values.view(np.uint64)[:] |= (
-        aligned.signs.astype(np.uint64) << np.uint64(63)
-    )
-    return values.astype(aligned.dtype, copy=False)
-
-
 def plane_error_bound(
     exponent: int, num_bitplanes: int, kept_planes: int, max_abs: float
 ) -> float:

@@ -13,23 +13,23 @@ register-shuffle, warp-transposed tiles for register-block — and in
 their simulated GPU cost (see :mod:`repro.gpu.costmodel`). Decoded
 values are identical across designs (HP-MDR's portability property) and
 byte-identical between the single-pass and per-plane transposes.
+
+Decoding has one body, the resumable one: :func:`begin_decode_state`,
+then :func:`apply_planes_many` injects plane bits into integer words,
+then :func:`finalize_many` turns them into floats.
+:func:`decode_bitplanes` is its one-call for a whole stream.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.bitplane import register_block, transpose
-from repro.bitplane.align import (
-    AlignedFixedPoint,
-    align_to_fixed_point,
-    from_fixed_point,
-    plane_error_bound,
-    scale_pow2,
-)
+from repro.bitplane import negabinary, register_block, transpose
+from repro.bitplane.align import align_to_fixed_point, plane_error_bound
 
 #: The three parallelization designs of Section 4.
 DESIGNS = ("locality_block", "register_shuffle", "register_block")
@@ -39,6 +39,9 @@ SHUFFLE_VARIANTS = ("ballot", "shift", "match_any", "reduce_add")
 
 _NATURAL = "natural"
 _WARP = "warp"
+
+#: Element orders a stream's planes can be stored in.
+LAYOUTS = (_NATURAL, _WARP)
 
 #: Supported signed-value encodings (MDR offers both).
 SIGNED_ENCODINGS = ("sign_magnitude", "negabinary")
@@ -78,24 +81,32 @@ class BitplaneStream:
 
     def error_bound(self, fetched_planes: int) -> float:
         """L∞ bound when only the first *fetched_planes* planes are used."""
-        if self.signed_encoding == "negabinary":
-            from repro.bitplane.negabinary import (
-                plane_error_bound_negabinary,
-            )
-
-            return plane_error_bound_negabinary(
-                self.exponent, self.num_bitplanes, int(fetched_planes),
-                self.max_abs,
-            )
-        # sign_magnitude: plane 0 is the sign plane.
-        kept = max(0, int(fetched_planes) - 1)
-        return plane_error_bound(
-            self.exponent, self.num_bitplanes, kept, self.max_abs
+        return stored_plane_error_bound(
+            self.signed_encoding, self.exponent, self.num_bitplanes,
+            fetched_planes, self.max_abs,
         )
 
 
+def stored_plane_error_bound(
+    signed_encoding: str, exponent: int, num_bitplanes: int,
+    fetched_planes: int, max_abs: float,
+) -> float:
+    """L∞ bound of values decoded from the first *fetched_planes*
+    stored planes of a stream with this metadata.
+
+    Sign-magnitude stores the sign plane first, so it keeps one
+    magnitude plane fewer than it fetched; negabinary keeps every
+    fetched digit.
+    """
+    if signed_encoding == "negabinary":
+        return negabinary.plane_error_bound_negabinary(
+            exponent, num_bitplanes, int(fetched_planes), max_abs)
+    return plane_error_bound(
+        exponent, num_bitplanes, max(0, int(fetched_planes) - 1), max_abs)
+
+
 # ---------------------------------------------------------------------
-# Plane extraction / injection on natural-order fixed-point values
+# Plane extraction on natural-order fixed-point values
 # ---------------------------------------------------------------------
 def extract_planes(
     signs: np.ndarray, mags: np.ndarray, num_bitplanes: int
@@ -110,22 +121,6 @@ def extract_planes(
     if not transpose.HOST_SUPPORTED:
         return extract_planes_reference(signs, mags, num_bitplanes)
     return transpose.transpose_sign_magnitude(signs, mags, num_bitplanes)
-
-
-def inject_planes(
-    planes: list[np.ndarray],
-    num_elements: int,
-    num_bitplanes: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`extract_planes` for the available planes.
-
-    Missing trailing planes decode as zero bits (progressive truncation).
-    """
-    if not transpose.HOST_SUPPORTED:
-        return inject_planes_reference(planes, num_elements, num_bitplanes)
-    return transpose.untranspose_sign_magnitude(
-        planes, num_elements, num_bitplanes
-    )
 
 
 def extract_planes_reference(
@@ -144,29 +139,6 @@ def extract_planes_reference(
     return planes
 
 
-def inject_planes_reference(
-    planes: list[np.ndarray],
-    num_elements: int,
-    num_bitplanes: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-plane inverse of :func:`extract_planes_reference`: the
-    big-endian route of :func:`inject_planes`."""
-    signs = np.zeros(num_elements, dtype=np.uint8)
-    mags = np.zeros(num_elements, dtype=np.uint64)
-    if not planes:
-        return signs, mags
-    signs = np.unpackbits(
-        planes[0], count=num_elements, bitorder="little"
-    ).astype(np.uint8)
-    for i, plane in enumerate(planes[1:]):
-        bit_index = num_bitplanes - 1 - i
-        if bit_index < 0:
-            raise ValueError("more magnitude planes than num_bitplanes")
-        bits = np.unpackbits(plane, count=num_elements, bitorder="little")
-        mags |= bits.astype(np.uint64) << np.uint64(bit_index)
-    return signs, mags
-
-
 # ---------------------------------------------------------------------
 # Public codec entry points
 # ---------------------------------------------------------------------
@@ -176,17 +148,6 @@ def extract_code_planes(codes: np.ndarray, width: int) -> list[np.ndarray]:
     if not transpose.HOST_SUPPORTED:
         return extract_code_planes_reference(codes, width)
     return transpose.words_to_planes(codes, width)
-
-
-def inject_code_planes(
-    planes: list[np.ndarray], num_elements: int, width: int
-) -> np.ndarray:
-    """Inverse of :func:`extract_code_planes`; missing planes are zero."""
-    if len(planes) > width:
-        raise ValueError("more planes than code width")
-    if not transpose.HOST_SUPPORTED:
-        return inject_code_planes_reference(planes, num_elements, width)
-    return transpose.planes_to_words(planes, num_elements, width)
 
 
 def extract_code_planes_reference(
@@ -205,8 +166,8 @@ def inject_code_planes_reference(
     planes: list[np.ndarray], num_elements: int, width: int
 ) -> np.ndarray:
     """Per-plane inverse of :func:`extract_code_planes_reference`: the
-    big-endian route of :func:`inject_code_planes` and of
-    :func:`apply_planes_many`."""
+    big-endian route of :func:`apply_planes_many`, which injects each
+    state's planes as one row of codes this wide."""
     if len(planes) > width:
         raise ValueError("more planes than code width")
     codes = np.zeros(num_elements, dtype=np.uint64)
@@ -253,12 +214,11 @@ def encode_bitplanes(
     aligned = align_to_fixed_point(data, num_bitplanes)
     signs, mags = aligned.signs, aligned.magnitudes
     if signed_encoding == "negabinary":
-        from repro.bitplane.negabinary import negabinary_width, to_negabinary
-
         signed = np.where(signs.astype(bool), -mags.astype(np.int64),
                           mags.astype(np.int64))
-        codes = to_negabinary(signed)
-        planes = extract_code_planes(codes, negabinary_width(num_bitplanes))
+        codes = negabinary.to_negabinary(signed)
+        planes = extract_code_planes(
+            codes, negabinary.negabinary_width(num_bitplanes))
     else:
         planes = extract_planes(signs, mags, num_bitplanes)
     return BitplaneStream(
@@ -282,57 +242,24 @@ def decode_bitplanes(
 
     ``num_planes`` counts stored planes from the most significant;
     ``None`` uses all available. Works for streams produced by any
-    design (portability).
+    design (portability). The one-call of the resumable decoder:
+    :func:`finalize_decode` of a fresh state given the planes.
     """
     total = stream.num_planes
     k = total if num_planes is None else int(num_planes)
     if not 0 <= k <= total:
         raise ValueError(f"num_planes must be in [0, {total}], got {k}")
-    if stream.signed_encoding == "negabinary":
-        return _decode_negabinary(stream, k)
-    signs, mags = inject_planes(
-        stream.planes[:k], stream.num_elements, stream.num_bitplanes
-    )
-    aligned = AlignedFixedPoint(
-        signs=signs,
-        magnitudes=mags,
-        exponent=stream.exponent,
+    state = begin_decode_state(
+        num_elements=stream.num_elements,
         num_bitplanes=stream.num_bitplanes,
+        exponent=stream.exponent,
         max_abs=stream.max_abs,
         dtype=stream.dtype,
+        layout=stream.layout,
+        warp_size=stream.warp_size,
+        signed_encoding=stream.signed_encoding,
     )
-    kept = max(0, k - 1)
-    values = from_fixed_point(aligned, kept_planes=kept)
-    if stream.layout == _WARP:
-        # Fixed-point -> float is elementwise, so un-permuting the final
-        # (narrower) float array moves fewer bytes than un-permuting the
-        # sign + magnitude words.
-        inv = register_block.inverse_tile_permutation(
-            stream.num_elements, stream.num_bitplanes, stream.warp_size
-        )
-        values = values[inv]
-    return values
-
-
-def _decode_negabinary(stream: BitplaneStream, k: int) -> np.ndarray:
-    """Decode the leading *k* negabinary planes to float values."""
-    from repro.bitplane.negabinary import from_negabinary, negabinary_width
-
-    width = negabinary_width(stream.num_bitplanes)
-    codes = inject_code_planes(
-        stream.planes[:k], stream.num_elements, width
-    )
-    if stream.layout == _WARP:
-        inv = register_block.inverse_tile_permutation(
-            stream.num_elements, stream.num_bitplanes, stream.warp_size
-        )
-        codes = codes[inv]
-    signed = from_negabinary(codes)
-    values = scale_pow2(
-        signed.astype(np.float64),
-        stream.exponent - stream.num_bitplanes,
-    )
-    return values.astype(stream.dtype, copy=False)
+    return finalize_decode(apply_planes(state, stream.planes[:k], 0))
 
 
 # ---------------------------------------------------------------------
@@ -368,9 +295,7 @@ class PartialDecodeState:
     def total_planes(self) -> int:
         """Stored planes of the full stream this state resumes."""
         if self.signed_encoding == "negabinary":
-            from repro.bitplane.negabinary import negabinary_width
-
-            return negabinary_width(self.num_bitplanes)
+            return negabinary.negabinary_width(self.num_bitplanes)
         return self.num_bitplanes + 1
 
     @property
@@ -498,13 +423,15 @@ def apply_planes_many(
         ])
     # The new rows start as a copy of the old words (padded to whole
     # plane bytes): plane bits are disjoint from the applied ones, so
-    # injecting is an OR in place.
+    # injecting is an OR in place. States holding no plane hold zeros,
+    # so zeroed rows need no copy of them.
     width = (n + 7) & ~7
-    if len(states) == 1 and width == n:
+    if len(states) == 1 and width == n and first.planes_applied:
         words = first.words.copy()[None]
     else:
         words = np.zeros((len(states), width), dtype=np.uint64)
-        np.stack([state.words for state in states], out=words[:, :n])
+        if any(state.planes_applied for state in states):
+            np.stack([state.words for state in states], out=words[:, :n])
     if transpose.HOST_SUPPORTED:
         transpose.planes_to_word_rows(rows, n, out=words)
     else:
@@ -532,24 +459,32 @@ def apply_planes_many(
 
 
 def finalize_many(states: list[PartialDecodeState]) -> np.ndarray:
-    """Float64 values of K same-geometry states as one ``(K, n)`` array.
+    """Float64 values of K same-geometry states as one ``(K, n)`` array,
+    in natural element order (a ``warp`` layout is un-permuted)."""
+    return _natural_order(states[0], _finalize_rows(states))
 
-    Each row keeps its own exponent, dropped-plane count and signs, with
-    the arithmetic of :func:`~repro.bitplane.align.from_fixed_point`
-    per element; a ``warp`` layout is un-permuted to natural order.
+
+def _finalize_rows(states: list[PartialDecodeState]) -> np.ndarray:
+    """:func:`finalize_many`'s arithmetic, in the states' stored order.
+
+    Each row keeps its own exponent, dropped-plane count and signs.
+    Sign-magnitude words lose the dropped planes' bits, and a nonzero
+    truncation is centered by half the dropped range, which halves the
+    expected error and keeps the ``2^(e-k)`` bound. Negabinary codes
+    are converted as they are.
     """
     first = states[0]
     bits = first.num_bitplanes
     words = _stack_rows([state.words for state in states])
     if first.signed_encoding == "negabinary":
-        from repro.bitplane.negabinary import from_negabinary
-
-        values = from_negabinary(words).astype(np.float64)
+        values = negabinary.from_negabinary(words).astype(np.float64)
     else:
         drops = [bits - max(0, s.planes_applied - 1) for s in states]
         if any(drops):
-            # Centered truncation, as in from_fixed_point; a row that
-            # dropped nothing gets mask ~0 and center 0 (unchanged).
+            # A nonzero truncation is >= 2^d, so min(truncation, half)
+            # is exactly {0, half}, and the center bit lies below the
+            # kept bits: OR adds it. A row that dropped nothing gets
+            # mask ~0 and center 0 (unchanged).
             words = words & _per_row(
                 [_ALL_ONES ^ ((1 << d) - 1) for d in drops], np.uint64)
             words |= np.minimum(
@@ -565,25 +500,31 @@ def finalize_many(states: list[PartialDecodeState]) -> np.ndarray:
     for r, ok in enumerate(normal):
         if not ok:  # the scale itself would over/underflow
             values[r] = np.ldexp(values[r], shifts[r])
-    if first.signed_encoding != "negabinary":
-        signs = [state.signs for state in states]
-        if any(sign is not None for sign in signs):
-            sign_bits = _stack_rows([
-                np.zeros(first.num_elements, dtype=np.uint8)
-                if sign is None else sign for sign in signs
-            ]).astype(np.uint64)
-            sign_bits <<= np.uint64(63)
-            values.view(np.uint64)[:] |= sign_bits
-            del sign_bits
-    if first.layout == _WARP:
-        inv = register_block.inverse_tile_permutation(
-            first.num_elements, bits, first.warp_size)
-        values = (values[0][inv][None] if len(states) == 1
-                  else np.take(values, inv, axis=1))
+    signs = [state.signs for state in states]
+    if any(sign is not None for sign in signs):
+        # Values are >= 0 here, so setting the IEEE sign bit negates
+        # exactly; it is the top bit of one byte of each double.
+        sign_bytes = values.view(np.uint8)[:, _SIGN_BYTE::8]
+        sign_bytes |= _stack_rows([
+            np.zeros(first.num_elements, dtype=np.uint8)
+            if sign is None else sign for sign in signs
+        ]) << np.uint8(7)
     return values
 
 
+def _natural_order(state: PartialDecodeState, rows: np.ndarray) -> np.ndarray:
+    """``(K, n)`` *rows* in *state*'s stored order, in natural order."""
+    if state.layout != _WARP:
+        return rows
+    inv = register_block.inverse_tile_permutation(
+        state.num_elements, state.num_bitplanes, state.warp_size)
+    return rows[0][inv][None] if len(rows) == 1 else np.take(rows, inv, axis=1)
+
+
 _ALL_ONES = (1 << 64) - 1
+
+#: The byte of a native float64 that holds its sign bit.
+_SIGN_BYTE = 7 if sys.byteorder == "little" else 0
 
 
 def _per_row(values: list, dtype) -> np.ndarray:
@@ -595,11 +536,12 @@ def _per_row(values: list, dtype) -> np.ndarray:
 
 
 def finalize_decode(state: PartialDecodeState) -> np.ndarray:
-    """Float values of a partial state — bit-identical to a full decode.
+    """Float values of a partial state, in the state's dtype.
 
-    Equals ``decode_bitplanes(stream, state.planes_applied)`` for the
-    stream the state was built from (tested property); the state itself
-    is left untouched so further planes can still be applied. The
-    one-state call of :func:`finalize_many`.
+    The state itself is left untouched so further planes can still be
+    applied. The one-state call of :func:`finalize_many`, except that a
+    ``warp`` layout is un-permuted after the cast: the cast is
+    elementwise, and a narrower dtype moves fewer bytes.
     """
-    return finalize_many([state])[0].astype(state.dtype, copy=False)
+    values = _finalize_rows([state]).astype(state.dtype, copy=False)
+    return _natural_order(state, values)[0]

@@ -13,12 +13,13 @@ one byte column that contains its bit:
   single uint8 mask of column ``b >> 3`` fed straight to ``packbits``
   (which treats any nonzero byte as a set bit, so no shift pass is
   needed). Each plane reads ``N`` bytes instead of ``8·N``.
-* inverse (:func:`planes_to_words`) — never unpacks to one-byte-per-bit
-  at all: the packed planes of one byte column form ``ceil(N/8)``
-  8×8-bit tiles, which are flipped in-register with the classic
-  three-step masked-swap bit transpose (Hacker's Delight §7-3) on
-  uint64 lanes and written directly into the words' byte columns.
-  Missing trailing planes decode as zero bits (progressive truncation).
+* inverse (:func:`planes_to_word_rows`) — never unpacks to
+  one-byte-per-bit at all: the packed planes of one byte column form
+  ``ceil(N/8)`` 8×8-bit tiles, which are flipped in-register with the
+  classic three-step masked-swap bit transpose (Hacker's Delight §7-3)
+  on uint64 lanes and ORed directly into the words' byte columns, for
+  K rows of words at once. Planes not given leave their bits as they
+  were, which is what progressive refinement requires.
 
 Both directions are byte-identical to the per-plane reference (each
 plane is ``ceil(N / 8)`` bytes packed with ``bitorder="little"``), which
@@ -119,25 +120,6 @@ def words_to_planes(words: np.ndarray, width: int) -> list[np.ndarray]:
     return planes
 
 
-def planes_to_words(
-    planes: list[np.ndarray], num_elements: int, width: int
-) -> np.ndarray:
-    """Inverse of :func:`words_to_planes` for the available planes.
-
-    ``planes`` holds the leading (most significant) bitplanes; missing
-    trailing planes decode as zero bits, which is what progressive
-    truncation requires. The one-row call of :func:`planes_to_word_rows`.
-    """
-    if width < 1 or width > _WORD_BITS:
-        raise ValueError(f"width must be in [1, {_WORD_BITS}], got {width}")
-    if len(planes) > width:
-        raise ValueError("more planes than word width")
-    return planes_to_word_rows(
-        [[(width - 1 - i, plane) for i, plane in enumerate(planes)]],
-        num_elements,
-    )[0, :num_elements]
-
-
 def planes_to_word_rows(
     rows: list[list[tuple[int, np.ndarray]]],
     num_elements: int,
@@ -196,22 +178,3 @@ def transpose_sign_magnitude(
                           bitorder="little")]
     planes.extend(words_to_planes(mags, num_bitplanes))
     return planes
-
-
-def untranspose_sign_magnitude(
-    planes: list[np.ndarray], num_elements: int, num_bitplanes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`transpose_sign_magnitude` for available planes."""
-    if not planes:
-        return (
-            np.zeros(num_elements, dtype=np.uint8),
-            np.zeros(num_elements, dtype=np.uint64),
-        )
-    if len(planes) - 1 > num_bitplanes:
-        raise ValueError("more magnitude planes than num_bitplanes")
-    signs = np.unpackbits(
-        np.ascontiguousarray(planes[0], dtype=np.uint8),
-        count=num_elements, bitorder="little",
-    ).astype(np.uint8)
-    mags = planes_to_words(planes[1:], num_elements, num_bitplanes)
-    return signs, mags

@@ -37,6 +37,8 @@ from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.bitplane.align import MAX_BITPLANES
+from repro.bitplane.encoding import LAYOUTS, SIGNED_ENCODINGS
 from repro.core.errors import (
     BATCH_ERRORS,
     SegmentCorruptionError,
@@ -684,17 +686,41 @@ def _read_index(raw, key: str) -> tuple[RefactoredField, list]:
 
     A binary record must pass its CRC32 trailer and parse to its last
     byte; a v2 JSON one must carry its full segment table (see
-    :func:`_index_from_json`). Anything else raises
+    :func:`_index_from_json`); either one's level metadata must be what
+    an encoder writes (see :func:`_check_levels`). Anything else raises
     :class:`~repro.core.errors.SegmentCorruptionError` naming *key*.
     """
     try:
-        if bytes(raw[:4]) == _INDEX_MAGIC:
-            return _index_from_record(raw)
-        return _index_from_json(raw)
+        parsed = (_index_from_record(raw) if bytes(raw[:4]) == _INDEX_MAGIC
+                  else _index_from_json(raw))
+        _check_levels(parsed[0])
+        return parsed
     except _RECORD_ERRORS as exc:
         raise SegmentCorruptionError(
             f"index record {key!r} is corrupt: {exc}"
         ) from exc
+
+
+#: Exponents of finite float64 data: 2^-1074 (the least subnormal) has
+#: exponent -1073, and every double is below 2^1024.
+_EXPONENTS = range(-1073, 1025)
+
+
+def _check_levels(field: RefactoredField) -> None:
+    """Raise ``ValueError`` naming the first level metadata value no
+    encoder writes, before any decode kernel or bound meets it."""
+    for lv in field.levels:
+        for key, ok in (
+            ("num_bitplanes", 1 <= lv.num_bitplanes <= MAX_BITPLANES),
+            ("warp_size", lv.warp_size >= 1),
+            ("layout", lv.layout in LAYOUTS),
+            ("signed_encoding", lv.signed_encoding in SIGNED_ENCODINGS),
+            ("max_abs", math.isfinite(lv.max_abs) and lv.max_abs >= 0),
+            ("exponent", lv.exponent in _EXPONENTS),
+        ):
+            if not ok:
+                raise ValueError(f"level {lv.level} has {key} "
+                                 f"{getattr(lv, key)!r}")
 
 
 def _index_from_record(raw) -> tuple[RefactoredField, list]:

@@ -29,7 +29,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from repro.bitplane.align import plane_error_bound
+from repro.bitplane.encoding import (
+    begin_decode_state,
+    stored_plane_error_bound,
+)
 from repro.core.errors import SegmentCorruptionError
 from repro.lossless.hybrid import CompressedGroup
 from repro.util.serialize import pack_arrays, unpack_arrays
@@ -68,19 +71,9 @@ class LevelStream:
 
     def error_bound_for_groups(self, num_groups: int) -> float:
         """Per-coefficient L∞ bound with only *num_groups* groups fetched."""
-        fetched_planes = self.planes_in_groups(num_groups)
-        if self.signed_encoding == "negabinary":
-            from repro.bitplane.negabinary import (
-                plane_error_bound_negabinary,
-            )
-
-            return plane_error_bound_negabinary(
-                self.exponent, self.num_bitplanes, fetched_planes,
-                self.max_abs,
-            )
-        kept_mag = max(0, fetched_planes - 1)  # plane 0 is the sign plane
-        return plane_error_bound(
-            self.exponent, self.num_bitplanes, kept_mag, self.max_abs
+        return stored_plane_error_bound(
+            self.signed_encoding, self.exponent, self.num_bitplanes,
+            self.planes_in_groups(num_groups), self.max_abs,
         )
 
     def group_range(
@@ -119,8 +112,6 @@ class LevelStream:
         stream metadata, so only the planes from
         :meth:`decompress_group_range` are needed to refine it.
         """
-        from repro.bitplane.encoding import begin_decode_state
-
         return begin_decode_state(
             num_elements=self.num_elements,
             num_bitplanes=self.num_bitplanes,

@@ -3,7 +3,8 @@
 :class:`~repro.core.reconstruct.Reconstructor` keeps each level's partial
 integer coefficients between steps and decodes only the plane groups a
 step adds. This module does the same work the slow way — every level
-re-decoded from plane 0, then assembled and recomposed — so tests and
+re-decoded from plane 0 by :mod:`oracles.bitplane_decode`'s one-shot
+decoder, then assembled and recomposed — so tests and
 benchmarks can check the incremental engine bit for bit and time it
 against the full re-decode.
 
@@ -17,7 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bitplane.encoding import BitplaneStream, decode_bitplanes
+from oracles.bitplane_decode import decode_reference
+
+from repro.bitplane.encoding import BitplaneStream
 from repro.decompose import MultilevelTransform
 from repro.lossless.hybrid import decompress_groups
 
@@ -39,9 +42,15 @@ def level_stream(lv, num_groups: int, design: str) -> BitplaneStream:
     )
 
 
-def full_decode(field, groups_per_level) -> np.ndarray:
+def full_decode(field, groups_per_level,
+                decode=decode_reference) -> np.ndarray:
     """*field* decoded from scratch with ``groups_per_level[i]`` plane
-    groups of level *i*, in the field's dtype."""
+    groups of level *i*, in the field's dtype.
+
+    *decode* ``(stream, num_planes)`` decodes one level. Tests keep the
+    per-plane oracle; ``bench_progressive`` times the library's
+    ``decode_bitplanes``, the re-decode an engine without retained
+    state would run."""
     transform = MultilevelTransform(
         field.shape, num_levels=field.num_levels, mode=field.mode,
         min_size=field.min_size,
@@ -50,7 +59,7 @@ def full_decode(field, groups_per_level) -> np.ndarray:
     levels = []
     for lv, want in zip(field.levels, groups_per_level):
         stream = level_stream(lv, int(want), field.design)
-        levels.append(decode_bitplanes(stream, lv.planes_in_groups(want)))
+        levels.append(decode(stream, lv.planes_in_groups(want)))
     coeffs = transform.assemble_levels(levels)
     return transform.recompose(coeffs, overwrite=True).astype(
         field.dtype, copy=False

@@ -1,4 +1,9 @@
-"""Tests for exponent alignment and fixed-point conversion."""
+"""Tests for exponent alignment and fixed-point conversion.
+
+Reconstruction runs through the library's one decoder: a stream of
+``B`` magnitude planes decoded from ``kept + 1`` stored planes (the
+sign plane first) is the fixed-point value with ``kept`` planes kept.
+"""
 
 import math
 
@@ -11,9 +16,17 @@ from hypothesis.extra import numpy as hnp
 from repro.bitplane.align import (
     align_to_fixed_point,
     compute_exponent,
-    from_fixed_point,
     plane_error_bound,
 )
+from repro.bitplane.encoding import decode_bitplanes, encode_bitplanes
+
+
+def reconstruct(data, num_bitplanes, kept_planes=None):
+    """*data* encoded with *num_bitplanes* magnitude planes and decoded
+    with *kept_planes* of them (all when ``None``)."""
+    stream = encode_bitplanes(data, num_bitplanes)
+    kept = num_bitplanes if kept_planes is None else kept_planes
+    return decode_bitplanes(stream, kept + 1)
 
 
 class TestComputeExponent:
@@ -55,7 +68,7 @@ class TestAlignment:
         a = align_to_fixed_point(np.zeros(10, dtype=np.float32), 32)
         assert a.max_abs == 0.0
         assert np.all(a.magnitudes == 0)
-        rec = from_fixed_point(a)
+        rec = reconstruct(np.zeros(10, dtype=np.float32), 32)
         np.testing.assert_array_equal(rec, np.zeros(10, dtype=np.float32))
 
     def test_rejects_nan_data(self):
@@ -80,7 +93,7 @@ class TestReconstruction:
         data = rng.uniform(-10, 10, 500)
         B = 40
         a = align_to_fixed_point(data, B)
-        rec = from_fixed_point(a)
+        rec = reconstruct(data, B)
         bound = plane_error_bound(a.exponent, B, B, a.max_abs)
         assert np.max(np.abs(rec - data)) <= bound
 
@@ -90,30 +103,29 @@ class TestReconstruction:
         data = rng.standard_normal(2048)
         B = 32
         a = align_to_fixed_point(data, B)
-        rec = from_fixed_point(a, kept_planes=kept)
+        rec = reconstruct(data, B, kept_planes=kept)
         bound = plane_error_bound(a.exponent, B, kept, a.max_abs)
         assert np.max(np.abs(rec - data)) <= bound + 1e-15
 
     def test_monotone_error_in_planes(self):
         rng = np.random.default_rng(3)
         data = rng.standard_normal(512)
-        a = align_to_fixed_point(data, 32)
         errors = [
-            np.max(np.abs(from_fixed_point(a, kept_planes=k) - data))
+            np.max(np.abs(reconstruct(data, 32, kept_planes=k) - data))
             for k in range(0, 33, 4)
         ]
         assert all(e2 <= e1 + 1e-12 for e1, e2 in zip(errors, errors[1:]))
 
     def test_kept_planes_validation(self):
-        a = align_to_fixed_point(np.ones(4), 8)
+        stream = encode_bitplanes(np.ones(4), 8)
         with pytest.raises(ValueError):
-            from_fixed_point(a, kept_planes=9)
+            decode_bitplanes(stream, 10)  # sign + 9 magnitude planes
         with pytest.raises(ValueError):
-            from_fixed_point(a, kept_planes=-1)
+            decode_bitplanes(stream, -1)
 
     def test_preserves_dtype(self):
-        a = align_to_fixed_point(np.ones(4, dtype=np.float32), 8)
-        assert from_fixed_point(a).dtype == np.float32
+        rec = reconstruct(np.ones(4, dtype=np.float32), 8)
+        assert rec.dtype == np.float32
 
 
 class TestErrorBoundHelper:
@@ -147,6 +159,6 @@ def test_property_partial_decode_respects_bound(data, kept):
     """Hypothesis: the 2^(e-k) bound holds for arbitrary finite inputs."""
     B = 40
     a = align_to_fixed_point(data, B)
-    rec = from_fixed_point(a, kept_planes=kept)
+    rec = reconstruct(data, B, kept_planes=kept)
     bound = plane_error_bound(a.exponent, B, kept, a.max_abs)
     assert np.max(np.abs(rec - data)) <= bound * (1 + 1e-12) + 1e-300

@@ -12,7 +12,24 @@ from repro.bitplane import (
     encode_bitplanes,
 )
 from repro.bitplane import locality_block, register_block
-from repro.bitplane.encoding import extract_planes, inject_planes
+from repro.bitplane.encoding import (
+    apply_planes,
+    begin_decode_state,
+    extract_planes,
+)
+from repro.core.stream import LevelStream
+from repro.lossless.hybrid import HybridConfig, compress_planes
+
+
+def apply_inject(planes, n, width):
+    """Signs and magnitude words ``apply_planes`` injects into a zero
+    decode state (no sign plane reads as all positive)."""
+    state = apply_planes(
+        begin_decode_state(num_elements=n, num_bitplanes=width, exponent=0,
+                           max_abs=0.0, dtype=np.float64),
+        planes, 0)
+    signs = np.zeros(n, np.uint8) if state.signs is None else state.signs
+    return signs, state.words
 
 
 def sample(n=1000, seed=0, dtype=np.float32):
@@ -26,21 +43,21 @@ class TestExtractInject:
         mags = rng.integers(0, 1 << 20, 257).astype(np.uint64)
         signs = rng.integers(0, 2, 257).astype(np.uint8)
         planes = extract_planes(signs, mags, 20)
-        s2, m2 = inject_planes(planes, 257, 20)
+        s2, m2 = apply_inject(planes, 257, 20)
         np.testing.assert_array_equal(signs, s2)
         np.testing.assert_array_equal(mags, m2)
 
     def test_partial_planes_zero_low_bits(self):
         mags = np.array([0b1111], dtype=np.uint64)
         planes = extract_planes(np.zeros(1, np.uint8), mags, 4)
-        _, m2 = inject_planes(planes[:3], 1, 4)  # sign + 2 planes
+        _, m2 = apply_inject(planes[:3], 1, 4)  # sign + 2 planes
         assert m2[0] == 0b1100
 
     def test_too_many_planes_rejected(self):
         planes = extract_planes(np.zeros(1, np.uint8),
                                 np.zeros(1, np.uint64), 2)
         with pytest.raises(ValueError):
-            inject_planes(planes + [planes[-1]], 1, 2)
+            apply_inject(planes + [planes[-1]], 1, 2)
 
     def test_plane_count(self):
         planes = extract_planes(np.zeros(9, np.uint8),
@@ -110,6 +127,23 @@ class TestPartialDecodeErrors:
         stream = encode_bitplanes(sample(16), 8)
         with pytest.raises(ValueError):
             decode_bitplanes(stream, stream.num_planes + 1)
+
+    @pytest.mark.parametrize("scale", [3.0, 0.0])
+    @pytest.mark.parametrize("encoding", ["sign_magnitude", "negabinary"])
+    def test_stream_and_level_bounds_agree(self, encoding, scale):
+        """A stream and a stored level of one plane per group state the
+        same bound at every plane count (``stored_plane_error_bound``)."""
+        stream = encode_bitplanes(sample(300, seed=4) * scale, 20,
+                                  signed_encoding=encoding)
+        level = LevelStream(
+            level=0, num_elements=stream.num_elements, num_bitplanes=20,
+            exponent=stream.exponent, max_abs=stream.max_abs,
+            layout=stream.layout, warp_size=stream.warp_size,
+            groups=compress_planes(stream.planes, HybridConfig(group_size=1)),
+            signed_encoding=encoding,
+        )
+        for k in range(stream.num_planes + 1):
+            assert level.error_bound_for_groups(k) == stream.error_bound(k)
 
 
 class TestPortability:

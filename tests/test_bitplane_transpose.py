@@ -1,29 +1,32 @@
 """Property tests: the single-pass bit-matrix transpose is bit-identical
 to the per-plane reference, across designs, signed encodings, ragged
 sizes, and truncated-plane decodes — the portability guarantee the
-vectorized fast path must preserve."""
+vectorized fast path must preserve. The inverse is the decoder's own
+inject (``apply_planes`` / ``planes_to_word_rows``), checked against the
+per-plane kernels: ``inject_code_planes_reference`` and the oracle
+``oracles.bitplane_decode.inject_planes_reference``."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.bitplane_decode import inject_planes_reference
 
 from repro.bitplane import register_block, transpose
 from repro.bitplane.encoding import (
     DESIGNS,
+    apply_planes,
+    begin_decode_state,
     decode_bitplanes,
     encode_bitplanes,
     extract_code_planes,
     extract_code_planes_reference,
     extract_planes,
     extract_planes_reference,
-    inject_code_planes,
     inject_code_planes_reference,
-    inject_planes,
-    inject_planes_reference,
 )
 from repro.bitplane.transpose import (
-    planes_to_words,
+    planes_to_word_rows,
     transpose_8x8_tiles,
     words_to_planes,
 )
@@ -34,6 +37,25 @@ from repro.core.tiling import TiledReconstructor, TiledRefactorer
 #: Sizes straddling every alignment boundary the kernels care about:
 #: byte packing (8), uint64 lanes (64), and the warp*B tile (32*B).
 RAGGED_SIZES = (1, 7, 8, 9, 63, 64, 65, 255, 256, 1000, 32 * 20 + 13)
+
+
+def apply_inject(planes, n, width):
+    """Signs and magnitude words ``apply_planes`` injects from a sign
+    plane plus MSB-first magnitude planes into a zero state."""
+    state = apply_planes(
+        begin_decode_state(num_elements=n, num_bitplanes=width, exponent=0,
+                           max_abs=0.0, dtype=np.float64),
+        planes, 0)
+    signs = np.zeros(n, np.uint8) if state.signs is None else state.signs
+    return signs, state.words
+
+
+def row_inject(planes, n, width):
+    """One row of ``planes_to_word_rows``: plane ``i`` ORed onto bit
+    ``width - 1 - i`` of zero words."""
+    return planes_to_word_rows(
+        [[(width - 1 - i, plane) for i, plane in enumerate(planes)]], n,
+    )[0, :n]
 
 
 def _random_fixed_point(n, width, seed):
@@ -61,7 +83,7 @@ class TestTransposeMatchesReference:
         planes = extract_planes_reference(signs, mags, width)
         for k in range(0, width + 2):
             s_ref, m_ref = inject_planes_reference(planes[:k], n, width)
-            s_fast, m_fast = inject_planes(planes[:k], n, width)
+            s_fast, m_fast = apply_inject(planes[:k], n, width)
             np.testing.assert_array_equal(s_ref, s_fast)
             np.testing.assert_array_equal(m_ref, m_fast)
 
@@ -77,7 +99,7 @@ class TestTransposeMatchesReference:
         for k in (0, 1, width // 2, width):
             np.testing.assert_array_equal(
                 inject_code_planes_reference(ref[:k], n, width),
-                inject_code_planes(fast[:k], n, width),
+                row_inject(fast[:k], n, width),
             )
 
     def test_empty_input(self):
@@ -85,7 +107,7 @@ class TestTransposeMatchesReference:
             np.zeros(0, np.uint8), np.zeros(0, np.uint64), 8
         )
         assert len(planes) == 9 and all(p.size == 0 for p in planes)
-        s, m = inject_planes(planes, 0, 8)
+        s, m = apply_inject(planes, 0, 8)
         assert s.size == 0 and m.size == 0
 
     def test_too_many_planes_rejected(self):
@@ -93,21 +115,22 @@ class TestTransposeMatchesReference:
             np.zeros(1, np.uint8), np.zeros(1, np.uint64), 2
         )
         with pytest.raises(ValueError):
-            inject_planes(planes + [planes[-1]], 1, 2)
+            apply_inject(planes + [planes[-1]], 1, 2)
         with pytest.raises(ValueError):
-            inject_code_planes([planes[0]] * 3, 1, 2)
+            row_inject([planes[0]] * 3, 1, 2)
 
     def test_bad_widths_rejected(self):
         with pytest.raises(ValueError):
             words_to_planes(np.zeros(4, np.uint64), 0)
         with pytest.raises(ValueError):
             words_to_planes(np.zeros(4, np.uint64), 65)
-        with pytest.raises(ValueError):
-            planes_to_words([], 4, 0)
+        for bit in (-1, 64):
+            with pytest.raises(ValueError, match="outside"):
+                planes_to_word_rows([[(bit, np.zeros(1, np.uint8))]], 4)
 
     def test_wrong_plane_size_rejected(self):
         with pytest.raises(ValueError):
-            planes_to_words([np.zeros(3, np.uint8)], 100, 8)
+            planes_to_word_rows([[(7, np.zeros(3, np.uint8))]], 100)
 
 
 class Test8x8Tiles:
@@ -197,7 +220,7 @@ def test_property_transpose_roundtrips_like_reference(
         assert a.tobytes() == b.tobytes()
     k = min(truncate, width + 1)
     s_ref, m_ref = inject_planes_reference(ref_planes[:k], n, width)
-    s_fast, m_fast = inject_planes(fast_planes[:k], n, width)
+    s_fast, m_fast = apply_inject(fast_planes[:k], n, width)
     np.testing.assert_array_equal(s_ref, s_fast)
     np.testing.assert_array_equal(m_ref, m_fast)
 

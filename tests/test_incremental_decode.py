@@ -2,7 +2,8 @@
 
 The central property: walking a tolerance staircase with the
 incremental engine is *bit-identical* to a from-scratch full decode
-(the ``oracles.full_decode`` oracle) at every step — for eager and
+(the ``oracles.full_decode`` oracle over the per-plane one-shot decoder
+of ``oracles.bitplane_decode``) at every step — for eager and
 store-backed lazy fields, a fresh session stepping straight to the same
 groups, and service sessions — while decoding only the newly fetched
 plane groups (asserted via the instrumented decode counters). Plus
@@ -14,12 +15,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from oracles.bitplane_decode import decode_reference
 from oracles.full_decode import full_decode
 
 from repro.bitplane.encoding import (
     apply_planes,
     begin_decode_state,
-    decode_bitplanes,
     encode_bitplanes,
     finalize_decode,
     finalize_many,
@@ -107,7 +108,7 @@ class TestResumableCodec:
         state = None
         for k in checkpoints:
             values, state = _resume(stream, k, state)
-            reference = decode_bitplanes(stream, k)
+            reference = decode_reference(stream, k)
             assert np.array_equal(values, reference)
             assert state.planes_applied == k
 
@@ -118,7 +119,7 @@ class TestResumableCodec:
         state = None
         for k in range(stream.num_planes + 1):
             values, state = _resume(stream, k, state)
-            assert np.array_equal(values, decode_bitplanes(stream, k))
+            assert np.array_equal(values, decode_reference(stream, k))
 
     def test_finalize_leaves_state_reusable(self):
         data = np.linspace(-1, 1, 50)
@@ -128,7 +129,7 @@ class TestResumableCodec:
         second = finalize_decode(state)  # idempotent, no state mutation
         assert np.array_equal(first, second)
         values, _ = _resume(stream, stream.num_planes, state)
-        assert np.array_equal(values, decode_bitplanes(stream))
+        assert np.array_equal(values, decode_reference(stream))
 
     def test_apply_planes_requires_contiguous_resume(self):
         stream = encode_bitplanes(np.arange(9.0), num_bitplanes=8)
@@ -178,7 +179,7 @@ class TestResumableCodec:
                 assert cut.planes_applied == p
                 assert finalize_decode(cut).tobytes() == want.tobytes()
                 assert finalize_decode(cut).tobytes() == (
-                    decode_bitplanes(stream, p).tobytes())
+                    decode_reference(stream, p).tobytes())
                 cuts.append(cut)
                 fresh.append(state)
             assert finalize_many(cuts).tobytes() == (

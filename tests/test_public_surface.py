@@ -23,7 +23,9 @@ import numpy as np
 import pytest
 
 import repro.bitplane
+import repro.bitplane.align
 import repro.bitplane.encoding
+import repro.bitplane.transpose
 import repro.core.backends
 import repro.core.planner
 import repro.core.reconstruct
@@ -37,7 +39,7 @@ import repro.lossless.hybrid
 import repro.pipeline
 import repro.util
 import repro.util.validation
-from repro.bitplane.encoding import BitplaneStream
+from repro.bitplane.encoding import BitplaneStream, decode_bitplanes
 from repro.core.backends import (
     ClosesOnExit,
     ProcessBackend,
@@ -128,6 +130,7 @@ SURFACE = [
      [("data", REQUIRED), ("freqs", None), ("lengths", None)]),
     (huffman_encode,
      [("data", REQUIRED), ("freqs", None), ("lengths", None)]),
+    (decode_bitplanes, [("stream", REQUIRED), ("num_planes", None)]),
 ]
 
 REMOVED_KEYWORDS = [
@@ -280,6 +283,27 @@ def test_one_huffman_encoder_and_one_packer():
     assert "check_positive" not in repro.util.__all__
     assert not hasattr(Timeline, "engine_busy_time")
     assert not hasattr(HostDeviceModel, "serial_time")
+
+
+def test_one_bitplane_decoder():
+    """``decode_bitplanes`` is the resumable decoder's one-call; the
+    one-shot decoder it replaced is the test oracle
+    ``tests/oracles/bitplane_decode.py``, so none of its inject, convert
+    or un-transpose kernels remains. ``inject_code_planes_reference``
+    stays: it is the big-endian route of ``apply_planes_many``."""
+    for module, name in [
+        (repro.bitplane.encoding, "_decode_negabinary"),
+        (repro.bitplane.encoding, "inject_planes"),
+        (repro.bitplane.encoding, "inject_planes_reference"),
+        (repro.bitplane.encoding, "inject_code_planes"),
+        (repro.bitplane.transpose, "planes_to_words"),
+        (repro.bitplane.transpose, "untranspose_sign_magnitude"),
+        (repro.bitplane.align, "from_fixed_point"),
+        (repro.bitplane, "from_fixed_point"),
+    ]:
+        assert not hasattr(module, name), (module.__name__, name)
+        assert name not in repro.bitplane.__all__, name
+    assert callable(repro.bitplane.encoding.inject_code_planes_reference)
 
 
 def test_one_session_class_and_one_opener():

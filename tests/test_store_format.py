@@ -30,7 +30,9 @@ A record that does not check out raises
 :class:`~repro.core.errors.SegmentCorruptionError` naming its key:
 :class:`TestMalformedRecords` edits v2's JSON records (read by the v2
 converter), :class:`TestRecordFuzz` flips every bit of, and truncates
-at every length, v3's binary ones.
+at every length, v3's binary ones, and :class:`TestTamperedLevelMetadata`
+gives either version's well-formed record level metadata no encoder
+writes.
 
 Needs only pytest and NumPy: CI also runs this file from the
 ``clean-install`` job against the pip-installed package.
@@ -49,6 +51,7 @@ import pytest
 from repro.core.errors import SegmentCorruptionError, StoreFormatError
 from repro.core.reconstruct import Reconstructor
 from repro.core.refactor import refactor
+from repro.core.stream import RefactoredField
 from repro.core.store import (
     DirectoryStore,
     MemoryStore,
@@ -374,6 +377,76 @@ class TestMalformedRecords:
         assert not result.data[slab].any()
         result.data[slab] = clean.data[slab]
         np.testing.assert_array_equal(result.data, clean.data)
+
+
+#: Level metadata no encoder writes, set on level 0 of ``u``.
+LEVEL_TAMPERS = {
+    "exponent-5000": ("exponent", 5000),
+    "exponent-below-subnormal": ("exponent", -1074),
+    "exponent-past-float64": ("exponent", 1025),
+    "warp_size-0": ("warp_size", 0),
+    "num_bitplanes-0": ("num_bitplanes", 0),
+    "num_bitplanes-99": ("num_bitplanes", 99),
+    "layout-bogus": ("layout", "bogus"),
+    "signed_encoding-bogus": ("signed_encoding", "bogus"),
+    "max_abs-nan": ("max_abs", float("nan")),
+    "max_abs-inf": ("max_abs", float("inf")),
+    "max_abs-negative": ("max_abs", -1.0),
+}
+
+
+class _KeySpy(MemoryStore):
+    """A memory store that lists the keys read from it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.read_keys = []
+
+    def get(self, key: str) -> bytes:
+        self.read_keys.append(key)
+        return super().get(key)
+
+
+def _tampered_index(version: str, raw: bytes, attr: str, value) -> bytes:
+    """``u.index`` of record *version* with level 0's *attr* set to
+    *value*, still well-formed (v3 resealed, v2 valid JSON)."""
+    if version == "v2":
+        record = json.loads(raw)
+        template = RefactoredField.from_bytes(bytes.fromhex(record["field"]))
+        setattr(template.levels[0], attr, value)
+        record["field"] = template.to_bytes().hex()
+        return json.dumps(record).encode()
+    template, level_refs = _read_index(raw, "u.index")
+    setattr(template.levels[0], attr, value)
+    return _index_record(template, [
+        ([r.nbytes for r in refs], [r.num_planes for r in refs],
+         [r.crc32 for r in refs]) for refs in level_refs])
+
+
+class TestTamperedLevelMetadata:
+    """A record can parse and still carry level metadata the decoder
+    cannot run. It must raise at open, naming its key, with no segment
+    read — not an untyped error from a decode
+    kernel or a bound at the first ``reconstruct``, and never a
+    silently different decode."""
+
+    @pytest.mark.parametrize("read", [open_field, load_field],
+                             ids=["open_field", "load_field"])
+    @pytest.mark.parametrize("version", sorted(GOLDENS))
+    @pytest.mark.parametrize("attr, value", LEVEL_TAMPERS.values(),
+                             ids=list(LEVEL_TAMPERS))
+    def test_raises_at_open(self, version, read, attr, value):
+        golden = DirectoryStore(GOLDENS[version])
+        store = _KeySpy()
+        for key in golden.keys():
+            store.put(key, golden.get(key))
+        store.put("u.index", _tampered_index(
+            version, golden.get("u.index"), attr, value))
+        golden.close()
+        with pytest.raises(SegmentCorruptionError, match="'u.index'"):
+            read(store, "u")
+        # (A v2 record that fails to parse is re-read once, as a flip.)
+        assert set(store.read_keys) == {"u.index"}
 
 
 def _outcome(read, *args, key):
