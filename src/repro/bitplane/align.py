@@ -110,7 +110,7 @@ def plane_error_bound(
     if kept_planes < 0:
         raise ValueError("kept_planes must be >= 0")
     k = min(kept_planes, num_bitplanes)
-    bound = math.ldexp(1.0, exponent - k)
-    if k == num_bitplanes:
-        bound = math.ldexp(1.0, exponent - num_bitplanes)
+    # 2^(e - k) overflows a double only above max_abs's own range (e can
+    # be 1024), where the max_abs cap answers anyway.
+    bound = math.ldexp(1.0, exponent - k) if exponent - k < 1024 else math.inf
     return min(bound, max_abs) if max_abs > 0 else 0.0

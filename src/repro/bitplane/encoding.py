@@ -15,9 +15,10 @@ values are identical across designs (HP-MDR's portability property) and
 byte-identical between the single-pass and per-plane transposes.
 
 Decoding has one body, the resumable one: :func:`begin_decode_state`,
-then :func:`apply_planes_many` injects plane bits into integer words,
-then :func:`finalize_many` turns them into floats.
-:func:`decode_bitplanes` is its one-call for a whole stream.
+then :func:`apply_planes_many` ORs plane bits into integer words in
+place, then :func:`finalize_many` turns them into floats in the
+stream's stored order. :func:`decode_bitplanes` is its one-call for a
+whole stream, in natural order.
 """
 
 from __future__ import annotations
@@ -274,13 +275,21 @@ class PartialDecodeState:
     ``negabinary``. Each stored plane contributes a disjoint bit
     position, so injecting planes ``[p, q)`` into a state holding
     ``[0, p)`` is exact: the algebraic fact that makes progressive
-    refinement pay only for the increment. Treat instances as
-    immutable; :func:`apply_planes` returns a new state, so a failed
-    refinement step can simply keep the old one.
+    refinement pay only for the increment. Words are ``uint32`` for a
+    sign-magnitude state of at most 32 bitplanes (every f32 default
+    level) and ``uint64`` otherwise.
+
+    Inside the decode body a state is not immutable:
+    :func:`apply_planes_many` ORs one state's planes into its own
+    words, and the returned state shares them. Because the bits are
+    disjoint, :func:`withdraw_planes` undoes that exactly, which is how
+    a failed refinement step restores its committed states.
+    :func:`apply_planes` injects into a copy and leaves its input as it
+    was.
     """
 
-    words: np.ndarray  # uint64 accumulated magnitudes / negabinary codes
-    signs: np.ndarray | None  # uint8 sign bits (sign_magnitude only)
+    words: np.ndarray  # uint32/uint64 accumulated magnitudes / codes
+    signs: np.ndarray | None  # uint8, 0x80 where negative (sign_magnitude)
     planes_applied: int
     num_elements: int
     num_bitplanes: int
@@ -349,8 +358,10 @@ def begin_decode_state(
             f"signed_encoding must be one of {SIGNED_ENCODINGS}, "
             f"got {signed_encoding!r}"
         )
+    narrow = signed_encoding == "sign_magnitude" and num_bitplanes <= 32
     return PartialDecodeState(
-        words=np.zeros(int(num_elements), dtype=np.uint64),
+        words=np.zeros(int(num_elements),
+                       dtype=np.uint32 if narrow else np.uint64),
         signs=None,
         planes_applied=0,
         num_elements=int(num_elements),
@@ -374,7 +385,8 @@ def apply_planes(
     ``start_plane`` must equal ``state.planes_applied`` (refinement is
     contiguous); the input state is never mutated, so callers can commit
     the returned state only once a whole multi-level step succeeded.
-    The one-state call of :func:`apply_planes_many`.
+    The one-state call of :func:`apply_planes_many`, on a copy of the
+    words.
     """
     planes = list(planes)
     if start_plane != state.planes_applied:
@@ -382,12 +394,24 @@ def apply_planes(
             f"planes must resume at plane {state.planes_applied}, "
             f"got start_plane={start_plane}"
         )
-    return apply_planes_many([state], [planes])[0] if planes else state
+    if not planes:
+        return state
+    # A state holding no plane holds zeros: fresh zeros need no copy.
+    words = (state.words.copy() if state.planes_applied
+             else np.zeros(state.num_elements, state.words.dtype))
+    return apply_planes_many([replace(state, words=words)], [planes])[0]
 
 
 def _stack_rows(rows: list[np.ndarray]) -> np.ndarray:
     """Rows as one ``(K, n)`` array; a single row is a view, not a copy."""
     return rows[0][None] if len(rows) == 1 else np.stack(rows)
+
+
+def _top_bit(state: PartialDecodeState) -> int:
+    """``top`` such that stored plane ``p`` sets word bit ``top - p``
+    (sign-magnitude plane 0 is the sign and sets none)."""
+    nega = state.signed_encoding == "negabinary"
+    return state.num_bitplanes + 1 if nega else state.num_bitplanes
 
 
 def apply_planes_many(
@@ -399,14 +423,18 @@ def apply_planes_many(
     on, so rows may sit at different planes and gain different counts.
     Absolute plane ``p`` targets the same bit in every row (negabinary:
     ``width - 1 - p``; sign-magnitude: plane 0 is the sign, magnitude
-    plane ``p`` bit ``B - p``), so one transpose injects every row. The
-    inputs are never mutated; the new states' words are the rows of one
-    fresh ``(K, n)`` block.
+    plane ``p`` bit ``B - p``), so one transpose injects every row.
+
+    Injection is an OR in place. A single state's planes go into its
+    own words, which the returned state shares (:func:`withdraw_planes`
+    undoes it; :func:`apply_planes` passes a copy). K > 1 states are
+    stacked into one fresh ``(K, n)`` block first, which leaves their
+    words as they were; the new states' words are its rows.
     """
     first = states[0]
     n = first.num_elements
     nega = first.signed_encoding == "negabinary"
-    top = first.num_bitplanes + 1 if nega else first.num_bitplanes
+    top = _top_bit(first)
     rows, sign_rows = [], []
     for r, (state, planes) in enumerate(zip(states, plane_lists)):
         start = state.planes_applied
@@ -421,28 +449,27 @@ def apply_planes_many(
             (top - p, plane)
             for p, plane in enumerate(planes, start) if nega or p
         ])
-    # The new rows start as a copy of the old words (padded to whole
-    # plane bytes): plane bits are disjoint from the applied ones, so
-    # injecting is an OR in place. States holding no plane hold zeros,
-    # so zeroed rows need no copy of them.
-    width = (n + 7) & ~7
-    if len(states) == 1 and width == n and first.planes_applied:
-        words = first.words.copy()[None]
+    # States holding no plane hold zeros, so a zeroed block needs no
+    # copy of them.
+    if len(states) == 1:
+        words = first.words[None]
+    elif any(state.planes_applied for state in states):
+        words = np.stack([state.words for state in states])
     else:
-        words = np.zeros((len(states), width), dtype=np.uint64)
-        if any(state.planes_applied for state in states):
-            np.stack([state.words for state in states], out=words[:, :n])
+        words = np.zeros((len(states), n), dtype=first.words.dtype)
     if transpose.HOST_SUPPORTED:
         transpose.planes_to_word_rows(rows, n, out=words)
     else:
         for row, row_words in zip(rows, words):
-            row_words[:n] |= inject_code_planes_reference(
-                [plane for _, plane in row], n, row[0][0] + 1 if row else 1)
+            row_words |= inject_code_planes_reference(
+                [plane for _, plane in row], n, row[0][0] + 1 if row else 1
+            ).astype(words.dtype)
     signs = [state.signs for state in states]
     if sign_rows:
         unpacked = np.unpackbits(_stack_rows([
             np.asarray(plane_lists[r][0], dtype=np.uint8) for r in sign_rows
         ]), axis=1, count=n, bitorder="little")
+        unpacked <<= np.uint8(7)  # each sign where a double keeps it
         for j, r in enumerate(sign_rows):
             signs[r] = unpacked[j]
     return [
@@ -453,72 +480,81 @@ def apply_planes_many(
             state.signed_encoding,
         )
         for state, planes, row_words, sign in zip(
-            states, plane_lists, words if width == n else words[:, :n],
-            signs)
+            states, plane_lists,
+            [first.words] if len(states) == 1 else words, signs)
     ]
+
+
+def withdraw_planes(state: PartialDecodeState, planes_applied: int) -> None:
+    """Clear planes ``[planes_applied, state.planes_applied)`` from
+    *state*'s words, in place: the exact undo of injecting them into a
+    state that held ``planes_applied`` planes, since every plane owns
+    its bit. The sign plane owns no word bit (its signs are a fresh
+    array), so it needs no clearing."""
+    top = _top_bit(state)
+    mask = ((1 << (top - planes_applied + 1)) - 1) ^ (
+        (1 << (top - state.planes_applied + 1)) - 1)
+    keep = ~mask & ((1 << (8 * state.words.itemsize)) - 1)
+    state.words &= state.words.dtype.type(keep)
 
 
 def finalize_many(states: list[PartialDecodeState]) -> np.ndarray:
     """Float64 values of K same-geometry states as one ``(K, n)`` array,
-    in natural element order (a ``warp`` layout is un-permuted)."""
-    return _natural_order(states[0], _finalize_rows(states))
-
-
-def _finalize_rows(states: list[PartialDecodeState]) -> np.ndarray:
-    """:func:`finalize_many`'s arithmetic, in the states' stored order.
+    in the states' stored element order (a ``warp`` layout stays
+    permuted: the engine scatters it through a composed index, and
+    :func:`finalize_decode` un-permutes it).
 
     Each row keeps its own exponent, dropped-plane count and signs.
     Sign-magnitude words lose the dropped planes' bits, and a nonzero
     truncation is centered by half the dropped range, which halves the
     expected error and keeps the ``2^(e-k)`` bound. Negabinary codes
-    are converted as they are.
+    are converted as they are. Then one multiply casts and scales into
+    the output: exact, because the integers are below 2^53 and the
+    scale is a power of two in the normal range (a row whose scale is
+    not falls back to ``ldexp``). Signs are ORed into the sign byte.
     """
     first = states[0]
     bits = first.num_bitplanes
     words = _stack_rows([state.words for state in states])
+    values = np.empty(words.shape)
     if first.signed_encoding == "negabinary":
-        values = negabinary.from_negabinary(words).astype(np.float64)
+        words = negabinary.from_negabinary(words)
     else:
         drops = [bits - max(0, s.planes_applied - 1) for s in states]
         if any(drops):
             # A nonzero truncation is >= 2^d, so min(truncation, half)
             # is exactly {0, half}, and the center bit lies below the
             # kept bits: OR adds it. A row that dropped nothing gets
-            # mask ~0 and center 0 (unchanged).
-            words = words & _per_row(
-                [_ALL_ONES ^ ((1 << d) - 1) for d in drops], np.uint64)
-            words |= np.minimum(
-                words, _per_row([(1 << d) >> 1 for d in drops], np.uint64))
-        values = words.astype(np.float64)
-    del words  # batch-sized temporaries: keep at most two alive
+            # mask ~0 and center 0 (unchanged). The output's own bytes
+            # hold the centers until the multiply overwrites them.
+            word, ones = words.dtype.type, (1 << 8 * words.itemsize) - 1
+            words = np.bitwise_and(words, _per_row(
+                [ones ^ ((1 << d) - 1) for d in drops], word))
+            centers = values.view(words.dtype)[:, :words.shape[1]]
+            np.minimum(words, _per_row([(1 << d) >> 1 for d in drops], word),
+                       out=centers)
+            words |= centers
     shifts = [state.exponent - bits for state in states]
     normal = [-1022 <= shift <= 1023 for shift in shifts]
-    values *= _per_row(
+    np.multiply(words, _per_row(
         [math.ldexp(1.0, s) if ok else 1.0 for s, ok in zip(shifts, normal)],
         np.float64,
-    )
+    ), out=values, casting="unsafe")
+    del words  # batch-sized temporaries: keep at most two alive
     for r, ok in enumerate(normal):
         if not ok:  # the scale itself would over/underflow
             values[r] = np.ldexp(values[r], shifts[r])
     signs = [state.signs for state in states]
     if any(sign is not None for sign in signs):
         # Values are >= 0 here, so setting the IEEE sign bit negates
-        # exactly; it is the top bit of one byte of each double.
+        # exactly; it is the top bit of one byte of each double, where
+        # the stored signs already sit.
         sign_bytes = values.view(np.uint8)[:, _SIGN_BYTE::8]
         sign_bytes |= _stack_rows([
             np.zeros(first.num_elements, dtype=np.uint8)
             if sign is None else sign for sign in signs
-        ]) << np.uint8(7)
+        ])
     return values
-
-
-def _natural_order(state: PartialDecodeState, rows: np.ndarray) -> np.ndarray:
-    """``(K, n)`` *rows* in *state*'s stored order, in natural order."""
-    if state.layout != _WARP:
-        return rows
-    inv = register_block.inverse_tile_permutation(
-        state.num_elements, state.num_bitplanes, state.warp_size)
-    return rows[0][inv][None] if len(rows) == 1 else np.take(rows, inv, axis=1)
 
 
 _ALL_ONES = (1 << 64) - 1
@@ -536,12 +572,16 @@ def _per_row(values: list, dtype) -> np.ndarray:
 
 
 def finalize_decode(state: PartialDecodeState) -> np.ndarray:
-    """Float values of a partial state, in the state's dtype.
+    """Float values of a partial state, in the state's dtype and in
+    natural element order.
 
     The state itself is left untouched so further planes can still be
-    applied. The one-state call of :func:`finalize_many`, except that a
+    applied. The one-state call of :func:`finalize_many`, then a
     ``warp`` layout is un-permuted after the cast: the cast is
     elementwise, and a narrower dtype moves fewer bytes.
     """
-    values = _finalize_rows([state]).astype(state.dtype, copy=False)
-    return _natural_order(state, values)[0]
+    values = finalize_many([state])[0].astype(state.dtype, copy=False)
+    if state.layout != _WARP:
+        return values
+    return values[register_block.inverse_tile_permutation(
+        state.num_elements, state.num_bitplanes, state.warp_size)]

@@ -15,6 +15,10 @@ warp_size)``, so both directions are memoized on that key and returned
 as *read-only* arrays: every encode/decode of a same-shaped level reuses
 the cached index vector instead of rebuilding the ``arange`` + tile
 index matrix (fancy-indexing *with* a read-only index array is fine).
+The decode engine keeps neither direction: it caches only the
+permutation composed with where a level's values land
+(:func:`stored_order_targets`), so one scatter both un-permutes and
+places them.
 The cache is LRU-evicted on a total-bytes budget, not an entry count —
 index vectors scale with the data, so an entry cap alone could pin
 gigabytes in a long-lived process.
@@ -28,7 +32,7 @@ from threading import Lock
 
 import numpy as np
 
-#: Total bytes of memoized permutation arrays (both directions share it).
+#: Total bytes of memoized permutation arrays (all three caches share it).
 PERM_CACHE_BYTE_BUDGET = 256 * 1024 * 1024
 
 CacheInfo = namedtuple("CacheInfo", "hits misses currsize currbytes")
@@ -78,9 +82,10 @@ class _ByteBudgetCache:
 
 
 # The documented budget bounds *total* cached bytes, so the two
-# directions get half each.
-_forward_cache = _ByteBudgetCache(PERM_CACHE_BYTE_BUDGET // 2)
-_inverse_cache = _ByteBudgetCache(PERM_CACHE_BYTE_BUDGET // 2)
+# directions and the composed targets get a third each.
+_forward_cache = _ByteBudgetCache(PERM_CACHE_BYTE_BUDGET // 3)
+_inverse_cache = _ByteBudgetCache(PERM_CACHE_BYTE_BUDGET // 3)
+_targets_cache = _ByteBudgetCache(PERM_CACHE_BYTE_BUDGET // 3)
 
 
 @lru_cache(maxsize=32)
@@ -154,11 +159,36 @@ def inverse_tile_permutation(
     )
 
 
+def stored_order_targets(
+    targets: np.ndarray, key: tuple, num_bitplanes: int, warp_size: int = 32
+) -> np.ndarray:
+    """``targets[tile_permutation(targets.size, num_bitplanes,
+    warp_size)]``: where each element of a warp-layout stream lands, in
+    stored order, when *targets* says where each natural-order element
+    lands. One scatter through it un-permutes and places the values.
+
+    Cached per ``(key, num_bitplanes, warp_size)`` — *key* names
+    *targets* — read-only, and in *targets*' dtype: NumPy converts any
+    other index dtype to ``intp`` on every scatter, a fresh array each
+    time. The permutation it is composed from is built for it and not
+    kept.
+    """
+    def build():
+        perm = _build_tile_permutation(targets.size, num_bitplanes, warp_size)
+        composed = targets[perm]
+        composed.setflags(write=False)
+        return composed
+
+    return _targets_cache.get_or_build(
+        (key, int(num_bitplanes), int(warp_size)), build)
+
+
 def permutation_cache_info() -> dict[str, CacheInfo]:
-    """Hit/miss/size counters of both permutation caches."""
+    """Hit/miss/size counters of the permutation caches."""
     return {
         "forward": _forward_cache.info(),
         "inverse": _inverse_cache.info(),
+        "targets": _targets_cache.info(),
     }
 
 
@@ -166,3 +196,4 @@ def clear_permutation_cache() -> None:
     """Drop all memoized permutations (test isolation hook)."""
     _forward_cache.clear()
     _inverse_cache.clear()
+    _targets_cache.clear()

@@ -18,8 +18,9 @@ one byte column that contains its bit:
   ``ceil(N/8)`` 8×8-bit tiles, which are flipped in-register with the
   classic three-step masked-swap bit transpose (Hacker's Delight §7-3)
   on uint64 lanes and ORed directly into the words' byte columns, for
-  K rows of words at once. Planes not given leave their bits as they
-  were, which is what progressive refinement requires.
+  K rows of uint32 or uint64 words at once. Planes not given leave
+  their bits as they were, which is what progressive refinement
+  requires.
 
 Both directions are byte-identical to the per-plane reference (each
 plane is ``ceil(N / 8)`` bytes packed with ``bitorder="little"``), which
@@ -125,25 +126,28 @@ def planes_to_word_rows(
     num_elements: int,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """OR K rows of packed planes into K rows of uint64 words.
+    """OR K rows of packed planes into K rows of unsigned words.
 
     ``rows[r]`` lists ``(bit, plane)`` pairs: the packed plane's bits
-    are ORed onto that bit of row *r*'s words. Rows are padded to whole
-    plane bytes — *out* (updated in place, or fresh zeros) is a
-    C-contiguous ``(K, 8 * ceil(num_elements / 8))`` uint64 array — so
-    the K rows' 8×8 tiles form one flat run: the planes sharing a byte
-    column, of every row at once, are interleaved into tiles and
-    flipped with :func:`transpose_8x8_tiles`, one pass per byte column.
+    are ORed onto that bit of row *r*'s words. *out* (updated in place,
+    or fresh uint64 zeros) is a C-contiguous ``(K, num_elements)``
+    array of uint32 or uint64 words, viewed by its itemsize; a bit must
+    lie inside that width. The K rows' 8×8 tiles form one flat run: the
+    planes sharing a byte column, of every row at once, are interleaved
+    into tiles and flipped with :func:`transpose_8x8_tiles`, one pass
+    per byte column. A row's last tile may overhang its words; the
+    overhang holds only the planes' zero pad bits and is dropped.
     """
     _require_little_endian()
     nbytes = _plane_nbytes(num_elements)
     if out is None:
-        out = np.zeros((len(rows), nbytes * _WORD_BYTES), dtype=np.uint64)
+        out = np.zeros((len(rows), num_elements), dtype=np.uint64)
+    word_bits = 8 * out.itemsize
     columns: dict[int, list] = {}
     for r, row in enumerate(rows):
         for bit, plane in row:
-            if not 0 <= bit < _WORD_BITS:
-                raise ValueError(f"bit {bit} outside a {_WORD_BITS}-bit word")
+            if not 0 <= bit < word_bits:
+                raise ValueError(f"bit {bit} outside a {word_bits}-bit word")
             data = np.frombuffer(plane, dtype=np.uint8) if isinstance(
                 plane, (bytes, bytearray, memoryview)
             ) else np.ascontiguousarray(plane, dtype=np.uint8).reshape(-1)
@@ -156,17 +160,20 @@ def planes_to_word_rows(
                 (slice(r * nbytes, (r + 1) * nbytes), bit & 7, data))
     if not nbytes or not columns:
         return out
-    word_bytes = out.view(np.uint8).reshape(-1, _WORD_BYTES)
+    word_bytes = out.view(np.uint8).reshape(len(rows), num_elements, -1)
     tiles = np.empty((len(rows) * nbytes, _WORD_BYTES), dtype=np.uint8)
     lanes = tiles.reshape(-1).view(np.uint64)
     scratch = np.empty_like(lanes)
     for k, members in columns.items():
-        # Tile row j of byte column k carries bit position 8k + j.
-        tiles[:] = 0
+        # Tile row j of byte column k carries bit position 8k + j; a
+        # column every row fills with all eight planes needs no zeroing.
+        if len(members) < _WORD_BYTES * len(rows):
+            tiles[:] = 0
         for span, j, data in members:
             tiles[span, j] = data
         flipped = _transpose_8x8_tiles_inplace(lanes, scratch)
-        word_bytes[:, k] |= flipped.view(np.uint8)
+        word_bytes[:, :, k] |= flipped.view(np.uint8).reshape(
+            len(rows), -1)[:, :num_elements]
     return out
 
 

@@ -30,7 +30,9 @@ from repro.bitplane.encoding import (
     PartialDecodeState,
     apply_planes_many,
     finalize_many,
+    withdraw_planes,
 )
+from repro.bitplane.register_block import stored_order_targets
 from repro.core.errors import StoreError
 from repro.core.planner import (
     RetrievalPlan, greedy_table, plan_at, plan_full, plan_greedy_many)
@@ -304,6 +306,8 @@ class Reconstructor:
         is per step: ``"degrade"`` answers it from its committed
         refinement (nothing to decode, so nothing to fault again);
         ``"raise"`` commits the steps before it, then raises it.
+        Anything else raised before a step commits first withdraws the
+        planes the body ORed into that step's committed words.
         """
         check_on_fault(on_fault)
         rows, failure = [], None
@@ -332,12 +336,18 @@ class Reconstructor:
                 (lv.num_bitplanes, lv.signed_encoding, lv.layout,
                  lv.warp_size) for lv in recon.field.levels)), []).append(r)
         decoded: list = [None] * len(rows)
-        for (transform, dtype, *_), members in batches.items():
-            batch = [rows[r] for r in members]
-            for r, out in zip(members, _decode_rows(transform, dtype, batch)):
-                decoded[r] = out
-        results = [recon._commit(step, groups, failed, *out) for (
-            recon, step, groups, failed, _), out in zip(rows, decoded)]
+        injected: list = []
+        try:
+            for (transform, dtype, *_), members in batches.items():
+                batch = [rows[r] for r in members]
+                for r, out in zip(members, _decode_rows(
+                        transform, dtype, batch, injected)):
+                    decoded[r] = out
+            results = [recon._commit(step, groups, failed, *out) for (
+                recon, step, groups, failed, _), out in zip(rows, decoded)]
+        except BaseException:
+            _withdraw(injected)
+            raise
         if failure is not None:
             raise failure
         return results
@@ -415,20 +425,46 @@ def _plan_from(recons, tolerances, starts, full=None,
 _FLOAT64 = np.dtype(np.float64)
 
 
-def _decode_rows(transform, dtype, rows) -> list[tuple]:
+def _withdraw(injected) -> None:
+    """Undo the in-place injections of a step that raised: each
+    ``(recon, level, state)`` whose words are still the committed
+    state's loses the planes it gained (a fresh or stacked state owns
+    its words, and a committed step's state is the committed one)."""
+    for recon, idx, state in injected:
+        committed = recon._states[idx]
+        if (committed is not None and committed is not state
+                and committed.words is state.words):
+            withdraw_planes(state, committed.planes_applied)
+
+
+def _targets(transform, idx, level) -> np.ndarray:
+    """Where level *idx*'s values, in their stored order, land in the
+    flat coefficient grid: its natural indices, composed with the tile
+    permutation for a ``warp`` level."""
+    index = transform.level_indices()[idx]
+    if level.layout != "warp":
+        return index
+    return stored_order_targets(index, (transform.geometry, idx),
+                                level.num_bitplanes, level.warp_size)
+
+
+def _decode_rows(transform, dtype, rows, injected) -> list[tuple]:
     """:meth:`Reconstructor.decode_steps` over same-geometry rows:
     ``(data, outcomes)`` per row, ``outcomes[level] = (values, state,
     (groups, planes))``, the level's state and values to commit. One
     row stacks nothing: its ``(1, n)`` operands are views of its own
-    arrays. A level whose target lies below the committed count is
-    answered from the committed state's prefix and commits it unchanged.
+    arrays, and its planes are ORed into its committed words (each
+    injected state goes on *injected*, for :func:`_withdraw`). Values
+    stay in stored order; one scatter per row puts them in place. A
+    level whose target lies below the committed count is answered from
+    the committed state's prefix and commits it unchanged.
     """
     k = len(rows)
     coeffs = np.empty((k, *transform.shape))  # the levels partition it
     flat = coeffs.reshape(k, -1)
     recons = [row[0] for row in rows]
     outcomes: list[list] = [[] for _ in rows]
-    for idx, index in enumerate(transform.level_indices()):
+    for idx, level in enumerate(recons[0].field.levels):
         planes = [row[4][idx] for row in rows]
         states = [recon._states[idx] or recon.field.levels[idx]
                   .empty_decode_state(_FLOAT64) for recon in recons]
@@ -436,6 +472,7 @@ def _decode_rows(transform, dtype, rows) -> list[tuple]:
         if new:
             for r, state in zip(new, apply_planes_many(
                     [states[r] for r in new], [planes[r] for r in new])):
+                injected.append((recons[r], idx, state))
                 states[r] = state
         cut = {r: states[r].prefix(recon.field.levels[idx].planes_in_groups(
             row[2][idx])) for r, (recon, row) in enumerate(zip(recons, rows))
@@ -448,8 +485,9 @@ def _decode_rows(transform, dtype, rows) -> list[tuple]:
             for r, v in zip(stale, finalize_many(
                     [cut.get(r, states[r]) for r in stale])):
                 values[r] = v
+        targets = _targets(transform, idx, level)
         for row_coeffs, v in zip(flat, values):
-            row_coeffs[index] = v  # 1-D scatters beat one 2-D one
+            row_coeffs[targets] = v  # 1-D scatters beat one 2-D one
         for r, (out, recon, row, p, v, state) in enumerate(zip(
                 outcomes, recons, rows, planes, values, states)):
             out.append((recon._values[idx] if r in cut else v, state,

@@ -116,7 +116,18 @@ class Refactorer:
         num_bitplanes = self.config.num_bitplanes or default_bitplanes(
             data.dtype
         )
-        coeffs = self.transform.decompose(data)
+        # Finite data whose predictions overflow is the transform's
+        # limit, not bad input: raise on the first overflow. Non-finite
+        # data turns invalid quietly here and is rejected by the encoder.
+        try:
+            with np.errstate(over="raise", invalid="ignore"):
+                coeffs = self.transform.decompose(data)
+        except FloatingPointError as exc:
+            raise ValueError(
+                "the multilevel transform overflowed float64 on this "
+                f"data ({exc}); its magnitudes are too close to the "
+                "largest double"
+            ) from None
         levels = [
             self._encode_level(lev, coeff, num_bitplanes)
             for lev, coeff in enumerate(self.transform.extract_levels(coeffs))

@@ -478,17 +478,18 @@ def verified_many(
     """One batched read of *keys*, each checked before it is returned.
 
     A segment is checked against its CRC32 in *expected*; an index
-    record (``.index``, ``.tiles``) checks itself (:func:`_intact`).
+    record (``.index``, ``.tiles``) checks itself (:func:`_flaw`).
     A mismatch is first treated as transient — flips on the read path
     heal on re-fetch — so the mismatched keys are fetched once more, in
     one batched call; a second mismatch fails that key with
     :class:`~repro.core.errors.SegmentCorruptionError` (the stored bytes
-    themselves are bad). Returns ``(blobs, errors, refetched, failed)``:
-    the last two count the keys read twice and the keys failing twice.
+    themselves are bad), which says what was wrong with an index
+    record. Returns ``(blobs, errors, refetched, failed)``: the last
+    two count the keys read twice and the keys failing twice.
     """
     blobs, errors = settle_many(reader, keys)
     bad = [key for key, blob in blobs.items()
-           if not _intact(key, blob, expected)]
+           if _flaw(key, blob, expected) is not None]
     failed = 0
     if bad:
         again, again_errors = settle_many(reader, bad)
@@ -498,15 +499,14 @@ def verified_many(
             if key not in again:
                 continue
             blob = again[key]
-            if _intact(key, blob, expected):
+            flaw = _flaw(key, blob, expected)
+            if flaw is None:
                 blobs[key] = blob
                 continue
             failed += 1
             if expected.get(key) is None:
                 errors[key] = SegmentCorruptionError(
-                    f"index record {key!r} failed verification after "
-                    "re-fetch"
-                )
+                    f"{flaw} (failed verification after re-fetch)")
                 continue
             errors[key] = SegmentCorruptionError(
                 f"segment {key!r} failed CRC32 verification after "
@@ -516,23 +516,26 @@ def verified_many(
     return blobs, errors, len(bad), failed
 
 
-def _intact(key: str, blob, expected: Mapping[str, int]) -> bool:
-    """Whether *blob* checks out as *key*: against its expected CRC32;
-    an index record against itself (a binary one by its CRC32 trailer,
-    a v2 JSON one by parsing); any other key passes."""
+def _flaw(key: str, blob, expected: Mapping[str, int]) -> str | None:
+    """What keeps *blob* from checking out as *key*, or ``None`` when it
+    does: a segment against its expected CRC32; an index record against
+    itself (a binary one by its CRC32 trailer, a v2 JSON one by parsing,
+    which names the value it rejects); any other key passes."""
     want = expected.get(key)
     if want is not None:
-        return segment_checksum(blob) == want
+        return None if segment_checksum(blob) == want else (
+            f"segment {key!r} failed CRC32 verification")
     if not key.endswith((".index", ".tiles")):
-        return True
+        return None
     if bytes(blob[:4]) in (_INDEX_MAGIC, _TILES_MAGIC):
-        return _sealed(blob)
+        return None if _sealed(blob) else (
+            f"index record {key!r} failed its CRC32 trailer")
     try:
         (_read_tiled_index if key.endswith(".tiles") else _read_index)(
             blob, key)
-    except SegmentCorruptionError:
-        return False
-    return True
+    except SegmentCorruptionError as exc:
+        return str(exc)
+    return None
 
 
 # -- index records ----------------------------------------------------------

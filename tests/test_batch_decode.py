@@ -13,12 +13,13 @@ layouts, sign-magnitude and negabinary, and a row whose scale needs the
 (``oracles.full_decode``) bit for bit, and its data, bound and
 ``counters()`` must equal a twin reconstructor stepped one call at a
 time. A fault in the middle of a batch degrades that row alone, or
-under ``"raise"`` commits exactly the rows before it.
+under ``"raise"`` commits exactly the rows before it. The body's word
+widths (uint32 and uint64) are held to the per-plane oracle as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -290,3 +291,52 @@ def test_process_workers_run_the_one_tile_body():
     assert astuple(engines[0].counters()) == astuple(engines[1].counters())
     for engine in engines:
         engine.close()
+
+
+#: Plane counts at the word-width edges: uint32 words up to 32
+#: sign-magnitude planes, uint64 from 33 on and for negabinary.
+WORD_BITS = [8, 32, 33, 52]
+
+
+@pytest.mark.parametrize("bits", WORD_BITS)
+@pytest.mark.parametrize("encoding", ["sign_magnitude", "negabinary"])
+@pytest.mark.parametrize("design", ["register_block", "locality_block"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_body_equals_oracle_at_every_word_width(dtype, design, encoding,
+                                                bits):
+    """The in-place body against the per-plane oracle: one session
+    stepping alone (K = 1, its planes ORed into its committed words) and
+    three same-geometry sessions stepping as one batch (K = 3, one
+    stacked block), at rotated tolerances so rows sit at different
+    planes, then a QoI-style step below the committed groups (a prefix
+    cut). Warp tiles are 4 wide, so every level holds whole tiles."""
+    config = RefactorConfig(num_bitplanes=bits, design=design,
+                            signed_encoding=encoding, warp_size=4)
+    fields = [refactor((gen.gaussian_random_field(
+        SHAPE, -2.0, seed=300 + i, dtype=dtype) * 10.0 ** (i - 1)).astype(
+            dtype), config, name=f"w{i}") for i in range(3)]
+    narrow = encoding == "sign_magnitude" and bits <= 32
+    alone = Reconstructor(fields[0])
+    batch = _open(_stored(fields), fields)
+    for s in range(STEPS):
+        got = alone.reconstruct(TOLS[s], relative=True)
+        assert got.data.tobytes() == full_decode(
+            fields[0], got.plan.groups_per_level).tobytes(), s
+        steps, errors = _batch_step(
+            batch, [TOLS[(i + s) % len(TOLS)] for i in range(3)])
+        for field, result in zip(fields, Reconstructor.decode_steps(
+                list(zip(batch, steps, errors)))):
+            assert result.data.tobytes() == full_decode(
+                field, result.plan.groups_per_level).tobytes(), s
+    for recon in [alone, *batch]:
+        assert {state.words.dtype for state in recon._states} == {
+            np.dtype(np.uint32 if narrow else np.uint64)}
+    cuts = [[g // 2 for g in r.fetched_groups] for r in [alone, *batch]]
+    items = [(r, replace(r.plan_step(), groups=g), None)
+             for r, g in zip([alone, *batch], cuts)]
+    for recon, step, _ in items:
+        recon.fetch_step(step)
+    results = [Reconstructor.decode_steps(items[:1])[0],
+               *Reconstructor.decode_steps(items[1:])]
+    for field, cut, result in zip([fields[0], *fields], cuts, results):
+        assert result.data.tobytes() == full_decode(field, cut).tobytes()

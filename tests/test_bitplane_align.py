@@ -145,6 +145,25 @@ class TestErrorBoundHelper:
         with pytest.raises(ValueError):
             plane_error_bound(0, 32, -1, 1.0)
 
+    @pytest.mark.parametrize("encoding", ["sign_magnitude", "negabinary"])
+    def test_top_exponent_is_capped_not_overflowed(self, encoding):
+        """Data above 2^1023 has exponent 1024, where 2^(e - k) is no
+        double: the bound is max_abs (the fetched-nothing error), then
+        shrinks plane by plane, for both encodings. (A negabinary prefix
+        may overshoot max_abs, so its partial bounds are not capped.)"""
+        data = np.array([1.5e308, -1.0, 7e307, -1.2e308])
+        stream = encode_bitplanes(data, 32, signed_encoding=encoding)
+        assert stream.exponent == 1024
+        bounds = [stream.error_bound(k)
+                  for k in range(stream.num_planes + 1)]
+        assert bounds[0] == 1.5e308
+        assert all(b >= c for b, c in zip(bounds[1:], bounds[2:]))
+        assert bounds[-1] == math.ldexp(1.0, 1024 - 32)
+        if encoding == "sign_magnitude":
+            for k, bound in enumerate(bounds):
+                err = np.abs(decode_bitplanes(stream, k) - data).max()
+                assert err <= bound, k
+
 
 @settings(max_examples=50, deadline=None)
 @given(

@@ -46,8 +46,11 @@ def apply_inject(planes, n, width):
         begin_decode_state(num_elements=n, num_bitplanes=width, exponent=0,
                            max_abs=0.0, dtype=np.float64),
         planes, 0)
-    signs = np.zeros(n, np.uint8) if state.signs is None else state.signs
-    return signs, state.words
+    if state.signs is None:
+        return np.zeros(n, np.uint8), state.words
+    # A state keeps each sign where a double does, in bit 7.
+    assert not (state.signs & np.uint8(0x7F)).any()
+    return state.signs >> np.uint8(7), state.words
 
 
 def row_inject(planes, n, width):

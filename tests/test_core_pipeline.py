@@ -5,6 +5,8 @@ requested L∞ tolerance never exceeds it, while fetched bytes shrink as
 tolerances loosen and grow monotonically under progressive refinement.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,20 @@ class TestRefactorer:
     def test_level_sizes_partition_field(self, field3d):
         data, f = field3d
         assert sum(lv.num_elements for lv in f.levels) == data.size
+
+    @pytest.mark.parametrize("mode", ["hierarchical", "mgard"])
+    def test_transform_overflow_names_the_transform(self, mode):
+        """Finite data near the largest double overflows the predictions
+        (1e308 + 1e308): a ValueError says so, with no RuntimeWarning
+        on the way, instead of blaming the input as non-finite."""
+        refactorer = Refactorer((8, 8, 8), RefactorConfig(mode=mode))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="transform overflowed"):
+                refactorer.refactor(np.full((8, 8, 8), 1e308))
+            for bad in (np.nan, np.inf):  # still the input's fault
+                with pytest.raises(ValueError, match="finite input"):
+                    refactorer.refactor(np.full((8, 8, 8), bad))
 
     def test_reusable_across_fields(self):
         r = Refactorer((16, 16))

@@ -49,6 +49,13 @@ def field_f64():
 
 
 @pytest.fixture(scope="module")
+def field_f32():
+    data = gen.gaussian_random_field((14, 15, 13), -2.0, seed=8,
+                                     dtype=np.float32)
+    return refactor(data), data
+
+
+@pytest.fixture(scope="module")
 def field_nega():
     data = gen.gaussian_random_field((12, 13, 11), -2.0, seed=5,
                                      dtype=np.float32)
@@ -294,6 +301,135 @@ class TestIncrementalReconstructor:
         assert recon.decode_state_bytes() == 0
         recon.reconstruct(tolerance=1e-2)
         assert recon.decode_state_bytes() > 0
+
+
+# ---------------------------------------------------------------------
+# The in-place body: narrow words, inject into committed words, undo
+# ---------------------------------------------------------------------
+def _snapshot(recon):
+    """Bytes of everything a step may commit: words, signs, cached
+    values (``None`` where absent) and the counters."""
+    def raw(a):
+        return None if a is None else (a.dtype.str, a.tobytes())
+    return ([(raw(st.words), raw(st.signs), st.planes_applied)
+             if st is not None else None for st in recon._states],
+            [raw(v) for v in recon._values],
+            dataclasses.astuple(recon.counters()), recon.fetched_groups)
+
+
+class _FinalizeFault(Exception):
+    pass
+
+
+class TestInPlaceBody:
+    @pytest.mark.parametrize("encoding, bits, word", [
+        ("sign_magnitude", 1, np.uint32), ("sign_magnitude", 32, np.uint32),
+        ("sign_magnitude", 33, np.uint64), ("negabinary", 8, np.uint64),
+    ])
+    def test_words_are_uint32_where_they_fit(self, encoding, bits, word):
+        state = begin_decode_state(
+            num_elements=5, num_bitplanes=bits, exponent=0, max_abs=1.0,
+            dtype=np.float32, signed_encoding=encoding)
+        assert state.words.dtype == word
+
+    @pytest.mark.parametrize("encoding", ["sign_magnitude", "negabinary"])
+    def test_apply_planes_leaves_its_input_unchanged(self, encoding):
+        data = np.random.default_rng(4).standard_normal(301)
+        stream = encode_bitplanes(data.astype(np.float32), 32,
+                                  signed_encoding=encoding)
+        _, held = _resume(stream, 5)
+        words, signs = held.words.tobytes(), held.signs
+        signs = None if signs is None else signs.tobytes()
+        values, state = _resume(stream, 20, held)
+        assert held.words.tobytes() == words and held.planes_applied == 5
+        assert (held.signs is None if signs is None
+                else held.signs.tobytes() == signs)
+        assert not np.shares_memory(state.words, held.words)
+        assert values.tobytes() == decode_reference(stream, 20).tobytes()
+
+    def test_a_step_injects_into_the_committed_words(self, field_f64):
+        field, _ = field_f64
+        recon = Reconstructor(field)
+        recon.reconstruct(tolerance=1e-1)
+        before = [st.words for st in recon._states]
+        applied = [st.planes_applied for st in recon._states]
+        recon.reconstruct(tolerance=1e-4)
+        refined = [i for i, st in enumerate(recon._states)
+                   if st.planes_applied > applied[i] > 0]
+        assert refined
+        assert all(recon._states[i].words is before[i] for i in refined)
+
+    @pytest.mark.parametrize("which", ["field_f32", "field_nega"])
+    @pytest.mark.parametrize("fail_at", ["first", "last"])
+    def test_failed_finalize_rolls_back_the_inject(self, which, fail_at,
+                                                   request, monkeypatch):
+        """Finalize raises after the planes went into the committed
+        words (on the first or the last refined level): words, signs,
+        cached values and counters are as they were, bit for bit, and a
+        retry equals a fresh session."""
+        import repro.core.reconstruct as rc
+
+        field, _ = request.getfixturevalue(which)
+        recon = Reconstructor(field)
+        recon.reconstruct(tolerance=1e-1)
+        committed = _snapshot(recon)
+        step = recon.plan_step(1e-4)
+        refined = sum(g > h for g, h in zip(step.groups,
+                                            recon.fetched_groups))
+        assert refined >= 2
+        calls = []
+
+        def failing(states):
+            calls.append(states)
+            if fail_at == "first" or len(calls) == refined:
+                raise _FinalizeFault
+            return finalize_many(states)
+
+        monkeypatch.setattr(rc, "finalize_many", failing)
+        with pytest.raises(_FinalizeFault):
+            recon.reconstruct(tolerance=1e-4)
+        monkeypatch.undo()
+        assert _snapshot(recon) == committed
+        again = recon.reconstruct(tolerance=1e-4)
+        fresh = Reconstructor(field)
+        fresh.reconstruct(tolerance=1e-1)
+        want = fresh.reconstruct(tolerance=1e-4)
+        assert again.data.tobytes() == want.data.tobytes()
+        assert _snapshot(recon) == _snapshot(fresh)
+
+    def test_a_later_batch_failing_rolls_back_the_earlier_ones(
+            self, field_f32, field_nega, monkeypatch):
+        """Two geometries in one ``decode_steps`` call decode as two
+        batches; the second one's failure takes the first one's planes
+        back out of its committed words."""
+        import repro.core.reconstruct as rc
+
+        recons = [Reconstructor(f) for f, _ in (field_f32, field_nega)]
+        for recon in recons:
+            recon.reconstruct(tolerance=1e-1)
+        committed = [_snapshot(r) for r in recons]
+        victim = recons[1].field.levels[0].num_elements
+
+        def failing(states):
+            if states[0].num_elements == victim:
+                raise _FinalizeFault
+            return finalize_many(states)
+
+        items = [(r, r.plan_step(1e-4), None) for r in recons]
+        for recon, step, _ in items:
+            recon.fetch_step(step)
+        monkeypatch.setattr(rc, "finalize_many", failing)
+        with pytest.raises(_FinalizeFault):
+            Reconstructor.decode_steps(items)
+        assert [_snapshot(r) for r in recons] == committed
+
+    def test_f32_state_is_13_bytes_per_element(self, field_f32):
+        """uint32 words, one sign byte and the float64 values cached per
+        level: 13 B per element (17 with uint64 words)."""
+        field, data = field_f32
+        recon = Reconstructor(field)
+        recon.reconstruct()
+        assert recon.decode_state_bytes() == 13 * data.size
 
 
 # ---------------------------------------------------------------------

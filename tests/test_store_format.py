@@ -428,7 +428,8 @@ class TestTamperedLevelMetadata:
     cannot run. It must raise at open, naming its key, with no segment
     read — not an untyped error from a decode
     kernel or a bound at the first ``reconstruct``, and never a
-    silently different decode."""
+    silently different decode. The error names the level value it
+    rejects in both versions, also after a v2 record's re-fetch."""
 
     @pytest.mark.parametrize("read", [open_field, load_field],
                              ids=["open_field", "load_field"])
@@ -443,8 +444,9 @@ class TestTamperedLevelMetadata:
         store.put("u.index", _tampered_index(
             version, golden.get("u.index"), attr, value))
         golden.close()
-        with pytest.raises(SegmentCorruptionError, match="'u.index'"):
+        with pytest.raises(SegmentCorruptionError, match="'u.index'") as err:
             read(store, "u")
+        assert f"has {attr} " in str(err.value)
         # (A v2 record that fails to parse is re-read once, as a flip.)
         assert set(store.read_keys) == {"u.index"}
 
