@@ -10,7 +10,9 @@ groups up to 1 MB): the 1M-symbol row alone hid a fixed ~1024-round
 floor that dominated every small stream. Each sweep row times
 ``decode`` against ``decode_reference`` and against both decode regimes
 forced, which is the evidence behind the regime constant
-``SHORT_STREAM_BYTES_PER_ROUND``.
+``SHORT_STREAM_BYTES_PER_ROUND``; each of its ``chunk_rows`` times the
+default chunk size against 1024-symbol chunks, the evidence behind
+``DEFAULT_CHUNK_SYMBOLS``.
 
 Huffman code construction is swept the same way (``code_length_sweep``:
 alphabet size x histogram shape): it never showed in the 1M-symbol
@@ -165,6 +167,10 @@ MIN_RECOMPOSE_GAIN_AT_16 = 0.9
 #: The walk is forced only up to this many times the regime threshold
 #: (its tables cost ~200 bytes per payload byte).
 MAX_FORCED_WALK_FACTOR = 4
+#: Chunk size of the streams behind the recorded Huffman ratios (the 1M
+#: ``huffman`` keys and the decode sweep's ``rows``): the default until
+#: it went to 256, kept so each ratio keeps its denominator.
+RECORDED_CHUNK_SYMBOLS = 1024
 
 
 # ---------------------------------------------------------------------
@@ -266,16 +272,24 @@ def huffman_decode_sweep(sizes=SWEEP_SIZES, reps: int = SWEEP_REPS) -> dict:
     """Decode wall per stream size: chosen regime, both forced, reference.
 
     Inputs are zero-heavy like low bit-plane groups (60% zero bytes).
-    ``vs_lockstep`` is the gain over the pre-PR decode, which ran the
-    lockstep loop at every size. The ratio keys deliberately avoid the
-    word "speedup": a 0.2 ms decode against a 5 ms one reads 19x-28x
+    ``rows`` encode them in 1024-symbol chunks, the chunk size their
+    recorded ratios were first measured at, so each keeps its
+    denominator. ``vs_lockstep`` is the gain over the decode that ran
+    the lockstep loop at every size. The ratio keys deliberately avoid
+    the word "speedup": a 0.2 ms decode against a 5 ms one reads 19x-28x
     from run to run, so ``check_regression.py``'s 80%-of-recorded rule
     would flake; :func:`check_sweep_floors` gates them on fixed floors.
+    ``chunk_rows`` time the same inputs at the default chunk size
+    against their 1024-symbol streams (the evidence behind
+    ``DEFAULT_CHUNK_SYMBOLS``): ``vs_1024_chunks`` is the median paired
+    ratio of the 1024-symbol decode over the default one, and
+    ``bytes_vs_1024_chunks`` the ratio of the streams' sizes.
     """
-    codec = HuffmanCodec()
+    codec = HuffmanCodec(RECORDED_CHUNK_SYMBOLS)
+    default = HuffmanCodec()
     rng = np.random.default_rng(13)
     limit = huffman.SHORT_STREAM_BYTES_PER_ROUND
-    rows = []
+    rows, chunk_rows = [], []
     for n in sizes:
         data = np.where(
             rng.random(n) < 0.6, 0, rng.integers(0, 256, n)
@@ -315,7 +329,28 @@ def huffman_decode_sweep(sizes=SWEEP_SIZES, reps: int = SWEEP_REPS) -> dict:
             assert np.array_equal(out_walk, data)
             row["decode_walk_ms"] = t_walk * 1e3
         rows.append(row)
-    return {"short_stream_bytes_per_round": limit, "rows": rows}
+
+        small = default.encode(data)
+        payload = default._parse_stream(small)[-1].size
+        rounds = min(default.chunk_symbols, n)
+        walls, outs = _times_interleaved([
+            lambda: codec.decode(blob),
+            lambda: default.decode(small),
+        ], reps)
+        for out in outs:
+            assert np.array_equal(out, data), f"decode diverged at n={n}"
+        chunk_rows.append({
+            "num_symbols": n,
+            "chunk_symbols": default.chunk_symbols,
+            "payload_bytes": payload,
+            "regime": "walk" if payload <= limit * rounds else "lockstep",
+            "decode_ms": float(walls[:, 1].min()) * 1e3,
+            "decode_1024_chunks_ms": float(walls[:, 0].min()) * 1e3,
+            "vs_1024_chunks": float(np.median(walls[:, 0] / walls[:, 1])),
+            "bytes_vs_1024_chunks": len(small) / len(blob),
+        })
+    return {"short_stream_bytes_per_round": limit, "rows": rows,
+            "chunk_rows": chunk_rows}
 
 
 def huffman_batch_sweep(
@@ -571,10 +606,10 @@ def run_benchmarks(
         "fast codec decoded different values than the seed pipeline"
 
     # -- Huffman ---------------------------------------------------------
-    codec = HuffmanCodec()
+    codec = HuffmanCodec(RECORDED_CHUNK_SYMBOLS)
     hdata = (rng.standard_normal(n) * 6).astype(np.int64).astype(np.uint8)
     t_henc_ref, blob_ref = _best_time(
-        lambda: encode_reference(hdata), reps
+        lambda: encode_reference(hdata, RECORDED_CHUNK_SYMBOLS), reps
     )
     t_henc, blob = _best_time(lambda: codec.encode(hdata), reps)
     assert blob == blob_ref, \
@@ -752,6 +787,13 @@ def main(argv: list[str] | None = None) -> None:
             f"{row['decode_fast_ms']:.2f} ms, "
             f"{row['vs_lockstep']:.1f}x vs lockstep, "
             f"{row['vs_reference']:.1f}x vs reference"
+        )
+    for row in results["huffman_decode_sweep"]["chunk_rows"]:
+        print(
+            f"huffman decode n={row['num_symbols']:>7} at "
+            f"{row['chunk_symbols']}-symbol chunks ({row['regime']}): "
+            f"{row['decode_ms']:.2f} ms, {row['vs_1024_chunks']:.2f}x vs "
+            f"1024-symbol chunks, {row['bytes_vs_1024_chunks']:.4f}x bytes"
         )
     for row in results["code_length_sweep"]["rows"]:
         print(

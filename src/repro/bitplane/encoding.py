@@ -536,10 +536,20 @@ def finalize_many(states: list[PartialDecodeState]) -> np.ndarray:
             words |= centers
     shifts = [state.exponent - bits for state in states]
     normal = [-1022 <= shift <= 1023 for shift in shifts]
-    np.multiply(words, _per_row(
+    scale = _per_row(
         [math.ldexp(1.0, s) if ok else 1.0 for s, ok in zip(shifts, normal)],
         np.float64,
-    ), out=values, casting="unsafe")
+    )
+    if first.signed_encoding == "negabinary" and max(shifts) + bits >= 1023:
+        # A partial negabinary prefix overshoots by its leading
+        # negative-weight digits, up to 2^(e+2): at the top of the range,
+        # past the largest double. The true value is finite, so clamping
+        # to it moves such a value toward the truth and the bound holds.
+        with np.errstate(over="ignore"):
+            np.multiply(words, scale, out=values, casting="unsafe")
+        np.clip(values, -_FLOAT_MAX, _FLOAT_MAX, out=values)
+    else:
+        np.multiply(words, scale, out=values, casting="unsafe")
     del words  # batch-sized temporaries: keep at most two alive
     for r, ok in enumerate(normal):
         if not ok:  # the scale itself would over/underflow
@@ -558,6 +568,7 @@ def finalize_many(states: list[PartialDecodeState]) -> np.ndarray:
 
 
 _ALL_ONES = (1 << 64) - 1
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 #: The byte of a native float64 that holds its sign bit.
 _SIGN_BYTE = 7 if sys.byteorder == "little" else 0

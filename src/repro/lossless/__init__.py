@@ -4,11 +4,11 @@ Three base codecs with complementary strengths:
 
 * :mod:`~repro.lossless.huffman` — canonical Huffman over bytes, built
   from scratch with the *chunked* stream structure GPU Huffman coders use
-  (fixed-size symbol blocks with per-block offsets). A stream past
-  32 KiB of payload (at the default chunk size) decodes with its blocks
-  in lockstep; shorter ones, most plane groups of a tile, share a
-  pointer-jumping walk. Best ratios on high-order, zero-dominated
-  bitplanes.
+  (fixed-size symbol blocks with per-block offsets). The streams of a
+  call past 8 KiB of payload (at the default chunk size) decode with
+  all their blocks in one lockstep; shorter ones, most plane groups of a
+  tile, share a pointer-jumping walk. Best ratios on high-order,
+  zero-dominated bitplanes.
 * :mod:`~repro.lossless.rle` — byte run-length coding; cheap and strong
   on the long zero runs of low-order merged bitplanes.
 * :mod:`~repro.lossless.direct` — store-as-is fallback for small or

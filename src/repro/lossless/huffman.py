@@ -4,20 +4,21 @@ Built from scratch (tree construction, length limiting, canonical code
 assignment) over the byte alphabet. The stream is divided into fixed-size
 *symbol chunks*, each starting at a byte boundary with its offset in the
 header — exactly how GPU Huffman decoders (e.g. Tian et al., IPDPS'21)
-expose block-level parallelism. Large streams decode with all chunks
-walked in lockstep by vectorized gathers, the NumPy analogue of one
-thread block per chunk: each lockstep step performs a *single* unaligned
-64-bit window gather per chunk (a byte-stride ``as_strided`` view of the
-zero-padded payload, byteswapped to MSB-first) instead of eight byte
-gathers, and every per-step temporary is allocated once outside the loop
-and reused via ``out=`` kernels. Lockstep costs a fixed number of rounds
-whatever the stream holds, so short streams (few chunks) instead decode
-by pointer jumping over a next-codeword table of every payload bit — the
-same format, ~70 NumPy calls instead of ~7000 — and many short streams
-share one walk (:meth:`HuffmanCodec.decode_many`, which states the
-rule). The seed kernels these replaced — the eight-gather lockstep
-decoder, the per-bit packer and the heap code construction — are the
-test oracles in ``tests/oracles/huffman_seed.py``.
+expose block-level parallelism. Large streams decode together: every
+chunk of every such stream of a call is a lane of one lockstep walked by
+vectorized gathers, the NumPy analogue of one thread block per chunk.
+Each gather reads a *single* unaligned 64-bit window per lane (a
+byte-stride ``as_strided`` view of the zero-padded payload, byteswapped
+to MSB-first) instead of eight byte gathers, and every per-round
+temporary is allocated once outside the loop and reused via ``out=``
+kernels. Lockstep costs a fixed number of rounds (the chunk size)
+whatever its streams hold, so streams with few payload bytes per round
+instead decode by pointer jumping over a next-codeword table of every
+payload bit — the same format, ~70 NumPy calls instead of ~1500 — and
+many short streams share one walk (:meth:`HuffmanCodec.decode_many`,
+which states the rule). The seed kernels these replaced — the
+eight-gather lockstep decoder, the per-bit packer and the heap code
+construction — are the test oracles in ``tests/oracles/huffman_seed.py``.
 
 Code lengths are limited to :data:`MAX_CODE_LENGTH` so the decoder can
 use a flat prefix LUT of ``2^maxlen`` entries.
@@ -40,17 +41,25 @@ from repro.lossless.bitio import (
 )
 
 MAX_CODE_LENGTH = 16
-DEFAULT_CHUNK_SYMBOLS = 1024
+#: Symbols per chunk, the lockstep's rounds. The lockstep costs rounds x
+#: a NumPy call's overhead whatever its lanes hold, so 256-symbol chunks
+#: (a quarter of the rounds of 1024, four times the lanes) decode a
+#: read's long streams ~2.3x faster; each chunk offset costs 4 bytes, so
+#: streams grow by ~2% (the ``chunk_rows`` of ``huffman_decode_sweep`` in
+#: ``benchmarks/bench_hotpaths.py``). Streams of any chunk size decode.
+DEFAULT_CHUNK_SYMBOLS = 256
 
-#: Regime rule of :meth:`HuffmanCodec.decode`: streams with at most this
-#: many payload bytes per lockstep round decode by pointer jumping. Set
-#: from the ``huffman_decode_sweep`` of ``benchmarks/bench_hotpaths.py``
-#: (the walk still wins ~1.5x at the threshold; it is kept this low to
-#: cap the transient per-bit-position tables at ~7 MB).
+#: Regime rule of :meth:`HuffmanCodec.decode_many`: streams with at most
+#: this many payload bytes per lockstep round decode by pointer jumping
+#: (8 KiB of payload at the default chunks). Set from the
+#: ``huffman_decode_sweep`` of ``benchmarks/bench_hotpaths.py`` (the walk
+#: still wins ~1.5x at the threshold; it is kept this low to cap the
+#: transient per-bit-position tables at ~7 MB).
 SHORT_STREAM_BYTES_PER_ROUND = 32
 #: Symbols each lane walks between entry points (a power of two: the
-#: jump table is built by repeated squaring). ~sqrt(DEFAULT_CHUNK_SYMBOLS)
-#: balances entry-point gathers against walk steps.
+#: jump table is built by repeated squaring). ~sqrt(1024) balanced
+#: entry-point gathers against walk steps at 1024-symbol chunks; a
+#: 256-symbol chunk has 8 entry points.
 _WALK_SYMBOLS = 32
 #: Payload cap of one walk slab: width-sorted walk-regime streams share
 #: one walk while their payloads sum to at most this many bytes. Set
@@ -276,6 +285,31 @@ def _slabs(walks: list[tuple]) -> list[list[tuple]]:
     return slabs
 
 
+def _lockstep_runs(longs: list[tuple]) -> list[list[tuple]]:
+    """``(index, stream)`` runs that share one lockstep, most rounds first.
+
+    Every lane of a run walks the run's most rounds, so a run takes the
+    next stream only while that padded work (most rounds x lanes) stays
+    within twice its streams' own (rounds x chunks, summed): a lane of
+    fewer rounds may read padding, but no mix of chunk sizes can grow a
+    run's output past twice its streams' symbols. Streams of equal
+    rounds — every long stream one writer made — always share one run.
+    """
+    runs: list[list[tuple]] = []
+    most = lanes = own = 0
+    for item in sorted(longs, key=lambda item: -item[1][3]):
+        _, (_, _, _, rounds, offsets, _) = item
+        chunks = offsets.size - 1
+        if runs and most * (lanes + chunks) <= 2 * (own + rounds * chunks):
+            runs[-1].append(item)
+            lanes += chunks
+            own += rounds * chunks
+        else:
+            runs.append([item])
+            most, lanes, own = rounds, chunks, rounds * chunks
+    return runs
+
+
 class HuffmanCodec:
     """Byte-alphabet canonical Huffman codec with chunked streams."""
 
@@ -423,17 +457,19 @@ class HuffmanCodec:
     def decode_many(self, blobs) -> list[np.ndarray]:
         """Chunk-parallel decode of many streams, one regime per stream.
 
-        Lockstep (:meth:`_decode_lockstep`) costs ``rounds = min(chunk,
-        n)`` rounds of ~7 NumPy calls whatever the stream holds; the
+        The lockstep (:meth:`_decode_long`) costs ``rounds = min(chunk,
+        n)`` rounds of ~6 NumPy calls whatever its streams hold; the
         pointer-jumping walk (:meth:`_decode_short`) costs ~70 calls plus
         a table over every payload *bit*. The rule is fixed and reads
         header fields only: a stream takes the walk iff ``payload.size
-        <= SHORT_STREAM_BYTES_PER_ROUND * rounds`` (32 KiB of payload at
-        the default 1024-symbol chunks — see the ``huffman_decode_sweep``
+        <= SHORT_STREAM_BYTES_PER_ROUND * rounds`` (8 KiB of payload at
+        the default 256-symbol chunks — see the ``huffman_decode_sweep``
         rows of ``BENCH_hotpaths.json`` for the measured crossover).
-        Each stream is parsed once and all LUTs are built together;
-        lockstep streams decode one at a time, and the walk streams,
-        sorted by ``max_len``, share one walk per *slab* of at most
+        Each stream is parsed once. The lockstep streams decode
+        together: every chunk of every one of them is a lane of one
+        lockstep (a mix whose rounds differ is split where padding would
+        more than double the work). The walk streams, sorted by
+        ``max_len``, share one walk per *slab* of at most
         :data:`SLAB_PAYLOAD_BYTES` payload bytes (a larger stream is a
         slab alone), so the walk's ~70 calls are paid per slab, not per
         stream. Both regimes read the same stream format and are
@@ -444,21 +480,27 @@ class HuffmanCodec:
         output.
         """
         parsed = [self._parse_stream(blob) for blob in blobs]
-        live = [i for i, stream in enumerate(parsed) if stream[0]]
-        luts = self._build_luts([parsed[i][3] for i in live],
-                                [parsed[i][2] for i in live])
         out = [np.empty(0, dtype=np.uint8) for _ in blobs]
         walks: list[tuple] = []
-        for i, lut16 in zip(live, luts):
-            n, chunk, max_len, _, _, offsets, payload = parsed[i]
+        longs: list[tuple] = []
+        for i, (n, chunk, max_len, lengths, _, offsets, payload) in \
+                enumerate(parsed):
+            if not n:
+                continue
             rounds = min(chunk, n)
+            stream = (n, lengths, max_len, rounds, offsets, payload)
             if payload.size <= SHORT_STREAM_BYTES_PER_ROUND * rounds:
-                walks.append((i, (n, lut16, max_len, rounds, offsets,
-                                  payload)))
+                walks.append((i, stream))
             else:
-                out[i] = self._decode_lockstep(
-                    lut16, max_len, rounds, offsets, payload
-                ).reshape(-1)[:n]
+                longs.append((i, stream))
+        for run in _lockstep_runs(longs):
+            decoded = self._decode_long([s for _, s in run])
+            for (i, _), symbols in zip(run, decoded):
+                out[i] = symbols
+        luts = self._build_luts([s[1] for _, s in walks],
+                                [s[2] for _, s in walks])
+        walks = [(i, (n, lut16, *rest))
+                 for (i, (n, _, *rest)), lut16 in zip(walks, luts)]
         slabs = [walks] if walks else []
         if len(walks) > 1:
             # Width-sorted, a slab's streams mostly share one window
@@ -562,52 +604,73 @@ class HuffmanCodec:
                 in zip(streams, chunks, chunks[1:])]
 
     @staticmethod
-    def _decode_lockstep(
-        lut16: np.ndarray, max_len: int, steps: int,
-        offsets: np.ndarray, payload: np.ndarray,
-    ) -> np.ndarray:
-        """Lockstep decode: ``(n_chunks, steps)`` symbols.
+    def _decode_long(streams) -> list[np.ndarray]:
+        """Lockstep decode of many streams at once: each one's ``n`` symbols.
 
-        Each round decodes several symbols in every chunk (the
-        per-thread-block loop of a GPU decoder): a single fancy-index
-        gather materializes one unaligned 64-bit window per chunk from a
-        byte-stride view of the zero-padded payload (byteswapped once,
-        up front, to MSB-first), and since a 64-bit window starting at
-        the cursor's byte always covers ``1 + (57 - max_len)//max_len``
-        worst-case codes, each gathered window is re-shifted in place to
-        peel that many symbols before the next gather. All per-round
-        temporaries are allocated once and reused through ``out=``
-        kernels, and the symbol/length LUTs are fused into one uint16
-        table so each symbol costs a single gather. Steps past a short
-        final chunk read zero padding and are discarded by the caller.
+        *streams* are ``(n, lengths, max_len, rounds, offsets,
+        payload)``. Their fused LUTs are built at the widest ``max_len``
+        (``W``) as the rows of one table. Every chunk of every stream is a
+        lane (the per-thread-block loop of a GPU decoder), and all lanes
+        run the most ``rounds`` of any stream: a lane reads its stream's
+        row of the LUT through a table base, ``stream << W``, that one
+        ``bitwise_or`` adds. The payloads are concatenated and padded by
+        ``rounds x W`` bits, so a lane that runs past its own chunk's
+        symbols (a ragged tail, a stream of fewer rounds, a corrupt
+        stream) reads the next chunk's bits or zeros: those symbols are
+        dropped, and what one stream's lanes read never reaches another
+        stream's output.
+
+        Each gather is one fancy-index read of an unaligned 64-bit
+        window per lane from a byte-stride view of the padded payload
+        (byteswapped per gather to MSB-first). A window starting at the
+        cursor's byte holds ``1 + (57 - W)//W`` worst-case codes, so it
+        is re-shifted to peel that many symbols, and more while the
+        tightest lane still holds a full-length code. A symbol is five
+        calls and the LUT gather (four for one stream, which needs no
+        table base): the gather writes straight into row ``step`` of a
+        ``(rounds, lanes)`` output, the lengths come from that row, and
+        the cursors advance once per window, by what its peels consumed.
+        One transpose at the end gives chunk-major order.
         """
-        n_chunks = offsets.size - 1
-        # Symbols safely decodable from one 64-bit window: symbol s needs
-        # bits [r + sum(l_1..l_s), +max_len) with r <= 7, l_i <= max_len.
-        per_gather = 1 + (64 - 7 - max_len) // max_len
-        # Pad so unclamped cursors (which advance past ragged chunk tails
-        # by <= max_len bits/step) always have a full window to read.
-        # The windows stay a zero-copy byte-strided view (materializing
-        # them would transiently cost ~8 bytes per payload byte); each
-        # round byteswaps only its small gathered slice.
-        extra = ((steps * max_len + 7) >> 3) + 8
-        windows = sliding_windows_u64(payload, extra=extra)
+        width = max(s[2] for s in streams)
+        lut = HuffmanCodec._build_luts(
+            [s[1] for s in streams], [s[2] for s in streams],
+            width=width).reshape(-1)
+        rounds = max(s[3] for s in streams)
+        chunks = list(accumulate((s[4].size - 1 for s in streams), initial=0))
+        bases = list(accumulate((s[5].size for s in streams), initial=0))
+        lanes = chunks[-1]
+        payload = streams[0][5] if len(streams) == 1 else np.concatenate(
+            [s[5] for s in streams])
+        # Pad so unclamped cursors (each advances <= W bits a round) always
+        # have a full window to read. The windows stay a zero-copy
+        # byte-strided view (materializing them would transiently cost ~8
+        # bytes per payload byte).
+        windows = sliding_windows_u64(
+            payload, extra=((rounds * width + 7) >> 3) + 8)
+        cursors = np.empty(lanes, dtype=np.int64)
+        for s, base, first, last in zip(streams, bases, chunks, chunks[1:]):
+            np.left_shift(s[4][:-1], 3, out=cursors[first:last])
+            cursors[first:last] += 8 * base
+        # A lane's row of the LUT; a single table needs no base.
+        row_base = np.repeat(np.arange(len(streams), dtype=np.int64) << width,
+                             np.diff(chunks)) if len(streams) > 1 else None
 
         # Signed lane state: a lane's shift may legitimately go negative
-        # after its final symbol of a round (int64 makes that harmless);
+        # after its final symbol of a window (int64 makes that harmless);
         # a symbol is extracted only while every lane's shift is still
         # provably >= 0 at use time.
-        shift_base = np.int64(64 - max_len)
-        mask = np.int64((1 << max_len) - 1)
-        cursors = (offsets[:-1] * 8).astype(np.int64)
-        out16 = np.empty((n_chunks, steps), dtype=np.uint16)
-        byte_idx = np.empty(n_chunks, dtype=np.int64)
-        shift = np.empty(n_chunks, dtype=np.int64)
-        val = np.empty(n_chunks, dtype=np.int64)
-        comb = np.empty(n_chunks, dtype=np.uint16)
-        lens = np.empty(n_chunks, dtype=np.uint16)
+        per_gather = 1 + (64 - 7 - width) // width
+        shift_base = np.int64(64 - width)
+        mask = np.int64((1 << width) - 1)
+        out16 = np.empty((rounds, lanes), dtype=np.uint16)
+        byte_idx = np.empty(lanes, dtype=np.int64)
+        start = np.empty(lanes, dtype=np.int64)
+        shift = np.empty(lanes, dtype=np.int64)
+        val = np.empty(lanes, dtype=np.int64)
+        lens = np.empty(lanes, dtype=np.uint16)
         step = 0
-        while step < steps:
+        while step < rounds:
             np.right_shift(cursors, 3, out=byte_idx)
             # Fancy indexing, not take(out=): np.take's buffered path on
             # the byte-strided source is ~60x slower than this gather.
@@ -617,33 +680,40 @@ class HuffmanCodec:
             if NEEDS_BYTESWAP:
                 win.byteswap(inplace=True)  # MSB-first window values
             win = win.view(np.int64)
-            np.bitwise_and(cursors, 7, out=shift)
-            np.subtract(shift_base, shift, out=shift)
-            peel = min(per_gather, steps - step)
+            np.bitwise_and(cursors, 7, out=start)
+            np.subtract(shift_base, start, out=start)
+            np.copyto(shift, start)
+            peel = min(per_gather, rounds - step)
             while peel > 0:
                 for _ in range(peel):
                     np.right_shift(win, shift, out=val)
                     np.bitwise_and(val, mask, out=val)
-                    # In range by construction (val < 2**max_len, the
-                    # LUT's size): "clip" skips np.take's buffered
-                    # bounds-checking path.
-                    lut16.take(val, out=comb, mode="clip")
-                    out16[:, step] = comb
-                    np.right_shift(comb, 8, out=lens)
+                    if row_base is not None:
+                        np.bitwise_or(val, row_base, out=val)
+                    row = out16[step]
+                    # In range by construction (val < the LUT's size):
+                    # "clip" skips np.take's buffered bounds checks.
+                    lut.take(val, out=row, mode="clip")
+                    np.right_shift(row, 8, out=lens)
                     np.subtract(shift, lens, out=shift, casting="unsafe")
-                    np.add(cursors, lens, out=cursors, casting="unsafe")
                     step += 1
-                if step >= steps:
+                if step >= rounds:
                     break
                 # Short codes rarely exhaust the window in `per_gather`
                 # worst-case peels: keep peeling from the same gather
                 # while the tightest lane still has a full-length code
-                # (min//max_len more subtractions provably stay valid).
-                peel = min(int(shift.min()) // max_len + 1, steps - step)
-        return (out16 & np.uint16(0xFF)).astype(np.uint8)
+                # (min//W more subtractions provably stay valid).
+                peel = min(int(shift.min()) // width + 1, rounds - step)
+            np.subtract(start, shift, out=start)
+            np.add(cursors, start, out=cursors)
+        # Keep each symbol's low byte, (rounds, lanes) -> chunk-major.
+        symbols = out16.T.astype(np.uint8, order="C")
+        return [symbols[first:last, :stream_rounds].reshape(-1)[:n]
+                for (n, _, _, stream_rounds, _, _), first, last
+                in zip(streams, chunks, chunks[1:])]
 
     @staticmethod
-    def _build_luts(lengths_tables, max_lens) -> list[np.ndarray]:
+    def _build_luts(lengths_tables, max_lens, width: int | None = None):
         """Fused prefix LUTs: any max_len-bit window -> ``len << 8 | sym``.
 
         Canonical codes tile the ``2**max_len`` prefixes in (length,
@@ -653,14 +723,20 @@ class HuffmanCodec:
         symbol) order — one stable sort by (stream, length) of the
         present symbols. An incomplete code (a single-symbol stream)
         leaves the tail as length-1 entries so every window still
-        advances the cursor. Returns one view per stream.
+        advances the cursor. Returns one view per stream. With *width*
+        (at least every ``max_len``) each table has ``2**width`` entries
+        instead — a code owns ``2**(width - len)`` of them at any such
+        width, so a ``width``-bit window decodes as its ``max_len``-bit
+        prefix would — and the views are the rows of one ``(streams,
+        2**width)`` array.
         """
-        widths = [int(w) for w in max_lens]
-        for w in widths:
+        max_lens = [int(w) for w in max_lens]
+        for w in max_lens:
             if not 1 <= w <= MAX_CODE_LENGTH:
                 raise ValueError(f"corrupt stream: max_len={w}")
-        if not widths:
+        if not max_lens:
             return []
+        widths = max_lens if width is None else [width] * len(max_lens)
         many = len(widths) > 1
         lengths = np.concatenate(lengths_tables) if many else np.asarray(
             lengths_tables[0], dtype=np.uint8)
@@ -670,10 +746,11 @@ class HuffmanCodec:
             lens |= (flat >> 8) << 8
         order = lens.argsort(kind="stable")
         flat, lens = flat[order], lens[order] & 0xFF
-        width = np.array(widths)[flat >> 8] if many else widths[:1]
-        if (lens > width).any():
+        own = np.array(max_lens)[flat >> 8] if many else max_lens[:1]
+        if (lens > own).any():
             raise ValueError("corrupt stream: code length exceeds max_len")
-        spans = np.left_shift(1, width - lens)
+        table_width = np.array(widths)[flat >> 8] if many else widths[:1]
+        spans = np.left_shift(1, table_width - lens)
         filled = np.repeat(((lens << 8) | (flat & 0xFF)).astype(np.uint16),
                            spans)
         tables = np.full(sum(1 << w for w in widths), 1 << 8, np.uint16)
@@ -687,6 +764,8 @@ class HuffmanCodec:
                 raise ValueError("corrupt stream: oversubscribed code lengths")
             luts.append(tables[at:at + (1 << w)])
             luts[-1][:size] = filled[start:start + size]
+        if width is not None:
+            return tables.reshape(len(widths), 1 << width)
         return luts
 
 

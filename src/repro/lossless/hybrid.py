@@ -30,12 +30,7 @@ from repro.lossless.huffman import (
     huffman_encode,
     huffman_ratio_upper_bound,
 )
-from repro.lossless.rle import (
-    estimate_rle_ratio,
-    rle_decode,
-    rle_encode,
-    run_boundaries,
-)
+from repro.lossless.rle import estimate_rle_ratio, rle_decode, rle_encode
 
 METHODS = ("huffman", "rle", "direct")
 
@@ -145,10 +140,10 @@ def _select_and_encode(
     clear the threshold, neither can the exact estimate, so no code is
     built — the decision is the same, only cheaper. Otherwise the code
     lengths are built once and feed both the exact Huffman CR estimate
-    and (when Huffman wins) the encoder; the RLE run-boundary scan —
-    only performed when Huffman is out — feeds both the RLE estimate
-    and the RLE encoder. Each pass over the merged buffer, and each
-    code construction, happens at most once.
+    and (when Huffman wins) the encoder. When Huffman is out, the RLE
+    estimate only counts the runs (one ``count_nonzero``); the run
+    boundaries are found only for a group RLE wins. Each code
+    construction happens at most once.
     """
     if merged.size <= config.size_threshold:
         return "direct", direct_encode(merged)
@@ -160,9 +155,8 @@ def _select_and_encode(
             return "huffman", huffman_encode(
                 merged, freqs=freqs, lengths=lengths
             )
-    boundaries = run_boundaries(merged)
-    if estimate_rle_ratio(merged, boundaries=boundaries) > config.cr_threshold:
-        return "rle", rle_encode(merged, boundaries=boundaries)
+    if estimate_rle_ratio(merged) > config.cr_threshold:
+        return "rle", rle_encode(merged)
     return "direct", direct_encode(merged)
 
 

@@ -85,6 +85,20 @@ class TestNegabinaryStreams:
             stream.exponent, 40, stream.num_planes, stream.max_abs)
         assert np.max(np.abs(rec - data)) <= bound
 
+    @pytest.mark.parametrize("exponent_gap", [0, 1])
+    def test_prefix_past_the_largest_double_is_clamped(self, exponent_gap):
+        """Leading negative-weight digits overshoot up to 2^(e+2): near
+        the top of the float64 range a short prefix lands past the
+        largest double. It decodes finite and inside its bound, with no
+        RuntimeWarning (this file runs with RuntimeWarning an error)."""
+        data = np.array([1.5e308, -1.0, 7e307, -1.2e308]) / 2 ** exponent_gap
+        stream = encode_bitplanes(data, 32, signed_encoding="negabinary")
+        assert stream.exponent == 1024 - exponent_gap
+        for k in range(stream.num_planes + 1):
+            rec = decode_bitplanes(stream, k)
+            assert np.isfinite(rec).all(), k
+            assert np.max(np.abs(rec - data)) <= stream.error_bound(k), k
+
     def test_invalid_encoding_rejected(self):
         with pytest.raises(ValueError):
             encode_bitplanes(sample(16), 8, signed_encoding="ternary")

@@ -1,9 +1,11 @@
 """Many Huffman streams in one call: ``HuffmanCodec.decode_many``.
 
 Walk-regime streams share one pointer-jumping walk per slab of at most
-``SLAB_PAYLOAD_BYTES`` of payload; lockstep streams still decode one at
-a time. Each output must equal the seed decoder ``decode_reference``
-(``tests/oracles/huffman_seed.py``) stream by stream, a corrupt stream may only turn
+``SLAB_PAYLOAD_BYTES`` of payload; lockstep-regime streams share one
+lockstep, every chunk of every stream a lane (a mix of chunk sizes is
+split where padding would more than double the work). Each output must
+equal the seed decoder ``decode_reference`` (``tests/oracles/
+huffman_seed.py``) stream by stream, a corrupt stream may only turn
 into ``ValueError`` or wrong bytes in its own output, and a call's
 transient memory stays bounded by one slab (invariant 3(d)).
 """
@@ -32,7 +34,7 @@ ALPHABETS = ["single", "two", "zero_heavy", "uniform", "deep"]
 STREAMS = st.tuples(
     st.sampled_from(ALPHABETS),
     st.sampled_from([0, 1, 5, 100, 700, 1792, 3001, 40000]),
-    st.sampled_from([7, 64, 1024]),
+    st.sampled_from([7, 64, 256, 1024]),
 )
 
 
@@ -45,16 +47,41 @@ def make_mix(specs, seed=0):
     return datas, blobs
 
 
+def depth_code(depth: int) -> np.ndarray:
+    """A complete prefix code whose longest codes are *depth* bits:
+    lengths 1, 2, ..., depth, depth over symbols 0 ... depth."""
+    lengths = np.zeros(256, dtype=np.uint8)
+    lengths[:depth + 1] = [*range(1, depth + 1), depth]
+    return lengths
+
+
+def depth_stream(depth: int, n: int, chunk: int, seed: int = 0):
+    """*n* geometric symbols coded with :func:`depth_code`, each symbol
+    planted once so the code's support matches the data."""
+    rng = np.random.default_rng(seed * 101 + depth)
+    data = np.minimum(rng.geometric(0.5, n) - 1, depth).astype(np.uint8)
+    data[rng.permutation(n)[:depth + 1]] = np.arange(depth + 1)
+    blob = HuffmanCodec(chunk_symbols=chunk).encode(
+        data, lengths=depth_code(depth))
+    assert struct.unpack_from(huffman._HEADER_FMT, blob, 0)[3] == depth
+    return data, blob
+
+
 class SpyCodec(HuffmanCodec):
-    """Records the number of streams in each walk."""
+    """Records the number of streams in each walk and each lockstep."""
 
     def __init__(self) -> None:
         super().__init__()
         self.walks: list[int] = []
+        self.locksteps: list[int] = []
 
     def _decode_short(self, streams, scratch):
         self.walks.append(len(streams))
         return super()._decode_short(streams, scratch)
+
+    def _decode_long(self, streams):
+        self.locksteps.append(len(streams))
+        return super()._decode_long(streams)
 
 
 class TestBatchEqualsReference:
@@ -124,9 +151,17 @@ class TestBatchEqualsReference:
 
 
 class TestCorruptionIsolation:
+    #: Five walk-regime streams and three lockstep-regime ones, the two
+    #: 256-symbol ones sharing one lockstep.
     SPECS = [("zero_heavy", 1792, 1024), ("deep", 1792, 1024),
              ("two", 900, 64), ("single", 700, 1024),
-             ("uniform", 40000, 1024), ("zero_heavy", 3001, 1024)]
+             ("uniform", 40000, 1024), ("zero_heavy", 3001, 1024),
+             ("uniform", 12000, 256), ("deep", 40000, 256)]
+
+    def test_specs_cover_a_shared_lockstep(self):
+        codec = SpyCodec()
+        codec.decode_many(make_mix(self.SPECS)[1])
+        assert sorted(codec.locksteps) == [1, 2] and codec.walks == [5]
 
     @pytest.mark.parametrize("victim", range(len(SPECS)))
     @pytest.mark.parametrize("region", ["header", "payload"])
@@ -156,18 +191,88 @@ class TestCorruptionIsolation:
                     assert np.array_equal(out, data), (victim, i)
 
 
+#: Symbols of a lockstep-regime and of a walk-regime depth stream per
+#: chunk size: every long count clears the regime line at one bit per
+#: symbol, and every count but chunk 1's leaves a ragged final chunk.
+LONG_SYMBOLS = {1: 300, 7: 3001, 256: 70001, 1024: 270001}
+WALK_SYMBOLS = {1: 20, 7: 101, 256: 2001, 1024: 3001}
+
+
+class TestOneLockstep:
+    def test_every_depth_and_chunk_in_one_call(self):
+        """max_len 1 ... 16 at chunks 1, 7, 256 and 1024, lockstep and
+        walk streams, single-symbol and empty streams, in one call."""
+        datas, blobs = [], []
+        for depth in range(1, 17):
+            chunk = (1, 7, 256, 1024)[depth % 4]
+            for n in (LONG_SYMBOLS[chunk], WALK_SYMBOLS[chunk]):
+                data, blob = depth_stream(depth, n, chunk)
+                datas.append(data)
+                blobs.append(blob)
+        for n in (70001, 2001, 0):
+            data = make_data("single", n)
+            datas.append(data)
+            blobs.append(HuffmanCodec().encode(data))
+        codec = SpyCodec()
+        got = codec.decode_many(blobs)
+        # Each stream was sized for its regime: 17 of each (the empty
+        # stream takes neither), and at most one lockstep per distinct
+        # chunk size.
+        assert sum(codec.locksteps) == 17 and sum(codec.walks) == 17
+        assert len(codec.locksteps) <= 4
+        for out, data, blob in zip(got, datas, blobs):
+            assert out.dtype == np.uint8
+            assert np.array_equal(out, decode_reference(blob))
+            assert np.array_equal(out, data)
+
+    def test_default_chunk_streams_share_one_lockstep(self):
+        """Every depth's long stream at the default chunk: one lockstep
+        over all of their lanes, at the widest max_len."""
+        streams = [depth_stream(depth, LONG_SYMBOLS[256], 256, seed=1)
+                   for depth in range(1, 17)]
+        codec = SpyCodec()
+        got = codec.decode_many([blob for _, blob in streams])
+        assert codec.locksteps == [16] and codec.walks == []
+        for out, (data, blob) in zip(got, streams):
+            assert np.array_equal(out, data)
+            assert np.array_equal(out, decode_reference(blob))
+
+    def test_old_and_new_chunks_share_a_lockstep(self):
+        """1024- and 256-symbol streams of equal lanes: the 256-symbol
+        lanes run 1024 rounds, reading past their chunks into padding."""
+        old = depth_stream(9, 200_001, 1024)
+        new = depth_stream(5, 50_001, 256)
+        codec = SpyCodec()
+        got = codec.decode_many([new[1], old[1]])
+        assert codec.locksteps == [2]
+        assert np.array_equal(got[0], new[0])
+        assert np.array_equal(got[1], old[0])
+
+    def test_padding_never_more_than_doubles_the_work(self):
+        """A chunk-1 stream (one round, a lane per symbol) does not pad
+        its 2 400 lanes out to a 1024-round stream's rounds."""
+        tiny = depth_stream(3, 2400, 1)
+        old = depth_stream(9, 200_001, 1024)
+        codec = SpyCodec()
+        got = codec.decode_many([tiny[1], old[1]])
+        assert sorted(codec.locksteps) == [1, 1]
+        assert np.array_equal(got[0], tiny[0])
+        assert np.array_equal(got[1], old[0])
+
+
 class TestBoundedMemory:
     def test_batch_peak_within_one_threshold_stream(self):
         """64 tile groups in one call peak no higher than one stream at
-        the 32 KiB walk threshold: the per-bit tables live one slab at a
-        time."""
+        the walk threshold of 1024-symbol chunks (32 KiB of payload, the
+        largest walk a default store before 256-symbol chunks holds):
+        the per-bit tables live one slab at a time."""
         codec = HuffmanCodec()
         blobs = [codec.encode(make_data("zero_heavy", 1792, seed=s))
                  for s in range(64)]
         n = huffman.SHORT_STREAM_BYTES_PER_ROUND * 1024
         data = np.resize(np.arange(256, dtype=np.uint8), n)
         np.random.default_rng(3).shuffle(data)
-        threshold = codec.encode(data)
+        threshold = HuffmanCodec(1024).encode(data)
 
         def peak(fn):
             tracemalloc.start()

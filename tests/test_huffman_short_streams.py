@@ -29,6 +29,7 @@ from repro.data import generators as gen
 from repro.lossless import hybrid
 from repro.lossless.bitio import bit_windows_all
 from repro.lossless.huffman import (
+    DEFAULT_CHUNK_SYMBOLS,
     MAX_CODE_LENGTH,
     SHORT_STREAM_BYTES_PER_ROUND,
     HuffmanCodec,
@@ -109,9 +110,9 @@ def assert_bytes_or_value_error(codec: HuffmanCodec, blob: bytes, n: int):
 
 
 class SpyCodec(HuffmanCodec):
-    """Records which regime each decode took."""
+    """Records which regime each walk or lockstep took."""
 
-    def __init__(self, chunk_symbols: int = 1024) -> None:
+    def __init__(self, chunk_symbols: int = DEFAULT_CHUNK_SYMBOLS) -> None:
         super().__init__(chunk_symbols)
         self.regimes: list[str] = []
 
@@ -119,9 +120,9 @@ class SpyCodec(HuffmanCodec):
         self.regimes.append("walk")
         return super()._decode_short(*args)
 
-    def _decode_lockstep(self, *args):
+    def _decode_long(self, *args):
         self.regimes.append("lockstep")
-        return super()._decode_lockstep(*args)
+        return super()._decode_long(*args)
 
 
 class TestDifferential:
@@ -143,8 +144,9 @@ class TestDifferential:
         assert header_max_len(encode(HuffmanCodec(), "deep", data)) \
             == MAX_CODE_LENGTH
 
-    def test_fibonacci_histogram_forces_length_limit(self):
-        """A histogram (not a hand-built code) that hits max_len = 16."""
+    def test_fibonacci_histogram_forces_length_limit(self, monkeypatch):
+        """A histogram (not a hand-built code) that hits max_len = 16,
+        through each regime."""
         fib = [1, 1]
         while len(fib) < 24:
             fib.append(fib[-1] + fib[-2])
@@ -154,8 +156,13 @@ class TestDifferential:
         codec = SpyCodec()
         blob = codec.encode(data)
         assert header_max_len(blob) == MAX_CODE_LENGTH
-        assert np.array_equal(codec.decode(blob), data)
-        assert codec.regimes == ["walk"]
+        for per_round, regime in [(1 << 30, "walk"), (0, "lockstep")]:
+            monkeypatch.setattr(
+                huffman, "SHORT_STREAM_BYTES_PER_ROUND", per_round
+            )
+            codec.regimes.clear()
+            assert np.array_equal(codec.decode(blob), data)
+            assert codec.regimes == [regime]
         assert np.array_equal(decode_reference(blob), data)
 
     @pytest.mark.parametrize("chunk", [7, 64, 1024])
@@ -191,14 +198,15 @@ class TestDifferential:
 class TestRegimeRule:
     def test_both_sides_of_the_crossover(self):
         """Uniform bytes code at 8 bits each, so payload.size == n."""
-        limit = SHORT_STREAM_BYTES_PER_ROUND * 1024
+        limit = SHORT_STREAM_BYTES_PER_ROUND * DEFAULT_CHUNK_SYMBOLS
         for n, regime in [(limit, "walk"), (limit + 1, "lockstep")]:
             codec = SpyCodec()
             # Every byte value equally often: all code lengths are 8.
             data = np.resize(np.arange(256, dtype=np.uint8), n)
             np.random.default_rng(n).shuffle(data)
             blob = codec.encode(data)
-            payload = len(blob) - (17 + 256 + 4 + 4 * (-(-n // 1024) + 1))
+            chunks = -(-n // DEFAULT_CHUNK_SYMBOLS)
+            payload = len(blob) - (17 + 256 + 4 + 4 * (chunks + 1))
             assert payload == n
             assert np.array_equal(codec.decode(blob), data)
             assert codec.regimes == [regime]

@@ -125,7 +125,7 @@ SURFACE = [
     (transform_for,
      [("shape", REQUIRED), ("num_levels", None), ("mode", "hierarchical"),
       ("min_size", 4)]),
-    (HuffmanCodec, [("chunk_symbols", 1024)]),
+    (HuffmanCodec, [("chunk_symbols", 256)]),
     (HuffmanCodec.encode,
      [("data", REQUIRED), ("freqs", None), ("lengths", None)]),
     (huffman_encode,

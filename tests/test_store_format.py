@@ -23,8 +23,9 @@ v3's two files byte for byte, every segment blob in v3 must equal
 v2's (only the index records differ), and — the golden fields being
 too small to reach the Huffman coder — a 24^3 refactor must reproduce
 the per-group digests recorded before the code construction was
-rewritten (:data:`GROUP_DIGESTS`). A change to a code length or to a
-selector decision changes stored bytes and fails here.
+rewritten (:data:`GROUP_DIGESTS`). A change to a code length, to a
+selector decision or to the Huffman chunk size changes stored bytes and
+fails here.
 
 A record that does not check out raises
 :class:`~repro.core.errors.SegmentCorruptionError` naming its key:
@@ -91,7 +92,10 @@ DIGESTS = {
 #: ``lognormal_density((24,) * 3, seed=3)`` and, per plane group of its
 #: default refactor, (level, first plane, method, SHA-256 of
 #: ``to_bytes()``) — recorded at the commit before the two-queue Huffman
-#: construction and the histogram bound replaced the heap.
+#: construction and the histogram bound replaced the heap. The two
+#: Huffman rows were re-recorded by the same recipe when the default
+#: chunk went from 1024 to 256 symbols: same decisions, longer offset
+#: tables.
 GROUP_INPUT_DIGEST = \
     "783caa3181ca31cfc8894a642e9fb8c157c2a558e5770991aec957a01eae7f99"
 GROUP_DIGESTS = [
@@ -132,9 +136,9 @@ GROUP_DIGESTS = [
     (1, 32, "direct", 
      "74a6388ff5f9d74f139a59d4c940e916ac2307ca28a89eb2d2e5425bb25b6f66"),
     (2,  0, "huffman",
-     "992ef3c9dff793c0bfc1f15a8776343531f8409a0323d3d9ac8ecb95144e874b"),
+     "7436954f19e35f18373950004b18436db1c0765ce77393b42329f35a2f965a8b"),
     (2,  4, "huffman",
-     "d81809cdc1832c65103434b83864fdbfe10206c8acc7e2475b1020d98c189b83"),
+     "f9867fa2b0ac1c4c0168034dec514facddd2688da00681afc33a65b6132a8389"),
     (2,  8, "direct", 
      "c7ef73f75cde300a366e0b080187f5dbaca7ffe005f30cc014ab1c688b24b19f"),
     (2, 12, "direct", 
