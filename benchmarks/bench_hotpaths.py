@@ -26,20 +26,23 @@ A batch read hands every Huffman group of its tiles to one
 ``HuffmanCodec.decode_many`` call (``huffman_batch_sweep``): S = 1 ... 64
 streams of 1792 symbols (a 16^3 tile's plane group) decoded by one call
 against a per-stream ``decode`` loop, plus the largest S at several
-slab caps, which is the evidence behind ``SLAB_PAYLOAD_BYTES``.
+slab caps and per-lane walk lengths, the evidence behind
+``SLAB_PAYLOAD_BYTES`` and ``_WALK_SYMBOLS``.
 
 The read path's per-tile floor is recorded as a curve
 (``tile_batch_sweep``): one staircase step of K tiles of 16^3 decoded
 as one batch (``Reconstructor.decode_steps``), K = 1 ... 64, as the
 wall per tile.
 
-The inverse transform is swept by cube size (``recompose_sweep``,
-16^3 ... 80^3 float64): ``MultilevelTransform.recompose``, which lifts
-in place on the natural grid, timed in alternation against the
-corner-packed transform it replaced (``tests/oracles/
-corner_transform.py``), on coefficients that recompose to the same
-bytes. The seed Huffman kernels (``encode_reference``,
-``decode_reference``, ``build_code_lengths_reference``) are the test
+The transform is swept by cube size (``recompose_sweep``, 16^3 ...
+96^3 float64): ``MultilevelTransform.recompose`` and ``decompose``,
+which lift in place on the natural grid one cache-sized slab at a time,
+timed in alternation against the corner-packed transform they replaced
+(``tests/oracles/corner_transform.py``), on coefficients that recompose
+to the same bytes; plus a read batch's stack of 18 16^3 tiles, and the
+slab-size rows behind ``transform._SLAB_BYTES``. The seed Huffman
+kernels (``encode_reference``, ``decode_reference``,
+``build_code_lengths_reference``) are the test
 oracles of ``tests/oracles/huffman_seed.py``, and the seed plane inject
 (``inject_planes_reference``) is that of ``tests/oracles/
 bitplane_decode.py``. The ``inject_*`` keys time it against the
@@ -66,6 +69,7 @@ import platform
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -75,6 +79,7 @@ from repro.core.reconstruct import Reconstructor
 from repro.core.refactor import Refactorer
 from repro.data import generators as gen
 from repro.decompose import MultilevelTransform
+from repro.decompose import transform as transform_module
 from repro.bitplane.encoding import (
     apply_planes,
     begin_decode_state,
@@ -143,13 +148,15 @@ SMOKE_SWEEP_SIZES = (1792, 6048, 70000)
 #: ratio still read 0.79-1.05 on the recording box.
 SWEEP_REPS = 21
 #: Stream counts of the Huffman batch sweep (1792-symbol streams, a
-#: 16^3 tile's plane group), the slab caps timed at its largest count,
-#: and its floors against the per-stream loop: >= 1.5x at 16 streams,
-#: and a one-stream call no slower than 0.9x of ``decode``.
+#: 16^3 tile's plane group), the slab caps and walk lengths timed at
+#: its largest count, and its floors against the per-stream loop:
+#: >= 1.5x at 16 streams, and a one-stream call no slower than 0.9x of
+#: ``decode``.
 HUFFMAN_BATCH_SIZES = (1, 2, 4, 8, 16, 32, 64)
 SMOKE_HUFFMAN_BATCH_SIZES = (1, 4)
 HUFFMAN_BATCH_SYMBOLS = 1792
 SLAB_CAPS = (4096, 8192, 16384, 32768, 65536, 1 << 20)
+WALK_LENGTHS = (4, 8, 16, 32, 64)
 MIN_BATCH_GAIN_AT_16 = 1.5
 MIN_BATCH_GAIN_AT_1 = 0.9
 #: Tile batch widths of the batch-decode sweep, and its tile shape.
@@ -159,9 +166,16 @@ BATCH_TILE = (16, 16, 16)
 #: Cube edges of the recompose sweep (float64), and its floors against
 #: the corner-packed oracle: >= 1.3x at 80^3 (read_staircase's field
 #: size) and no slower than 0.9x at 16^3 (a tile).
-RECOMPOSE_EDGES = (16, 48, 64, 80)
+RECOMPOSE_EDGES = (16, 48, 64, 80, 96)
 SMOKE_RECOMPOSE_EDGES = (8, 16)
 RECOMPOSE_REPS = 15
+#: Tiles of the recompose sweep's stack row (16^3 each, a read batch),
+#: and the edges and slab sizes of its slab rows (``1 << 30``: one slab
+#: per halving step).
+STACK_TILES = 18
+SLAB_EDGES = (64, 80)
+SMOKE_SLAB_EDGES = (16,)
+SLAB_SIZES = (1 << 17, 1 << 18, 1 << 19, 3 << 18, 1 << 20, 1 << 21, 1 << 30)
 MIN_RECOMPOSE_GAIN_AT_80 = 1.3
 MIN_RECOMPOSE_GAIN_AT_16 = 0.9
 #: The walk is forced only up to this many times the regime threshold
@@ -355,7 +369,7 @@ def huffman_decode_sweep(sizes=SWEEP_SIZES, reps: int = SWEEP_REPS) -> dict:
 
 def huffman_batch_sweep(
     sizes=HUFFMAN_BATCH_SIZES, reps: int = SWEEP_REPS,
-    caps=SLAB_CAPS,
+    caps=SLAB_CAPS, walks=WALK_LENGTHS,
 ) -> dict:
     """Decode wall of S short streams: one call against a stream loop.
 
@@ -365,7 +379,9 @@ def huffman_batch_sweep(
     ``decode`` per stream (each stream its own walk) over one
     ``decode_many`` (one walk per slab). ``cap_rows`` time the largest S
     at each slab cap in alternation; the cap is a module constant, set
-    where these flatten. Outputs are asserted equal on every row.
+    where these flatten. ``walk_rows`` time it at each per-lane walk
+    length (``_WALK_SYMBOLS``) the same way. Outputs are asserted equal
+    on every row.
     """
     codec = HuffmanCodec()
     rng = np.random.default_rng(33)
@@ -409,8 +425,21 @@ def huffman_batch_sweep(
         assert all(np.array_equal(a, b) for a, b in zip(out, datas))
     cap_rows = [{"slab_payload_bytes": c, "batch_median_ms": float(w) * 1e3}
                 for c, w in zip(caps, np.median(walls, axis=0))]
+
+    def walking(walk):
+        def run():
+            with mock.patch.object(huffman, "_WALK_SYMBOLS", walk):
+                return codec.decode_many(blobs)
+        return run
+
+    walls, outs = _times_interleaved([walking(w) for w in walks], reps)
+    for out in outs:
+        assert all(np.array_equal(a, b) for a, b in zip(out, datas))
+    walk_rows = [{"walk_symbols": k, "batch_median_ms": float(w) * 1e3}
+                 for k, w in zip(walks, np.median(walls, axis=0))]
     return {"slab_payload_bytes": saved, "stream_symbols":
-            HUFFMAN_BATCH_SYMBOLS, "rows": rows, "cap_rows": cap_rows}
+            HUFFMAN_BATCH_SYMBOLS, "rows": rows, "cap_rows": cap_rows,
+            "walk_symbols": huffman._WALK_SYMBOLS, "walk_rows": walk_rows}
 
 
 def _sweep_histogram(shape: str, present: int, rng) -> np.ndarray:
@@ -512,45 +541,134 @@ def tile_batch_sweep(
             "rows": rows}
 
 
-def recompose_sweep(
-    edges=RECOMPOSE_EDGES, reps: int = RECOMPOSE_REPS
-) -> dict:
-    """``recompose`` wall per cube edge, natural layout vs corner-packed.
+def _alternate(calls, reps: int) -> np.ndarray:
+    """``(reps, len(calls))`` walls: every call once per rep, the order
+    reversed on odd reps. Each call returns the wall it timed."""
+    walls = np.empty((reps, len(calls)))
+    for rep in range(reps):
+        order = range(len(calls)) if rep % 2 == 0 else \
+            reversed(range(len(calls)))
+        for i in order:
+            walls[rep, i] = calls[i]()
+    return walls
 
-    Both transforms recompose the same levels of a Gaussian random
-    field (each assembled in its own layout) in place, in alternating
-    reps; the copy each rep starts from is outside the timer.
-    ``vs_corner_packed`` is the median of the per-rep ratios; the two
-    outputs must be byte-identical.
+
+def _timed_recompose(transform, source, outputs, key):
+    """A call for :func:`_alternate`: recompose a copy of *source* in
+    place (the copy outside the timer), keep the output under *key*."""
+    def call():
+        work = source.copy()
+        t0 = time.perf_counter()
+        outputs[key] = transform.recompose(work, overwrite=True)
+        return time.perf_counter() - t0
+    return call
+
+
+def _timed_decompose(transform, field, outputs, key):
+    def call():
+        t0 = time.perf_counter()
+        outputs[key] = transform.decompose(field)
+        return time.perf_counter() - t0
+    return call
+
+
+def recompose_sweep(
+    edges=RECOMPOSE_EDGES, reps: int = RECOMPOSE_REPS,
+    stack_tiles: int = STACK_TILES, slab_edges=SLAB_EDGES,
+    slab_sizes=SLAB_SIZES,
+) -> dict:
+    """The transform's wall per cube edge, natural layout vs corner-packed.
+
+    Per edge, both transforms recompose the same levels of a Gaussian
+    random field (each assembled in its own layout) in place, and
+    decompose the field, in alternating reps; a recompose's starting
+    copy is outside the timer. ``vs_corner_packed`` (recompose) and
+    ``decompose_vs_corner_packed`` are medians of the per-rep ratios;
+    the outputs must be byte-identical. ``stack`` recomposes a read
+    batch's ``(stack_tiles, 16, 16, 16)`` stack the same way. Each
+    ``slab_rows`` entry times the natural transform at one edge with
+    ``transform._SLAB_BYTES`` patched to each of *slab_sizes*
+    (``1 << 30``: one slab per step), in alternation in one process: the
+    evidence behind the constant.
     """
     rows = []
     for edge in edges:
         shape = (edge,) * 3
         natural = MultilevelTransform(shape)
         corner = CornerPackedTransform(shape)
-        levels = natural.extract_levels(natural.decompose(
-            gen.gaussian_random_field(shape, -2.0, seed=edge)))
-        sources = [natural.assemble_levels(levels),
-                   corner.assemble_levels(levels)]
-        walls = np.empty((reps, 2))
-        outputs = [None, None]
-        for rep in range(reps):
-            order = (0, 1) if rep % 2 == 0 else (1, 0)
-            for i in order:
-                work = sources[i].copy()
-                transform = (natural, corner)[i]
-                t0 = time.perf_counter()
-                outputs[i] = transform.recompose(work, overwrite=True)
-                walls[rep, i] = time.perf_counter() - t0
-        assert outputs[0].tobytes() == outputs[1].tobytes(), \
+        field = gen.gaussian_random_field(shape, -2.0, seed=edge)
+        levels = natural.extract_levels(natural.decompose(field))
+        out = {}
+        walls = _alternate([
+            _timed_recompose(natural, natural.assemble_levels(levels),
+                             out, "natural"),
+            _timed_recompose(corner, corner.assemble_levels(levels),
+                             out, "corner"),
+            _timed_decompose(natural, field, out, "natural_levels"),
+            _timed_decompose(corner, field, out, "corner_levels"),
+        ], reps)
+        assert out["natural"].tobytes() == out["corner"].tobytes(), \
             f"natural recompose diverged from corner-packed at {shape}"
+        for got, want in zip(natural.extract_levels(out["natural_levels"]),
+                             corner.extract_levels(out["corner_levels"])):
+            assert got.tobytes() == want.tobytes(), \
+                f"natural decompose diverged from corner-packed at {shape}"
         rows.append({
             "edge": edge,
             "natural_ms": float(walls[:, 0].min()) * 1e3,
             "corner_packed_ms": float(walls[:, 1].min()) * 1e3,
             "vs_corner_packed": float(np.median(walls[:, 1] / walls[:, 0])),
+            "decompose_ms": float(walls[:, 2].min()) * 1e3,
+            "corner_packed_decompose_ms": float(walls[:, 3].min()) * 1e3,
+            "decompose_vs_corner_packed": float(
+                np.median(walls[:, 3] / walls[:, 2])),
         })
-    return {"dtype": "float64", "reps": reps, "rows": rows}
+
+    tile = (16, 16, 16)
+    natural, corner = MultilevelTransform(tile), CornerPackedTransform(tile)
+    levels = [natural.extract_levels(natural.decompose(
+        gen.gaussian_random_field(tile, -2.0, seed=k)))
+        for k in range(stack_tiles)]
+    out = {}
+    walls = _alternate([
+        _timed_recompose(natural, np.stack(
+            [natural.assemble_levels(lv) for lv in levels]), out, "natural"),
+        _timed_recompose(corner, np.stack(
+            [corner.assemble_levels(lv) for lv in levels]), out, "corner"),
+    ], reps)
+    assert out["natural"].tobytes() == out["corner"].tobytes(), \
+        "natural stack recompose diverged from corner-packed"
+    stack = {"tiles": stack_tiles, "tile": list(tile),
+             "natural_ms": float(walls[:, 0].min()) * 1e3,
+             "corner_packed_ms": float(walls[:, 1].min()) * 1e3,
+             "vs_corner_packed": float(np.median(walls[:, 1] / walls[:, 0]))}
+
+    slab_rows = []
+    for edge in slab_edges:
+        shape = (edge,) * 3
+        natural = MultilevelTransform(shape)
+        field = gen.gaussian_random_field(shape, -2.0, seed=edge)
+        source = natural.decompose(field)
+        calls, out = [], {}
+        for size in slab_sizes:
+            def patched(call, size=size):
+                def run():
+                    with mock.patch.object(transform_module, "_SLAB_BYTES",
+                                           size):
+                        return call()
+                return run
+            calls += [patched(_timed_recompose(natural, source, out, size)),
+                      patched(_timed_decompose(natural, field, out, -size))]
+        walls = np.median(_alternate(calls, reps), axis=0) * 1e3
+        assert len({out[k].tobytes() for k in slab_sizes}) == 1
+        assert len({out[-k].tobytes() for k in slab_sizes}) == 1
+        slab_rows.append({"edge": edge, "sizes": [
+            {"slab_bytes": size, "recompose_ms": float(walls[2 * i]),
+             "decompose_ms": float(walls[2 * i + 1])}
+            for i, size in enumerate(slab_sizes)]})
+    return {"dtype": "float64", "reps": reps, "rows": rows, "stack": stack,
+            "slab_bytes": transform_module._SLAB_BYTES,
+            "slab_rows": slab_rows}
 
 
 def run_benchmarks(
@@ -559,7 +677,7 @@ def run_benchmarks(
     code_length_calls: int = CODE_LENGTH_CALLS,
     tile_batch_sizes=TILE_BATCH_SIZES, batch_tile=BATCH_TILE,
     huffman_batch_sizes=HUFFMAN_BATCH_SIZES,
-    recompose_edges=RECOMPOSE_EDGES,
+    recompose_edges=RECOMPOSE_EDGES, slab_edges=SLAB_EDGES,
 ) -> dict:
     """Measure all hot paths; returns the BENCH_hotpaths payload."""
     rng = np.random.default_rng(0)
@@ -677,7 +795,8 @@ def run_benchmarks(
             huffman_batch_sizes, sweep_reps),
         "tile_batch_sweep": tile_batch_sweep(
             tile_batch_sizes, batch_tile, reps),
-        "recompose_sweep": recompose_sweep(recompose_edges),
+        "recompose_sweep": recompose_sweep(recompose_edges,
+                                           slab_edges=slab_edges),
         "rle": {
             "encode_ms": t_renc * 1e3,
             "decode_ms": t_rdec * 1e3,
@@ -753,7 +872,8 @@ def main(argv: list[str] | None = None) -> None:
                        tile_batch_sizes=SMOKE_TILE_BATCH_SIZES,
                        batch_tile=(8, 8, 8),
                        huffman_batch_sizes=SMOKE_HUFFMAN_BATCH_SIZES,
-                       recompose_edges=SMOKE_RECOMPOSE_EDGES)
+                       recompose_edges=SMOKE_RECOMPOSE_EDGES,
+                       slab_edges=SMOKE_SLAB_EDGES)
         print("bench_hotpaths smoke ok (tiny sizes, no floors, "
               "nothing written)")
         return
@@ -809,16 +929,31 @@ def main(argv: list[str] | None = None) -> None:
             f"{row['batch_ms']:.2f} ms, {row['vs_loop']:.2f}x vs "
             "a decode per stream"
         )
+    print("huffman batch by walk length: " + ", ".join(
+        f"{row['walk_symbols']} {row['batch_median_ms']:.2f} ms"
+        for row in results["huffman_batch_sweep"]["walk_rows"]))
     for row in results["tile_batch_sweep"]["rows"]:
         print(
             f"tile batch of {row['tiles']:>2} x 16^3: "
             f"{row['per_tile_us']:.0f} us per tile"
         )
-    for row in results["recompose_sweep"]["rows"]:
+    sweep = results["recompose_sweep"]
+    for row in sweep["rows"]:
         print(
             f"recompose {row['edge']}^3: {row['natural_ms']:.2f} ms, "
-            f"{row['vs_corner_packed']:.2f}x vs corner-packed"
+            f"{row['vs_corner_packed']:.2f}x vs corner-packed; decompose "
+            f"{row['decompose_ms']:.2f} ms, "
+            f"{row['decompose_vs_corner_packed']:.2f}x"
         )
+    stack = sweep["stack"]
+    print(f"recompose {stack['tiles']} x 16^3 stack: "
+          f"{stack['natural_ms']:.2f} ms, "
+          f"{stack['vs_corner_packed']:.2f}x vs corner-packed")
+    for row in sweep["slab_rows"]:
+        print(f"slab bytes at {row['edge']}^3 (recompose/decompose ms): "
+              + ", ".join(f"{r['slab_bytes'] >> 10}K "
+                          f"{r['recompose_ms']:.2f}/{r['decompose_ms']:.2f}"
+                          for r in row["sizes"]))
     print(
         f"rle: encode {results['rle']['encode_throughput_mbps']:.0f} MB/s, "
         f"decode {results['rle']['decode_throughput_mbps']:.0f} MB/s"

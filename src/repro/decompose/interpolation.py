@@ -1,8 +1,8 @@
 """1-D building blocks of the multilevel transform, applied along an axis.
 
-Every operation works on a view with the target axis moved to the front,
-keeping the remaining axes vectorized (the idiom GPU-MGARD uses for its
-grid-processing kernels: one "thread" per orthogonal fiber).
+The lift works on rows of a contiguous lattice, the MGARD correction on
+a view with the target axis moved to the front; either keeps the other
+axes vectorized (GPU-MGARD's grid-processing idiom: one "thread" per fiber).
 
 Naming follows the finite-element view: a fine grid of ``n`` nodes splits
 into coarse (even-index) nodes and odd nodes; odd values are predicted by
@@ -20,23 +20,42 @@ import numpy as np
 from repro.decompose.grid import coarse_size
 
 
-def lift(odd: np.ndarray, even: np.ndarray, n: int, op) -> None:
-    """Apply ``op`` (``np.subtract`` to decompose, ``np.add`` to
-    recompose) of the odd nodes' prediction to *odd*, in place.
+def pairs(lattice: np.ndarray, axis: int, buf: np.ndarray):
+    """``(even, odd, pred, run)`` of a contiguous *lattice* along *axis*
+    for :func:`lift`: 3-D views with node rows on axis 1, *pred* a view
+    of the flat scratch *buf*. An even extent ``n`` is the rows view
+    ``(outer·n/2, 2·inner)`` (an even node, then its odd neighbour), so
+    one ufunc call lifts every fiber, ``run = n/2`` rows each (the last
+    axis, ``inner = 1``, is one flat stride-2 view); an odd extent is
+    ``(outer, n, inner)`` split at stride 2."""
+    n = lattice.shape[axis]
+    inner = lattice[(0,) * (axis + 1)].size
+    if n % 2:
+        v = lattice.reshape(-1, n, inner)
+        even, odd = v[:, 0::2], v[:, 1::2]
+    else:
+        rows = lattice.reshape(1, -1, 2 * inner)
+        even, odd = rows[..., :inner], rows[..., inner:]
+    return even, odd, buf[:odd.size].reshape(odd.shape), n // 2
 
-    Odd node ``2i+1`` is predicted by ``(even[i] + even[i+1]) / 2``. When
-    ``n`` is even the last odd node has no right neighbor and is predicted
-    by its left neighbor alone — weights stay nonnegative and sum to one,
-    which keeps L∞ error composition exact. *odd* and *even* are the
-    axis-0 node views of an ``n``-node grid (``even`` read, ``odd``
-    written).
+
+def lift(even, odd, pred, run: int, op) -> None:
+    """Apply ``op`` (``np.subtract`` to decompose, ``np.add`` to
+    recompose) of the odd rows' prediction to *odd*, in place.
+
+    Odd row ``i`` (axis 1) is predicted by ``(even[i] + even[i+1]) / 2``.
+    With no even row past the last odd one (an even extent), each run's
+    last odd row is predicted by its left neighbor alone (its sum across
+    the run's end is overwritten) — weights stay nonnegative and sum to
+    one, which keeps L∞ error composition exact.
     """
-    interior = n // 2 if n % 2 == 1 else n // 2 - 1
-    pred = even[:interior] + even[1 : interior + 1]
-    pred *= 0.5
-    op(odd[:interior], pred, out=odd[:interior])
-    if n % 2 == 0:
-        op(odd[interior:], even[interior : interior + 1], out=odd[interior:])
+    m = even.shape[1] - 1
+    head = pred[:, :m]
+    np.add(even[:, :-1], even[:, 1:], out=head)
+    head *= 0.5
+    if m < odd.shape[1]:
+        pred[:, run - 1 :: run] = even[:, run - 1 :: run]
+    op(odd, pred, out=odd)
 
 
 def residual_load(detail: np.ndarray, n: int) -> np.ndarray:
@@ -128,11 +147,13 @@ def _abs_correction_matrix(n: int) -> np.ndarray:
 
 
 def abs_correction_from_detail(detail: np.ndarray, n: int) -> np.ndarray:
-    """Upper bound on |correction| given elementwise |detail| bounds."""
+    """Upper bound on |correction| given elementwise |detail| bounds,
+    summed over the odd nodes in order: BLAS rounds a fiber by where it
+    sits among the others, which slabs and layouts move."""
     mat = _abs_correction_matrix(n)
-    # Contiguous, so BLAS sums in one order whatever the view's strides.
-    flat = np.ascontiguousarray(detail).reshape(detail.shape[0], -1)
-    out = mat @ flat
-    return out.reshape((mat.shape[0],) + detail.shape[1:]).astype(
-        detail.dtype, copy=False
-    )
+    out = np.zeros((mat.shape[0],) + detail.shape[1:], dtype=detail.dtype)
+    term = np.empty_like(out)
+    column = (mat.shape[0],) + (1,) * (detail.ndim - 1)
+    for k in range(detail.shape[0]):
+        out += np.multiply(mat[:, k].reshape(column), detail[k], out=term)
+    return out

@@ -2,13 +2,13 @@
 
 ``MultilevelTransform`` is the Python counterpart of GPU-MGARD's
 (re)decomposer: it turns an n-D field into hierarchical coefficients
-level by level, axis by axis, lifting in place on the field's natural
-grid. Halving step *s* updates the sub-lattice of stride ``2**h`` per
-axis (``h`` = the axis's earlier halvings): each axis pass subtracts
-from every odd node the interpolation of its even neighbours (recompose
-adds it back) as one strided update, so coefficients never move — the
-coarse values stay on the even nodes, the step's details on the odd
-ones.
+level by level, lifting in place on the field's natural grid. Halving
+step *s* works on the sub-lattice of stride ``2**h`` per axis (``h`` =
+the axis's earlier halvings), copied out contiguous, one cache-sized
+slab at a time: each axis pass subtracts from every odd node the
+interpolation of its even neighbours (recompose adds it back) in one
+ufunc call per slab, so coefficients never move — the coarse values
+stay on the even nodes, the step's details on the odd ones.
 :meth:`~MultilevelTransform.level_indices` lists each level's nodes in
 the order of the corner-packed layout (coarse block in the corner,
 details around it), which every stored stream uses. The transform is an
@@ -36,6 +36,9 @@ from repro.decompose.grid import LevelGeometry, num_levels_for_shape
 from repro.util.validation import check_dtype_floating
 
 _MODES = ("hierarchical", "mgard")
+#: Bytes of lattice one slab of a halving step holds: set from the
+#: ``slab_rows`` of ``recompose_sweep`` in ``benchmarks/bench_hotpaths.py``.
+_SLAB_BYTES = 1 << 19
 
 
 class MultilevelTransform:
@@ -73,12 +76,12 @@ class MultilevelTransform:
         self._indices = tuple(self.geometry.level_indices())
         for index in self._indices:
             index.setflags(write=False)
-        # Per halving step: its sub-lattice and the axes it halves.
+        # Per halving step: its even nodes (the next step's lattice) as
+        # a slice of its own lattice, and the axes it halves.
         self._steps = [
-            (tuple(slice(None, None, st) for st in strides),
-             self.geometry.halved_axes(step))
-            for step, strides in enumerate(
-                self.geometry.strides()[:num_levels])]
+            (tuple(slice(None, None, 1 + (ax in axes))
+                   for ax in range(len(shape))), axes)
+            for axes in map(self.geometry.halved_axes, range(num_levels))]
 
     # ------------------------------------------------------------------
     # Public geometry accessors
@@ -109,13 +112,7 @@ class MultilevelTransform:
     def decompose(self, data: np.ndarray) -> np.ndarray:
         """Forward transform: field → coefficients on the natural grid."""
         coeffs = self._prepare(data)
-        for sub, axes in self._steps:
-            lattice = coeffs[sub]
-            for axis in axes:
-                even, odd, n = self._halves(lattice, axis)
-                interp.lift(odd, even, n, np.subtract)
-                if self.mode == "mgard":
-                    even += interp.correction_from_detail(odd, n)
+        self._sweep(coeffs, (), np.subtract)
         return coeffs
 
     def recompose(
@@ -142,7 +139,7 @@ class MultilevelTransform:
             data = coeffs
         else:
             data = self._prepare(coeffs, batched=bool(lead))
-        self._recompose(data, lead, absolute=False)
+        self._sweep(data, lead, np.add)
         return data
 
     def recompose_absolute(self, coeffs: np.ndarray) -> np.ndarray:
@@ -155,7 +152,7 @@ class MultilevelTransform:
         data = self._prepare(coeffs)
         if np.any(data < 0):
             raise ValueError("absolute recompose expects nonnegative input")
-        self._recompose(data, (), absolute=True)
+        self._sweep(data, (), np.add, absolute=True)
         return data
 
     # ------------------------------------------------------------------
@@ -205,26 +202,65 @@ class MultilevelTransform:
         # through the original dtype at the pipeline boundary.
         return np.array(data, dtype=np.float64, copy=True)
 
-    @staticmethod
-    def _halves(lattice: np.ndarray, axis: int):
-        """``(even, odd, n)`` node views of *lattice* along *axis*, that
-        axis moved to the front (``np.moveaxis``'s view, without its
-        argument checks)."""
-        v = lattice.transpose(
-            (axis, *range(axis), *range(axis + 1, lattice.ndim)))
-        return v[0::2], v[1::2], v.shape[0]
+    def _sweep(self, data: np.ndarray, lead: tuple, op, absolute=False):
+        """Every halving step (finest first to decompose, ``op`` =
+        ``np.subtract``), each on its lattice copied out contiguous, in
+        slabs of about ``_SLAB_BYTES`` along the first axis (even plane
+        counts; whole tiles of a stack): a slab lifts along every other
+        halved axis while it is in cache. A halved first axis couples
+        slabs: a slab's odd planes decompose first, against untouched
+        even planes, and recompose once both neighbours' slabs are done;
+        ``mgard`` solves along it over the whole lattice instead."""
+        forward = op is np.subtract
+        buf = np.empty(data.size // 2)  # a pass touches <= half a lattice
+        chain = [data]
+        for even, axes in self._steps:
+            if forward:
+                self._slabs(chain[-1], lead, axes, op, buf, absolute)
+            chain.append(chain[-1][lead + even].copy())
+        for step in reversed(range(len(self._steps))):
+            even, axes = self._steps[step]
+            chain[step][lead + even] = chain[step + 1]
+            if not forward:
+                self._slabs(chain[step], lead, axes, op, buf, absolute)
 
-    def _recompose(self, data: np.ndarray, lead: tuple, absolute: bool):
-        for sub, axes in reversed(self._steps):
-            lattice = data[lead + sub]
-            for axis in reversed(axes):
-                even, odd, n = self._halves(lattice, axis + len(lead))
-                if self.mode == "mgard":
-                    if absolute:
-                        even += interp.abs_correction_from_detail(odd, n)
-                    else:
-                        even -= interp.correction_from_detail(odd, n)
-                interp.lift(odd, even, n, np.add)
+    def _slabs(self, lattice, lead, axes, op, buf, absolute):
+        axes = [axis + len(lead) for axis in axes]
+        first, n, forward = axes[0] == 0, lattice.shape[0], op is np.subtract
+        others = axes[first:] if forward else axes[first:][::-1]
+        whole = first and self.mode == "mgard"
+        planes = first and not whole
+        span = max(2, _SLAB_BYTES // lattice[0].nbytes) & -2
+        if whole and forward:
+            self._lift(lattice, 0, op, buf, absolute)
+        start = 0  # recompose: the even plane the next odd planes lift from
+        for a in range(0, n, span):
+            b = min(a + span, n)
+            if planes and forward:
+                self._lift(lattice[a:b + 1], 0, op, buf, absolute)
+            for axis in others:
+                self._lift(lattice[a:b], axis, op, buf, absolute)
+            if planes and not forward:
+                end = n if b == n else b - 1
+                self._lift(lattice[start:end], 0, op, buf, absolute)
+                start = end - 1
+        if whole and not forward:
+            self._lift(lattice, 0, op, buf, absolute)
+
+    def _lift(self, lattice, axis, op, buf, absolute):
+        """One pass along *axis*, with ``mgard``'s correction of the even
+        nodes (before the odd ones to recompose, after to decompose)."""
+        if self.mode == "mgard":  # the axis moved to the front
+            v = lattice.transpose(
+                (axis, *range(axis), *range(axis + 1, lattice.ndim)))
+            even, odd, n = v[0::2], v[1::2], v.shape[0]
+            if op is np.add and absolute:
+                even += interp.abs_correction_from_detail(odd, n)
+            elif op is np.add:
+                even -= interp.correction_from_detail(odd, n)
+        interp.lift(*interp.pairs(lattice, axis, buf), op)
+        if self.mode == "mgard" and op is np.subtract:
+            even += interp.correction_from_detail(odd, n)
 
 
 def transform_for(

@@ -57,10 +57,14 @@ DEFAULT_CHUNK_SYMBOLS = 256
 #: transient per-bit-position tables at ~7 MB).
 SHORT_STREAM_BYTES_PER_ROUND = 32
 #: Symbols each lane walks between entry points (a power of two: the
-#: jump table is built by repeated squaring). ~sqrt(1024) balanced
-#: entry-point gathers against walk steps at 1024-symbol chunks; a
-#: 256-symbol chunk has 8 entry points.
-_WALK_SYMBOLS = 32
+#: jump table is built by repeated squaring, one gather over every bit
+#: position per doubling). At 256-symbol chunks 8 walked symbols leave
+#: 32 entry points, whose gathers run over the lanes only: set from the
+#: ``walk_rows`` of ``huffman_batch_sweep`` in
+#: ``benchmarks/bench_hotpaths.py`` (8 beat 32 by ~10% at 64 streams)
+#: and a replay of ``roi_latency``'s ``decode_many`` calls (0.83-0.90x
+#: of 32's wall).
+_WALK_SYMBOLS = 8
 #: Payload cap of one walk slab: width-sorted walk-regime streams share
 #: one walk while their payloads sum to at most this many bytes. Set
 #: from the ``cap_rows`` of ``huffman_batch_sweep`` in
