@@ -252,7 +252,7 @@ def _best_time(fn, reps: int = REPS):
     return best, result
 
 
-def _times_interleaved(fns, reps: int = REPS):
+def _times_interleaved(fns, reps: int = REPS, setups=None):
     """Per-rep walls of each function, run round-robin: ``(reps, len(fns))``.
 
     Ratios between the functions are what the sweep gates, and this box
@@ -260,14 +260,18 @@ def _times_interleaved(fns, reps: int = REPS):
     alternation exposes each to the same drift. The order reverses every
     rep because a decode's wall depends on what its predecessor left in
     the allocator (same code reads 0.26 or 0.37 ms by position alone).
+    ``setups[i]``, where given, runs before the timer and its result is
+    ``fns[i]``'s argument (an in-place recompose's starting copy).
     """
     walls = np.empty((reps, len(fns)))
     results = [None] * len(fns)
+    setups = setups or [None] * len(fns)
     for rep in range(reps):
         order = range(len(fns)) if rep % 2 == 0 else reversed(range(len(fns)))
         for i in order:
+            args = () if setups[i] is None else (setups[i](),)
             t0 = time.perf_counter()
-            results[i] = fns[i]()
+            results[i] = fns[i](*args)
             walls[rep, i] = time.perf_counter() - t0
     return walls, results
 
@@ -541,35 +545,10 @@ def tile_batch_sweep(
             "rows": rows}
 
 
-def _alternate(calls, reps: int) -> np.ndarray:
-    """``(reps, len(calls))`` walls: every call once per rep, the order
-    reversed on odd reps. Each call returns the wall it timed."""
-    walls = np.empty((reps, len(calls)))
-    for rep in range(reps):
-        order = range(len(calls)) if rep % 2 == 0 else \
-            reversed(range(len(calls)))
-        for i in order:
-            walls[rep, i] = calls[i]()
-    return walls
-
-
-def _timed_recompose(transform, source, outputs, key):
-    """A call for :func:`_alternate`: recompose a copy of *source* in
-    place (the copy outside the timer), keep the output under *key*."""
-    def call():
-        work = source.copy()
-        t0 = time.perf_counter()
-        outputs[key] = transform.recompose(work, overwrite=True)
-        return time.perf_counter() - t0
-    return call
-
-
-def _timed_decompose(transform, field, outputs, key):
-    def call():
-        t0 = time.perf_counter()
-        outputs[key] = transform.decompose(field)
-        return time.perf_counter() - t0
-    return call
+def _in_place(transform):
+    """Recompose a starting copy in place (the copy is a setup of
+    :func:`_times_interleaved`, outside the timer)."""
+    return lambda work: transform.recompose(work, overwrite=True)
 
 
 def recompose_sweep(
@@ -598,19 +577,15 @@ def recompose_sweep(
         corner = CornerPackedTransform(shape)
         field = gen.gaussian_random_field(shape, -2.0, seed=edge)
         levels = natural.extract_levels(natural.decompose(field))
-        out = {}
-        walls = _alternate([
-            _timed_recompose(natural, natural.assemble_levels(levels),
-                             out, "natural"),
-            _timed_recompose(corner, corner.assemble_levels(levels),
-                             out, "corner"),
-            _timed_decompose(natural, field, out, "natural_levels"),
-            _timed_decompose(corner, field, out, "corner_levels"),
-        ], reps)
-        assert out["natural"].tobytes() == out["corner"].tobytes(), \
+        walls, out = _times_interleaved(
+            [_in_place(natural), _in_place(corner),
+             lambda: natural.decompose(field), lambda: corner.decompose(field)],
+            reps, setups=[natural.assemble_levels(levels).copy,
+                          corner.assemble_levels(levels).copy, None, None])
+        assert out[0].tobytes() == out[1].tobytes(), \
             f"natural recompose diverged from corner-packed at {shape}"
-        for got, want in zip(natural.extract_levels(out["natural_levels"]),
-                             corner.extract_levels(out["corner_levels"])):
+        for got, want in zip(natural.extract_levels(out[2]),
+                             corner.extract_levels(out[3])):
             assert got.tobytes() == want.tobytes(), \
                 f"natural decompose diverged from corner-packed at {shape}"
         rows.append({
@@ -629,45 +604,46 @@ def recompose_sweep(
     levels = [natural.extract_levels(natural.decompose(
         gen.gaussian_random_field(tile, -2.0, seed=k)))
         for k in range(stack_tiles)]
-    out = {}
-    walls = _alternate([
-        _timed_recompose(natural, np.stack(
-            [natural.assemble_levels(lv) for lv in levels]), out, "natural"),
-        _timed_recompose(corner, np.stack(
-            [corner.assemble_levels(lv) for lv in levels]), out, "corner"),
-    ], reps)
-    assert out["natural"].tobytes() == out["corner"].tobytes(), \
+    walls, out = _times_interleaved(
+        [_in_place(natural), _in_place(corner)], reps,
+        setups=[np.stack([natural.assemble_levels(lv) for lv in levels]).copy,
+                np.stack([corner.assemble_levels(lv) for lv in levels]).copy])
+    assert out[0].tobytes() == out[1].tobytes(), \
         "natural stack recompose diverged from corner-packed"
     stack = {"tiles": stack_tiles, "tile": list(tile),
              "natural_ms": float(walls[:, 0].min()) * 1e3,
              "corner_packed_ms": float(walls[:, 1].min()) * 1e3,
              "vs_corner_packed": float(np.median(walls[:, 1] / walls[:, 0]))}
 
-    slab_rows = []
-    for edge in slab_edges:
-        shape = (edge,) * 3
-        natural = MultilevelTransform(shape)
-        field = gen.gaussian_random_field(shape, -2.0, seed=edge)
-        source = natural.decompose(field)
-        calls, out = [], {}
-        for size in slab_sizes:
-            def patched(call, size=size):
-                def run():
-                    with mock.patch.object(transform_module, "_SLAB_BYTES",
-                                           size):
-                        return call()
-                return run
-            calls += [patched(_timed_recompose(natural, source, out, size)),
-                      patched(_timed_decompose(natural, field, out, -size))]
-        walls = np.median(_alternate(calls, reps), axis=0) * 1e3
-        assert len({out[k].tobytes() for k in slab_sizes}) == 1
-        assert len({out[-k].tobytes() for k in slab_sizes}) == 1
-        slab_rows.append({"edge": edge, "sizes": [
-            {"slab_bytes": size, "recompose_ms": float(walls[2 * i]),
-             "decompose_ms": float(walls[2 * i + 1])}
-            for i, size in enumerate(slab_sizes)]})
+    def at_size(fn, size):
+        def run(*args):
+            transform_module._SLAB_BYTES = size
+            return fn(*args)
+        return run
+
+    slab_rows, shipped = [], transform_module._SLAB_BYTES
+    try:
+        for edge in slab_edges:
+            shape = (edge,) * 3
+            natural = MultilevelTransform(shape)
+            field = gen.gaussian_random_field(shape, -2.0, seed=edge)
+            fns = [at_size(fn, size) for size in slab_sizes
+                   for fn in (_in_place(natural),
+                              lambda: natural.decompose(field))]
+            walls, out = _times_interleaved(
+                fns, reps, setups=[natural.decompose(field).copy, None]
+                * len(slab_sizes))
+            walls = np.median(walls, axis=0) * 1e3
+            assert len({o.tobytes() for o in out[0::2]}) == 1
+            assert len({o.tobytes() for o in out[1::2]}) == 1
+            slab_rows.append({"edge": edge, "sizes": [
+                {"slab_bytes": size, "recompose_ms": float(walls[2 * i]),
+                 "decompose_ms": float(walls[2 * i + 1])}
+                for i, size in enumerate(slab_sizes)]})
+    finally:
+        transform_module._SLAB_BYTES = shipped
     return {"dtype": "float64", "reps": reps, "rows": rows, "stack": stack,
-            "slab_bytes": transform_module._SLAB_BYTES,
+            "slab_bytes": shipped,
             "slab_rows": slab_rows}
 
 

@@ -45,13 +45,20 @@ def lift(even, odd, pred, run: int, op) -> None:
 
     Odd row ``i`` (axis 1) is predicted by ``(even[i] + even[i+1]) / 2``.
     With no even row past the last odd one (an even extent), each run's
-    last odd row is predicted by its left neighbor alone (its sum across
-    the run's end is overwritten) — weights stay nonnegative and sum to
-    one, which keeps L∞ error composition exact.
+    last odd row is predicted by its left neighbor alone — weights stay
+    nonnegative and sum to one, which keeps L∞ error composition exact.
+    Where runs of several fibers meet, the sum is taken with 0, not with
+    the next fiber's first node (that sum could overflow), and is then
+    overwritten.
     """
     m = even.shape[1] - 1
     head = pred[:, :m]
-    np.add(even[:, :-1], even[:, 1:], out=head)
+    if odd.shape[1] > run:
+        head[...] = even[:, 1:]
+        head[:, run - 1 :: run] = 0
+        np.add(even[:, :-1], head, out=head)
+    else:
+        np.add(even[:, :-1], even[:, 1:], out=head)
     head *= 0.5
     if m < odd.shape[1]:
         pred[:, run - 1 :: run] = even[:, run - 1 :: run]
@@ -147,13 +154,11 @@ def _abs_correction_matrix(n: int) -> np.ndarray:
 
 
 def abs_correction_from_detail(detail: np.ndarray, n: int) -> np.ndarray:
-    """Upper bound on |correction| given elementwise |detail| bounds,
-    summed over the odd nodes in order: BLAS rounds a fiber by where it
-    sits among the others, which slabs and layouts move."""
+    """Upper bound on |correction| given elementwise |detail| bounds."""
     mat = _abs_correction_matrix(n)
-    out = np.zeros((mat.shape[0],) + detail.shape[1:], dtype=detail.dtype)
-    term = np.empty_like(out)
-    column = (mat.shape[0],) + (1,) * (detail.ndim - 1)
-    for k in range(detail.shape[0]):
-        out += np.multiply(mat[:, k].reshape(column), detail[k], out=term)
-    return out
+    # Contiguous, so BLAS sums in one order whatever the view's strides.
+    flat = np.ascontiguousarray(detail).reshape(detail.shape[0], -1)
+    out = mat @ flat
+    return out.reshape((mat.shape[0],) + detail.shape[1:]).astype(
+        detail.dtype, copy=False
+    )

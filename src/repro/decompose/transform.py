@@ -209,8 +209,10 @@ class MultilevelTransform:
         counts; whole tiles of a stack): a slab lifts along every other
         halved axis while it is in cache. A halved first axis couples
         slabs: a slab's odd planes decompose first, against untouched
-        even planes, and recompose once both neighbours' slabs are done;
-        ``mgard`` solves along it over the whole lattice instead."""
+        even planes, and recompose once both neighbours' slabs are done.
+        ``mgard`` lifts each step as one slab: its correction solves
+        along whole axes, and its absolute bound is a BLAS product whose
+        rounding moves with a fiber's column among the others."""
         forward = op is np.subtract
         buf = np.empty(data.size // 2)  # a pass touches <= half a lattice
         chain = [data]
@@ -228,24 +230,19 @@ class MultilevelTransform:
         axes = [axis + len(lead) for axis in axes]
         first, n, forward = axes[0] == 0, lattice.shape[0], op is np.subtract
         others = axes[first:] if forward else axes[first:][::-1]
-        whole = first and self.mode == "mgard"
-        planes = first and not whole
-        span = max(2, _SLAB_BYTES // lattice[0].nbytes) & -2
-        if whole and forward:
-            self._lift(lattice, 0, op, buf, absolute)
+        span = n if self.mode == "mgard" else \
+            max(2, _SLAB_BYTES // lattice[0].nbytes) & -2
         start = 0  # recompose: the even plane the next odd planes lift from
         for a in range(0, n, span):
             b = min(a + span, n)
-            if planes and forward:
+            if first and forward:
                 self._lift(lattice[a:b + 1], 0, op, buf, absolute)
             for axis in others:
                 self._lift(lattice[a:b], axis, op, buf, absolute)
-            if planes and not forward:
+            if first and not forward:
                 end = n if b == n else b - 1
                 self._lift(lattice[start:end], 0, op, buf, absolute)
                 start = end - 1
-        if whole and not forward:
-            self._lift(lattice, 0, op, buf, absolute)
 
     def _lift(self, lattice, axis, op, buf, absolute):
         """One pass along *axis*, with ``mgard``'s correction of the even

@@ -72,6 +72,17 @@ class TestRefactorer:
                 with pytest.raises(ValueError, match="finite input"):
                     refactorer.refactor(np.full((8, 8, 8), bad))
 
+    def test_near_max_values_at_adjacent_fiber_ends_refactor(self):
+        """1e308 on the last even node of row 0 and the first of row 1:
+        no prediction adds the two (rows are separate fibers), so the
+        field refactors, with no RuntimeWarning."""
+        data = np.zeros((8, 8))
+        data[0, 6] = data[1, 0] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = Refactorer((8, 8)).refactor(data)
+        assert all(np.isfinite(lv.max_abs) for lv in field.levels)
+
     def test_reusable_across_fields(self):
         r = Refactorer((16, 16))
         a = gen.gaussian_random_field((16, 16, 1), seed=1)[:, :, 0]

@@ -12,8 +12,10 @@ coefficient stack without zeroing it first).
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,14 +57,11 @@ def _assert_same(a: np.ndarray, b: np.ndarray) -> None:
     assert a.tobytes() == b.tobytes()
 
 
-@settings(max_examples=60, deadline=None)
-@given(geometries(), st.integers(0, 2**32 - 1))
-def test_natural_layout_matches_corner_packed_oracle(geometry, seed):
-    shape = geometry[0]
+def _check_against_oracle(geometry, u, stack=3, absolute=True):
+    """decompose *u*, recompose, a ``(stack, *shape)`` recompose and
+    (if *absolute*) recompose_absolute, each byte-equal to the
+    oracle's."""
     natural, oracle = _pair(*geometry)
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(shape)
-
     levels = natural.extract_levels(natural.decompose(u))
     expected = oracle.extract_levels(oracle.decompose(u))
     assert len(levels) == len(expected)
@@ -72,17 +71,109 @@ def test_natural_layout_matches_corner_packed_oracle(geometry, seed):
     _assert_same(natural.recompose(natural.assemble_levels(levels)),
                  oracle.recompose(oracle.assemble_levels(levels)))
 
-    scaled = [[lv * (k + 1.5) for lv in levels] for k in range(3)]
-    stack = np.stack([natural.assemble_levels(s) for s in scaled])
-    oracle_stack = np.stack([oracle.assemble_levels(s) for s in scaled])
-    _assert_same(natural.recompose(stack, overwrite=True),
-                 oracle.recompose(oracle_stack, overwrite=True))
-
-    magnitudes = [np.abs(lv) for lv in levels]
+    scaled = [[lv * (1 - k / 8) for lv in levels] for k in range(stack)]
     _assert_same(
-        natural.recompose_absolute(natural.assemble_levels(magnitudes)),
-        oracle.recompose_absolute(oracle.assemble_levels(magnitudes)))
-    assert level_error_weights(natural) == level_error_weights(oracle)
+        natural.recompose(np.stack([natural.assemble_levels(s)
+                                    for s in scaled]), overwrite=True),
+        oracle.recompose(np.stack([oracle.assemble_levels(s)
+                                   for s in scaled]), overwrite=True))
+
+    if absolute:
+        magnitudes = [np.abs(lv) for lv in levels]
+        _assert_same(
+            natural.recompose_absolute(natural.assemble_levels(magnitudes)),
+            oracle.recompose_absolute(oracle.assemble_levels(magnitudes)))
+    return natural, oracle
+
+
+@settings(max_examples=80, deadline=None)
+@given(geometries(), st.sampled_from([2, 4, 6, None]),
+       st.sampled_from([1e-3, 1.0, 1e6]), st.integers(0, 2**32 - 1))
+def test_natural_layout_matches_corner_packed_oracle(geometry, planes, scale,
+                                                     seed):
+    """Slabs of 2, 4 or 6 first-axis planes at the finest step (wider at
+    coarser steps, whose planes are smaller; whole tiles of a stack), so
+    the slabs' coupling is crossed at every boundary, or the shipped
+    slab size."""
+    shape = geometry[0]
+    u = np.random.default_rng(seed).standard_normal(shape) * scale
+    slab = (planes * 8 * math.prod(shape[1:]) if planes
+            else transform_module._SLAB_BYTES)
+    with mock.patch.object(transform_module, "_SLAB_BYTES", slab):
+        natural, oracle = _check_against_oracle(geometry, u, stack=5)
+        assert level_error_weights(natural) == level_error_weights(oracle)
+
+
+@pytest.mark.parametrize("shape", [(80, 80, 80), (64, 64, 64), (81, 66, 34),
+                                   (300, 200)])
+def test_benchmark_fields_match_the_oracle(shape):
+    u = np.random.default_rng(sum(shape)).standard_normal(shape)
+    _check_against_oracle((shape, None, "hierarchical", 4), u)
+
+
+def test_stack_of_tiles_matches_the_oracle():
+    """K = 18 tiles of 16^3, a read batch: slabs of whole tiles."""
+    natural, oracle = _pair((16, 16, 16), None, "hierarchical", 4)
+    rng = np.random.default_rng(18)
+    levels = [natural.extract_levels(natural.decompose(
+        rng.standard_normal((16, 16, 16)))) for _ in range(18)]
+    got = natural.recompose(np.stack(
+        [natural.assemble_levels(lv) for lv in levels]), overwrite=True)
+    want = oracle.recompose(np.stack(
+        [oracle.assemble_levels(lv) for lv in levels]), overwrite=True)
+    _assert_same(got, want)
+    for k in range(18):
+        _assert_same(got[k], natural.recompose(
+            natural.assemble_levels(levels[k])))
+
+
+@pytest.mark.parametrize("shape, hot", [
+    ((8, 8), [(0, 6), (1, 0)]),  # the last axis, after the axis-0 pass
+    ((3, 8), [(0, 6), (1, 0)]),  # the last axis alone halves
+    ((3, 8, 3), [(0, 6, 1), (1, 0, 1)]),  # a middle axis
+    ((8, 3), [(0, 1), (6, 1)]),  # a stack's tiles, along their first axis
+])
+def test_no_prediction_adds_nodes_of_two_fibers(shape, hot):
+    """1e308 on the last even node of one fiber and on the first of the
+    next (or of the next tile): no prediction adds the two, so no
+    floating-point error is raised on the way. (Absolute recomposes do
+    overflow at 1e308.)"""
+    u = np.zeros(shape)
+    for index in hot:
+        u[index] = 1e308
+    with np.errstate(all="raise"):
+        _check_against_oracle((shape, None, "hierarchical", 4), u,
+                              absolute=False)
+
+
+def _lifted_shapes(call):
+    """``(shape, axis)`` of every lattice *call* lifts, at a slab size of
+    one byte (two planes a slab)."""
+    seen, pairs = [], interpolation.pairs
+
+    def spy(lattice, axis, buf):
+        seen.append((lattice.shape, axis))
+        return pairs(lattice, axis, buf)
+
+    with mock.patch.object(transform_module, "_SLAB_BYTES", 1), \
+            mock.patch.object(interpolation, "pairs", spy):
+        call()
+    return seen
+
+
+def test_slab_count_of_a_sweep():
+    """The patched slab size really cuts a step into slabs: each slab of
+    two planes lifts its odd plane against the next slab's first, and a
+    stack's slabs are whole tiles. ``mgard`` lifts a step as one slab."""
+    field = np.ones((21, 6, 5))
+    natural = MultilevelTransform((21, 6, 5), 1)
+    seen = _lifted_shapes(lambda: natural.decompose(field))
+    assert seen == [((3, 6, 5), 0)] * 10 + [((1, 6, 5), 0)]
+    seen = _lifted_shapes(lambda: natural.recompose(np.ones((5, 21, 6, 5))))
+    assert seen == [((2, 21, 6, 5), 1)] * 2 + [((1, 21, 6, 5), 1)]
+    mgard = MultilevelTransform((21, 6, 5), 1, "mgard")
+    assert _lifted_shapes(lambda: mgard.decompose(field)) == [
+        ((21, 6, 5), 0)]
 
 
 @settings(max_examples=60, deadline=None)
