@@ -14,6 +14,11 @@ forced, which is the evidence behind the regime constant
 default chunk size against 1024-symbol chunks, the evidence behind
 ``DEFAULT_CHUNK_SYMBOLS``.
 
+Huffman encode is swept at the write side's stream sizes
+(``huffman_encode_sweep``: a 16^3 tile's 1 792 symbols up to the
+224 000 of an 80^3 field's finest plane groups), the word-packed
+``HuffmanCodec.encode`` against the seed ``encode_reference``.
+
 Huffman code construction is swept the same way (``code_length_sweep``:
 alphabet size x histogram shape): it never showed in the 1M-symbol
 encode row, yet at ~0.8 ms a call the heap it used to be was half of a
@@ -136,6 +141,15 @@ CODE_LENGTH_HISTOGRAMS = ("uniform", "zero_heavy", "fibonacci_deep")
 #: Constructions per timed call: one takes 10-800 us, too close to the
 #: timer's own cost to pair rep by rep.
 CODE_LENGTH_CALLS = 20
+#: The 2-symbol rows run this many times the sweep's reps: both sides
+#: take ~10 us there and read ~0.93x, so 21 reps let one run's median
+#: fall below the 0.9x floor on unchanged code.
+CODE_LENGTH_REPS_AT_2 = 5
+
+#: Stream sizes of the encode sweep: write_path's Huffman plane groups
+#: (a 16^3 tile's, then its 64^3 and 80^3 fields' coarse to fine).
+ENCODE_SWEEP_SIZES = (1792, 3500, 28000, 114688, 224000)
+SMOKE_ENCODE_SWEEP_SIZES = (1792, 3500)
 
 #: Decoded sizes of the sweep: the benchmark's tile groups (1792), the
 #: service_qoi groups (6-48 K), two sizes bracketing the measured
@@ -371,6 +385,39 @@ def huffman_decode_sweep(sizes=SWEEP_SIZES, reps: int = SWEEP_REPS) -> dict:
             "chunk_rows": chunk_rows}
 
 
+def huffman_encode_sweep(
+    sizes=ENCODE_SWEEP_SIZES, reps: int = SWEEP_REPS
+) -> dict:
+    """Encode wall per stream size: ``HuffmanCodec.encode`` against the
+    seed ``encode_reference``, interleaved, streams asserted equal.
+
+    Inputs are zero-heavy like low bit-plane groups (60% zero bytes) at
+    the default chunk size, so the encoder packs words of four codes.
+    ``vs_reference`` is the median paired ratio; as in
+    :func:`huffman_decode_sweep`, no key says "speedup".
+    """
+    codec = HuffmanCodec()
+    rng = np.random.default_rng(17)
+    rows = []
+    for n in sizes:
+        data = np.where(
+            rng.random(n) < 0.6, 0, rng.integers(0, 256, n)
+        ).astype(np.uint8)
+        walls, outs = _times_interleaved([
+            lambda: encode_reference(data, codec.chunk_symbols),
+            lambda: codec.encode(data),
+        ], reps)
+        assert outs[0] == outs[1], f"encode diverged at n={n}"
+        rows.append({
+            "num_symbols": n,
+            "stream_bytes": len(outs[1]),
+            "encode_reference_ms": float(walls[:, 0].min()) * 1e3,
+            "encode_ms": float(walls[:, 1].min()) * 1e3,
+            "vs_reference": float(np.median(walls[:, 0] / walls[:, 1])),
+        })
+    return {"chunk_symbols": codec.chunk_symbols, "rows": rows}
+
+
 def huffman_batch_sweep(
     sizes=HUFFMAN_BATCH_SIZES, reps: int = SWEEP_REPS,
     caps=SLAB_CAPS, walks=WALK_LENGTHS,
@@ -488,7 +535,7 @@ def code_length_sweep(
                 batch(lambda: build_code_lengths_reference(freqs)),
                 batch(lambda: huffman.build_code_lengths(freqs)),
                 batch(lambda: huffman.huffman_ratio_upper_bound(n, freqs)),
-            ], reps)
+            ], reps * CODE_LENGTH_REPS_AT_2 if present == 2 else reps)
             assert np.array_equal(outs[0], outs[1]), \
                 f"two-queue lengths diverged from the heap: {shape} {present}"
             t_ref, t_new, t_bound = walls.min(axis=0) / calls
@@ -654,6 +701,7 @@ def run_benchmarks(
     tile_batch_sizes=TILE_BATCH_SIZES, batch_tile=BATCH_TILE,
     huffman_batch_sizes=HUFFMAN_BATCH_SIZES,
     recompose_edges=RECOMPOSE_EDGES, slab_edges=SLAB_EDGES,
+    encode_sweep_sizes=ENCODE_SWEEP_SIZES,
 ) -> dict:
     """Measure all hot paths; returns the BENCH_hotpaths payload."""
     rng = np.random.default_rng(0)
@@ -765,6 +813,8 @@ def run_benchmarks(
             "encode_throughput_mbps": mb / t_henc,
             "decode_throughput_mbps": mb / t_hdec,
         },
+        "huffman_encode_sweep": huffman_encode_sweep(
+            encode_sweep_sizes, sweep_reps),
         "huffman_decode_sweep": huffman_decode_sweep(sweep_sizes, sweep_reps),
         "code_length_sweep": code_length_sweep(sweep_reps, code_length_calls),
         "huffman_batch_sweep": huffman_batch_sweep(
@@ -849,7 +899,8 @@ def main(argv: list[str] | None = None) -> None:
                        batch_tile=(8, 8, 8),
                        huffman_batch_sizes=SMOKE_HUFFMAN_BATCH_SIZES,
                        recompose_edges=SMOKE_RECOMPOSE_EDGES,
-                       slab_edges=SMOKE_SLAB_EDGES)
+                       slab_edges=SMOKE_SLAB_EDGES,
+                       encode_sweep_sizes=SMOKE_ENCODE_SWEEP_SIZES)
         print("bench_hotpaths smoke ok (tiny sizes, no floors, "
               "nothing written)")
         return
@@ -877,6 +928,12 @@ def main(argv: list[str] | None = None) -> None:
         f"huffman: encode {huff['encode_speedup']:.1f}x, "
         f"decode {huff['decode_speedup']:.1f}x"
     )
+    for row in results["huffman_encode_sweep"]["rows"]:
+        print(
+            f"huffman encode n={row['num_symbols']:>7}: "
+            f"{row['encode_ms']:.2f} ms, "
+            f"{row['vs_reference']:.1f}x vs reference"
+        )
     for row in results["huffman_decode_sweep"]["rows"]:
         print(
             f"huffman decode n={row['num_symbols']:>7} ({row['regime']}): "

@@ -10,6 +10,7 @@ round, coarse to fine) is provided as the ablation baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,9 +102,12 @@ def plan_greedy_many(
     The greedy rounds merge the levels' score sequences, so they take
     the steps in the stable order of (−prefix minimum of the level's
     scores from the start, level, group): one sort of a padded
-    ``(K, S)`` array. The running bound is the loop's float arithmetic
-    (a fresh ``sum``, then ``+= new − old`` in order, as ``np.cumsum``
-    adds), and a plan is the shortest prefix meeting its tolerance.
+    ``(K, S)`` array. A step from an infinite bound scores ``inf``. The
+    running bound is the loop's float arithmetic (a fresh ``sum``, then
+    ``+= new − old`` in order, as ``np.cumsum`` adds), and a plan is the
+    shortest prefix meeting its tolerance. A field whose running bound
+    leaves the finite range is walked like the loop
+    (:func:`_walk_totals`), which sums afresh while it is infinite.
     """
     tolerances = np.array([check_tolerance(t) for t in tolerances])
     if not fields:
@@ -126,26 +130,53 @@ def plan_greedy_many(
     k, steps = len(tables), width * (depth - 1)
     ahead = np.arange(depth - 1) >= first[..., None]
     live = ahead & (np.arange(depth - 1) < last[..., None])
-    score = np.where(ahead, (bound[..., :-1] - bound[..., 1:]) / np.maximum(
-        nbytes[..., 1:] - nbytes[..., :-1], 1), np.inf)
-    key = np.where(live, -np.minimum.accumulate(score, axis=-1), np.inf)
-    order = key.reshape(k, steps).argsort(axis=1, kind="stable")
-    rows, levels = np.arange(k)[:, None], np.arange(width)
-    delta = np.where(live, bound[..., 1:] - bound[..., :-1], 0.0)
-    totals = np.concatenate([np.array([
-        sum(b[:size]) for b, size in zip(
-            bound[rows, levels, first].tolist(), sizes)]).reshape(k, 1),
-        delta.reshape(k, steps)[rows, order]], 1).cumsum(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):  # walked below
+        gain = bound[..., :-1] - bound[..., 1:]
+        score = np.where(~ahead | np.isinf(bound[..., :-1]), np.inf, gain
+                         / np.maximum(nbytes[..., 1:] - nbytes[..., :-1], 1))
+        # Dead steps key NaN, which sorts after every live key (+inf,
+        # a -inf score's, included).
+        key = np.where(live, -np.minimum.accumulate(score, axis=-1), np.nan)
+        order = key.reshape(k, steps).argsort(axis=1, kind="stable")
+        rows, levels = np.arange(k)[:, None], np.arange(width)
+        fresh = np.array([sum(b[:size]) for b, size in zip(
+            bound[rows, levels, first].tolist(), sizes)]).reshape(k, 1)
+        delta = np.where(live, -gain, 0.0).reshape(k, steps)[rows, order]
+        totals = np.concatenate([fresh, delta], 1).cumsum(axis=1)
+    step_level = order // max(depth - 1, 1)
+    # A cumsum that leaves the finite range never comes back to it.
+    for row in np.flatnonzero(~np.isfinite(totals[:, -1])):
+        totals[row] = _walk_totals(bound[row, :sizes[row]], first[row],
+                                   step_level[row], int(live[row].sum()),
+                                   steps)
     met = totals <= tolerances[:, None]
     taken = np.where(met.any(1), met.argmax(1), live.sum((1, 2)))
     groups = first + np.bincount(
-        (rows * width + order // max(depth - 1, 1))[
+        (rows * width + step_level)[
             np.arange(steps) < taken[:, None]],
         minlength=k * width).reshape(k, width)
     at = (rows, levels, groups)
     return [RetrievalPlan(g[:size], sum(b[:size]), int(n)) for g, b, n, size
             in zip(groups.tolist(), bound[at].tolist(), nbytes[at].sum(1),
                    sizes)]
+
+
+def _walk_totals(bound: np.ndarray, first: np.ndarray, levels: np.ndarray,
+                 live: int, steps: int) -> list[float]:
+    """One field's running bound before and after each of its *steps*
+    (the first *live* fetch a group of ``levels[i]``), as the greedy
+    loop adds: ``+= new − old`` while finite, a fresh ``sum`` while
+    infinite, so no total takes ``inf − inf``."""
+    at = first[:len(bound)].tolist()
+    terms = bound[np.arange(len(bound)), at].tolist()
+    totals = [sum(terms)]
+    for level in levels[:live].tolist():
+        old = terms[level]
+        at[level] += 1
+        terms[level] = float(bound[level, at[level]])
+        totals.append(sum(terms) if math.isinf(totals[-1])
+                      else totals[-1] + (terms[level] - old))
+    return totals + totals[-1:] * (steps - live)
 
 
 def plan_round_robin(

@@ -53,9 +53,10 @@ def pack_sorted_canonical_bits(
     written starting at bit ``positions[i]``; returns the packed uint8
     buffer of ``ceil(total_bits / 8)`` bytes. Nothing is validated:
     callers (the Huffman encoder) guarantee that ``codes`` are uint64
-    holding only their low ``lengths`` bits (canonical codes are),
-    ``lengths`` are integers in [1, 64], ``positions`` are nondecreasing
-    int64 with disjoint code bits inside ``[0, total_bits)``. A position
+    holding only their low ``lengths`` bits (canonical codes are, and so
+    are the encoder's words of up to four merged codes), ``lengths`` are
+    integers in [1, 64], ``positions`` are nondecreasing int64 with
+    disjoint code bits inside ``[0, total_bits)``. A position
     past the last lane still faults (NumPy bounds-checks the lane
     scatter). The kernel shifts ``codes`` and rebases ``positions`` in
     place — they are the encoder's packing-only temporaries, and

@@ -41,6 +41,10 @@ from repro.lossless.bitio import (
 )
 
 MAX_CODE_LENGTH = 16
+#: Codes one encode word may merge, most first: the encoder takes the
+#: largest that divides the chunk size. ``64 // MAX_CODE_LENGTH`` codes
+#: fill at most one 64-bit word.
+_WORD_CODES = (64 // MAX_CODE_LENGTH, 2, 1)
 #: Symbols per chunk, the lockstep's rounds. The lockstep costs rounds x
 #: a NumPy call's overhead whatever its lanes hold, so 256-symbol chunks
 #: (a quarter of the rounds of 1024, four times the lanes) decode a
@@ -330,11 +334,18 @@ class HuffmanCodec:
     ) -> bytes:
         """Word-packed chunked encode.
 
-        Each symbol's canonical code is shifted into its destination
-        64-bit stream lane and the per-lane contributions are OR-merged
-        in one pass (:func:`repro.lossless.bitio.pack_sorted_canonical_bits`)
-        — the NumPy analogue of the chunk-parallel word-merge GPU Huffman
-        encoders use — instead of scattering individual bits.
+        G consecutive canonical codes of a chunk first merge into one
+        word, ``c0 << (l1 + ... + l_{G-1}) | ... | c_{G-1}`` of length
+        ``l0 + ... + l_{G-1}``, the register-level codeword merge of GPU
+        Huffman encoders. G is the largest of ``64 // MAX_CODE_LENGTH``
+        (4), 2 and 1 that divides the chunk size, so a word fits 64 bits
+        and never crosses a chunk. Each word's stream position is its
+        exclusive in-chunk bit prefix plus its chunk's byte offset,
+        broadcast over a ``(chunks, words per chunk)`` view. The words
+        are then shifted into their 64-bit stream lanes and OR-merged in
+        one pass (:func:`repro.lossless.bitio.pack_sorted_canonical_bits`)
+        instead of scattering individual bits. Streams do not depend on
+        G: they are byte-identical to packing one code at a time.
 
         ``freqs``, when given, must be ``np.bincount(data, minlength=256)``
         (callers that already histogrammed the buffer, e.g. the hybrid
@@ -374,41 +385,60 @@ class HuffmanCodec:
         if n == 0:
             return header_head + lengths_table.tobytes() + struct.pack("<I", 0)
 
-        # One fused gather per symbol — length in the high half, code in
-        # the low half of a single int64 LUT entry (codes fit 16 bits) —
-        # instead of separate length and code table gathers.
-        fused_table = (lengths_table.astype(np.int64) << 32) | codes_table.astype(
-            np.int64
-        )
-        sym_fused = fused_table[data]
-        sym_lengths = sym_fused >> 32
-        sym_codes = (sym_fused & 0xFFFFFFFF).view(np.uint64)
         chunk = self.chunk_symbols
-        n_chunks = -(-n // chunk)
-        starts = np.arange(n_chunks) * chunk
-        chunk_bits = np.add.reduceat(sym_lengths, starts)
-        chunk_bytes = (chunk_bits + 7) >> 3
-        offsets = np.zeros(n_chunks + 1, dtype=np.int64)
-        np.cumsum(chunk_bytes, out=offsets[1:])
-        _check_offsets_u32(offsets)
+        group = next(g for g in _WORD_CODES if chunk % g == 0)
+        n_words = -(-n // group)
+        # The length|code LUT (codes fit 16 bits) gathered into G
+        # contiguous columns, one per place in a word; only the stream's
+        # last partial word is padded, with zero-length codes.
+        fused_table = (lengths_table.astype(np.uint64) << np.uint64(32)) \
+            | codes_table
+        cols = np.empty((group, n_words), dtype=np.uint64)
+        for j in range(group):
+            column = data[j::group]
+            fused_table.take(column, out=cols[j, :column.size], mode="clip")
+            if column.size < n_words:
+                cols[j, -1] = 0
+        # Horner merge: code = (..(c0 << l1 | c1) << l2 ..) | c_{G-1},
+        # length = sum of the lengths. The positions buffer is the
+        # scratch until the cumsums below fill it.
+        word_lengths = np.right_shift(cols[0], 32)
+        word_codes = np.bitwise_and(cols[0], 0xFFFF, out=cols[0])
+        positions = np.empty(n_words, dtype=np.int64)
+        step = positions.view(np.uint64)
+        for j in range(1, group):
+            np.right_shift(cols[j], 32, out=step)
+            np.left_shift(word_codes, step, out=word_codes)
+            np.add(word_lengths, step, out=word_lengths)
+            np.bitwise_and(cols[j], 0xFFFF, out=step)
+            np.bitwise_or(word_codes, step, out=word_codes)
+        word_lengths = word_lengths.view(np.int64)
 
-        # Exclusive prefix of code lengths = in-stream bit cursor before
-        # rebasing; computed with one cumsum into a preallocated buffer.
-        prefix = np.empty(n, dtype=np.int64)
-        prefix[0] = 0
-        np.cumsum(sym_lengths[:-1], out=prefix[1:])
-        counts = np.diff(np.append(starts, n))
-        # Chunk payloads are byte-aligned: each symbol's stream position
-        # is its in-chunk bit prefix rebased to the chunk's byte offset.
-        positions = np.add(
-            prefix, np.repeat(offsets[:-1] * 8 - prefix[starts], counts),
-            out=prefix,
-        )
-        # Canonical codes are already masked to their lengths and
-        # positions are nondecreasing, so the trusted packer applies;
-        # sym_codes/positions are packing-only temporaries it consumes.
+        # Chunk payloads are byte-aligned: a word's stream position is
+        # its exclusive in-chunk bit prefix plus its chunk's offset, one
+        # cumsum over a (chunks, words per chunk) view of the full
+        # chunks and one over the last partial chunk's words.
+        per_chunk = chunk // group
+        n_chunks = -(-n // chunk)
+        full = n // chunk
+        body = positions[:full * per_chunk].reshape(full, per_chunk)
+        tail = positions[full * per_chunk:]
+        np.cumsum(word_lengths[:full * per_chunk].reshape(full, per_chunk),
+                  axis=1, out=body)
+        np.cumsum(word_lengths[full * per_chunk:], out=tail)
+        chunk_bits = np.concatenate((body[:, -1], tail[-1:]))
+        offsets = np.zeros(n_chunks + 1, dtype=np.int64)
+        np.cumsum((chunk_bits + 7) >> 3, out=offsets[1:])
+        _check_offsets_u32(offsets)
+        np.subtract(positions, word_lengths, out=positions)
+        bases = offsets[:-1] * 8
+        body += bases[:full, None]
+        tail += bases[full:]
+        # Every word holds a code of at least one bit, its codes are
+        # masked to its length and positions are nondecreasing, so the
+        # trusted packer applies; it consumes both temporaries.
         payload = pack_sorted_canonical_bits(
-            sym_codes, sym_lengths, positions, int(offsets[-1] * 8))
+            word_codes, word_lengths, positions, int(offsets[-1] * 8))
         offsets32 = offsets.astype(np.uint32)
         return (
             header_head

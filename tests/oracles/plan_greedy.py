@@ -4,9 +4,10 @@ oracle.
 The library plans by sort and lookup (:func:`~repro.core.planner.
 plan_greedy_many`). This module keeps the round-by-round greedy loop it
 replaced — each round scores every level's next group by error reduction
-per byte and fetches the best, the lowest level on a tie, until the
-running bound meets the tolerance — so tests can check the lookup plan
-for plan.
+per byte (``inf`` from an infinite bound) and fetches the best, the
+lowest level on a tie, until the running bound meets the tolerance; an
+infinite running bound is summed afresh each round — so tests can check
+the lookup plan for plan.
 
 Import it with the ``tests`` directory on ``sys.path`` (pytest puts it
 there for files under ``tests/``)::
@@ -15,6 +16,8 @@ there for files under ``tests/``)::
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.core.planner import RetrievalPlan
 from repro.util.validation import check_tolerance
@@ -45,14 +48,18 @@ def plan_greedy_loop(field, tolerance: float, start=None) -> RetrievalPlan:
             )
             gain = per_level[idx] - new_err
             cost = lv.bytes_for_groups(g + 1) - lv.bytes_for_groups(g)
-            score = gain / max(cost, 1)
+            score = math.inf if math.isinf(per_level[idx]) \
+                else gain / max(cost, 1)
             if best_idx < 0 or score > best_score:
                 best_idx, best_score, best_new = idx, score, new_err
         if best_idx < 0:
             break  # everything fetched; tolerance below lossless floor
         groups[best_idx] += 1
-        total += best_new - per_level[best_idx]
+        old = per_level[best_idx]
         per_level[best_idx] = best_new
+        # inf - inf would make the total NaN and end the loop unmet.
+        total = sum(per_level) if math.isinf(total) \
+            else total + (best_new - old)
     return RetrievalPlan(
         groups,
         sum(w * lv.error_bound_for_groups(g)

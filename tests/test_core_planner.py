@@ -1,10 +1,15 @@
 """Tests for the retrieval planner."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from oracles.plan_greedy import plan_greedy_loop
 
 from repro.core.errors import TransientStoreError
 from repro.core.planner import (
+    plan_at,
     plan_full,
     plan_greedy,
     plan_round_robin,
@@ -94,6 +99,46 @@ class TestRoundRobin:
     def test_rejects_negative_tolerance(self, field):
         with pytest.raises(ValueError):
             plan_round_robin(field, -0.5)
+
+
+class TestInfiniteBounds:
+    """Finite data near the float64 limit can give a level an infinite
+    weighted bound. The running total must never take ``inf - inf``: a
+    NaN total made the lookup fetch everything (with an "invalid value"
+    warning) and stopped the loop one round in, above the tolerance."""
+
+    @pytest.fixture(scope="class")
+    def huge(self):
+        data = np.zeros((8, 8))
+        data[0, 6] = data[1, 0] = 1e308
+        return refactor(data)
+
+    def test_the_level_bound_is_infinite(self, huge):
+        # The property the other tests here need.
+        weight, level = huge.level_weights[1], huge.levels[1]
+        assert math.isinf(weight * level.error_bound_for_groups(0))
+
+    def test_smallest_greedy_prefix_meets_tolerance(self, huge):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = plan_greedy(huge, 1e300)
+            assert plan == plan_greedy_loop(huge, 1e300)
+        assert plan.error_bound <= 1e300
+        assert plan.groups_per_level == [8, 8]
+        for level in range(2):  # the last greedy step was one of these
+            fewer = list(plan.groups_per_level)
+            fewer[level] -= 1
+            assert plan_at(huge, fewer).error_bound > 1e300
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1e300, 1e306, 1.7e308])
+    @pytest.mark.parametrize("start", [None, [0, 0], [3, 0], [0, 2]])
+    def test_lookup_equals_loop(self, huge, tolerance, start):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = plan_greedy(huge, tolerance, start)
+            assert plan == plan_greedy_loop(huge, tolerance, start)
+        if plan.error_bound > tolerance:
+            assert plan.groups_per_level == huge.max_groups()
 
 
 class TestHelpers:

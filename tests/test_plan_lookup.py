@@ -9,6 +9,7 @@ fields and on synthetic levels built to tie.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -80,15 +81,29 @@ TOLERANCES = st.sampled_from(
 
 
 class TestLookupEqualsLoop:
-    @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), tolerance=TOLERANCES,
-           num_levels=st.integers(1, 5))
-    def test_synthetic_levels_with_ties(self, seed, tolerance, num_levels):
+    @settings(max_examples=250, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           tolerance=TOLERANCES | st.sampled_from([1e307, 1.7e308]),
+           num_levels=st.integers(1, 5),
+           weight=st.sampled_from([None, None, 1e300, 1e308, 1.7e308]))
+    def test_synthetic_levels_with_ties(self, seed, tolerance, num_levels,
+                                        weight):
+        """Weights near the float64 limit overflow some level bounds to
+        inf (several groups deep, and finite terms whose sum overflows):
+        no warning either, and a plan that misses its tolerance fetched
+        everything."""
         rng = np.random.default_rng(seed)
         field = synthetic_field(rng, num_levels)
-        for start in (None, random_start(rng, field)):
-            assert plan_greedy(field, tolerance, start) \
-                == plan_greedy_loop(field, tolerance, start)
+        if weight is not None:
+            field = dataclasses.replace(field,
+                                        level_weights=[weight] * num_levels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for start in (None, random_start(rng, field)):
+                plan = plan_greedy(field, tolerance, start)
+                assert plan == plan_greedy_loop(field, tolerance, start)
+                if plan.error_bound > tolerance:
+                    assert plan.groups_per_level == field.max_groups()
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

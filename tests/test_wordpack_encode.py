@@ -4,8 +4,11 @@ The invariants: the word-packed packer is byte-identical to the seed
 per-bit packer, `HuffmanCodec.encode` built on it is byte-identical to
 the seed encoder, and every encoded stream decodes with both the
 library's and the seed decoder — across random alphabets, code lengths
-1..16, chunk sizes {1, 7, 1024}, empty and single-symbol inputs. The
-seed kernels are the oracles in ``tests/oracles/huffman_seed.py``.
+1..16, empty and single-symbol inputs, and chunk sizes that give the
+encoder words of four codes (4, 256, 1024), two (2, 6, 2**32 - 2) and
+one (1, 3, 7, 2**32 - 1), with every ragged last word (n % 4 of 1, 2
+and 3). The seed kernels are the oracles in
+``tests/oracles/huffman_seed.py``.
 """
 
 import numpy as np
@@ -28,7 +31,7 @@ from repro.lossless.huffman import (
     huffman_encode,
 )
 
-CHUNK_SIZES = (1, 7, 1024)
+CHUNK_SIZES = (1, 2, 3, 4, 6, 7, 256, 1024, 2**32 - 2, 2**32 - 1)
 
 
 def random_alphabet_data(rng, n, alphabet_size):
@@ -42,7 +45,9 @@ def random_alphabet_data(rng, n, alphabet_size):
 
 class TestEncodeMatchesReference:
     @pytest.mark.parametrize("chunk_symbols", CHUNK_SIZES)
-    @pytest.mark.parametrize("n", [0, 1, 2, 6, 7, 8, 100, 1024, 5000])
+    @pytest.mark.parametrize(
+        "n", [0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 100, 1024, 1027, 5000,
+              5001, 5002, 5003])
     def test_sizes_and_chunks(self, chunk_symbols, n):
         rng = np.random.default_rng(n * 31 + chunk_symbols)
         data = random_alphabet_data(rng, n, alphabet_size=12)
@@ -53,9 +58,10 @@ class TestEncodeMatchesReference:
         np.testing.assert_array_equal(decode_reference(fast), data)
 
     @pytest.mark.parametrize("chunk_symbols", CHUNK_SIZES)
-    def test_single_symbol_alphabet(self, chunk_symbols):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 777, 1024])
+    def test_single_symbol_alphabet(self, chunk_symbols, n):
         codec = HuffmanCodec(chunk_symbols=chunk_symbols)
-        data = np.full(777, 42, dtype=np.uint8)
+        data = np.full(n, 42, dtype=np.uint8)
         fast = codec.encode(data)
         assert fast == encode_reference(data, chunk_symbols)
         np.testing.assert_array_equal(codec.decode(fast), data)
@@ -67,20 +73,47 @@ class TestEncodeMatchesReference:
         assert blob == encode_reference(np.empty(0, dtype=np.uint8))
         assert codec.decode(blob).size == 0
 
-    def test_max_length_codes(self):
-        """Fibonacci frequencies force the 16-bit length limit."""
+    @staticmethod
+    def fibonacci_data(seed):
+        """Fibonacci frequencies force the 16-bit length limit: the
+        eight rarest symbols, 0-7, get 16-bit codes."""
         counts = [1, 1]
         while len(counts) < 22:
             counts.append(counts[-1] + counts[-2])
         data = np.repeat(
             np.arange(len(counts), dtype=np.uint8), counts
         )
-        np.random.default_rng(5).shuffle(data)
+        np.random.default_rng(seed).shuffle(data)
         lengths = build_code_lengths(np.bincount(data, minlength=256))
-        assert int(lengths.max()) == 16  # the property this test needs
+        assert lengths[:8].tolist() == [16] * 8  # what these tests need
+        return data
+
+    def test_max_length_codes(self):
+        data = self.fibonacci_data(5)
         codec = HuffmanCodec()
         fast = codec.encode(data)
         assert fast == encode_reference(data)
+        np.testing.assert_array_equal(codec.decode(fast), data)
+
+    @pytest.mark.parametrize("chunk_symbols", [4, 256, 1024])
+    def test_four_16_bit_codes_fill_a_word(self, chunk_symbols):
+        """Words of exactly 64 bits: the stream's first, one inside a
+        chunk and the last full word before the ragged tail."""
+        rng = np.random.default_rng(6)
+        data = self.fibonacci_data(6)
+        n, rare = data.size, data < 8
+        last = n // 4 * 4 - 4
+        assert n % 4  # a ragged tail follows the last full word
+        words = np.r_[0:4, 264:268, last:last + 4]
+        spots = np.zeros(n, dtype=bool)
+        spots[words] = True
+        spots[rng.choice(np.flatnonzero(~spots), rare.sum() - words.size,
+                         replace=False)] = True
+        data[spots], data[~spots] = data[rare], data[~rare]
+        assert (data[words] < 8).all()
+        codec = HuffmanCodec(chunk_symbols=chunk_symbols)
+        fast = codec.encode(data)
+        assert fast == encode_reference(data, chunk_symbols)
         np.testing.assert_array_equal(codec.decode(fast), data)
 
 
